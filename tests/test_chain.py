@@ -245,3 +245,49 @@ def test_walk_step_flags_empty_target_cell():
     with pytest.raises(FlaggedInstanceError):
         walk_step(index.class_state(1, 2), family, plan,
                   np.random.default_rng(0), index=index)
+
+
+_DENSE_FLAG = "The instance violates a statistical premise; it is skipped, not patched: "
+
+
+@pytest.mark.parametrize(
+    "shape, max_outer, expected",
+    [
+        # R = N: the single vertex starts dense and completes in one step
+        ((6, 10, 0, 6, 0), 64,
+         ("completed", "dense", 1, [(686, (22, 45)), (747, (15, 29))], (0, 0, 68, 2))),
+        # dense start, flagged at the projection onto [E, E+T]
+        ((6, 10, 0, 6, 1), None, _DENSE_FLAG + "no vertices hold [2, 4] tuples."),
+        # dense start, flagged by walk_step
+        ((6, 10, 2, 6, 0), None, _DENSE_FLAG + "target cell [3, 4] is empty."),
+        # dense start, flagged by interval correction inside an extraction
+        ((6, 10, 0, 6, 6), None,
+         _DENSE_FLAG + "classes below 1 and above 3 must be nonempty (sizes 0, 0)."),
+        # no vertex holds a tuple at setup
+        ((4, 8, 0, 4, 0), None, ("sparse_fallback", "sparse", 1, [], (0, 0, 16, 0))),
+        # the first extraction empties the vertex
+        ((4, 7, 1, 1, 1), None,
+         ("sparse_fallback", "sparse", 1, [(121, (3, 7))], (12, 6, 4, 1))),
+        # the default loop bound stops the run
+        ((4, 5, 1, 4, 0), None,
+         ("max_iterations", "sparse", 1, [(20, (1, 10))], (0, 0, 18, 1))),
+    ],
+)
+def test_run_stops(shape, max_outer, expected):
+    n, m, k, ell, seed = shape
+    config = ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
+                         max_outer_iterations=max_outer)
+    if isinstance(expected, str):
+        with pytest.raises(FlaggedInstanceError) as info:
+            run(config)
+        assert str(info.value) == expected
+        return
+    status, regime, outer, tuples, counts = expected
+    result = run(config)
+    assert result.status.value == status
+    assert result.regime == regime
+    assert result.outer_iterations == outer
+    assert list(result.collision_table.items()) == tuples
+    led = result.ledger
+    assert (led.update_calls, led.check_calls, led.oracle_queries,
+            led.extraction_events) == counts
