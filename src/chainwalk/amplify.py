@@ -95,13 +95,13 @@ def grover_iterate(
 def iteration_count(alpha: float) -> int:
     """Rounds of rotation aimed at a quarter turn: round(pi/(4*asin a) - 1/2).
 
-    Rounding is half-up, which for alpha <= 1/sqrt(2) always returns at
-    least 1.
+    Rounding is half-up, so the count is floor(pi/(4*asin a)), which for
+    alpha <= 1/sqrt(2) is at least 1.
     """
     if alpha <= 0.0:
         raise ImpossibleTargetError("cannot size iterations for zero amplitude")
     theta = math.asin(min(1.0, alpha))
-    return max(0, int(math.floor(math.pi / (4.0 * theta) - 0.5 + 0.5)))
+    return math.floor(math.pi / (4.0 * theta))
 
 
 def flip(

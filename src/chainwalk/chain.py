@@ -8,13 +8,17 @@ The residual state is reused from step to step without re-preparation; after
 every phase the run checks that the live state is exactly uniform over its
 declared vertex family.
 
-Two operating regimes exist.  The dense regime assumes each vertex holds at
-least E >= 2 expected tuples and moves the count interval [E, E+T] down and
-back up in blocks of T extractions; extraction_step and walk_step implement
-its two halves.  Desk-scale instances essentially never reach density, so
-run() drops to the sparse regime: project onto vertices with at least one
-tuple, measure the exact count z, and extract tuple by tuple down from
-[z, z].  Results carry both the reached status and the regime used.
+run() is one loop of walk and extraction phases under one of two interval
+policies.  The window policy (the dense regime) holds an IntervalPlan: each
+vertex is expected to hold E >= 2 tuples, the run first projects onto
+[E, E+T], and each iteration runs extraction_step (T tuples out, interval
+down to [E-T, E]) and then walk_step (back up to [E+1, E+T]).  It starts only
+when 8R < M and E >= 2, which at desk scale means R = N: a single vertex.
+Once the recomputed E drops below 2, the run measures the exact count and
+switches to the count policy (the sparse regime): walk onto vertices holding
+a tuple when the current class holds none, measure the exact count z, and
+extract one tuple from [z, z] per iteration.  Results carry the status reached
+and the regime: "dense", "sparse" or "mixed" (dense, then switched).
 
 Costs follow the walk accounting: Setup charges R oracle queries, each
 diffusion iteration charges ceil(1/sqrt(delta)) Update calls and one Check
@@ -39,9 +43,14 @@ from .errors import (
     FlaggedInstanceError,
     ParameterError,
     SimulationError,
-    ValidationError,
 )
-from .extraction import FamilyIndex, VertexFamily, extract_tuple
+from .extraction import (
+    MAX_TRANSITIONS,
+    FamilyIndex,
+    VertexFamily,
+    check_uniform_class,
+    extract_tuple,
+)
 from .johnson import closed_form_gap
 from .oracle import (
     CollisionTable,
@@ -54,7 +63,6 @@ from .statevector import State, measure
 from .stats import IntervalPlan, round_count
 
 _ELL_SLACK = 4
-_MAX_WALK_TRANSITIONS = 10_000
 
 
 class ChainStatus(Enum):
@@ -80,9 +88,6 @@ class ChainConfig:
     max_outer_iterations: Optional[int] = None
     target_tuples: Optional[int] = None
     calibration_c: float = 7.0 / 12.0
-    min_fraction: float = 0.0
-    family_cap: int = 250_000
-    record_states: bool = False
 
     def __post_init__(self) -> None:
         if self.ell < 1:
@@ -213,9 +218,9 @@ class ChainResult:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _delta_for(domain_size: int, big_r: int) -> float:
-    if domain_size > big_r:
-        return closed_form_gap(domain_size, big_r)
+def _delta_for(family: VertexFamily) -> float:
+    if family.restriction.domain_size > family.big_r:
+        return closed_form_gap(family.restriction.domain_size, family.big_r)
     return 1.0
 
 
@@ -233,20 +238,66 @@ def _verify_tuple(
             )
 
 
-def _check_uniform_class(
-    state: State, index: FamilyIndex, family: VertexFamily
-) -> int:
-    """Assert the state is exactly uniform over its declared class."""
-    expected = index.keys_in(family.lo, family.hi)
-    if set(state.support()) != set(expected):
-        raise ValidationError(
-            f"state support does not match family {family.interval_label()}"
+def _extract_one(state, family, index, rng, ledger, fn, trace):
+    """Extract one tuple, charge and verify it, and re-index the shrunken family.
+
+    Returns (tuple, state, family, index); index is None once the extraction
+    has emptied the vertex (R' = 0).
+    """
+    delta = _delta_for(family)
+    found, state, family, fs = extract_tuple(state, family, rng, index, trace=trace)
+    if ledger is not None:
+        ledger.extraction_events += 1
+        ledger.charge_flip(fs, delta)
+        if fn is not None:
+            _verify_tuple(fn, ledger, *found)
+    if family.big_r < 1:
+        return found, state, family, None
+    index = FamilyIndex(family.restriction, family.big_r)
+    check_uniform_class(state, family, index)
+    return found, state, family, index
+
+
+def _flip_charged(state, family, index, good, want, rng, ledger) -> State:
+    """Amplify toward (GOOD) or away from (BAD) the vertices where good holds."""
+    state, fs = flip(state, good, index.axis_state(), want, rng)
+    ledger.charge_flip(fs, _delta_for(family))
+    return state
+
+
+def _measure_count(state, family, index, rng):
+    """Measure the exact tuple count z and narrow the family to [z, z]."""
+    count, state = measure(state, index.count_of, rng)
+    family = VertexFamily(family.restriction, family.big_r, count, count)
+    check_uniform_class(state, family, index)
+    return state, family
+
+
+def _project_window(state, family, index, plan, rng, ledger):
+    """Window-policy entry: amplify onto the vertices holding [E, E+T] tuples."""
+    lo, hi = plan.expected_now, plan.expected_now + plan.width
+    if index.class_size(lo, hi) == 0:
+        raise FlaggedInstanceError(
+            "The instance violates a statistical premise; it is skipped, "
+            f"not patched: no vertices hold [{lo}, {hi}] tuples."
         )
-    target = 1.0 / math.sqrt(len(expected))
-    for _, amp in state.items():
-        if abs(abs(amp) - target) > 1e-9:
-            raise ValidationError("state is not uniform over its family")
-    return len(expected)
+    state = _flip_charged(
+        state, family, index,
+        lambda key: lo <= index.count_of(key) <= hi, Want.GOOD, rng, ledger,
+    )
+    family = VertexFamily(family.restriction, family.big_r, lo, hi)
+    check_uniform_class(state, family, index)
+    return state, family
+
+
+def _count_walk(state, family, index, rng, ledger):
+    """Count-policy walk: amplify onto vertices holding a tuple, measure z."""
+    if family.hi is None:
+        good, want = (lambda key: index.count_of(key) >= 1), Want.GOOD
+    else:
+        good, want = (lambda key: index.count_of(key) <= family.hi), Want.BAD
+    state = _flip_charged(state, family, index, good, want, rng, ledger)
+    return _measure_count(state, family, index, rng)
 
 
 def extraction_step(
@@ -254,8 +305,7 @@ def extraction_step(
     family: VertexFamily,
     plan: IntervalPlan,
     rng: np.random.Generator,
-    index: Optional[FamilyIndex] = None,
-    min_fraction: float = 0.0,
+    index: FamilyIndex,
     trace: Optional[List[dict]] = None,
     ledger: Optional[CostLedger] = None,
     fn: Optional[FunctionTable] = None,
@@ -272,39 +322,24 @@ def extraction_step(
             "The instance violates a statistical premise; it is skipped, "
             f"not patched: dense extraction needs E >= 2, got {plan.expected_now}."
         )
-    if index is None:
-        index = FamilyIndex(family.restriction, family.big_r)
     tuples = []
-
-    def one(state, family, index):
-        delta = _delta_for(family.restriction.domain_size, family.big_r)
-        (image, pres), state, family, fs = extract_tuple(
-            state, family, rng, index=index, min_fraction=min_fraction, trace=trace
-        )
-        if ledger is not None:
-            ledger.extraction_events += 1
-            ledger.charge_flip(fs, delta)
-            if fn is not None:
-                _verify_tuple(fn, ledger, image, pres)
-        tuples.append((image, pres))
-        index = FamilyIndex(family.restriction, family.big_r)
-        _check_uniform_class(state, index, family)
-        return state, family, index
-
     for _ in range(plan.width):
-        state, family, index = one(state, family, index)
-    while True:
-        e_new = round_count(
-            plan.c * family.big_r ** 2 / family.restriction.codomain_size
+        found, state, family, index = _extract_one(
+            state, family, index, rng, ledger, fn, trace
         )
-        if family.hi <= e_new:
-            break
+        tuples.append(found)
+    while family.hi > round_count(
+        plan.c * family.big_r ** 2 / family.restriction.codomain_size
+    ):
         if family.lo < 1:
             raise FlaggedInstanceError(
                 "The instance violates a statistical premise; it is skipped, "
                 "not patched: interval re-centering ran out of extractable tuples."
             )
-        state, family, index = one(state, family, index)
+        found, state, family, index = _extract_one(
+            state, family, index, rng, ledger, fn, trace
+        )
+        tuples.append(found)
     new_plan = plan.refreshed(family.big_r, family.restriction.codomain_size)
     return tuples, state, family, new_plan, index
 
@@ -314,9 +349,8 @@ def walk_step(
     family: VertexFamily,
     plan: IntervalPlan,
     rng: np.random.Generator,
-    index: Optional[FamilyIndex] = None,
+    index: FamilyIndex,
     ledger: Optional[CostLedger] = None,
-    max_transitions: int = _MAX_WALK_TRANSITIONS,
 ):
     """Dense-regime walk: push the interval from [E-T, E] up to [E+1, E+T].
 
@@ -326,8 +360,6 @@ def walk_step(
     diffusions.  Returns (state, family over [E+1, E+T], stats).
     """
     e_now, width = plan.expected_now, plan.width
-    if index is None:
-        index = FamilyIndex(family.restriction, family.big_r)
     lo_cell = max(0, e_now - width)
     if not (lo_cell <= family.lo and family.hi is not None and family.hi <= e_now):
         raise ParameterError(
@@ -354,9 +386,9 @@ def walk_step(
         c for c in universe if family.lo <= c <= family.hi
     )
     axis = index.axis_state()
-    delta = _delta_for(family.restriction.domain_size, family.big_r)
+    delta = _delta_for(family)
     stats = FlipStats()
-    for _ in range(max_transitions):
+    for _ in range(MAX_TRANSITIONS):
         outcome, state = measure(
             state, lambda key: cell_of(index.count_of(key)), rng
         )
@@ -369,7 +401,7 @@ def walk_step(
                 lo=e_now + 1,
                 hi=e_now + width,
             )
-            _check_uniform_class(state, index, new_family)
+            check_uniform_class(state, new_family, index)
             return state, new_family, stats
         member = cls
         state, fs = flip(
@@ -384,7 +416,7 @@ def walk_step(
             ledger.charge_flip(fs, delta)
         cls = universe - cls
     raise SimulationError(
-        f"walk step did not reach the target cell in {max_transitions} measurements"
+        f"walk step did not reach the target cell in {MAX_TRANSITIONS} measurements"
     )
 
 
@@ -405,10 +437,13 @@ def run(config: ChainConfig) -> ChainResult:
     """Execute the chained loop end to end on a freshly generated function.
 
     The function table derives from config.seed, as does the measurement
-    stream, so identical configs give identical results.  Statuses:
-    COMPLETED (target reached), CAPACITY (exclusion closure hit half the
-    domain), MAX_ITERATIONS (loop bound), SPARSE_FALLBACK (the sparse regime
-    ran out of collision-bearing vertices).
+    stream, so identical configs give identical results.  Each outer iteration
+    pairs an extraction phase with a walk phase of the interval policy in
+    force (module docstring): the count policy walks first, and only when the
+    class holds no tuple; the window policy walks after extracting.
+    Statuses: COMPLETED (target reached), CAPACITY (exclusion closure hit half
+    the domain), MAX_ITERATIONS (loop bound), SPARSE_FALLBACK (no vertex holds
+    a tuple, or the vertex was emptied).
     """
     params = config.params
     fn = generate_function(params, config.seed)
@@ -416,8 +451,7 @@ def run(config: ChainConfig) -> ChainResult:
     ledger = CostLedger(
         predicted_total=predict_cost(params, float(config.ell), "new").total
     )
-    table = CollisionTable()
-    restriction = restrict(fn, table)
+    restriction = restrict(fn, CollisionTable())
     big_r = config.vertex_size
     if big_r > restriction.domain_size:
         raise ParameterError(
@@ -425,7 +459,7 @@ def run(config: ChainConfig) -> ChainResult:
             f"({restriction.domain_size} points)"
         )
 
-    index = FamilyIndex(restriction, big_r, cap=config.family_cap)
+    index = FamilyIndex(restriction, big_r)
     state = index.axis_state()
     family = VertexFamily(restriction, big_r, 0, None)
     ledger.setup_calls = 1
@@ -436,130 +470,60 @@ def run(config: ChainConfig) -> ChainResult:
     _record(trace, 0, "setup", family, len(state))
 
     m_size = restriction.codomain_size
-    e0 = round_count(config.calibration_c * big_r * big_r / m_size)
-    dense = (8 * big_r < m_size) and e0 >= 2
-    regimes_used = set()
+    plan: Optional[IntervalPlan] = None
+    if 8 * big_r < m_size and round_count(
+        config.calibration_c * big_r * big_r / m_size
+    ) >= 2:
+        plan = IntervalPlan.build(big_r, m_size, config.calibration_c)
+        state, family = _project_window(state, family, index, plan, rng, ledger)
+        _record(trace, 0, "project", family, len(state))
+    regime = "sparse" if plan is None else "dense"
 
     status = ChainStatus.MAX_ITERATIONS
     outer = 0
-    plan: Optional[IntervalPlan] = None
-
-    if dense:
-        regimes_used.add("dense")
-        plan = IntervalPlan.build(big_r, m_size, config.calibration_c)
-        e_now, width = plan.expected_now, plan.width
-        if index.class_size(e_now, e_now + width) == 0:
-            raise FlaggedInstanceError(
-                "The instance violates a statistical premise; it is skipped, "
-                f"not patched: no vertices hold [{e_now}, {e_now + width}] tuples."
-            )
-        state, fs = flip(
-            state,
-            lambda key: e_now <= index.count_of(key) <= e_now + width,
-            index.axis_state(),
-            Want.GOOD,
-            rng,
-        )
-        ledger.charge_flip(fs, _delta_for(restriction.domain_size, big_r))
-        family = VertexFamily(restriction, big_r, e_now, e_now + width)
-        _check_uniform_class(state, index, family)
-        _record(trace, 0, "project", family, len(state))
-
-    while outer < config.outer_bound and len(table) < config.target:
-        outer += 1
-        if dense:
-            try:
-                tuples, state, family, plan, index = extraction_step(
-                    state, family, plan, rng,
-                    index=index, min_fraction=config.min_fraction,
-                    trace=trace, ledger=ledger, fn=fn,
-                )
-            except CapacityError:
-                status = ChainStatus.CAPACITY
-                break
-            table = family.restriction.table
-            restriction = family.restriction
-            big_r = family.big_r
-            _record(
-                trace, outer, "extraction", family, len(state),
-                tuples_total=len(table),
-            )
-            if len(table) >= config.target:
-                status = ChainStatus.COMPLETED
-                break
-            if plan.expected_now < 2:
-                dense = False
-                regimes_used.add("sparse")
-                count, state = measure(
-                    state, lambda key: index.count_of(key), rng
-                )
-                family = VertexFamily(restriction, big_r, count, count)
-                _check_uniform_class(state, index, family)
-                _record(trace, outer, "regime-switch", family, len(state))
-                continue
-            state, family, fs = walk_step(
-                state, family, plan, rng, index=index, ledger=ledger
-            )
-            _record(trace, outer, "walk", family, len(state))
-            continue
-
-        regimes_used.add("sparse")
-        if family.lo < 1 or family.hi is None:
-            if big_r < 2 or index.class_size(1, None) == 0:
-                status = ChainStatus.SPARSE_FALLBACK
-                break
-            if family.hi is None:
-                state, fs = flip(
-                    state,
-                    lambda key: index.count_of(key) >= 1,
-                    index.axis_state(),
-                    Want.GOOD,
-                    rng,
+    try:
+        while (
+            outer < config.outer_bound
+            and len(family.restriction.table) < config.target
+        ):
+            outer += 1
+            if plan is None:
+                if family.lo < 1:
+                    if family.big_r < 2 or index.class_size(1, None) == 0:
+                        status = ChainStatus.SPARSE_FALLBACK
+                        break
+                    state, family = _count_walk(state, family, index, rng, ledger)
+                    _record(trace, outer, "walk", family, len(state))
+                _, state, family, index = _extract_one(
+                    state, family, index, rng, ledger, fn, trace
                 )
             else:
-                state, fs = flip(
-                    state,
-                    lambda key: index.count_of(key) <= family.hi,
-                    index.axis_state(),
-                    Want.BAD,
-                    rng,
+                _, state, family, plan, index = extraction_step(
+                    state, family, plan, rng, index,
+                    trace=trace, ledger=ledger, fn=fn,
                 )
-            ledger.charge_flip(fs, _delta_for(restriction.domain_size, big_r))
-            family = VertexFamily(restriction, big_r, 1, None)
-            count, state = measure(
-                state, lambda key: index.count_of(key), rng
+            if family.big_r < 1:
+                status = ChainStatus.SPARSE_FALLBACK
+                break
+            _record(
+                trace, outer, "extraction", family, len(state),
+                tuples_total=len(family.restriction.table),
             )
-            family = VertexFamily(restriction, big_r, count, count)
-            _check_uniform_class(state, index, family)
-            _record(trace, outer, "walk", family, len(state))
-        try:
-            delta = _delta_for(restriction.domain_size, big_r)
-            (image, pres), state, family, fs = extract_tuple(
-                state, family, rng,
-                index=index, min_fraction=config.min_fraction, trace=trace,
-            )
-            ledger.extraction_events += 1
-            ledger.charge_flip(fs, delta)
-            _verify_tuple(fn, ledger, image, pres)
-        except CapacityError:
-            status = ChainStatus.CAPACITY
-            break
-        table = family.restriction.table
-        restriction = family.restriction
-        big_r = family.big_r
-        if big_r < 1 or restriction.domain_size < big_r:
-            status = ChainStatus.SPARSE_FALLBACK
-            break
-        index = FamilyIndex(restriction, big_r, cap=config.family_cap)
-        support = _check_uniform_class(state, index, family)
-        _record(
-            trace, outer, "extraction", family, support,
-            tuples_total=len(table),
-        )
-        if len(table) >= config.target:
-            status = ChainStatus.COMPLETED
-            break
+            if plan is None or len(family.restriction.table) >= config.target:
+                continue
+            if plan.expected_now < 2:
+                plan, regime = None, "mixed"
+                state, family = _measure_count(state, family, index, rng)
+                _record(trace, outer, "regime-switch", family, len(state))
+            else:
+                state, family, _ = walk_step(
+                    state, family, plan, rng, index, ledger=ledger
+                )
+                _record(trace, outer, "walk", family, len(state))
+    except CapacityError:
+        status = ChainStatus.CAPACITY
 
+    table = family.restriction.table
     if len(table) >= config.target:
         status = ChainStatus.COMPLETED
     if ledger.oracle_queries != fn.query_count:
@@ -567,12 +531,6 @@ def run(config: ChainConfig) -> ChainResult:
             f"ledger mismatch: {ledger.oracle_queries} recorded vs "
             f"{fn.query_count} counted oracle queries"
         )
-    if not regimes_used:
-        regime = "sparse"
-    elif len(regimes_used) == 2:
-        regime = "mixed"
-    else:
-        regime = next(iter(regimes_used))
     return ChainResult(
         config=config,
         collision_table=table,

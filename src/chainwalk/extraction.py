@@ -56,7 +56,8 @@ _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
 _MAX_FAMILY_VERTICES = 250_000
-_MAX_LOOP = 10_000
+# Bound on measure-and-flip rounds in any extraction, repair or walk loop.
+MAX_TRANSITIONS = 10_000
 
 
 def tuple_token(image: int, preimages) -> bytes:
@@ -211,6 +212,25 @@ class FamilyIndex:
         return uniform_state(keys)
 
 
+def check_uniform_class(
+    state: State, family: VertexFamily, index: Optional[FamilyIndex] = None
+) -> None:
+    """Raise ValidationError unless the state is exactly uniform over its support.
+
+    With an index, the support must also be the family's entire count class.
+    """
+    if index is not None and set(state.support()) != set(
+        index.keys_in(family.lo, family.hi)
+    ):
+        raise ValidationError(
+            f"state support does not match family {family.interval_label()}"
+        )
+    target = 1.0 / math.sqrt(len(state))
+    for _, amp in state.items():
+        if abs(abs(amp) - target) > _UNIFORM_TOL:
+            raise ValidationError("state is not uniform over its support")
+
+
 def pad_and_attach(
     state: State,
     restriction: RestrictedFunction,
@@ -264,13 +284,6 @@ class ExtractionOutcome:
     new_family: VertexFamily
 
 
-def _check_uniform_support(state: State) -> None:
-    target = 1.0 / math.sqrt(len(state))
-    for _, amp in state.items():
-        if abs(abs(amp) - target) > _UNIFORM_TOL:
-            raise ValidationError("state is not uniform over its support")
-
-
 def _strip_and_remove(state: State, preimages: Tuple[int, ...]) -> State:
     """Drop the register and delete the measured preimages from every vertex."""
     removed = frozenset(preimages)
@@ -295,7 +308,6 @@ def extract_once(
     family: VertexFamily,
     rng: np.random.Generator,
     index: Optional[FamilyIndex] = None,
-    check: bool = True,
 ) -> ExtractionOutcome:
     """One padded-register measurement on a uniform family state.
 
@@ -311,14 +323,7 @@ def extract_once(
     y = family.hi
     if y < 1:
         raise ParameterError("cannot extract from a family with hi = 0")
-    if check:
-        _check_uniform_support(state)
-        if index is not None:
-            expected = set(index.keys_in(family.lo, family.hi))
-            if set(state.support()) != expected:
-                raise ValidationError(
-                    "state support is not the full declared family class"
-                )
+    check_uniform_class(state, family, index)
     padded = pad_and_attach(state, family.restriction, y, index)
     outcome, collapsed = measure(padded, key_register, rng)
     parsed = parse_token(outcome)
@@ -368,7 +373,6 @@ def correct_interval(
     index: FamilyIndex,
     rng: np.random.Generator,
     min_fraction: float = 0.0,
-    max_transitions: int = _MAX_LOOP,
 ) -> Tuple[State, FlipStats]:
     """Widen a narrowed family state [lo, b] back to [lo, target_hi].
 
@@ -413,7 +417,7 @@ def correct_interval(
     axis = index.axis_state()
     stats = FlipStats()
     mode, arg = "slab", b
-    for _ in range(max_transitions):
+    for _ in range(MAX_TRANSITIONS):
         if mode == "slab":
             if arg == y:
                 return state, stats
@@ -467,7 +471,7 @@ def correct_interval(
             stats.projections.append(outcome)
             mode, arg = ("slab", y) if outcome == "mid" else ("tail", y + 1)
     raise SimulationError(
-        f"interval correction did not converge in {max_transitions} transitions"
+        f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
     )
 
 
@@ -475,10 +479,8 @@ def extract_tuple(
     state: State,
     family: VertexFamily,
     rng: np.random.Generator,
-    index: Optional[FamilyIndex] = None,
-    min_fraction: float = 0.0,
+    index: FamilyIndex,
     trace: Optional[List[dict]] = None,
-    max_attempts: int = _MAX_LOOP,
 ):
     """Repeat padded measurements until a tuple comes out.
 
@@ -495,11 +497,9 @@ def extract_tuple(
         )
     if family.hi is None:
         raise ParameterError("tuple extraction requires a finite upper bound")
-    if index is None:
-        index = FamilyIndex(family.restriction, family.big_r)
     stats = FlipStats()
     interval_before = [family.lo, family.hi]
-    for _ in range(max_attempts):
+    for _ in range(MAX_TRANSITIONS):
         out = extract_once(state, family, rng, index=index)
         stats.attempts += 1
         if out.kind == "tuple":
@@ -519,7 +519,7 @@ def extract_tuple(
                 stats,
             )
         corrected, fs = correct_interval(
-            out.collapsed, out.new_family, family.hi, index, rng, min_fraction
+            out.collapsed, out.new_family, family.hi, index, rng
         )
         stats.absorb(fs)
         if trace is not None:
@@ -533,7 +533,7 @@ def extract_tuple(
             })
         state = corrected
     raise SimulationError(
-        f"no tuple outcome after {max_attempts} padded measurements"
+        f"no tuple outcome after {MAX_TRANSITIONS} padded measurements"
     )
 
 

@@ -196,11 +196,6 @@ class CollisionTable:
         return table
 
 
-def table_insert(table: CollisionTable, fn: FunctionTable, image: int, preimages) -> CollisionTable:
-    """Free-function spelling of :meth:`CollisionTable.insert`."""
-    return table.insert(fn, image, preimages)
-
-
 @dataclass(frozen=True)
 class RestrictedFunction:
     """f with every recorded image's full preimage class carved out.
