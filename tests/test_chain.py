@@ -15,7 +15,7 @@ from chainwalk.oracle import (
     generate_function,
     restrict,
 )
-from chainwalk.extraction import FamilyIndex, VertexFamily
+from chainwalk.extraction import FamilyIndex, VertexFamily, correct_interval
 from chainwalk.stats import IntervalPlan
 from chainwalk.amplify import FlipStats
 from chainwalk.chain import (
@@ -245,6 +245,77 @@ def test_walk_step_flags_empty_target_cell():
     with pytest.raises(FlaggedInstanceError):
         walk_step(index.class_state(1, 2), family, plan,
                   np.random.default_rng(0), index=index)
+
+
+def _carved_pairs():
+    # twelve live points in six preimage pairs once images 6 and 7 are carved out
+    fn = FunctionTable(Params(n=4, m=7, k=0), [i // 2 for i in range(16)])
+    table = CollisionTable().insert(fn, 6, (12, 13)).insert(fn, 7, (14, 15))
+    restriction = restrict(fn, table)
+    return restriction, FamilyIndex(restriction, 6)
+
+
+@pytest.mark.parametrize(
+    "case, seed, expected",
+    [
+        # (lo, hi, target_hi) for correct_interval; (E, T) for walk_step.
+        # expected: (iterations, restarts, attempts), interval,
+        # (update, check) ledger calls or None, next rng.random() in hex
+        (("correct", 1, 1, 2), 0, ((8, 2, 5), (1, 2), None, "0x1.165603cf43b8fp-1")),
+        (("correct", 1, 1, 2), 1, ((7, 0, 6), (1, 2), None, "0x1.51a530eb452a6p-2")),
+        (("correct", 1, 1, 2), 2, ((4, 0, 3), (1, 2), None, "0x1.80d24727f15fcp-3")),
+        (("correct", 1, 1, 2), 3, ((7, 0, 6), (1, 2), None, "0x1.b8f68d41ae326p-2")),
+        (("correct", 1, 1, 2), 4, ((36, 1, 35), (1, 2), None, "0x1.d5d53a0241e66p-1")),
+        (("walk", 1, 1), 0, ((1, 0, 1), (2, 2), (2, 1), "0x1.0ec9ed84d0bc0p-6")),
+        (("walk", 1, 1), 1, ((1, 0, 1), (2, 2), (2, 1), "0x1.e5b5615da558dp-1")),
+        (("walk", 1, 1), 2, ((1, 0, 1), (2, 2), (2, 1), "0x1.787cd9d738668p-4")),
+        (("walk", 1, 1), 3, ((1, 0, 1), (2, 2), (2, 1), "0x1.2a112473bd0c0p-1")),
+        (("walk", 1, 1), 4, ((6, 0, 2), (2, 2), (12, 6), "0x1.8185b2fd21ecep-2")),
+        (("walk", 1, 2), 0, ((1, 0, 1), (2, 3), (2, 1), "0x1.0ec9ed84d0bc0p-6")),
+        (("walk", 1, 2), 1, ((1, 0, 1), (2, 3), (2, 1), "0x1.e5b5615da558dp-1")),
+        (("walk", 1, 2), 2, ((1, 0, 1), (2, 3), (2, 1), "0x1.787cd9d738668p-4")),
+        (("walk", 1, 2), 3, ((1, 0, 1), (2, 3), (2, 1), "0x1.2a112473bd0c0p-1")),
+        (("walk", 1, 2), 4, ((1, 0, 1), (2, 3), (2, 1), "0x1.4b1ab6ef864a8p-4")),
+        (("walk", 2, 1), 0, ((10, 6, 9), (3, 3), (20, 10), "0x1.13220e71bcf20p-5")),
+        (("walk", 2, 1), 1, ((2, 1, 2), (3, 3), (4, 2), "0x1.3f50be80ff35cp-2")),
+        (("walk", 2, 1), 2, ((1, 0, 1), (3, 3), (2, 1), "0x1.787cd9d738668p-4")),
+        (("walk", 2, 1), 3, ((1, 0, 1), (3, 3), (2, 1), "0x1.2a112473bd0c0p-1")),
+        (("walk", 2, 1), 4, ((6, 2, 5), (3, 3), (12, 6), "0x1.167f7cbe70768p-1")),
+        (("walk", 2, 2), 0, ((2, 1, 2), (3, 4), (4, 2), "0x1.a064f4f059bcap-1")),
+        (("walk", 2, 2), 1, ((9, 8, 9), (3, 4), (18, 9), "0x1.13878535acff3p-1")),
+        (("walk", 2, 2), 2, ((7, 6, 7), (3, 4), (14, 7), "0x1.509b0f6467179p-1")),
+        (("walk", 2, 2), 3, ((20, 19, 20), (3, 4), (40, 20), "0x1.31901717c6896p-2")),
+        (("walk", 2, 2), 4, ((3, 2, 3), (3, 4), (6, 3), "0x1.8185b2fd21ecep-2")),
+    ],
+)
+def test_class_moves_pinned(case, seed, expected):
+    restriction, index = _carved_pairs()
+    assert index.histogram() == {0: 64, 1: 480, 2: 360, 3: 20}
+    rng = np.random.default_rng(seed)
+    if case[0] == "correct":
+        _, lo, hi, target_hi = case
+        family = VertexFamily(restriction, 6, lo, hi)
+        state, stats = correct_interval(
+            index.class_state(lo, hi), family, target_hi, index, rng
+        )
+        interval, ledger_calls = (lo, target_hi), None
+    else:
+        _, e_now, width = case
+        plan = IntervalPlan(big_r=6, bins=restriction.codomain_size, c=0.5,
+                            expected=e_now, width=width, expected_now=e_now)
+        lo = max(0, e_now - width)
+        ledger = CostLedger()
+        state, family, stats = walk_step(
+            index.class_state(lo, e_now), VertexFamily(restriction, 6, lo, e_now),
+            plan, rng, index=index, ledger=ledger,
+        )
+        interval = (family.lo, family.hi)
+        ledger_calls = (ledger.update_calls, ledger.check_calls)
+    assert set(state.support()) == set(index.keys_in(*interval))
+    assert (
+        (stats.iterations_used, stats.restarts, stats.attempts),
+        interval, ledger_calls, rng.random().hex(),
+    ) == expected
 
 
 _DENSE_FLAG = "The instance violates a statistical premise; it is skipped, not patched: "
