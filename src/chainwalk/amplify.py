@@ -2,7 +2,7 @@
 
 Relative to a fixed axis state u and a good-key predicate, write
 u = beta*B + alpha*G where G and B are the normalized good and bad
-projections of u.  One amplification round applies (Ref_u . Ref_flip) where
+components of u.  One amplification round applies (Ref_u . Ref_flip) where
 Ref_flip negates the good amplitudes; in the plane spanned by B and G this is
 a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
 
@@ -15,7 +15,7 @@ exactly the renormalized wanted projection of the axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -58,13 +58,11 @@ class FlipStats:
     iterations_used: int = 0
     restarts: int = 0
     attempts: int = 0
-    projections: list = field(default_factory=list)
 
     def absorb(self, other: "FlipStats") -> None:
         self.iterations_used += other.iterations_used
         self.restarts += other.restarts
         self.attempts += other.attempts
-        self.projections.extend(other.projections)
 
 
 def decompose(state: State, good: Callable[[BasisKey], bool]) -> AmplitudeDecomposition:
@@ -130,7 +128,6 @@ def flip(
         while True:
             stats.attempts += 1
             outcome, collapsed = measure(axis, flag, rng)
-            stats.projections.append(outcome)
             if outcome == wanted_label:
                 return collapsed, stats
             stats.restarts += 1
@@ -144,7 +141,6 @@ def flip(
         current = grover_iterate(current, good, axis, count)
         stats.iterations_used += count
         outcome, current = measure(current, flag, rng)
-        stats.projections.append(outcome)
         if outcome == wanted_label:
             return current, stats
         stats.restarts += 1

@@ -50,6 +50,7 @@ from .extraction import (
     VertexFamily,
     check_uniform_class,
     extract_tuple,
+    hop,
 )
 from .johnson import closed_form_gap
 from .oracle import (
@@ -354,10 +355,10 @@ def walk_step(
 ):
     """Dense-regime walk: push the interval from [E-T, E] up to [E+1, E+T].
 
-    Repeatedly measures which of the four count cells [0, E-T-1], [E-T, E],
-    [E+1, E+T], [E+T+1, inf) the state occupies and flips to the complement
-    until the third cell comes up.  Each flip's iterations are charged as
-    diffusions.  Returns (state, family over [E+1, E+T], stats).
+    Measures which of the four count cells [0, E-T-1], [E-T, E], [E+1, E+T],
+    [E+T+1, inf) the state occupies, then hops from that class to a cell of
+    its complement until the third cell comes up.  Each hop's iterations are
+    charged as diffusions.  Returns (state, family over [E+1, E+T], stats).
     """
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
@@ -381,19 +382,13 @@ def walk_step(
             return 2
         return 3
 
-    universe = frozenset(range(index.max_count() + 1))
+    outcome, state = measure(state, lambda key: cell_of(index.count_of(key)), rng)
     cls = frozenset(
-        c for c in universe if family.lo <= c <= family.hi
+        c for c in range(family.lo, family.hi + 1) if cell_of(c) == outcome
     )
-    axis = index.axis_state()
     delta = _delta_for(family)
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
-        outcome, state = measure(
-            state, lambda key: cell_of(index.count_of(key)), rng
-        )
-        stats.projections.append(outcome)
-        cls = frozenset(c for c in cls if cell_of(c) == outcome)
         if outcome == 2:
             new_family = VertexFamily(
                 restriction=family.restriction,
@@ -403,18 +398,11 @@ def walk_step(
             )
             check_uniform_class(state, new_family, index)
             return state, new_family, stats
-        member = cls
-        state, fs = flip(
-            state,
-            lambda key: index.count_of(key) in member,
-            axis,
-            Want.BAD,
-            rng,
-        )
+        state, cls, fs = hop(state, index, cls, cell_of, rng)
         stats.absorb(fs)
         if ledger is not None:
             ledger.charge_flip(fs, delta)
-        cls = universe - cls
+        outcome = cell_of(min(cls))
     raise SimulationError(
         f"walk step did not reach the target cell in {MAX_TRANSITIONS} measurements"
     )

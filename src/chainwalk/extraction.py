@@ -8,8 +8,12 @@ count y: its z tuple branches plus dummy branches d_{z+1}..d_y, all at
 relative amplitude 1/sqrt(y).  Measuring the padded register then either
 yields a tuple (and the residual state is uniform over the shrunken vertex
 family) or a dummy index i (and the residual state is uniform over the same
-family with the count interval tightened to [x, i-1], which a short
-amplification dance can widen back).
+family with the count interval tightened to [x, i-1]).
+
+`hop` moves a state that is uniform over a class of counts: it flips off the
+class and measures a partition of the counts left.  Interval repair widens
+[x, i-1] back to [x, y] by a few hops, and the dense walk step in chain.py
+moves its window the same way.
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
@@ -24,7 +28,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -366,23 +370,43 @@ def extract_once(
     )
 
 
+def hop(
+    state: State,
+    index: FamilyIndex,
+    cls: frozenset,
+    cell: Callable[[int], object],
+    rng: np.random.Generator,
+) -> Tuple[State, frozenset, FlipStats]:
+    """Move a state uniform over the count class cls to a cell of its complement.
+
+    Flips off the vertices whose count lies in cls, against the family's
+    diffusion axis, then measures the label cell(count).  Counts run over
+    0..max_count; the returned class is the complement's counts in the
+    measured cell, and the returned state is uniform over exactly its vertices.
+    """
+    state, stats = flip(
+        state, lambda key: index.count_of(key) in cls, index.axis_state(),
+        Want.BAD, rng,
+    )
+    outcome, state = measure(state, lambda key: cell(index.count_of(key)), rng)
+    rest = frozenset(range(index.max_count() + 1)) - cls
+    return state, frozenset(c for c in rest if cell(c) == outcome), stats
+
+
 def correct_interval(
     state: State,
     family: VertexFamily,
     target_hi: int,
     index: FamilyIndex,
     rng: np.random.Generator,
-    min_fraction: float = 0.0,
 ) -> Tuple[State, FlipStats]:
     """Widen a narrowed family state [lo, b] back to [lo, target_hi].
 
-    Alternates flips to the complement class with two-cell count projections:
-    a slab [lo, b] flips out to {below-lo} or {above-b}; a tail [a, inf) flips
-    back to {below-lo} or the slab [lo, a-1]; the below-lo cell flips up to
-    {[lo, target_hi]: done} or the tail above target_hi.  Requires the three
-    classes [lo, target_hi], [0, lo-1], [target_hi+1, inf) to be nonempty
-    (and to hold at least min_fraction of all vertices when given); instances
-    failing that are flagged, not patched.
+    Hops between count classes until the state covers [lo, target_hi].  Each
+    hop splits the complement at lo while that holds counts below lo, and
+    otherwise (from [0, lo-1]) at target_hi + 1.  Requires the three classes
+    [lo, target_hi], [0, lo-1] and [target_hi+1, inf) to be nonempty;
+    instances failing that are flagged, not patched.
     """
     x = family.lo
     b = family.hi
@@ -406,70 +430,14 @@ def correct_interval(
             f"not patched: classes below {x} and above {y} must be nonempty "
             f"(sizes {low_size}, {top_size})."
         )
-    if min_fraction > 0.0:
-        floor_size = min_fraction * index.total
-        if min(low_size, mid_size, top_size) < floor_size:
-            raise FlaggedInstanceError(
-                "The instance violates a statistical premise; it is skipped, "
-                f"not patched: class sizes ({low_size}, {mid_size}, {top_size}) "
-                f"fall below fraction {min_fraction} of {index.total}."
-            )
-    axis = index.axis_state()
     stats = FlipStats()
-    mode, arg = "slab", b
+    cls, target = frozenset(range(x, b + 1)), frozenset(range(x, y + 1))
     for _ in range(MAX_TRANSITIONS):
-        if mode == "slab":
-            if arg == y:
-                return state, stats
-            upper = arg
-            state, fs = flip(
-                state,
-                lambda key: x <= index.count_of(key) <= upper,
-                axis,
-                Want.BAD,
-                rng,
-            )
-            stats.absorb(fs)
-            outcome, state = measure(
-                state,
-                lambda key: "low" if index.count_of(key) < x else "tail",
-                rng,
-            )
-            stats.projections.append(outcome)
-            mode, arg = ("low", None) if outcome == "low" else ("tail", upper + 1)
-        elif mode == "tail":
-            start = arg
-            state, fs = flip(
-                state,
-                lambda key: index.count_of(key) >= start,
-                axis,
-                Want.BAD,
-                rng,
-            )
-            stats.absorb(fs)
-            outcome, state = measure(
-                state,
-                lambda key: "low" if index.count_of(key) < x else "slab",
-                rng,
-            )
-            stats.projections.append(outcome)
-            mode, arg = ("low", None) if outcome == "low" else ("slab", start - 1)
-        else:
-            state, fs = flip(
-                state,
-                lambda key: index.count_of(key) < x,
-                axis,
-                Want.BAD,
-                rng,
-            )
-            stats.absorb(fs)
-            outcome, state = measure(
-                state,
-                lambda key: "mid" if index.count_of(key) <= y else "top",
-                rng,
-            )
-            stats.projections.append(outcome)
-            mode, arg = ("slab", y) if outcome == "mid" else ("tail", y + 1)
+        if cls == target:
+            return state, stats
+        split = y + 1 if cls.issuperset(range(x)) else x
+        state, cls, fs = hop(state, index, cls, lambda c: c >= split, rng)
+        stats.absorb(fs)
     raise SimulationError(
         f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
     )

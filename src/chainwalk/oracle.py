@@ -155,8 +155,8 @@ class CollisionTable:
             out.update(pre)
         return frozenset(out)
 
-    def insert(self, fn: FunctionTable, image: int, preimages) -> "CollisionTable":
-        """Validated copy-and-insert of one collision tuple."""
+    def _checked(self, image: int, preimages) -> tuple[int, ...]:
+        """Sorted preimages of a new tuple, after the checks needing no function."""
         pre = tuple(sorted(int(x) for x in preimages))
         if len(pre) < 2:
             raise ValidationError("a collision tuple needs at least 2 preimages")
@@ -164,13 +164,17 @@ class CollisionTable:
             raise ValidationError("repeated preimage in tuple")
         if image in self._entries:
             raise ValidationError(f"image {image} already recorded")
+        overlap = self.all_preimages().intersection(pre)
+        if overlap:
+            raise ValidationError(f"preimages {sorted(overlap)} already recorded")
+        return pre
+
+    def insert(self, fn: FunctionTable, image: int, preimages) -> "CollisionTable":
+        """Validated copy-and-insert of one collision tuple."""
+        pre = self._checked(image, preimages)
         for x in pre:
             if fn.value(x) != image:
                 raise ValidationError(f"point {x} does not map to image {image}")
-        taken = self.all_preimages()
-        overlap = taken.intersection(pre)
-        if overlap:
-            raise ValidationError(f"preimages {sorted(overlap)} already recorded")
         out = CollisionTable()
         out._entries = dict(self._entries)
         out._entries[int(image)] = pre
@@ -185,14 +189,11 @@ class CollisionTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CollisionTable":
-        rows = json.loads(text)
+        """Parse a table, rejecting every tuple `insert` refuses without a function."""
         table = cls()
-        for row in rows:
+        for row in json.loads(text):
             image = int(row["image"])
-            pre = tuple(sorted(int(x) for x in row["preimages"]))
-            if image in table._entries:
-                raise ValidationError(f"duplicate image {image} in serialized table")
-            table._entries[image] = pre
+            table._entries[image] = table._checked(image, row["preimages"])
         return table
 
 

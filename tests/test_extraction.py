@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainwalk.errors import (
     CapacityError,
@@ -30,6 +32,7 @@ from chainwalk.statevector import (
     states_close,
     strip_register,
     subset_key,
+    uniform_state,
 )
 from chainwalk.extraction import (
     FamilyIndex,
@@ -39,6 +42,7 @@ from chainwalk.extraction import (
     extract_once,
     extract_tuple,
     format_trace,
+    hop,
     pad_and_attach,
     parse_token,
     tuple_token,
@@ -281,6 +285,34 @@ def test_two_vertex_measured_branches():
     assert kinds == {"tuple", "dummy"}
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    big_r=st.sampled_from([3, 4]),
+    picks=st.lists(st.booleans(), min_size=8, max_size=8),
+    split=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hop_lands_uniform_on_measured_cell(values, big_r, picks, split, seed):
+    fn = FunctionTable(Params(n=4, m=4, k=0), values)
+    index = FamilyIndex(restrict(fn, CollisionTable()), big_r)
+    present = sorted(index.histogram())
+    cls = frozenset(c for c, pick in zip(present, picks) if pick)
+    assume(0 < len(cls) < len(present))
+    keys = index.axis_state().support()
+    start = uniform_state([key for key in keys if index.count_of(key) in cls])
+    cell = lambda c: c >= split
+    state, new_cls, _ = hop(start, index, cls, cell, np.random.default_rng(seed))
+    assert set(state.support()) == {
+        key for key in keys if index.count_of(key) in new_cls
+    }
+    target = 1.0 / math.sqrt(len(state))
+    assert all(abs(abs(amp) - target) < 1e-9 for _, amp in state.items())
+    measured = cell(index.count_of(state.support()[0]))
+    rest = frozenset(range(index.max_count() + 1)) - cls
+    assert new_cls == {c for c in rest if cell(c) == measured}
+
+
 def test_correct_interval_identity_and_recovery():
     _, restriction = four_pair()
     index = FamilyIndex(restriction, 6)
@@ -327,15 +359,6 @@ def test_correct_interval_premise_failures():
         correct_interval(
             axis, VertexFamily(restriction=restriction8, big_r=4, lo=1, hi=None),
             2, index8, rng,
-        )
-    # min_fraction demands all three classes carry real weight
-    _, restriction16 = four_pair()
-    index16 = FamilyIndex(restriction16, 6)
-    with pytest.raises(FlaggedInstanceError):
-        correct_interval(
-            index16.class_state(1, 1),
-            VertexFamily(restriction=restriction16, big_r=6, lo=1, hi=1),
-            2, index16, np.random.default_rng(1), min_fraction=0.5,
         )
 
 

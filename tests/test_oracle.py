@@ -132,6 +132,22 @@ def test_collision_table_insert_and_json_round_trip():
     assert back.all_preimages() == frozenset({0, 1, 2, 3})
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"image": 5, "preimages": [1]}],                      # fewer than 2 points
+        [{"image": 6, "preimages": [1, 1, 2]}],                # repeated preimage
+        [{"image": 5, "preimages": [1, 2]},
+         {"image": 6, "preimages": [2, 3]}],                   # point under two images
+        [{"image": 5, "preimages": [1, 2]},
+         {"image": 5, "preimages": [3, 4]}],                   # image recorded twice
+    ],
+)
+def test_collision_table_from_json_rejects_invalid_tuples(rows):
+    with pytest.raises(ValidationError):
+        CollisionTable.from_json(json.dumps(rows))
+
+
 def test_insert_rejects_non_collisions():
     fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 1, 1, 2, 3, 4, 5])
     table = CollisionTable()
