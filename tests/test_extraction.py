@@ -23,7 +23,14 @@ from chainwalk.errors import (
     ParameterError,
     ValidationError,
 )
-from chainwalk.oracle import CollisionTable, FunctionTable, Params, restrict
+from chainwalk.johnson import vertex_data
+from chainwalk.oracle import (
+    CollisionTable,
+    FunctionTable,
+    Params,
+    enumerate_multicollisions,
+    restrict,
+)
 from chainwalk.statevector import (
     State,
     attach_register,
@@ -37,6 +44,7 @@ from chainwalk.statevector import (
 from chainwalk.extraction import (
     FamilyIndex,
     VertexFamily,
+    check_uniform_class,
     correct_interval,
     dummy_token,
     extract_once,
@@ -311,6 +319,81 @@ def test_hop_lands_uniform_on_measured_cell(values, big_r, picks, split, seed):
     measured = cell(index.count_of(state.support()[0]))
     rest = frozenset(range(index.max_count() + 1)) - cls
     assert new_cls == {c for c in rest if cell(c) == measured}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    big_r=st.sampled_from([2, 3, 4]),
+    carve=st.integers(0, 15),
+    lo=st.integers(0, 2),
+    width=st.one_of(st.none(), st.integers(0, 2)),
+)
+def test_family_index_matches_vertex_data(values, big_r, carve, lo, width):
+    fn = FunctionTable(Params(n=4, m=4, k=0), values)
+    table = CollisionTable()
+    carvable = [c for c in enumerate_multicollisions(fn) if len(c[1]) < 8]
+    if carvable:
+        image, pres = carvable[carve % len(carvable)]
+        table = table.insert(fn, image, pres)
+    restriction = restrict(fn, table)
+    index = FamilyIndex(restriction, big_r)
+    combos = list(itertools.combinations(restriction.domain_points, big_r))
+    keys = [subset_key(combo) for combo in combos]
+    hist = {}
+    for key, combo in zip(keys, combos):
+        data = vertex_data(restriction, combo)
+        assert index.count_of(key) == data.count
+        assert index.tuples_of(key) == data.multicollisions
+        hist[data.count] = hist.get(data.count, 0) + 1
+    assert index.histogram() == hist
+    assert index.total == len(keys)
+    assert index.axis_state().support() == tuple(sorted(keys))
+    hi = None if width is None else lo + width
+    members = index.keys_in(lo, hi)
+    assert members == sorted(members)
+    assert members == [
+        key for key in sorted(keys)
+        if index.count_of(key) >= lo and (hi is None or index.count_of(key) <= hi)
+    ]
+
+
+def _class_one_two():
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    return VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2), index
+
+
+def test_check_uniform_class_accepts_the_class():
+    family, index = _class_one_two()
+    check_uniform_class(index.class_state(1, 2), family, index)
+    check_uniform_class(index.class_state(1, 2), family)
+    # without an index only uniformity is checked, not the support
+    check_uniform_class(index.class_state(2, 2), family)
+
+
+@pytest.mark.parametrize("case", [
+    "vertex_dropped", "other_class_added", "not_a_vertex", "not_uniform",
+    "not_uniform_without_index",
+])
+def test_check_uniform_class_rejects(case):
+    family, index = _class_one_two()
+    keys = index.keys_in(1, 2)
+    amps = {key: 1.0 for key in keys}
+    use_index = index
+    if case == "vertex_dropped":
+        del amps[keys[0]]
+    elif case == "other_class_added":
+        amps[index.keys_in(0, 0)[0]] = 1.0
+    elif case == "not_a_vertex":
+        del amps[keys[0]]
+        amps[subset_key((0, 1, 2))] = 1.0
+    else:
+        amps[keys[0]] = 2.0
+        if case == "not_uniform_without_index":
+            use_index = None
+    with pytest.raises(ValidationError):
+        check_uniform_class(State(amps, normalize=True), family, use_index)
 
 
 def test_correct_interval_identity_and_recovery():
