@@ -17,8 +17,10 @@ moves its window the same way.
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
-enumerates a family's full vertex set once so that class sizes, membership
-predicates, and diffusion axes are exact.
+enumerates a family's full vertex set once, as numpy arrays over vertex
+ordinals (subsets, their images, their counts), so that class sizes,
+membership predicates, and diffusion axes are exact.  States stay keyed by
+the byte keys of statevector; the index maps each key to its ordinal.
 """
 
 from __future__ import annotations
@@ -132,6 +134,13 @@ class FamilyIndex:
     Built once per family by enumerating every R-subset of the restricted
     domain; class sizes and count lookups are then exact.  Enumeration is the
     desk-scale privilege that stands in for the quantum data structure.
+
+    The build is array-wide: the subsets form a V x R table `combos` in
+    itertools.combinations order (so keys come out sorted), their images a
+    V x R table gathered from f, and each vertex's count is the number of
+    duplicate runs in its sorted image row.  Vertex ordinals index all three;
+    a key maps to its ordinal through one dict.  Tuples are worked out from
+    the vertex's row on first request.
     """
 
     def __init__(
@@ -153,36 +162,71 @@ class FamilyIndex:
         self.restriction = restriction
         self.big_r = big_r
         self.total = total
-        self._count_by_key: Dict[BasisKey, int] = {}
-        self._tuples_by_key: Dict[BasisKey, tuple] = {}
-        self._size_by_count: Dict[int, int] = {}
-        self._keys: List[BasisKey] = []
-        for combo in itertools.combinations(points, big_r):
-            data = vertex_data(restriction, combo)
-            key = subset_key(combo)
-            self._keys.append(key)
-            self._count_by_key[key] = data.count
-            self._tuples_by_key[key] = data.multicollisions
-            self._size_by_count[data.count] = self._size_by_count.get(data.count, 0) + 1
+        ordinals = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(len(points)), big_r)
+            ),
+            dtype=np.int64,
+            count=total * big_r,
+        ).reshape(total, big_r)
+        self._combos = np.asarray(points, dtype=np.int64)[ordinals]
+        self._images = restriction.base.values()[self._combos]
+        ranked = np.sort(self._images, axis=1)
+        dup = ranked[:, 1:] == ranked[:, :-1]
+        run_start = dup.copy()
+        run_start[:, 1:] &= ~dup[:, :-1]
+        self._counts = run_start.sum(axis=1)
+        # count_of indexes a list: cheaper than reading a numpy scalar, and
+        # it returns Python ints, which measurement labels and reports need.
+        self._count_list: List[int] = self._counts.tolist()
+        width = 2 + 4 * big_r
+        row = np.empty((total, width), dtype=np.uint8)
+        row[:, :2] = np.frombuffer(struct.pack(">H", big_r), dtype=np.uint8)
+        row[:, 2:] = self._combos.astype(">u4").view(np.uint8).reshape(total, -1)
+        raw = row.tobytes()
+        self._keys: List[BasisKey] = [
+            raw[i:i + width] for i in range(0, total * width, width)
+        ]
+        self._ordinal: Dict[BasisKey, int] = dict(zip(self._keys, range(total)))
+        sizes, size_counts = np.unique(self._counts, return_counts=True)
+        self._size_by_count: Dict[int, int] = dict(
+            zip(sizes.tolist(), size_counts.tolist())
+        )
+        self._tuples: Dict[int, tuple] = {}
         self._axis: Optional[State] = None
 
     def count_of(self, key: BasisKey) -> int:
         try:
-            return self._count_by_key[key]
+            return self._count_list[self._ordinal[key]]
         except KeyError:
             raise ValidationError("key is not a vertex of this family") from None
 
     def tuples_of(self, key: BasisKey) -> tuple:
+        """The vertex's multicollisions as (image, preimages), in image order."""
         try:
-            return self._tuples_by_key[key]
+            ordinal = self._ordinal[key]
         except KeyError:
             raise ValidationError("key is not a vertex of this family") from None
+        tuples = self._tuples.get(ordinal)
+        if tuples is None:
+            groups: Dict[int, List[int]] = {}
+            for x, image in zip(
+                self._combos[ordinal].tolist(), self._images[ordinal].tolist()
+            ):
+                groups.setdefault(image, []).append(x)
+            tuples = tuple(
+                (image, tuple(pres))
+                for image, pres in sorted(groups.items())
+                if len(pres) >= 2
+            )
+            self._tuples[ordinal] = tuples
+        return tuples
 
     def histogram(self) -> Dict[int, int]:
         return dict(self._size_by_count)
 
     def max_count(self) -> int:
-        return max(self._size_by_count) if self._size_by_count else 0
+        return max(self._size_by_count)
 
     def class_size(self, lo: int, hi: Optional[int]) -> int:
         if hi is not None and hi < lo:
@@ -194,12 +238,11 @@ class FamilyIndex:
         )
 
     def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
-        return [
-            key
-            for key in self._keys
-            if self._count_by_key[key] >= lo
-            and (hi is None or self._count_by_key[key] <= hi)
-        ]
+        """The vertices whose count lies in [lo, hi], in sorted key order."""
+        mask = self._counts >= lo
+        if hi is not None:
+            mask &= self._counts <= hi
+        return list(itertools.compress(self._keys, mask.tolist()))
 
     def axis_state(self) -> State:
         """Uniform superposition over the whole vertex set (diffusion axis)."""
@@ -221,10 +264,15 @@ def check_uniform_class(
 ) -> None:
     """Raise ValidationError unless the state is exactly uniform over its support.
 
-    With an index, the support must also be the family's entire count class.
+    With an index, the support must also be the family's entire count class:
+    every key a vertex whose count lies in the family's interval, and as many
+    keys as the class holds.
     """
-    if index is not None and set(state.support()) != set(
-        index.keys_in(family.lo, family.hi)
+    if index is not None and (
+        len(state) != index.class_size(family.lo, family.hi)
+        or not all(
+            family.contains_count(index.count_of(key)) for key, _ in state.items()
+        )
     ):
         raise ValidationError(
             f"state support does not match family {family.interval_label()}"
@@ -251,6 +299,7 @@ def pad_and_attach(
         raise ParameterError("padding width y must be at least 1")
     scale = 1.0 / math.sqrt(y)
     amps: Dict[BasisKey, complex] = {}
+    tokens: Dict[tuple, bytes] = {}
     for key, amp in state.items():
         if index is not None:
             tuples = index.tuples_of(key)
@@ -262,8 +311,11 @@ def pad_and_attach(
                 f"vertex holds {z} tuples, above the padding width {y}"
             )
         branch = amp * scale
-        for image, pres in tuples:
-            amps[attach_register(key, tuple_token(image, pres))] = branch
+        for found in tuples:
+            token = tokens.get(found)
+            if token is None:
+                token = tokens[found] = tuple_token(*found)
+            amps[attach_register(key, token)] = branch
         for i in range(z + 1, y + 1):
             amps[attach_register(key, dummy_token(i))] = branch
     return State(amps)

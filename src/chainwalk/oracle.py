@@ -124,10 +124,13 @@ class CollisionTable:
     """
 
     def __init__(self, entries=None) -> None:
+        """Table of (image, preimages) pairs, each checked as `insert` would be
+        without a function: at least 2 distinct preimages, no image given
+        twice and no point under two images."""
         self._entries: dict[int, tuple[int, ...]] = {}
-        if entries:
-            for image, pre in entries:
-                self._entries[int(image)] = tuple(sorted(int(x) for x in pre))
+        for image, pre in entries or ():
+            image = int(image)
+            self._entries[image] = self._checked(image, pre)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -190,11 +193,7 @@ class CollisionTable:
     @classmethod
     def from_json(cls, text: str) -> "CollisionTable":
         """Parse a table, rejecting every tuple `insert` refuses without a function."""
-        table = cls()
-        for row in json.loads(text):
-            image = int(row["image"])
-            table._entries[image] = table._checked(image, row["preimages"])
-        return table
+        return cls((row["image"], row["preimages"]) for row in json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,26 @@ def test_collision_table_from_json_rejects_invalid_tuples(rows):
         CollisionTable.from_json(json.dumps(rows))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(5, (1,))],                        # fewer than 2 points
+        [(6, (1, 1, 2))],                   # repeated preimage
+        [(5, (1, 2)), (6, (2, 3))],         # point under two images
+        [(5, (1, 2)), (5, (3, 4))],         # image recorded twice
+        [(5, (1,)), (6, (1, 1, 2))],
+    ],
+)
+def test_collision_table_constructor_rejects_invalid_tuples(entries):
+    with pytest.raises(ValidationError):
+        CollisionTable(entries)
+
+
+def test_collision_table_constructor_keeps_order_and_sorts():
+    table = CollisionTable([(6, (3, 2)), (5, [1, 0, 4])])
+    assert list(table.items()) == [(6, (2, 3)), (5, (0, 1, 4))]
+
+
 def test_insert_rejects_non_collisions():
     fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 1, 1, 2, 3, 4, 5])
     table = CollisionTable()
