@@ -180,10 +180,10 @@ class FamilyIndex:
         # it returns Python ints, which measurement labels and reports need.
         self._count_list: List[int] = self._counts.tolist()
         width = 2 + 4 * big_r
-        row = np.empty((total, width), dtype=np.uint8)
-        row[:, :2] = np.frombuffer(struct.pack(">H", big_r), dtype=np.uint8)
-        row[:, 2:] = self._combos.astype(">u4").view(np.uint8).reshape(total, -1)
-        raw = row.tobytes()
+        buf = np.empty((total, width), dtype=np.uint8)
+        buf[:, :2] = np.frombuffer(struct.pack(">H", big_r), dtype=np.uint8)
+        buf[:, 2:] = self._combos.astype(">u4").view(np.uint8).reshape(total, -1)
+        raw = buf.tobytes()
         self._keys: List[BasisKey] = [
             raw[i:i + width] for i in range(0, total * width, width)
         ]

@@ -124,9 +124,8 @@ class CollisionTable:
     """
 
     def __init__(self, entries=None) -> None:
-        """Table of (image, preimages) pairs, each checked as `insert` would be
-        without a function: at least 2 distinct preimages, no image given
-        twice and no point under two images."""
+        """Table of (image, preimages) pairs, each checked as `insert` checks it
+        without a function."""
         self._entries: dict[int, tuple[int, ...]] = {}
         for image, pre in entries or ():
             image = int(image)
