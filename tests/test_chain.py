@@ -1,5 +1,6 @@
 """End-to-end tests for the chained search loop and its cost accounting."""
 
+import hashlib
 import json
 import math
 
@@ -362,3 +363,25 @@ def test_run_stops(shape, max_outer, expected):
     led = result.ledger
     assert (led.update_calls, led.check_calls, led.oracle_queries,
             led.extraction_events) == counts
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        # the chain-wide benchmark shape on the 8,128-vertex n=7 family
+        ((7, 8, 0, 1, 0), "33b90b14e0fc5ae8f892f10e16c6f5366056b760670d38ac71b9bacd00d4ec7d"),
+        ((7, 8, 0, 1, 1), "5c5111682d2ce0c72c7801ac9a3ea823a84b4d8ff25289af825659685af5ba09"),
+        ((7, 8, 0, 1, 2), "e04aa571467fe844aa46accf8a1179fdc6854bbdb8a7a4516d865afa1b48b858"),
+        ((7, 8, 0, 1, 3), "6d919d7138dbb2d1f295fb85686db620898367428c66190ab97f9cb0f7c83317"),
+        # a criterion-7 instance (n=4, ell=3)
+        ((4, 4, 1, 3, 4), "f1806bc2633e3f67cd1861cd34ab2af16ba853121b1bfec24cea64cd9b395906"),
+        # a dense start that completes
+        ((6, 10, 0, 6, 0), "0e55deb956eb71d06d4ae477e3f4bb08d157dfd97f99e0e82d607299936f04a5"),
+    ],
+)
+def test_report_pinned(shape, digest):
+    """The whole report, per_step_trace support sizes included, is pinned."""
+    n, m, k, ell, seed = shape
+    result = run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
+                             max_outer_iterations=64))
+    assert hashlib.sha256(result.report_json().encode()).hexdigest() == digest
