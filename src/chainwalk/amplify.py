@@ -25,9 +25,10 @@ from .errors import ImpossibleTargetError, ParameterError
 from .statevector import (
     BasisKey,
     State,
+    align,
     decode_subset,
     measure,
-    reflect_about_predicate,
+    reflect_about_mask,
     reflect_about_state,
     subset_key,
     uniform_state,
@@ -80,12 +81,23 @@ def grover_iterate(
     axis: State,
     count: int,
 ) -> State:
-    """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application."""
+    """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
+
+    The state is first laid over the axis's basis, and `good` is evaluated
+    once per key that the state or the axis carries; every Ref_flip then
+    negates through that mask.
+    """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
-    out = state
+    if count == 0:
+        return state
+    out = align(state, axis)
+    keys = out.basis.keys
+    reach = np.union1d(out.live, axis.live)
+    flags = np.zeros(len(keys), dtype=bool)
+    flags[reach] = [bool(good(keys[i])) for i in reach.tolist()]
     for _ in range(count):
-        out = reflect_about_predicate(out, good)
+        out = reflect_about_mask(out, flags)
         out = reflect_about_state(out, axis)
     return out
 

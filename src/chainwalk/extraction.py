@@ -19,8 +19,10 @@ Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
 enumerates a family's full vertex set once, as numpy arrays over vertex
 ordinals (subsets, their images, their counts), so that class sizes,
-membership predicates, and diffusion axes are exact.  States stay keyed by
-the byte keys of statevector; the index maps each key to its ordinal.
+membership predicates, and diffusion axes are exact.  Its keys in ordinal
+order, with the key-to-ordinal map, form the statevector Basis that its
+axis and class states are laid over, so a family state is a vector over
+vertex ordinals.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .errors import (
 from .johnson import vertex_data
 from .oracle import RestrictedFunction, restrict
 from .statevector import (
+    Basis,
     BasisKey,
     State,
     attach_register,
@@ -55,7 +58,6 @@ from .statevector import (
     measure,
     strip_register,
     subset_key,
-    uniform_state,
 )
 
 _TUPLE_TAG = b"t"
@@ -139,8 +141,9 @@ class FamilyIndex:
     itertools.combinations order (so keys come out sorted), their images a
     V x R table gathered from f, and each vertex's count is the number of
     duplicate runs in its sorted image row.  Vertex ordinals index all three;
-    a key maps to its ordinal through one dict.  Tuples are worked out from
-    the vertex's row on first request.
+    a key maps to its ordinal through one dict, which is also the position
+    map of the index's Basis.  Tuples are grouped on first request, for all
+    the vertices of one request in one pass over their image rows.
     """
 
     def __init__(
@@ -188,11 +191,12 @@ class FamilyIndex:
             raw[i:i + width] for i in range(0, total * width, width)
         ]
         self._ordinal: Dict[BasisKey, int] = dict(zip(self._keys, range(total)))
+        self.basis = Basis(self._keys, self._ordinal)
         sizes, size_counts = np.unique(self._counts, return_counts=True)
         self._size_by_count: Dict[int, int] = dict(
             zip(sizes.tolist(), size_counts.tolist())
         )
-        self._tuples: Dict[int, tuple] = {}
+        self._tuples: Optional[List[Optional[tuple]]] = None
         self._axis: Optional[State] = None
 
     def count_of(self, key: BasisKey) -> int:
@@ -201,26 +205,58 @@ class FamilyIndex:
         except KeyError:
             raise ValidationError("key is not a vertex of this family") from None
 
-    def tuples_of(self, key: BasisKey) -> tuple:
-        """The vertex's multicollisions as (image, preimages), in image order."""
+    def ordinals(self, keys: Iterable[BasisKey]) -> np.ndarray:
+        """Vertex ordinals of the given keys, which must all be vertices."""
         try:
-            ordinal = self._ordinal[key]
+            return np.fromiter(map(self._ordinal.__getitem__, keys), dtype=np.intp)
         except KeyError:
             raise ValidationError("key is not a vertex of this family") from None
-        tuples = self._tuples.get(ordinal)
-        if tuples is None:
-            groups: Dict[int, List[int]] = {}
-            for x, image in zip(
-                self._combos[ordinal].tolist(), self._images[ordinal].tolist()
-            ):
-                groups.setdefault(image, []).append(x)
-            tuples = tuple(
-                (image, tuple(pres))
-                for image, pres in sorted(groups.items())
-                if len(pres) >= 2
+
+    def support_ordinals(self, state: State) -> np.ndarray:
+        """Ordinals of the state's support keys, in the state's basis order."""
+        if state.basis is self.basis:
+            return state.live
+        return self.ordinals(key for key, _ in state.items())
+
+    def tuples_of(self, key: BasisKey) -> tuple:
+        """The vertex's multicollisions as (image, preimages), in image order."""
+        return self.tuples_at(self.ordinals((key,)))[0]
+
+    def tuples_at(self, ordinals: np.ndarray) -> List[tuple]:
+        """tuples_of for each vertex ordinal, grouping the ones not yet asked
+        for in one pass over their image rows."""
+        if self._tuples is None:
+            self._tuples = [None] * self.total
+        wanted = ordinals.tolist()
+        todo = sorted({o for o in wanted if self._tuples[o] is None})
+        if todo:
+            self._group_tuples(np.array(todo))
+        return [self._tuples[o] for o in wanted]
+
+    def _group_tuples(self, todo: np.ndarray) -> None:
+        """Cache the tuples of the vertices `todo`.
+
+        Each image row is sorted stably, so a tuple's preimages keep row
+        (point) order; a run of two or more equal images is one tuple.
+        """
+        width = self.big_r
+        order = np.argsort(self._images[todo], axis=1, kind="stable")
+        images = np.take_along_axis(self._images[todo], order, axis=1).ravel()
+        points = np.take_along_axis(self._combos[todo], order, axis=1).ravel()
+        starts = np.ones(images.size, dtype=bool)
+        starts[1:] = images[1:] != images[:-1]
+        starts[::width] = True
+        begins = np.flatnonzero(starts)
+        ends = np.append(begins[1:], images.size)
+        runs = ends - begins >= 2
+        found: List[List[tuple]] = [[] for _ in range(len(todo))]
+        image_list, point_list = images.tolist(), points.tolist()
+        for begin, end in zip(begins[runs].tolist(), ends[runs].tolist()):
+            found[begin // width].append(
+                (image_list[begin], tuple(point_list[begin:end]))
             )
-            self._tuples[ordinal] = tuples
-        return tuples
+        for ordinal, tuples in zip(todo.tolist(), found):
+            self._tuples[ordinal] = tuple(tuples)
 
     def histogram(self) -> Dict[int, int]:
         return dict(self._size_by_count)
@@ -237,26 +273,34 @@ class FamilyIndex:
             if count >= lo and (hi is None or count <= hi)
         )
 
-    def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
-        """The vertices whose count lies in [lo, hi], in sorted key order."""
+    def class_mask(self, lo: int, hi: Optional[int]) -> np.ndarray:
+        """Boolean vector over ordinals: the vertices with count in [lo, hi]."""
         mask = self._counts >= lo
         if hi is not None:
             mask &= self._counts <= hi
-        return list(itertools.compress(self._keys, mask.tolist()))
+        return mask
+
+    def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
+        """The vertices whose count lies in [lo, hi], in sorted key order."""
+        return list(itertools.compress(self._keys, self.class_mask(lo, hi).tolist()))
 
     def axis_state(self) -> State:
         """Uniform superposition over the whole vertex set (diffusion axis)."""
         if self._axis is None:
-            self._axis = uniform_state(self._keys)
+            self._axis = State.over(
+                self.basis, np.full(self.total, 1.0 / np.sqrt(self.total))
+            )
         return self._axis
 
     def class_state(self, lo: int, hi: Optional[int]) -> State:
-        keys = self.keys_in(lo, hi)
-        if not keys:
+        """Uniform superposition over the class [lo, hi], over the index's basis."""
+        mask = self.class_mask(lo, hi)
+        size = int(np.count_nonzero(mask))
+        if not size:
             raise ImpossibleTargetError(
                 f"no vertices with count in [{lo}, {hi}]"
             )
-        return uniform_state(keys)
+        return State.over(self.basis, mask * (1.0 / np.sqrt(size)))
 
 
 def check_uniform_class(
@@ -270,17 +314,16 @@ def check_uniform_class(
     """
     if index is not None and (
         len(state) != index.class_size(family.lo, family.hi)
-        or not all(
-            family.contains_count(index.count_of(key)) for key, _ in state.items()
-        )
+        or not index.class_mask(family.lo, family.hi)[
+            index.support_ordinals(state)
+        ].all()
     ):
         raise ValidationError(
             f"state support does not match family {family.interval_label()}"
         )
     target = 1.0 / math.sqrt(len(state))
-    for _, amp in state.items():
-        if abs(abs(amp) - target) > _UNIFORM_TOL:
-            raise ValidationError("state is not uniform over its support")
+    if np.any(np.abs(np.abs(state.vector[state.live]) - target) > _UNIFORM_TOL):
+        raise ValidationError("state is not uniform over its support")
 
 
 def pad_and_attach(
@@ -300,11 +343,15 @@ def pad_and_attach(
     scale = 1.0 / math.sqrt(y)
     amps: Dict[BasisKey, complex] = {}
     tokens: Dict[tuple, bytes] = {}
-    for key, amp in state.items():
-        if index is not None:
-            tuples = index.tuples_of(key)
-        else:
-            tuples = vertex_data(restriction, decode_subset(key)).multicollisions
+    items = state.items()
+    if index is None:
+        per_vertex = [
+            vertex_data(restriction, decode_subset(key)).multicollisions
+            for key, _ in items
+        ]
+    else:
+        per_vertex = index.tuples_at(index.support_ordinals(state))
+    for (key, amp), tuples in zip(items, per_vertex):
         z = len(tuples)
         if z > y:
             raise ContractViolationError(

@@ -1,14 +1,23 @@
-"""Exact sparse state vectors over byte-encoded basis labels.
+"""Exact state vectors over ordered bases of byte-encoded keys.
 
-A state is a finite map from basis key to complex amplitude with unit 2-norm.
-Keys are canonical byte strings: a sorted subset block, optionally followed by
-an opaque register suffix.  Equal sets encode to equal keys, and the subset
-block is length-prefixed so appending a suffix stays injective.
+A state is a complex numpy vector laid over a Basis: an ordered tuple of
+distinct keys with a map from key to position.  Keys are canonical byte
+strings: a sorted subset block, optionally followed by an opaque register
+suffix.  Equal sets encode to equal keys, and the subset block is
+length-prefixed so appending a suffix stays injective.
+
+States derived from one another (reflections, measurement branches) share
+their basis by identity, so the operations on them are vector operations.
+Two states over different bases are aligned through the key-to-position map
+only when an operation combines them: reflect_about_state lays the state
+over the union basis, the axis's keys first.  The byte-key API (items,
+support, amplitude, construction from a dict) reads through the basis.
 
 Conventions used throughout:
 
-* norms are kept within 1e-9 of 1, and amplitudes below 1e-12 in magnitude
-  are pruned after every operation;
+* norms are kept within 1e-9 of 1, and amplitudes of magnitude 1e-12 or
+  below are set to exactly zero after every operation; a state's support is
+  its nonzero positions;
 * measurement outcomes are ordered by their label before sampling, so a fixed
   generator always walks the same cumulative distribution;
 * state equality is taken up to one global phase.
@@ -16,9 +25,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,131 +77,245 @@ def strip_register(key: BasisKey) -> BasisKey:
     return key[: 2 + 4 * count]
 
 
-class State:
-    """Immutable-by-convention sparse unit vector."""
+class Basis:
+    """Ordered distinct keys and the map from each key to its position.
 
-    __slots__ = ("_amps",)
+    prefix, when set, is a basis whose keys this one starts with, in order:
+    a vector over this basis restricted to its first len(prefix) entries is
+    a vector over prefix.
+    """
 
-    def __init__(self, amplitudes: Dict[BasisKey, complex], *, normalize: bool = False):
-        amps = {
-            k: complex(a)
-            for k, a in amplitudes.items()
-            if abs(a) > PRUNE_EPS
-        }
-        if not amps:
-            raise ValidationError("state has no support")
-        if normalize:
-            norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-            amps = {k: a / norm for k, a in amps.items()}
-        norm2 = sum(abs(a) ** 2 for a in amps.values())
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
-        self._amps = amps
+    __slots__ = ("keys", "prefix", "_position")
 
-    def amplitude(self, key: BasisKey) -> complex:
-        return self._amps.get(key, 0j)
-
-    def support(self) -> Tuple[BasisKey, ...]:
-        return tuple(sorted(self._amps))
-
-    def items(self):
-        return self._amps.items()
+    def __init__(
+        self,
+        keys: Sequence[BasisKey],
+        position: Optional[Dict[BasisKey, int]] = None,
+        prefix: Optional["Basis"] = None,
+    ):
+        self.keys = keys
+        self.prefix = prefix
+        self._position = position
 
     def __len__(self) -> int:
-        return len(self._amps)
+        return len(self.keys)
+
+    @property
+    def position(self) -> Dict[BasisKey, int]:
+        if self._position is None:
+            self._position = dict(zip(self.keys, range(len(self.keys))))
+        return self._position
+
+
+class State:
+    """Immutable unit vector over a Basis; zero entries lie outside the support."""
+
+    __slots__ = ("basis", "vector", "live")
+
+    def __init__(self, amplitudes: Dict[BasisKey, complex], *, normalize: bool = False):
+        vector = np.fromiter(amplitudes.values(), dtype=complex, count=len(amplitudes))
+        keep = np.abs(vector) > PRUNE_EPS
+        keys = list(itertools.compress(amplitudes, keep.tolist()))
+        self._settle(Basis(keys), vector[keep], normalize)
+
+    @classmethod
+    def over(cls, basis: Basis, amplitudes, *, normalize: bool = False) -> "State":
+        """State with the given amplitude vector over `basis` (copied)."""
+        return cls._build(basis, np.array(amplitudes, dtype=complex), normalize)
+
+    @classmethod
+    def _build(
+        cls, basis: Basis, vector: np.ndarray, normalize: bool = False, prune: bool = True
+    ) -> "State":
+        state = cls.__new__(cls)
+        state._settle(basis, vector, normalize, prune)
+        return state
+
+    def _settle(
+        self, basis: Basis, vector: np.ndarray, normalize: bool, prune: bool = True
+    ) -> None:
+        """Take ownership of `vector`: prune, optionally normalize, check."""
+        if len(vector) != len(basis):
+            raise ValidationError(
+                f"vector of length {len(vector)} over a basis of {len(basis)} keys"
+            )
+        if prune:
+            vector[np.abs(vector) <= PRUNE_EPS] = 0
+        live = np.flatnonzero(vector)
+        if not len(live):
+            raise ValidationError("state has no support")
+        if normalize:
+            vector /= np.sqrt(np.vdot(vector, vector).real)
+        norm2 = np.vdot(vector, vector).real
+        if abs(norm2 - 1.0) > NORM_TOL:
+            raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
+        vector.flags.writeable = False
+        self.basis = basis
+        self.vector = vector
+        self.live = live
+
+    def amplitude(self, key: BasisKey) -> complex:
+        pos = self.basis.position.get(key)
+        return 0j if pos is None else complex(self.vector[pos])
+
+    def support(self) -> Tuple[BasisKey, ...]:
+        return tuple(sorted(self._live_keys()))
+
+    def items(self) -> List[Tuple[BasisKey, complex]]:
+        """(key, amplitude) over the support, in basis order."""
+        return list(zip(self._live_keys(), self.vector[self.live].tolist()))
+
+    def _live_keys(self) -> List[BasisKey]:
+        keys = self.basis.keys
+        return [keys[i] for i in self.live.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.live)
 
     def __contains__(self, key: BasisKey) -> bool:
-        return key in self._amps
+        pos = self.basis.position.get(key)
+        return pos is not None and self.vector[pos] != 0
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self._amps.values())))
+        return float(np.sqrt(np.vdot(self.vector, self.vector).real))
 
     def inner(self, other: "State") -> complex:
         """<self|other> over the intersection of supports."""
-        small, big = self._amps, other._amps
-        if len(big) < len(small):
-            return np.conj(other.inner(self))
+        if self.basis is other.basis:
+            return complex(np.vdot(self.vector, other.vector))
+        if other.basis.prefix is self.basis:
+            return complex(np.vdot(self.vector, other.vector[:len(self.vector)]))
+        if self.basis.prefix is other.basis:
+            return complex(np.vdot(self.vector[:len(other.vector)], other.vector))
+        if len(other) < len(self):
+            return other.inner(self).conjugate()
+        position = other.basis.position
         total = 0j
-        for k, a in small.items():
-            b = big.get(k)
-            if b is not None:
-                total += np.conj(a) * b
+        for key, amp in self.items():
+            pos = position.get(key)
+            if pos is not None:
+                total += amp.conjugate() * complex(other.vector[pos])
         return total
 
+    def mask(self, predicate: Callable[[BasisKey], bool]) -> np.ndarray:
+        """Boolean vector over the basis: predicate on each support key,
+        False off the support."""
+        flags = np.zeros(len(self.basis), dtype=bool)
+        flags[self.live] = [bool(predicate(key)) for key in self._live_keys()]
+        return flags
+
     def probability(self, predicate: Callable[[BasisKey], bool]) -> float:
-        return float(sum(abs(a) ** 2 for k, a in self._amps.items() if predicate(k)))
+        weights = np.abs(self.vector[self.live]) ** 2
+        return float(sum(weights[self.mask(predicate)[self.live]].tolist()))
 
 
 def uniform_state(keys: Iterable[BasisKey]) -> State:
-    """Equal positive amplitude on each distinct key."""
+    """Equal positive amplitude on each distinct key, over the sorted keys."""
     ks = sorted(set(keys))
     if not ks:
         raise ValidationError("uniform state over empty key set")
-    amp = 1.0 / np.sqrt(len(ks))
-    return State({k: amp for k in ks})
+    return State._build(Basis(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks)), dtype=complex))
+
+
+def align(state: State, axis: State) -> State:
+    """`state` over axis's basis, extended by the support keys axis lacks.
+
+    Returns `state` itself when its basis already is axis's basis or extends
+    it.  Otherwise the result's basis is the union basis: axis's keys in
+    order, then the state's other support keys in the state's basis order.
+    """
+    base = axis.basis
+    if state.basis is base or state.basis.prefix is base:
+        return state
+    position, size = base.position, len(base)
+    extra: List[BasisKey] = []
+    where: List[int] = []
+    for key in state._live_keys():
+        pos = position.get(key)
+        if pos is None:
+            pos = size + len(extra)
+            extra.append(key)
+        where.append(pos)
+    basis = Basis(list(base.keys) + extra, prefix=base) if extra else base
+    vector = np.zeros(len(basis), dtype=complex)
+    vector[where] = state.vector[state.live]
+    return State._build(basis, vector, prune=False)
 
 
 def reflect_about_state(state: State, axis: State) -> State:
-    """(2|axis><axis| - I) applied to `state`."""
-    overlap = axis.inner(state)
-    out: Dict[BasisKey, complex] = {}
-    for k, a in state.items():
-        out[k] = -a
-    for k, a in axis.items():
-        out[k] = out.get(k, 0j) + 2.0 * overlap * a
-    return State(out)
+    """(2|axis><axis| - I) applied to `state`, over the union basis."""
+    state = align(state, axis)
+    size = len(axis.vector)
+    overlap = np.vdot(axis.vector, state.vector[:size])
+    out = -state.vector
+    out[:size] += (2.0 * overlap) * axis.vector
+    return State._build(state.basis, out)
+
+
+def reflect_about_mask(state: State, flags: np.ndarray) -> State:
+    """Negate the amplitudes at the basis positions where `flags` holds."""
+    return State._build(state.basis, np.where(flags, -state.vector, state.vector))
 
 
 def reflect_about_predicate(state: State, flip: Callable[[BasisKey], bool]) -> State:
     """Negate the amplitude of every key where `flip` holds."""
-    return State({
-        k: (-a if flip(k) else a)
-        for k, a in state.items()
-    })
+    return reflect_about_mask(state, state.mask(flip))
+
+
+def _label_pass(state: State, register: Callable[[BasisKey], object]):
+    """Label every support key once.
+
+    Returns (label -> id, the id of each support position, weight per id).
+    Weights are summed in basis order.
+    """
+    ids: Dict[object, int] = {}
+    label_ids = np.fromiter(
+        (ids.setdefault(register(key), len(ids)) for key in state._live_keys()),
+        dtype=np.intp,
+        count=len(state),
+    )
+    weights = np.bincount(
+        label_ids, weights=np.abs(state.vector[state.live]) ** 2, minlength=len(ids)
+    )
+    return ids, label_ids, weights.tolist()
+
+
+def _branch(state: State, label_ids: np.ndarray, label_id: int, weight: float) -> State:
+    """The renormalized projection of `state` onto one label, same basis."""
+    take = state.live[label_ids == label_id]
+    vector = np.zeros(len(state.basis), dtype=complex)
+    vector[take] = state.vector[take] * (1.0 / np.sqrt(weight))
+    return State._build(state.basis, vector)
 
 
 def measure(state: State, register: Callable[[BasisKey], object], rng: np.random.Generator):
     """Projective measurement of the register labelling function.
 
-    Returns (outcome, collapsed state).  Outcomes are grouped by label, the
-    label set is sorted, and a single uniform draw selects the branch.
+    Returns (outcome, collapsed state).  Each support key is labelled once;
+    outcomes are grouped by label, the label set is sorted, and a single
+    uniform draw selects the branch.
     """
-    weights: Dict[object, float] = {}
-    for k, a in state.items():
-        label = register(k)
-        weights[label] = weights.get(label, 0.0) + abs(a) ** 2
-    labels = sorted(weights)
+    ids, label_ids, weights = _label_pass(state, register)
+    labels = sorted(ids)
     draw = float(rng.random())
     acc = 0.0
     outcome = labels[-1]
     for label in labels:
-        acc += weights[label]
+        acc += weights[ids[label]]
         if draw < acc:
             outcome = label
             break
-    collapsed = _collapse(state, register, outcome, weights[outcome])
-    return outcome, collapsed
+    weight = weights[ids[outcome]]
+    return outcome, _branch(state, label_ids, ids[outcome], weight)
 
 
 def outcome_distribution(state: State, register: Callable[[BasisKey], object]):
     """Full branch decomposition: {label: (probability, collapsed state)}."""
-    weights: Dict[object, float] = {}
-    for k, a in state.items():
-        label = register(k)
-        weights[label] = weights.get(label, 0.0) + abs(a) ** 2
-    out = {}
-    for label in sorted(weights):
-        out[label] = (weights[label], _collapse(state, register, label, weights[label]))
-    return out
-
-
-def _collapse(state: State, register, outcome, weight: float) -> State:
-    scale = 1.0 / np.sqrt(weight)
-    return State({
-        k: a * scale
-        for k, a in state.items()
-        if register(k) == outcome
-    })
+    ids, label_ids, weights = _label_pass(state, register)
+    return {
+        label: (weights[ids[label]], _branch(state, label_ids, ids[label], weights[ids[label]]))
+        for label in sorted(ids)
+    }
 
 
 def states_close(a: State, b: State, tol: float = 1e-9) -> bool:

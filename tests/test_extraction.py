@@ -499,3 +499,33 @@ def test_format_trace_round_trip():
     lines = text.splitlines()
     assert len(lines) == 2
     assert [json.loads(line) for line in lines] == events
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    big_r=st.sampled_from([2, 3, 4]),
+    first=st.lists(st.integers(0, 10**6), max_size=40),
+    second=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+)
+def test_tuples_at_groups_many_vertices_like_vertex_data(values, big_r, first, second):
+    """Batched grouping, with repeats and with part of a request cached by
+    an earlier one, gives what vertex_data gives vertex by vertex."""
+    fn = FunctionTable(Params(n=4, m=4, k=0), values)
+    restriction = restrict(fn, CollisionTable())
+    index = FamilyIndex(restriction, big_r)
+    combos = list(itertools.combinations(restriction.domain_points, big_r))
+    for request in (first, second):
+        ordinals = [o % index.total for o in request]
+        assert index.tuples_at(np.array(ordinals, dtype=np.intp)) == [
+            vertex_data(restriction, combos[o]).multicollisions for o in ordinals
+        ]
+    lo = max(1, min(index.histogram()))
+    hi = index.max_count()
+    assume(index.class_size(lo, hi) > 0)
+    over_index = pad_and_attach(index.class_state(lo, hi), restriction, hi, index)
+    over_keys = pad_and_attach(
+        uniform_state(index.keys_in(lo, hi)), restriction, hi, index
+    )
+    reference = pad_and_attach(index.class_state(lo, hi), restriction, hi)
+    assert over_index.items() == over_keys.items() == reference.items()

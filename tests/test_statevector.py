@@ -1,4 +1,4 @@
-"""Tests for the sparse exact state layer."""
+"""Tests for the exact state layer."""
 
 import cmath
 import json
@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
+from chainwalk.amplify import grover_iterate
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
+    PRUNE_EPS,
     State,
     attach_register,
     decode_subset,
@@ -149,3 +153,160 @@ def test_dump_debug_format():
     assert [row["key"] for row in rows] == ["00", "01"]
     assert abs(rows[0]["re"] - 0.8) < 1e-12
     assert rows[0]["im"] == 0.0
+
+
+# ------------------------------------------------------------------
+# Differential tests: the array-backed State against a pure-dict reference.
+# A reference state is a dict from key to complex amplitude.
+
+
+def _ref_prune(amps):
+    return {k: complex(a) for k, a in amps.items() if abs(a) > PRUNE_EPS}
+
+
+def _ref_normalized(amps):
+    amps = _ref_prune(amps)
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return {k: a / norm for k, a in amps.items()}
+
+
+def _ref_inner(left, right):
+    return sum((a.conjugate() * right[k] for k, a in left.items() if k in right), 0j)
+
+
+def _ref_reflect_state(state, axis):
+    overlap = _ref_inner(axis, state)
+    out = {k: -a for k, a in state.items()}
+    for k, a in axis.items():
+        out[k] = out.get(k, 0j) + 2.0 * overlap * a
+    return _ref_prune(out)
+
+
+def _ref_reflect_predicate(state, flip):
+    return _ref_prune({k: (-a if flip(k) else a) for k, a in state.items()})
+
+
+def _ref_measure(state, register, rng):
+    weights = {}
+    for k, a in state.items():
+        label = register(k)
+        weights[label] = weights.get(label, 0.0) + abs(a) ** 2
+    labels = sorted(weights)
+    draw = float(rng.random())
+    acc, outcome = 0.0, labels[-1]
+    for label in labels:
+        acc += weights[label]
+        if draw < acc:
+            outcome = label
+            break
+    scale = 1.0 / math.sqrt(weights[outcome])
+    return outcome, _ref_prune(
+        {k: a * scale for k, a in state.items() if register(k) == outcome}
+    )
+
+
+def _assert_matches(state, ref, tol=1e-12):
+    keys = set(ref) | {k for k, _ in state.items()}
+    for k in keys:
+        assert abs(state.amplitude(k) - ref.get(k, 0j)) <= tol, k
+    for k, a in ref.items():
+        if abs(a) > 2 * PRUNE_EPS:
+            assert k in state
+    for k, _ in state.items():
+        assert abs(ref.get(k, 0j)) > PRUNE_EPS / 2
+
+
+_KEYS = [bytes([i]) for i in range(10)]
+_AMP = hs.one_of(
+    hs.builds(
+        complex,
+        hs.floats(-1.0, 1.0, allow_subnormal=False),
+        hs.floats(-1.0, 1.0, allow_subnormal=False),
+    ),
+    hs.sampled_from([1e-12, -1e-12, 2e-12, 5e-13, 1e-12j]),
+)
+_AMPS = hs.dictionaries(hs.sampled_from(_KEYS), _AMP, min_size=1)
+
+
+def _pair(amps):
+    """(State, reference) for the normalized amplitudes, or reject them."""
+    assume(sum(abs(a) ** 2 for a in _ref_prune(amps).values()) > 1e-2)
+    return State(amps, normalize=True), _ref_normalized(amps)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_AMPS, _AMPS, hs.sets(hs.sampled_from(_KEYS)))
+def test_reflections_match_dict_reference(state_amps, axis_amps, flipped):
+    """The state may carry keys the axis lacks, and the other way round."""
+    state, ref_state = _pair(state_amps)
+    axis, ref_axis = _pair(axis_amps)
+    out = reflect_about_state(state, axis)
+    _assert_matches(out, _ref_reflect_state(ref_state, ref_axis))
+    assert list(out.basis.keys[:len(axis.basis)]) == list(axis.basis.keys)
+    flip = lambda key: key in flipped
+    _assert_matches(
+        reflect_about_predicate(out, flip),
+        _ref_reflect_predicate(_ref_reflect_state(ref_state, ref_axis), flip),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(_AMPS, _AMPS)
+def test_inner_matches_dict_reference_across_bases(left_amps, right_amps):
+    left, ref_left = _pair(left_amps)
+    right, ref_right = _pair(right_amps)
+    moved = reflect_about_state(left, right)     # over right's basis or its union
+    ref_moved = _ref_reflect_state(ref_left, ref_right)
+    cases = [
+        (left, right, ref_left, ref_right),
+        (right, left, ref_right, ref_left),
+        (right, moved, ref_right, ref_moved),
+        (moved, right, ref_moved, ref_right),
+        (left, moved, ref_left, ref_moved),
+        (moved, moved, ref_moved, ref_moved),
+    ]
+    for a, b, ref_a, ref_b in cases:
+        assert abs(a.inner(b) - _ref_inner(ref_a, ref_b)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=100)
+@given(_AMPS, _AMPS, hs.sets(hs.sampled_from(_KEYS)), hs.integers(0, 4))
+def test_grover_iterate_matches_reflection_pairs(state_amps, axis_amps, good_keys, count):
+    state, ref = _pair(state_amps)
+    axis, ref_axis = _pair(axis_amps)
+    good = lambda key: key in good_keys
+    for _ in range(count):
+        ref = _ref_reflect_state(_ref_reflect_predicate(ref, good), ref_axis)
+    _assert_matches(grover_iterate(state, good, axis, count), ref, tol=1e-11)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_AMPS, _AMPS, hs.integers(1, 4), hs.integers(0, 2**32 - 1))
+def test_measure_matches_dict_reference(state_amps, axis_amps, modulus, seed):
+    state, ref = _pair(state_amps)
+    axis, ref_axis = _pair(axis_amps)
+    # a derived state: its basis is shared with the axis or extends it
+    state, ref = reflect_about_state(state, axis), _ref_reflect_state(ref, ref_axis)
+    register = lambda key: key[0] % modulus
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcome, collapsed = measure(state, register, rng)
+    ref_outcome, ref_collapsed = _ref_measure(ref, register, ref_rng)
+    assert outcome == ref_outcome
+    _assert_matches(collapsed, ref_collapsed)
+    assert collapsed.basis is state.basis
+    assert rng.random() == ref_rng.random()
+
+
+def test_pruning_at_the_edge():
+    st = State({b"a": 1.0, b"b": 1e-12, b"c": -1e-12j, b"d": 1.5e-12})
+    assert st.support() == (b"a", b"d")
+    assert len(st) == 2 and b"b" not in st and st.amplitude(b"b") == 0
+    # every operation prunes by the same rule
+    axis = uniform_state([b"a"])
+    again = reflect_about_state(reflect_about_state(st, axis), axis)
+    assert again.support() == (b"a", b"d")
+    tiny = State({b"a": math.sqrt(1 - 4e-24), b"b": 2e-12})
+    shrunk = reflect_about_state(tiny, State({b"b": 1.0}))
+    assert abs(shrunk.amplitude(b"b") - 2e-12) < 1e-24
+    half = State.over(tiny.basis, [math.sqrt(1 - 1e-24), 1e-12])
+    assert half.support() == (b"a",)
