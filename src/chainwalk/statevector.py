@@ -108,7 +108,14 @@ class Basis:
 
 
 class State:
-    """Immutable unit vector over a Basis; zero entries lie outside the support."""
+    """Unit vector over a Basis, immutable by convention.
+
+    `vector` (read-only) holds one complex amplitude per basis key; entries
+    of magnitude PRUNE_EPS or below are stored as exact zeros, and `live`
+    lists the nonzero positions, which make up the support.  A State built
+    from a dict of key -> amplitude is laid over a basis of its kept keys,
+    in dict order; State.over lays a vector over an existing basis.
+    """
 
     __slots__ = ("basis", "vector", "live")
 
@@ -280,11 +287,11 @@ def _label_pass(state: State, register: Callable[[BasisKey], object]):
     return ids, label_ids, weights.tolist()
 
 
-def _branch(state: State, label_ids: np.ndarray, label_id: int, weight: float) -> State:
+def _branch(state: State, label_ids: np.ndarray, weights: List[float], label_id: int) -> State:
     """The renormalized projection of `state` onto one label, same basis."""
     take = state.live[label_ids == label_id]
     vector = np.zeros(len(state.basis), dtype=complex)
-    vector[take] = state.vector[take] * (1.0 / np.sqrt(weight))
+    vector[take] = state.vector[take] * (1.0 / np.sqrt(weights[label_id]))
     return State._build(state.basis, vector)
 
 
@@ -305,15 +312,14 @@ def measure(state: State, register: Callable[[BasisKey], object], rng: np.random
         if draw < acc:
             outcome = label
             break
-    weight = weights[ids[outcome]]
-    return outcome, _branch(state, label_ids, ids[outcome], weight)
+    return outcome, _branch(state, label_ids, weights, ids[outcome])
 
 
 def outcome_distribution(state: State, register: Callable[[BasisKey], object]):
     """Full branch decomposition: {label: (probability, collapsed state)}."""
     ids, label_ids, weights = _label_pass(state, register)
     return {
-        label: (weights[ids[label]], _branch(state, label_ids, ids[label], weights[ids[label]]))
+        label: (weights[ids[label]], _branch(state, label_ids, weights, ids[label]))
         for label in sorted(ids)
     }
 
