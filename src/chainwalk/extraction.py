@@ -64,6 +64,10 @@ _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
 _MAX_FAMILY_VERTICES = 250_000
+# Vertices per array pass of FamilyIndex.tuples_at.  Bounds the pass's
+# temporary arrays and lists, which for a whole 12,870-vertex class took
+# about 4 MB beyond what the cached tuples hold.
+_GROUP_ROWS = 1024
 # Bound on measure-and-flip rounds in any extraction, repair or walk loop.
 MAX_TRANSITIONS = 10_000
 
@@ -216,7 +220,7 @@ class FamilyIndex:
         """Ordinals of the state's support keys, in the state's basis order."""
         if state.basis is self.basis:
             return state.live
-        return self.ordinals(key for key, _ in state.items())
+        return self.ordinals(state.keys())
 
     def tuples_of(self, key: BasisKey) -> tuple:
         """The vertex's multicollisions as (image, preimages), in image order."""
@@ -224,13 +228,13 @@ class FamilyIndex:
 
     def tuples_at(self, ordinals: np.ndarray) -> List[tuple]:
         """tuples_of for each vertex ordinal, grouping the ones not yet asked
-        for in one pass over their image rows."""
+        for in array passes over their image rows, _GROUP_ROWS rows a pass."""
         if self._tuples is None:
             self._tuples = [None] * self.total
         wanted = ordinals.tolist()
         todo = sorted({o for o in wanted if self._tuples[o] is None})
-        if todo:
-            self._group_tuples(np.array(todo))
+        for start in range(0, len(todo), _GROUP_ROWS):
+            self._group_tuples(np.array(todo[start:start + _GROUP_ROWS]))
         return [self._tuples[o] for o in wanted]
 
     def _group_tuples(self, todo: np.ndarray) -> None:
@@ -343,21 +347,21 @@ def pad_and_attach(
     scale = 1.0 / math.sqrt(y)
     amps: Dict[BasisKey, complex] = {}
     tokens: Dict[tuple, bytes] = {}
-    items = state.items()
+    keys = state.keys()
     if index is None:
         per_vertex = [
             vertex_data(restriction, decode_subset(key)).multicollisions
-            for key, _ in items
+            for key in keys
         ]
     else:
         per_vertex = index.tuples_at(index.support_ordinals(state))
-    for (key, amp), tuples in zip(items, per_vertex):
+    branches = (state.vector[state.live] * scale).tolist()
+    for key, branch, tuples in zip(keys, branches, per_vertex):
         z = len(tuples)
         if z > y:
             raise ContractViolationError(
                 f"vertex holds {z} tuples, above the padding width {y}"
             )
-        branch = amp * scale
         for found in tuples:
             token = tokens.get(found)
             if token is None:

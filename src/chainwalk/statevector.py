@@ -166,13 +166,14 @@ class State:
         return 0j if pos is None else complex(self.vector[pos])
 
     def support(self) -> Tuple[BasisKey, ...]:
-        return tuple(sorted(self._live_keys()))
+        return tuple(sorted(self.keys()))
 
     def items(self) -> List[Tuple[BasisKey, complex]]:
         """(key, amplitude) over the support, in basis order."""
-        return list(zip(self._live_keys(), self.vector[self.live].tolist()))
+        return list(zip(self.keys(), self.vector[self.live].tolist()))
 
-    def _live_keys(self) -> List[BasisKey]:
+    def keys(self) -> List[BasisKey]:
+        """The support keys, in basis order."""
         keys = self.basis.keys
         return [keys[i] for i in self.live.tolist()]
 
@@ -208,7 +209,7 @@ class State:
         """Boolean vector over the basis: predicate on each support key,
         False off the support."""
         flags = np.zeros(len(self.basis), dtype=bool)
-        flags[self.live] = [bool(predicate(key)) for key in self._live_keys()]
+        flags[self.live] = [bool(predicate(key)) for key in self.keys()]
         return flags
 
     def probability(self, predicate: Callable[[BasisKey], bool]) -> float:
@@ -237,7 +238,7 @@ def align(state: State, axis: State) -> State:
     position, size = base.position, len(base)
     extra: List[BasisKey] = []
     where: List[int] = []
-    for key in state._live_keys():
+    for key in state.keys():
         pos = position.get(key)
         if pos is None:
             pos = size + len(extra)
@@ -277,7 +278,7 @@ def _label_pass(state: State, register: Callable[[BasisKey], object]):
     """
     ids: Dict[object, int] = {}
     label_ids = np.fromiter(
-        (ids.setdefault(register(key), len(ids)) for key in state._live_keys()),
+        (ids.setdefault(register(key), len(ids)) for key in state.keys()),
         dtype=np.intp,
         count=len(state),
     )
