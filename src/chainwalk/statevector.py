@@ -126,20 +126,18 @@ class State:
         self._settle(Basis(keys), vector[keep], normalize)
 
     @classmethod
-    def over(cls, basis: Basis, amplitudes, *, normalize: bool = False) -> "State":
+    def over(cls, basis: Basis, amplitudes) -> "State":
         """State with the given amplitude vector over `basis` (copied)."""
-        return cls._build(basis, np.array(amplitudes, dtype=complex), normalize)
+        return cls._build(basis, np.array(amplitudes, dtype=complex))
 
     @classmethod
-    def _build(
-        cls, basis: Basis, vector: np.ndarray, normalize: bool = False, prune: bool = True
-    ) -> "State":
+    def _build(cls, basis: Basis, vector: np.ndarray, prune: bool = True) -> "State":
         state = cls.__new__(cls)
-        state._settle(basis, vector, normalize, prune)
+        state._settle(basis, vector, prune=prune)
         return state
 
     def _settle(
-        self, basis: Basis, vector: np.ndarray, normalize: bool, prune: bool = True
+        self, basis: Basis, vector: np.ndarray, normalize: bool = False, prune: bool = True
     ) -> None:
         """Take ownership of `vector`: prune, optionally normalize, check."""
         if len(vector) != len(basis):
