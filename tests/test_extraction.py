@@ -36,6 +36,7 @@ from chainwalk.statevector import (
     attach_register,
     decode_subset,
     key_register,
+    measure,
     states_close,
     strip_register,
     subset_key,
@@ -529,3 +530,51 @@ def test_tuples_at_groups_many_vertices_like_vertex_data(values, big_r, first, s
     )
     reference = pad_and_attach(index.class_state(lo, hi), restriction, hi)
     assert over_index.items() == over_keys.items() == reference.items()
+
+
+def _reference_residual(collapsed, preimages):
+    """The collapsed padded state with the register dropped and the measured
+    preimages deleted from every vertex, as (key, amplitude) in basis order."""
+    removed = set(preimages)
+    return [
+        (subset_key(p for p in decode_subset(strip_register(key)) if p not in removed), amp)
+        for key, amp in collapsed.items()
+    ]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    big_r=st.sampled_from([3, 4]),
+    lo=st.integers(0, 2),
+    width=st.integers(0, 2),
+    with_index=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extract_once_matches_padded_register_reference(
+    values, big_r, lo, width, with_index, seed
+):
+    """extract_once against measuring pad_and_attach's byte-key register
+    through key_register and stripping the register off the collapsed keys."""
+    fn = FunctionTable(Params(n=4, m=4, k=0), values)
+    restriction = restrict(fn, CollisionTable())
+    index = FamilyIndex(restriction, big_r)
+    hi = lo + width
+    assume(hi >= 1 and index.class_size(lo, hi) > 0)
+    family = VertexFamily(restriction=restriction, big_r=big_r, lo=lo, hi=hi)
+    if with_index:
+        state, given_index = index.class_state(lo, hi), index
+    else:
+        state, given_index = uniform_state(index.keys_in(lo, hi)), None
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = extract_once(state, family, rng, index=given_index)
+    padded = pad_and_attach(state, restriction, hi, given_index)
+    token, collapsed = measure(padded, key_register, ref_rng)
+    parsed = parse_token(token)
+    if parsed[0] == "tuple":
+        assert (out.kind, out.image, out.preimages) == parsed
+        assert out.collapsed.items() == _reference_residual(collapsed, parsed[2])
+    else:
+        assert (out.kind, out.dummy_index) == parsed
+        assert out.collapsed.items() == _reference_residual(collapsed, ())
+    assert rng.random() == ref_rng.random()
