@@ -23,15 +23,15 @@ import numpy as np
 
 from .errors import ImpossibleTargetError, ParameterError
 from .statevector import (
-    BasisKey,
+    Labels,
     State,
     align,
-    decode_subset,
     measure,
-    reflect_about_mask,
+    reflect_about_predicate,
     reflect_about_state,
     subset_key,
     uniform_state,
+    values_at,
 )
 
 _HALF = 1.0 / math.sqrt(2.0)
@@ -66,7 +66,7 @@ class FlipStats:
         self.attempts += other.attempts
 
 
-def decompose(state: State, good: Callable[[BasisKey], bool]) -> AmplitudeDecomposition:
+def decompose(state: State, good: Labels) -> AmplitudeDecomposition:
     """Exact amplitude split of `state` along the good predicate."""
     good_mass = state.probability(good)
     good_mass = min(1.0, max(0.0, good_mass))
@@ -75,29 +75,30 @@ def decompose(state: State, good: Callable[[BasisKey], bool]) -> AmplitudeDecomp
     return AmplitudeDecomposition(alpha=alpha, beta=beta, theta=math.asin(min(1.0, alpha)))
 
 
-def grover_iterate(
-    state: State,
-    good: Callable[[BasisKey], bool],
-    axis: State,
-    count: int,
-) -> State:
+def _good_flags(state: State, good: Labels, axis: State):
+    """`state` over the axis's basis, and `good` as a boolean vector over it,
+    read once on each key that the state or the axis carries."""
+    state = align(state, axis)
+    reach = np.union1d(state.live, axis.live)
+    flags = np.zeros(len(state.basis), dtype=bool)
+    flags[reach] = values_at(state.basis, good, reach, bool)
+    return state, flags
+
+
+def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State:
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
-    The state is first laid over the axis's basis, and `good` is evaluated
-    once per key that the state or the axis carries; every Ref_flip then
-    negates through that mask.
+    `good` is a key callback or a boolean vector over the axis's basis.  It
+    is read once per key that the state or the axis carries, and every
+    Ref_flip negates through that mask.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
     if count == 0:
         return state
-    out = align(state, axis)
-    keys = out.basis.keys
-    reach = np.union1d(out.live, axis.live)
-    flags = np.zeros(len(keys), dtype=bool)
-    flags[reach] = [bool(good(keys[i])) for i in reach.tolist()]
+    out, flags = _good_flags(state, good, axis)
     for _ in range(count):
-        out = reflect_about_mask(out, flags)
+        out = reflect_about_predicate(out, flags)
         out = reflect_about_state(out, axis)
     return out
 
@@ -116,30 +117,33 @@ def iteration_count(alpha: float) -> int:
 
 def flip(
     state: State,
-    good: Callable[[BasisKey], bool],
+    good: Labels,
     axis: State,
     want: Want,
     rng: np.random.Generator,
 ) -> tuple[State, FlipStats]:
     """Iterate and project until the flag measurement lands on `want`.
 
-    The wanted component of the axis must be nonempty.  When the good
-    amplitude exceeds 1/sqrt(2) and the good side is wanted, rotation is too
-    coarse to help, so each attempt measures a fresh copy of the axis instead;
-    success probability is then above 1/2 per attempt.
+    `good` is a key callback or a boolean vector over the axis's basis, read
+    once into the mask that the decomposition, the iterations and every flag
+    measurement use.  The wanted component of the axis must be nonempty.  When the good amplitude exceeds
+    1/sqrt(2) and the good side is wanted, rotation is too coarse to help, so
+    each attempt measures a fresh copy of the axis instead; success
+    probability is then above 1/2 per attempt.
     """
-    dec = decompose(axis, good)
+    state, flags = _good_flags(state, good, axis)
+    on_axis = flags[:len(axis.basis)]
+    dec = decompose(axis, on_axis)
     target_amp = dec.alpha if want is Want.GOOD else dec.beta
     if target_amp <= _ZERO_AMP:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     stats = FlipStats()
-    flag = lambda key: bool(good(key))
     wanted_label = want is Want.GOOD
 
     if want is Want.GOOD and dec.alpha > _HALF:
         while True:
             stats.attempts += 1
-            outcome, collapsed = measure(axis, flag, rng)
+            outcome, collapsed = measure(axis, on_axis, rng)
             if outcome == wanted_label:
                 return collapsed, stats
             stats.restarts += 1
@@ -150,9 +154,9 @@ def flip(
     current = state
     while True:
         stats.attempts += 1
-        current = grover_iterate(current, good, axis, count)
+        current = grover_iterate(current, flags, axis, count)
         stats.iterations_used += count
-        outcome, current = measure(current, flag, rng)
+        outcome, current = measure(current, flags, rng)
         if outcome == wanted_label:
             return current, stats
         stats.restarts += 1
@@ -172,11 +176,12 @@ def superpose_excluding(
     """
     if domain_size < 1:
         raise ParameterError("domain must be nonempty")
-    bad_points = sum(1 for x in range(domain_size) if excluded(x))
+    clean = [not excluded(x) for x in range(domain_size)]
+    bad_points = clean.count(False)
     if 2 * bad_points >= domain_size:
         raise ParameterError(
             f"excluded set covers {bad_points} of {domain_size} points, needs under half"
         )
+    # the keys sort by point, so position x of the axis's basis is point x
     axis = uniform_state(subset_key((x,)) for x in range(domain_size))
-    good = lambda key: not excluded(decode_subset(key)[0])
-    return flip(axis, good, axis, Want.GOOD, rng)
+    return flip(axis, clean, axis, Want.GOOD, rng)

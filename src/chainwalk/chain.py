@@ -60,7 +60,7 @@ from .oracle import (
     generate_function,
     restrict,
 )
-from .statevector import State, measure
+from .statevector import State, align, measure
 from .stats import IntervalPlan, round_count
 
 _ELL_SLACK = 4
@@ -255,12 +255,13 @@ def _extract_one(state, family, index, rng, ledger, fn, trace):
     if family.big_r < 1:
         return found, state, family, None
     index = FamilyIndex(family.restriction, family.big_r)
+    state = align(state, index.axis_state())
     check_uniform_class(state, family, index)
     return found, state, family, index
 
 
 def _flip_charged(state, family, index, good, want, rng, ledger) -> State:
-    """Amplify toward (GOOD) or away from (BAD) the vertices where good holds."""
+    """Amplify toward (GOOD) or away from (BAD) the vertices of the mask good."""
     state, fs = flip(state, good, index.axis_state(), want, rng)
     ledger.charge_flip(fs, _delta_for(family))
     return state
@@ -268,7 +269,7 @@ def _flip_charged(state, family, index, good, want, rng, ledger) -> State:
 
 def _measure_count(state, family, index, rng):
     """Measure the exact tuple count z and narrow the family to [z, z]."""
-    count, state = measure(state, index.count_of, rng)
+    count, state = measure(state, index.counts, rng)
     family = VertexFamily(family.restriction, family.big_r, count, count)
     check_uniform_class(state, family, index)
     return state, family
@@ -283,8 +284,7 @@ def _project_window(state, family, index, plan, rng, ledger):
             f"not patched: no vertices hold [{lo}, {hi}] tuples."
         )
     state = _flip_charged(
-        state, family, index,
-        lambda key: lo <= index.count_of(key) <= hi, Want.GOOD, rng, ledger,
+        state, family, index, index.class_mask(lo, hi), Want.GOOD, rng, ledger
     )
     family = VertexFamily(family.restriction, family.big_r, lo, hi)
     check_uniform_class(state, family, index)
@@ -294,9 +294,9 @@ def _project_window(state, family, index, plan, rng, ledger):
 def _count_walk(state, family, index, rng, ledger):
     """Count-policy walk: amplify onto vertices holding a tuple, measure z."""
     if family.hi is None:
-        good, want = (lambda key: index.count_of(key) >= 1), Want.GOOD
+        good, want = index.class_mask(1, None), Want.GOOD
     else:
-        good, want = (lambda key: index.count_of(key) <= family.hi), Want.BAD
+        good, want = index.class_mask(0, family.hi), Want.BAD
     state = _flip_charged(state, family, index, good, want, rng, ledger)
     return _measure_count(state, family, index, rng)
 
@@ -382,7 +382,8 @@ def walk_step(
             return 2
         return 3
 
-    outcome, state = measure(state, lambda key: cell_of(index.count_of(key)), rng)
+    state = align(state, index.axis_state())
+    outcome, state = measure(state, index.by_count(cell_of), rng)
     cls = frozenset(
         c for c in range(family.lo, family.hi + 1) if cell_of(c) == outcome
     )

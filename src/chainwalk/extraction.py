@@ -22,17 +22,19 @@ ordinals (subsets, their images, their counts), so that class sizes,
 membership predicates, and diffusion axes are exact.  Its keys in ordinal
 order, with the key-to-ordinal map, form the statevector Basis that its
 axis and class states are laid over, so a family state is a vector over
-vertex ordinals.
+vertex ordinals, and its predicates and labels (class_mask, by_count) are
+vectors over the ordinals too.  The padded register is a V x y vector over
+the support vertices with an integer label per entry; pad_and_attach spells
+it in byte keys for callers that read keys.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,18 +48,14 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .johnson import vertex_data
 from .oracle import RestrictedFunction, restrict
 from .statevector import (
     Basis,
     BasisKey,
     State,
-    attach_register,
+    align,
     decode_subset,
-    key_register,
     measure,
-    strip_register,
-    subset_key,
 )
 
 _TUPLE_TAG = b"t"
@@ -134,6 +132,17 @@ class VertexFamily:
         return f"[{self.lo},{top}]"
 
 
+def _subset_keys(rows: np.ndarray) -> List[BasisKey]:
+    """subset_key of every row of a table of sorted points, through one buffer."""
+    total, width = rows.shape
+    size = 2 + 4 * width
+    buf = np.empty((total, size), dtype=np.uint8)
+    buf[:, :2] = np.frombuffer(struct.pack(">H", width), dtype=np.uint8)
+    buf[:, 2:] = rows.astype(">u4").view(np.uint8).reshape(total, 4 * width)
+    raw = buf.tobytes()
+    return [raw[i:i + size] for i in range(0, total * size, size)]
+
+
 class FamilyIndex:
     """Exhaustive per-subset multicollision data for one (restriction, R).
 
@@ -144,10 +153,10 @@ class FamilyIndex:
     The build is array-wide: the subsets form a V x R table `combos` in
     itertools.combinations order (so keys come out sorted), their images a
     V x R table gathered from f, and each vertex's count is the number of
-    duplicate runs in its sorted image row.  Vertex ordinals index all three;
-    a key maps to its ordinal through one dict, which is also the position
-    map of the index's Basis.  Tuples are grouped on first request, for all
-    the vertices of one request in one pass over their image rows.
+    duplicate runs in its sorted image row (`counts`).  Vertex ordinals index
+    all three; a key maps to its ordinal through the position map of the
+    index's Basis, built on first use.  Tuples are grouped on first request,
+    for all the vertices of one request in one pass over their image rows.
     """
 
     def __init__(
@@ -182,49 +191,27 @@ class FamilyIndex:
         dup = ranked[:, 1:] == ranked[:, :-1]
         run_start = dup.copy()
         run_start[:, 1:] &= ~dup[:, :-1]
-        self._counts = run_start.sum(axis=1)
-        # count_of indexes a list: cheaper than reading a numpy scalar, and
-        # it returns Python ints, which measurement labels and reports need.
-        self._count_list: List[int] = self._counts.tolist()
-        width = 2 + 4 * big_r
-        buf = np.empty((total, width), dtype=np.uint8)
-        buf[:, :2] = np.frombuffer(struct.pack(">H", big_r), dtype=np.uint8)
-        buf[:, 2:] = self._combos.astype(">u4").view(np.uint8).reshape(total, -1)
-        raw = buf.tobytes()
-        self._keys: List[BasisKey] = [
-            raw[i:i + width] for i in range(0, total * width, width)
-        ]
-        self._ordinal: Dict[BasisKey, int] = dict(zip(self._keys, range(total)))
-        self.basis = Basis(self._keys, self._ordinal)
-        sizes, size_counts = np.unique(self._counts, return_counts=True)
+        self.counts = run_start.sum(axis=1)
+        self.basis = Basis(_subset_keys(self._combos))
+        sizes, size_counts = np.unique(self.counts, return_counts=True)
         self._size_by_count: Dict[int, int] = dict(
             zip(sizes.tolist(), size_counts.tolist())
         )
         self._tuples: Optional[List[Optional[tuple]]] = None
         self._axis: Optional[State] = None
 
+    def _ordinal_of(self, key: BasisKey) -> int:
+        try:
+            return self.basis.position[key]
+        except KeyError:
+            raise ValidationError("key is not a vertex of this family") from None
+
     def count_of(self, key: BasisKey) -> int:
-        try:
-            return self._count_list[self._ordinal[key]]
-        except KeyError:
-            raise ValidationError("key is not a vertex of this family") from None
-
-    def ordinals(self, keys: Iterable[BasisKey]) -> np.ndarray:
-        """Vertex ordinals of the given keys, which must all be vertices."""
-        try:
-            return np.fromiter(map(self._ordinal.__getitem__, keys), dtype=np.intp)
-        except KeyError:
-            raise ValidationError("key is not a vertex of this family") from None
-
-    def support_ordinals(self, state: State) -> np.ndarray:
-        """Ordinals of the state's support keys, in the state's basis order."""
-        if state.basis is self.basis:
-            return state.live
-        return self.ordinals(state.keys())
+        return int(self.counts[self._ordinal_of(key)])
 
     def tuples_of(self, key: BasisKey) -> tuple:
         """The vertex's multicollisions as (image, preimages), in image order."""
-        return self.tuples_at(self.ordinals((key,)))[0]
+        return self.tuples_at(np.array([self._ordinal_of(key)]))[0]
 
     def tuples_at(self, ordinals: np.ndarray) -> List[tuple]:
         """tuples_of for each vertex ordinal, grouping the ones not yet asked
@@ -279,14 +266,16 @@ class FamilyIndex:
 
     def class_mask(self, lo: int, hi: Optional[int]) -> np.ndarray:
         """Boolean vector over ordinals: the vertices with count in [lo, hi]."""
-        mask = self._counts >= lo
-        if hi is not None:
-            mask &= self._counts <= hi
-        return mask
+        return self.by_count(lambda c: c >= lo and (hi is None or c <= hi))
+
+    def by_count(self, label: Callable[[int], object]) -> np.ndarray:
+        """Vector over ordinals: label(count) of every vertex, with `label`
+        called once per count 0..max_count."""
+        return np.array([label(c) for c in range(self.max_count() + 1)])[self.counts]
 
     def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
         """The vertices whose count lies in [lo, hi], in sorted key order."""
-        return list(itertools.compress(self._keys, self.class_mask(lo, hi).tolist()))
+        return list(itertools.compress(self.basis.keys, self.class_mask(lo, hi).tolist()))
 
     def axis_state(self) -> State:
         """Uniform superposition over the whole vertex set (diffusion axis)."""
@@ -316,11 +305,9 @@ def check_uniform_class(
     every key a vertex whose count lies in the family's interval, and as many
     keys as the class holds.
     """
-    if index is not None and (
-        len(state) != index.class_size(family.lo, family.hi)
-        or not index.class_mask(family.lo, family.hi)[
-            index.support_ordinals(state)
-        ].all()
+    if index is not None and not np.array_equal(
+        align(state, index.axis_state()).live,
+        np.flatnonzero(index.class_mask(family.lo, family.hi)),
     ):
         raise ValidationError(
             f"state support does not match family {family.interval_label()}"
@@ -328,6 +315,36 @@ def check_uniform_class(
     target = 1.0 / math.sqrt(len(state))
     if np.any(np.abs(np.abs(state.vector[state.live]) - target) > _UNIFORM_TOL):
         raise ValidationError("state is not uniform over its support")
+
+
+def _padded_register(state: State, index: FamilyIndex, y: int):
+    """The padded register as a V x y table over the state's support vertices.
+
+    Row r holds vertex ordinals[r]'s z tuples in image order, then
+    d_{z+1}..d_y, each at the vertex's amplitude over sqrt(y).  Returns
+    (ordinals, the table as a State over its row-major positions, the label
+    of each position, the distinct tuples).  Labels sort as the tokens do:
+    d_i is i - 1, and the j-th tuple in (image, size, preimages) order y + j.
+    """
+    if y < 1:
+        raise ParameterError("padding width y must be at least 1")
+    state = align(state, index.axis_state())
+    ordinals = state.live
+    if ordinals[-1] >= index.total:
+        raise ValidationError("key is not a vertex of this family")
+    z = index.counts[ordinals]
+    if z.max() > y:
+        raise ContractViolationError(
+            f"a vertex holds {z.max()} tuples, above the padding width {y}"
+        )
+    flat = [t for tuples in index.tuples_at(ordinals) for t in tuples]
+    found = sorted(set(flat), key=lambda t: (t[0], len(t[1]), t[1]))
+    number = {t: y + j for j, t in enumerate(found)}
+    labels = np.tile(np.arange(y), (len(ordinals), 1))
+    labels[np.arange(y) < z[:, None]] = [number[t] for t in flat]
+    vector = np.repeat(state.vector[ordinals] * (1.0 / math.sqrt(y)), y)
+    padded = State.over(Basis(range(len(vector))), vector)
+    return ordinals, padded, labels.ravel(), found
 
 
 def pad_and_attach(
@@ -340,36 +357,19 @@ def pad_and_attach(
 
     Each vertex with tuples t_1..t_z branches into z tuple values and y - z
     dummy values, all at relative amplitude 1/sqrt(y).  Requires z <= y on
-    every support vertex.
+    every support vertex.  Keys are vertex key + token, vertices in ordinal
+    order; without an index, one is built for the state's subset size.
     """
-    if y < 1:
-        raise ParameterError("padding width y must be at least 1")
-    scale = 1.0 / math.sqrt(y)
-    amps: Dict[BasisKey, complex] = {}
-    tokens: Dict[tuple, bytes] = {}
-    keys = state.keys()
     if index is None:
-        per_vertex = [
-            vertex_data(restriction, decode_subset(key)).multicollisions
-            for key in keys
-        ]
-    else:
-        per_vertex = index.tuples_at(index.support_ordinals(state))
-    branches = (state.vector[state.live] * scale).tolist()
-    for key, branch, tuples in zip(keys, branches, per_vertex):
-        z = len(tuples)
-        if z > y:
-            raise ContractViolationError(
-                f"vertex holds {z} tuples, above the padding width {y}"
-            )
-        for found in tuples:
-            token = tokens.get(found)
-            if token is None:
-                token = tokens[found] = tuple_token(*found)
-            amps[attach_register(key, token)] = branch
-        for i in range(z + 1, y + 1):
-            amps[attach_register(key, dummy_token(i))] = branch
-    return State(amps)
+        index = FamilyIndex(restriction, len(decode_subset(state.keys()[0])))
+    ordinals, padded, labels, found = _padded_register(state, index, y)
+    tokens = [dummy_token(i) for i in range(1, y + 1)] + [tuple_token(*t) for t in found]
+    vertex_keys = index.basis.keys
+    keys = [
+        vertex_keys[ordinal] + tokens[label]
+        for ordinal, label in zip(np.repeat(ordinals, y).tolist(), labels.tolist())
+    ]
+    return State.over(Basis(keys), padded.vector)
 
 
 @dataclass(frozen=True)
@@ -391,25 +391,6 @@ class ExtractionOutcome:
     new_family: VertexFamily
 
 
-def _strip_and_remove(state: State, preimages: Tuple[int, ...]) -> State:
-    """Drop the register and delete the measured preimages from every vertex."""
-    removed = frozenset(preimages)
-    amps: Dict[BasisKey, complex] = {}
-    for key, amp in state.items():
-        pts = decode_subset(strip_register(key))
-        if not removed.issubset(pts):
-            raise ContractViolationError(
-                "collapsed vertex is missing a measured preimage"
-            )
-        amps[subset_key(p for p in pts if p not in removed)] = amp
-    return State(amps)
-
-
-def _strip_only(state: State) -> State:
-    amps = {strip_register(key): amp for key, amp in state.items()}
-    return State(amps)
-
-
 def extract_once(
     state: State,
     family: VertexFamily,
@@ -420,8 +401,9 @@ def extract_once(
 
     With probability sum_z |V_z| z / (y |V_{lo,hi}|) the outcome is a tuple;
     the dummy index i appears with probability |V_{lo,i-1}| / (y |V_{lo,hi}|).
-    Every branch collapses to a uniform state over its stated family.  When an
-    index is supplied the input support is checked to be the entire class.
+    Every branch collapses to a uniform state over its stated family, laid
+    over the index's basis after a dummy.  When an index is supplied the input
+    support is checked to be the entire class; without one, one is built.
     """
     if family.hi is None:
         raise ParameterError(
@@ -431,19 +413,26 @@ def extract_once(
     if y < 1:
         raise ParameterError("cannot extract from a family with hi = 0")
     check_uniform_class(state, family, index)
-    padded = pad_and_attach(state, family.restriction, y, index)
-    outcome, collapsed = measure(padded, key_register, rng)
-    parsed = parse_token(outcome)
-    if parsed[0] == "tuple":
-        _, image, preimages = parsed
-        residual = _strip_and_remove(collapsed, preimages)
+    if index is None:
+        index = FamilyIndex(family.restriction, family.big_r)
+    ordinals, padded, labels, found = _padded_register(state, index, y)
+    outcome, collapsed = measure(padded, labels, rng)
+    rows = ordinals[collapsed.live // y]
+    amplitudes = collapsed.vector[collapsed.live]
+    if outcome >= y:
+        image, preimages = found[outcome - y]
+        big_r = family.big_r - len(preimages)
+        # every collapsed vertex holds the tuple: cut its preimages out
+        kept = index._combos[rows]
+        kept = kept[~np.isin(kept, preimages)].reshape(len(rows), big_r)
+        residual = State.over(Basis(_subset_keys(kept)), amplitudes)
         new_table = family.restriction.table.insert(
             family.restriction.base, image, preimages
         )
         new_restriction = restrict(family.restriction.base, new_table)
         new_family = VertexFamily(
             restriction=new_restriction,
-            big_r=family.big_r - len(preimages),
+            big_r=big_r,
             lo=max(0, family.lo - 1),
             hi=y - 1,
         )
@@ -455,8 +444,10 @@ def extract_once(
             collapsed=residual,
             new_family=new_family,
         )
-    _, dummy_index = parsed
-    residual = _strip_only(collapsed)
+    dummy_index = outcome + 1
+    vector = np.zeros(index.total, dtype=complex)
+    vector[rows] = amplitudes
+    residual = State.over(index.basis, vector)
     new_family = VertexFamily(
         restriction=family.restriction,
         big_r=family.big_r,
@@ -488,10 +479,9 @@ def hop(
     measured cell, and the returned state is uniform over exactly its vertices.
     """
     state, stats = flip(
-        state, lambda key: index.count_of(key) in cls, index.axis_state(),
-        Want.BAD, rng,
+        state, index.by_count(cls.__contains__), index.axis_state(), Want.BAD, rng
     )
-    outcome, state = measure(state, lambda key: cell(index.count_of(key)), rng)
+    outcome, state = measure(state, index.by_count(cell), rng)
     rest = frozenset(range(index.max_count() + 1)) - cls
     return state, frozenset(c for c in rest if cell(c) == outcome), stats
 
@@ -607,7 +597,3 @@ def extract_tuple(
         f"no tuple outcome after {MAX_TRANSITIONS} padded measurements"
     )
 
-
-def format_trace(events: List[dict]) -> str:
-    """Extraction trace as JSON lines, one event per line."""
-    return "\n".join(json.dumps(event, sort_keys=True) for event in events)

@@ -1,10 +1,11 @@
-"""Exact state vectors over ordered bases of byte-encoded keys.
+"""Exact state vectors over ordered bases of keys.
 
-A state is a complex numpy vector laid over a Basis: an ordered tuple of
-distinct keys with a map from key to position.  Keys are canonical byte
+A state is a complex numpy vector laid over a Basis: an ordered sequence of
+distinct keys with a map from key to position.  Vertex keys are canonical byte
 strings: a sorted subset block, optionally followed by an opaque register
 suffix.  Equal sets encode to equal keys, and the subset block is
-length-prefixed so appending a suffix stays injective.
+length-prefixed so appending a suffix stays injective.  A basis that no
+byte-key API reads may hold other keys, such as positions.
 
 States derived from one another (reflections, measurement branches) share
 their basis by identity, so the operations on them are vector operations.
@@ -12,6 +13,9 @@ Two states over different bases are aligned through the key-to-position map
 only when an operation combines them: reflect_about_state lays the state
 over the union basis, the axis's keys first.  The byte-key API (items,
 support, amplitude, construction from a dict) reads through the basis.
+
+Predicates and measurement labels are key callbacks or vectors over the
+state's basis; a callback is read once per key into such a vector.
 
 Conventions used throughout:
 
@@ -26,9 +30,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-import json
 import struct
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +41,7 @@ PRUNE_EPS = 1e-12
 NORM_TOL = 1e-9
 
 BasisKey = bytes
+Labels = Union[Callable[[BasisKey], object], np.ndarray]
 
 
 def subset_key(points: Iterable[int]) -> BasisKey:
@@ -87,15 +91,10 @@ class Basis:
 
     __slots__ = ("keys", "prefix", "_position")
 
-    def __init__(
-        self,
-        keys: Sequence[BasisKey],
-        position: Optional[Dict[BasisKey, int]] = None,
-        prefix: Optional["Basis"] = None,
-    ):
+    def __init__(self, keys: Sequence[BasisKey], prefix: Optional["Basis"] = None):
         self.keys = keys
         self.prefix = prefix
-        self._position = position
+        self._position: Optional[Dict[BasisKey, int]] = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -203,16 +202,27 @@ class State:
                 total += amp.conjugate() * complex(other.vector[pos])
         return total
 
-    def mask(self, predicate: Callable[[BasisKey], bool]) -> np.ndarray:
-        """Boolean vector over the basis: predicate on each support key,
-        False off the support."""
+    def mask(self, predicate: Labels) -> np.ndarray:
+        """Boolean vector over the basis: the predicate (a key callback or a
+        boolean vector over the basis) on the support, False off it."""
         flags = np.zeros(len(self.basis), dtype=bool)
-        flags[self.live] = [bool(predicate(key)) for key in self.keys()]
+        flags[self.live] = values_at(self.basis, predicate, self.live, bool)
         return flags
 
-    def probability(self, predicate: Callable[[BasisKey], bool]) -> float:
+    def probability(self, predicate: Labels) -> float:
         weights = np.abs(self.vector[self.live]) ** 2
         return float(sum(weights[self.mask(predicate)[self.live]].tolist()))
+
+
+def values_at(basis: Basis, labels: Labels, positions: np.ndarray, dtype) -> np.ndarray:
+    """`labels` at the basis positions: a key callback is called once per
+    position and read as `dtype`; a vector over the basis is indexed."""
+    if callable(labels):
+        keys = [basis.keys[i] for i in positions.tolist()]
+        return np.fromiter(map(labels, keys), dtype, len(keys))
+    if len(labels) != len(basis):
+        raise ValidationError(f"{len(labels)} labels over a basis of {len(basis)} keys")
+    return np.asarray(labels)[positions]
 
 
 def uniform_state(keys: Iterable[BasisKey]) -> State:
@@ -258,32 +268,24 @@ def reflect_about_state(state: State, axis: State) -> State:
     return State._build(state.basis, out)
 
 
-def reflect_about_mask(state: State, flags: np.ndarray) -> State:
-    """Negate the amplitudes at the basis positions where `flags` holds."""
-    return State._build(state.basis, np.where(flags, -state.vector, state.vector))
-
-
-def reflect_about_predicate(state: State, flip: Callable[[BasisKey], bool]) -> State:
+def reflect_about_predicate(state: State, flip: Labels) -> State:
     """Negate the amplitude of every key where `flip` holds."""
-    return reflect_about_mask(state, state.mask(flip))
+    return State._build(state.basis, np.where(state.mask(flip), -state.vector, state.vector))
 
 
-def _label_pass(state: State, register: Callable[[BasisKey], object]):
+def _label_pass(state: State, labels: Labels):
     """Label every support key once.
 
-    Returns (label -> id, the id of each support position, weight per id).
-    Weights are summed in basis order.
+    Returns (the distinct labels, sorted; the index into them of each support
+    position; the weight of each label).  Weights are summed in basis order.
     """
-    ids: Dict[object, int] = {}
-    label_ids = np.fromiter(
-        (ids.setdefault(register(key), len(ids)) for key in state.keys()),
-        dtype=np.intp,
-        count=len(state),
+    distinct, label_ids = np.unique(
+        values_at(state.basis, labels, state.live, object), return_inverse=True
     )
     weights = np.bincount(
-        label_ids, weights=np.abs(state.vector[state.live]) ** 2, minlength=len(ids)
+        label_ids, weights=np.abs(state.vector[state.live]) ** 2, minlength=len(distinct)
     )
-    return ids, label_ids, weights.tolist()
+    return distinct.tolist(), label_ids, weights.tolist()
 
 
 def _branch(state: State, label_ids: np.ndarray, weights: List[float], label_id: int) -> State:
@@ -294,32 +296,31 @@ def _branch(state: State, label_ids: np.ndarray, weights: List[float], label_id:
     return State._build(state.basis, vector)
 
 
-def measure(state: State, register: Callable[[BasisKey], object], rng: np.random.Generator):
-    """Projective measurement of the register labelling function.
+def measure(state: State, labels: Labels, rng: np.random.Generator):
+    """Projective measurement of the register that `labels` spells out.
 
     Returns (outcome, collapsed state).  Each support key is labelled once;
     outcomes are grouped by label, the label set is sorted, and a single
     uniform draw selects the branch.
     """
-    ids, label_ids, weights = _label_pass(state, register)
-    labels = sorted(ids)
+    distinct, label_ids, weights = _label_pass(state, labels)
     draw = float(rng.random())
     acc = 0.0
-    outcome = labels[-1]
-    for label in labels:
-        acc += weights[ids[label]]
+    chosen = len(distinct) - 1
+    for label_id, weight in enumerate(weights):
+        acc += weight
         if draw < acc:
-            outcome = label
+            chosen = label_id
             break
-    return outcome, _branch(state, label_ids, weights, ids[outcome])
+    return distinct[chosen], _branch(state, label_ids, weights, chosen)
 
 
-def outcome_distribution(state: State, register: Callable[[BasisKey], object]):
+def outcome_distribution(state: State, labels: Labels):
     """Full branch decomposition: {label: (probability, collapsed state)}."""
-    ids, label_ids, weights = _label_pass(state, register)
+    distinct, label_ids, weights = _label_pass(state, labels)
     return {
-        label: (weights[ids[label]], _branch(state, label_ids, weights, ids[label]))
-        for label in sorted(ids)
+        label: (weights[label_id], _branch(state, label_ids, weights, label_id))
+        for label_id, label in enumerate(distinct)
     }
 
 
@@ -339,11 +340,3 @@ def states_close(a: State, b: State, tol: float = 1e-9) -> bool:
     keys = set(dict(a.items())) | set(dict(b.items()))
     return all(abs(a.amplitude(k) - phase * b.amplitude(k)) <= tol for k in keys)
 
-
-def dump_debug(state: State) -> str:
-    """JSON array of {key, re, im}, sorted by key, for debugging dumps."""
-    rows = [
-        {"key": k.hex(), "re": float(a.real), "im": float(a.imag)}
-        for k, a in sorted(state.items())
-    ]
-    return json.dumps(rows)

@@ -160,6 +160,11 @@ def calibrate_constant(
     )
 
 
+def _window_width(big_r: int, bins: int) -> int:
+    """Half-width T = max(1, round(R / sqrt(M))) of the concentration window."""
+    return max(1, round_count(big_r / math.sqrt(bins)))
+
+
 @dataclass(frozen=True)
 class IntervalPlan:
     """Concentration window for Z over R-subsets into M bins.
@@ -185,7 +190,7 @@ class IntervalPlan:
     @classmethod
     def build(cls, big_r: int, bins: int, c: float) -> "IntervalPlan":
         expected = round_count(c * big_r * big_r / bins)
-        width = max(1, round_count(big_r / math.sqrt(bins)))
+        width = _window_width(big_r, bins)
         return cls(
             big_r=big_r, bins=bins, c=c,
             expected=expected, width=width, expected_now=expected,
@@ -229,7 +234,7 @@ def interval_hit_probability(
     if which not in ("upper", "lower"):
         raise ParameterError(f"which must be 'upper' or 'lower', got {which!r}")
     expected = round_count(c * big_r * big_r / bins)
-    width = max(1, round_count(big_r / math.sqrt(bins)))
+    width = _window_width(big_r, bins)
     values = sample_collision_counts(big_r, bins, samples, rng, threads)
     if which == "upper":
         hits = (values >= expected) & (values <= expected + width)
@@ -327,7 +332,7 @@ def drift_check(big_r: int, bins: int, c: float = 2.0 / 3.0) -> DriftReport:
     """
     if big_r < 1 or bins < 2:
         raise ParameterError("need R >= 1 and M >= 2")
-    width = round_count(big_r / math.sqrt(bins))
+    width = _window_width(big_r, bins)
     precondition_ok = big_r * big_r <= (bins ** 1.5) / 8.0
     base = c * big_r * big_r / bins
     max_drift = 0.0

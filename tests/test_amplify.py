@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from chainwalk.errors import ImpossibleTargetError, ParameterError
+from chainwalk.extraction import FamilyIndex
+from chainwalk.oracle import CollisionTable, Params, generate_function, restrict
 from chainwalk.statevector import State, states_close, uniform_state
 from chainwalk.amplify import (
     Want,
@@ -192,3 +194,51 @@ def test_superpose_excluding_round_count():
         _, stats = superpose_excluding(16, lambda x: x in excluded, rng)
         rounds.append(stats.attempts)
     assert np.mean(rounds) <= 3.0
+
+
+@pytest.mark.parametrize(
+    "size, good_below, want, seed",
+    [
+        (100, 7, Want.GOOD, 44),     # rotation toward a small good side
+        (100, 1, Want.GOOD, 9),      # one good key of 100
+        (64, 4, Want.BAD, 10),       # rotation away from the good side
+        (10, 9, Want.GOOD, 3),       # alpha > 1/sqrt(2): fresh axis measurements
+        (30, 6, Want.BAD, 77),
+    ],
+)
+def test_flip_with_a_vector_matches_the_callback(size, good_below, want, seed):
+    """The same predicate as a key callback and as a boolean vector over the
+    axis's basis gives the same state, FlipStats and generator stream."""
+    keys = [bytes([i]) for i in range(size)]
+    good = lambda key: key[0] < good_below
+    axis = uniform_state(keys)
+    start = uniform_state([k for k in keys if good(k) != (want is Want.GOOD)])
+    flags = np.array([good(key) for key in axis.basis.keys])
+    for _ in range(5):
+        rng, vec_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out, stats = flip(start, good, axis, want, rng)
+        vec_out, vec_stats = flip(start, flags, axis, want, vec_rng)
+        assert vec_out.items() == out.items()
+        assert vec_stats == stats
+        assert vec_rng.random() == rng.random()
+        seed += 1
+
+
+def test_flip_reads_a_key_callback_once_per_key():
+    """One mask serves the decomposition, the iterations and every flag
+    measurement of a flip."""
+    fn = generate_function(Params(n=4, m=5, k=0), 0)
+    index = FamilyIndex(restrict(fn, CollisionTable()), 8)
+    assert index.total == 12870
+    axis = index.axis_state()
+    for want in (Want.GOOD, Want.BAD):
+        calls = []
+
+        def good(key):
+            calls.append(key)
+            return index.count_of(key) >= 1
+
+        out, _ = flip(axis, good, axis, want, np.random.default_rng(0))
+        assert len(calls) <= index.total
+        mask = index.class_mask(1, None)
+        assert bool(mask[out.live].all()) == (want is Want.GOOD)

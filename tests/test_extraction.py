@@ -7,7 +7,6 @@ probabilities below are derived from that split by direct counting.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -50,7 +49,6 @@ from chainwalk.extraction import (
     dummy_token,
     extract_once,
     extract_tuple,
-    format_trace,
     hop,
     pad_and_attach,
     parse_token,
@@ -487,19 +485,6 @@ def test_extract_tuple_validation():
             VertexFamily(restriction=restriction, big_r=4, lo=1, hi=None),
             rng, index=index,
         )
-
-
-def test_format_trace_round_trip():
-    events = [
-        {"event": "dummy", "image": None, "preimages": None,
-         "interval_before": [1, 2], "interval_after": [1, 1], "iterations": 2},
-        {"event": "tuple", "image": 3, "preimages": [6, 7],
-         "interval_before": [1, 2], "interval_after": [0, 1], "iterations": 0},
-    ]
-    text = format_trace(events)
-    lines = text.splitlines()
-    assert len(lines) == 2
-    assert [json.loads(line) for line in lines] == events
 
 
 @settings(deadline=None, max_examples=100)

@@ -1,7 +1,6 @@
 """Tests for the exact state layer."""
 
 import cmath
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from chainwalk.statevector import (
     State,
     attach_register,
     decode_subset,
-    dump_debug,
     key_register,
     measure,
     outcome_distribution,
@@ -145,14 +143,6 @@ def test_states_close_global_phase():
     assert states_close(st, rotated)
     other = uniform_state(keys[:4])
     assert not states_close(st, other)
-
-
-def test_dump_debug_format():
-    st = State({b"\x01": 0.6, b"\x00": 0.8})
-    rows = json.loads(dump_debug(st))
-    assert [row["key"] for row in rows] == ["00", "01"]
-    assert abs(rows[0]["re"] - 0.8) < 1e-12
-    assert rows[0]["im"] == 0.0
 
 
 # ------------------------------------------------------------------
@@ -294,7 +284,13 @@ def test_measure_matches_dict_reference(state_amps, axis_amps, modulus, seed):
     assert outcome == ref_outcome
     _assert_matches(collapsed, ref_collapsed)
     assert collapsed.basis is state.basis
-    assert rng.random() == ref_rng.random()
+    # the same labels as a vector over the basis
+    vec_rng = np.random.default_rng(seed)
+    labels = np.array([register(key) for key in state.basis.keys])
+    vec_outcome, vec_collapsed = measure(state, labels, vec_rng)
+    assert vec_outcome == outcome and type(vec_outcome) is int
+    assert vec_collapsed.items() == collapsed.items()
+    assert rng.random() == ref_rng.random() == vec_rng.random()
 
 
 def test_pruning_at_the_edge():

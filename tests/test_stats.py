@@ -185,6 +185,10 @@ def test_drift_check():
     assert not loose.precondition_ok
     assert loose.ok
     assert loose.width == 3
+    # R / sqrt(M) = 1/4 rounds to 0, but the window is never narrower than 1
+    narrow = drift_check(16, 4096)
+    assert narrow.width == IntervalPlan.build(16, 4096, 2.0 / 3.0).width == 1
+    assert narrow.max_drift > 0.0
     with pytest.raises(ParameterError):
         drift_check(0, 512)
 
