@@ -79,7 +79,9 @@ def _good_flags(state: State, good: Labels, axis: State):
     """`state` over the axis's basis, and `good` as a boolean vector over it,
     read once on each key that the state or the axis carries."""
     state = align(state, axis)
-    reach = np.union1d(state.live, axis.live)
+    reach = state.vector != 0
+    reach[axis.live] = True
+    reach = np.flatnonzero(reach)
     flags = np.zeros(len(state.basis), dtype=bool)
     flags[reach] = values_at(state.basis, good, reach, bool)
     return state, flags

@@ -64,6 +64,8 @@ from .statevector import State, align, measure
 from .stats import IntervalPlan, round_count
 
 _ELL_SLACK = 4
+# c in the window policy's expected tuple count E = round(c R^2 / M)
+_CALIBRATION_C = 7.0 / 12.0
 
 
 class ChainStatus(Enum):
@@ -88,7 +90,6 @@ class ChainConfig:
     seed: int
     max_outer_iterations: Optional[int] = None
     target_tuples: Optional[int] = None
-    calibration_c: float = 7.0 / 12.0
 
     def __post_init__(self) -> None:
         if self.ell < 1:
@@ -102,8 +103,6 @@ class ChainConfig:
             raise ParameterError("max_outer_iterations must be positive")
         if self.target_tuples is not None and self.target_tuples < 1:
             raise ParameterError("target_tuples must be positive")
-        if not (0.0 < self.calibration_c < 1.0):
-            raise ParameterError("calibration_c must sit in (0, 1)")
 
     @property
     def vertex_size(self) -> int:
@@ -247,11 +246,9 @@ def _extract_one(state, family, index, rng, ledger, fn, trace):
     """
     delta = _delta_for(family)
     found, state, family, fs = extract_tuple(state, family, rng, index, trace=trace)
-    if ledger is not None:
-        ledger.extraction_events += 1
-        ledger.charge_flip(fs, delta)
-        if fn is not None:
-            _verify_tuple(fn, ledger, *found)
+    ledger.extraction_events += 1
+    ledger.charge_flip(fs, delta)
+    _verify_tuple(fn, ledger, *found)
     if family.big_r < 1:
         return found, state, family, None
     index = FamilyIndex(family.restriction, family.big_r)
@@ -307,9 +304,9 @@ def extraction_step(
     plan: IntervalPlan,
     rng: np.random.Generator,
     index: FamilyIndex,
+    ledger: CostLedger,
+    fn: FunctionTable,
     trace: Optional[List[dict]] = None,
-    ledger: Optional[CostLedger] = None,
-    fn: Optional[FunctionTable] = None,
 ):
     """Dense-regime extraction: T tuples, then a few more to re-center.
 
@@ -351,7 +348,7 @@ def walk_step(
     plan: IntervalPlan,
     rng: np.random.Generator,
     index: FamilyIndex,
-    ledger: Optional[CostLedger] = None,
+    ledger: CostLedger,
 ):
     """Dense-regime walk: push the interval from [E-T, E] up to [E+1, E+T].
 
@@ -401,8 +398,7 @@ def walk_step(
             return state, new_family, stats
         state, cls, fs = hop(state, index, cls, cell_of, rng)
         stats.absorb(fs)
-        if ledger is not None:
-            ledger.charge_flip(fs, delta)
+        ledger.charge_flip(fs, delta)
         outcome = cell_of(min(cls))
     raise SimulationError(
         f"walk step did not reach the target cell in {MAX_TRANSITIONS} measurements"
@@ -461,9 +457,9 @@ def run(config: ChainConfig) -> ChainResult:
     m_size = restriction.codomain_size
     plan: Optional[IntervalPlan] = None
     if 8 * big_r < m_size and round_count(
-        config.calibration_c * big_r * big_r / m_size
+        _CALIBRATION_C * big_r * big_r / m_size
     ) >= 2:
-        plan = IntervalPlan.build(big_r, m_size, config.calibration_c)
+        plan = IntervalPlan.build(big_r, m_size, _CALIBRATION_C)
         state, family = _project_window(state, family, index, plan, rng, ledger)
         _record(trace, 0, "project", family, len(state))
     regime = "sparse" if plan is None else "dense"

@@ -23,9 +23,11 @@ membership predicates, and diffusion axes are exact.  Its keys in ordinal
 order, with the key-to-ordinal map, form the statevector Basis that its
 axis and class states are laid over, so a family state is a vector over
 vertex ordinals, and its predicates and labels (class_mask, by_count) are
-vectors over the ordinals too.  The padded register is a V x y vector over
-the support vertices with an integer label per entry; pad_and_attach spells
-it in byte keys for callers that read keys.
+vectors over the ordinals too.  Tuples are int64 rows (image, size,
+preimages) read off the image rows on request, not kept.  The padded
+register is a V x y vector over the support vertices with an integer label
+per entry, a dummy's index or its tuple row's rank among the request's rows;
+pad_and_attach spells it in byte keys for callers that read keys.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .oracle import RestrictedFunction, restrict
+from .stats import collision_counts
 from .statevector import (
     Basis,
     BasisKey,
@@ -62,10 +65,6 @@ _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
 _MAX_FAMILY_VERTICES = 250_000
-# Vertices per array pass of FamilyIndex.tuples_at.  Bounds the pass's
-# temporary arrays and lists, which for a whole 12,870-vertex class took
-# about 4 MB beyond what the cached tuples hold.
-_GROUP_ROWS = 1024
 # Bound on measure-and-flip rounds in any extraction, repair or walk loop.
 MAX_TRANSITIONS = 10_000
 
@@ -143,6 +142,11 @@ def _subset_keys(rows: np.ndarray) -> List[BasisKey]:
     return [raw[i:i + size] for i in range(0, total * size, size)]
 
 
+def _row_tuple(row: List[int]) -> Tuple[int, Tuple[int, ...]]:
+    """(image, preimages) of one row of FamilyIndex.tuple_rows."""
+    return row[0], tuple(row[2:2 + row[1]])
+
+
 class FamilyIndex:
     """Exhaustive per-subset multicollision data for one (restriction, R).
 
@@ -155,8 +159,9 @@ class FamilyIndex:
     V x R table gathered from f, and each vertex's count is the number of
     duplicate runs in its sorted image row (`counts`).  Vertex ordinals index
     all three; a key maps to its ordinal through the position map of the
-    index's Basis, built on first use.  Tuples are grouped on first request,
-    for all the vertices of one request in one pass over their image rows.
+    index's Basis, built on first use.  Tuples are not stored: tuple_rows
+    reads them off the image rows of the vertices of each request, in one
+    array pass, as rows of one table.
     """
 
     def __init__(
@@ -187,17 +192,12 @@ class FamilyIndex:
         ).reshape(total, big_r)
         self._combos = np.asarray(points, dtype=np.int64)[ordinals]
         self._images = restriction.base.values()[self._combos]
-        ranked = np.sort(self._images, axis=1)
-        dup = ranked[:, 1:] == ranked[:, :-1]
-        run_start = dup.copy()
-        run_start[:, 1:] &= ~dup[:, :-1]
-        self.counts = run_start.sum(axis=1)
+        self.counts = collision_counts(np.sort(self._images, axis=1))
         self.basis = Basis(_subset_keys(self._combos))
         sizes, size_counts = np.unique(self.counts, return_counts=True)
         self._size_by_count: Dict[int, int] = dict(
             zip(sizes.tolist(), size_counts.tolist())
         )
-        self._tuples: Optional[List[Optional[tuple]]] = None
         self._axis: Optional[State] = None
 
     def _ordinal_of(self, key: BasisKey) -> int:
@@ -211,43 +211,30 @@ class FamilyIndex:
 
     def tuples_of(self, key: BasisKey) -> tuple:
         """The vertex's multicollisions as (image, preimages), in image order."""
-        return self.tuples_at(np.array([self._ordinal_of(key)]))[0]
+        rows, _ = self.tuple_rows(np.array([self._ordinal_of(key)]))
+        return tuple(map(_row_tuple, rows.tolist()))
 
-    def tuples_at(self, ordinals: np.ndarray) -> List[tuple]:
-        """tuples_of for each vertex ordinal, grouping the ones not yet asked
-        for in array passes over their image rows, _GROUP_ROWS rows a pass."""
-        if self._tuples is None:
-            self._tuples = [None] * self.total
-        wanted = ordinals.tolist()
-        todo = sorted({o for o in wanted if self._tuples[o] is None})
-        for start in range(0, len(todo), _GROUP_ROWS):
-            self._group_tuples(np.array(todo[start:start + _GROUP_ROWS]))
-        return [self._tuples[o] for o in wanted]
-
-    def _group_tuples(self, todo: np.ndarray) -> None:
-        """Cache the tuples of the vertices `todo`.
-
-        Each image row is sorted stably, so a tuple's preimages keep row
-        (point) order; a run of two or more equal images is one tuple.
-        """
+    def tuple_rows(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The tuples of the vertices `ordinals` as int64 rows (image, size,
+        preimages padded with -1), vertex by vertex and in image order within
+        a vertex, and each row's position in `ordinals`.  A tuple is a run of
+        two or more equal images in a stably sorted image row."""
         width = self.big_r
-        order = np.argsort(self._images[todo], axis=1, kind="stable")
-        images = np.take_along_axis(self._images[todo], order, axis=1).ravel()
-        points = np.take_along_axis(self._combos[todo], order, axis=1).ravel()
-        starts = np.ones(images.size, dtype=bool)
-        starts[1:] = images[1:] != images[:-1]
-        starts[::width] = True
-        begins = np.flatnonzero(starts)
-        ends = np.append(begins[1:], images.size)
-        runs = ends - begins >= 2
-        found: List[List[tuple]] = [[] for _ in range(len(todo))]
-        image_list, point_list = images.tolist(), points.tolist()
-        for begin, end in zip(begins[runs].tolist(), ends[runs].tolist()):
-            found[begin // width].append(
-                (image_list[begin], tuple(point_list[begin:end]))
-            )
-        for ordinal, tuples in zip(todo.tolist(), found):
-            self._tuples[ordinal] = tuple(tuples)
+        images = self._images[ordinals]
+        order = np.argsort(images, axis=1, kind="stable")
+        images = np.take_along_axis(images, order, axis=1).ravel()
+        points = np.take_along_axis(self._combos[ordinals], order, axis=1).ravel()
+        # same[p]: image p repeats the one before it in its row
+        same = np.zeros(images.size + 1, dtype=bool)
+        same[1:-1] = images[1:] == images[:-1]
+        same[::width] = False
+        begins, ends = np.flatnonzero(same[1:] != same[:-1]).reshape(-1, 2).T
+        sizes = ends - begins + 1
+        cols = np.arange(width)
+        spans = points.take(begins[:, None] + cols, mode="clip")
+        preimages = np.where(cols < sizes[:, None], spans, -1)
+        rows = np.column_stack([images[begins], sizes, preimages])
+        return rows, begins // width
 
     def histogram(self) -> Dict[int, int]:
         return dict(self._size_by_count)
@@ -323,8 +310,9 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
     Row r holds vertex ordinals[r]'s z tuples in image order, then
     d_{z+1}..d_y, each at the vertex's amplitude over sqrt(y).  Returns
     (ordinals, the table as a State over its row-major positions, the label
-    of each position, the distinct tuples).  Labels sort as the tokens do:
-    d_i is i - 1, and the j-th tuple in (image, size, preimages) order y + j.
+    of each position, the distinct tuples as rows of FamilyIndex.tuple_rows).
+    Labels sort as the tokens do: d_i is i - 1, and the j-th tuple in
+    (image, size, preimages) order y + j.
     """
     if y < 1:
         raise ParameterError("padding width y must be at least 1")
@@ -337,14 +325,20 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
         raise ContractViolationError(
             f"a vertex holds {z.max()} tuples, above the padding width {y}"
         )
-    flat = [t for tuples in index.tuples_at(ordinals) for t in tuples]
-    found = sorted(set(flat), key=lambda t: (t[0], len(t[1]), t[1]))
-    number = {t: y + j for j, t in enumerate(found)}
+    rows, _ = index.tuple_rows(ordinals)
+    # rows agreeing on (image, size) have the same -1 padding, so this
+    # lexicographic order is tuple_token's byte order
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
     labels = np.tile(np.arange(y), (len(ordinals), 1))
-    labels[np.arange(y) < z[:, None]] = [number[t] for t in flat]
+    labels[np.arange(y) < z[:, None]] = y + rank
     vector = np.repeat(state.vector[ordinals] * (1.0 / math.sqrt(y)), y)
     padded = State.over(Basis(range(len(vector))), vector)
-    return ordinals, padded, labels.ravel(), found
+    return ordinals, padded, labels.ravel(), ranked[first]
 
 
 def pad_and_attach(
@@ -363,7 +357,9 @@ def pad_and_attach(
     if index is None:
         index = FamilyIndex(restriction, len(decode_subset(state.keys()[0])))
     ordinals, padded, labels, found = _padded_register(state, index, y)
-    tokens = [dummy_token(i) for i in range(1, y + 1)] + [tuple_token(*t) for t in found]
+    tokens = [dummy_token(i) for i in range(1, y + 1)] + [
+        tuple_token(*_row_tuple(row)) for row in found.tolist()
+    ]
     vertex_keys = index.basis.keys
     keys = [
         vertex_keys[ordinal] + tokens[label]
@@ -420,7 +416,7 @@ def extract_once(
     rows = ordinals[collapsed.live // y]
     amplitudes = collapsed.vector[collapsed.live]
     if outcome >= y:
-        image, preimages = found[outcome - y]
+        image, preimages = _row_tuple(found[outcome - y].tolist())
         big_r = family.big_r - len(preimages)
         # every collapsed vertex holds the tuple: cut its preimages out
         kept = index._combos[rows]

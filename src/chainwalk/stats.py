@@ -61,16 +61,20 @@ def _map_blocks(worker, jobs, threads: int):
         return list(pool.map(worker, jobs))
 
 
+def collision_counts(sorted_rows: np.ndarray) -> np.ndarray:
+    """Z of each row of a table whose rows are sorted: its runs of two or
+    more equal values."""
+    dup = sorted_rows[:, 1:] == sorted_rows[:, :-1]
+    starts = dup.copy()
+    starts[:, 1:] &= ~dup[:, :-1]
+    return starts.sum(axis=1)
+
+
 def _collision_counts_block(args) -> np.ndarray:
     gen, size, big_r, bins = args
     draws = gen.integers(0, bins, size=(size, big_r), dtype=np.int64)
     draws.sort(axis=1)
-    eq = draws[:, 1:] == draws[:, :-1]
-    prev = np.zeros_like(eq)
-    if eq.shape[1] > 1:
-        prev[:, 1:] = eq[:, :-1]
-    starts = eq & ~prev
-    return starts.sum(axis=1)
+    return collision_counts(draws)
 
 
 def sample_collision_counts(

@@ -42,10 +42,6 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ChainConfig(params=params, ell=8, seed=0)   # above (2k + m)/3 + 4
     with pytest.raises(ParameterError):
-        ChainConfig(params=params, ell=3, seed=0, calibration_c=0.0)
-    with pytest.raises(ParameterError):
-        ChainConfig(params=params, ell=3, seed=0, calibration_c=1.0)
-    with pytest.raises(ParameterError):
         ChainConfig(params=params, ell=3, seed=0, max_outer_iterations=0)
     with pytest.raises(ParameterError):
         ChainConfig(params=params, ell=3, seed=0, target_tuples=0)
@@ -198,13 +194,14 @@ def test_extraction_step_dense_scenario():
 
 
 def test_extraction_step_requires_dense_expectation():
-    _, restriction, index = _pair_rich_instance()
+    fn, restriction, index = _pair_rich_instance()
     thin = IntervalPlan.build(4, 128, 4.0)
     assert thin.expected_now < 2
     family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
     with pytest.raises(FlaggedInstanceError):
         extraction_step(index.class_state(2, 3), family, thin,
-                        np.random.default_rng(0), index=index)
+                        np.random.default_rng(0), index=index,
+                        ledger=CostLedger(), fn=fn)
 
 
 def test_walk_step_advances_interval():
@@ -231,7 +228,7 @@ def test_walk_step_validation():
     bad_family = VertexFamily(restriction=restriction, big_r=8, lo=0, hi=0)
     with pytest.raises(ParameterError):
         walk_step(index.axis_state(), bad_family, plan,
-                  np.random.default_rng(0), index=index)
+                  np.random.default_rng(0), index=index, ledger=CostLedger())
 
 
 def test_walk_step_flags_empty_target_cell():
@@ -245,7 +242,7 @@ def test_walk_step_flags_empty_target_cell():
     family = VertexFamily(restriction=restriction, big_r=8, lo=1, hi=2)
     with pytest.raises(FlaggedInstanceError):
         walk_step(index.class_state(1, 2), family, plan,
-                  np.random.default_rng(0), index=index)
+                  np.random.default_rng(0), index=index, ledger=CostLedger())
 
 
 def _carved_pairs():

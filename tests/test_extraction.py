@@ -494,16 +494,23 @@ def test_extract_tuple_validation():
     first=st.lists(st.integers(0, 10**6), max_size=40),
     second=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
 )
-def test_tuples_at_groups_many_vertices_like_vertex_data(values, big_r, first, second):
-    """Batched grouping, with repeats and with part of a request cached by
-    an earlier one, gives what vertex_data gives vertex by vertex."""
+def test_tuple_rows_match_vertex_data(values, big_r, first, second):
+    """The tuple rows of a request with repeated vertices, read back vertex
+    by vertex, give what vertex_data gives; so does a second request."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     index = FamilyIndex(restriction, big_r)
     combos = list(itertools.combinations(restriction.domain_points, big_r))
     for request in (first, second):
         ordinals = [o % index.total for o in request]
-        assert index.tuples_at(np.array(ordinals, dtype=np.intp)) == [
+        rows, owners = index.tuple_rows(np.array(ordinals, dtype=np.intp))
+        assert rows.dtype == np.int64 and rows.shape[1] == 2 + big_r
+        assert owners.tolist() == sorted(owners.tolist())
+        found = [[] for _ in ordinals]
+        for (image, size, *pres), owner in zip(rows.tolist(), owners.tolist()):
+            assert pres[size:] == [-1] * (big_r - size)
+            found[owner].append((image, tuple(pres[:size])))
+        assert [tuple(tuples) for tuples in found] == [
             vertex_data(restriction, combos[o]).multicollisions for o in ordinals
         ]
     lo = max(1, min(index.histogram()))
@@ -537,6 +544,12 @@ def _reference_residual(collapsed, preimages):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(values=[0] * 16, big_r=3, lo=0, width=1, with_index=False, seed=0)
+# image 0 has three preimages: tuples (0, (0, 2)) and (0, (0, 1, 2)) share
+# an image and order by size before preimages
+@example(
+    values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7],
+    big_r=4, lo=1, width=1, with_index=True, seed=0,
+)
 def test_extract_once_matches_padded_register_reference(
     values, big_r, lo, width, with_index, seed
 ):
