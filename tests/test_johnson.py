@@ -88,6 +88,53 @@ def test_walk_spectrum_marked_fraction():
     assert spec.phase_gap >= math.sqrt(spec.delta) - 1e-9
 
 
+def _dense_walk_reference(graph):
+    """Rank, phases and phase gap of W from dense E x V bundles and an SVD basis."""
+    verts = list(vertices(graph))
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[v], index[w]) for v in verts for w in neighbors(graph, v)]
+    amp = 1.0 / math.sqrt(graph.degree)
+    a_mat = np.zeros((len(edges), len(verts)))
+    b_mat = np.zeros((len(edges), len(verts)))
+    for e, (i, j) in enumerate(edges):
+        a_mat[e, i] = amp
+        b_mat[e, j] = amp
+    u, singular, _ = np.linalg.svd(np.hstack([a_mat, b_mat]), full_matrices=False)
+    basis = u[:, :int(np.sum(singular > 1e-9 * singular[0]))]
+
+    def reflect(block, bundle):
+        return 2.0 * bundle @ (bundle.T @ block) - block
+
+    phases = np.angle(np.linalg.eigvals(basis.T @ reflect(reflect(basis, a_mat), b_mat)))
+    nonzero = np.abs(phases) > 1e-6
+    gap = float(np.min(np.abs(phases[nonzero]))) if np.any(nonzero) else math.pi
+    return basis.shape[1], phases, gap
+
+
+def _fold_pi(phases):
+    """Phases within 1e-9 of -pi moved to pi, sorted."""
+    phases = np.array(phases, dtype=float)
+    phases[phases <= -math.pi + 1e-9] = math.pi
+    return np.sort(phases)
+
+
+# criterion 3's graphs with N <= 9, J(2, 1) among them, plus three with N = 10;
+# J(10, 4) and J(10, 6) have 150 eigenphases each at +-pi
+_DIFFERENTIAL_GRAPHS = [
+    (n, r) for n in range(2, 10) for r in range(1, n) if math.comb(n, r) <= 300
+] + [(10, 4), (10, 5), (10, 6)]
+
+
+@pytest.mark.parametrize("n, r", _DIFFERENTIAL_GRAPHS)
+def test_walk_spectrum_matches_dense_reference(n, r):
+    graph = JohnsonGraph(ground_set=tuple(range(n)), subset_size=r)
+    rank, phases, gap = _dense_walk_reference(graph)
+    spec = walk_operator_spectrum(graph)
+    assert len(spec.eigenphases) == rank
+    assert np.max(np.abs(_fold_pi(spec.eigenphases) - _fold_pi(phases))) <= 1e-10
+    assert abs(spec.phase_gap - gap) <= 1e-12
+
+
 def test_walk_spectrum_edge_cap():
     g = JohnsonGraph(ground_set=tuple(range(8)), subset_size=4)
     with pytest.raises(CapacityError):
