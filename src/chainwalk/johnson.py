@@ -11,6 +11,15 @@ bundle entering x, W = Ref_B . Ref_A where Ref_A reflects about span{a_x} and
 Ref_B about span{b_x}.  W is the identity off span(A u B), so eigenphases are
 computed on that subspace only; the premise checked downstream is that the
 smallest nonzero phase is at least sqrt(delta).
+
+No E x V matrix is formed.  One vectorized edge list (source and target
+ordinals) serves both spectra: the adjacency is one indexed assignment, and
+the orthonormal basis of span(A u B) comes from one eigh of the 2V x 2V Gram
+matrix [[I, P], [P, I]] of the bundles.  Its nonzero eigenvalues are
+1 +- lambda_j(P) >= min(delta, 1 - 1/max(R, N-R)) and the spurious ones are
+about 1e-16, so a relative threshold of 1e-9 separates them.  The reflections
+then act on the edge space in O(E) per basis vector, the form in which
+Magniez-Nayak-Roland-Santha apply W.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -27,6 +36,8 @@ from .oracle import RestrictedFunction
 
 _DEFAULT_MAX_VERTICES = 5000
 _PHASE_ZERO_TOL = 1e-6
+_PI_FOLD_TOL = 1e-9
+_GRAM_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,96 +94,147 @@ def closed_form_gap(ground_size: int, subset_size: int) -> float:
     return ground_size / (subset_size * (ground_size - subset_size))
 
 
+def _check_vertex_cap(graph: JohnsonGraph, max_vertices: int) -> None:
+    count = graph.vertex_count
+    if count > max_vertices:
+        raise CapacityError(f"{count} vertices exceeds dense solver cap {max_vertices}")
+
+
+def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Directed edges of J(N, R) as (src, dst) arrays over vertex ordinals.
+
+    Ordinals are positions in `vertices()` order.  Edges are grouped by
+    source, each vertex's d out-edges contiguous and in `neighbors()` order:
+    the R dropped points, then the N-R added ones.  A subset with sorted
+    ground positions c_0 < ... < c_{R-1} has lexicographic ordinal
+    C(N,R) - 1 - sum_i C(N-1-c_i, R-i), each term at most C(N,R).
+    """
+    n, r = graph.ground_size, graph.subset_size
+    v_count = graph.vertex_count
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), r)),
+        dtype=np.int64, count=v_count * r,
+    ).reshape(v_count, r)
+    outside = np.ones((v_count, n), dtype=bool)
+    outside[np.arange(v_count)[:, None], combos] = False
+    outside = np.nonzero(outside)[1].reshape(v_count, n - r)
+    # swapped[v, i, j] is vertex v with its i-th point replaced by outside[v, j]
+    swapped = np.repeat(combos[:, None, None, :], r, axis=1).repeat(n - r, axis=2)
+    columns = np.arange(r)
+    swapped[:, columns, :, columns] = outside
+    swapped = np.sort(swapped.reshape(-1, r), axis=1)
+    # terms[i, c] = C(N-1-c, R-i) wherever point c can sit at position i
+    terms = np.zeros((r, n), dtype=np.int64)
+    for i in range(r):
+        for c in range(i, n - r + i + 1):
+            terms[i, c] = math.comb(n - 1 - c, r - i)
+    dst = v_count - 1 - terms[columns, swapped].sum(axis=1)
+    src = np.repeat(np.arange(v_count), graph.degree)
+    return src, dst
+
+
+def _transition_matrix(graph: JohnsonGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The degree-normalized adjacency P as a dense V x V array."""
+    transition = np.zeros((graph.vertex_count, graph.vertex_count))
+    transition[src, dst] = 1.0 / graph.degree
+    return transition
+
+
+def _gap(transition: np.ndarray) -> float:
+    return float(1.0 - np.linalg.eigvalsh(transition)[-2])
+
+
 def spectral_gap(graph: JohnsonGraph, max_vertices: int = _DEFAULT_MAX_VERTICES) -> float:
     """Eigensolved gap 1 - lambda_2 of the degree-normalized adjacency.
 
     lambda_2 is the second-largest eigenvalue counted with multiplicity and
     with sign.  Dense solve, guarded by `max_vertices`.
     """
-    count = graph.vertex_count
-    if count > max_vertices:
-        raise CapacityError(f"{count} vertices exceeds dense solver cap {max_vertices}")
-    verts = list(vertices(graph))
-    index = {v: i for i, v in enumerate(verts)}
-    adj = np.zeros((count, count))
-    for v in verts:
-        i = index[v]
-        for w in neighbors(graph, v):
-            adj[i, index[w]] = 1.0
-    eigenvalues = np.linalg.eigvalsh(adj / graph.degree)
-    return float(1.0 - eigenvalues[-2])
+    _check_vertex_cap(graph, max_vertices)
+    return _gap(_transition_matrix(graph, *_edge_list(graph)))
 
 
 @dataclass(frozen=True)
 class WalkSpectrum:
-    """Eigenphase summary of the edge-space walk operator."""
+    """Eigenphase summary of the edge-space walk operator.
+
+    `eigenphases` are sorted and lie in (-pi, pi]: a phase within
+    _PI_FOLD_TOL of -pi is reported as pi.
+    """
 
     delta: float
     phase_gap: float
-    marked_fraction: float
     eigenphases: Tuple[float, ...]
 
 
-def walk_operator_spectrum(
-    graph: JohnsonGraph,
-    marked: Optional[Callable[[Tuple[int, ...]], bool]] = None,
-    max_edges: int = 20000,
-) -> WalkSpectrum:
+def walk_operator_spectrum(graph: JohnsonGraph, max_edges: int = 20000) -> WalkSpectrum:
     """Eigenphases of W = Ref_B . Ref_A on the directed edge space.
 
-    Builds explicit orthonormal bundles a_x (edges leaving x) and b_x (edges
-    entering x), restricts W to span(A u B) via an SVD basis, and takes exact
-    eigenvalues of that block.  Off the block W is the identity, so every
-    nonzero phase is found.  `marked` only contributes the marked-vertex
-    fraction reported alongside.
+    The bundles a_x (edges leaving x) and b_x (edges entering x) are the
+    columns of A and B, each E x V with entries 1/sqrt(d).  The stacked
+    S = [A B] has Gram matrix [[I, P], [P^T, I]], where P = A^T B is the
+    degree-normalized adjacency.  One eigh of that 2V x 2V matrix gives
+    C = Q_r Lambda_r^(-1/2) over the eigenvalues above _GRAM_RANK_TOL times
+    the largest, and S C is an orthonormal basis of span(A u B).  The
+    threshold separates cleanly: the nonzero Gram eigenvalues are
+    1 +- lambda_j(P) >= min(delta, 1 - 1/max(R, N-R)), while the spurious
+    ones are rounding noise near 1e-16 (J(2, 1), where lambda = -1, is the
+    one graph whose bundles lose a second dimension).
+
+    The basis is held as the E x rank array (C_A[src] + C_B[dst]) / sqrt(d)
+    and both reflections act on the edge space in O(E * rank): A^T Y is a
+    sum over each vertex's d contiguous out-edges, B^T Y the same sum after
+    one stable sort of the edges by target, and A X a row gather.  W is the
+    identity off span(A u B), so the eigenvalues of the restricted block
+    C^T [A^T; B^T] W S C give every nonzero phase.
     """
-    verts = list(vertices(graph))
-    v_count = len(verts)
+    v_count = graph.vertex_count
     d = graph.degree
     if v_count * d > max_edges:
         raise CapacityError(
             f"edge space of size {v_count * d} exceeds cap {max_edges}"
         )
-    index = {v: i for i, v in enumerate(verts)}
-    edge_index: dict[tuple[int, int], int] = {}
-    for v in verts:
-        i = index[v]
-        for w in neighbors(graph, v):
-            edge_index[(i, index[w])] = len(edge_index)
-    e_count = len(edge_index)
-
+    _check_vertex_cap(graph, _DEFAULT_MAX_VERTICES)
+    src, dst = _edge_list(graph)
+    by_target = np.argsort(dst, kind="stable")
     amp = 1.0 / math.sqrt(d)
-    a_mat = np.zeros((e_count, v_count))
-    b_mat = np.zeros((e_count, v_count))
-    for (i, j), e in edge_index.items():
-        a_mat[e, i] = amp   # bundle leaving vertex i
-        b_mat[e, j] = amp   # bundle entering vertex j
 
-    stacked = np.hstack([a_mat, b_mat])
-    u, singular, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(singular > 1e-9 * singular[0]))
-    basis = u[:, :rank]
+    def out_sums(block: np.ndarray) -> np.ndarray:      # A^T . block
+        return amp * block.reshape(v_count, d, -1).sum(axis=1)
 
-    def reflect(block: np.ndarray, bundle: np.ndarray) -> np.ndarray:
-        return 2.0 * bundle @ (bundle.T @ block) - block
+    def in_sums(block: np.ndarray) -> np.ndarray:       # B^T . block
+        return amp * block[by_target].reshape(v_count, d, -1).sum(axis=1)
 
-    w_block = basis.T @ reflect(reflect(basis, a_mat), b_mat)
+    def reflect(block: np.ndarray, sums: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        # 2 M M^T block - block, given sums = M^T block and M's vertex per edge
+        out = (2.0 * amp * sums)[ends]
+        out -= block
+        return out
+
+    identity = np.eye(v_count)
+    transition = _transition_matrix(graph, src, dst)
+    gram_values, gram_vectors = np.linalg.eigh(
+        np.block([[identity, transition], [transition.T, identity]])
+    )
+    keep = gram_values > _GRAM_RANK_TOL * gram_values[-1]
+    coords = gram_vectors[:, keep] / np.sqrt(gram_values[keep])
+    # E x rank arrays are the memory peak: each step allocates one more
+    block = (amp * coords[:v_count])[src]
+    block += (amp * coords[v_count:])[dst]
+    block = reflect(block, out_sums(block), src)   # Ref_A
+    block = reflect(block, in_sums(block), dst)    # Ref_B
+    w_block = coords.T @ np.vstack([out_sums(block), in_sums(block)])
     eigenvalues = np.linalg.eigvals(w_block)
     if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-8:
         raise ValidationError("walk block lost unitarity beyond tolerance")
     phases = np.angle(eigenvalues)
+    phases[phases <= -math.pi + _PI_FOLD_TOL] = math.pi
     nonzero = np.abs(phases) > _PHASE_ZERO_TOL
     phase_gap = float(np.min(np.abs(phases[nonzero]))) if np.any(nonzero) else math.pi
-
-    if marked is None:
-        fraction = 0.0
-    else:
-        fraction = sum(1 for v in verts if marked(v)) / v_count
     return WalkSpectrum(
-        delta=spectral_gap(graph),
+        delta=_gap(transition),
         phase_gap=phase_gap,
-        marked_fraction=float(fraction),
-        eigenphases=tuple(float(p) for p in sorted(phases)),
+        eigenphases=tuple(float(p) for p in np.sort(phases)),
     )
 
 

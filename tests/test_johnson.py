@@ -15,6 +15,7 @@ from chainwalk.oracle import (
 )
 from chainwalk.johnson import (
     JohnsonGraph,
+    _edge_list,
     closed_form_gap,
     neighbors,
     spectral_gap,
@@ -52,6 +53,16 @@ def test_neighbors_degree_and_symmetry():
         neighbors(g, (0, 9))
 
 
+def test_edge_list_follows_neighbors():
+    for n, r in [(2, 1), (5, 2), (7, 4), (9, 3)]:
+        g = JohnsonGraph(ground_set=tuple(range(10, 10 + 3 * n, 3)), subset_size=r)
+        verts = list(vertices(g))
+        index = {v: i for i, v in enumerate(verts)}
+        src, dst = _edge_list(g)
+        assert src.tolist() == [index[v] for v in verts for _ in range(g.degree)]
+        assert dst.tolist() == [index[w] for v in verts for w in neighbors(g, v)]
+
+
 def test_closed_form_gap_values():
     assert closed_form_gap(4, 2) == pytest.approx(1.0, abs=1e-15)
     assert closed_form_gap(5, 2) == pytest.approx(5.0 / 6.0, abs=1e-15)
@@ -78,14 +89,6 @@ def test_walk_spectrum_phase_gap_bound():
         delta = closed_form_gap(n, r)
         assert spec.delta == pytest.approx(delta, abs=1e-9)
         assert spec.phase_gap >= math.sqrt(delta) - 1e-9
-        assert spec.marked_fraction == 0.0
-
-
-def test_walk_spectrum_marked_fraction():
-    g = JohnsonGraph(ground_set=tuple(range(5)), subset_size=2)
-    spec = walk_operator_spectrum(g, marked=lambda v: 0 in v)
-    assert spec.marked_fraction == pytest.approx(4.0 / 10.0, abs=1e-12)
-    assert spec.phase_gap >= math.sqrt(spec.delta) - 1e-9
 
 
 def _dense_walk_reference(graph):
@@ -131,6 +134,8 @@ def test_walk_spectrum_matches_dense_reference(n, r):
     rank, phases, gap = _dense_walk_reference(graph)
     spec = walk_operator_spectrum(graph)
     assert len(spec.eigenphases) == rank
+    assert list(spec.eigenphases) == sorted(spec.eigenphases)
+    assert -math.pi < spec.eigenphases[0] and spec.eigenphases[-1] <= math.pi
     assert np.max(np.abs(_fold_pi(spec.eigenphases) - _fold_pi(phases))) <= 1e-10
     assert abs(spec.phase_gap - gap) <= 1e-12
 

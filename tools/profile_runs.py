@@ -1,19 +1,22 @@
-"""Profile the 20 criterion-7 runs of tests/test_acceptance.py under cProfile.
+"""Profile two acceptance workloads of tests/test_acceptance.py under cProfile.
 
-Prints the wall time of the profiled runs, the total function-call count and
-the top 25 entries by cumulative time.  Run it from any directory:
+The first block covers the 20 criterion-7 runs, the second the 45 criterion-3
+graphs (spectral_gap and walk_operator_spectrum of each).  Each block prints
+the wall time of the profiled calls, the total function-call count and the
+top 25 entries by cumulative time.  Run it from any directory:
 
     python3 tools/profile_runs.py
 
 The script imports chainwalk from the src/ directory next to it, so each
-checkout profiles its own code, and takes the configurations from
-tools/sweep_reports.py.
+checkout profiles its own code, and takes the criterion-7 configurations
+from tools/sweep_reports.py.
 """
 
 from __future__ import annotations
 
 import cProfile
 import io
+import math
 import pstats
 import sys
 import time
@@ -24,7 +27,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path)
 
 from chainwalk.chain import ChainConfig, run  # noqa: E402
+from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
 from chainwalk.oracle import Params  # noqa: E402
+
+# criterion 3's shape: every J(N, R) with N <= 10 and C(N, R) <= 300
+CRITERION_3 = [(n, r) for n in range(2, 11) for r in range(1, n) if math.comb(n, r) <= 300]
 
 
 def criterion_7_runs() -> None:
@@ -33,16 +40,28 @@ def criterion_7_runs() -> None:
                         max_outer_iterations=64))
 
 
-def main() -> None:
-    profile = cProfile.Profile()
+def criterion_3_spectra() -> None:
+    for n, r in CRITERION_3:
+        graph = JohnsonGraph(ground_set=tuple(range(n)), subset_size=r)
+        spectral_gap(graph)
+        walk_operator_spectrum(graph)
+
+
+def profile(workload) -> None:
+    profiler = cProfile.Profile()
     start = time.perf_counter()
-    profile.runcall(criterion_7_runs)
+    profiler.runcall(workload)
     wall = time.perf_counter() - start
     out = io.StringIO()
-    stats = pstats.Stats(profile, stream=out)
-    print(f"wall {wall:.3f} s, {stats.total_calls} function calls")
+    stats = pstats.Stats(profiler, stream=out)
+    print(f"{workload.__name__}: wall {wall:.3f} s, {stats.total_calls} function calls")
     stats.sort_stats("cumulative").print_stats(25)
     print(out.getvalue())
+
+
+def main() -> None:
+    profile(criterion_7_runs)
+    profile(criterion_3_spectra)
 
 
 if __name__ == "__main__":
