@@ -218,7 +218,7 @@ def walk_operator_spectrum(graph: JohnsonGraph, max_edges: int = 20000) -> WalkS
     )
     keep = gram_values > _GRAM_RANK_TOL * gram_values[-1]
     coords = gram_vectors[:, keep] / np.sqrt(gram_values[keep])
-    # E x rank arrays are the memory peak: each step allocates one more
+    # the E x rank arrays set the memory peak, so no step holds more than two
     block = (amp * coords[:v_count])[src]
     block += (amp * coords[v_count:])[dst]
     block = reflect(block, out_sums(block), src)   # Ref_A
