@@ -5,10 +5,12 @@ the expected number of images hit at least twice by R uniform draws is
 M (1 - q^R - (R/M) q^(R-1)).  Everything empirical runs under fixed seeds.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from chainwalk.errors import ParameterError
 from chainwalk.oracle import FunctionTable, Params
@@ -223,3 +225,56 @@ def test_verify_stats_report_shape_and_determinism():
     assert row["R"] == 16 and row["M"] == 256 and row["samples"] == 20_000
     assert 0.0 <= row["p_upper"] <= 1.0
     assert 0.0 <= row["p_lower"] <= 1.0
+
+
+def _binomial_poisson_tv_reference(big_r, bins):
+    ks = np.arange(big_r + 1)
+    lam = big_r / bins
+    gap = np.abs(sps.binom.pmf(ks, big_r, 1.0 / bins) - sps.poisson.pmf(ks, lam)).sum()
+    return 0.5 * (float(gap) + float(sps.poisson.sf(big_r, lam)))
+
+
+def _poisson_fit_reference(histogram, big_r, bins):
+    """(chi2, dof, p_value) of a histogram, pooled as poisson_fit documents:
+    sparse top categories merge into the tail until every expected count is
+    at least 5."""
+    hist = np.asarray(histogram, dtype=float)
+    total = hist.sum()
+    lam = big_r / bins
+    expected_full = total * sps.poisson.pmf(np.arange(big_r + 1), lam)
+    tail = total * float(sps.poisson.sf(big_r, lam))
+    cut = big_r + 1
+    while cut > 1 and not (tail >= 5.0 and expected_full[cut - 1] >= 5.0):
+        cut -= 1
+        tail += expected_full[cut]
+    observed = np.append(hist[:cut], hist[cut:].sum())
+    expected = np.append(expected_full[:cut], tail)
+    if len(observed) < 2:
+        return 0.0, 0, 1.0
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    dof = len(observed) - 1
+    return chi2, dof, float(sps.chi2.sf(chi2, dof))
+
+
+def test_binomial_poisson_tv_matches_scipy():
+    for big_r in (1, 4, 16, 64, 128):
+        for bins in (1, 2, 16, 256, 4096, 65536):
+            assert binomial_poisson_tv(big_r, bins) == pytest.approx(
+                _binomial_poisson_tv_reference(big_r, bins), rel=0.0, abs=1e-13
+            )
+
+
+def test_poisson_fit_matches_scipy():
+    cases = [(32, 1024, np.random.default_rng([7, seed])) for seed in range(40)]
+    cases += [(16, 256, np.random.default_rng([7, 16, 256])),
+              (64, 4096, np.random.default_rng([7, 64, 4096]))]
+    digest = hashlib.sha256()
+    for big_r, bins, rng in cases:
+        rep = poisson_fit(big_r, bins, 4000, rng)
+        chi2, dof, p_value = _poisson_fit_reference(rep.histogram, big_r, bins)
+        assert rep.dof == dof
+        assert rep.chi2 == pytest.approx(chi2, rel=1e-10)
+        assert rep.p_value == pytest.approx(p_value, rel=1e-10)
+        digest.update(repr(rep.histogram).encode())
+    # the sampled histograms are pinned, so the fit is compared on the same data
+    assert digest.hexdigest() == "c01d8bcfe696534c91dda035baf5b7bd1c73594a72f24918247aac106caef866"
