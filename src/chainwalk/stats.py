@@ -9,6 +9,11 @@ c between 1/2 and 2/3; the calibrated constant c feeds the interval plans
 walk.  Sampling is blocked and each block gets its own spawned generator, so
 results do not depend on how many worker threads run the blocks.  The
 CWL_THREADS environment variable caps the default worker count.
+
+The distributions the checks compare against are closed forms: the Poisson
+pmf by its ratio recurrence with the tail summed term by term, the binomial
+pmf as an exact integer ratio, and the chi-square survival function at
+integer degrees of freedom as the finite incomplete-gamma sums.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import ParameterError
 
@@ -360,6 +364,46 @@ def _occupancy_block(args) -> np.ndarray:
     return np.bincount(occupancy, minlength=big_r + 1)
 
 
+def _poisson_law(lam: float, top: int) -> Tuple[np.ndarray, float]:
+    """Poisson(lam) pmf at k = 0..top, and the tail P(X > top).
+
+    p_0 = exp(-lam) and p_k = p_(k-1) * lam / k.  The tail is summed from
+    p_(top+1) on until its terms vanish, not taken as 1 - cdf, which cancels
+    to 0 or below when the tail is under float resolution (about 1e-85 at
+    top = 32, lam = 1/32).  Past the mode the terms fall geometrically, so
+    the sum stops once a term is below 1e-17 of it.  p_0 must be a normal
+    float, which holds for lam below about 700.
+    """
+    pmf = np.cumprod(np.concatenate(([math.exp(-lam)], lam / np.arange(1, top + 1))))
+    tail, term, k = 0.0, float(pmf[-1]), top
+    while True:
+        k += 1
+        term *= lam / k
+        tail += term
+        if k > lam and term <= tail * 1e-17:
+            return pmf, tail
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(chi2 with `dof` degrees of freedom > x), for integer dof >= 1.
+
+    With h = x/2, the regularized upper incomplete gamma Q(dof/2, h) is
+    exp(-h) sum_(i < dof/2) h^i / i! for even dof, and
+    erfc(sqrt(h)) + exp(-h) sum_(i < (dof-1)/2) h^(i+1/2) / Gamma(i+3/2)
+    for odd dof.  Every term is positive, so nothing cancels.
+    """
+    half = x / 2.0
+    if dof % 2:
+        head, term, step = math.erfc(math.sqrt(half)), 2.0 * math.sqrt(half / math.pi), 1.5
+    else:
+        head, term, step = 0.0, 1.0, 1.0
+    total = 0.0
+    for i in range(dof // 2):
+        total += term
+        term *= half / (i + step)
+    return head + math.exp(-half) * total
+
+
 @dataclass(frozen=True)
 class PoissonFitReport:
     chi2: float
@@ -392,8 +436,9 @@ def poisson_fit(
 
     lam = big_r / bins
     total = samples * bins
-    expected_full = total * sps.poisson.pmf(np.arange(big_r + 1), lam)
-    tail_expected = total * float(sps.poisson.sf(big_r, lam))
+    pmf, tail = _poisson_law(lam, big_r)
+    expected_full = total * pmf
+    tail_expected = total * tail
     cut = big_r + 1
     while cut > 1:
         if tail_expected >= 5.0 and expected_full[cut - 1] >= 5.0:
@@ -409,18 +454,24 @@ def poisson_fit(
     return PoissonFitReport(
         chi2=chi2,
         dof=dof,
-        p_value=float(sps.chi2.sf(chi2, dof)),
+        p_value=_chi2_sf(chi2, dof),
         histogram=tuple(int(h) for h in hist),
     )
 
 
 def binomial_poisson_tv(big_r: int, bins: int) -> float:
-    """Exact total variation between Binomial(R, 1/M) and Poisson(R/M)."""
-    lam = big_r / bins
-    ks = np.arange(big_r + 1)
-    binom_pmf = sps.binom.pmf(ks, big_r, 1.0 / bins)
-    pois_pmf = sps.poisson.pmf(ks, lam)
-    tail = float(sps.poisson.sf(big_r, lam))
+    """Exact total variation between Binomial(R, 1/M) and Poisson(R/M).
+
+    The binomial pmf C(R, k) p^k (1-p)^(R-k) at p = 1/M is the integer ratio
+    C(R, k) (M-1)^(R-k) / M^R, divided once with correct rounding; at M = 1
+    it puts all mass on k = R.
+    """
+    pois_pmf, tail = _poisson_law(big_r / bins, big_r)
+    scale = bins ** big_r
+    binom_pmf = np.array([
+        math.comb(big_r, k) * (bins - 1) ** (big_r - k) / scale
+        for k in range(big_r + 1)
+    ])
     return 0.5 * (float(np.abs(binom_pmf - pois_pmf).sum()) + tail)
 
 

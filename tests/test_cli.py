@@ -1,9 +1,15 @@
-"""Command-line front end tests, run in process through main()."""
+"""Command-line front end tests, run in process through main(), and the
+import footprint of a fresh process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainwalk
 from chainwalk import cli
 from chainwalk.errors import FlaggedInstanceError
 
@@ -108,3 +114,21 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 1
+
+
+def test_import_loads_no_scipy():
+    """Every cwl call and every import of the package pays for what the
+    package imports at module level; scipy is a test-only reference."""
+    src = str(Path(chainwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import chainwalk, chainwalk.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
