@@ -50,6 +50,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
+from .johnson import _lex_subsets
 from .oracle import RestrictedFunction, restrict
 from .stats import collision_counts
 from .statevector import (
@@ -155,7 +156,7 @@ class FamilyIndex:
     desk-scale privilege that stands in for the quantum data structure.
 
     The build is array-wide: the subsets form a V x R table `combos` in
-    itertools.combinations order (so keys come out sorted), their images a
+    lexicographic order (so keys come out sorted), their images a
     V x R table gathered from f, and each vertex's count is the number of
     duplicate runs in its sorted image row (`counts`).  Vertex ordinals index
     all three; a key maps to its ordinal through the position map of the
@@ -183,13 +184,7 @@ class FamilyIndex:
         self.restriction = restriction
         self.big_r = big_r
         self.total = total
-        ordinals = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.combinations(range(len(points)), big_r)
-            ),
-            dtype=np.int64,
-            count=total * big_r,
-        ).reshape(total, big_r)
+        ordinals = _lex_subsets(len(points), big_r)
         self._combos = np.asarray(points, dtype=np.int64)[ordinals]
         self._images = restriction.base.values()[self._combos]
         self.counts = collision_counts(np.sort(self._images, axis=1))

@@ -100,10 +100,20 @@ def _check_vertex_cap(graph: JohnsonGraph, max_vertices: int) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {max_vertices}")
 
 
+def _lex_subsets(n: int, r: int) -> np.ndarray:
+    """The C(n, r) x r int64 table of the r-subsets of range(n), each row
+    sorted and the rows in lexicographic order."""
+    count = math.comb(n, r)
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), r)),
+        dtype=np.int64, count=count * r,
+    ).reshape(count, r)
+
+
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edges of J(N, R) as (src, dst) arrays over vertex ordinals.
 
-    Ordinals are positions in `vertices()` order.  Edges are grouped by
+    Ordinals are positions in lexicographic order.  Edges are grouped by
     source, each vertex's d out-edges contiguous and in `neighbors()` order:
     the R dropped points, then the N-R added ones.  A subset with sorted
     ground positions c_0 < ... < c_{R-1} has lexicographic ordinal
@@ -111,10 +121,7 @@ def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """
     n, r = graph.ground_size, graph.subset_size
     v_count = graph.vertex_count
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), r)),
-        dtype=np.int64, count=v_count * r,
-    ).reshape(v_count, r)
+    combos = _lex_subsets(n, r)
     outside = np.ones((v_count, n), dtype=bool)
     outside[np.arange(v_count)[:, None], combos] = False
     outside = np.nonzero(outside)[1].reshape(v_count, n - r)
