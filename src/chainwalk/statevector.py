@@ -186,21 +186,8 @@ class State:
 
     def inner(self, other: "State") -> complex:
         """<self|other> over the intersection of supports."""
-        if self.basis is other.basis:
-            return complex(np.vdot(self.vector, other.vector))
-        if other.basis.prefix is self.basis:
-            return complex(np.vdot(self.vector, other.vector[:len(self.vector)]))
-        if self.basis.prefix is other.basis:
-            return complex(np.vdot(self.vector[:len(other.vector)], other.vector))
-        if len(other) < len(self):
-            return other.inner(self).conjugate()
-        position = other.basis.position
-        total = 0j
-        for key, amp in self.items():
-            pos = position.get(key)
-            if pos is not None:
-                total += amp.conjugate() * complex(other.vector[pos])
-        return total
+        size = len(other.vector)
+        return complex(np.vdot(align(self, other).vector[:size], other.vector))
 
     def mask(self, predicate: Labels) -> np.ndarray:
         """Boolean vector over the basis: the predicate (a key callback or a
