@@ -372,8 +372,10 @@ def _poisson_law(lam: float, top: int) -> Tuple[np.ndarray, float]:
     to 0 or below when the tail is under float resolution (about 1e-85 at
     top = 32, lam = 1/32).  Past the mode the terms fall geometrically, so
     the sum stops once a term is below 1e-17 of it.  p_0 must be a normal
-    float, which holds for lam below about 700.
+    float, so lam above 700 is refused rather than read as all zeros.
     """
+    if lam > 700.0:
+        raise ParameterError(f"Poisson rate {lam} too large for exp(-rate)")
     pmf = np.cumprod(np.concatenate(([math.exp(-lam)], lam / np.arange(1, top + 1))))
     tail, term, k = 0.0, float(pmf[-1]), top
     while True:
@@ -393,7 +395,7 @@ def _chi2_sf(x: float, dof: int) -> float:
     for odd dof.  Every term is positive, so nothing cancels.
     """
     half = x / 2.0
-    if dof % 2:
+    if dof % 2:   # term_0 = h^(1/2) / Gamma(3/2)
         head, term, step = math.erfc(math.sqrt(half)), 2.0 * math.sqrt(half / math.pi), 1.5
     else:
         head, term, step = 0.0, 1.0, 1.0
@@ -427,6 +429,7 @@ def poisson_fit(
     """
     if big_r < 1 or bins < 1 or samples < 1:
         raise ParameterError("R, M, samples must all be positive")
+    pmf, tail = _poisson_law(big_r / bins, big_r)
     block = max(1, _OCC_CELL_CAP // bins)
     sizes = _block_sizes(samples, block)
     gens = rng.spawn(len(sizes))
@@ -434,9 +437,7 @@ def poisson_fit(
     parts = _map_blocks(_occupancy_block, jobs, resolve_threads(threads))
     hist = np.sum(parts, axis=0)
 
-    lam = big_r / bins
     total = samples * bins
-    pmf, tail = _poisson_law(lam, big_r)
     expected_full = total * pmf
     tail_expected = total * tail
     cut = big_r + 1

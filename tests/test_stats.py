@@ -264,6 +264,17 @@ def test_binomial_poisson_tv_matches_scipy():
             )
 
 
+def test_poisson_terms_refuse_an_underflowing_rate():
+    # exp(-R/M) would underflow and leave every Poisson term zero
+    with pytest.raises(ParameterError):
+        binomial_poisson_tv(800, 1)
+    with pytest.raises(ParameterError):
+        poisson_fit(1402, 2, 1, np.random.default_rng(0))
+    assert binomial_poisson_tv(700, 1) == pytest.approx(
+        _binomial_poisson_tv_reference(700, 1), rel=0.0, abs=1e-12
+    )
+
+
 def test_poisson_fit_matches_scipy():
     cases = [(32, 1024, np.random.default_rng([7, seed])) for seed in range(40)]
     cases += [(16, 256, np.random.default_rng([7, 16, 256])),
