@@ -16,6 +16,7 @@ from chainwalk.errors import ParameterError
 from chainwalk.oracle import FunctionTable, Params
 from chainwalk.stats import (
     IntervalPlan,
+    _chi2_sf,
     binomial_poisson_tv,
     calibrate_constant,
     drift_check,
@@ -262,6 +263,13 @@ def test_binomial_poisson_tv_matches_scipy():
             assert binomial_poisson_tv(big_r, bins) == pytest.approx(
                 _binomial_poisson_tv_reference(big_r, bins), rel=0.0, abs=1e-13
             )
+
+
+def test_chi2_sf_matches_scipy_across_dof():
+    # the poisson_fit cases above only reach dof 2-4
+    for dof in range(1, 30):
+        for x in (0.0, 1e-6, 0.5, 3.0, 10.0, 29.5, 80.0, 300.0):
+            assert _chi2_sf(x, dof) == pytest.approx(sps.chi2.sf(x, dof), rel=1e-12)
 
 
 def test_poisson_terms_refuse_an_underflowing_rate():
