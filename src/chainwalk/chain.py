@@ -48,8 +48,8 @@ from .extraction import (
     MAX_TRANSITIONS,
     FamilyIndex,
     VertexFamily,
+    _extract_until_tuple,
     check_uniform_class,
-    extract_tuple,
     hop,
 )
 from .johnson import closed_form_gap
@@ -239,22 +239,21 @@ def _verify_tuple(
 
 
 def _extract_one(state, family, index, rng, ledger, fn, trace):
-    """Extract one tuple, charge and verify it, and re-index the shrunken family.
+    """Extract one tuple, charge and verify it, and check the residual against
+    the shrunken family's index, derived from the current one.
 
     Returns (tuple, state, family, index); index is None once the extraction
     has emptied the vertex (R' = 0).
     """
     delta = _delta_for(family)
-    found, state, family, fs = extract_tuple(state, family, rng, index, trace=trace)
+    out, fs = _extract_until_tuple(state, family, rng, index, trace)
     ledger.extraction_events += 1
     ledger.charge_flip(fs, delta)
+    found = (out.image, out.preimages)
     _verify_tuple(fn, ledger, *found)
-    if family.big_r < 1:
-        return found, state, family, None
-    index = FamilyIndex(family.restriction, family.big_r)
-    state = align(state, index.axis_state())
-    check_uniform_class(state, family, index)
-    return found, state, family, index
+    if out.new_index is not None:
+        check_uniform_class(out.collapsed, out.new_family, out.new_index)
+    return found, out.collapsed, out.new_family, out.new_index
 
 
 def _flip_charged(state, family, index, good, want, rng, ledger) -> State:

@@ -17,14 +17,17 @@ moves its window the same way.
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
-enumerates a family's full vertex set once, as numpy arrays over vertex
-ordinals (subsets, their images, their counts), so that class sizes,
-membership predicates, and diffusion axes are exact.  Its keys in ordinal
-order, with the key-to-ordinal map, form the statevector Basis that its
-axis and class states are laid over, so a family state is a vector over
+holds a family's full vertex set as numpy arrays over vertex ordinals
+(subsets, their images, their counts), so that class sizes, membership
+predicates, and diffusion axes are exact.  The run's first index enumerates
+the subsets; the index of each shrunken family after a tuple extraction is
+derived from its parent's arrays by a row filter and a column drop, and the
+residual state is laid over it by the parent-to-child rank, with no byte key
+in between.  An index's Basis is its vertex ordinals, with byte keys spelled
+out only when a byte-key API reads them, so a family state is a vector over
 vertex ordinals, and its predicates and labels (class_mask, by_count) are
 vectors over the ordinals too.  Tuples are int64 rows (image, size,
-preimages) read off the image rows on request, not kept.  The padded
+preimages) read off the image-sorted rows on request, not kept.  The padded
 register is a V x y vector over the support vertices with an integer label
 per entry, a dummy's index or its tuple row's rank among the request's rows;
 pad_and_attach spells it in byte keys for callers that read keys.
@@ -32,6 +35,7 @@ pad_and_attach spells it in byte keys for callers that read keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -60,6 +64,7 @@ from .statevector import (
     align,
     decode_subset,
     measure,
+    subset_key,
 )
 
 _TUPLE_TAG = b"t"
@@ -151,18 +156,33 @@ def _row_tuple(row: List[int]) -> Tuple[int, Tuple[int, ...]]:
 class FamilyIndex:
     """Exhaustive per-subset multicollision data for one (restriction, R).
 
-    Built once per family by enumerating every R-subset of the restricted
-    domain; class sizes and count lookups are then exact.  Enumeration is the
-    desk-scale privilege that stands in for the quantum data structure.
+    The index holds every R-subset of the restricted domain, so class sizes
+    and count lookups are exact.  That exhaustive view is the desk-scale
+    privilege that stands in for the quantum data structure.
 
-    The build is array-wide: the subsets form a V x R table `combos` in
-    lexicographic order (so keys come out sorted), their images a
-    V x R table gathered from f, and each vertex's count is the number of
-    duplicate runs in its sorted image row (`counts`).  Vertex ordinals index
-    all three; a key maps to its ordinal through the position map of the
-    index's Basis, built on first use.  Tuples are not stored: tuple_rows
-    reads them off the image rows of the vertices of each request, in one
-    array pass, as rows of one table.
+    The data are arrays over vertex ordinals: the subsets form a V x R table
+    `combos` in lexicographic order (so keys come out sorted), each row's
+    images sorted stably form `images` and its points in that order
+    `points`, and each vertex's count is the number of duplicate runs in
+    its image row (`counts`).  Tuples are not stored: tuple_rows reads them
+    off those rows for the vertices of each request, in one array pass.
+
+    Without a parent, the index enumerates the lexicographic subset table
+    and gathers the images from f.  With a parent, `restriction` must be the
+    parent's with one tuple (image, P) more recorded and big_r the parent's
+    less |P|.  The vertices are then the parent's vertices whose run at
+    `image` is exactly P, with P cut out, so every table is the parent's
+    kept rows with P's columns dropped and every count the parent's less 1.
+    Dropping P keeps the row order: two sorted rows of one size order by
+    which holds the least point of their symmetric difference, never a
+    point of P.  It keeps the stable image order within a row too.
+    `parent_rank` maps each parent ordinal to its ordinal here, -1 where the
+    parent vertex does not hold the tuple; it is None without a parent.
+
+    The basis spells its byte keys out of `combos` only when a byte-key API
+    first reads it (count_of, keys_in, pad_and_attach, State.items, align
+    across bases).  Its key factory holds `combos`, not the index, so an
+    index is freed by reference counting alone.
     """
 
     def __init__(
@@ -170,6 +190,7 @@ class FamilyIndex:
         restriction: RestrictedFunction,
         big_r: int,
         cap: int = _MAX_FAMILY_VERTICES,
+        parent: Optional["FamilyIndex"] = None,
     ) -> None:
         points = restriction.domain_points
         if not (0 < big_r <= len(points)):
@@ -184,16 +205,71 @@ class FamilyIndex:
         self.restriction = restriction
         self.big_r = big_r
         self.total = total
-        ordinals = _lex_subsets(len(points), big_r)
-        self._combos = np.asarray(points, dtype=np.int64)[ordinals]
-        self._images = restriction.base.values()[self._combos]
-        self.counts = collision_counts(np.sort(self._images, axis=1))
-        self.basis = Basis(_subset_keys(self._combos))
-        sizes, size_counts = np.unique(self.counts, return_counts=True)
+        self.parent_rank: Optional[np.ndarray] = None
+        if parent is None:
+            self._enumerate()
+        else:
+            self._derive(parent)
+        self.basis = Basis(total, functools.partial(_subset_keys, self._combos))
+        size_counts = np.bincount(self.counts)
+        sizes = np.flatnonzero(size_counts)
         self._size_by_count: Dict[int, int] = dict(
-            zip(sizes.tolist(), size_counts.tolist())
+            zip(sizes.tolist(), size_counts[sizes].tolist())
         )
         self._axis: Optional[State] = None
+
+    def _enumerate(self) -> None:
+        points = self.restriction.domain_points
+        params = self.restriction.base.params
+        if params.n + params.m > 63:
+            raise CapacityError(
+                f"an image and a point (n={params.n}, m={params.m}) do not "
+                "pack into one int64"
+            )
+        ordinals = _lex_subsets(len(points), self.big_r)
+        self._combos = np.asarray(points, dtype=np.int64)[ordinals]
+        # sorting (image, point) pairs packed into one int64 sorts each row
+        # stably by image, since the points of a row ascend
+        packed = self.restriction.base.values()[self._combos] << params.n
+        packed |= self._combos
+        packed.sort(axis=1)
+        self._images = packed >> params.n
+        self._points = packed & ((1 << params.n) - 1)
+        self.counts = collision_counts(self._images)
+
+    def _derive(self, parent: "FamilyIndex") -> None:
+        old, new = parent.restriction, self.restriction
+        added = new.excluded_images - old.excluded_images
+        if (
+            new.base is not old.base
+            or len(added) != 1
+            or not old.excluded_images < new.excluded_images
+        ):
+            raise ParameterError(
+                "restriction is not the parent's with one more tuple recorded"
+            )
+        (image,) = added
+        preimages = new.table.preimages(image)
+        if self.big_r != parent.big_r - len(preimages):
+            raise ParameterError(
+                f"subset size {self.big_r} is not the parent's {parent.big_r} "
+                f"less the {len(preimages)} preimages cut out"
+            )
+        # +1 on P, -1 on the rest of its preimage class: a row sums to |P|
+        # exactly when its run at `image` is P
+        mark = np.where(new.base.values() == image, -1, 0).astype(np.int8)
+        mark[list(preimages)] = 1
+        hits = mark[parent._combos]
+        # einsum sums short rows several times faster than sum(axis=1)
+        keep = np.einsum("ij->i", hits, dtype=np.int64) == len(preimages)
+        self.parent_rank = np.where(keep, np.cumsum(keep) - 1, -1)
+        shape = (self.total, self.big_r)
+        self._combos = parent._combos[keep][hits[keep] == 0].reshape(shape)
+        points = parent._points[keep]
+        cut = mark[points] == 0
+        self._points = points[cut].reshape(shape)
+        self._images = parent._images[keep][cut].reshape(shape)
+        self.counts = parent.counts[keep] - 1
 
     def _ordinal_of(self, key: BasisKey) -> int:
         try:
@@ -215,10 +291,8 @@ class FamilyIndex:
         a vertex, and each row's position in `ordinals`.  A tuple is a run of
         two or more equal images in a stably sorted image row."""
         width = self.big_r
-        images = self._images[ordinals]
-        order = np.argsort(images, axis=1, kind="stable")
-        images = np.take_along_axis(images, order, axis=1).ravel()
-        points = np.take_along_axis(self._combos[ordinals], order, axis=1).ravel()
+        images = self._images[ordinals].ravel()
+        points = self._points[ordinals].ravel()
         # same[p]: image p repeats the one before it in its row
         same = np.zeros(images.size + 1, dtype=bool)
         same[1:-1] = images[1:] == images[:-1]
@@ -332,7 +406,7 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
     labels = np.tile(np.arange(y), (len(ordinals), 1))
     labels[np.arange(y) < z[:, None]] = y + rank
     vector = np.repeat(state.vector[ordinals] * (1.0 / math.sqrt(y)), y)
-    padded = State.over(Basis(range(len(vector))), vector)
+    padded = State.over(Basis.of(range(len(vector))), vector)
     return ordinals, padded, labels.ravel(), ranked[first]
 
 
@@ -360,7 +434,7 @@ def pad_and_attach(
         vertex_keys[ordinal] + tokens[label]
         for ordinal, label in zip(np.repeat(ordinals, y).tolist(), labels.tolist())
     ]
-    return State.over(Basis(keys), padded.vector)
+    return State.over(Basis.of(keys), padded.vector)
 
 
 @dataclass(frozen=True)
@@ -370,8 +444,11 @@ class ExtractionOutcome:
     kind "tuple": image/preimages hold the measured multicollision, collapsed
     is uniform over the shrunken family [lo-1, hi-1] with the preimages
     removed from every vertex and the collision table grown by one entry.
+    new_index is the shrunken family's index, derived from the input's, and
+    collapsed lies over its basis; it is None when the cut leaves the empty
+    subset (R' = 0), over which collapsed then lies alone.
     kind "dummy": dummy_index holds i, collapsed is uniform over the same
-    family narrowed to [lo, i-1].
+    family narrowed to [lo, i-1], and new_index is the input's index.
     """
 
     kind: str
@@ -380,6 +457,7 @@ class ExtractionOutcome:
     dummy_index: Optional[int]
     collapsed: State
     new_family: VertexFamily
+    new_index: Optional[FamilyIndex]
 
 
 def extract_once(
@@ -393,8 +471,8 @@ def extract_once(
     With probability sum_z |V_z| z / (y |V_{lo,hi}|) the outcome is a tuple;
     the dummy index i appears with probability |V_{lo,i-1}| / (y |V_{lo,hi}|).
     Every branch collapses to a uniform state over its stated family, laid
-    over the index's basis after a dummy.  When an index is supplied the input
-    support is checked to be the entire class; without one, one is built.
+    over the basis of the outcome's index.  When an index is supplied the
+    input support is checked to be the entire class; without one, one is built.
     """
     if family.hi is None:
         raise ParameterError(
@@ -412,15 +490,20 @@ def extract_once(
     amplitudes = collapsed.vector[collapsed.live]
     if outcome >= y:
         image, preimages = _row_tuple(found[outcome - y].tolist())
-        big_r = family.big_r - len(preimages)
-        # every collapsed vertex holds the tuple: cut its preimages out
-        kept = index._combos[rows]
-        kept = kept[~np.isin(kept, preimages)].reshape(len(rows), big_r)
-        residual = State.over(Basis(_subset_keys(kept)), amplitudes)
         new_table = family.restriction.table.insert(
             family.restriction.base, image, preimages
         )
         new_restriction = restrict(family.restriction.base, new_table)
+        big_r = family.big_r - len(preimages)
+        if big_r:
+            # every collapsed vertex holds the tuple, so it has a child ordinal
+            new_index = FamilyIndex(new_restriction, big_r, parent=index)
+            vector = np.zeros(new_index.total, dtype=complex)
+            vector[new_index.parent_rank[rows]] = amplitudes
+            residual = State.over(new_index.basis, vector)
+        else:
+            new_index = None
+            residual = State.over(Basis.of([subset_key(())]), amplitudes)
         new_family = VertexFamily(
             restriction=new_restriction,
             big_r=big_r,
@@ -434,6 +517,7 @@ def extract_once(
             dummy_index=None,
             collapsed=residual,
             new_family=new_family,
+            new_index=new_index,
         )
     dummy_index = outcome + 1
     vector = np.zeros(index.total, dtype=complex)
@@ -452,6 +536,7 @@ def extract_once(
         dummy_index=dummy_index,
         collapsed=residual,
         new_family=new_family,
+        new_index=index,
     )
 
 
@@ -543,6 +628,19 @@ def extract_tuple(
     event interval_after is the narrowed interval before correction and
     iterations is the correction's diffusion-iteration count.
     """
+    out, stats = _extract_until_tuple(state, family, rng, index, trace)
+    return (out.image, out.preimages), out.collapsed, out.new_family, stats
+
+
+def _extract_until_tuple(
+    state: State,
+    family: VertexFamily,
+    rng: np.random.Generator,
+    index: FamilyIndex,
+    trace: Optional[List[dict]],
+) -> Tuple[ExtractionOutcome, FlipStats]:
+    """extract_tuple's loop: the tuple outcome, its new_index included, and
+    the work record."""
     if family.lo < 1:
         raise ParameterError(
             "tuple extraction requires every vertex to hold a tuple (lo >= 1)"
@@ -564,12 +662,7 @@ def extract_tuple(
                     "interval_after": [out.new_family.lo, out.new_family.hi],
                     "iterations": 0,
                 })
-            return (
-                (out.image, out.preimages),
-                out.collapsed,
-                out.new_family,
-                stats,
-            )
+            return out, stats
         corrected, fs = correct_interval(
             out.collapsed, out.new_family, family.hi, index, rng
         )
@@ -587,4 +680,3 @@ def extract_tuple(
     raise SimulationError(
         f"no tuple outcome after {MAX_TRANSITIONS} padded measurements"
     )
-

@@ -24,6 +24,7 @@ Magniez-Nayak-Roland-Santha apply W.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -100,14 +101,19 @@ def _check_vertex_cap(graph: JohnsonGraph, max_vertices: int) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {max_vertices}")
 
 
+@functools.lru_cache(maxsize=4)
 def _lex_subsets(n: int, r: int) -> np.ndarray:
     """The C(n, r) x r int64 table of the r-subsets of range(n), each row
-    sorted and the rows in lexicographic order."""
+    sorted and the rows in lexicographic order.  Each shape is enumerated
+    once while it stays in the cache, and every caller gets the same
+    read-only array."""
     count = math.comb(n, r)
-    return np.fromiter(
+    table = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), r)),
         dtype=np.int64, count=count * r,
     ).reshape(count, r)
+    table.flags.writeable = False
+    return table
 
 
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ their basis by identity, so the operations on them are vector operations.
 Two states over different bases are aligned through the key-to-position map
 only when an operation combines them: reflect_about_state lays the state
 over the union basis, the axis's keys first.  The byte-key API (items,
-support, amplitude, construction from a dict) reads through the basis.
+support, amplitude, construction from a dict) reads through the basis, and a
+basis built from a key factory spells its keys out only on that first read.
 
 Predicates and measurement labels are key callbacks or vectors over the
 state's basis; a callback is read once per key into such a vector.
@@ -84,25 +85,52 @@ def strip_register(key: BasisKey) -> BasisKey:
 class Basis:
     """Ordered distinct keys and the map from each key to its position.
 
+    A basis knows its size up front; its keys come from a factory called on
+    the first read of `keys` (or of `position`), so a basis that no byte-key
+    API reads never spells its keys out.  Basis.of wraps keys at hand.
     prefix, when set, is a basis whose keys this one starts with, in order:
     a vector over this basis restricted to its first len(prefix) entries is
     a vector over prefix.
     """
 
-    __slots__ = ("keys", "prefix", "_position")
+    __slots__ = ("size", "prefix", "_keys", "_make_keys", "_position")
 
-    def __init__(self, keys: Sequence[BasisKey], prefix: Optional["Basis"] = None):
-        self.keys = keys
+    def __init__(
+        self,
+        size: int,
+        make_keys: Optional[Callable[[], Sequence[BasisKey]]],
+        prefix: Optional["Basis"] = None,
+    ):
+        self.size = size
         self.prefix = prefix
+        self._keys: Optional[Sequence[BasisKey]] = None
+        self._make_keys: Optional[Callable[[], Sequence[BasisKey]]] = make_keys
         self._position: Optional[Dict[BasisKey, int]] = None
 
+    @classmethod
+    def of(cls, keys: Sequence[BasisKey], prefix: Optional["Basis"] = None) -> "Basis":
+        basis = cls(len(keys), None, prefix)
+        basis._keys = keys
+        return basis
+
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.size
+
+    @property
+    def keys(self) -> Sequence[BasisKey]:
+        if self._keys is None:
+            keys = self._make_keys()
+            if len(keys) != self.size:
+                raise ValidationError(
+                    f"key factory gave {len(keys)} keys for a basis of {self.size}"
+                )
+            self._keys, self._make_keys = keys, None
+        return self._keys
 
     @property
     def position(self) -> Dict[BasisKey, int]:
         if self._position is None:
-            self._position = dict(zip(self.keys, range(len(self.keys))))
+            self._position = dict(zip(self.keys, range(self.size)))
         return self._position
 
 
@@ -122,7 +150,7 @@ class State:
         vector = np.fromiter(amplitudes.values(), dtype=complex, count=len(amplitudes))
         keep = np.abs(vector) > PRUNE_EPS
         keys = list(itertools.compress(amplitudes, keep.tolist()))
-        self._settle(Basis(keys), vector[keep], normalize)
+        self._settle(Basis.of(keys), vector[keep], normalize)
 
     @classmethod
     def over(cls, basis: Basis, amplitudes) -> "State":
@@ -217,7 +245,7 @@ def uniform_state(keys: Iterable[BasisKey]) -> State:
     ks = sorted(set(keys))
     if not ks:
         raise ValidationError("uniform state over empty key set")
-    return State._build(Basis(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks)), dtype=complex))
+    return State._build(Basis.of(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks)), dtype=complex))
 
 
 def align(state: State, axis: State) -> State:
@@ -239,7 +267,7 @@ def align(state: State, axis: State) -> State:
             pos = size + len(extra)
             extra.append(key)
         where.append(pos)
-    basis = Basis(list(base.keys) + extra, prefix=base) if extra else base
+    basis = Basis.of(list(base.keys) + extra, prefix=base) if extra else base
     vector = np.zeros(len(basis), dtype=complex)
     vector[where] = state.vector[state.live]
     return State._build(basis, vector, prune=False)

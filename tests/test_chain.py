@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from chainwalk import extraction, johnson
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -29,6 +30,7 @@ from chainwalk.chain import (
     run,
     walk_step,
 )
+from test_acceptance import CHAIN_INSTANCES
 
 
 def test_config_validation():
@@ -382,3 +384,29 @@ def test_report_pinned(shape, digest):
     result = run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
                              max_outer_iterations=64))
     assert hashlib.sha256(result.report_json().encode()).hexdigest() == digest
+
+
+def test_criterion_7_hot_path(monkeypatch):
+    """The 20 criterion-7 runs never spell out byte keys and enumerate their
+    one (N, R) = (16, 8) subset table once; their reports, the pinned
+    (4, 4, 1, 3, 4) one among them, hash as before."""
+    key_tables = []
+    subset_keys = extraction._subset_keys
+
+    def counted(rows):
+        key_tables.append(rows.shape)
+        return subset_keys(rows)
+
+    monkeypatch.setattr(extraction, "_subset_keys", counted)
+    johnson._lex_subsets.cache_clear()
+    digest = hashlib.sha256()
+    for m, seed, k in CHAIN_INSTANCES:
+        result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
+                                 max_outer_iterations=64))
+        digest.update(result.report_json().encode())
+    info = johnson._lex_subsets.cache_info()
+    assert key_tables == []
+    assert (info.misses, info.hits) == (1, len(CHAIN_INSTANCES) - 1)
+    assert digest.hexdigest() == (
+        "07246bafe60db7f07f8654011ca39968ea0cb61e34dcbaab2eb5d3cbad450034"
+    )

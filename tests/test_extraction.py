@@ -6,8 +6,10 @@ into 28 with no collision, 39 with one, 3 with two.  All closed-form outcome
 probabilities below are derived from that split by direct counting.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from chainwalk.oracle import (
     CollisionTable,
     FunctionTable,
     Params,
+    RestrictedFunction,
     enumerate_multicollisions,
     restrict,
 )
@@ -584,3 +587,113 @@ def test_extract_once_matches_padded_register_reference(
         assert (out.kind, out.dummy_index) == parsed
         assert out.collapsed.items() == _reference_residual(collapsed, ())
     assert rng.random() == ref_rng.random()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    big_r=st.integers(2, 6),
+    pick=st.integers(0, 10**6),
+)
+# the first holder is the pair {0, 1} itself: R - |P| = 0
+@example(values=[0, 0] + list(range(1, 8)) * 2, big_r=2, pick=0)
+# a three-point tuple cut from a four-point vertex
+@example(values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7], big_r=4, pick=0)
+def test_derived_index_matches_fresh_build(values, big_r, pick):
+    """The index derived from a parent after recording a tuple held by some
+    vertex equals the index built from scratch for the new restriction, and
+    parent_rank sends each holder of the tuple to its cut subset."""
+    fn = FunctionTable(Params(n=4, m=4, k=0), values)
+    restriction = restrict(fn, CollisionTable())
+    parent = FamilyIndex(restriction, big_r)
+    holders = np.flatnonzero(parent.counts)
+    assume(len(holders) > 0)
+    rows, _ = parent.tuple_rows(holders[pick % len(holders)].reshape(1))
+    image, size, *pres = rows[pick % len(rows)].tolist()
+    preimages = tuple(pres[:size])
+    preimage_class = {x for x, value in enumerate(values) if value == image}
+    assume(len(preimage_class) < 8)     # restrict refuses half the domain
+    new_restriction = restrict(fn, restriction.table.insert(fn, image, preimages))
+    combos = list(itertools.combinations(restriction.domain_points, big_r))
+    held = [o for o, c in enumerate(combos) if preimage_class & set(c) == set(preimages)]
+    if size == big_r:
+        # only P itself holds the tuple, and the cut leaves no index to build
+        assert [combos[o] for o in held] == [preimages]
+        with pytest.raises(ParameterError):
+            FamilyIndex(new_restriction, 0, parent=parent)
+        return
+    child = FamilyIndex(new_restriction, big_r - size, parent=parent)
+    fresh = FamilyIndex(new_restriction, big_r - size)
+    for name in ("_combos", "_images", "_points", "counts"):
+        assert np.array_equal(getattr(child, name), getattr(fresh, name)), name
+    assert child.histogram() == fresh.histogram()
+    assert child.basis.keys == fresh.basis.keys
+    every = np.arange(child.total)
+    for derived, built in zip(child.tuple_rows(every), fresh.tuple_rows(every)):
+        assert np.array_equal(derived, built)
+    position = fresh.basis.position
+    expected = np.full(parent.total, -1)
+    for o in held:
+        expected[o] = position[subset_key(set(combos[o]) - set(preimages))]
+    assert np.array_equal(child.parent_rank, expected)
+    assert fresh.parent_rank is None
+
+
+def test_derived_index_refuses_a_foreign_parent():
+    fn, restriction = four_pair()
+    parent = FamilyIndex(restriction, 6)
+    once = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
+    twice = restrict(fn, once.table.insert(fn, 1, (2, 3)))
+    with pytest.raises(ParameterError):
+        FamilyIndex(twice, 2, parent=parent)
+    with pytest.raises(ParameterError):
+        FamilyIndex(restriction, 4, parent=parent)
+    with pytest.raises(ParameterError):
+        FamilyIndex(once, 5, parent=parent)
+    other = FunctionTable(Params(n=4, m=4, k=0), fn.values())
+    with pytest.raises(ParameterError):
+        FamilyIndex(restrict(other, CollisionTable().insert(other, 0, (0, 1))), 4,
+                    parent=parent)
+
+
+def test_index_refuses_images_and_points_too_wide_to_pack():
+    # n + m = 66 bits: an (image, point) pair no longer fits one int64
+    fn = FunctionTable(Params(n=22, m=44, k=0), np.zeros(1 << 22, dtype=np.int64))
+    restriction = RestrictedFunction(
+        base=fn, table=CollisionTable(), excluded_preimages=frozenset(),
+        excluded_images=frozenset(), domain_points=(0, 1, 2),
+    )
+    with pytest.raises(CapacityError):
+        FamilyIndex(restriction, 2)
+
+
+def test_extract_once_empties_a_full_tuple_vertex():
+    """A vertex that is one whole tuple leaves the empty subset and no index."""
+    fn, restriction = four_pair()
+    state = uniform_state([subset_key((0, 1))])
+    family = VertexFamily(restriction=restriction, big_r=2, lo=1, hi=1)
+    out = extract_once(state, family, np.random.default_rng(0))
+    assert (out.kind, out.image, out.preimages) == ("tuple", 0, (0, 1))
+    assert out.new_index is None and out.new_family.big_r == 0
+    assert out.collapsed.items() == [(subset_key(()), 1.0 + 0j)]
+
+
+@pytest.mark.parametrize("force_keys", [False, True])
+def test_index_is_freed_without_the_cycle_collector(force_keys):
+    """Neither an index nor its derived child sits in a reference cycle, with
+    byte keys spelled out or not, so deleting them frees them at once."""
+    fn, restriction = four_pair()
+    gc.disable()
+    try:
+        parent = FamilyIndex(restriction, 6)
+        shrunk = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
+        child = FamilyIndex(shrunk, 4, parent=parent)
+        for index in (parent, child):
+            index.class_state(1, 2)
+            if force_keys:
+                index.count_of(index.basis.keys[0])
+        refs = [weakref.ref(parent), weakref.ref(child)]
+        del parent, child, index
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
