@@ -3,7 +3,10 @@
 The first block covers the 20 criterion-7 runs, the second the 45 criterion-3
 graphs (spectral_gap and walk_operator_spectrum of each).  Each block prints
 the wall time of the profiled calls, the total function-call count and the
-top 25 entries by cumulative time.  Run it from any directory:
+top 25 entries by cumulative time.  The criterion-7 block also prints how
+many FamilyIndex objects were built by enumeration and how many were derived
+from a parent, and the process's peak resident set (ru_maxrss) after it, so
+an index that outlives its run shows as memory.  Run it from any directory:
 
     python3 tools/profile_runs.py
 
@@ -18,6 +21,7 @@ import cProfile
 import io
 import math
 import pstats
+import resource
 import sys
 import time
 from pathlib import Path
@@ -47,7 +51,7 @@ def criterion_3_spectra() -> None:
         walk_operator_spectrum(graph)
 
 
-def profile(workload) -> None:
+def profile(workload) -> pstats.Stats:
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.runcall(workload)
@@ -57,10 +61,25 @@ def profile(workload) -> None:
     print(f"{workload.__name__}: wall {wall:.3f} s, {stats.total_calls} function calls")
     stats.sort_stats("cumulative").print_stats(25)
     print(out.getvalue())
+    return stats
+
+
+def index_builds(stats: pstats.Stats) -> str:
+    """FamilyIndex builds by path, read off the profile's call counts."""
+    calls = {
+        name: ncalls
+        for (path, _, name), (_, ncalls, *_) in stats.stats.items()
+        if path.endswith("extraction.py") and name in ("_enumerate", "_derive")
+    }
+    return (f"FamilyIndex builds: {calls.get('_enumerate', 0)} by enumeration, "
+            f"{calls.get('_derive', 0)} derived from a parent")
 
 
 def main() -> None:
-    profile(criterion_7_runs)
+    print(index_builds(profile(criterion_7_runs)))
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"ru_maxrss after criterion_7_runs: {peak:.1f} MiB\n")
     profile(criterion_3_spectra)
 
 
