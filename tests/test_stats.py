@@ -5,6 +5,7 @@ the expected number of images hit at least twice by R uniform draws is
 M (1 - q^R - (R/M) q^(R-1)).  Everything empirical runs under fixed seeds.
 """
 
+import functools
 import hashlib
 import math
 
@@ -196,6 +197,24 @@ def test_drift_check():
         drift_check(0, 512)
 
 
+@functools.lru_cache(maxsize=1)
+def _seed_fits():
+    """The 40 poisson_fit(32, 1024, 4000) reports, sampled once for both tests that read them."""
+    return tuple(
+        poisson_fit(32, 1024, 4000, np.random.default_rng([7, seed])) for seed in range(40)
+    )
+
+
+def test_poisson_fit_across_seeds():
+    p_values = []
+    for rep in _seed_fits():
+        assert rep.dof >= 1
+        assert sum(rep.histogram) == 4000 * 1024
+        p_values.append(rep.p_value)
+    good = sum(1 for p in p_values if p > 0.001)
+    assert good >= 38
+
+
 def test_binomial_poisson_distance():
     lam = 1.0 / 256.0
     for big_r in (1, 4, 16, 64):
@@ -273,13 +292,12 @@ def test_poisson_terms_refuse_an_underflowing_rate():
 
 
 def test_poisson_fit_matches_scipy():
-    cases = [(32, 1024, np.random.default_rng([7, seed])) for seed in range(40)]
-    cases += [(16, 256, np.random.default_rng([7, 16, 256])),
-              (64, 4096, np.random.default_rng([7, 64, 4096]))]
+    cases = [(32, 1024, rep) for rep in _seed_fits()]
+    cases += [(big_r, bins, poisson_fit(big_r, bins, 4000, np.random.default_rng([7, big_r, bins])))
+              for big_r, bins in ((16, 256), (64, 4096))]
     digest = hashlib.sha256()
     p_values = []
-    for big_r, bins, rng in cases:
-        rep = poisson_fit(big_r, bins, 4000, rng)
+    for big_r, bins, rep in cases:
         assert rep.dof >= 1
         assert sum(rep.histogram) == 4000 * bins
         chi2, dof, p_value = _poisson_fit_reference(rep.histogram, big_r, bins)
