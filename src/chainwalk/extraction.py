@@ -177,7 +177,8 @@ class FamilyIndex:
     which holds the least point of their symmetric difference, never a
     point of P.  It keeps the stable image order within a row too.
     `parent_rank` maps each parent ordinal to its ordinal here, -1 where the
-    parent vertex does not hold the tuple; it is None without a parent.
+    parent vertex does not hold the tuple; it is None without a parent, and
+    `extract_once` sets it to None once it has laid the residual.
 
     The basis spells its byte keys out of `combos` only when a byte-key API
     first reads it (count_of, keys_in, pad_and_attach, State.items, align
@@ -500,6 +501,8 @@ def extract_once(
             new_index = FamilyIndex(new_restriction, big_r, parent=index)
             vector = np.zeros(new_index.total, dtype=complex)
             vector[new_index.parent_rank[rows]] = amplitudes
+            # a parent-sized table nothing reads again
+            new_index.parent_rank = None
             residual = State.over(new_index.basis, vector)
         else:
             new_index = None

@@ -10,6 +10,16 @@ walk.  Sampling is blocked and each block gets its own spawned generator, so
 results do not depend on how many worker threads run the blocks.  The
 CWL_THREADS environment variable caps the default worker count.
 
+A block draws its R images per row as uint32 whenever M <= 2^32 and sorts
+each row in place.  numpy draws any range below 2^32 with Lemire's 32-bit
+method whatever the output dtype, so these are the values an int64 draw
+gives, at half the memory traffic; a larger M draws int64.  Z of the sorted
+rows comes from one flat pass over the raveled table: a bool buffer marks
+each element equal to its predecessor, with the first column cleared so no
+pair spans two rows, a run of two or more starts where a mark follows an
+unmarked element, and the run starts are counted per row with bincount.
+FamilyIndex counts its per-vertex collisions with the same kernel.
+
 The distributions the checks compare against are closed forms: the Poisson
 pmf by its ratio recurrence with the tail summed term by term, the binomial
 pmf as an exact integer ratio, and the chi-square survival function at
@@ -67,16 +77,21 @@ def _map_blocks(worker, jobs, threads: int):
 
 def collision_counts(sorted_rows: np.ndarray) -> np.ndarray:
     """Z of each row of a table whose rows are sorted: its runs of two or
-    more equal values."""
-    dup = sorted_rows[:, 1:] == sorted_rows[:, :-1]
-    starts = dup.copy()
-    starts[:, 1:] &= ~dup[:, :-1]
-    return starts.sum(axis=1)
+    more equal values, as int64."""
+    rows, width = sorted_rows.shape
+    flat = sorted_rows.ravel()
+    # dup[i]: element i equals element i-1 of the same row
+    dup = np.empty(flat.size, dtype=bool)
+    np.equal(flat[1:], flat[:-1], out=dup[1:])
+    dup[::width] = False
+    starts = np.flatnonzero(dup[1:] > dup[:-1])
+    return np.bincount(starts // width, minlength=rows)
 
 
 def _collision_counts_block(args) -> np.ndarray:
     gen, size, big_r, bins = args
-    draws = gen.integers(0, bins, size=(size, big_r), dtype=np.int64)
+    dtype = np.uint32 if bins <= 1 << 32 else np.int64
+    draws = gen.integers(0, bins, size=(size, big_r), dtype=dtype)
     draws.sort(axis=1)
     return collision_counts(draws)
 

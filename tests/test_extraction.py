@@ -678,6 +678,21 @@ def test_extract_once_empties_a_full_tuple_vertex():
     assert out.collapsed.items() == [(subset_key(()), 1.0 + 0j)]
 
 
+def test_extract_once_frees_the_parent_rank():
+    """The derived index of a tuple outcome keeps no parent-sized rank table
+    once the residual is laid over it."""
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
+    outcomes = [extract_once(index.class_state(1, 2), family, np.random.default_rng(seed),
+                             index=index) for seed in range(12)]
+    tuples = [out for out in outcomes if out.kind == "tuple"]
+    assert tuples
+    for out in tuples:
+        assert out.new_index.total == len(out.collapsed) == 15
+        assert out.new_index.parent_rank is None
+
+
 @pytest.mark.parametrize("force_keys", [False, True])
 def test_index_is_freed_without_the_cycle_collector(force_keys):
     """Neither an index nor its derived child sits in a reference cycle, with

@@ -7,10 +7,13 @@ M (1 - q^R - (R/M) q^(R-1)).  Everything empirical runs under fixed seeds.
 
 import functools
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from chainwalk.errors import ParameterError
@@ -20,6 +23,7 @@ from chainwalk.stats import (
     _chi2_sf,
     binomial_poisson_tv,
     calibrate_constant,
+    collision_counts,
     drift_check,
     interval_hit_probability,
     multicollision_count,
@@ -68,6 +72,71 @@ def test_sample_counts_deterministic_and_thread_invariant():
     assert len(a) == 30000
     with pytest.raises(ParameterError):
         sample_collision_counts(0, 256, 10, np.random.default_rng(0))
+
+
+def _runs_of_two_or_more(row):
+    """Z of one sorted row, counted run by run."""
+    runs, length = 0, 1
+    for prev, value in zip(row, row[1:]):
+        length = length + 1 if value == prev else 1
+        runs += length == 2
+    return runs
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.integers(0, 50),
+    width=st.integers(1, 65),
+    top=st.integers(1, 1 << 12),
+    dtype=st.sampled_from([np.int64, np.uint32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=3, width=7, top=1, dtype=np.int64, seed=0)     # all equal: Z = 1
+@example(rows=4, width=1, top=1, dtype=np.uint32, seed=0)    # width 1: Z = 0
+def test_collision_counts_matches_a_run_counter(rows, width, top, dtype, seed):
+    table = np.random.default_rng(seed).integers(1, top, size=(rows, width),
+                                                 dtype=dtype, endpoint=True)
+    table.sort(axis=1)
+    z = collision_counts(table)
+    assert z.dtype == np.int64
+    assert len(z) == rows
+    assert z.tolist() == [_runs_of_two_or_more(row) for row in table.tolist()]
+    if top == 1:
+        assert z.tolist() == [int(width > 1)] * rows
+
+
+def test_uint32_draws_keep_the_int64_stream():
+    # numpy draws every range up to 2^32 by the same 32-bit method
+    for bins in (1, 3, 256, 1000, 4096, 1 << 32):
+        for shape in ((1001,), (33, 17)):
+            wide = np.random.default_rng([5, bins]).integers(0, bins, size=shape,
+                                                             dtype=np.int64)
+            narrow = np.random.default_rng([5, bins]).integers(0, bins, size=shape,
+                                                               dtype=np.uint32)
+            assert np.array_equal(wide, narrow), (bins, shape)
+
+
+def test_verify_stats_rows_pinned():
+    # the four (R, M) cases of the benchmark's checks workload at 2^14 samples
+    pins = {
+        (16, 256): "456b16f9d07ad9bb8910035702dc5d3185395644c91f3f2ce263f80e699f3dfe",
+        (32, 1024): "0a4bab1c830f60ceb966ab860eb4e739e9ce98238c275aeec146cca21b4dbbe6",
+        (32, 4096): "5adc7df8d9784165acb8b005a3394ca9e525d1163d0f387177efd9186459f3b7",
+        (64, 4096): "cf78adef48583ea7452651323ed3d342e3969b4537b308b472fdb1e34df8157c",
+    }
+    for (big_r, bins), pin in pins.items():
+        row = verify_stats_report(big_r, bins, 1 << 14,
+                                  np.random.default_rng([14, big_r, bins]), threads=1)
+        text = json.dumps(row, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == pin, (big_r, bins)
+
+
+def test_sample_counts_pinned_above_32_bits():
+    # M = 2^33 leaves the uint32 draw: the int64 stream is pinned
+    tiny = sample_collision_counts(2, 1 << 33, 1000, np.random.default_rng(33))
+    assert tiny.dtype == np.int64 and tiny.tolist() == [0] * 1000
+    wide = sample_collision_counts(1 << 17, 1 << 33, 8, np.random.default_rng(33))
+    assert wide.tolist() == [2, 1, 0, 0, 1, 0, 1, 0]
 
 
 def test_sample_counts_mean_matches_closed_form():

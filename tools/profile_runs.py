@@ -1,12 +1,16 @@
-"""Profile two acceptance workloads of tests/test_acceptance.py under cProfile.
+"""Profile three acceptance workloads of tests/test_acceptance.py under cProfile.
 
 The first block covers the 20 criterion-7 runs, the second the 45 criterion-3
-graphs (spectral_gap and walk_operator_spectrum of each).  Each block prints
-the wall time of the profiled calls, the total function-call count and the
-top 25 entries by cumulative time.  The criterion-7 block also prints how
-many FamilyIndex objects were built by enumeration and how many were derived
-from a parent, and the process's peak resident set (ru_maxrss) after it, so
-an index that outlives its run shows as memory.  Run it from any directory:
+graphs (spectral_gap and walk_operator_spectrum of each), the third criterion
+4's Monte-Carlo sampling (calibration and both interval hits at each of its
+three (R, M)).  Each block prints the wall time of the profiled calls, the
+total function-call count and the top 25 entries by cumulative time.  The
+criterion-7 block also prints how many FamilyIndex objects were built by
+enumeration and how many were derived from a parent, and the process's peak
+resident set (ru_maxrss) after it, so an index that outlives its run shows as
+memory.  The criterion-4 block also prints the samples drawn per second of
+wall time, on as many threads as CWL_THREADS allows.  Run it from any
+directory:
 
     python3 tools/profile_runs.py
 
@@ -26,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path)
@@ -33,9 +39,13 @@ from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path
 from chainwalk.chain import ChainConfig, run  # noqa: E402
 from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
 from chainwalk.oracle import Params  # noqa: E402
+from chainwalk.stats import calibrate_constant, interval_hit_probability  # noqa: E402
 
 # criterion 3's shape: every J(N, R) with N <= 10 and C(N, R) <= 300
 CRITERION_3 = [(n, r) for n in range(2, 11) for r in range(1, n) if math.comb(n, r) <= 300]
+# criterion 4's (R, M) cases and the sample count of each of its three calls
+CRITERION_4 = ((16, 256), (32, 1024), (32, 4096))
+CRITERION_4_SAMPLES = 100_000
 
 
 def criterion_7_runs() -> None:
@@ -51,7 +61,15 @@ def criterion_3_spectra() -> None:
         walk_operator_spectrum(graph)
 
 
-def profile(workload) -> pstats.Stats:
+def criterion_4_sampling() -> None:
+    for big_r, bins in CRITERION_4:
+        rng = np.random.default_rng([0, big_r, bins])
+        cal = calibrate_constant(big_r, bins, CRITERION_4_SAMPLES, rng)
+        for which in ("upper", "lower"):
+            interval_hit_probability(big_r, bins, cal.c, which, CRITERION_4_SAMPLES, rng)
+
+
+def profile(workload) -> tuple[pstats.Stats, float]:
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.runcall(workload)
@@ -61,7 +79,7 @@ def profile(workload) -> pstats.Stats:
     print(f"{workload.__name__}: wall {wall:.3f} s, {stats.total_calls} function calls")
     stats.sort_stats("cumulative").print_stats(25)
     print(out.getvalue())
-    return stats
+    return stats, wall
 
 
 def index_builds(stats: pstats.Stats) -> str:
@@ -76,11 +94,15 @@ def index_builds(stats: pstats.Stats) -> str:
 
 
 def main() -> None:
-    print(index_builds(profile(criterion_7_runs)))
+    stats, _ = profile(criterion_7_runs)
+    print(index_builds(stats))
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"ru_maxrss after criterion_7_runs: {peak:.1f} MiB\n")
     profile(criterion_3_spectra)
+    _, wall = profile(criterion_4_sampling)
+    samples = 3 * len(CRITERION_4) * CRITERION_4_SAMPLES
+    print(f"criterion_4_sampling: {samples} samples, {samples / wall:,.0f} samples/s")
 
 
 if __name__ == "__main__":
