@@ -19,11 +19,14 @@ matrix [[I, P], [P, I]] of the bundles.  Its nonzero eigenvalues are
 1 +- lambda_j(P) >= min(delta, 1 - 1/max(R, N-R)) and the spurious ones are
 about 1e-16, so a relative threshold of 1e-9 separates them.  The reflections
 then act on the edge space in O(E) per basis vector, the form in which
-Magniez-Nayak-Roland-Santha apply W.
+Magniez-Nayak-Roland-Santha apply W.  The basis vectors pass through them in
+panels of _PANEL_COLUMNS, so the edge-space working set is E x _PANEL_COLUMNS
+whatever the rank, and the peak is set by the 2V x 2V dense arrays.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -39,6 +42,9 @@ _DEFAULT_MAX_VERTICES = 5000
 _PHASE_ZERO_TOL = 1e-6
 _PI_FOLD_TOL = 1e-9
 _GRAM_RANK_TOL = 1e-9
+_PANEL_COLUMNS = 32
+_SUBSET_CACHE_BYTES = 10 << 20
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,49 @@ def _check_vertex_cap(graph: JohnsonGraph, max_vertices: int) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {max_vertices}")
 
 
-@functools.lru_cache(maxsize=4)
+class _SubsetTableCache:
+    """An LRU cache of subset tables, with `functools.lru_cache`'s
+    `cache_info()` and `cache_clear()`, that holds the `maxsize` most recently
+    asked-for tables of at most _SUBSET_CACHE_BYTES and none larger: a large
+    table is enumerated on each call and freed with its last holder."""
+
+    def __init__(self, build, maxsize: int) -> None:
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._maxsize = maxsize
+        self._held: collections.OrderedDict = collections.OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, n: int, r: int) -> np.ndarray:
+        key = (n, r)
+        table = self._held.get(key)
+        if table is not None:
+            self._hits += 1
+            self._held.move_to_end(key)
+            return table
+        self._misses += 1
+        table = self._build(n, r)
+        if table.nbytes <= _SUBSET_CACHE_BYTES:
+            self._held[key] = table
+            if len(self._held) > self._maxsize:
+                self._held.popitem(last=False)
+        return table
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._held))
+
+    def cache_clear(self) -> None:
+        self._held.clear()
+        self._hits = self._misses = 0
+
+
+@functools.partial(_SubsetTableCache, maxsize=4)
 def _lex_subsets(n: int, r: int) -> np.ndarray:
     """The C(n, r) x r int64 table of the r-subsets of range(n), each row
-    sorted and the rows in lexicographic order.  Each shape is enumerated
-    once while it stays in the cache, and every caller gets the same
-    read-only array."""
+    sorted and the rows in lexicographic order.  A shape whose table fits
+    _SUBSET_CACHE_BYTES is enumerated once while it stays in the cache, and
+    every caller gets the same read-only array; a larger one is enumerated
+    on each call."""
     count = math.comb(n, r)
     table = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), r)),
@@ -194,12 +237,15 @@ def walk_operator_spectrum(graph: JohnsonGraph, max_edges: int = 20000) -> WalkS
     ones are rounding noise near 1e-16 (J(2, 1), where lambda = -1, is the
     one graph whose bundles lose a second dimension).
 
-    The basis is held as the E x rank array (C_A[src] + C_B[dst]) / sqrt(d)
-    and both reflections act on the edge space in O(E * rank): A^T Y is a
-    sum over each vertex's d contiguous out-edges, B^T Y the same sum after
-    one stable sort of the edges by target, and A X a row gather.  W is the
-    identity off span(A u B), so the eigenvalues of the restricted block
-    C^T [A^T; B^T] W S C give every nonzero phase.
+    The basis goes through the reflections _PANEL_COLUMNS columns at a time,
+    each panel held as the E x _PANEL_COLUMNS array (C_A[src] + C_B[dst]) /
+    sqrt(d), and both reflections act on the edge space in O(E) per column:
+    A^T Y is a sum over each vertex's d contiguous out-edges, B^T Y the same
+    sum after one stable sort of the edges by target, and A X a row gather.
+    Each panel leaves only its 2V rows of [A^T; B^T] W S C, so no E x rank
+    array is formed and the 2V x rank and 2V x 2V dense arrays set the
+    memory peak.  W is the identity off span(A u B), so the eigenvalues of
+    the restricted block C^T [A^T; B^T] W S C give every nonzero phase.
     """
     v_count = graph.vertex_count
     d = graph.degree
@@ -231,12 +277,18 @@ def walk_operator_spectrum(graph: JohnsonGraph, max_edges: int = 20000) -> WalkS
     )
     keep = gram_values > _GRAM_RANK_TOL * gram_values[-1]
     coords = gram_vectors[:, keep] / np.sqrt(gram_values[keep])
-    # the E x rank arrays set the memory peak, so no step holds more than two
-    block = (amp * coords[:v_count])[src]
-    block += (amp * coords[v_count:])[dst]
-    block = reflect(block, out_sums(block), src)   # Ref_A
-    block = reflect(block, in_sums(block), dst)    # Ref_B
-    w_block = coords.T @ np.vstack([out_sums(block), in_sums(block)])
+    # [A^T; B^T] W S C, one E x _PANEL_COLUMNS edge block at a time; C order,
+    # not coords' Fortran order, as the product's last bits depend on it
+    sums = np.empty(coords.shape)
+    for start in range(0, coords.shape[1], _PANEL_COLUMNS):
+        panel = slice(start, start + _PANEL_COLUMNS)
+        block = (amp * coords[:v_count, panel])[src]
+        block += (amp * coords[v_count:, panel])[dst]
+        block = reflect(block, out_sums(block), src)   # Ref_A
+        block = reflect(block, in_sums(block), dst)    # Ref_B
+        sums[:v_count, panel] = out_sums(block)
+        sums[v_count:, panel] = in_sums(block)
+    w_block = coords.T @ sums
     eigenvalues = np.linalg.eigvals(w_block)
     if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-8:
         raise ValidationError("walk block lost unitarity beyond tolerance")

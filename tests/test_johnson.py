@@ -1,7 +1,10 @@
 """Tests for the swap graph layer: gaps, walk spectrum, vertex ground truth."""
 
+import gc
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from chainwalk.oracle import (
 from chainwalk.johnson import (
     JohnsonGraph,
     _edge_list,
+    _lex_subsets,
     closed_form_gap,
     neighbors,
     spectral_gap,
@@ -138,6 +142,37 @@ def test_walk_spectrum_matches_dense_reference(n, r):
     assert -math.pi < spec.eigenphases[0] and spec.eigenphases[-1] <= math.pi
     assert np.max(np.abs(_fold_pi(spec.eigenphases) - _fold_pi(phases))) <= 1e-10
     assert abs(spec.phase_gap - gap) <= 1e-12
+
+
+def test_walk_spectrum_traced_peak():
+    """The reflections run on fixed-width column panels, so J(10, 5)'s
+    6,300 x 503 edge-space basis is never held whole (about 25 MB a copy)."""
+    graph = JohnsonGraph(ground_set=tuple(range(10)), subset_size=5)
+    walk_operator_spectrum(graph)   # the subset table is cached before tracing
+    tracemalloc.start()
+    try:
+        walk_operator_spectrum(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_large_subset_tables_are_not_held():
+    """A subset table above the cache's byte limit is freed at once when its
+    caller drops it, with no help from the cycle collector; a small table
+    stays cached."""
+    gc.disable()
+    try:
+        large = _lex_subsets(24, 7)
+        assert large.nbytes > 10 * 2**20
+        small = _lex_subsets(6, 3)
+        refs = [weakref.ref(large), weakref.ref(small)]
+        del large, small
+        assert refs[0]() is None
+        assert refs[1]() is _lex_subsets(6, 3)
+    finally:
+        gc.enable()
 
 
 def test_walk_spectrum_edge_cap():

@@ -8,9 +8,11 @@ total function-call count and the top 25 entries by cumulative time.  The
 criterion-7 block also prints how many FamilyIndex objects were built by
 enumeration and how many were derived from a parent, and the process's peak
 resident set (ru_maxrss) after it, so an index that outlives its run shows as
-memory.  The criterion-4 block also prints the samples drawn per second of
-wall time, on as many threads as CWL_THREADS allows.  Run it from any
-directory:
+memory.  The criterion-3 block also prints the peak of the memory that
+tracemalloc traces (numpy's arrays among it) over one more, unprofiled call
+of the 45 spectra, so the tracing does not touch the profiled wall time.  The
+criterion-4 block also prints the samples drawn per second of wall time, on
+as many threads as CWL_THREADS allows.  Run it from any directory:
 
     python3 tools/profile_runs.py
 
@@ -28,6 +30,7 @@ import pstats
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,16 @@ def profile(workload) -> tuple[pstats.Stats, float]:
     return stats, wall
 
 
+def traced_peak_mib(workload) -> float:
+    """The tracemalloc peak of one unprofiled call of `workload`, in MiB."""
+    tracemalloc.start()
+    try:
+        workload()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def index_builds(stats: pstats.Stats) -> str:
     """FamilyIndex builds by path, read off the profile's call counts."""
     calls = {
@@ -100,6 +113,8 @@ def main() -> None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"ru_maxrss after criterion_7_runs: {peak:.1f} MiB\n")
     profile(criterion_3_spectra)
+    print(f"tracemalloc peak of criterion_3_spectra: "
+          f"{traced_peak_mib(criterion_3_spectra):.1f} MiB\n")
     _, wall = profile(criterion_4_sampling)
     samples = 3 * len(CRITERION_4) * CRITERION_4_SAMPLES
     print(f"criterion_4_sampling: {samples} samples, {samples / wall:,.0f} samples/s")
