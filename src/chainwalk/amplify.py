@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from .statevector import (
     measure,
     reflect_about_predicate,
     reflect_about_state,
-    subset_key,
-    uniform_state,
     values_at,
 )
 
@@ -162,28 +159,3 @@ def flip(
         if outcome == wanted_label:
             return current, stats
         stats.restarts += 1
-
-
-def superpose_excluding(
-    domain_size: int,
-    excluded: Callable[[int], bool],
-    rng: np.random.Generator,
-) -> tuple[State, FlipStats]:
-    """Uniform superposition over the non-excluded points, by rejection.
-
-    Models amplifying the clean branch of a uniform draw with an exclusion
-    flag.  The excluded set must cover fewer than half the points, so the
-    clean amplitude exceeds 1/sqrt(2) and a constant number of attempts
-    suffices.
-    """
-    if domain_size < 1:
-        raise ParameterError("domain must be nonempty")
-    clean = [not excluded(x) for x in range(domain_size)]
-    bad_points = clean.count(False)
-    if 2 * bad_points >= domain_size:
-        raise ParameterError(
-            f"excluded set covers {bad_points} of {domain_size} points, needs under half"
-        )
-    # the keys sort by point, so position x of the axis's basis is point x
-    axis = uniform_state(subset_key((x,)) for x in range(domain_size))
-    return flip(axis, clean, axis, Want.GOOD, rng)

@@ -48,8 +48,8 @@ from .extraction import (
     MAX_TRANSITIONS,
     FamilyIndex,
     VertexFamily,
-    _extract_until_tuple,
     check_uniform_class,
+    extract_tuple,
     hop,
 )
 from .johnson import closed_form_gap
@@ -246,7 +246,7 @@ def _extract_one(state, family, index, rng, ledger, fn, trace):
     has emptied the vertex (R' = 0).
     """
     delta = _delta_for(family)
-    out, fs = _extract_until_tuple(state, family, rng, index, trace)
+    out, fs = extract_tuple(state, family, rng, index, trace)
     ledger.extraction_events += 1
     ledger.charge_flip(fs, delta)
     found = (out.image, out.preimages)

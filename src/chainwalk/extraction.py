@@ -621,29 +621,16 @@ def extract_tuple(
     rng: np.random.Generator,
     index: FamilyIndex,
     trace: Optional[List[dict]] = None,
-):
+) -> Tuple[ExtractionOutcome, FlipStats]:
     """Repeat padded measurements until a tuple comes out.
 
     Dummy outcomes are corrected back to the full interval before retrying,
     so the expected number of measurement rounds is at most y/lo plus O(1).
-    Returns ((image, preimages), residual state, new family, work record).
+    Returns the tuple outcome, its new_index included, and the work record.
     Trace entries, when a list is supplied, record each event; for a dummy
     event interval_after is the narrowed interval before correction and
     iterations is the correction's diffusion-iteration count.
     """
-    out, stats = _extract_until_tuple(state, family, rng, index, trace)
-    return (out.image, out.preimages), out.collapsed, out.new_family, stats
-
-
-def _extract_until_tuple(
-    state: State,
-    family: VertexFamily,
-    rng: np.random.Generator,
-    index: FamilyIndex,
-    trace: Optional[List[dict]],
-) -> Tuple[ExtractionOutcome, FlipStats]:
-    """extract_tuple's loop: the tuple outcome, its new_index included, and
-    the work record."""
     if family.lo < 1:
         raise ParameterError(
             "tuple extraction requires every vertex to hold a tuple (lo >= 1)"

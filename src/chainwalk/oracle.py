@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,42 +285,3 @@ def enumerate_multicollisions(fn, restriction: RestrictedFunction | None = None)
     ]
     out.sort(key=lambda entry: entry[0])
     return out
-
-
-def function_table_to_text(fn: FunctionTable) -> str:
-    """Serialize as a header line `n=<n> m=<m>` plus one hex image per line."""
-    lines = [f"n={fn.params.n} m={fn.params.m}"]
-    for v in fn.values():
-        lines.append(format(int(v), "x"))
-    return "\n".join(lines) + "\n"
-
-
-def function_table_from_text(text: str) -> FunctionTable:
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines:
-        raise ValidationError("empty function table text")
-    header = lines[0].split()
-    try:
-        fields = dict(part.split("=", 1) for part in header)
-        n = int(fields["n"])
-        m = int(fields["m"])
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"bad header line {lines[0]!r}") from exc
-    params = Params(n=n, m=m)
-    body = lines[1:]
-    if len(body) != params.domain_size:
-        raise ValidationError(
-            f"expected {params.domain_size} value lines, got {len(body)}"
-        )
-    values = [int(line, 16) for line in body]
-    return FunctionTable(params, values)
-
-
-def save_function_table(fn: FunctionTable, path) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(function_table_to_text(fn))
-
-
-def load_function_table(path) -> FunctionTable:
-    with open(path, "r", encoding="ascii") as handle:
-        return function_table_from_text(handle.read())

@@ -77,11 +77,6 @@ def attach_register(key: BasisKey, token: bytes) -> BasisKey:
     return key + token
 
 
-def strip_register(key: BasisKey) -> BasisKey:
-    (count,) = struct.unpack_from(">H", key, 0)
-    return key[: 2 + 4 * count]
-
-
 class Basis:
     """Ordered distinct keys and the map from each key to its position.
 
@@ -328,15 +323,6 @@ def measure(state: State, labels: Labels, rng: np.random.Generator):
             chosen = label_id
             break
     return distinct[chosen], _branch(state, label_ids, weights, chosen)
-
-
-def outcome_distribution(state: State, labels: Labels):
-    """Full branch decomposition: {label: (probability, collapsed state)}."""
-    distinct, label_ids, weights = _label_pass(state, labels)
-    return {
-        label: (weights[label_id], _branch(state, label_ids, weights, label_id))
-        for label_id, label in enumerate(distinct)
-    }
 
 
 def states_close(a: State, b: State, tol: float = 1e-9) -> bool:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from chainwalk.errors import ImpossibleTargetError, ParameterError
+from chainwalk.errors import ImpossibleTargetError
 from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import CollisionTable, Params, generate_function, restrict
 from chainwalk.statevector import State, states_close, uniform_state
@@ -22,7 +22,6 @@ from chainwalk.amplify import (
     flip,
     grover_iterate,
     iteration_count,
-    superpose_excluding,
 )
 
 GOOD_KEY = b"g"
@@ -167,33 +166,6 @@ def test_flip_empty_target():
     axis = State({GOOD_KEY: 1.0})
     with pytest.raises(ImpossibleTargetError):
         flip(axis, is_good, axis, Want.BAD, np.random.default_rng(0))
-
-
-def test_superpose_excluding_exact():
-    rng = np.random.default_rng(5)
-    st, stats = superpose_excluding(16, lambda x: False, rng)
-    assert len(st) == 16
-    excluded = {0, 1, 2, 3, 4, 5, 6}
-    st2, _ = superpose_excluding(16, lambda x: x in excluded, rng)
-    assert len(st2) == 9
-    for key in st2.support():
-        assert abs(st2.amplitude(key) - 1.0 / 3.0) < 1e-12
-
-
-def test_superpose_excluding_half_rejected():
-    with pytest.raises(ParameterError):
-        superpose_excluding(16, lambda x: x < 8, np.random.default_rng(0))
-
-
-def test_superpose_excluding_round_count():
-    rng = np.random.default_rng(21)
-    rounds = []
-    for seed in range(300):
-        size = int(rng.integers(0, 8))
-        excluded = set(int(x) for x in rng.choice(16, size=size, replace=False))
-        _, stats = superpose_excluding(16, lambda x: x in excluded, rng)
-        rounds.append(stats.attempts)
-    assert np.mean(rounds) <= 3.0
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,6 @@ from chainwalk.statevector import (
     key_register,
     measure,
     states_close,
-    strip_register,
     subset_key,
     uniform_state,
 )
@@ -183,7 +182,7 @@ def test_outcome_probabilities_match_counting():
     named = [key for key in padded.support() if key_register(key) == tok]
     assert len(named) == 15
     for key in named:
-        assert {0, 1}.issubset(decode_subset(strip_register(key)))
+        assert {0, 1}.issubset(decode_subset(key))
     assert abs(padded.probability(lambda key: key_register(key) == tok) - 5.0 / 28.0) < 1e-9
 
 
@@ -452,10 +451,11 @@ def test_extract_tuple_with_trace():
     index = FamilyIndex(restriction, 6)
     fam = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
     trace = []
-    (image, preimages), residual, new_fam, stats = extract_tuple(
+    out, stats = extract_tuple(
         index.class_state(1, 2), fam, np.random.default_rng(3),
         index=index, trace=trace,
     )
+    image, preimages, residual, new_fam = out.image, out.preimages, out.collapsed, out.new_family
     assert image in (0, 1, 2, 3)
     assert len(preimages) == 2
     assert (new_fam.lo, new_fam.hi, new_fam.big_r) == (0, 1, 4)
@@ -532,7 +532,7 @@ def _reference_residual(collapsed, preimages):
     preimages deleted from every vertex, as (key, amplitude) in basis order."""
     removed = set(preimages)
     return [
-        (subset_key(p for p in decode_subset(strip_register(key)) if p not in removed), amp)
+        (subset_key(p for p in decode_subset(key) if p not in removed), amp)
         for key, amp in collapsed.items()
     ]
 

@@ -15,14 +15,9 @@ from chainwalk.oracle import (
     CollisionTable,
     FunctionTable,
     Params,
-    RestrictedFunction,
     enumerate_multicollisions,
-    function_table_from_text,
-    function_table_to_text,
     generate_function,
-    load_function_table,
     restrict,
-    save_function_table,
 )
 
 
@@ -203,32 +198,3 @@ def test_restrict_capacity_limit():
     table = CollisionTable().insert(fn, 0, (0, 1))
     with pytest.raises(CapacityError):
         restrict(fn, table)
-
-
-def test_text_format_round_trip(tmp_path):
-    params = Params(n=4, m=6, k=0)
-    fn = generate_function(params, 3)
-    text = function_table_to_text(fn)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n=4 m=6"
-    assert len(lines) == 17
-    int(lines[1], 16)
-    back = function_table_from_text(text)
-    assert back.params.n == 4 and back.params.m == 6
-    assert list(back.values()) == list(fn.values())
-
-    path = tmp_path / "table.txt"
-    save_function_table(fn, path)
-    loaded = load_function_table(path)
-    assert list(loaded.values()) == list(fn.values())
-
-
-def test_text_format_rejects_garbage():
-    with pytest.raises(ValidationError):
-        function_table_from_text("n=2 m=2\n0\n1\n2\n")
-    with pytest.raises(ValidationError):
-        function_table_from_text("n=x m=2\n0\n1\n2\n3\n")
-    with pytest.raises(ValidationError):
-        function_table_from_text("n=2\n0\n1\n2\n3\n")
-    with pytest.raises(ValidationError):
-        function_table_from_text("")

@@ -17,11 +17,9 @@ from chainwalk.statevector import (
     decode_subset,
     key_register,
     measure,
-    outcome_distribution,
     reflect_about_predicate,
     reflect_about_state,
     states_close,
-    strip_register,
     subset_key,
     uniform_state,
 )
@@ -41,7 +39,6 @@ def test_register_attach_strip():
     key = subset_key([1, 2])
     tagged = attach_register(key, b"tok")
     assert key_register(tagged) == b"tok"
-    assert strip_register(tagged) == key
     assert key_register(key) == b""
     assert decode_subset(tagged) == (1, 2)
 
@@ -113,20 +110,6 @@ def test_measure_deterministic_stream():
     a = [measure(st, reg, np.random.default_rng(5))[0] for _ in range(20)]
     b = [measure(st, reg, np.random.default_rng(5))[0] for _ in range(20)]
     assert a == b
-
-
-def test_outcome_distribution_matches_probabilities():
-    st = State({b"x1": 0.5, b"x2": 0.5, b"y1": math.sqrt(0.5)})
-    dist = outcome_distribution(st, lambda key: key[:1])
-    assert set(dist) == {b"x", b"y"}
-    px, collapsed_x = dist[b"x"]
-    py, collapsed_y = dist[b"y"]
-    assert abs(px - 0.5) < 1e-12
-    assert abs(py - 0.5) < 1e-12
-    assert abs(px + py - 1.0) < 1e-12
-    assert collapsed_x.support() == (b"x1", b"x2")
-    assert abs(collapsed_x.amplitude(b"x1") - math.sqrt(0.5)) < 1e-12
-    assert collapsed_y.support() == (b"y1",)
 
 
 def test_probability_of_predicate():

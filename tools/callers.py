@@ -10,10 +10,12 @@ without their module, so a name defined in two modules counts as used by a
 read of either.  A listed name that tests/test_acceptance.py imports is marked,
 since that file's imports must keep resolving.
 
-The first list holds the definitions that nothing uses.  The second holds
-those read only from definitions already listed, repeated until no more are
-found: deleting the first list would leave them unused too.  Run it from any
-directory:
+A definition in KEPT stays on purpose, and the table gives the reason; the
+scan prints it under its own heading.  Every other definition that nothing
+uses is listed under "unused", and those read only from definitions already
+found, repeated until no more are found, under "used only by unused or kept
+definitions": deleting the first would leave them unused too.  The scan exits
+1 when it lists anything but kept definitions.  Run it from any directory:
 
     python3 tools/callers.py
 
@@ -23,6 +25,7 @@ It reads the sources with ast and imports nothing from them.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +37,19 @@ SCOPE = [
     *sorted((ROOT / "perfbench").glob("*.py")),
     ACCEPTANCE,
 ]
+
+# definitions that stay although nothing outside the unit tests reads them
+KEPT = {
+    "__init__.__version__": "the package version, read as chainwalk.__version__",
+    "extraction.parse_token": "the token decoder of the padded-register differential test",
+    "johnson.VertexData": "vertex_data's record",
+    "johnson.neighbors": "the explicit Johnson graph the edge-list tests compare against",
+    "johnson.vertex_data": "the per-vertex reference FamilyIndex's tables are tested against",
+    "johnson.vertices": "the explicit Johnson graph the edge-list tests compare against",
+    "statevector.states_close": "the phase-blind state comparison of the extraction tests",
+    "statevector.uniform_state": "the reference state the amplification and extraction tests build",
+    "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",
+}
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -55,7 +71,7 @@ def read_names(node: ast.AST) -> set[str]:
     return names
 
 
-def main() -> None:
+def main() -> int:
     # (module.name, lines) of each definition, and the names each top-level
     # statement of the scope reads, keyed by the definition it is (or None)
     definitions: dict[str, tuple[str, int]] = {}
@@ -79,6 +95,12 @@ def main() -> None:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+    def describe(qualified: str) -> str:
+        name, lines = definitions[qualified]
+        mark = ", imported by the acceptance tests" if name in acceptance_imports else ""
+        return f"  {qualified} ({lines} lines{mark})"
+
     dead: list[str] = []
     while True:
         used = set().union(*(names for owner, names in reads if owner not in dead))
@@ -86,16 +108,19 @@ def main() -> None:
                        if q not in dead and name not in used)
         if not found:
             break
-        title = "unused" if not dead else "used only by the definitions above"
-        print(f"{title}:")
-        for qualified in found:
-            name, lines = definitions[qualified]
-            mark = ", imported by the acceptance tests" if name in acceptance_imports else ""
-            print(f"  {qualified} ({lines} lines{mark})")
+        unlisted = [q for q in found if q not in KEPT]
+        if unlisted:
+            print("unused:" if not dead else "used only by unused or kept definitions:")
+            print("\n".join(describe(q) for q in unlisted))
         dead += found
+    kept = [q for q in dead if q in KEPT]
+    print("kept:")
+    for qualified in sorted(kept):
+        print(f"{describe(qualified)}: {KEPT[qualified]}")
     total = sum(definitions[q][1] for q in dead)
-    print(f"{len(dead)} definitions, {total} lines")
+    print(f"{len(dead)} definitions, {total} lines, {len(kept)} of them kept")
+    return 0 if len(kept) == len(dead) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
