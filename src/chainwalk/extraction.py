@@ -17,20 +17,21 @@ moves its window the same way.
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
-holds a family's full vertex set as numpy arrays over vertex ordinals
-(subsets, their images, their counts), so that class sizes, membership
-predicates, and diffusion axes are exact.  The run's first index enumerates
-the subsets; the index of each shrunken family after a tuple extraction is
-derived from its parent's arrays by a row filter and a column drop, and the
-residual state is laid over it by the parent-to-child rank, with no byte key
-in between.  An index's Basis is its vertex ordinals, with byte keys spelled
-out only when a byte-key API reads them, so a family state is a vector over
-vertex ordinals, and its predicates and labels (class_mask, by_count) are
-vectors over the ordinals too.  Tuples are int64 rows (image, size,
-preimages) read off the image-sorted rows on request, not kept.  The padded
-register is a V x y vector over the support vertices with an integer label
-per entry, a dummy's index or its tuple row's rank among the request's rows;
-pad_and_attach spells it in byte keys for callers that read keys.
+holds a family's full vertex set as numpy arrays over vertex ordinals (each
+subset's points once, their images, their counts), so that class sizes,
+membership predicates, and diffusion axes are exact.  The run's first index
+enumerates the subsets; the index of each shrunken family after a tuple
+extraction is derived from its parent's arrays by a row filter and a column
+drop, and the residual state is laid over it by the parent-to-child rank, with
+no byte key in between.  An index's Basis is its vertex ordinals, with byte
+keys spelled out of the sorted point rows only when a byte-key API reads them,
+so a family state is a vector over vertex ordinals, and its predicates and
+labels (class_mask, by_count) are vectors over the ordinals too.  Tuples are
+int64 rows (image, size, preimages) read off the image-sorted rows on
+request, not kept.  The padded register is a V x y vector over the support
+vertices with an integer label per entry, a dummy's index or its tuple row's
+rank among the request's rows; pad_and_attach spells it in byte keys for
+callers that read keys.
 """
 
 from __future__ import annotations
@@ -138,12 +139,13 @@ class VertexFamily:
 
 
 def _subset_keys(rows: np.ndarray) -> List[BasisKey]:
-    """subset_key of every row of a table of sorted points, through one buffer."""
+    """subset_key of every row of a table of points, through one buffer."""
     total, width = rows.shape
     size = 2 + 4 * width
     buf = np.empty((total, size), dtype=np.uint8)
     buf[:, :2] = np.frombuffer(struct.pack(">H", width), dtype=np.uint8)
-    buf[:, 2:] = rows.astype(">u4").view(np.uint8).reshape(total, 4 * width)
+    points = np.sort(rows, axis=1).astype(">u4")
+    buf[:, 2:] = points.view(np.uint8).reshape(total, 4 * width)
     raw = buf.tobytes()
     return [raw[i:i + size] for i in range(0, total * size, size)]
 
@@ -160,12 +162,13 @@ class FamilyIndex:
     and count lookups are exact.  That exhaustive view is the desk-scale
     privilege that stands in for the quantum data structure.
 
-    The data are arrays over vertex ordinals: the subsets form a V x R table
-    `combos` in lexicographic order (so keys come out sorted), each row's
-    images sorted stably form `images` and its points in that order
-    `points`, and each vertex's count is the number of duplicate runs in
-    its image row (`counts`).  Tuples are not stored: tuple_rows reads them
-    off those rows for the vertices of each request, in one array pass.
+    The data are arrays over vertex ordinals, the subsets in lexicographic
+    order (so keys come out sorted): each subset's images sorted stably form
+    a row of the V x R table `images` and its points in that order a row of
+    `points`, and each vertex's count is the number of duplicate runs in its
+    image row (`counts`).  Each subset is held once, as its `points` row.
+    Tuples are not stored: tuple_rows reads them off those rows for the
+    vertices of each request, in one array pass.
 
     Without a parent, the index enumerates the lexicographic subset table
     and gathers the images from f.  With a parent, `restriction` must be the
@@ -180,17 +183,16 @@ class FamilyIndex:
     parent vertex does not hold the tuple; it is None without a parent, and
     `extract_once` sets it to None once it has laid the residual.
 
-    The basis spells its byte keys out of `combos` only when a byte-key API
-    first reads it (count_of, keys_in, pad_and_attach, State.items, align
-    across bases).  Its key factory holds `combos`, not the index, so an
-    index is freed by reference counting alone.
+    The basis spells its byte keys out of `points`, each row sorted, only
+    when a byte-key API first reads it (count_of, keys_in, pad_and_attach,
+    State.items, align across bases).  Its key factory holds `points`, not
+    the index, so an index is freed by reference counting alone.
     """
 
     def __init__(
         self,
         restriction: RestrictedFunction,
         big_r: int,
-        cap: int = _MAX_FAMILY_VERTICES,
         parent: Optional["FamilyIndex"] = None,
     ) -> None:
         points = restriction.domain_points
@@ -199,9 +201,10 @@ class FamilyIndex:
                 f"subset size {big_r} invalid for domain of {len(points)} points"
             )
         total = math.comb(len(points), big_r)
-        if total > cap:
+        if total > _MAX_FAMILY_VERTICES:
             raise CapacityError(
-                f"family of {total} vertices exceeds enumeration cap {cap}"
+                f"family of {total} vertices exceeds enumeration cap "
+                f"{_MAX_FAMILY_VERTICES}"
             )
         self.restriction = restriction
         self.big_r = big_r
@@ -211,7 +214,7 @@ class FamilyIndex:
             self._enumerate()
         else:
             self._derive(parent)
-        self.basis = Basis(total, functools.partial(_subset_keys, self._combos))
+        self.basis = Basis(total, functools.partial(_subset_keys, self._points))
         size_counts = np.bincount(self.counts)
         sizes = np.flatnonzero(size_counts)
         self._size_by_count: Dict[int, int] = dict(
@@ -227,12 +230,11 @@ class FamilyIndex:
                 f"an image and a point (n={params.n}, m={params.m}) do not "
                 "pack into one int64"
             )
-        ordinals = _lex_subsets(len(points), self.big_r)
-        self._combos = np.asarray(points, dtype=np.int64)[ordinals]
+        combos = np.asarray(points, dtype=np.int64)[_lex_subsets(len(points), self.big_r)]
         # sorting (image, point) pairs packed into one int64 sorts each row
         # stably by image, since the points of a row ascend
-        packed = self.restriction.base.values()[self._combos] << params.n
-        packed |= self._combos
+        packed = self.restriction.base.values()[combos] << params.n
+        packed |= combos
         packed.sort(axis=1)
         self._images = packed >> params.n
         self._points = packed & ((1 << params.n) - 1)
@@ -257,18 +259,17 @@ class FamilyIndex:
                 f"less the {len(preimages)} preimages cut out"
             )
         # +1 on P, -1 on the rest of its preimage class: a row sums to |P|
-        # exactly when its run at `image` is P
+        # exactly when its run at `image` is P, so a kept row's nonzero
+        # marks are P's columns
         mark = np.where(new.base.values() == image, -1, 0).astype(np.int8)
         mark[list(preimages)] = 1
-        hits = mark[parent._combos]
+        hits = mark[parent._points]
         # einsum sums short rows several times faster than sum(axis=1)
         keep = np.einsum("ij->i", hits, dtype=np.int64) == len(preimages)
         self.parent_rank = np.where(keep, np.cumsum(keep) - 1, -1)
         shape = (self.total, self.big_r)
-        self._combos = parent._combos[keep][hits[keep] == 0].reshape(shape)
-        points = parent._points[keep]
-        cut = mark[points] == 0
-        self._points = points[cut].reshape(shape)
+        cut = hits[keep] == 0
+        self._points = parent._points[keep][cut].reshape(shape)
         self._images = parent._images[keep][cut].reshape(shape)
         self.counts = parent.counts[keep] - 1
 

@@ -26,7 +26,6 @@ whatever the rank, and the peak is set by the 2V x 2V dense arrays.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -38,13 +37,13 @@ import numpy as np
 from .errors import CapacityError, ParameterError, ValidationError
 from .oracle import RestrictedFunction
 
-_DEFAULT_MAX_VERTICES = 5000
+_MAX_VERTICES = 5000
+_MAX_EDGES = 20_000
 _PHASE_ZERO_TOL = 1e-6
 _PI_FOLD_TOL = 1e-9
 _GRAM_RANK_TOL = 1e-9
 _PANEL_COLUMNS = 32
 _SUBSET_CACHE_BYTES = 10 << 20
-_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 @dataclass(frozen=True)
@@ -101,55 +100,13 @@ def closed_form_gap(ground_size: int, subset_size: int) -> float:
     return ground_size / (subset_size * (ground_size - subset_size))
 
 
-def _check_vertex_cap(graph: JohnsonGraph, max_vertices: int) -> None:
+def _check_vertex_cap(graph: JohnsonGraph) -> None:
     count = graph.vertex_count
-    if count > max_vertices:
-        raise CapacityError(f"{count} vertices exceeds dense solver cap {max_vertices}")
+    if count > _MAX_VERTICES:
+        raise CapacityError(f"{count} vertices exceeds dense solver cap {_MAX_VERTICES}")
 
 
-class _SubsetTableCache:
-    """An LRU cache of subset tables, with `functools.lru_cache`'s
-    `cache_info()` and `cache_clear()`, that holds the `maxsize` most recently
-    asked-for tables of at most _SUBSET_CACHE_BYTES and none larger: a large
-    table is enumerated on each call and freed with its last holder."""
-
-    def __init__(self, build, maxsize: int) -> None:
-        functools.update_wrapper(self, build)
-        self._build = build
-        self._maxsize = maxsize
-        self._held: collections.OrderedDict = collections.OrderedDict()
-        self._hits = self._misses = 0
-
-    def __call__(self, n: int, r: int) -> np.ndarray:
-        key = (n, r)
-        table = self._held.get(key)
-        if table is not None:
-            self._hits += 1
-            self._held.move_to_end(key)
-            return table
-        self._misses += 1
-        table = self._build(n, r)
-        if table.nbytes <= _SUBSET_CACHE_BYTES:
-            self._held[key] = table
-            if len(self._held) > self._maxsize:
-                self._held.popitem(last=False)
-        return table
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._held))
-
-    def cache_clear(self) -> None:
-        self._held.clear()
-        self._hits = self._misses = 0
-
-
-@functools.partial(_SubsetTableCache, maxsize=4)
-def _lex_subsets(n: int, r: int) -> np.ndarray:
-    """The C(n, r) x r int64 table of the r-subsets of range(n), each row
-    sorted and the rows in lexicographic order.  A shape whose table fits
-    _SUBSET_CACHE_BYTES is enumerated once while it stays in the cache, and
-    every caller gets the same read-only array; a larger one is enumerated
-    on each call."""
+def _subset_table(n: int, r: int) -> np.ndarray:
     count = math.comb(n, r)
     table = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), r)),
@@ -157,6 +114,24 @@ def _lex_subsets(n: int, r: int) -> np.ndarray:
     ).reshape(count, r)
     table.flags.writeable = False
     return table
+
+
+_held_subset_table = functools.lru_cache(maxsize=4)(_subset_table)
+
+
+def _lex_subsets(n: int, r: int) -> np.ndarray:
+    """The C(n, r) x r read-only int64 table of the r-subsets of range(n),
+    each row sorted and the rows in lexicographic order.  A table of at most
+    _SUBSET_CACHE_BYTES goes through an lru_cache of the 4 latest shapes, so
+    every caller of a held shape gets the same array; a larger one is
+    enumerated on each call and freed with its last holder."""
+    if math.comb(n, r) * r * 8 <= _SUBSET_CACHE_BYTES:
+        return _held_subset_table(n, r)
+    return _subset_table(n, r)
+
+
+_lex_subsets.cache_info = _held_subset_table.cache_info
+_lex_subsets.cache_clear = _held_subset_table.cache_clear
 
 
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
@@ -200,13 +175,13 @@ def _gap(transition: np.ndarray) -> float:
     return float(1.0 - np.linalg.eigvalsh(transition)[-2])
 
 
-def spectral_gap(graph: JohnsonGraph, max_vertices: int = _DEFAULT_MAX_VERTICES) -> float:
+def spectral_gap(graph: JohnsonGraph) -> float:
     """Eigensolved gap 1 - lambda_2 of the degree-normalized adjacency.
 
     lambda_2 is the second-largest eigenvalue counted with multiplicity and
-    with sign.  Dense solve, guarded by `max_vertices`.
+    with sign.  Dense solve, refused above _MAX_VERTICES vertices.
     """
-    _check_vertex_cap(graph, max_vertices)
+    _check_vertex_cap(graph)
     return _gap(_transition_matrix(graph, *_edge_list(graph)))
 
 
@@ -223,7 +198,7 @@ class WalkSpectrum:
     eigenphases: Tuple[float, ...]
 
 
-def walk_operator_spectrum(graph: JohnsonGraph, max_edges: int = 20000) -> WalkSpectrum:
+def walk_operator_spectrum(graph: JohnsonGraph) -> WalkSpectrum:
     """Eigenphases of W = Ref_B . Ref_A on the directed edge space.
 
     The bundles a_x (edges leaving x) and b_x (edges entering x) are the
@@ -249,11 +224,11 @@ def walk_operator_spectrum(graph: JohnsonGraph, max_edges: int = 20000) -> WalkS
     """
     v_count = graph.vertex_count
     d = graph.degree
-    if v_count * d > max_edges:
+    if v_count * d > _MAX_EDGES:
         raise CapacityError(
-            f"edge space of size {v_count * d} exceeds cap {max_edges}"
+            f"edge space of size {v_count * d} exceeds cap {_MAX_EDGES}"
         )
-    _check_vertex_cap(graph, _DEFAULT_MAX_VERTICES)
+    _check_vertex_cap(graph)
     src, dst = _edge_list(graph)
     by_target = np.argsort(dst, kind="stable")
     amp = 1.0 / math.sqrt(d)

@@ -258,26 +258,21 @@ def restrict(fn: FunctionTable, table: CollisionTable) -> RestrictedFunction:
     )
 
 
-def enumerate_multicollisions(fn, restriction: RestrictedFunction | None = None):
+def enumerate_multicollisions(fn: FunctionTable | RestrictedFunction):
     """Ground-truth scan for every image with >= 2 preimages.
 
-    Accepts a FunctionTable (scan the whole domain) or, via `restriction`, a
-    restricted view (scan allowed points only).  A j-fold collision is one
-    entry carrying all j preimages, not j-choose-2 separate pairs.  Entries
-    come back sorted by image, preimages sorted inside each entry.
+    Accepts a FunctionTable (scan the whole domain) or a RestrictedFunction
+    (scan its allowed points only).  A j-fold collision is one entry carrying
+    all j preimages, not j-choose-2 separate pairs.  Entries come back sorted
+    by image, preimages sorted inside each entry.
     """
-    if restriction is not None:
-        points = restriction.domain_points
-        lookup = restriction.value
-    elif isinstance(fn, RestrictedFunction):
+    if isinstance(fn, RestrictedFunction):
         points = fn.domain_points
-        lookup = fn.value
     else:
         points = range(fn.params.domain_size)
-        lookup = fn.value
     groups: dict[int, list[int]] = {}
     for x in points:
-        groups.setdefault(lookup(x), []).append(x)
+        groups.setdefault(fn.value(x), []).append(x)
     out = [
         (image, tuple(sorted(pre)))
         for image, pre in groups.items()

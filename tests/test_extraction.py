@@ -145,8 +145,10 @@ def test_family_index_states_and_caps():
     assert len(cls) == 3
     with pytest.raises(ImpossibleTargetError):
         index.class_state(5, None)
+    # C(32, 8) = 10,518,300 vertices, refused before any table is built
+    wide = FunctionTable(Params(n=5, m=5, k=0), list(range(32)))
     with pytest.raises(CapacityError):
-        FamilyIndex(restriction, 4, cap=10)
+        FamilyIndex(restrict(wide, CollisionTable()), 8)
     with pytest.raises(ParameterError):
         FamilyIndex(restriction, 9)
 
@@ -624,7 +626,7 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
         return
     child = FamilyIndex(new_restriction, big_r - size, parent=parent)
     fresh = FamilyIndex(new_restriction, big_r - size)
-    for name in ("_combos", "_images", "_points", "counts"):
+    for name in ("_images", "_points", "counts"):
         assert np.array_equal(getattr(child, name), getattr(fresh, name)), name
     assert child.histogram() == fresh.histogram()
     assert child.basis.keys == fresh.basis.keys
@@ -691,6 +693,27 @@ def test_extract_once_frees_the_parent_rank():
     for out in tuples:
         assert out.new_index.total == len(out.collapsed) == 15
         assert out.new_index.parent_rank is None
+
+
+def test_index_holds_each_vertex_once():
+    """A built index and a derived one each hold one point table, one image
+    table and the counts: V (2R + 1) int64 entries, nothing more."""
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
+    derived = next(
+        out.new_index
+        for out in (extract_once(index.class_state(1, 2), family,
+                                 np.random.default_rng(seed), index=index)
+                    for seed in range(12))
+        if out.kind == "tuple"
+    )
+    for built in (index, derived):
+        arrays = {name: value for name, value in vars(built).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == ["_images", "_points", "counts"]
+        per_vertex = (2 * built.big_r + 1) * 8
+        assert sum(a.nbytes for a in arrays.values()) == built.total * per_vertex
 
 
 @pytest.mark.parametrize("force_keys", [False, True])

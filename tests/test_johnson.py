@@ -81,9 +81,10 @@ def test_spectral_gap_matches_closed_form():
 
 
 def test_spectral_gap_capacity_cap():
-    g = JohnsonGraph(ground_set=tuple(range(10)), subset_size=5)
+    # C(15, 7) = 6,435 vertices, above the dense solver's 5,000
+    g = JohnsonGraph(ground_set=tuple(range(15)), subset_size=7)
     with pytest.raises(CapacityError):
-        spectral_gap(g, max_vertices=100)
+        spectral_gap(g)
 
 
 def test_walk_spectrum_phase_gap_bound():
@@ -176,9 +177,10 @@ def test_large_subset_tables_are_not_held():
 
 
 def test_walk_spectrum_edge_cap():
-    g = JohnsonGraph(ground_set=tuple(range(8)), subset_size=4)
+    # C(12, 6) * 36 = 33,264 directed edges, above the cap of 20,000
+    g = JohnsonGraph(ground_set=tuple(range(12)), subset_size=6)
     with pytest.raises(CapacityError):
-        walk_operator_spectrum(g, max_edges=50)
+        walk_operator_spectrum(g)
 
 
 def _example_restriction():

@@ -84,7 +84,7 @@ def test_enumerate_respects_restriction():
     fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 1, 1, 2, 3, 4, 5])
     table = CollisionTable().insert(fn, 0, (0, 1))
     restriction = restrict(fn, table)
-    got = dict(enumerate_multicollisions(fn, restriction))
+    got = dict(enumerate_multicollisions(restriction))
     assert got == {1: (2, 3)}
 
 
