@@ -73,8 +73,9 @@ def decompose(state: State, good: Labels) -> AmplitudeDecomposition:
 
 
 def _good_flags(state: State, good: Labels, axis: State):
-    """`state` over the axis's basis, and `good` as a boolean vector over it,
-    read once on each key that the state or the axis carries."""
+    """`state` aligned onto the axis's basis, and `good` as a boolean vector
+    over that basis, read once on each key that the state or the axis
+    carries."""
     state = align(state, axis)
     reach = state.vector != 0
     reach[axis.live] = True
@@ -131,8 +132,7 @@ def flip(
     probability is then above 1/2 per attempt.
     """
     state, flags = _good_flags(state, good, axis)
-    on_axis = flags[:len(axis.basis)]
-    dec = decompose(axis, on_axis)
+    dec = decompose(axis, flags)
     target_amp = dec.alpha if want is Want.GOOD else dec.beta
     if target_amp <= _ZERO_AMP:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
@@ -142,7 +142,7 @@ def flip(
     if want is Want.GOOD and dec.alpha > _HALF:
         while True:
             stats.attempts += 1
-            outcome, collapsed = measure(axis, on_axis, rng)
+            outcome, collapsed = measure(axis, flags, rng)
             if outcome == wanted_label:
                 return collapsed, stats
             stats.restarts += 1

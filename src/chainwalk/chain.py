@@ -79,17 +79,17 @@ class ChainStatus(Enum):
 class ChainConfig:
     """Parameters of one chained run.
 
-    ell sets the initial vertex size R = 2^ell.  target_tuples defaults to
-    2^k and max_outer_iterations to the loop bound ceil(2^k 2^(m/2) / R);
-    desk-scale sparse runs extract one tuple per iteration, so tests that
-    need the full collision set raise the bound explicitly.
+    ell sets the initial vertex size R = 2^ell, and the run stops once it
+    holds 2^k tuples.  max_outer_iterations defaults to the loop bound
+    ceil(2^k 2^(m/2) / R); desk-scale sparse runs extract one tuple per
+    iteration, so tests that need the full collision set raise the bound
+    explicitly.
     """
 
     params: Params
     ell: int
     seed: int
     max_outer_iterations: Optional[int] = None
-    target_tuples: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.ell < 1:
@@ -101,8 +101,6 @@ class ChainConfig:
             )
         if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
             raise ParameterError("max_outer_iterations must be positive")
-        if self.target_tuples is not None and self.target_tuples < 1:
-            raise ParameterError("target_tuples must be positive")
 
     @property
     def vertex_size(self) -> int:
@@ -110,7 +108,7 @@ class ChainConfig:
 
     @property
     def target(self) -> int:
-        return self.target_tuples if self.target_tuples is not None else 1 << self.params.k
+        return 1 << self.params.k
 
     @property
     def outer_bound(self) -> int:

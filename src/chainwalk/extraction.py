@@ -185,8 +185,9 @@ class FamilyIndex:
 
     The basis spells its byte keys out of `points`, each row sorted, only
     when a byte-key API first reads it (count_of, keys_in, pad_and_attach,
-    State.items, align across bases).  Its key factory holds `points`, not
-    the index, so an index is freed by reference counting alone.
+    State.items, align from another basis).  Its key factory holds
+    `points`, not the index, so an index is freed by reference counting
+    alone.
     """
 
     def __init__(
@@ -232,12 +233,16 @@ class FamilyIndex:
             )
         combos = np.asarray(points, dtype=np.int64)[_lex_subsets(len(points), self.big_r)]
         # sorting (image, point) pairs packed into one int64 sorts each row
-        # stably by image, since the points of a row ascend
-        packed = self.restriction.base.values()[combos] << params.n
+        # stably by image, since the points of a row ascend; every step works
+        # in place, so at most two V x R tables are alive at once
+        packed = self.restriction.base.values()[combos]
+        packed <<= params.n
         packed |= combos
+        del combos
         packed.sort(axis=1)
-        self._images = packed >> params.n
         self._points = packed & ((1 << params.n) - 1)
+        packed >>= params.n
+        self._images = packed
         self.counts = collision_counts(self._images)
 
     def _derive(self, parent: "FamilyIndex") -> None:
@@ -389,8 +394,6 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
         raise ParameterError("padding width y must be at least 1")
     state = align(state, index.axis_state())
     ordinals = state.live
-    if ordinals[-1] >= index.total:
-        raise ValidationError("key is not a vertex of this family")
     z = index.counts[ordinals]
     if z.max() > y:
         raise ContractViolationError(

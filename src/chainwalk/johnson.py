@@ -130,10 +130,6 @@ def _lex_subsets(n: int, r: int) -> np.ndarray:
     return _subset_table(n, r)
 
 
-_lex_subsets.cache_info = _held_subset_table.cache_info
-_lex_subsets.cache_clear = _held_subset_table.cache_clear
-
-
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edges of J(N, R) as (src, dst) arrays over vertex ordinals.
 

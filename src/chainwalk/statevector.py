@@ -9,11 +9,12 @@ byte-key API reads may hold other keys, such as positions.
 
 States derived from one another (reflections, measurement branches) share
 their basis by identity, so the operations on them are vector operations.
-Two states over different bases are aligned through the key-to-position map
-only when an operation combines them: reflect_about_state lays the state
-over the union basis, the axis's keys first.  The byte-key API (items,
-support, amplitude, construction from a dict) reads through the basis, and a
-basis built from a key factory spells its keys out only on that first read.
+An operation about an axis state (reflect_about_state, and the amplification
+built on it) acts on the axis's basis alone: a state over another basis is
+moved onto it through the key-to-position map, and a state carrying a key
+that basis lacks is refused.  The byte-key API (items, support, amplitude,
+construction from a dict) reads through the basis, and a basis built from a
+key factory spells its keys out only on that first read.
 
 Predicates and measurement labels are key callbacks or vectors over the
 state's basis; a callback is read once per key into such a vector.
@@ -83,28 +84,19 @@ class Basis:
     A basis knows its size up front; its keys come from a factory called on
     the first read of `keys` (or of `position`), so a basis that no byte-key
     API reads never spells its keys out.  Basis.of wraps keys at hand.
-    prefix, when set, is a basis whose keys this one starts with, in order:
-    a vector over this basis restricted to its first len(prefix) entries is
-    a vector over prefix.
     """
 
-    __slots__ = ("size", "prefix", "_keys", "_make_keys", "_position")
+    __slots__ = ("size", "_keys", "_make_keys", "_position")
 
-    def __init__(
-        self,
-        size: int,
-        make_keys: Optional[Callable[[], Sequence[BasisKey]]],
-        prefix: Optional["Basis"] = None,
-    ):
+    def __init__(self, size: int, make_keys: Optional[Callable[[], Sequence[BasisKey]]]):
         self.size = size
-        self.prefix = prefix
         self._keys: Optional[Sequence[BasisKey]] = None
         self._make_keys: Optional[Callable[[], Sequence[BasisKey]]] = make_keys
         self._position: Optional[Dict[BasisKey, int]] = None
 
     @classmethod
-    def of(cls, keys: Sequence[BasisKey], prefix: Optional["Basis"] = None) -> "Basis":
-        basis = cls(len(keys), None, prefix)
+    def of(cls, keys: Sequence[BasisKey]) -> "Basis":
+        basis = cls(len(keys), None)
         basis._keys = keys
         return basis
 
@@ -153,21 +145,18 @@ class State:
         return cls._build(basis, np.array(amplitudes, dtype=complex))
 
     @classmethod
-    def _build(cls, basis: Basis, vector: np.ndarray, prune: bool = True) -> "State":
+    def _build(cls, basis: Basis, vector: np.ndarray) -> "State":
         state = cls.__new__(cls)
-        state._settle(basis, vector, prune=prune)
+        state._settle(basis, vector)
         return state
 
-    def _settle(
-        self, basis: Basis, vector: np.ndarray, normalize: bool = False, prune: bool = True
-    ) -> None:
+    def _settle(self, basis: Basis, vector: np.ndarray, normalize: bool = False) -> None:
         """Take ownership of `vector`: prune, optionally normalize, check."""
         if len(vector) != len(basis):
             raise ValidationError(
                 f"vector of length {len(vector)} over a basis of {len(basis)} keys"
             )
-        if prune:
-            vector[np.abs(vector) <= PRUNE_EPS] = 0
+        vector[np.abs(vector) <= PRUNE_EPS] = 0
         live = np.flatnonzero(vector)
         if not len(live):
             raise ValidationError("state has no support")
@@ -207,11 +196,6 @@ class State:
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.vector, self.vector).real))
 
-    def inner(self, other: "State") -> complex:
-        """<self|other> over the intersection of supports."""
-        size = len(other.vector)
-        return complex(np.vdot(align(self, other).vector[:size], other.vector))
-
     def mask(self, predicate: Labels) -> np.ndarray:
         """Boolean vector over the basis: the predicate (a key callback or a
         boolean vector over the basis) on the support, False off it."""
@@ -244,38 +228,29 @@ def uniform_state(keys: Iterable[BasisKey]) -> State:
 
 
 def align(state: State, axis: State) -> State:
-    """`state` over axis's basis, extended by the support keys axis lacks.
-
-    Returns `state` itself when its basis already is axis's basis or extends
-    it.  Otherwise the result's basis is the union basis: axis's keys in
-    order, then the state's other support keys in the state's basis order.
+    """`state` over axis's basis: `state` itself when it already lies over
+    that basis, else its support amplitudes moved to their keys' positions
+    in it.  Raises ValidationError when a support key is not in that basis.
     """
     base = axis.basis
-    if state.basis is base or state.basis.prefix is base:
+    if state.basis is base:
         return state
-    position, size = base.position, len(base)
-    extra: List[BasisKey] = []
-    where: List[int] = []
-    for key in state.keys():
-        pos = position.get(key)
-        if pos is None:
-            pos = size + len(extra)
-            extra.append(key)
-        where.append(pos)
-    basis = Basis.of(list(base.keys) + extra, prefix=base) if extra else base
-    vector = np.zeros(len(basis), dtype=complex)
+    position = base.position
+    try:
+        where = [position[key] for key in state.keys()]
+    except KeyError:
+        raise ValidationError("state carries a key outside its axis's basis") from None
+    vector = np.zeros(len(base), dtype=complex)
     vector[where] = state.vector[state.live]
-    return State._build(basis, vector, prune=False)
+    return State._build(base, vector)
 
 
 def reflect_about_state(state: State, axis: State) -> State:
-    """(2|axis><axis| - I) applied to `state`, over the union basis."""
+    """(2|axis><axis| - I) applied to `state`, over axis's basis."""
     state = align(state, axis)
-    size = len(axis.vector)
-    overlap = np.vdot(axis.vector, state.vector[:size])
     out = -state.vector
-    out[:size] += (2.0 * overlap) * axis.vector
-    return State._build(state.basis, out)
+    out += (2.0 * np.vdot(axis.vector, state.vector)) * axis.vector
+    return State._build(axis.basis, out)
 
 
 def reflect_about_predicate(state: State, flip: Labels) -> State:

@@ -119,19 +119,15 @@ class CollisionStats:
     sample_count: int
     mean_z: float
     var_z: float
-    lam: float
-    p_hat: float
 
 
-def _summarize(values: np.ndarray, big_r: int, bins: int) -> CollisionStats:
+def _summarize(values: np.ndarray) -> CollisionStats:
     mean = float(values.mean())
     var = float(values.var(ddof=1)) if len(values) > 1 else 0.0
     return CollisionStats(
         sample_count=len(values),
         mean_z=mean,
         var_z=var,
-        lam=big_r / bins,
-        p_hat=mean / bins,
     )
 
 
@@ -156,7 +152,7 @@ def calibrate_constant(
     if 8 * big_r >= bins:
         raise ParameterError(f"need 8R < M, got R={big_r}, M={bins}")
     values = sample_collision_counts(big_r, bins, samples, rng, threads)
-    summary = _summarize(values, big_r, bins)
+    summary = _summarize(values)
     scale = bins / (big_r * big_r)
     c = summary.mean_z * scale
     sigma_c = math.sqrt(max(summary.var_z, 0.0) / summary.sample_count) * scale

@@ -45,9 +45,6 @@ def test_config_validation():
         ChainConfig(params=params, ell=8, seed=0)   # above (2k + m)/3 + 4
     with pytest.raises(ParameterError):
         ChainConfig(params=params, ell=3, seed=0, max_outer_iterations=0)
-    with pytest.raises(ParameterError):
-        ChainConfig(params=params, ell=3, seed=0, target_tuples=0)
-    assert ChainConfig(params=params, ell=3, seed=0, target_tuples=5).target == 5
 
 
 def test_predict_cost_terms_and_validity():
@@ -119,10 +116,7 @@ def test_run_collects_every_collision():
     params = Params(n=4, m=4, k=1)
     fn = generate_function(params, 4)
     truth = enumerate_multicollisions(fn)
-    result = run(ChainConfig(
-        params=params, ell=3, seed=4,
-        max_outer_iterations=64, target_tuples=len(truth),
-    ))
+    result = run(ChainConfig(params=params, ell=3, seed=4, max_outer_iterations=64))
     assert result.status is ChainStatus.COMPLETED
     assert sorted(result.collision_table.images()) == sorted(img for img, _ in truth)
     for image, preimages in result.collision_table.items():
@@ -398,13 +392,13 @@ def test_criterion_7_hot_path(monkeypatch):
         return subset_keys(rows)
 
     monkeypatch.setattr(extraction, "_subset_keys", counted)
-    johnson._lex_subsets.cache_clear()
+    johnson._held_subset_table.cache_clear()
     digest = hashlib.sha256()
     for m, seed, k in CHAIN_INSTANCES:
         result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
                                  max_outer_iterations=64))
         digest.update(result.report_json().encode())
-    info = johnson._lex_subsets.cache_info()
+    info = johnson._held_subset_table.cache_info()
     assert key_tables == []
     assert (info.misses, info.hits) == (1, len(CHAIN_INSTANCES) - 1)
     assert digest.hexdigest() == (

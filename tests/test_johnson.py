@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chainwalk.errors import CapacityError, DomainError, ParameterError
+from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import (
     CollisionTable,
     FunctionTable,
@@ -174,6 +175,24 @@ def test_large_subset_tables_are_not_held():
         assert refs[1]() is _lex_subsets(6, 3)
     finally:
         gc.enable()
+
+
+def test_family_index_build_peak():
+    """A fresh FamilyIndex build over the 201,376 five-subsets of 32 points
+    works its packed (image, point) table in place: beyond the tables it
+    keeps, its traced peak stays under half of one V x R table."""
+    params = Params(n=5, m=6, k=1)
+    fn = FunctionTable(params, np.arange(32) % params.codomain_size)
+    restriction = restrict(fn, CollisionTable())
+    _lex_subsets(32, 5)   # the subset table is cached before tracing
+    tracemalloc.start()
+    try:
+        index = FamilyIndex(restriction, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.total == 201_376
+    assert peak - held <= 0.5 * index._points.nbytes
 
 
 def test_walk_spectrum_edge_cap():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from chainwalk.amplify import grover_iterate
+from chainwalk.amplify import Want, flip, grover_iterate
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
     PRUNE_EPS,
@@ -72,7 +72,7 @@ def test_reflections_are_involutions():
     for _ in range(20):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         st = State(dict(zip(keys, amps)), normalize=True)
-        axis = uniform_state(keys[:5])
+        axis = State.over(st.basis, [1 / math.sqrt(5)] * 5 + [0] * 3)
         twice = reflect_about_state(reflect_about_state(st, axis), axis)
         assert states_close(twice, st, tol=1e-9)
         flip = lambda key: key < bytes([4])
@@ -115,7 +115,6 @@ def test_measure_deterministic_stream():
 def test_probability_of_predicate():
     st = State({b"a": 0.6, b"b": 0.8})
     assert abs(st.probability(lambda key: key == b"a") - 0.36) < 1e-12
-    assert abs(st.inner(st) - 1.0) < 1e-12
 
 
 def test_states_close_global_phase():
@@ -207,15 +206,22 @@ def _pair(amps):
     return State(amps, normalize=True), _ref_normalized(amps)
 
 
+def _pair_on(data, axis):
+    """A (State, reference) pair whose keys are drawn from axis's basis; the
+    state lies over a basis of its own, in the order the keys were drawn."""
+    keys = hs.sampled_from(list(axis.basis.keys))
+    return _pair(data.draw(hs.dictionaries(keys, _AMP, min_size=1)))
+
+
 @settings(deadline=None, max_examples=150)
-@given(_AMPS, _AMPS, hs.sets(hs.sampled_from(_KEYS)))
-def test_reflections_match_dict_reference(state_amps, axis_amps, flipped):
-    """The state may carry keys the axis lacks, and the other way round."""
-    state, ref_state = _pair(state_amps)
+@given(_AMPS, hs.data(), hs.sets(hs.sampled_from(_KEYS)))
+def test_reflections_match_dict_reference(axis_amps, data, flipped):
+    """The axis may carry keys the state lacks."""
     axis, ref_axis = _pair(axis_amps)
+    state, ref_state = _pair_on(data, axis)
     out = reflect_about_state(state, axis)
     _assert_matches(out, _ref_reflect_state(ref_state, ref_axis))
-    assert list(out.basis.keys[:len(axis.basis)]) == list(axis.basis.keys)
+    assert out.basis is axis.basis
     flip = lambda key: key in flipped
     _assert_matches(
         reflect_about_predicate(out, flip),
@@ -223,30 +229,11 @@ def test_reflections_match_dict_reference(state_amps, axis_amps, flipped):
     )
 
 
-@settings(deadline=None, max_examples=150)
-@given(_AMPS, _AMPS)
-def test_inner_matches_dict_reference_across_bases(left_amps, right_amps):
-    left, ref_left = _pair(left_amps)
-    right, ref_right = _pair(right_amps)
-    moved = reflect_about_state(left, right)     # over right's basis or its union
-    ref_moved = _ref_reflect_state(ref_left, ref_right)
-    cases = [
-        (left, right, ref_left, ref_right),
-        (right, left, ref_right, ref_left),
-        (right, moved, ref_right, ref_moved),
-        (moved, right, ref_moved, ref_right),
-        (left, moved, ref_left, ref_moved),
-        (moved, moved, ref_moved, ref_moved),
-    ]
-    for a, b, ref_a, ref_b in cases:
-        assert abs(a.inner(b) - _ref_inner(ref_a, ref_b)) <= 1e-12
-
-
 @settings(deadline=None, max_examples=100)
-@given(_AMPS, _AMPS, hs.sets(hs.sampled_from(_KEYS)), hs.integers(0, 4))
-def test_grover_iterate_matches_reflection_pairs(state_amps, axis_amps, good_keys, count):
-    state, ref = _pair(state_amps)
+@given(_AMPS, hs.data(), hs.sets(hs.sampled_from(_KEYS)), hs.integers(0, 4))
+def test_grover_iterate_matches_reflection_pairs(axis_amps, data, good_keys, count):
     axis, ref_axis = _pair(axis_amps)
+    state, ref = _pair_on(data, axis)
     good = lambda key: key in good_keys
     for _ in range(count):
         ref = _ref_reflect_state(_ref_reflect_predicate(ref, good), ref_axis)
@@ -254,11 +241,11 @@ def test_grover_iterate_matches_reflection_pairs(state_amps, axis_amps, good_key
 
 
 @settings(deadline=None, max_examples=150)
-@given(_AMPS, _AMPS, hs.integers(1, 4), hs.integers(0, 2**32 - 1))
-def test_measure_matches_dict_reference(state_amps, axis_amps, modulus, seed):
-    state, ref = _pair(state_amps)
+@given(_AMPS, hs.data(), hs.integers(1, 4), hs.integers(0, 2**32 - 1))
+def test_measure_matches_dict_reference(axis_amps, data, modulus, seed):
     axis, ref_axis = _pair(axis_amps)
-    # a derived state: its basis is shared with the axis or extends it
+    state, ref = _pair_on(data, axis)
+    # a derived state: its basis is the axis's
     state, ref = reflect_about_state(state, axis), _ref_reflect_state(ref, ref_axis)
     register = lambda key: key[0] % modulus
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -281,11 +268,31 @@ def test_pruning_at_the_edge():
     assert st.support() == (b"a", b"d")
     assert len(st) == 2 and b"b" not in st and st.amplitude(b"b") == 0
     # every operation prunes by the same rule
-    axis = uniform_state([b"a"])
+    axis = State.over(st.basis, [1.0, 0.0])
     again = reflect_about_state(reflect_about_state(st, axis), axis)
     assert again.support() == (b"a", b"d")
     tiny = State({b"a": math.sqrt(1 - 4e-24), b"b": 2e-12})
-    shrunk = reflect_about_state(tiny, State({b"b": 1.0}))
+    shrunk = reflect_about_state(tiny, State.over(tiny.basis, [0.0, 1.0]))
     assert abs(shrunk.amplitude(b"b") - 2e-12) < 1e-24
     half = State.over(tiny.basis, [math.sqrt(1 - 1e-24), 1e-12])
     assert half.support() == (b"a",)
+
+
+def test_align_refuses_keys_outside_the_axis_basis():
+    axis = uniform_state([b"a", b"b"])
+    stray = State({b"a": 0.6, b"c": 0.8})
+    good = lambda key: key == b"a"
+    with pytest.raises(ValidationError):
+        reflect_about_state(stray, axis)
+    for count in (1, 3):
+        with pytest.raises(ValidationError):
+            grover_iterate(stray, good, axis, count)
+    for want in Want:
+        with pytest.raises(ValidationError):
+            flip(stray, good, axis, want, np.random.default_rng(0))
+    # keys inside the basis, laid over a basis of their own, move by position
+    inside = State({b"b": 0.8, b"a": 0.6})
+    out = reflect_about_state(inside, axis)
+    assert out.basis is axis.basis
+    assert abs(out.amplitude(b"a") - 0.8) < 1e-12
+    assert abs(out.amplitude(b"b") - 0.6) < 1e-12

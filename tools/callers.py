@@ -15,7 +15,9 @@ scan prints it under its own heading.  Every other definition that nothing
 uses is listed under "unused", and those read only from definitions already
 found, repeated until no more are found, under "used only by unused or kept
 definitions": deleting the first would leave them unused too.  The scan exits
-1 when it lists anything but kept definitions.  Run it from any directory:
+1 when it lists anything but kept definitions, or when a KEPT row is stale:
+its definition is gone or now used, and the row is printed.  Run it from any
+directory:
 
     python3 tools/callers.py
 
@@ -119,7 +121,13 @@ def main() -> int:
         print(f"{describe(qualified)}: {KEPT[qualified]}")
     total = sum(definitions[q][1] for q in dead)
     print(f"{len(dead)} definitions, {total} lines, {len(kept)} of them kept")
-    return 0 if len(kept) == len(dead) else 1
+    stale = sorted(set(KEPT) - set(kept))
+    if stale:
+        print("stale KEPT rows:")
+        for qualified in stale:
+            status = "now used" if qualified in definitions else "gone"
+            print(f"  {qualified} ({status}): {KEPT[qualified]}")
+    return 0 if len(kept) == len(dead) and not stale else 1
 
 
 if __name__ == "__main__":
