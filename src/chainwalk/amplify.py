@@ -5,6 +5,9 @@ u = beta*B + alpha*G where G and B are the normalized good and bad
 components of u.  One amplification round applies (Ref_u . Ref_flip) where
 Ref_flip negates the good amplitudes; in the plane spanned by B and G this is
 a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
+`grover_iterate` runs its rounds on the bare amplitude vector, with the state
+layer's prune and norm check after each round, and builds one State at the
+end.
 
 `flip` drives rounds of iterate-then-measure until the projective flag
 measurement lands on the wanted side.  Inputs are expected to lie in
@@ -24,10 +27,9 @@ from .errors import ImpossibleTargetError, ParameterError
 from .statevector import (
     Labels,
     State,
+    _settled,
     align,
     measure,
-    reflect_about_predicate,
-    reflect_about_state,
     values_at,
 )
 
@@ -90,17 +92,26 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
 
     `good` is a key callback or a boolean vector over the axis's basis.  It
     is read once per key that the state or the axis carries, and every
-    Ref_flip negates through that mask.
+    Ref_flip negates through that mask.  The rounds run on the bare amplitude
+    vector over the axis's basis, each one reflect_about_predicate then
+    reflect_about_state bit for bit, and one State is built at the end.  Only
+    the axis reflection is followed by the prune and norm check: a negation
+    changes no magnitude, so settling its output is settling its input, which
+    is done once before the first round (a State built with normalize=True
+    can hold amplitudes at or below PRUNE_EPS).
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
     if count == 0:
         return state
     out, flags = _good_flags(state, good, axis)
+    u, vector = axis.vector, _settled(out.vector.copy())
     for _ in range(count):
-        out = reflect_about_predicate(out, flags)
-        out = reflect_about_state(out, axis)
-    return out
+        vector = np.where(flags, -vector, vector)
+        reflected = -vector
+        reflected += (2.0 * np.vdot(u, vector)) * u
+        vector = _settled(reflected)
+    return State._build(axis.basis, vector)
 
 
 def iteration_count(alpha: float) -> int:

@@ -21,9 +21,12 @@ state's basis; a callback is read once per key into such a vector.
 
 Conventions used throughout:
 
-* norms are kept within 1e-9 of 1, and amplitudes of magnitude 1e-12 or
-  below are set to exactly zero after every operation; a state's support is
-  its nonzero positions;
+* one settling step (_settled) sets amplitudes of magnitude 1e-12 or below
+  to exactly zero and checks that the norm is within 1e-9 of 1.  It runs on
+  the result of every operation, and after every round of
+  amplify.grover_iterate, which runs on the bare vector; align only moves
+  amplitudes and settles nothing.  A state's support is its nonzero
+  positions;
 * measurement outcomes are ordered by their label before sampling, so a fixed
   generator always walks the same cumulative distribution;
 * state equality is taken up to one global phase.
@@ -151,24 +154,16 @@ class State:
         return state
 
     def _settle(self, basis: Basis, vector: np.ndarray, normalize: bool = False) -> None:
-        """Take ownership of `vector`: prune, optionally normalize, check."""
+        """Take ownership of `vector`: settle it (see _settled), find its support."""
         if len(vector) != len(basis):
             raise ValidationError(
                 f"vector of length {len(vector)} over a basis of {len(basis)} keys"
             )
-        vector[np.abs(vector) <= PRUNE_EPS] = 0
-        live = np.flatnonzero(vector)
-        if not len(live):
-            raise ValidationError("state has no support")
-        if normalize:
-            vector /= np.sqrt(np.vdot(vector, vector).real)
-        norm2 = np.vdot(vector, vector).real
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
+        _settled(vector, normalize)
         vector.flags.writeable = False
         self.basis = basis
         self.vector = vector
-        self.live = live
+        self.live = np.flatnonzero(vector)
 
     def amplitude(self, key: BasisKey) -> complex:
         pos = self.basis.position.get(key)
@@ -208,6 +203,25 @@ class State:
         return float(sum(weights[self.mask(predicate)[self.live]].tolist()))
 
 
+def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """Prune `vector` in place, optionally normalize it, and check its norm.
+
+    Amplitudes of magnitude PRUNE_EPS or below become exact zeros; a vector
+    left with no nonzero amplitude, or whose norm^2 is further than NORM_TOL
+    from 1, raises ValidationError.  Returns `vector`.
+    """
+    vector[np.abs(vector) <= PRUNE_EPS] = 0
+    norm2 = np.vdot(vector, vector).real
+    if not norm2:
+        raise ValidationError("state has no support")
+    if normalize:
+        vector /= np.sqrt(norm2)
+        norm2 = np.vdot(vector, vector).real
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
+    return vector
+
+
 def values_at(basis: Basis, labels: Labels, positions: np.ndarray, dtype) -> np.ndarray:
     """`labels` at the basis positions: a key callback is called once per
     position and read as `dtype`; a vector over the basis is indexed."""
@@ -229,8 +243,13 @@ def uniform_state(keys: Iterable[BasisKey]) -> State:
 
 def align(state: State, axis: State) -> State:
     """`state` over axis's basis: `state` itself when it already lies over
-    that basis, else its support amplitudes moved to their keys' positions
-    in it.  Raises ValidationError when a support key is not in that basis.
+    that basis, else its support amplitudes moved, unchanged, to their keys'
+    positions in it.  Raises ValidationError when a support key is not in
+    that basis.
+
+    Moving is not an operation: the amplitudes are not settled again, so a
+    State built with normalize=True, whose amplitudes were pruned before the
+    division, keeps one that the division took to PRUNE_EPS or below.
     """
     base = axis.basis
     if state.basis is base:
@@ -242,11 +261,16 @@ def align(state: State, axis: State) -> State:
         raise ValidationError("state carries a key outside its axis's basis") from None
     vector = np.zeros(len(base), dtype=complex)
     vector[where] = state.vector[state.live]
-    return State._build(base, vector)
+    vector.flags.writeable = False
+    moved = State.__new__(State)
+    moved.basis, moved.vector, moved.live = base, vector, np.flatnonzero(vector)
+    return moved
 
 
 def reflect_about_state(state: State, axis: State) -> State:
-    """(2|axis><axis| - I) applied to `state`, over axis's basis."""
+    """(2|axis><axis| - I) applied to `state`, over axis's basis.
+
+    amplify.grover_iterate repeats this arithmetic on the bare vector."""
     state = align(state, axis)
     out = -state.vector
     out += (2.0 * np.vdot(axis.vector, state.vector)) * axis.vector

@@ -11,8 +11,11 @@ from hypothesis import strategies as hs
 from chainwalk.amplify import Want, flip, grover_iterate
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
+    NORM_TOL,
     PRUNE_EPS,
+    Basis,
     State,
+    align,
     attach_register,
     decode_subset,
     key_register,
@@ -240,6 +243,89 @@ def test_grover_iterate_matches_reflection_pairs(axis_amps, data, good_keys, cou
     _assert_matches(grover_iterate(state, good, axis, count), ref, tol=1e-11)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    hs.lists(hs.one_of(_AMP, hs.just(0j)), min_size=len(_KEYS), max_size=len(_KEYS)),
+    hs.data(),
+    hs.sets(hs.sampled_from(_KEYS)),
+    hs.booleans(),
+    hs.booleans(),
+    hs.integers(0, 6),
+)
+def test_grover_iterate_is_bit_exact_against_reflection_rounds(
+    axis_amps, data, good_keys, own_basis, as_vector, count
+):
+    """grover_iterate's rounds on the bare vector equal `count` public
+    reflection pairs exactly.  The axis lies over all of _KEYS and may be zero
+    on some of them; the state lies over a basis of its own (the align path)
+    or over the axis's; `good` is a callback or a boolean vector."""
+    vector = np.array(axis_amps, dtype=complex)
+    vector[np.abs(vector) <= PRUNE_EPS] = 0
+    norm2 = np.vdot(vector, vector).real
+    assume(norm2 > 1e-2)
+    axis = State.over(Basis.of(_KEYS), vector / math.sqrt(norm2))
+    state, _ = _pair_on(data, axis)
+    if not own_basis:
+        state = align(state, axis)
+    good = lambda key: key in good_keys
+    ref = state
+    for _ in range(count):
+        ref = reflect_about_state(reflect_about_predicate(ref, good), axis)
+    flags = np.array([good(key) for key in axis.basis.keys])
+    out = grover_iterate(state, flags if as_vector else good, axis, count)
+    assert out.basis is ref.basis
+    assert np.array_equal(out.vector, ref.vector)
+    assert np.array_equal(out.live, ref.live)
+
+
+def _smallest_refused_count(iterate, limit=20):
+    for count in range(1, limit):
+        try:
+            iterate(count)
+        except ValidationError:
+            return count
+    return None
+
+
+def test_every_round_checks_the_norm():
+    """Reflecting v about an axis of norm^2 1 + d adds 4*d*|<axis, v>|^2 to
+    v's norm^2.  With d just inside NORM_TOL the drift leaves tolerance after
+    a few rounds, and grover_iterate refuses the same round the reflection
+    pairs do."""
+    basis = Basis.of([b"g", b"b"])
+    theta = 0.05
+    scale = math.sqrt(1.0 + 0.1 * NORM_TOL)
+    axis = State.over(basis, [scale * math.sin(theta), scale * math.cos(theta)])
+    state = State.over(basis, [0.0, 1.0])
+    good = np.array([True, False])
+
+    def pairs(count):
+        out = state
+        for _ in range(count):
+            out = reflect_about_state(reflect_about_predicate(out, good), axis)
+        return out
+
+    def fused(count):
+        return grover_iterate(state, good, axis, count)
+
+    refused = _smallest_refused_count(pairs)
+    assert refused is not None and refused > 1
+    assert _smallest_refused_count(fused) == refused
+    for iterate in (pairs, fused):
+        with pytest.raises(ValidationError, match="norm"):
+            iterate(refused)
+        # one round short, the drift shows but is inside tolerance
+        assert 0.5 * NORM_TOL < iterate(refused - 1).norm() ** 2 - 1.0 <= NORM_TOL
+
+
+def test_grover_iterate_refuses_a_good_vector_of_the_wrong_length():
+    axis = uniform_state([b"a", b"b", b"c"])
+    for count in (1, 3):
+        for good in (np.array([True, False]), np.array([True, False, False, True])):
+            with pytest.raises(ValidationError):
+                grover_iterate(axis, good, axis, count)
+
+
 @settings(deadline=None, max_examples=150)
 @given(_AMPS, hs.data(), hs.integers(1, 4), hs.integers(0, 2**32 - 1))
 def test_measure_matches_dict_reference(axis_amps, data, modulus, seed):
@@ -276,6 +362,14 @@ def test_pruning_at_the_edge():
     assert abs(shrunk.amplitude(b"b") - 2e-12) < 1e-24
     half = State.over(tiny.basis, [math.sqrt(1 - 1e-24), 1e-12])
     assert half.support() == (b"a",)
+
+
+def test_align_moves_amplitudes_unchanged():
+    # normalize=True prunes before dividing, so 2e-12 is kept and becomes 1e-12
+    st = State({b"a": 1 + 1j, b"b": 2e-12, b"c": 1 + 1j}, normalize=True)
+    assert st.amplitude(b"b") == 1e-12
+    moved = align(st, uniform_state([b"a", b"b", b"c", b"d"]))
+    assert moved.items() == st.items()
 
 
 def test_align_refuses_keys_outside_the_axis_basis():
