@@ -96,16 +96,15 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
     vector over the axis's basis, each one reflect_about_predicate then
     reflect_about_state bit for bit, and one State is built at the end.  Only
     the axis reflection is followed by the prune and norm check: a negation
-    changes no magnitude, so settling its output is settling its input, which
-    is done once before the first round (a State built with normalize=True
-    can hold amplitudes at or below PRUNE_EPS).
+    changes no magnitude, so settling its output is settling its input, and
+    every State is already settled.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
     if count == 0:
         return state
     out, flags = _good_flags(state, good, axis)
-    u, vector = axis.vector, _settled(out.vector.copy())
+    u, vector = axis.vector, out.vector
     for _ in range(count):
         vector = np.where(flags, -vector, vector)
         reflected = -vector

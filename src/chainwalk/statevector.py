@@ -206,9 +206,10 @@ class State:
 def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Prune `vector` in place, optionally normalize it, and check its norm.
 
-    Amplitudes of magnitude PRUNE_EPS or below become exact zeros; a vector
-    left with no nonzero amplitude, or whose norm^2 is further than NORM_TOL
-    from 1, raises ValidationError.  Returns `vector`.
+    Amplitudes of magnitude PRUNE_EPS or below become exact zeros, and a
+    normalized vector is pruned again after the division; a vector left with
+    no nonzero amplitude, or whose norm^2 is further than NORM_TOL from 1,
+    raises ValidationError.  Returns `vector`.
     """
     vector[np.abs(vector) <= PRUNE_EPS] = 0
     norm2 = np.vdot(vector, vector).real
@@ -216,6 +217,7 @@ def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
         raise ValidationError("state has no support")
     if normalize:
         vector /= np.sqrt(norm2)
+        vector[np.abs(vector) <= PRUNE_EPS] = 0
         norm2 = np.vdot(vector, vector).real
     if abs(norm2 - 1.0) > NORM_TOL:
         raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
@@ -245,11 +247,8 @@ def align(state: State, axis: State) -> State:
     """`state` over axis's basis: `state` itself when it already lies over
     that basis, else its support amplitudes moved, unchanged, to their keys'
     positions in it.  Raises ValidationError when a support key is not in
-    that basis.
-
-    Moving is not an operation: the amplitudes are not settled again, so a
-    State built with normalize=True, whose amplitudes were pruned before the
-    division, keeps one that the division took to PRUNE_EPS or below.
+    that basis.  Moving is not an operation: the amplitudes are not settled
+    again.
     """
     base = axis.basis
     if state.basis is base:

@@ -13,12 +13,21 @@ CWL_THREADS environment variable caps the default worker count.
 A block draws its R images per row as uint32 whenever M <= 2^32 and sorts
 each row in place.  numpy draws any range below 2^32 with Lemire's 32-bit
 method whatever the output dtype, so these are the values an int64 draw
-gives, at half the memory traffic; a larger M draws int64.  Z of the sorted
-rows comes from one flat pass over the raveled table: a bool buffer marks
-each element equal to its predecessor, with the first column cleared so no
-pair spans two rows, a run of two or more starts where a mark follows an
-unmarked element, and the run starts are counted per row with bincount.
-FamilyIndex counts its per-vertex collisions with the same kernel.
+gives, at half the memory traffic; a larger M draws int64.  When M = 2^b and
+the generator is PCG64, Lemire's method never rejects and returns the top b
+bits of each 32-bit word, and numpy takes the words of each 64-bit output
+low half first.  So the block reads ceil(size*R / 2) raw outputs, views them
+as little-endian 32-bit words and shifts each right by 32 - b: the values
+Generator.integers gives, without its per-element call.  Any other M or bit
+generator draws through Generator.integers.  Each block's generator is
+spawned fresh and used once, so the half output that integers would have
+kept buffered is never read.
+
+Z of the sorted rows comes from one flat pass over the raveled table: a bool
+buffer marks each element equal to its predecessor, with the first column
+cleared so no pair spans two rows, a run of two or more starts where a mark
+follows an unmarked element, and the run starts are counted per row with
+bincount.  FamilyIndex counts its per-vertex collisions with the same kernel.
 """
 
 from __future__ import annotations
@@ -82,10 +91,25 @@ def collision_counts(sorted_rows: np.ndarray) -> np.ndarray:
     return np.bincount(starts // width, minlength=rows)
 
 
+def _draw_images(gen: np.random.Generator, size: int, big_r: int, bins: int) -> np.ndarray:
+    """A (size, R) table of uniform images in [0, bins): the values of
+    gen.integers(0, bins, dtype=np.uint32), or of an int64 draw for M > 2^32,
+    read straight from the raw PCG64 stream when M is a power of two."""
+    if bins > 1 << 32:
+        return gen.integers(0, bins, size=(size, big_r), dtype=np.int64)
+    if bins & (bins - 1) or type(gen.bit_generator) is not np.random.PCG64:
+        return gen.integers(0, bins, size=(size, big_r), dtype=np.uint32)
+    count = size * big_r
+    raw = gen.bit_generator.random_raw((count + 1) // 2)
+    # each 64-bit output is two 32-bit words, low half first
+    draws = raw.astype("<u8", copy=False).view("<u4")[:count]
+    draws >>= 33 - bins.bit_length()
+    return draws.reshape(size, big_r)
+
+
 def _collision_counts_block(args) -> np.ndarray:
     gen, size, big_r, bins = args
-    dtype = np.uint32 if bins <= 1 << 32 else np.int64
-    draws = gen.integers(0, bins, size=(size, big_r), dtype=dtype)
+    draws = _draw_images(gen, size, big_r, bins)
     draws.sort(axis=1)
     return collision_counts(draws)
 

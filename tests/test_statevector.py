@@ -62,6 +62,14 @@ def test_tiny_amplitudes_pruned():
     assert st.support() == (b"a",)
 
 
+def test_normalize_prunes_after_the_division():
+    # 2e-12 survives the first prune; divided by the norm 2 it is 1e-12
+    st = State({b"a": 1 + 1j, b"b": 2e-12, b"c": 1 + 1j}, normalize=True)
+    assert st.support() == (b"a", b"c")
+    assert st.amplitude(b"b") == 0 and b"b" not in st
+    assert np.all((st.vector == 0) | (np.abs(st.vector) > PRUNE_EPS))
+
+
 def test_uniform_state():
     st = uniform_state([b"c", b"a", b"b"])
     assert st.support() == (b"a", b"b", b"c")
@@ -140,9 +148,10 @@ def _ref_prune(amps):
 
 
 def _ref_normalized(amps):
+    """Prune, divide by the norm, and prune what the division left small."""
     amps = _ref_prune(amps)
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return {k: a / norm for k, a in amps.items()}
+    return _ref_prune({k: a / norm for k, a in amps.items()})
 
 
 def _ref_inner(left, right):
@@ -365,10 +374,11 @@ def test_pruning_at_the_edge():
 
 
 def test_align_moves_amplitudes_unchanged():
-    # normalize=True prunes before dividing, so 2e-12 is kept and becomes 1e-12
-    st = State({b"a": 1 + 1j, b"b": 2e-12, b"c": 1 + 1j}, normalize=True)
-    assert st.amplitude(b"b") == 1e-12
+    # 4e-12 divided by the norm 2 is 2e-12, just above PRUNE_EPS, and moves as is
+    st = State({b"a": 1 + 1j, b"b": 4e-12, b"c": 1 + 1j}, normalize=True)
+    assert st.amplitude(b"b") == 2e-12
     moved = align(st, uniform_state([b"a", b"b", b"c", b"d"]))
+    assert moved.basis is not st.basis
     assert moved.items() == st.items()
 
 

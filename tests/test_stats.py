@@ -2,12 +2,14 @@
 
 Expected means come from the exact bin-occupancy closed form: with q = 1-1/M,
 the expected number of images hit at least twice by R uniform draws is
-M (1 - q^R - (R/M) q^(R-1)).  Everything empirical runs under fixed seeds.
+M (1 - q^R - (R/M) q^(R-1)); the whole law of Z comes from counting draws
+exactly (occupancy_law).  Everything empirical runs under fixed seeds.
 """
 
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 from chainwalk.errors import ParameterError
 from chainwalk.stats import (
     IntervalPlan,
+    _collision_counts_block,
+    _draw_images,
     calibrate_constant,
     collision_counts,
     interval_hit_probability,
@@ -105,6 +109,117 @@ def test_uint32_draws_keep_the_int64_stream():
             narrow = np.random.default_rng([5, bins]).integers(0, bins, size=shape,
                                                                dtype=np.uint32)
             assert np.array_equal(wide, narrow), (bins, shape)
+
+
+def _integers_counts(gen, size, big_r, bins):
+    """Z of each row as every block counted it before the raw-stream draw."""
+    dtype = np.uint32 if bins <= 1 << 32 else np.int64
+    draws = gen.integers(0, bins, size=(size, big_r), dtype=dtype)
+    draws.sort(axis=1)
+    return collision_counts(draws)
+
+
+def _assert_draw_matches_integers(seed, size, big_r, bins, bit_generator=np.random.PCG64):
+    def gen():
+        return np.random.Generator(bit_generator(seed))
+
+    dtype = np.uint32 if bins <= 1 << 32 else np.int64
+    draws = _draw_images(gen(), size, big_r, bins)
+    assert draws.shape == (size, big_r) and draws.dtype == dtype
+    assert np.array_equal(draws, gen().integers(0, bins, size=(size, big_r), dtype=dtype))
+    z = _collision_counts_block((gen(), size, big_r, bins))
+    assert z.dtype == np.int64
+    assert np.array_equal(z, _integers_counts(gen(), size, big_r, bins))
+
+
+@pytest.mark.parametrize("bits", range(33))
+def test_power_of_two_draws_match_integers(bits):
+    # size * R odd (1, 15, 561) and even (1024, 131072): an odd count
+    # leaves the high half of the last raw output unused
+    for shape in ((1, 1), (3, 5), (33, 17), (64, 16), (8192, 16)):
+        _assert_draw_matches_integers([5, bits], *shape, 1 << bits)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    size=st.integers(1, 64),
+    big_r=st.integers(1, 65),
+    bits=st.integers(0, 32),
+)
+def test_power_of_two_draws_match_integers_everywhere(seed, size, big_r, bits):
+    _assert_draw_matches_integers(seed, size, big_r, 1 << bits)
+
+
+def test_other_draws_keep_integers():
+    # a range that is not a power of two, one above 2^32, and a bit
+    # generator other than PCG64 all draw through Generator.integers
+    for bins in (3, 1000, 1 << 33):
+        for shape in ((1, 1), (33, 17), (512, 16)):
+            _assert_draw_matches_integers(5, *shape, bins)
+    for bit_generator in (np.random.Philox, np.random.MT19937):
+        for bins in (1, 2, 256, 1000, 1 << 32, 1 << 33):
+            _assert_draw_matches_integers(5, 33, 17, bins, bit_generator)
+
+
+def occupancy_law(big_r, bins):
+    """Exact P(Z = z) for z = 0 .. R // 2, as Fractions.
+
+    A draw with z bins hit twice or more and j hit once picks those bins
+    (C(M, z) C(M - z, j)), the j single draws and their bins (C(R, j) j!),
+    and splits the other R - j draws into z blocks of two or more, one per
+    bin (S2(R - j, z) z!).  S2(n, k), the partitions of n into k blocks of
+    size at least two, obeys S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1).
+    """
+    top = big_r // 2
+    s2 = [[0] * (top + 1) for _ in range(big_r + 1)]
+    s2[0][0] = 1
+    for n in range(2, big_r + 1):
+        for k in range(1, n // 2 + 1):
+            s2[n][k] = k * s2[n - 1][k] + (n - 1) * s2[n - 2][k - 1]
+    law = []
+    for z in range(top + 1):
+        ways = sum(
+            math.comb(bins, z) * math.comb(bins - z, j) * math.comb(big_r, j)
+            * math.factorial(j) * math.factorial(z) * s2[big_r - j][z]
+            for j in range(big_r - 2 * z + 1)
+        )
+        law.append(Fraction(ways, bins**big_r))
+    return law
+
+
+# the four (R, M) cases of the benchmark's checks workload
+LAW_CASES = ((16, 256), (32, 1024), (32, 4096), (64, 4096))
+# the 1 - 1e-6 quantile of chi^2 with df degrees of freedom
+# (scipy.stats.chi2.isf(1e-6, df)), for every df the pooling below gives
+CHI2_CRITICAL = {3: 30.6648, 4: 33.3768, 5: 35.8882}
+
+
+def test_occupancy_law_is_a_distribution_with_the_exact_mean():
+    means = {(16, 256): 0.4519816, (32, 1024): 0.4750143,
+             (32, 4096): 0.1205040, (64, 4096): 0.4872484}
+    for big_r, bins in LAW_CASES:
+        law = occupancy_law(big_r, bins)
+        assert sum(law) == 1
+        mean = sum(z * p for z, p in enumerate(law))
+        assert abs(float(mean) - exact_mean(big_r, bins)) < 1e-12
+        assert float(mean) == pytest.approx(means[big_r, bins], abs=1e-7)
+
+
+def test_sampled_counts_follow_the_occupancy_law():
+    samples = 1 << 16
+    for big_r, bins in LAW_CASES:
+        law = [float(p) for p in occupancy_law(big_r, bins)]
+        # cells 0 .. k-1 and a pooled tail Z >= k, every expected count >= 5
+        k = 1
+        while samples * law[k] >= 5 and samples * sum(law[k + 1:]) >= 5:
+            k += 1
+        expected = samples * np.array(law[:k] + [sum(law[k:])])
+        values = sample_collision_counts(big_r, bins, samples,
+                                         np.random.default_rng([17, big_r, bins]))
+        observed = np.bincount(np.minimum(values, k), minlength=k + 1)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stat < CHI2_CRITICAL[k], (big_r, bins, stat)
 
 
 def test_verify_stats_rows_pinned():
