@@ -91,13 +91,14 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
     `good` is a key callback or a boolean vector over the axis's basis.  It
-    is read once per key that the state or the axis carries, and every
-    Ref_flip negates through that mask.  The rounds run on the bare amplitude
-    vector over the axis's basis, each one reflect_about_predicate then
-    reflect_about_state bit for bit, and one State is built at the end.  Only
-    the axis reflection is followed by the prune and norm check: a negation
-    changes no magnitude, so settling its output is settling its input, and
-    every State is already settled.
+    is read once per key that the state or the axis carries.  The rounds run
+    on the bare amplitude vector over the axis's basis, and one State is
+    built at the end.  A round negates the amplitudes off the mask, w = -v',
+    where v' is reflect_about_predicate's output, and adds (-2<u, w>) u,
+    which is reflect_about_state's 2<u, v'> u - v' bit for bit: negation is
+    exact, and so is the negated dot product, summed in the same order.
+    Each round ends with the prune and norm check; the flip needs none, as a
+    negation changes no magnitude and every State is already settled.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
@@ -106,9 +107,8 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
     out, flags = _good_flags(state, good, axis)
     u, vector = axis.vector, out.vector
     for _ in range(count):
-        vector = np.where(flags, -vector, vector)
-        reflected = -vector
-        reflected += (2.0 * np.vdot(u, vector)) * u
+        reflected = np.where(flags, vector, -vector)
+        reflected += (-2.0 * np.vdot(u, reflected)) * u
         vector = _settled(reflected)
     return State._build(axis.basis, vector)
 

@@ -27,11 +27,14 @@ no byte key in between.  An index's Basis is its vertex ordinals, with byte
 keys spelled out of the sorted point rows only when a byte-key API reads them,
 so a family state is a vector over vertex ordinals, and its predicates and
 labels (class_mask, by_count) are vectors over the ordinals too.  Tuples are
-int64 rows (image, size, preimages) read off the image-sorted rows on
-request, not kept.  The padded register is a V x y vector over the support
-vertices with an integer label per entry, a dummy's index or its tuple row's
-rank among the request's rows; pad_and_attach spells it in byte keys for
-callers that read keys.
+runs of equal images in the image-sorted rows, read off on request, not
+kept: each run gets one exact int64 key (image, size, colex rank of its
+preimages within their image class), and full int64 rows (image, size,
+preimages) are built only for the distinct tuples.  The padded register is
+a V x y table of amplitudes and integer labels over the support vertices,
+a dummy's index or its tuple's rank in token order.  extract_once draws
+from those arrays as measure would, building no State for the register;
+pad_and_attach spells it in byte keys for callers that read keys.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .statevector import (
     Basis,
     BasisKey,
     State,
+    _draw_label,
     align,
     decode_subset,
     measure,
@@ -155,6 +159,16 @@ def _row_tuple(row: List[int]) -> Tuple[int, Tuple[int, ...]]:
     return row[0], tuple(row[2:2 + row[1]])
 
 
+def _class_places(values: np.ndarray) -> np.ndarray:
+    """Each point's index within its preimage class under the function with
+    table `values`: the number of smaller points with the same image."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    places = np.empty(len(ranked), dtype=np.int64)
+    places[order] = np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
+    return places
+
+
 class FamilyIndex:
     """Exhaustive per-subset multicollision data for one (restriction, R).
 
@@ -231,11 +245,13 @@ class FamilyIndex:
                 f"an image and a point (n={params.n}, m={params.m}) do not "
                 "pack into one int64"
             )
+        # indexing, not take: take is several times slower with a read-only
+        # index table such as the cached subset table
         combos = np.asarray(points, dtype=np.int64)[_lex_subsets(len(points), self.big_r)]
         # sorting (image, point) pairs packed into one int64 sorts each row
         # stably by image, since the points of a row ascend; every step works
         # in place, so at most two V x R tables are alive at once
-        packed = self.restriction.base.values()[combos]
+        packed = self.restriction.base.values().take(combos)
         packed <<= params.n
         packed |= combos
         del combos
@@ -272,11 +288,12 @@ class FamilyIndex:
         # einsum sums short rows several times faster than sum(axis=1)
         keep = np.einsum("ij->i", hits, dtype=np.int64) == len(preimages)
         self.parent_rank = np.where(keep, np.cumsum(keep) - 1, -1)
+        kept = np.flatnonzero(keep)
         shape = (self.total, self.big_r)
-        cut = hits[keep] == 0
-        self._points = parent._points[keep][cut].reshape(shape)
-        self._images = parent._images[keep][cut].reshape(shape)
-        self.counts = parent.counts[keep] - 1
+        cut = hits.take(kept, axis=0) == 0
+        self._points = parent._points.take(kept, axis=0)[cut].reshape(shape)
+        self._images = parent._images.take(kept, axis=0)[cut].reshape(shape)
+        self.counts = parent.counts.take(kept) - 1
 
     def _ordinal_of(self, key: BasisKey) -> int:
         try:
@@ -295,22 +312,69 @@ class FamilyIndex:
     def tuple_rows(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The tuples of the vertices `ordinals` as int64 rows (image, size,
         preimages padded with -1), vertex by vertex and in image order within
-        a vertex, and each row's position in `ordinals`.  A tuple is a run of
-        two or more equal images in a stably sorted image row."""
+        a vertex, and each row's position in `ordinals`."""
+        starts, sizes, owners = self._runs(ordinals)
+        return self._run_rows(starts, sizes), owners
+
+    def _runs(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tuple runs of the vertices `ordinals`, vertex by vertex and in
+        image order within a vertex: each run's first position in the
+        flattened tables, its size, and its vertex's position in `ordinals`.
+        A tuple is a run of two or more equal images in a stably sorted image
+        row."""
         width = self.big_r
-        images = self._images[ordinals].ravel()
-        points = self._points[ordinals].ravel()
+        images = self._images.take(ordinals, axis=0).ravel()
         # same[p]: image p repeats the one before it in its row
         same = np.zeros(images.size + 1, dtype=bool)
         same[1:-1] = images[1:] == images[:-1]
         same[::width] = False
         begins, ends = np.flatnonzero(same[1:] != same[:-1]).reshape(-1, 2).T
-        sizes = ends - begins + 1
-        cols = np.arange(width)
-        spans = points.take(begins[:, None] + cols, mode="clip")
+        owners = begins // width
+        starts = ordinals.take(owners) * width + begins % width
+        return starts, ends - begins + 1, owners
+
+    def _run_rows(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The runs at `starts` as int64 rows (image, size, preimages padded
+        with -1)."""
+        cols = np.arange(self.big_r)
+        spans = self._points.ravel().take(starts[:, None] + cols, mode="clip")
         preimages = np.where(cols < sizes[:, None], spans, -1)
-        rows = np.column_stack([images[begins], sizes, preimages])
-        return rows, begins // width
+        return np.column_stack([self._images.ravel().take(starts), sizes, preimages])
+
+    def _run_keys(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """One int64 per run, equal for two runs exactly when they hold the
+        same tuple: (image * (R + 1) + size) * V + rank.
+
+        The rank is the colex rank of the preimages p_0 < p_1 < ... among the
+        size-subsets of the image's preimage class, sum_j C(place(p_j), j + 1)
+        with place(p) the index of p in its class.  The class is whole in the
+        domain (restrict carves out whole classes), and an R-subset holding a
+        k-point run of an s-point class holds R - k points outside it, so
+        C(s, k) <= C(N, R) = V and the rank is below V.  Raises CapacityError
+        when the codomain's keys do not fit an int64.
+        """
+        base, width, total = self.restriction.base, self.big_r, self.total
+        if base.params.codomain_size * (width + 1) * total > 1 << 63:
+            raise CapacityError(
+                f"tuple keys over m = {base.params.m} image bits, R = {width} "
+                f"and {total} vertices do not pack into one int64"
+            )
+        places = _class_places(base.values())
+        points = self._points.ravel()
+        rank = np.zeros(len(starts), dtype=np.int64)
+        for j in range(int(sizes.max(initial=0))):
+            place = places.take(points.take(starts + j, mode="clip"))
+            # C(c, j + 1) up to the largest place met; a rank's own terms are
+            # below V, so capping the others at V changes no rank
+            binom = np.array(
+                [min(math.comb(c, j + 1), total) for c in range(int(place.max()) + 1)],
+                dtype=np.int64,
+            )
+            term = binom.take(place)
+            # every run holds at least two points
+            rank += term if j < 2 else np.where(sizes > j, term, 0)
+        heads = self._images.ravel().take(starts) * (width + 1) + sizes
+        return heads * total + rank
 
     def histogram(self) -> Dict[int, int]:
         return dict(self._size_by_count)
@@ -381,38 +445,46 @@ def check_uniform_class(
 
 
 def _padded_register(state: State, index: FamilyIndex, y: int):
-    """The padded register as a V x y table over the state's support vertices.
+    """The padded register over the state's support vertices, unmaterialized.
 
-    Row r holds vertex ordinals[r]'s z tuples in image order, then
-    d_{z+1}..d_y, each at the vertex's amplitude over sqrt(y).  Returns
-    (ordinals, the table as a State over its row-major positions, the label
-    of each position, the distinct tuples as rows of FamilyIndex.tuple_rows).
-    Labels sort as the tokens do: d_i is i - 1, and the j-th tuple in
-    (image, size, preimages) order y + j.
+    Entry r * y + c belongs to vertex ordinals[r]: its z tuples in image
+    order, then d_{z+1}..d_y, each at the vertex's amplitude over sqrt(y).
+    Returns (ordinals, the amplitude of each entry, the label of each entry,
+    the distinct tuples as rows of FamilyIndex.tuple_rows).  Labels sort as
+    the tokens do: d_i is i - 1, and the j-th tuple in (image, size,
+    preimages) order y + j.  The last label is always present: every tuple
+    label is, and without tuples every vertex holds d_y.  Dummies d_i with i
+    at most every vertex's count are absent.
     """
     if y < 1:
         raise ParameterError("padding width y must be at least 1")
     state = align(state, index.axis_state())
     ordinals = state.live
-    z = index.counts[ordinals]
+    z = index.counts.take(ordinals)
     if z.max() > y:
         raise ContractViolationError(
             f"a vertex holds {z.max()} tuples, above the padding width {y}"
         )
-    rows, _ = index.tuple_rows(ordinals)
+    starts, sizes, _ = index._runs(ordinals)
+    keys = index._run_keys(starts, sizes)
+    distinct = np.sort(keys)
+    first = np.ones(len(distinct), dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
+    which = np.searchsorted(distinct, keys)
+    # any run of a tuple stands for it
+    sample = np.empty(len(distinct), dtype=np.intp)
+    sample[which] = np.arange(len(keys))
+    found = index._run_rows(starts[sample], sizes[sample])
     # rows agreeing on (image, size) have the same -1 padding, so this
     # lexicographic order is tuple_token's byte order
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.cumsum(first) - 1
+    order = np.lexsort(found.T[::-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
     labels = np.tile(np.arange(y), (len(ordinals), 1))
-    labels[np.arange(y) < z[:, None]] = y + rank
-    vector = np.repeat(state.vector[ordinals] * (1.0 / math.sqrt(y)), y)
-    padded = State.over(Basis.of(range(len(vector))), vector)
-    return ordinals, padded, labels.ravel(), ranked[first]
+    labels[np.arange(y) < z[:, None]] = y + rank[which]
+    amplitudes = np.repeat(state.vector.take(ordinals) * (1.0 / math.sqrt(y)), y)
+    return ordinals, amplitudes, labels.ravel(), found[order]
 
 
 def pad_and_attach(
@@ -430,7 +502,7 @@ def pad_and_attach(
     """
     if index is None:
         index = FamilyIndex(restriction, len(decode_subset(state.keys()[0])))
-    ordinals, padded, labels, found = _padded_register(state, index, y)
+    ordinals, amplitudes, labels, found = _padded_register(state, index, y)
     tokens = [dummy_token(i) for i in range(1, y + 1)] + [
         tuple_token(*_row_tuple(row)) for row in found.tolist()
     ]
@@ -439,7 +511,7 @@ def pad_and_attach(
         vertex_keys[ordinal] + tokens[label]
         for ordinal, label in zip(np.repeat(ordinals, y).tolist(), labels.tolist())
     ]
-    return State.over(Basis.of(keys), padded.vector)
+    return State.over(Basis.of(keys), amplitudes)
 
 
 @dataclass(frozen=True)
@@ -489,10 +561,16 @@ def extract_once(
     check_uniform_class(state, family, index)
     if index is None:
         index = FamilyIndex(family.restriction, family.big_r)
-    ordinals, padded, labels, found = _padded_register(state, index, y)
-    outcome, collapsed = measure(padded, labels, rng)
-    rows = ordinals[collapsed.live // y]
-    amplitudes = collapsed.vector[collapsed.live]
+    # measure the register as measure would, without building it: the same
+    # weights per label, summed in entry order, and the same single draw
+    ordinals, amplitudes, labels, found = _padded_register(state, index, y)
+    weights = np.bincount(
+        labels, weights=np.abs(amplitudes) ** 2, minlength=y + len(found)
+    ).tolist()
+    outcome = _draw_label(weights, rng)
+    entries = np.flatnonzero(labels == outcome)
+    rows = ordinals.take(entries // y)
+    amplitudes = amplitudes.take(entries) * (1.0 / np.sqrt(weights[outcome]))
     if outcome >= y:
         image, preimages = _row_tuple(found[outcome - y].tolist())
         new_table = family.restriction.table.insert(

@@ -17,7 +17,11 @@ construction from a dict) reads through the basis, and a basis built from a
 key factory spells its keys out only on that first read.
 
 Predicates and measurement labels are key callbacks or vectors over the
-state's basis; a callback is read once per key into such a vector.
+state's basis; a callback is read once per key into such a vector.  A
+measurement codes its labels as integer ids into the sorted distinct labels:
+a vector of bools or of small nonnegative integers (see _BINCOUNT_SLACK)
+through np.bincount, any other labels through np.unique.  Both give the same
+distinct labels, ids and weights.
 
 Conventions used throughout:
 
@@ -44,6 +48,12 @@ from .errors import ContractViolationError, ValidationError
 
 PRUNE_EPS = 1e-12
 NORM_TOL = 1e-9
+# Labels that are bools, or nonnegative integers below their count plus this
+# slack, are coded by np.bincount, whose bins then cost at most the labels
+# plus a constant.  That covers every label vector the package builds: vertex
+# counts, flip flags, hop and walk cells, and the padded register's labels,
+# which stay below V*y + y with y < 2^16 (dummy_token's range).
+_BINCOUNT_SLACK = 1 << 16
 
 BasisKey = bytes
 Labels = Union[Callable[[BasisKey], object], np.ndarray]
@@ -200,7 +210,9 @@ class State:
 
     def probability(self, predicate: Labels) -> float:
         weights = np.abs(self.vector[self.live]) ** 2
-        return float(sum(weights[self.mask(predicate)[self.live]].tolist()))
+        chosen = weights[self.mask(predicate)[self.live]]
+        # a running sum adds in basis order, one float at a time
+        return float(np.cumsum(chosen)[-1]) if chosen.size else 0.0
 
 
 def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -269,7 +281,7 @@ def align(state: State, axis: State) -> State:
 def reflect_about_state(state: State, axis: State) -> State:
     """(2|axis><axis| - I) applied to `state`, over axis's basis.
 
-    amplify.grover_iterate repeats this arithmetic on the bare vector."""
+    amplify.grover_iterate gives the same vector on the bare amplitudes."""
     state = align(state, axis)
     out = -state.vector
     out += (2.0 * np.vdot(axis.vector, state.vector)) * axis.vector
@@ -281,15 +293,30 @@ def reflect_about_predicate(state: State, flip: Labels) -> State:
     return State._build(state.basis, np.where(state.mask(flip), -state.vector, state.vector))
 
 
+def _codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct labels of `values`, sorted, and each entry's index into
+    them.  Bools and small nonnegative integers (see _BINCOUNT_SLACK) are
+    counted into bins, whose nonzero bins are the distinct labels, read back
+    in the labels' own dtype; anything else goes through np.unique."""
+    if (
+        values.dtype.kind in "biu"
+        and values.min() >= 0
+        and values.max() < len(values) + _BINCOUNT_SLACK
+    ):
+        codes = values.astype(np.intp, copy=False)
+        present = np.bincount(codes) > 0
+        ids = np.cumsum(present) - 1
+        return np.flatnonzero(present).astype(values.dtype), ids[codes]
+    return np.unique(values, return_inverse=True)
+
+
 def _label_pass(state: State, labels: Labels):
     """Label every support key once.
 
     Returns (the distinct labels, sorted; the index into them of each support
     position; the weight of each label).  Weights are summed in basis order.
     """
-    distinct, label_ids = np.unique(
-        values_at(state.basis, labels, state.live, object), return_inverse=True
-    )
+    distinct, label_ids = _codes(values_at(state.basis, labels, state.live, object))
     weights = np.bincount(
         label_ids, weights=np.abs(state.vector[state.live]) ** 2, minlength=len(distinct)
     )
@@ -304,6 +331,19 @@ def _branch(state: State, label_ids: np.ndarray, weights: List[float], label_id:
     return State._build(state.basis, vector)
 
 
+def _draw_label(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """The label one uniform draw selects, given the labels' weights in sorted
+    label order: the first whose cumulative weight exceeds the draw, else the
+    last.  A zero-weight label is never selected before the fallback."""
+    draw = float(rng.random())
+    acc = 0.0
+    for label_id, weight in enumerate(weights):
+        acc += weight
+        if draw < acc:
+            return label_id
+    return len(weights) - 1
+
+
 def measure(state: State, labels: Labels, rng: np.random.Generator):
     """Projective measurement of the register that `labels` spells out.
 
@@ -312,14 +352,7 @@ def measure(state: State, labels: Labels, rng: np.random.Generator):
     uniform draw selects the branch.
     """
     distinct, label_ids, weights = _label_pass(state, labels)
-    draw = float(rng.random())
-    acc = 0.0
-    chosen = len(distinct) - 1
-    for label_id, weight in enumerate(weights):
-        acc += weight
-        if draw < acc:
-            chosen = label_id
-            break
+    chosen = _draw_label(weights, rng)
     return distinct[chosen], _branch(state, label_ids, weights, chosen)
 
 

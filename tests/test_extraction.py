@@ -46,6 +46,7 @@ from chainwalk.statevector import (
 from chainwalk.extraction import (
     FamilyIndex,
     VertexFamily,
+    _padded_register,
     check_uniform_class,
     correct_interval,
     dummy_token,
@@ -589,6 +590,84 @@ def test_extract_once_matches_padded_register_reference(
         assert (out.kind, out.dummy_index) == parsed
         assert out.collapsed.items() == _reference_residual(collapsed, ())
     assert rng.random() == ref_rng.random()
+
+
+_FUNCTIONS = st.sampled_from([4, 5, 6]).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=1 << n, max_size=1 << n)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(values=_FUNCTIONS, big_r=st.integers(2, 4))
+@example(values=[i // 2 for i in range(64)], big_r=3)
+# one 64-point class: every vertex is a single run of R points
+@example(values=[0] * 64, big_r=3)
+def test_run_keys_identify_tuples(values, big_r):
+    """Two runs share a key exactly when their tuple rows are equal; a key
+    packs (image, size) above a rank that is the run's colex rank in its
+    image class, below C(s, k) <= V; and the padded register's distinct
+    tuples and labels are those of lexsorting every tuple row."""
+    n = len(values).bit_length() - 1
+    assume(math.comb(len(values), big_r) <= 250_000)
+    fn = FunctionTable(Params(n=n, m=n, k=0), values)
+    index = FamilyIndex(restrict(fn, CollisionTable()), big_r)
+    every = np.arange(index.total)
+    keys = index._run_keys(*index._runs(every)[:2])
+    rows, _ = index.tuple_rows(every)
+    pairs = set(zip(keys.tolist(), map(tuple, rows.tolist())))
+    assert len(pairs) == len(set(keys.tolist())) == len({row for _, row in pairs})
+    total = index.total
+    heads, ranks = np.divmod(keys, total)
+    assert np.array_equal(heads, rows[:, 0] * (big_r + 1) + rows[:, 1])
+    classes = {}
+    for x, value in enumerate(values):
+        classes.setdefault(value, []).append(x)
+    colex = {}
+    for (image, size, *pres), rank in zip(rows.tolist(), ranks.tolist()):
+        if (image, size) not in colex:
+            subsets = itertools.combinations(classes[image], size)
+            colex[image, size] = {
+                c: r for r, c in enumerate(sorted(subsets, key=lambda c: c[::-1]))
+            }
+        assert rank == colex[image, size][tuple(pres[:size])]
+        assert rank < math.comb(len(classes[image]), size) <= total
+    # the register against lexsorting every row, as tokens sort
+    y = max(1, index.max_count())
+    ordinals, amplitudes, labels, found = _padded_register(index.axis_state(), index, y)
+    distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(found, distinct)
+    expected = np.tile(np.arange(y), (total, 1))
+    expected[np.arange(y) < index.counts[:, None]] = y + token_rank
+    assert np.array_equal(labels, expected.ravel())
+    assert np.array_equal(ordinals, every)
+    assert np.array_equal(amplitudes, np.repeat(index.axis_state().vector / math.sqrt(y), y))
+
+
+@pytest.mark.parametrize("m", [41, 42])
+def test_run_key_packing_guard(m):
+    """Keys of 59 (image, size) heads per image over the 35,990 58-subsets of
+    61 points overflow an int64 at m = 42, with the top image: the register
+    refuses them.  At m = 41 they fit, and unpack to (image, size)."""
+    top = (1 << m) - 1
+    fn = FunctionTable(Params(n=21, m=m, k=0), np.full(1 << 21, top, dtype=np.int64))
+    restriction = RestrictedFunction(
+        base=fn, table=CollisionTable(), excluded_preimages=frozenset(),
+        excluded_images=frozenset(), domain_points=tuple(range(61)),
+    )
+    index = FamilyIndex(restriction, 58)
+    assert index.total == 35_990 and (1 << 42) * 59 * index.total > 1 << 63
+    if m == 42:
+        family = VertexFamily(restriction=restriction, big_r=58, lo=1, hi=1)
+        state = index.class_state(1, 1)
+        with pytest.raises(CapacityError):
+            extract_once(state, family, np.random.default_rng(0), index=index)
+        with pytest.raises(CapacityError):
+            pad_and_attach(state, restriction, 1, index)
+        return
+    keys = index._run_keys(*index._runs(np.arange(index.total))[:2])
+    heads, ranks = np.divmod(keys, index.total)
+    assert np.all(heads == top * 59 + 58)
+    assert len(set(ranks.tolist())) == index.total
 
 
 @settings(deadline=None, max_examples=150)

@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 from chainwalk.amplify import Want, flip, grover_iterate
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
+    _BINCOUNT_SLACK,
     NORM_TOL,
     PRUNE_EPS,
     Basis,
@@ -356,6 +357,92 @@ def test_measure_matches_dict_reference(axis_amps, data, modulus, seed):
     assert vec_outcome == outcome and type(vec_outcome) is int
     assert vec_collapsed.items() == collapsed.items()
     assert rng.random() == ref_rng.random() == vec_rng.random()
+
+
+def _sequential_sum(values):
+    """Floats added left to right, as CPython's sum did before 3.12."""
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    hs.lists(hs.one_of(_AMP, hs.just(0j)), min_size=1, max_size=40),
+    hs.lists(hs.booleans(), min_size=40, max_size=40),
+)
+def test_probability_is_the_sequential_sum(amps, picks):
+    """probability adds the picked support weights in basis order, bit for
+    bit as a sequential sum over a list of them does; 0.0 when none is
+    picked."""
+    vector = np.array(amps, dtype=complex)
+    vector[np.abs(vector) <= PRUNE_EPS] = 0
+    norm2 = np.vdot(vector, vector).real
+    assume(norm2 > 1e-2)
+    state = State.over(Basis.of(list(range(len(amps)))), vector / math.sqrt(norm2))
+    flags = np.array(picks[:len(amps)])
+    weights = np.abs(state.vector[state.live]) ** 2
+    expected = _sequential_sum(weights[flags[state.live]].tolist())
+    assert state.probability(flags) == expected
+    assert state.probability(np.zeros(len(amps), dtype=bool)) == 0.0
+
+
+def test_probability_sums_long_vectors_in_order():
+    """Over 12,870 weights, where numpy's pairwise sum rounds differently."""
+    rng = np.random.default_rng(11)
+    differs = 0
+    for _ in range(20):
+        amps = rng.normal(size=12_870) + 1j * rng.normal(size=12_870)
+        state = State.over(Basis.of(list(range(len(amps)))), amps / np.linalg.norm(amps))
+        flags = rng.random(len(amps)) < 0.7
+        weights = (np.abs(state.vector) ** 2)[flags]
+        assert state.probability(flags) == _sequential_sum(weights.tolist())
+        differs += float(np.sum(weights)) != _sequential_sum(weights.tolist())
+    assert differs
+
+
+_LABEL_KINDS = {
+    "bool": lambda picks: picks % 2 == 1,
+    "small": lambda picks: picks,
+    "uint8": lambda picks: picks.astype(np.uint8),
+    # the same labels moved past the bincount bound, or one of them far past
+    "above": lambda picks: picks + len(_KEYS) + _BINCOUNT_SLACK,
+    "far": lambda picks: np.where(picks == 3, 1 << 40, picks),
+    "negative": lambda picks: picks - 2,
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    hs.lists(hs.one_of(_AMP, hs.just(0j)), min_size=len(_KEYS), max_size=len(_KEYS)),
+    hs.lists(hs.integers(0, 3), min_size=len(_KEYS), max_size=len(_KEYS)),
+    hs.sampled_from(sorted(_LABEL_KINDS)),
+    hs.integers(0, 2**32 - 1),
+)
+def test_label_codes_agree_with_unique(amps, picks, kind, seed):
+    """A label vector measured as it is (bincount for bools and small
+    nonnegative integers, np.unique otherwise), as an object vector and as a
+    key callback (both np.unique) gives one outcome, of one type, one
+    collapsed vector bit for bit, and leaves the generators level."""
+    vector = np.array(amps, dtype=complex)
+    vector[np.abs(vector) <= PRUNE_EPS] = 0
+    norm2 = np.vdot(vector, vector).real
+    assume(norm2 > 1e-2)
+    state = State.over(Basis.of(_KEYS), vector / math.sqrt(norm2))
+    labels = _LABEL_KINDS[kind](np.array(picks))
+    listed = labels.tolist()
+    results = []
+    for form in (labels, labels.astype(object), lambda key: listed[key[0]]):
+        rng = np.random.default_rng(seed)
+        outcome, collapsed = measure(state, form, rng)
+        results.append((outcome, type(outcome), collapsed.vector, rng.random()))
+    (outcome, kind_of, collapsed, after), *others = results
+    assert kind_of is (bool if kind == "bool" else int)
+    for other in others:
+        assert other[:2] == (outcome, kind_of)
+        assert np.array_equal(other[2], collapsed)
+        assert other[3] == after
 
 
 def test_pruning_at_the_edge():
