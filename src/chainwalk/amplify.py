@@ -7,7 +7,9 @@ Ref_flip negates the good amplitudes; in the plane spanned by B and G this is
 a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
 `grover_iterate` runs its rounds on the bare amplitude vector, with the state
 layer's prune and norm check after each round, and builds one State at the
-end.
+end.  Every operator here is real, so a real state over a real axis stays
+float64 through every round and measurement; a complex state or axis makes
+the rounds complex.
 
 `flip` drives rounds of iterate-then-measure until the projective flag
 measurement lands on the wanted side.  Inputs are expected to lie in
@@ -98,14 +100,16 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
     which is reflect_about_state's 2<u, v'> u - v' bit for bit: negation is
     exact, and so is the negated dot product, summed in the same order.
     Each round ends with the prune and norm check; the flip needs none, as a
-    negation changes no magnitude and every State is already settled.
+    negation changes no magnitude and every State is already settled.  A
+    real state and a complex axis, or the reverse, run complex rounds.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
     if count == 0:
         return state
     out, flags = _good_flags(state, good, axis)
-    u, vector = axis.vector, out.vector
+    u = axis.vector
+    vector = out.vector.astype(np.result_type(out.vector, u), copy=False)
     for _ in range(count):
         reflected = np.where(flags, vector, -vector)
         reflected += (-2.0 * np.vdot(u, reflected)) * u

@@ -430,15 +430,20 @@ def check_uniform_class(
 
     With an index, the support must also be the family's entire count class:
     every key a vertex whose count lies in the family's interval, and as many
-    keys as the class holds.
+    keys as the class holds.  The support positions are distinct, so those
+    two facts make it the whole class.
     """
-    if index is not None and not np.array_equal(
-        align(state, index.axis_state()).live,
-        np.flatnonzero(index.class_mask(family.lo, family.hi)),
-    ):
-        raise ValidationError(
-            f"state support does not match family {family.interval_label()}"
-        )
+    if index is not None:
+        live = align(state, index.axis_state()).live
+        counts = index.counts.take(live)
+        if (
+            len(live) != index.class_size(family.lo, family.hi)
+            or counts.min() < family.lo
+            or (family.hi is not None and counts.max() > family.hi)
+        ):
+            raise ValidationError(
+                f"state support does not match family {family.interval_label()}"
+            )
     target = 1.0 / math.sqrt(len(state))
     if np.any(np.abs(np.abs(state.vector[state.live]) - target) > _UNIFORM_TOL):
         raise ValidationError("state is not uniform over its support")
@@ -581,7 +586,7 @@ def extract_once(
         if big_r:
             # every collapsed vertex holds the tuple, so it has a child ordinal
             new_index = FamilyIndex(new_restriction, big_r, parent=index)
-            vector = np.zeros(new_index.total, dtype=complex)
+            vector = np.zeros(new_index.total, dtype=amplitudes.dtype)
             vector[new_index.parent_rank[rows]] = amplitudes
             # a parent-sized table nothing reads again
             new_index.parent_rank = None
@@ -605,7 +610,7 @@ def extract_once(
             new_index=new_index,
         )
     dummy_index = outcome + 1
-    vector = np.zeros(index.total, dtype=complex)
+    vector = np.zeros(index.total, dtype=amplitudes.dtype)
     vector[rows] = amplitudes
     residual = State.over(index.basis, vector)
     new_family = VertexFamily(

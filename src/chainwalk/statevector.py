@@ -1,7 +1,7 @@
 """Exact state vectors over ordered bases of keys.
 
-A state is a complex numpy vector laid over a Basis: an ordered sequence of
-distinct keys with a map from key to position.  Vertex keys are canonical byte
+A state is a numpy vector laid over a Basis: an ordered sequence of distinct
+keys with a map from key to position.  Vertex keys are canonical byte
 strings: a sorted subset block, optionally followed by an opaque register
 suffix.  Equal sets encode to equal keys, and the subset block is
 length-prefixed so appending a suffix stays injective.  A basis that no
@@ -15,6 +15,12 @@ moved onto it through the key-to-position map, and a state carrying a key
 that basis lacks is refused.  The byte-key API (items, support, amplitude,
 construction from a dict) reads through the basis, and a basis built from a
 key factory spells its keys out only on that first read.
+
+A vector is float64 when the amplitudes it was built from are real and
+complex128 when any is complex.  Every operation keeps its input's dtype, and
+one on a real and a complex vector gives a complex one.  Every operator of a
+run (the reflections, the measurements, the padding) is real, so a run's
+states stay float64 from the first axis to the last residual.
 
 Predicates and measurement labels are key callbacks or vectors over the
 state's basis; a callback is read once per key into such a vector.  A
@@ -137,17 +143,19 @@ class Basis:
 class State:
     """Unit vector over a Basis, immutable by convention.
 
-    `vector` (read-only) holds one complex amplitude per basis key; entries
+    `vector` (read-only) holds one amplitude per basis key, float64 when the
+    amplitudes given were real and complex128 when any was complex; entries
     of magnitude PRUNE_EPS or below are stored as exact zeros, and `live`
     lists the nonzero positions, which make up the support.  A State built
     from a dict of key -> amplitude is laid over a basis of its kept keys,
     in dict order; State.over lays a vector over an existing basis.
+    `amplitude` reads a Python complex whatever the dtype.
     """
 
     __slots__ = ("basis", "vector", "live")
 
     def __init__(self, amplitudes: Dict[BasisKey, complex], *, normalize: bool = False):
-        vector = np.fromiter(amplitudes.values(), dtype=complex, count=len(amplitudes))
+        vector = _amplitude_vector(list(amplitudes.values()))
         keep = np.abs(vector) > PRUNE_EPS
         keys = list(itertools.compress(amplitudes, keep.tolist()))
         self._settle(Basis.of(keys), vector[keep], normalize)
@@ -155,7 +163,7 @@ class State:
     @classmethod
     def over(cls, basis: Basis, amplitudes) -> "State":
         """State with the given amplitude vector over `basis` (copied)."""
-        return cls._build(basis, np.array(amplitudes, dtype=complex))
+        return cls._build(basis, _amplitude_vector(amplitudes))
 
     @classmethod
     def _build(cls, basis: Basis, vector: np.ndarray) -> "State":
@@ -183,7 +191,8 @@ class State:
         return tuple(sorted(self.keys()))
 
     def items(self) -> List[Tuple[BasisKey, complex]]:
-        """(key, amplitude) over the support, in basis order."""
+        """(key, amplitude) over the support, in basis order: Python floats
+        for a real state, Python complexes for a complex one."""
         return list(zip(self.keys(), self.vector[self.live].tolist()))
 
     def keys(self) -> List[BasisKey]:
@@ -213,6 +222,13 @@ class State:
         chosen = weights[self.mask(predicate)[self.live]]
         # a running sum adds in basis order, one float at a time
         return float(np.cumsum(chosen)[-1]) if chosen.size else 0.0
+
+
+def _amplitude_vector(values) -> np.ndarray:
+    """A new vector of `values`: float64 when they are real (or integer),
+    complex128 when they are complex."""
+    vector = np.array(values)
+    return vector.astype(np.result_type(vector.dtype, np.float64), copy=False)
 
 
 def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -252,7 +268,7 @@ def uniform_state(keys: Iterable[BasisKey]) -> State:
     ks = sorted(set(keys))
     if not ks:
         raise ValidationError("uniform state over empty key set")
-    return State._build(Basis.of(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks)), dtype=complex))
+    return State._build(Basis.of(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks))))
 
 
 def align(state: State, axis: State) -> State:
@@ -270,7 +286,7 @@ def align(state: State, axis: State) -> State:
         where = [position[key] for key in state.keys()]
     except KeyError:
         raise ValidationError("state carries a key outside its axis's basis") from None
-    vector = np.zeros(len(base), dtype=complex)
+    vector = np.zeros(len(base), dtype=state.vector.dtype)
     vector[where] = state.vector[state.live]
     vector.flags.writeable = False
     moved = State.__new__(State)
@@ -281,9 +297,10 @@ def align(state: State, axis: State) -> State:
 def reflect_about_state(state: State, axis: State) -> State:
     """(2|axis><axis| - I) applied to `state`, over axis's basis.
 
-    amplify.grover_iterate gives the same vector on the bare amplitudes."""
+    amplify.grover_iterate gives the same vector on the bare amplitudes.  A
+    real state and a complex axis, or the reverse, give a complex result."""
     state = align(state, axis)
-    out = -state.vector
+    out = np.negative(state.vector, dtype=np.result_type(state.vector, axis.vector))
     out += (2.0 * np.vdot(axis.vector, state.vector)) * axis.vector
     return State._build(axis.basis, out)
 
@@ -326,7 +343,7 @@ def _label_pass(state: State, labels: Labels):
 def _branch(state: State, label_ids: np.ndarray, weights: List[float], label_id: int) -> State:
     """The renormalized projection of `state` onto one label, same basis."""
     take = state.live[label_ids == label_id]
-    vector = np.zeros(len(state.basis), dtype=complex)
+    vector = np.zeros(len(state.basis), dtype=state.vector.dtype)
     vector[take] = state.vector[take] * (1.0 / np.sqrt(weights[label_id]))
     return State._build(state.basis, vector)
 

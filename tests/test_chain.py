@@ -30,6 +30,7 @@ from chainwalk.chain import (
     run,
     walk_step,
 )
+from chainwalk.statevector import State
 from test_acceptance import CHAIN_INSTANCES
 
 
@@ -404,3 +405,21 @@ def test_criterion_7_hot_path(monkeypatch):
     assert digest.hexdigest() == (
         "07246bafe60db7f07f8654011ca39968ea0cb61e34dcbaab2eb5d3cbad450034"
     )
+
+
+def test_run_states_stay_real(monkeypatch):
+    """Every operator of a run is real, so every vector that two
+    criterion-7 runs and a chain-wide run settle into a State is float64."""
+    dtypes = []
+    settle = State._settle
+
+    def recorded(self, basis, vector, normalize=False):
+        dtypes.append(vector.dtype)
+        settle(self, basis, vector, normalize)
+
+    monkeypatch.setattr(State, "_settle", recorded)
+    shapes = [(4, m, k, 3, seed) for m, seed, k in (CHAIN_INSTANCES[0], CHAIN_INSTANCES[10])]
+    for n, m, k, ell, seed in shapes + [(7, 8, 0, 1, 0)]:
+        run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
+                        max_outer_iterations=64))
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}

@@ -216,6 +216,31 @@ def test_extract_once_both_branches():
     assert seen == {"tuple", "dummy"}
 
 
+def test_extract_once_keeps_the_input_dtype():
+    """Both branches of a real class state give real residuals, and the same
+    state as complex128 gives complex ones with the same outcome and draws."""
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    fam = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
+    state = index.class_state(1, 2)
+    assert state.vector.dtype == np.float64
+    twin = State.over(index.basis, state.vector.astype(complex))
+    seen = set()
+    for seed in range(12):
+        rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = extract_once(state, fam, rng, index=index)
+        other = extract_once(twin, fam, twin_rng, index=index)
+        seen.add(out.kind)
+        assert (out.kind, out.preimages, out.dummy_index) == (
+            other.kind, other.preimages, other.dummy_index
+        )
+        assert out.collapsed.vector.dtype == np.float64
+        assert other.collapsed.vector.dtype == np.complex128
+        assert np.array_equal(out.collapsed.vector, other.collapsed.vector)
+        assert rng.random() == twin_rng.random()
+    assert seen == {"tuple", "dummy"}
+
+
 def test_extract_once_frequencies():
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
@@ -398,6 +423,22 @@ def test_check_uniform_class_rejects(case):
             use_index = None
     with pytest.raises(ValidationError):
         check_uniform_class(State(amps, normalize=True), family, use_index)
+
+
+@pytest.mark.parametrize("lo, hi, outsider", [(1, 2, 0), (0, 1, 2)])
+def test_check_uniform_class_rejects_a_swapped_vertex(lo, hi, outsider):
+    """A support as large as the class, one member swapped for a vertex of a
+    count below lo or above hi, is refused."""
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    family = VertexFamily(restriction=restriction, big_r=4, lo=lo, hi=hi)
+    keys = index.keys_in(lo, hi)
+    check_uniform_class(State({key: 1.0 for key in keys}, normalize=True), family, index)
+    swapped = keys[1:] + index.keys_in(outsider, outsider)[:1]
+    with pytest.raises(ValidationError, match="does not match family"):
+        check_uniform_class(
+            State({key: 1.0 for key in swapped}, normalize=True), family, index
+        )
 
 
 def test_correct_interval_identity_and_recovery():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from chainwalk.amplify import Want, flip, grover_iterate
+from chainwalk.amplify import Want, flip, grover_iterate, iteration_count
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
     _BINCOUNT_SLACK,
@@ -487,3 +487,122 @@ def test_align_refuses_keys_outside_the_axis_basis():
     assert out.basis is axis.basis
     assert abs(out.amplitude(b"a") - 0.8) < 1e-12
     assert abs(out.amplitude(b"b") - 0.6) < 1e-12
+
+
+# ------------------------------------------------------------------
+# Dtypes: a state is float64 when its amplitudes are real, complex128 when
+# they are complex, and an operation on one of each gives complex128.
+
+_MIX_KEYS = [bytes([i]) for i in range(6)]
+_MIX_AXIS = [0.5, -0.1, 0.3, 0.6, -0.2, 0.4]
+_MIX_STATE = [0.2, 0.7, -0.1, 0.0, 0.5, 0.3]
+_MIX_PHASE = cmath.exp(0.7j)
+
+
+def _mixed_pair(amps, real):
+    """(State, reference) over _MIX_KEYS: the amplitudes as floats, or turned
+    by _MIX_PHASE into complex ones."""
+    amps = dict(zip(_MIX_KEYS, amps if real else [_MIX_PHASE * a for a in amps]))
+    state = State(amps, normalize=True)
+    assert state.vector.dtype == (np.float64 if real else np.complex128)
+    return state, _ref_normalized(amps)
+
+
+def _ref_flip(state, good, axis, want, rng):
+    """flip on the dict reference: the same iteration count, then rounds of
+    reflection pairs and a flag measurement until it lands on `want`."""
+    alpha = math.sqrt(sum(abs(a) ** 2 for k, a in axis.items() if good(k)))
+    count = iteration_count(alpha)
+    if want is Want.BAD:
+        count = max(1, count)
+    while True:
+        for _ in range(count):
+            state = _ref_reflect_state(_ref_reflect_predicate(state, good), axis)
+        outcome, state = _ref_measure(state, good, rng)
+        if outcome == (want is Want.GOOD):
+            return state
+
+
+@pytest.mark.parametrize("real_state", [True, False])
+def test_mixed_dtypes_promote_to_complex(real_state):
+    """A real state over a complex axis, and a complex state over a real
+    axis: reflect_about_state, grover_iterate and flip each give a complex128
+    state that matches the dict reference."""
+    axis, ref_axis = _mixed_pair(_MIX_AXIS, not real_state)
+    state, ref_state = _mixed_pair(_MIX_STATE, real_state)
+    good = lambda key: key in (b"\x01", b"\x04")
+    out = reflect_about_state(state, axis)
+    assert out.vector.dtype == np.complex128
+    _assert_matches(out, _ref_reflect_state(ref_state, ref_axis))
+    for count in (1, 3):
+        out = grover_iterate(state, good, axis, count)
+        ref = ref_state
+        for _ in range(count):
+            ref = _ref_reflect_state(_ref_reflect_predicate(ref, good), ref_axis)
+        assert out.vector.dtype == np.complex128
+        _assert_matches(out, ref, tol=1e-11)
+    # flip starts in span{B, G}: the axis's own amplitudes in the other dtype
+    start, ref_start = _mixed_pair(_MIX_AXIS, real_state)
+    for want in Want:
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        out, _ = flip(start, good, axis, want, rng)
+        assert out.vector.dtype == np.complex128
+        _assert_matches(out, _ref_flip(ref_start, good, ref_axis, want, ref_rng), tol=1e-11)
+        assert rng.random() == ref_rng.random()
+
+
+_REAL_AMP = hs.one_of(
+    hs.floats(-1.0, 1.0, allow_subnormal=False),
+    hs.sampled_from([1e-12, -1e-12, 2e-12, 5e-13]),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    hs.lists(hs.one_of(_REAL_AMP, hs.just(0.0)), min_size=len(_KEYS), max_size=len(_KEYS)),
+    hs.dictionaries(hs.sampled_from(_KEYS), _REAL_AMP, min_size=1),
+    hs.lists(hs.booleans(), min_size=len(_KEYS), max_size=len(_KEYS)),
+    hs.lists(hs.integers(0, 3), min_size=len(_KEYS), max_size=len(_KEYS)),
+    hs.integers(0, 6),
+    hs.sampled_from(Want),
+    hs.integers(0, 2**32 - 1),
+)
+def test_real_states_match_their_complex_copies(
+    axis_amps, amps, good, labels, count, want, seed
+):
+    """align, reflect_about_state, grover_iterate, measure and flip on a
+    float64 state and axis, and on the same values as complex128, with equal
+    seeds: the same outcomes, supports and next draws, amplitudes within
+    1e-12, and amplitude() a Python complex for both."""
+    vector = np.array(axis_amps)
+    vector[np.abs(vector) <= PRUNE_EPS] = 0
+    norm2 = float(vector @ vector)
+    assume(norm2 > 1e-2)
+    vector /= math.sqrt(norm2)
+    flags = np.array(good)
+    mass = State.over(Basis.of(_KEYS), vector).probability(flags)
+    assume(1e-4 < mass < 1 - 1e-4)
+    assume(sum(abs(a) ** 2 for a in _ref_prune(amps).values()) > 1e-2)
+    runs = []
+    for dtype in (float, complex):
+        axis = State.over(Basis.of(_KEYS), vector.astype(dtype))
+        state = State({key: dtype(a) for key, a in amps.items()}, normalize=True)
+        rng = np.random.default_rng(seed)
+        states = [
+            state,
+            align(state, axis),
+            reflect_about_state(state, axis),
+            grover_iterate(state, flags, axis, count),
+        ]
+        outcome, collapsed = measure(states[-1], lambda key: labels[key[0]], rng)
+        flipped, stats = flip(axis, flags, axis, want, rng)
+        states += [collapsed, flipped]
+        for st in states:
+            assert st.vector.dtype == np.dtype(dtype)
+            assert all(type(st.amplitude(key)) is complex for key in _KEYS)
+        runs.append((states, outcome, stats, rng.random()))
+    (real, outcome, stats, after), (cplx, *rest) = runs
+    assert rest == [outcome, stats, after]
+    for r, c in zip(real, cplx):
+        assert np.array_equal(r.live, c.live)
+        assert np.max(np.abs(r.vector - c.vector)) <= 1e-12
