@@ -17,24 +17,28 @@ moves its window the same way.
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
-holds a family's full vertex set as numpy arrays over vertex ordinals (each
-subset's points once, their images, their counts), so that class sizes,
-membership predicates, and diffusion axes are exact.  The run's first index
-enumerates the subsets; the index of each shrunken family after a tuple
-extraction is derived from its parent's arrays by a row filter and a column
-drop, and the residual state is laid over it by the parent-to-child rank, with
-no byte key in between.  An index's Basis is its vertex ordinals, with byte
-keys spelled out of the sorted point rows only when a byte-key API reads them,
-so a family state is a vector over vertex ordinals, and its predicates and
-labels (class_mask, by_count) are vectors over the ordinals too.  Tuples are
-runs of equal images in the image-sorted rows, read off on request, not
-kept: each run gets one exact int64 key (image, size, colex rank of its
-preimages within their image class), and full int64 rows (image, size,
-preimages) are built only for the distinct tuples.  The padded register is
-a V x y table of amplitudes and integer labels over the support vertices,
-a dummy's index or its tuple's rank in token order.  extract_once draws
-from those arrays as measure would, building no State for the register;
-pad_and_attach spells it in byte keys for callers that read keys.
+holds a family's full vertex set as arrays over vertex ordinals (each subset
+once, as a bit set of uint64 words over the positions of its domain, and its
+count), so that class sizes, membership predicates, and diffusion axes are
+exact.  It lists the domain's collision classes, the images with two or more
+points, as bit sets too.  The run's first index counts each subset's classes
+met twice or more off a cached lexicographic mask table, or, when the classes
+are many for the subset size, sorts each subset's images and counts their
+runs.  The index of each shrunken family after a tuple extraction is derived
+from its parent's by keeping the vertices whose bits in the tuple's class are
+exactly the tuple and clearing those bits, and the residual state is laid over
+it by the parent-to-child rank, with no byte key in between.  An index's Basis
+is its vertex ordinals, with byte keys spelled out of the bit sets only when a
+byte-key API reads them, so a family state is a vector over vertex ordinals,
+and its predicates and labels (class_mask, by_count) are vectors over the
+ordinals too.  A tuple is a vertex's bits in a class it meets twice or more,
+read off on request, not kept; the classes are disjoint, so a tuple is its
+bit set alone, and int64 rows (image, size, preimages) are spelled out only
+for the distinct tuples.  The padded register is a V x y table of amplitudes
+and integer labels over the support vertices, a dummy's index or its tuple's
+rank in token order.  extract_once draws from those arrays as measure would,
+building no State for the register; pad_and_attach spells it in byte keys for
+callers that read keys.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .johnson import _lex_subsets
+from .johnson import _SUBSET_CACHE_BYTES, _lex_subsets
 from .oracle import RestrictedFunction, restrict
 from .stats import collision_counts
 from .statevector import (
@@ -76,6 +80,16 @@ _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
 _MAX_FAMILY_VERTICES = 250_000
+# An enumerated index counts by masks while its collision classes cover at
+# most this many bit-set words per point of a subset, and by sorting each
+# subset's images above it.  Counting by masks makes a few array passes over
+# V words per class word, sorting a V x R gather and sort.  Time by masks
+# over time by sorting, median of 31 runs each on a 2-core VM (numpy 2.4):
+# (N, R) = (16, 8) with 2-3 class words 0.10-0.14; (32, 4) with 9 words 0.44;
+# (64, 3) with 9 words 0.58; (32, 3) with 10-11 words 1.07-1.20; (64, 2) with
+# 6 words 1.17 (138 against 117 us); (128, 2) with 32-37 words 3.5-4.0;
+# (256, 2) with 40-71 words 4.2-8.5.
+_MASK_COUNT_WORDS_PER_POINT = 3
 # Bound on measure-and-flip rounds in any extraction, repair or walk loop.
 MAX_TRANSITIONS = 10_000
 
@@ -142,14 +156,29 @@ class VertexFamily:
         return f"[{self.lo},{top}]"
 
 
-def _subset_keys(rows: np.ndarray) -> List[BasisKey]:
-    """subset_key of every row of a table of points, through one buffer."""
-    total, width = rows.shape
+def _bits(positions: np.ndarray) -> np.ndarray:
+    """Each position's bit within its 64-bit word, as uint64."""
+    return np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
+
+
+def _set_positions(sets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The set bits of a table of bit sets, as (row, position) pairs, row by
+    row and ascending within a row."""
+    bits = np.unpackbits(sets.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return np.nonzero(bits)
+
+
+def _subset_keys(masks: np.ndarray, domain: np.ndarray) -> List[BasisKey]:
+    """subset_key of every bit set of a table over the positions of
+    `domain`, through one buffer."""
+    total = len(masks)
+    # the domain ascends, so each row of points is sorted
+    points = domain.take(_set_positions(masks)[1]).reshape(total, -1)
+    width = points.shape[1]
     size = 2 + 4 * width
     buf = np.empty((total, size), dtype=np.uint8)
     buf[:, :2] = np.frombuffer(struct.pack(">H", width), dtype=np.uint8)
-    points = np.sort(rows, axis=1).astype(">u4")
-    buf[:, 2:] = points.view(np.uint8).reshape(total, 4 * width)
+    buf[:, 2:] = points.astype(">u4").view(np.uint8).reshape(total, 4 * width)
     raw = buf.tobytes()
     return [raw[i:i + size] for i in range(0, total * size, size)]
 
@@ -159,14 +188,69 @@ def _row_tuple(row: List[int]) -> Tuple[int, Tuple[int, ...]]:
     return row[0], tuple(row[2:2 + row[1]])
 
 
-def _class_places(values: np.ndarray) -> np.ndarray:
-    """Each point's index within its preimage class under the function with
-    table `values`: the number of smaller points with the same image."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    places = np.empty(len(ranked), dtype=np.int64)
-    places[order] = np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
-    return places
+def _mask_table(n: int, r: int) -> np.ndarray:
+    """The C(n, r) x ceil(n / 64) read-only uint64 bit sets of the r-subsets
+    of range(n), in lexicographic order: bit p % 64 of word p // 64 stands
+    for position p."""
+    combos = _lex_subsets(n, r)
+    words = -(-n // 64)
+    masks = np.zeros((len(combos), words), dtype=np.uint64)
+    rows = np.arange(len(combos))
+    for column in combos.T:
+        if words == 1:
+            masks[:, 0] |= _bits(column)
+        else:
+            masks[rows, column >> 6] |= _bits(column)
+    masks.flags.writeable = False
+    return masks
+
+
+_held_mask_table = functools.lru_cache(maxsize=4)(_mask_table)
+
+
+def _lex_masks(n: int, r: int) -> np.ndarray:
+    """_mask_table(n, r), held in an lru_cache of the 4 latest shapes up to
+    _lex_subsets' byte limit, and built afresh on each call above it."""
+    if math.comb(n, r) * -(-n // 64) * 8 <= _SUBSET_CACHE_BYTES:
+        return _held_mask_table(n, r)
+    return _mask_table(n, r)
+
+
+def _collision_classes(images: np.ndarray, words: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The images that two or more positions of a domain map to, where
+    position p maps to images[p], ascending, and the bit set of `words`
+    words of each one's positions."""
+    distinct, which, sizes = np.unique(images, return_inverse=True, return_counts=True)
+    masks = np.zeros((len(distinct), words), dtype=np.uint64)
+    positions = np.arange(len(images))
+    np.bitwise_or.at(masks, (which, positions >> 6), _bits(positions))
+    classes = np.flatnonzero(sizes >= 2)
+    return distinct[classes], masks[classes]
+
+
+def _two_or_more(sets: np.ndarray) -> np.ndarray:
+    """Which bit sets, their words along the last axis, have two or more
+    bits set: two in one word (x & (x - 1) clears the lowest bit of x), or
+    bits in two words."""
+    many = (sets & (sets - 1)).any(axis=-1)
+    if sets.shape[-1] > 1:
+        many |= np.count_nonzero(sets, axis=-1) >= 2
+    return many
+
+
+def _distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a uint64 table and each row's index among them."""
+    if table.shape[1] == 1:
+        distinct, which = np.unique(table[:, 0], return_inverse=True)
+        return distinct[:, None], which
+    # np.unique(axis=0) sorts a structured view, several times slower
+    order = np.lexsort(table.T)
+    ranked = table.take(order, axis=0)
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(table), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return ranked[first], which
 
 
 class FamilyIndex:
@@ -177,31 +261,36 @@ class FamilyIndex:
     privilege that stands in for the quantum data structure.
 
     The data are arrays over vertex ordinals, the subsets in lexicographic
-    order (so keys come out sorted): each subset's images sorted stably form
-    a row of the V x R table `images` and its points in that order a row of
-    `points`, and each vertex's count is the number of duplicate runs in its
-    image row (`counts`).  Each subset is held once, as its `points` row.
-    Tuples are not stored: tuple_rows reads them off those rows for the
-    vertices of each request, in one array pass.
+    order (so keys come out sorted).  Each subset is held once, as a bit set
+    of W = ceil(N / 64) uint64 words over the N positions of the index's
+    domain (a row of `_masks`, with `_domain` the point at each position),
+    and its count as one int64 (`counts`).  The collision classes, the
+    images with two or more domain points, are listed in image order as
+    bit sets of their positions (`_class_images`, `_class_masks`).  A
+    vertex holds a tuple of each class it meets in two or more positions,
+    the tuple being its bits in that class; tuple_rows reads them off for
+    the vertices of each request, and the index stores none.
 
-    Without a parent, the index enumerates the lexicographic subset table
-    and gathers the images from f.  With a parent, `restriction` must be the
+    Without a parent, the index takes the cached lexicographic mask table
+    and counts each vertex's classes met twice or more.  With few class
+    words per point of a subset it counts them class by class off the
+    masks; otherwise it sorts each subset's images and counts their runs
+    with stats.collision_counts.  With a parent, `restriction` must be the
     parent's with one tuple (image, P) more recorded and big_r the parent's
-    less |P|.  The vertices are then the parent's vertices whose run at
-    `image` is exactly P, with P cut out, so every table is the parent's
-    kept rows with P's columns dropped and every count the parent's less 1.
-    Dropping P keeps the row order: two sorted rows of one size order by
-    which holds the least point of their symmetric difference, never a
-    point of P.  It keeps the stable image order within a row too.
-    `parent_rank` maps each parent ordinal to its ordinal here, -1 where the
-    parent vertex does not hold the tuple; it is None without a parent, and
-    `extract_once` sets it to None once it has laid the residual.
+    less |P|.  The vertices are then the parent's vertices whose bits in the
+    image's class are exactly P, with P's bits cleared: each count is the
+    parent's less 1, and the classes are the parent's less that one.  The
+    child keeps its parent's positions and domain.  Clearing P keeps the
+    row order: two sorted rows of one size order by which holds the least
+    point of their symmetric difference, never a point of P.  `parent_rank`
+    maps each parent ordinal to its ordinal here, -1 where the parent vertex
+    does not hold the tuple; it is None without a parent, and `extract_once`
+    sets it to None once it has laid the residual.
 
-    The basis spells its byte keys out of `points`, each row sorted, only
-    when a byte-key API first reads it (count_of, keys_in, pad_and_attach,
-    State.items, align from another basis).  Its key factory holds
-    `points`, not the index, so an index is freed by reference counting
-    alone.
+    The basis spells its byte keys out of `_masks` only when a byte-key API
+    first reads it (count_of, keys_in, pad_and_attach, State.items, align
+    from another basis).  Its key factory holds the masks and the domain,
+    not the index, so an index is freed by reference counting alone.
     """
 
     def __init__(
@@ -229,7 +318,7 @@ class FamilyIndex:
             self._enumerate()
         else:
             self._derive(parent)
-        self.basis = Basis(total, functools.partial(_subset_keys, self._points))
+        self.basis = Basis(total, functools.partial(_subset_keys, self._masks, self._domain))
         size_counts = np.bincount(self.counts)
         sizes = np.flatnonzero(size_counts)
         self._size_by_count: Dict[int, int] = dict(
@@ -239,27 +328,23 @@ class FamilyIndex:
 
     def _enumerate(self) -> None:
         points = self.restriction.domain_points
-        params = self.restriction.base.params
-        if params.n + params.m > 63:
-            raise CapacityError(
-                f"an image and a point (n={params.n}, m={params.m}) do not "
-                "pack into one int64"
-            )
-        # indexing, not take: take is several times slower with a read-only
-        # index table such as the cached subset table
-        combos = np.asarray(points, dtype=np.int64)[_lex_subsets(len(points), self.big_r)]
-        # sorting (image, point) pairs packed into one int64 sorts each row
-        # stably by image, since the points of a row ascend; every step works
-        # in place, so at most two V x R tables are alive at once
-        packed = self.restriction.base.values().take(combos)
-        packed <<= params.n
-        packed |= combos
-        del combos
-        packed.sort(axis=1)
-        self._points = packed & ((1 << params.n) - 1)
-        packed >>= params.n
-        self._images = packed
-        self.counts = collision_counts(self._images)
+        self._domain = np.asarray(points, dtype=np.int64)
+        images = self.restriction.base.values().take(self._domain)
+        self._masks = _lex_masks(len(points), self.big_r)
+        self._class_images, self._class_masks = _collision_classes(
+            images, self._masks.shape[1]
+        )
+        if np.count_nonzero(self._class_masks) <= _MASK_COUNT_WORDS_PER_POINT * self.big_r:
+            self.counts = np.zeros(self.total, dtype=np.int64)
+            for bits in self._class_masks:
+                words = np.flatnonzero(bits)
+                self.counts += _two_or_more(self._masks[:, words] & bits[words])
+        else:
+            # indexing, not take: take is several times slower with a
+            # read-only index table such as the cached subset table
+            table = images[_lex_subsets(len(points), self.big_r)]
+            table.sort(axis=1)
+            self.counts = collision_counts(table)
 
     def _derive(self, parent: "FamilyIndex") -> None:
         old, new = parent.restriction, self.restriction
@@ -279,21 +364,45 @@ class FamilyIndex:
                 f"subset size {self.big_r} is not the parent's {parent.big_r} "
                 f"less the {len(preimages)} preimages cut out"
             )
-        # +1 on P, -1 on the rest of its preimage class: a row sums to |P|
-        # exactly when its run at `image` is P, so a kept row's nonzero
-        # marks are P's columns
-        mark = np.where(new.base.values() == image, -1, 0).astype(np.int8)
-        mark[list(preimages)] = 1
-        hits = mark[parent._points]
-        # einsum sums short rows several times faster than sum(axis=1)
-        keep = np.einsum("ij->i", hits, dtype=np.int64) == len(preimages)
-        self.parent_rank = np.where(keep, np.cumsum(keep) - 1, -1)
-        kept = np.flatnonzero(keep)
-        shape = (self.total, self.big_r)
-        cut = hits.take(kept, axis=0) == 0
-        self._points = parent._points.take(kept, axis=0)[cut].reshape(shape)
-        self._images = parent._images.take(kept, axis=0)[cut].reshape(shape)
+        # the image was not excluded from the parent's domain, so its whole
+        # preimage class is there, and P's two or more points make it a class
+        cls = int(np.searchsorted(parent._class_images, image))
+        bits = parent._class_masks[cls]
+        words = np.flatnonzero(bits)
+        positions = np.searchsorted(parent._domain, preimages)
+        cut = np.zeros(len(bits), dtype=np.uint64)
+        np.bitwise_or.at(cut, positions >> 6, _bits(positions))
+        kept = np.flatnonzero(
+            ((parent._masks[:, words] & bits[words]) == cut[words]).all(axis=1)
+        )
+        self.parent_rank = np.full(parent.total, -1)
+        self.parent_rank[kept] = np.arange(len(kept))
+        self._masks = parent._masks.take(kept, axis=0)
+        self._masks[:, words] &= ~cut[words]
         self.counts = parent.counts.take(kept) - 1
+        self._domain = parent._domain
+        self._class_images = np.delete(parent._class_images, cls)
+        self._class_masks = np.delete(parent._class_masks, cls, axis=0)
+
+    def _held_tuples(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tuples of the vertices `ordinals`, vertex by vertex and in
+        image order within a vertex: each one's vertex position in
+        `ordinals`, its class, and its bit set."""
+        sets = self._masks.take(ordinals, axis=0)[:, None, :] & self._class_masks
+        owners, classes = np.nonzero(_two_or_more(sets))
+        return owners, classes, sets[owners, classes]
+
+    def _tuple_rows(self, classes: np.ndarray, sets: np.ndarray) -> np.ndarray:
+        """The tuples of classes `classes` and bit sets `sets` as int64 rows
+        (image, size, preimages padded with -1)."""
+        owner, position = _set_positions(sets)
+        sizes = np.bincount(owner, minlength=len(sets))
+        rows = np.full((len(sets), 2 + self.big_r), -1, dtype=np.int64)
+        rows[:, 0] = self._class_images.take(classes)
+        rows[:, 1] = sizes
+        place = np.arange(len(owner)) - (np.cumsum(sizes) - sizes).take(owner)
+        rows[owner, 2 + place] = self._domain.take(position)
+        return rows
 
     def _ordinal_of(self, key: BasisKey) -> int:
         try:
@@ -313,68 +422,8 @@ class FamilyIndex:
         """The tuples of the vertices `ordinals` as int64 rows (image, size,
         preimages padded with -1), vertex by vertex and in image order within
         a vertex, and each row's position in `ordinals`."""
-        starts, sizes, owners = self._runs(ordinals)
-        return self._run_rows(starts, sizes), owners
-
-    def _runs(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tuple runs of the vertices `ordinals`, vertex by vertex and in
-        image order within a vertex: each run's first position in the
-        flattened tables, its size, and its vertex's position in `ordinals`.
-        A tuple is a run of two or more equal images in a stably sorted image
-        row."""
-        width = self.big_r
-        images = self._images.take(ordinals, axis=0).ravel()
-        # same[p]: image p repeats the one before it in its row
-        same = np.zeros(images.size + 1, dtype=bool)
-        same[1:-1] = images[1:] == images[:-1]
-        same[::width] = False
-        begins, ends = np.flatnonzero(same[1:] != same[:-1]).reshape(-1, 2).T
-        owners = begins // width
-        starts = ordinals.take(owners) * width + begins % width
-        return starts, ends - begins + 1, owners
-
-    def _run_rows(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """The runs at `starts` as int64 rows (image, size, preimages padded
-        with -1)."""
-        cols = np.arange(self.big_r)
-        spans = self._points.ravel().take(starts[:, None] + cols, mode="clip")
-        preimages = np.where(cols < sizes[:, None], spans, -1)
-        return np.column_stack([self._images.ravel().take(starts), sizes, preimages])
-
-    def _run_keys(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """One int64 per run, equal for two runs exactly when they hold the
-        same tuple: (image * (R + 1) + size) * V + rank.
-
-        The rank is the colex rank of the preimages p_0 < p_1 < ... among the
-        size-subsets of the image's preimage class, sum_j C(place(p_j), j + 1)
-        with place(p) the index of p in its class.  The class is whole in the
-        domain (restrict carves out whole classes), and an R-subset holding a
-        k-point run of an s-point class holds R - k points outside it, so
-        C(s, k) <= C(N, R) = V and the rank is below V.  Raises CapacityError
-        when the codomain's keys do not fit an int64.
-        """
-        base, width, total = self.restriction.base, self.big_r, self.total
-        if base.params.codomain_size * (width + 1) * total > 1 << 63:
-            raise CapacityError(
-                f"tuple keys over m = {base.params.m} image bits, R = {width} "
-                f"and {total} vertices do not pack into one int64"
-            )
-        places = _class_places(base.values())
-        points = self._points.ravel()
-        rank = np.zeros(len(starts), dtype=np.int64)
-        for j in range(int(sizes.max(initial=0))):
-            place = places.take(points.take(starts + j, mode="clip"))
-            # C(c, j + 1) up to the largest place met; a rank's own terms are
-            # below V, so capping the others at V changes no rank
-            binom = np.array(
-                [min(math.comb(c, j + 1), total) for c in range(int(place.max()) + 1)],
-                dtype=np.int64,
-            )
-            term = binom.take(place)
-            # every run holds at least two points
-            rank += term if j < 2 else np.where(sizes > j, term, 0)
-        heads = self._images.ravel().take(starts) * (width + 1) + sizes
-        return heads * total + rank
+        owners, classes, sets = self._held_tuples(ordinals)
+        return self._tuple_rows(classes, sets), owners
 
     def histogram(self) -> Dict[int, int]:
         return dict(self._size_by_count)
@@ -470,17 +519,13 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
         raise ContractViolationError(
             f"a vertex holds {z.max()} tuples, above the padding width {y}"
         )
-    starts, sizes, _ = index._runs(ordinals)
-    keys = index._run_keys(starts, sizes)
-    distinct = np.sort(keys)
-    first = np.ones(len(distinct), dtype=bool)
-    first[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[first]
-    which = np.searchsorted(distinct, keys)
-    # any run of a tuple stands for it
+    _, classes, sets = index._held_tuples(ordinals)
+    # the classes are disjoint, so a tuple is its bit set alone; only the
+    # distinct ones are spelled out as rows, each from any of its holders
+    distinct, which = _distinct_rows(sets)
     sample = np.empty(len(distinct), dtype=np.intp)
-    sample[which] = np.arange(len(keys))
-    found = index._run_rows(starts[sample], sizes[sample])
+    sample[which] = np.arange(len(which))
+    found = index._tuple_rows(classes.take(sample), distinct)
     # rows agreeing on (image, size) have the same -1 padding, so this
     # lexicographic order is tuple_token's byte order
     order = np.lexsort(found.T[::-1])

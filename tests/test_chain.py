@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chainwalk import extraction, johnson
+from chainwalk import extraction
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -382,24 +382,24 @@ def test_report_pinned(shape, digest):
 
 
 def test_criterion_7_hot_path(monkeypatch):
-    """The 20 criterion-7 runs never spell out byte keys and enumerate their
-    one (N, R) = (16, 8) subset table once; their reports, the pinned
+    """The 20 criterion-7 runs never spell out byte keys and build their
+    one (N, R) = (16, 8) mask table once; their reports, the pinned
     (4, 4, 1, 3, 4) one among them, hash as before."""
     key_tables = []
     subset_keys = extraction._subset_keys
 
-    def counted(rows):
-        key_tables.append(rows.shape)
-        return subset_keys(rows)
+    def counted(masks, domain):
+        key_tables.append(masks.shape)
+        return subset_keys(masks, domain)
 
     monkeypatch.setattr(extraction, "_subset_keys", counted)
-    johnson._held_subset_table.cache_clear()
+    extraction._held_mask_table.cache_clear()
     digest = hashlib.sha256()
     for m, seed, k in CHAIN_INSTANCES:
         result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
                                  max_outer_iterations=64))
         digest.update(result.report_json().encode())
-    info = johnson._held_subset_table.cache_info()
+    info = extraction._held_mask_table.cache_info()
     assert key_tables == []
     assert (info.misses, info.hits) == (1, len(CHAIN_INSTANCES) - 1)
     assert digest.hexdigest() == (

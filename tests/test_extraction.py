@@ -641,54 +641,58 @@ _FUNCTIONS = st.sampled_from([4, 5, 6]).flatmap(
 @settings(deadline=None, max_examples=60)
 @given(values=_FUNCTIONS, big_r=st.integers(2, 4))
 @example(values=[i // 2 for i in range(64)], big_r=3)
-# one 64-point class: every vertex is a single run of R points
+# one 64-point class: every vertex is a single tuple of R points
 @example(values=[0] * 64, big_r=3)
-def test_run_keys_identify_tuples(values, big_r):
-    """Two runs share a key exactly when their tuple rows are equal; a key
-    packs (image, size) above a rank that is the run's colex rank in its
-    image class, below C(s, k) <= V; and the padded register's distinct
-    tuples and labels are those of lexsorting every tuple row."""
+def test_bit_sets_identify_tuples(values, big_r):
+    """A tuple is its bit set: two tuples share a bit set exactly when their
+    rows are equal, and a bit set holds the row's preimages at their domain
+    positions, all inside the class of the row's image.  The padded
+    register's distinct tuples and labels are those of lexsorting every
+    tuple row."""
     n = len(values).bit_length() - 1
     assume(math.comb(len(values), big_r) <= 250_000)
     fn = FunctionTable(Params(n=n, m=n, k=0), values)
-    index = FamilyIndex(restrict(fn, CollisionTable()), big_r)
+    restriction = restrict(fn, CollisionTable())
+    index = FamilyIndex(restriction, big_r)
     every = np.arange(index.total)
-    keys = index._run_keys(*index._runs(every)[:2])
-    rows, _ = index.tuple_rows(every)
-    pairs = set(zip(keys.tolist(), map(tuple, rows.tolist())))
-    assert len(pairs) == len(set(keys.tolist())) == len({row for _, row in pairs})
-    total = index.total
-    heads, ranks = np.divmod(keys, total)
-    assert np.array_equal(heads, rows[:, 0] * (big_r + 1) + rows[:, 1])
-    classes = {}
-    for x, value in enumerate(values):
-        classes.setdefault(value, []).append(x)
-    colex = {}
-    for (image, size, *pres), rank in zip(rows.tolist(), ranks.tolist()):
-        if (image, size) not in colex:
-            subsets = itertools.combinations(classes[image], size)
-            colex[image, size] = {
-                c: r for r, c in enumerate(sorted(subsets, key=lambda c: c[::-1]))
-            }
-        assert rank == colex[image, size][tuple(pres[:size])]
-        assert rank < math.comb(len(classes[image]), size) <= total
+    owners, classes, sets = index._held_tuples(every)
+    rows, row_owners = index.tuple_rows(every)
+    assert np.array_equal(owners, row_owners)
+    # at most 64 points: one word a bit set
+    bit_sets = sets[:, 0]
+    pairs = np.column_stack([bit_sets.view(np.int64), rows])
+    assert (len(np.unique(pairs, axis=0)) == len(np.unique(bit_sets))
+            == len(np.unique(rows, axis=0)))
+    held = rows[:, 2:] >= 0
+    points = np.where(held, rows[:, 2:], 0)
+    assert np.array_equal(held.sum(axis=1), rows[:, 1])
+    # the domain is every point, so a point is its own position
+    assert restriction.domain_points == tuple(range(len(values)))
+    expected = np.where(held, np.left_shift(np.uint64(1), points.astype(np.uint64)), 0)
+    assert np.array_equal(bit_sets, np.bitwise_or.reduce(expected, axis=1))
+    assert np.array_equal(bit_sets & index._class_masks[classes, 0], bit_sets)
+    assert np.array_equal(index._class_images[classes], rows[:, 0])
+    assert np.all(np.where(held, np.asarray(values)[points], rows[:, :1]) == rows[:, :1])
     # the register against lexsorting every row, as tokens sort
+    total = index.total
     y = max(1, index.max_count())
     ordinals, amplitudes, labels, found = _padded_register(index.axis_state(), index, y)
     distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(found, distinct)
     expected = np.tile(np.arange(y), (total, 1))
-    expected[np.arange(y) < index.counts[:, None]] = y + token_rank
+    expected[np.arange(y) < index.counts[:, None]] = y + token_rank.reshape(-1)
     assert np.array_equal(labels, expected.ravel())
     assert np.array_equal(ordinals, every)
     assert np.array_equal(amplitudes, np.repeat(index.axis_state().vector / math.sqrt(y), y))
 
 
 @pytest.mark.parametrize("m", [41, 42])
-def test_run_key_packing_guard(m):
-    """Keys of 59 (image, size) heads per image over the 35,990 58-subsets of
-    61 points overflow an int64 at m = 42, with the top image: the register
-    refuses them.  At m = 41 they fit, and unpack to (image, size)."""
+def test_wide_images_read_like_vertex_data(m):
+    """Over the 35,990 58-subsets of 61 points in one class of the top image
+    of m bits, whose int64 tuple keys once overflowed at m = 42: every vertex
+    holds one 58-point tuple, the register's tuples are the subsets
+    themselves in token order, and sampled vertices read as vertex_data
+    reads them."""
     top = (1 << m) - 1
     fn = FunctionTable(Params(n=21, m=m, k=0), np.full(1 << 21, top, dtype=np.int64))
     restriction = RestrictedFunction(
@@ -696,19 +700,17 @@ def test_run_key_packing_guard(m):
         excluded_images=frozenset(), domain_points=tuple(range(61)),
     )
     index = FamilyIndex(restriction, 58)
-    assert index.total == 35_990 and (1 << 42) * 59 * index.total > 1 << 63
-    if m == 42:
-        family = VertexFamily(restriction=restriction, big_r=58, lo=1, hi=1)
-        state = index.class_state(1, 1)
-        with pytest.raises(CapacityError):
-            extract_once(state, family, np.random.default_rng(0), index=index)
-        with pytest.raises(CapacityError):
-            pad_and_attach(state, restriction, 1, index)
-        return
-    keys = index._run_keys(*index._runs(np.arange(index.total))[:2])
-    heads, ranks = np.divmod(keys, index.total)
-    assert np.all(heads == top * 59 + 58)
-    assert len(set(ranks.tolist())) == index.total
+    assert index.total == 35_990 and index.histogram() == {1: 35_990}
+    ordinals, _, labels, found = _padded_register(index.class_state(1, 1), index, 1)
+    combos = np.array(list(itertools.combinations(range(61), 58)))
+    assert np.array_equal(ordinals, np.arange(index.total))
+    assert np.all(found[:, 0] == top) and np.all(found[:, 1] == 58)
+    assert np.array_equal(found[:, 2:], combos)
+    # the lexicographic vertex order is the token order of their tuples
+    assert np.array_equal(labels, 1 + np.arange(index.total))
+    for ordinal in (0, 17_995, 35_989):
+        key = index.basis.keys[ordinal]
+        assert index.tuples_of(key) == vertex_data(restriction, combos[ordinal]).multicollisions
 
 
 @settings(deadline=None, max_examples=150)
@@ -723,8 +725,9 @@ def test_run_key_packing_guard(m):
 @example(values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7], big_r=4, pick=0)
 def test_derived_index_matches_fresh_build(values, big_r, pick):
     """The index derived from a parent after recording a tuple held by some
-    vertex equals the index built from scratch for the new restriction, and
-    parent_rank sends each holder of the tuple to its cut subset."""
+    vertex has the counts, keys and tuple rows of the index built from
+    scratch for the new restriction, and parent_rank sends each holder of
+    the tuple to its cut subset."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     parent = FamilyIndex(restriction, big_r)
@@ -746,8 +749,7 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
         return
     child = FamilyIndex(new_restriction, big_r - size, parent=parent)
     fresh = FamilyIndex(new_restriction, big_r - size)
-    for name in ("_images", "_points", "counts"):
-        assert np.array_equal(getattr(child, name), getattr(fresh, name)), name
+    assert np.array_equal(child.counts, fresh.counts)
     assert child.histogram() == fresh.histogram()
     assert child.basis.keys == fresh.basis.keys
     every = np.arange(child.total)
@@ -759,6 +761,120 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
         expected[o] = position[subset_key(set(combos[o]) - set(preimages))]
     assert np.array_equal(child.parent_rank, expected)
     assert fresh.parent_rank is None
+
+
+@st.composite
+def _multiword_families(draw):
+    """Images of 128 points, the points left out of a domain of 65 to 128
+    of them (up to 80 at R = 3, under the vertex cap), and R, with a
+    collision class met at positions on both sides of the bit sets' 64-bit
+    word boundary.  Either 16 images share the domain, and the index counts
+    by sorting, or every image there is distinct but for that class and at
+    most one more pair, and the index counts by masks."""
+    big_r = draw(st.sampled_from([2, 3]))
+    if big_r == 2:
+        size = draw(st.integers(65, 126) | st.just(128))
+    else:
+        size = draw(st.integers(65, 80))
+    dropped = sorted(draw(st.permutations(range(128)))[:128 - size])
+    domain = [x for x in range(128) if x not in dropped]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, 15), min_size=128, max_size=128))
+    else:
+        values = list(range(128))
+        a, b = draw(st.lists(st.sampled_from(domain), min_size=2, max_size=2, unique=True))
+        values[b] = values[a]
+    values[draw(st.sampled_from(domain[64:]))] = values[draw(st.sampled_from(domain[:64]))]
+    return values, dropped, big_r
+
+
+def _restricted(values, dropped):
+    """The function of `values`, its `dropped` points sent to image 255 and
+    that class recorded, restricted: its domain is every other point."""
+    values = [255 if x in dropped else v for x, v in enumerate(values)]
+    fn = FunctionTable(Params(n=7, m=8, k=0), values)
+    table = CollisionTable()
+    if dropped:
+        table = table.insert(fn, 255, dropped[:2])
+    return fn, restrict(fn, table)
+
+
+@settings(deadline=None, max_examples=15)
+@given(family=_multiword_families(), picks=st.lists(st.integers(0, 10**6), max_size=20),
+       pick=st.integers(0, 10**6))
+def test_multiword_index_matches_vertex_data(family, picks, pick):
+    """On two-word bit sets: counts and tuples_of read as vertex_data reads
+    them, the padded register is lexsorting every tuple row, and at R = 3
+    the index derived after a two-point tuple has the counts, keys and
+    tuple rows of a fresh build."""
+    values, dropped, big_r = family
+    fn, restriction = _restricted(values, dropped)
+    domain = restriction.domain_points
+    index = FamilyIndex(restriction, big_r)
+    assert index._masks.shape == (math.comb(len(domain), big_r), 2)
+    combos = list(itertools.combinations(domain, big_r))
+    for ordinal in [0, index.total - 1] + [p % index.total for p in picks]:
+        data = vertex_data(restriction, combos[ordinal])
+        key = subset_key(combos[ordinal])
+        assert index.count_of(key) == data.count
+        assert index.tuples_of(key) == data.multicollisions
+    every = np.arange(index.total)
+    rows, owners = index.tuple_rows(every)
+    assert np.array_equal(np.bincount(owners, minlength=index.total), index.counts)
+    y = max(1, index.max_count())
+    _, _, labels, found = _padded_register(index.axis_state(), index, y)
+    distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(found, distinct)
+    expected = np.tile(np.arange(y), (index.total, 1))
+    expected[np.arange(y) < index.counts[:, None]] = y + token_rank.reshape(-1)
+    assert np.array_equal(labels, expected.ravel())
+    if big_r == 3 and len(rows):
+        image, size, *pres = rows[pick % len(rows)].tolist()
+        # restrict refuses to carve out half the domain
+        assume(size == 2 and len(dropped) + np.count_nonzero(fn.values() == image) < 64)
+        shrunk = restrict(fn, restriction.table.insert(fn, image, pres[:size]))
+        child = FamilyIndex(shrunk, 1, parent=index)
+        fresh = FamilyIndex(shrunk, 1)
+        assert np.array_equal(child.counts, fresh.counts)
+        assert child.basis.keys == fresh.basis.keys
+        for derived, built in zip(child.tuple_rows(np.arange(child.total)),
+                                  fresh.tuple_rows(np.arange(fresh.total))):
+            assert np.array_equal(derived, built)
+
+
+def test_multiword_extraction_draws_a_dummy():
+    """extract_once on two-word bit sets over [1, 2], where every vertex
+    holds one tuple and the dummy d_2, draws dummies as well as tuples, each
+    as measuring the byte-key register draws it; a tuple's derived index is
+    a fresh build's.  No benchmarked run draws a dummy."""
+    values = list(range(128))
+    for low, high in ((3, 65), (10, 64), (63, 69)):
+        values[high] = values[low]
+    _, restriction = _restricted(values, list(range(70, 128)))
+    assert restriction.domain_points == tuple(range(70))
+    index = FamilyIndex(restriction, 3)
+    assert index._masks.shape == (54_740, 2) and index.max_count() == 1
+    family = VertexFamily(restriction=restriction, big_r=3, lo=1, hi=2)
+    state = index.class_state(1, 2)
+    padded = pad_and_attach(state, restriction, 2, index)
+    kinds = set()
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = extract_once(state, family, rng, index=index)
+        token, collapsed = measure(padded, key_register, ref_rng)
+        parsed = parse_token(token)
+        kinds.add(out.kind)
+        if out.kind == "dummy":
+            assert parsed == ("dummy", 2) and out.dummy_index == 2
+            assert out.collapsed.items() == _reference_residual(collapsed, ())
+        else:
+            assert (out.kind, out.image, out.preimages) == parsed
+            assert out.collapsed.items() == _reference_residual(collapsed, parsed[2])
+            fresh = FamilyIndex(out.new_family.restriction, 1)
+            assert np.array_equal(out.new_index.counts, fresh.counts)
+            assert out.new_index.basis.keys == fresh.basis.keys
+        assert rng.random() == ref_rng.random()
+    assert kinds == {"dummy", "tuple"}
 
 
 def test_derived_index_refuses_a_foreign_parent():
@@ -778,15 +894,19 @@ def test_derived_index_refuses_a_foreign_parent():
                     parent=parent)
 
 
-def test_index_refuses_images_and_points_too_wide_to_pack():
-    # n + m = 66 bits: an (image, point) pair no longer fits one int64
+def test_index_reads_images_and_points_past_64_bits():
+    # n + m = 66 bits, which an (image, point) pair packed into one int64
+    # could not hold
     fn = FunctionTable(Params(n=22, m=44, k=0), np.zeros(1 << 22, dtype=np.int64))
     restriction = RestrictedFunction(
         base=fn, table=CollisionTable(), excluded_preimages=frozenset(),
         excluded_images=frozenset(), domain_points=(0, 1, 2),
     )
-    with pytest.raises(CapacityError):
-        FamilyIndex(restriction, 2)
+    index = FamilyIndex(restriction, 2)
+    for combo in itertools.combinations((0, 1, 2), 2):
+        data = vertex_data(restriction, combo)
+        assert index.count_of(subset_key(combo)) == data.count == 1
+        assert index.tuples_of(subset_key(combo)) == data.multicollisions
 
 
 def test_extract_once_empties_a_full_tuple_vertex():
@@ -816,8 +936,9 @@ def test_extract_once_frees_the_parent_rank():
 
 
 def test_index_holds_each_vertex_once():
-    """A built index and a derived one each hold one point table, one image
-    table and the counts: V (2R + 1) int64 entries, nothing more."""
+    """A built index and a derived one each hold one bit set of W uint64
+    words and one int64 count per vertex, V (8 W + 8) bytes, besides their
+    domain and collision classes, which do not grow with V."""
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
@@ -831,9 +952,18 @@ def test_index_holds_each_vertex_once():
     for built in (index, derived):
         arrays = {name: value for name, value in vars(built).items()
                   if isinstance(value, np.ndarray)}
-        assert sorted(arrays) == ["_images", "_points", "counts"]
-        per_vertex = (2 * built.big_r + 1) * 8
-        assert sum(a.nbytes for a in arrays.values()) == built.total * per_vertex
+        assert sorted(arrays) == [
+            "_class_images", "_class_masks", "_domain", "_masks", "counts"
+        ]
+        masks, counts = arrays["_masks"], arrays["counts"]
+        assert (masks.dtype, counts.dtype, masks.shape) == (
+            np.uint64, np.int64, (built.total, 1)
+        )
+        assert masks.nbytes + counts.nbytes == built.total * (8 + 8)
+        # the eight points and the classes of images 0, 1 and 2, less the
+        # one a derived index cut out
+        assert len(arrays["_domain"]) == 8
+        assert len(arrays["_class_images"]) == len(arrays["_class_masks"]) <= 3
 
 
 @pytest.mark.parametrize("force_keys", [False, True])

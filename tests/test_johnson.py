@@ -178,9 +178,9 @@ def test_large_subset_tables_are_not_held():
 
 
 def test_family_index_build_peak():
-    """A fresh FamilyIndex build over the 201,376 five-subsets of 32 points
-    works its packed (image, point) table in place: beyond the tables it
-    keeps, its traced peak stays under half of one V x R table."""
+    """A fresh FamilyIndex build over the 201,376 five-subsets of 32 points,
+    its mask table built from the cached subset table, peaks beyond the
+    tables it keeps at under half of one V x R int64 table."""
     params = Params(n=5, m=6, k=1)
     fn = FunctionTable(params, np.arange(32) % params.codomain_size)
     restriction = restrict(fn, CollisionTable())
@@ -192,7 +192,7 @@ def test_family_index_build_peak():
     finally:
         tracemalloc.stop()
     assert index.total == 201_376
-    assert peak - held <= 0.5 * index._points.nbytes
+    assert peak - held <= 0.5 * index.total * index.big_r * 8
 
 
 def test_walk_spectrum_edge_cap():
