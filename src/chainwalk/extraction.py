@@ -21,9 +21,10 @@ holds a family's full vertex set as arrays over vertex ordinals (each subset
 once, as a bit set of uint64 words over the positions of its domain, and its
 count), so that class sizes, membership predicates, and diffusion axes are
 exact.  It lists the domain's collision classes, the images with two or more
-points, as bit sets too.  The run's first index counts each subset's classes
-met twice or more off a cached lexicographic mask table, or, when the classes
-are many for the subset size, sorts each subset's images and counts their
+points, as bit sets too.  The run's first index takes its subsets from
+johnson's lexicographic enumerator and counts each subset's classes met twice
+or more off their bit sets, or, when the classes are many for the subset size,
+sorts each subset's images, gathered through their positions, and counts their
 runs.  The index of each shrunken family after a tuple extraction is derived
 from its parent's by keeping the vertices whose bits in the tuple's class are
 exactly the tuple and clearing those bits, and the residual state is laid over
@@ -62,7 +63,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .johnson import _SUBSET_CACHE_BYTES, _lex_subsets
+from .johnson import _combinations
 from .oracle import RestrictedFunction, restrict
 from .stats import collision_counts
 from .statevector import (
@@ -101,6 +102,8 @@ def tuple_token(image: int, preimages) -> bytes:
         raise ParameterError("a tuple token needs at least two preimages")
     if len(pres) > 255:
         raise ParameterError("tuple too large to serialize")
+    if not (0 <= int(image) < 1 << 32 and 0 <= pres[0] and pres[-1] < 1 << 32):
+        raise ParameterError("tuple image and preimages must lie in [0, 2**32)")
     body = struct.pack(">IB", int(image), len(pres))
     return _TUPLE_TAG + body + b"".join(struct.pack(">I", p) for p in pres)
 
@@ -188,34 +191,6 @@ def _row_tuple(row: List[int]) -> Tuple[int, Tuple[int, ...]]:
     return row[0], tuple(row[2:2 + row[1]])
 
 
-def _mask_table(n: int, r: int) -> np.ndarray:
-    """The C(n, r) x ceil(n / 64) read-only uint64 bit sets of the r-subsets
-    of range(n), in lexicographic order: bit p % 64 of word p // 64 stands
-    for position p."""
-    combos = _lex_subsets(n, r)
-    words = -(-n // 64)
-    masks = np.zeros((len(combos), words), dtype=np.uint64)
-    rows = np.arange(len(combos))
-    for column in combos.T:
-        if words == 1:
-            masks[:, 0] |= _bits(column)
-        else:
-            masks[rows, column >> 6] |= _bits(column)
-    masks.flags.writeable = False
-    return masks
-
-
-_held_mask_table = functools.lru_cache(maxsize=4)(_mask_table)
-
-
-def _lex_masks(n: int, r: int) -> np.ndarray:
-    """_mask_table(n, r), held in an lru_cache of the 4 latest shapes up to
-    _lex_subsets' byte limit, and built afresh on each call above it."""
-    if math.comb(n, r) * -(-n // 64) * 8 <= _SUBSET_CACHE_BYTES:
-        return _held_mask_table(n, r)
-    return _mask_table(n, r)
-
-
 def _collision_classes(images: np.ndarray, words: int) -> Tuple[np.ndarray, np.ndarray]:
     """The images that two or more positions of a domain map to, where
     position p maps to images[p], ascending, and the bit set of `words`
@@ -271,10 +246,11 @@ class FamilyIndex:
     the tuple being its bits in that class; tuple_rows reads them off for
     the vertices of each request, and the index stores none.
 
-    Without a parent, the index takes the cached lexicographic mask table
-    and counts each vertex's classes met twice or more.  With few class
-    words per point of a subset it counts them class by class off the
-    masks; otherwise it sorts each subset's images and counts their runs
+    Without a parent, the index takes the cached lexicographic positions
+    and bit sets of johnson._combinations and counts each vertex's classes
+    met twice or more.  With few class words per point of a subset it
+    counts them class by class off the bit sets; otherwise it sorts each
+    subset's images, gathered through its positions, and counts their runs
     with stats.collision_counts.  With a parent, `restriction` must be the
     parent's with one tuple (image, P) more recorded and big_r the parent's
     less |P|.  The vertices are then the parent's vertices whose bits in the
@@ -330,19 +306,20 @@ class FamilyIndex:
         points = self.restriction.domain_points
         self._domain = np.asarray(points, dtype=np.int64)
         images = self.restriction.base.values().take(self._domain)
-        self._masks = _lex_masks(len(points), self.big_r)
+        positions, self._masks = _combinations(len(points), self.big_r)
         self._class_images, self._class_masks = _collision_classes(
             images, self._masks.shape[1]
         )
         if np.count_nonzero(self._class_masks) <= _MASK_COUNT_WORDS_PER_POINT * self.big_r:
+            del positions   # frees an uncached shape's table before the count's temporaries
             self.counts = np.zeros(self.total, dtype=np.int64)
             for bits in self._class_masks:
                 words = np.flatnonzero(bits)
                 self.counts += _two_or_more(self._masks[:, words] & bits[words])
         else:
-            # indexing, not take: take is several times slower with a
-            # read-only index table such as the cached subset table
-            table = images[_lex_subsets(len(points), self.big_r)]
+            # indexing, not take: take through the uint8 position table was
+            # 2-3 times slower at (N, R) = (16, 8) and (64, 3)
+            table = images[positions]
             table.sort(axis=1)
             self.counts = collision_counts(table)
 

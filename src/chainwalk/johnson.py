@@ -22,6 +22,12 @@ then act on the edge space in O(E) per basis vector, the form in which
 Magniez-Nayak-Roland-Santha apply W.  The basis vectors pass through them in
 panels of _PANEL_COLUMNS, so the edge-space working set is E x _PANEL_COLUMNS
 whatever the rank, and the peak is set by the 2V x 2V dense arrays.
+
+The lexicographic list of R-subsets, which stands in for the paper's qRAM
+vertex data, comes from one cached enumerator, _combinations, read by the edge
+list and by extraction.FamilyIndex.  It builds the positions and bit sets one
+size j at a time: the j-subsets whose least point is k are k followed by the
+last C(N - k - 1, j - 1) rows of size j - 1, those above k.
 """
 
 from __future__ import annotations
@@ -106,28 +112,42 @@ def _check_vertex_cap(graph: JohnsonGraph) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {_MAX_VERTICES}")
 
 
-def _subset_table(n: int, r: int) -> np.ndarray:
-    count = math.comb(n, r)
-    table = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), r)),
-        dtype=np.int64, count=count * r,
-    ).reshape(count, r)
-    table.flags.writeable = False
-    return table
+@functools.lru_cache(maxsize=4)
+def _enumerate_combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    words = -(-n // 64)
+    positions = np.empty((1, 0), dtype=np.min_scalar_type(n - 1))
+    masks = np.zeros((1, words), dtype=np.uint64)
+    for j in range(1, r + 1):
+        # the j-subsets of {r - j, ..., n - 1}, the only ones level j + 1 reads
+        rows = np.empty((math.comb(n - r + j, j), j), dtype=positions.dtype)
+        sets = np.empty((len(rows), words), dtype=np.uint64)
+        start = 0
+        for k in range(r - j, n - j + 1):
+            tail = math.comb(n - k - 1, j - 1)
+            level = slice(start, start + tail)
+            rows[level, 0] = k
+            rows[level, 1:] = positions[-tail:]
+            sets[level] = masks[-tail:]
+            sets[level, k >> 6] |= np.uint64(1 << (k & 63))
+            start += tail
+        positions, masks = rows, sets
+    positions.flags.writeable = False
+    masks.flags.writeable = False
+    return positions, masks
 
 
-_held_subset_table = functools.lru_cache(maxsize=4)(_subset_table)
-
-
-def _lex_subsets(n: int, r: int) -> np.ndarray:
-    """The C(n, r) x r read-only int64 table of the r-subsets of range(n),
-    each row sorted and the rows in lexicographic order.  A table of at most
-    _SUBSET_CACHE_BYTES goes through an lru_cache of the 4 latest shapes, so
-    every caller of a held shape gets the same array; a larger one is
-    enumerated on each call and freed with its last holder."""
-    if math.comb(n, r) * r * 8 <= _SUBSET_CACHE_BYTES:
-        return _held_subset_table(n, r)
-    return _subset_table(n, r)
+def _combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The r-subsets of range(n) in lexicographic order, as two read-only
+    tables built together: the C(n, r) x r sorted positions of each, in the
+    narrowest unsigned dtype that holds n - 1, and the C(n, r) x ceil(n / 64)
+    uint64 bit sets, bit p % 64 of word p // 64 standing for position p.  A
+    pair of at most _SUBSET_CACHE_BYTES goes through an lru_cache of the 4
+    latest shapes, so every caller of a held shape gets the same arrays; a
+    larger one is enumerated on each call and freed with its last holder."""
+    row_bytes = r * np.min_scalar_type(n - 1).itemsize + 8 * -(-n // 64)
+    if math.comb(n, r) * row_bytes <= _SUBSET_CACHE_BYTES:
+        return _enumerate_combinations(n, r)
+    return _enumerate_combinations.__wrapped__(n, r)
 
 
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,7 +161,7 @@ def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """
     n, r = graph.ground_size, graph.subset_size
     v_count = graph.vertex_count
-    combos = _lex_subsets(n, r)
+    combos, _ = _combinations(n, r)
     outside = np.ones((v_count, n), dtype=bool)
     outside[np.arange(v_count)[:, None], combos] = False
     outside = np.nonzero(outside)[1].reshape(v_count, n - r)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chainwalk import extraction
+from chainwalk import extraction, johnson
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -383,7 +383,7 @@ def test_report_pinned(shape, digest):
 
 def test_criterion_7_hot_path(monkeypatch):
     """The 20 criterion-7 runs never spell out byte keys and build their
-    one (N, R) = (16, 8) mask table once; their reports, the pinned
+    one (N, R) = (16, 8) pair of subset tables once; their reports, the pinned
     (4, 4, 1, 3, 4) one among them, hash as before."""
     key_tables = []
     subset_keys = extraction._subset_keys
@@ -393,13 +393,13 @@ def test_criterion_7_hot_path(monkeypatch):
         return subset_keys(masks, domain)
 
     monkeypatch.setattr(extraction, "_subset_keys", counted)
-    extraction._held_mask_table.cache_clear()
+    johnson._enumerate_combinations.cache_clear()
     digest = hashlib.sha256()
     for m, seed, k in CHAIN_INSTANCES:
         result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
                                  max_outer_iterations=64))
         digest.update(result.report_json().encode())
-    info = extraction._held_mask_table.cache_info()
+    info = johnson._enumerate_combinations.cache_info()
     assert key_tables == []
     assert (info.misses, info.hits) == (1, len(CHAIN_INSTANCES) - 1)
     assert digest.hexdigest() == (

@@ -83,6 +83,9 @@ def test_token_validation():
         tuple_token(5, (9,))
     with pytest.raises(ParameterError):
         tuple_token(5, range(300))
+    for image, preimages in ((1 << 32, (2, 3)), (1, (2, 1 << 32)), (-1, (2, 3))):
+        with pytest.raises(ParameterError):
+            tuple_token(image, preimages)
     with pytest.raises(ParameterError):
         dummy_token(0)
     with pytest.raises(ParameterError):
@@ -711,6 +714,9 @@ def test_wide_images_read_like_vertex_data(m):
     for ordinal in (0, 17_995, 35_989):
         key = index.basis.keys[ordinal]
         assert index.tuples_of(key) == vertex_data(restriction, combos[ordinal]).multicollisions
+    # a register token holds 32-bit images only
+    with pytest.raises(ParameterError):
+        pad_and_attach(index.class_state(1, 1), restriction, 1, index)
 
 
 @settings(deadline=None, max_examples=150)

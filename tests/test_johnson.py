@@ -19,8 +19,8 @@ from chainwalk.oracle import (
 )
 from chainwalk.johnson import (
     JohnsonGraph,
+    _combinations,
     _edge_list,
-    _lex_subsets,
     closed_form_gap,
     neighbors,
     spectral_gap,
@@ -160,31 +160,60 @@ def test_walk_spectrum_traced_peak():
     assert peak <= 16 * 2**20
 
 
+# word boundaries of the bit sets at 63, 64, 65 and 128 points, r = 1 and
+# r = N, and at 300 points positions wider than one byte
+_SUBSET_GRID = [
+    (1, 1), (2, 1), (2, 2), (5, 3), (9, 9), (16, 8), (20, 1),
+    (63, 2), (63, 62), (64, 2), (64, 63), (64, 64), (65, 3), (65, 64),
+    (128, 2), (128, 127), (128, 128), (300, 2),
+]
+
+
+@pytest.mark.parametrize("n, r", _SUBSET_GRID)
+def test_combinations_match_itertools(n, r):
+    """Row i of both tables is the i-th subset itertools.combinations lists:
+    its points, and its bit set with bit p % 64 of word p // 64 for point p."""
+    positions, masks = _combinations(n, r)
+    words = -(-n // 64)
+    expected = list(itertools.combinations(range(n), r))
+    assert positions.dtype == np.min_scalar_type(n - 1)
+    assert positions.shape == (len(expected), r)
+    assert positions.tolist() == [list(combo) for combo in expected]
+    assert masks.dtype == np.uint64 and masks.shape == (len(expected), words)
+    values = [sum(1 << p for p in combo) for combo in expected]
+    assert masks.tolist() == [
+        [(value >> (64 * w)) & (2**64 - 1) for w in range(words)] for value in values
+    ]
+    assert not positions.flags.writeable and not masks.flags.writeable
+
+
 def test_large_subset_tables_are_not_held():
-    """A subset table above the cache's byte limit is freed at once when its
-    caller drops it, with no help from the cycle collector; a small table
-    stays cached."""
+    """A table pair above the cache's byte limit, the 17.8 MB of C(28, 7),
+    is freed at once when its caller drops it, with no help from the cycle
+    collector; a small pair stays cached, each call returning the same
+    arrays."""
     gc.disable()
     try:
-        large = _lex_subsets(24, 7)
-        assert large.nbytes > 10 * 2**20
-        small = _lex_subsets(6, 3)
-        refs = [weakref.ref(large), weakref.ref(small)]
+        large = _combinations(28, 7)
+        assert sum(table.nbytes for table in large) > 10 * 2**20
+        small = _combinations(6, 3)
+        refs = [weakref.ref(table) for table in large + small]
         del large, small
-        assert refs[0]() is None
-        assert refs[1]() is _lex_subsets(6, 3)
+        assert refs[0]() is None and refs[1]() is None
+        again = _combinations(6, 3)
+        assert refs[2]() is again[0] and refs[3]() is again[1]
     finally:
         gc.enable()
 
 
 def test_family_index_build_peak():
     """A fresh FamilyIndex build over the 201,376 five-subsets of 32 points,
-    its mask table built from the cached subset table, peaks beyond the
+    its bit sets read from the cached subset tables, peaks beyond the
     tables it keeps at under half of one V x R int64 table."""
     params = Params(n=5, m=6, k=1)
     fn = FunctionTable(params, np.arange(32) % params.codomain_size)
     restriction = restrict(fn, CollisionTable())
-    _lex_subsets(32, 5)   # the subset table is cached before tracing
+    _combinations(32, 5)   # the subset tables are cached before tracing
     tracemalloc.start()
     try:
         index = FamilyIndex(restriction, 5)

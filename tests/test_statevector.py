@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
 from chainwalk.amplify import Want, flip, grover_iterate, iteration_count
@@ -557,7 +557,10 @@ _REAL_AMP = hs.one_of(
 )
 
 
-@settings(deadline=None, max_examples=150)
+# the assume()s below reject about 70% of the draws (a zero or one-sided axis
+# mass), above the filtering health check's limit on some seeds; each of the
+# 150 examples that run is checked in full
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
 @given(
     hs.lists(hs.one_of(_REAL_AMP, hs.just(0.0)), min_size=len(_KEYS), max_size=len(_KEYS)),
     hs.dictionaries(hs.sampled_from(_KEYS), _REAL_AMP, min_size=1),
