@@ -77,25 +77,21 @@ def decompose(state: State, good: Labels) -> AmplitudeDecomposition:
 
 
 def _good_flags(state: State, good: Labels, axis: State):
-    """`state` aligned onto the axis's basis, and `good` as a boolean vector
-    over that basis, read once on each key that the state or the axis
-    carries."""
+    """`state` aligned onto the axis's basis, and `good` read once on every
+    key of that basis as a boolean vector.  A flag off the support of the
+    state and of the axis decides only the sign of a zero, which the next
+    settling step clears."""
     state = align(state, axis)
-    reach = state.vector != 0
-    reach[axis.live] = True
-    reach = np.flatnonzero(reach)
-    flags = np.zeros(len(state.basis), dtype=bool)
-    flags[reach] = values_at(state.basis, good, reach, bool)
-    return state, flags
+    everywhere = np.arange(len(state.basis))
+    return state, values_at(state.basis, good, everywhere, bool).astype(bool, copy=False)
 
 
 def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State:
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
-    `good` is a key callback or a boolean vector over the axis's basis.  It
-    is read once per key that the state or the axis carries.  The rounds run
-    on the bare amplitude vector over the axis's basis, and one State is
-    built at the end.  A round negates the amplitudes off the mask, w = -v',
+    `good` is a key callback or a boolean vector over the axis's basis, read
+    once per key of that basis.  The rounds run on the bare amplitude vector
+    over the axis's basis, and one State is built at the end.  A round negates the amplitudes off the mask, w = -v',
     where v' is reflect_about_predicate's output, and adds (-2<u, w>) u,
     which is reflect_about_state's 2<u, v'> u - v' bit for bit: negation is
     exact, and so is the negated dot product, summed in the same order.
@@ -139,11 +135,12 @@ def flip(
     """Iterate and project until the flag measurement lands on `want`.
 
     `good` is a key callback or a boolean vector over the axis's basis, read
-    once into the mask that the decomposition, the iterations and every flag
-    measurement use.  The wanted component of the axis must be nonempty.  When the good amplitude exceeds
-    1/sqrt(2) and the good side is wanted, rotation is too coarse to help, so
-    each attempt measures a fresh copy of the axis instead; success
-    probability is then above 1/2 per attempt.
+    once per key of that basis into the mask that the decomposition, the
+    iterations and every flag measurement use.  The wanted component of the
+    axis must be nonempty.  When the good amplitude exceeds 1/sqrt(2) and the
+    good side is wanted, rotation is too coarse to help, so each attempt
+    measures a fresh copy of the axis instead; success probability is then
+    above 1/2 per attempt.
     """
     state, flags = _good_flags(state, good, axis)
     dec = decompose(axis, flags)

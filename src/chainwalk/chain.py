@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -136,14 +136,7 @@ class CostLedger:
         self.check_calls += stats.iterations_used
 
     def as_dict(self) -> dict:
-        return {
-            "setup_calls": self.setup_calls,
-            "update_calls": self.update_calls,
-            "check_calls": self.check_calls,
-            "oracle_queries": self.oracle_queries,
-            "extraction_events": self.extraction_events,
-            "predicted_total": self.predicted_total,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -264,7 +257,7 @@ def _flip_charged(state, family, index, good, want, rng, ledger) -> State:
 def _measure_count(state, family, index, rng):
     """Measure the exact tuple count z and narrow the family to [z, z]."""
     count, state = measure(state, index.counts, rng)
-    family = VertexFamily(family.restriction, family.big_r, count, count)
+    family = replace(family, lo=count, hi=count)
     check_uniform_class(state, family, index)
     return state, family
 
@@ -280,7 +273,7 @@ def _project_window(state, family, index, plan, rng, ledger):
     state = _flip_charged(
         state, family, index, index.class_mask(lo, hi), Want.GOOD, rng, ledger
     )
-    family = VertexFamily(family.restriction, family.big_r, lo, hi)
+    family = replace(family, lo=lo, hi=hi)
     check_uniform_class(state, family, index)
     return state, family
 
@@ -385,12 +378,7 @@ def walk_step(
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
         if outcome == 2:
-            new_family = VertexFamily(
-                restriction=family.restriction,
-                big_r=family.big_r,
-                lo=e_now + 1,
-                hi=e_now + width,
-            )
+            new_family = replace(family, lo=e_now + 1, hi=e_now + width)
             check_uniform_class(state, new_family, index)
             return state, new_family, stats
         state, cls, fs = hop(state, index, cls, cell_of, rng)

@@ -37,9 +37,9 @@ read off on request, not kept; the classes are disjoint, so a tuple is its
 bit set alone, and int64 rows (image, size, preimages) are spelled out only
 for the distinct tuples.  The padded register is a V x y table of amplitudes
 and integer labels over the support vertices, a dummy's index or its tuple's
-rank in token order.  extract_once draws from those arrays as measure would,
-building no State for the register; pad_and_attach spells it in byte keys for
-callers that read keys.
+rank in token order.  extract_once draws from those arrays by the collapse
+rule that measure uses (statevector._collapse), building no State for the
+register; pad_and_attach spells it in byte keys for callers that read keys.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,7 +70,7 @@ from .statevector import (
     Basis,
     BasisKey,
     State,
-    _draw_label,
+    _collapse,
     align,
     decode_subset,
     measure,
@@ -588,67 +588,39 @@ def extract_once(
     check_uniform_class(state, family, index)
     if index is None:
         index = FamilyIndex(family.restriction, family.big_r)
-    # measure the register as measure would, without building it: the same
-    # weights per label, summed in entry order, and the same single draw
     ordinals, amplitudes, labels, found = _padded_register(state, index, y)
-    weights = np.bincount(
-        labels, weights=np.abs(amplitudes) ** 2, minlength=y + len(found)
-    ).tolist()
-    outcome = _draw_label(weights, rng)
-    entries = np.flatnonzero(labels == outcome)
+    outcome, mask, scale = _collapse(amplitudes, labels, y + len(found), rng)
+    entries = np.flatnonzero(mask)
     rows = ordinals.take(entries // y)
-    amplitudes = amplitudes.take(entries) * (1.0 / np.sqrt(weights[outcome]))
+    amplitudes = amplitudes.take(entries) * scale
     if outcome >= y:
+        kind, dummy_index = "tuple", None
         image, preimages = _row_tuple(found[outcome - y].tolist())
-        new_table = family.restriction.table.insert(
-            family.restriction.base, image, preimages
-        )
-        new_restriction = restrict(family.restriction.base, new_table)
-        big_r = family.big_r - len(preimages)
-        if big_r:
-            # every collapsed vertex holds the tuple, so it has a child ordinal
-            new_index = FamilyIndex(new_restriction, big_r, parent=index)
-            vector = np.zeros(new_index.total, dtype=amplitudes.dtype)
-            vector[new_index.parent_rank[rows]] = amplitudes
-            # a parent-sized table nothing reads again
-            new_index.parent_rank = None
-            residual = State.over(new_index.basis, vector)
-        else:
-            new_index = None
-            residual = State.over(Basis.of([subset_key(())]), amplitudes)
+        table = family.restriction.table.insert(family.restriction.base, image, preimages)
         new_family = VertexFamily(
-            restriction=new_restriction,
-            big_r=big_r,
+            restriction=restrict(family.restriction.base, table),
+            big_r=family.big_r - len(preimages),
             lo=max(0, family.lo - 1),
             hi=y - 1,
         )
-        return ExtractionOutcome(
-            kind="tuple",
-            image=image,
-            preimages=preimages,
-            dummy_index=None,
-            collapsed=residual,
-            new_family=new_family,
-            new_index=new_index,
-        )
-    dummy_index = outcome + 1
-    vector = np.zeros(index.total, dtype=amplitudes.dtype)
+        if new_family.big_r:
+            # every collapsed vertex holds the tuple, so it has a child ordinal
+            new_index = FamilyIndex(new_family.restriction, new_family.big_r, parent=index)
+            basis, rows = new_index.basis, new_index.parent_rank[rows]
+            # a parent-sized table nothing reads again
+            new_index.parent_rank = None
+        else:
+            # the tuple was the one collapsed vertex: the empty subset is left
+            new_index, basis, rows = None, Basis.of([subset_key(())]), [0]
+    else:
+        kind, dummy_index, image, preimages = "dummy", outcome + 1, None, None
+        new_family = replace(family, hi=dummy_index - 1)
+        new_index, basis = index, index.basis
+    vector = np.zeros(len(basis), dtype=amplitudes.dtype)
     vector[rows] = amplitudes
-    residual = State.over(index.basis, vector)
-    new_family = VertexFamily(
-        restriction=family.restriction,
-        big_r=family.big_r,
-        lo=family.lo,
-        hi=dummy_index - 1,
-    )
     return ExtractionOutcome(
-        kind="dummy",
-        image=None,
-        preimages=None,
-        dummy_index=dummy_index,
-        collapsed=residual,
-        new_family=new_family,
-        new_index=index,
+        kind=kind, image=image, preimages=preimages, dummy_index=dummy_index,
+        collapsed=State._build(basis, vector), new_family=new_family, new_index=new_index,
     )
 
 
@@ -747,35 +719,26 @@ def extract_tuple(
     if family.hi is None:
         raise ParameterError("tuple extraction requires a finite upper bound")
     stats = FlipStats()
-    interval_before = [family.lo, family.hi]
     for _ in range(MAX_TRANSITIONS):
         out = extract_once(state, family, rng, index=index)
         stats.attempts += 1
-        if out.kind == "tuple":
-            if trace is not None:
-                trace.append({
-                    "event": "tuple",
-                    "image": out.image,
-                    "preimages": list(out.preimages),
-                    "interval_before": list(interval_before),
-                    "interval_after": [out.new_family.lo, out.new_family.hi],
-                    "iterations": 0,
-                })
-            return out, stats
-        corrected, fs = correct_interval(
-            out.collapsed, out.new_family, family.hi, index, rng
-        )
-        stats.absorb(fs)
+        fs = FlipStats()
+        if out.kind == "dummy":
+            state, fs = correct_interval(
+                out.collapsed, out.new_family, family.hi, index, rng
+            )
+            stats.absorb(fs)
         if trace is not None:
             trace.append({
-                "event": "dummy",
-                "image": None,
-                "preimages": None,
-                "interval_before": list(interval_before),
+                "event": out.kind,
+                "image": out.image,
+                "preimages": None if out.preimages is None else list(out.preimages),
+                "interval_before": [family.lo, family.hi],
                 "interval_after": [out.new_family.lo, out.new_family.hi],
                 "iterations": fs.iterations_used,
             })
-        state = corrected
+        if out.kind == "tuple":
+            return out, stats
     raise SimulationError(
         f"no tuple outcome after {MAX_TRANSITIONS} padded measurements"
     )

@@ -37,8 +37,9 @@ Conventions used throughout:
   amplify.grover_iterate, which runs on the bare vector; align only moves
   amplitudes and settles nothing.  A state's support is its nonzero
   positions;
-* measurement outcomes are ordered by their label before sampling, so a fixed
-  generator always walks the same cumulative distribution;
+* measure and extraction.extract_once draw by one rule, _collapse: labels in
+  sorted order, weights summed in entry order, one uniform draw, the chosen
+  branch renormalized.  A fixed generator walks the same distribution;
 * state equality is taken up to one global phase.
 """
 
@@ -327,27 +328,6 @@ def _codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-def _label_pass(state: State, labels: Labels):
-    """Label every support key once.
-
-    Returns (the distinct labels, sorted; the index into them of each support
-    position; the weight of each label).  Weights are summed in basis order.
-    """
-    distinct, label_ids = _codes(values_at(state.basis, labels, state.live, object))
-    weights = np.bincount(
-        label_ids, weights=np.abs(state.vector[state.live]) ** 2, minlength=len(distinct)
-    )
-    return distinct.tolist(), label_ids, weights.tolist()
-
-
-def _branch(state: State, label_ids: np.ndarray, weights: List[float], label_id: int) -> State:
-    """The renormalized projection of `state` onto one label, same basis."""
-    take = state.live[label_ids == label_id]
-    vector = np.zeros(len(state.basis), dtype=state.vector.dtype)
-    vector[take] = state.vector[take] * (1.0 / np.sqrt(weights[label_id]))
-    return State._build(state.basis, vector)
-
-
 def _draw_label(weights: Sequence[float], rng: np.random.Generator) -> int:
     """The label one uniform draw selects, given the labels' weights in sorted
     label order: the first whose cumulative weight exceeds the draw, else the
@@ -361,16 +341,31 @@ def _draw_label(weights: Sequence[float], rng: np.random.Generator) -> int:
     return len(weights) - 1
 
 
+def _collapse(amplitudes: np.ndarray, label_ids: np.ndarray, count: int, rng: np.random.Generator):
+    """One projective draw over entries labelled by ids 0..count-1.
+
+    Each label's weight is summed in entry order and one uniform draw
+    selects a label (see _draw_label).  Returns (the label id, the mask of
+    its entries, the factor that renormalizes their amplitudes).
+    """
+    weights = np.bincount(label_ids, np.abs(amplitudes) ** 2, count).tolist()
+    chosen = _draw_label(weights, rng)
+    return chosen, label_ids == chosen, 1.0 / np.sqrt(weights[chosen])
+
+
 def measure(state: State, labels: Labels, rng: np.random.Generator):
     """Projective measurement of the register that `labels` spells out.
 
-    Returns (outcome, collapsed state).  Each support key is labelled once;
-    outcomes are grouped by label, the label set is sorted, and a single
-    uniform draw selects the branch.
+    Returns (outcome, collapsed state over the same basis).  Each support
+    key is labelled once; outcomes are grouped by label, the label set is
+    sorted, and _collapse draws the branch.
     """
-    distinct, label_ids, weights = _label_pass(state, labels)
-    chosen = _draw_label(weights, rng)
-    return distinct[chosen], _branch(state, label_ids, weights, chosen)
+    distinct, label_ids = _codes(values_at(state.basis, labels, state.live, object))
+    amplitudes = state.vector[state.live]
+    chosen, mask, scale = _collapse(amplitudes, label_ids, len(distinct), rng)
+    vector = np.zeros(len(state.basis), dtype=state.vector.dtype)
+    vector[state.live[mask]] = amplitudes[mask] * scale
+    return distinct.tolist()[chosen], State._build(state.basis, vector)
 
 
 def states_close(a: State, b: State, tol: float = 1e-9) -> bool:

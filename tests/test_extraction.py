@@ -519,6 +519,41 @@ def test_extract_tuple_with_trace():
         assert not set(preimages) & set(decode_subset(key))
 
 
+@pytest.mark.parametrize(
+    "seed, repairs, flip_stats, found, after",
+    [
+        (2, [2], (2, 0, 4), (2, (4, 5)), "0x1.80d24727f15fcp-3"),
+        (3, [2, 2, 2], (6, 0, 10), (3, (6, 7)), "0x1.2305a13f2511ap-2"),
+        (8, [3, 2, 2, 2, 2, 2, 2], (15, 1, 23), (0, (0, 1)), "0x1.701f478f66d64p-1"),
+        (11, [2], (2, 0, 4), (3, (6, 7)), "0x1.20715378c3988p-4"),
+    ],
+)
+def test_extract_tuple_dummy_path_pinned(seed, repairs, flip_stats, found, after):
+    """Seeds whose padded measurements draw dummies before the tuple on
+    four_pair (R = 6, family [1, 2]): the whole trace, the work record, the
+    outcome and the generator's next draw are pinned."""
+    _, restriction = four_pair()
+    index = FamilyIndex(restriction, 6)
+    fam = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
+    rng = np.random.default_rng(seed)
+    trace = []
+    out, stats = extract_tuple(index.class_state(1, 2), fam, rng, index=index, trace=trace)
+    image, preimages = found
+    assert trace == [
+        {"event": "dummy", "image": None, "preimages": None,
+         "interval_before": [1, 2], "interval_after": [1, 1], "iterations": iterations}
+        for iterations in repairs
+    ] + [
+        {"event": "tuple", "image": image, "preimages": list(preimages),
+         "interval_before": [1, 2], "interval_after": [0, 1], "iterations": 0}
+    ]
+    assert (stats.iterations_used, stats.restarts, stats.attempts) == flip_stats
+    assert (out.kind, out.image, out.preimages, out.dummy_index) == ("tuple", image, preimages, None)
+    assert (out.new_family.lo, out.new_family.hi, out.new_family.big_r) == (0, 1, 4)
+    assert (len(out.collapsed), out.new_index.total) == (998, 1001)
+    assert rng.random().hex() == after
+
+
 def test_extract_tuple_validation():
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
