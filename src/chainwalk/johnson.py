@@ -13,15 +13,19 @@ computed on that subspace only; the premise checked downstream is that the
 smallest nonzero phase is at least sqrt(delta).
 
 No E x V matrix is formed.  One vectorized edge list (source and target
-ordinals) serves both spectra: the adjacency is one indexed assignment, and
-the orthonormal basis of span(A u B) comes from one eigh of the 2V x 2V Gram
-matrix [[I, P], [P, I]] of the bundles.  Its nonzero eigenvalues are
-1 +- lambda_j(P) >= min(delta, 1 - 1/max(R, N-R)) and the spurious ones are
-about 1e-16, so a relative threshold of 1e-9 separates them.  The reflections
-then act on the edge space in O(E) per basis vector, the form in which
-Magniez-Nayak-Roland-Santha apply W.  The basis vectors pass through them in
-panels of _PANEL_COLUMNS, so the edge-space working set is E x _PANEL_COLUMNS
-whatever the rank, and the peak is set by the 2V x 2V dense arrays.
+ordinals) serves both spectra: the adjacency P is one indexed assignment, and
+one eigh of P gives the basis of span(A u B).  Each eigenvector u of P, of
+eigenvalue lambda, gives the pair of unit vectors (A u +- B u) /
+sqrt(2(1 +- lambda)), which W maps to itself (Szegedy; Magniez-Nayak-Roland-
+Santha); a vector whose squared norm is below 1e-9 of the largest, at
+lambda = +-1, is dropped.  The reflections act on the edge space in O(E) per
+basis vector, the form in which Magniez-Nayak-Roland-Santha apply W.  The
+basis vectors pass through them in panels of _PANEL_COLUMNS, and each image
+is read back only in its own pair, after a check that it leaves no weight
+outside it.  So W's phases are measured on the edge space from one 2 x 2
+block per eigenvector, the working set is one E x _PANEL_COLUMNS panel
+besides the V x V P and its eigenvectors, and no 2V x 2V or rank x rank
+array is formed.
 
 The lexicographic list of R-subsets, which stands in for the paper's qRAM
 vertex data, comes from one cached enumerator, _combinations, read by the edge
@@ -218,25 +222,28 @@ def walk_operator_spectrum(graph: JohnsonGraph) -> WalkSpectrum:
     """Eigenphases of W = Ref_B . Ref_A on the directed edge space.
 
     The bundles a_x (edges leaving x) and b_x (edges entering x) are the
-    columns of A and B, each E x V with entries 1/sqrt(d).  The stacked
-    S = [A B] has Gram matrix [[I, P], [P^T, I]], where P = A^T B is the
-    degree-normalized adjacency.  One eigh of that 2V x 2V matrix gives
-    C = Q_r Lambda_r^(-1/2) over the eigenvalues above _GRAM_RANK_TOL times
-    the largest, and S C is an orthonormal basis of span(A u B).  The
-    threshold separates cleanly: the nonzero Gram eigenvalues are
-    1 +- lambda_j(P) >= min(delta, 1 - 1/max(R, N-R)), while the spurious
-    ones are rounding noise near 1e-16 (J(2, 1), where lambda = -1, is the
-    one graph whose bundles lose a second dimension).
+    columns of A and B, each E x V with entries 1/sqrt(d), and P = A^T B is
+    the degree-normalized adjacency, which must be exactly symmetric.  One
+    eigh of P gives eigenpairs (lambda_j, u_j) and, for each j and sign s,
+    the unit vector e_js = (A u_j + s B u_j) / sqrt(2(1 + s lambda_j)) of
+    span(A u B).  These are orthonormal, and a column is dropped when its
+    squared norm 2(1 + s lambda_j) is below _GRAM_RANK_TOL times the
+    largest, which happens only at lambda = +-1 (lambda = -1 only for
+    J(2, 1)); the others are at least 2 min(delta, 1 - 1/max(R, N-R)).
 
     The basis goes through the reflections _PANEL_COLUMNS columns at a time,
-    each panel held as the E x _PANEL_COLUMNS array (C_A[src] + C_B[dst]) /
-    sqrt(d), and both reflections act on the edge space in O(E) per column:
-    A^T Y is a sum over each vertex's d contiguous out-edges, B^T Y the same
-    sum after one stable sort of the edges by target, and A X a row gather.
-    Each panel leaves only its 2V rows of [A^T; B^T] W S C, so no E x rank
-    array is formed and the 2V x rank and 2V x 2V dense arrays set the
-    memory peak.  W is the identity off span(A u B), so the eigenvalues of
-    the restricted block C^T [A^T; B^T] W S C give every nonzero phase.
+    each panel held as an E x _PANEL_COLUMNS array, and both reflections act
+    on the edge space in O(E) per column: A^T Y is a sum over each vertex's d
+    contiguous out-edges, B^T Y the same sum after one stable sort of the
+    edges by target, and A X a row gather.  Each image W e_js is read in the
+    basis through u^T A^T W e_js +- u^T B^T W e_js.  W maps span{e_j+, e_j-}
+    to itself (Szegedy), so every coordinate outside the column's own pair
+    must be below 1e-9, else ValidationError.  The kept coordinates form one
+    2 x 2 block per j, or a 1 x 1 block where one column was dropped, and W
+    is the identity off span(A u B), so the blocks' eigenvalues give every
+    nonzero phase.  The phases are measured on W, not derived from lambda;
+    P's eigenvectors only choose the basis.  Besides the edge list, P and
+    its eigenvectors, the one E x _PANEL_COLUMNS panel sets the memory.
     """
     v_count = graph.vertex_count
     d = graph.degree
@@ -246,6 +253,10 @@ def walk_operator_spectrum(graph: JohnsonGraph) -> WalkSpectrum:
         )
     _check_vertex_cap(graph)
     src, dst = _edge_list(graph)
+    transition = _transition_matrix(graph, src, dst)
+    if not np.array_equal(transition, transition.T):
+        raise ValidationError("transition matrix is not symmetric")
+    values, vectors = np.linalg.eigh(transition)
     by_target = np.argsort(dst, kind="stable")
     amp = 1.0 / math.sqrt(d)
 
@@ -261,26 +272,36 @@ def walk_operator_spectrum(graph: JohnsonGraph) -> WalkSpectrum:
         out -= block
         return out
 
-    identity = np.eye(v_count)
-    transition = _transition_matrix(graph, src, dst)
-    gram_values, gram_vectors = np.linalg.eigh(
-        np.block([[identity, transition], [transition.T, identity]])
-    )
-    keep = gram_values > _GRAM_RANK_TOL * gram_values[-1]
-    coords = gram_vectors[:, keep] / np.sqrt(gram_values[keep])
-    # [A^T; B^T] W S C, one E x _PANEL_COLUMNS edge block at a time; C order,
-    # not coords' Fortran order, as the product's last bits depend on it
-    sums = np.empty(coords.shape)
-    for start in range(0, coords.shape[1], _PANEL_COLUMNS):
+    # row 0 of each (2, V) table is the sign +, row 1 the sign -
+    norms = 2.0 * (1.0 + np.stack([values, -values]))
+    keep = norms >= _GRAM_RANK_TOL * norms.max()
+    scale = np.zeros_like(norms)
+    scale[keep] = 1.0 / np.sqrt(norms[keep])
+    signs, pairs = np.nonzero(keep)
+    # blocks[j, t, s] = <e_jt | W e_js>
+    blocks = np.zeros((v_count, 2, 2))
+    for start in range(0, len(pairs), _PANEL_COLUMNS):
         panel = slice(start, start + _PANEL_COLUMNS)
-        block = (amp * coords[:v_count, panel])[src]
-        block += (amp * coords[v_count:, panel])[dst]
+        sign, pair = signs[panel], pairs[panel]
+        columns = np.arange(len(pair))
+        chosen = vectors[:, pair] * (amp * scale[sign, pair])
+        block = chosen[src]
+        block += (chosen * (1.0 - 2.0 * sign))[dst]
         block = reflect(block, out_sums(block), src)   # Ref_A
         block = reflect(block, in_sums(block), dst)    # Ref_B
-        sums[:v_count, panel] = out_sums(block)
-        sums[v_count:, panel] = in_sums(block)
-    w_block = coords.T @ sums
-    eigenvalues = np.linalg.eigvals(w_block)
+        out = vectors.T @ out_sums(block)
+        into = vectors.T @ in_sums(block)
+        coords = np.stack([out + into, out - into]) * scale[:, :, None]
+        blocks[pair, :, sign] = coords[:, pair, columns].T
+        coords[:, pair, columns] = 0.0
+        if np.max(np.abs(coords)) > 1e-9:
+            raise ValidationError("walk operator leaves a pair of P's eigenvectors")
+    both = keep.all(axis=0)
+    one_sign, one_pair = np.nonzero(keep & ~both)
+    eigenvalues = np.concatenate([
+        np.linalg.eigvals(blocks[both]).ravel(),
+        blocks[one_pair, one_sign, one_sign],
+    ])
     if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-8:
         raise ValidationError("walk block lost unitarity beyond tolerance")
     phases = np.angle(eigenvalues)
@@ -288,7 +309,7 @@ def walk_operator_spectrum(graph: JohnsonGraph) -> WalkSpectrum:
     nonzero = np.abs(phases) > _PHASE_ZERO_TOL
     phase_gap = float(np.min(np.abs(phases[nonzero]))) if np.any(nonzero) else math.pi
     return WalkSpectrum(
-        delta=_gap(transition),
+        delta=float(1.0 - values[-2]),
         phase_gap=phase_gap,
         eigenphases=tuple(float(p) for p in np.sort(phases)),
     )

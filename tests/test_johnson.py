@@ -9,7 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from chainwalk.errors import CapacityError, DomainError, ParameterError
+from chainwalk import johnson
+from chainwalk.errors import CapacityError, DomainError, ParameterError, ValidationError
 from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import (
     CollisionTable,
@@ -146,9 +147,47 @@ def test_walk_spectrum_matches_dense_reference(n, r):
     assert abs(spec.phase_gap - gap) <= 1e-12
 
 
+def test_walk_spectrum_rejects_a_nonsymmetric_transition(monkeypatch):
+    """Swapping the targets of edges 0 and 37 of J(6, 2) leaves P
+    nonsymmetric, which eigh, reading one triangle, would not see."""
+    edge_list = johnson._edge_list
+
+    def swapped(graph):
+        src, dst = edge_list(graph)
+        dst = dst.copy()
+        dst[[0, 37]] = dst[[37, 0]]
+        return src, dst
+
+    monkeypatch.setattr(johnson, "_edge_list", swapped)
+    graph = JohnsonGraph(ground_set=tuple(range(6)), subset_size=2)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        walk_operator_spectrum(graph)
+
+
+@pytest.mark.parametrize("n, r", [(6, 2), (10, 5)])
+def test_walk_spectrum_rejects_a_transition_off_the_edges(monkeypatch, n, r):
+    """P still symmetric but 1e-6 off A^T B at one edge pair: its
+    eigenvectors no longer split W into 2 x 2 blocks."""
+    transition_matrix = johnson._transition_matrix
+
+    def perturbed(graph, src, dst):
+        transition = transition_matrix(graph, src, dst)
+        transition[0, 1] += 1e-6
+        transition[1, 0] += 1e-6
+        return transition
+
+    monkeypatch.setattr(johnson, "_transition_matrix", perturbed)
+    graph = JohnsonGraph(ground_set=tuple(range(n)), subset_size=r)
+    with pytest.raises(ValidationError, match="leaves a pair"):
+        walk_operator_spectrum(graph)
+
+
 def test_walk_spectrum_traced_peak():
     """The reflections run on fixed-width column panels, so J(10, 5)'s
-    6,300 x 503 edge-space basis is never held whole (about 25 MB a copy)."""
+    6,300 x 503 edge-space basis is never held whole (about 25 MB a copy),
+    and the basis comes from P's 252 x 252 eigenvectors, so no 504 x 504
+    Gram matrix or 503 x 503 walk block is formed: the peak is about two
+    6,300 x 32 panels (3.1 MiB) besides P and its eigenvectors."""
     graph = JohnsonGraph(ground_set=tuple(range(10)), subset_size=5)
     walk_operator_spectrum(graph)   # the subset table is cached before tracing
     tracemalloc.start()
@@ -157,7 +196,7 @@ def test_walk_spectrum_traced_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 6 * 2**20
 
 
 # word boundaries of the bit sets at 63, 64, 65 and 128 points, r = 1 and
