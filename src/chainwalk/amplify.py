@@ -69,7 +69,11 @@ class FlipStats:
 
 def decompose(state: State, good: Labels) -> AmplitudeDecomposition:
     """Exact amplitude split of `state` along the good predicate."""
-    good_mass = state.probability(good)
+    return split(state.probability(good))
+
+
+def split(good_mass: float) -> AmplitudeDecomposition:
+    """The amplitude split of a state whose good side carries `good_mass`."""
     good_mass = min(1.0, max(0.0, good_mass))
     alpha = math.sqrt(good_mass)
     beta = math.sqrt(max(0.0, 1.0 - good_mass))

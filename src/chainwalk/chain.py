@@ -6,7 +6,9 @@ vertices, charged as quantum-walk updates) with extraction phases (padded
 measurements that pull one multicollision tuple out and shrink the domain).
 The residual state is reused from step to step without re-preparation; after
 every phase the run checks that the live state is exactly uniform over its
-declared vertex family.
+declared vertex family.  States are held as levels.Levels, one amplitude per
+vertex count over the family's FamilyIndex, so no phase builds a vector over
+the vertices.
 
 run() is one loop of walk and extraction phases under one of two interval
 policies.  The window policy (the dense regime) holds an IntervalPlan: each
@@ -36,7 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .amplify import FlipStats, Want, flip
+from .amplify import FlipStats, Want
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -44,14 +46,7 @@ from .errors import (
     ParameterError,
     SimulationError,
 )
-from .extraction import (
-    MAX_TRANSITIONS,
-    FamilyIndex,
-    VertexFamily,
-    check_uniform_class,
-    extract_tuple,
-    hop,
-)
+from .extraction import MAX_TRANSITIONS, FamilyIndex, VertexFamily, in_range
 from .johnson import closed_form_gap
 from .oracle import (
     CollisionTable,
@@ -60,7 +55,7 @@ from .oracle import (
     generate_function,
     restrict,
 )
-from .statevector import State, align, measure
+from .levels import Levels, check_class, extract_tuple, flip, hop_out, measure
 from .stats import IntervalPlan, round_count
 
 _ELL_SLACK = 4
@@ -229,71 +224,68 @@ def _verify_tuple(
             )
 
 
-def _extract_one(state, family, index, rng, ledger, fn, trace):
+def _extract_one(state, family, rng, ledger, fn, trace):
     """Extract one tuple, charge and verify it, and check the residual against
     the shrunken family's index, derived from the current one.
 
-    Returns (tuple, state, family, index); index is None once the extraction
-    has emptied the vertex (R' = 0).
+    Returns (tuple, state, family); state is None once the extraction has
+    emptied the vertex (R' = 0).
     """
     delta = _delta_for(family)
-    out, fs = extract_tuple(state, family, rng, index, trace)
+    out, fs = extract_tuple(state, family, rng, trace)
     ledger.extraction_events += 1
     ledger.charge_flip(fs, delta)
     found = (out.image, out.preimages)
     _verify_tuple(fn, ledger, *found)
-    if out.new_index is not None:
-        check_uniform_class(out.collapsed, out.new_family, out.new_index)
-    return found, out.collapsed, out.new_family, out.new_index
+    if out.collapsed is not None:
+        check_class(out.collapsed, out.new_family)
+    return found, out.collapsed, out.new_family
 
 
-def _flip_charged(state, family, index, good, want, rng, ledger) -> State:
-    """Amplify toward (GOOD) or away from (BAD) the vertices of the mask good."""
-    state, fs = flip(state, good, index.axis_state(), want, rng)
+def _flip_charged(state, family, good, want, rng, ledger) -> Levels:
+    """Amplify toward (GOOD) or away from (BAD) the counts where good holds."""
+    state, fs = flip(state, good, want, rng)
     ledger.charge_flip(fs, _delta_for(family))
     return state
 
 
-def _measure_count(state, family, index, rng):
+def _measure_count(state, family, rng):
     """Measure the exact tuple count z and narrow the family to [z, z]."""
-    count, state = measure(state, index.counts, rng)
+    count, state = measure(state, lambda c: c, rng)
     family = replace(family, lo=count, hi=count)
-    check_uniform_class(state, family, index)
+    check_class(state, family)
     return state, family
 
 
-def _project_window(state, family, index, plan, rng, ledger):
+def _project_window(state, family, plan, rng, ledger):
     """Window-policy entry: amplify onto the vertices holding [E, E+T] tuples."""
     lo, hi = plan.expected_now, plan.expected_now + plan.width
-    if index.class_size(lo, hi) == 0:
+    if state.index.class_size(lo, hi) == 0:
         raise FlaggedInstanceError(
             "The instance violates a statistical premise; it is skipped, "
             f"not patched: no vertices hold [{lo}, {hi}] tuples."
         )
-    state = _flip_charged(
-        state, family, index, index.class_mask(lo, hi), Want.GOOD, rng, ledger
-    )
+    state = _flip_charged(state, family, in_range(lo, hi), Want.GOOD, rng, ledger)
     family = replace(family, lo=lo, hi=hi)
-    check_uniform_class(state, family, index)
+    check_class(state, family)
     return state, family
 
 
-def _count_walk(state, family, index, rng, ledger):
+def _count_walk(state, family, rng, ledger):
     """Count-policy walk: amplify onto vertices holding a tuple, measure z."""
     if family.hi is None:
-        good, want = index.class_mask(1, None), Want.GOOD
+        good, want = in_range(1, None), Want.GOOD
     else:
-        good, want = index.class_mask(0, family.hi), Want.BAD
-    state = _flip_charged(state, family, index, good, want, rng, ledger)
-    return _measure_count(state, family, index, rng)
+        good, want = in_range(0, family.hi), Want.BAD
+    state = _flip_charged(state, family, good, want, rng, ledger)
+    return _measure_count(state, family, rng)
 
 
 def extraction_step(
-    state: State,
+    state: Levels,
     family: VertexFamily,
     plan: IntervalPlan,
     rng: np.random.Generator,
-    index: FamilyIndex,
     ledger: CostLedger,
     fn: FunctionTable,
     trace: Optional[List[dict]] = None,
@@ -303,7 +295,8 @@ def extraction_step(
     Starting from a state over [x, y], extracts plan.width tuples (interval
     slides to [x-T, y-T]) and keeps extracting while the upper bound still
     exceeds the recomputed expectation for the shrunken subset size.  Returns
-    (tuples, state, family, refreshed plan, index).
+    (tuples, state, family, refreshed plan); state is None once the vertex
+    is emptied.
     """
     if plan.expected_now < 2:
         raise FlaggedInstanceError(
@@ -312,9 +305,7 @@ def extraction_step(
         )
     tuples = []
     for _ in range(plan.width):
-        found, state, family, index = _extract_one(
-            state, family, index, rng, ledger, fn, trace
-        )
+        found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
         tuples.append(found)
     while family.hi > round_count(
         plan.c * family.big_r ** 2 / family.restriction.codomain_size
@@ -324,20 +315,17 @@ def extraction_step(
                 "The instance violates a statistical premise; it is skipped, "
                 "not patched: interval re-centering ran out of extractable tuples."
             )
-        found, state, family, index = _extract_one(
-            state, family, index, rng, ledger, fn, trace
-        )
+        found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
         tuples.append(found)
     new_plan = plan.refreshed(family.big_r, family.restriction.codomain_size)
-    return tuples, state, family, new_plan, index
+    return tuples, state, family, new_plan
 
 
 def walk_step(
-    state: State,
+    state: Levels,
     family: VertexFamily,
     plan: IntervalPlan,
     rng: np.random.Generator,
-    index: FamilyIndex,
     ledger: CostLedger,
 ):
     """Dense-regime walk: push the interval from [E-T, E] up to [E+1, E+T].
@@ -354,7 +342,7 @@ def walk_step(
             f"walk step expects a state inside [{lo_cell}, {e_now}], "
             f"got {family.interval_label()}"
         )
-    if index.class_size(e_now + 1, e_now + width) == 0:
+    if state.index.class_size(e_now + 1, e_now + width) == 0:
         raise FlaggedInstanceError(
             "The instance violates a statistical premise; it is skipped, "
             f"not patched: target cell [{e_now + 1}, {e_now + width}] is empty."
@@ -369,8 +357,7 @@ def walk_step(
             return 2
         return 3
 
-    state = align(state, index.axis_state())
-    outcome, state = measure(state, index.by_count(cell_of), rng)
+    outcome, state = measure(state, cell_of, rng)
     cls = frozenset(
         c for c in range(family.lo, family.hi + 1) if cell_of(c) == outcome
     )
@@ -379,9 +366,9 @@ def walk_step(
     for _ in range(MAX_TRANSITIONS):
         if outcome == 2:
             new_family = replace(family, lo=e_now + 1, hi=e_now + width)
-            check_uniform_class(state, new_family, index)
+            check_class(state, new_family)
             return state, new_family, stats
-        state, cls, fs = hop(state, index, cls, cell_of, rng)
+        state, cls, fs = hop_out(state, cls, cell_of, rng)
         stats.absorb(fs)
         ledger.charge_flip(fs, delta)
         outcome = cell_of(min(cls))
@@ -429,8 +416,7 @@ def run(config: ChainConfig) -> ChainResult:
             f"({restriction.domain_size} points)"
         )
 
-    index = FamilyIndex(restriction, big_r)
-    state = index.axis_state()
+    state = Levels.uniform(FamilyIndex(restriction, big_r))
     family = VertexFamily(restriction, big_r, 0, None)
     ledger.setup_calls = 1
     fn.charge(big_r)
@@ -445,7 +431,7 @@ def run(config: ChainConfig) -> ChainResult:
         _CALIBRATION_C * big_r * big_r / m_size
     ) >= 2:
         plan = IntervalPlan.build(big_r, m_size, _CALIBRATION_C)
-        state, family = _project_window(state, family, index, plan, rng, ledger)
+        state, family = _project_window(state, family, plan, rng, ledger)
         _record(trace, 0, "project", family, len(state))
     regime = "sparse" if plan is None else "dense"
 
@@ -459,18 +445,15 @@ def run(config: ChainConfig) -> ChainResult:
             outer += 1
             if plan is None:
                 if family.lo < 1:
-                    if family.big_r < 2 or index.class_size(1, None) == 0:
+                    if family.big_r < 2 or state.index.class_size(1, None) == 0:
                         status = ChainStatus.SPARSE_FALLBACK
                         break
-                    state, family = _count_walk(state, family, index, rng, ledger)
+                    state, family = _count_walk(state, family, rng, ledger)
                     _record(trace, outer, "walk", family, len(state))
-                _, state, family, index = _extract_one(
-                    state, family, index, rng, ledger, fn, trace
-                )
+                _, state, family = _extract_one(state, family, rng, ledger, fn, trace)
             else:
-                _, state, family, plan, index = extraction_step(
-                    state, family, plan, rng, index,
-                    trace=trace, ledger=ledger, fn=fn,
+                _, state, family, plan = extraction_step(
+                    state, family, plan, rng, trace=trace, ledger=ledger, fn=fn,
                 )
             if family.big_r < 1:
                 status = ChainStatus.SPARSE_FALLBACK
@@ -483,12 +466,10 @@ def run(config: ChainConfig) -> ChainResult:
                 continue
             if plan.expected_now < 2:
                 plan, regime = None, "mixed"
-                state, family = _measure_count(state, family, index, rng)
+                state, family = _measure_count(state, family, rng)
                 _record(trace, outer, "regime-switch", family, len(state))
             else:
-                state, family, _ = walk_step(
-                    state, family, plan, rng, index, ledger=ledger
-                )
+                state, family, _ = walk_step(state, family, plan, rng, ledger=ledger)
                 _record(trace, outer, "walk", family, len(state))
     except CapacityError:
         status = ChainStatus.CAPACITY

@@ -11,9 +11,10 @@ family) or a dummy index i (and the residual state is uniform over the same
 family with the count interval tightened to [x, i-1]).
 
 `hop` moves a state that is uniform over a class of counts: it flips off the
-class and measures a partition of the counts left.  Interval repair widens
-[x, i-1] back to [x, y] by a few hops, and the dense walk step in chain.py
-moves its window the same way.
+class and measures a partition of the counts left.  Interval repair
+(correct_interval) widens [x, i-1] back to [x, y] by a few hops.  A run does
+both on count-class states (levels.py); the vector versions here are the
+reference its differential tests compare against.
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
@@ -49,7 +50,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +77,9 @@ from .statevector import (
     measure,
     subset_key,
 )
+
+if TYPE_CHECKING:
+    from .levels import Levels
 
 _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
@@ -157,6 +161,11 @@ class VertexFamily:
     def interval_label(self) -> str:
         top = "inf" if self.hi is None else str(self.hi)
         return f"[{self.lo},{top}]"
+
+
+def in_range(lo: int, hi: Optional[int]) -> Callable[[int], bool]:
+    """The predicate lo <= count <= hi, with hi = None unbounded."""
+    return lambda c: c >= lo and (hi is None or c <= hi)
 
 
 def _bits(positions: np.ndarray) -> np.ndarray:
@@ -295,11 +304,8 @@ class FamilyIndex:
         else:
             self._derive(parent)
         self.basis = Basis(total, functools.partial(_subset_keys, self._masks, self._domain))
-        size_counts = np.bincount(self.counts)
-        sizes = np.flatnonzero(size_counts)
-        self._size_by_count: Dict[int, int] = dict(
-            zip(sizes.tolist(), size_counts[sizes].tolist())
-        )
+        # the class size |V_c| of every count c = 0..max_count
+        self.sizes = np.bincount(self.counts)
         self._axis: Optional[State] = None
 
     def _enumerate(self) -> None:
@@ -403,28 +409,29 @@ class FamilyIndex:
         return self._tuple_rows(classes, sets), owners
 
     def histogram(self) -> Dict[int, int]:
-        return dict(self._size_by_count)
+        present = np.flatnonzero(self.sizes)
+        return dict(zip(present.tolist(), self.sizes[present].tolist()))
 
     def max_count(self) -> int:
-        return max(self._size_by_count)
+        return len(self.sizes) - 1
 
     def class_size(self, lo: int, hi: Optional[int]) -> int:
         if hi is not None and hi < lo:
             return 0
-        return sum(
-            size
-            for count, size in self._size_by_count.items()
-            if count >= lo and (hi is None or count <= hi)
-        )
+        return int(self.sizes[lo:None if hi is None else hi + 1].sum())
 
     def class_mask(self, lo: int, hi: Optional[int]) -> np.ndarray:
         """Boolean vector over ordinals: the vertices with count in [lo, hi]."""
-        return self.by_count(lambda c: c >= lo and (hi is None or c <= hi))
+        return self.by_count(in_range(lo, hi))
+
+    def per_count(self, label: Callable[[int], object]) -> np.ndarray:
+        """label(c) of every count c = 0..max_count, as an array."""
+        return np.array([label(c) for c in range(len(self.sizes))])
 
     def by_count(self, label: Callable[[int], object]) -> np.ndarray:
         """Vector over ordinals: label(count) of every vertex, with `label`
         called once per count 0..max_count."""
-        return np.array([label(c) for c in range(self.max_count() + 1)])[self.counts]
+        return self.per_count(label)[self.counts]
 
     def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
         """The vertices whose count lies in [lo, hi], in sorted key order."""
@@ -496,7 +503,21 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
         raise ContractViolationError(
             f"a vertex holds {z.max()} tuples, above the padding width {y}"
         )
-    _, classes, sets = index._held_tuples(ordinals)
+    _, ranks, found = ranked_tuples(index, ordinals)
+    labels = np.tile(np.arange(y), (len(ordinals), 1))
+    labels[np.arange(y) < z[:, None]] = y + ranks
+    amplitudes = np.repeat(state.vector.take(ordinals) * (1.0 / math.sqrt(y)), y)
+    return ordinals, amplitudes, labels.ravel(), found
+
+
+def ranked_tuples(index: FamilyIndex, ordinals: np.ndarray):
+    """The tuples the vertices `ordinals` hold, ranked in token order.
+
+    Returns each held instance's vertex position in `ordinals` and its
+    tuple's rank, instances in FamilyIndex._held_tuples order, and the
+    distinct tuples as rows of FamilyIndex.tuple_rows in rank order.
+    """
+    owners, classes, sets = index._held_tuples(ordinals)
     # the classes are disjoint, so a tuple is its bit set alone; only the
     # distinct ones are spelled out as rows, each from any of its holders
     distinct, which = _distinct_rows(sets)
@@ -508,10 +529,7 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
     order = np.lexsort(found.T[::-1])
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    labels = np.tile(np.arange(y), (len(ordinals), 1))
-    labels[np.arange(y) < z[:, None]] = y + rank[which]
-    amplitudes = np.repeat(state.vector.take(ordinals) * (1.0 / math.sqrt(y)), y)
-    return ordinals, amplitudes, labels.ravel(), found[order]
+    return owners, rank[which], found[order]
 
 
 def pad_and_attach(
@@ -550,7 +568,9 @@ class ExtractionOutcome:
     removed from every vertex and the collision table grown by one entry.
     new_index is the shrunken family's index, derived from the input's, and
     collapsed lies over its basis; it is None when the cut leaves the empty
-    subset (R' = 0), over which collapsed then lies alone.
+    subset (R' = 0), over which collapsed then lies alone (extract_once) or
+    which leaves collapsed None too (levels.extract_once, whose collapsed is
+    a levels.Levels state).
     kind "dummy": dummy_index holds i, collapsed is uniform over the same
     family narrowed to [lo, i-1], and new_index is the input's index.
     """
@@ -559,7 +579,7 @@ class ExtractionOutcome:
     image: Optional[int]
     preimages: Optional[Tuple[int, ...]]
     dummy_index: Optional[int]
-    collapsed: State
+    collapsed: Union[State, "Levels", None]
     new_family: VertexFamily
     new_index: Optional[FamilyIndex]
 
@@ -693,52 +713,4 @@ def correct_interval(
         stats.absorb(fs)
     raise SimulationError(
         f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
-    )
-
-
-def extract_tuple(
-    state: State,
-    family: VertexFamily,
-    rng: np.random.Generator,
-    index: FamilyIndex,
-    trace: Optional[List[dict]] = None,
-) -> Tuple[ExtractionOutcome, FlipStats]:
-    """Repeat padded measurements until a tuple comes out.
-
-    Dummy outcomes are corrected back to the full interval before retrying,
-    so the expected number of measurement rounds is at most y/lo plus O(1).
-    Returns the tuple outcome, its new_index included, and the work record.
-    Trace entries, when a list is supplied, record each event; for a dummy
-    event interval_after is the narrowed interval before correction and
-    iterations is the correction's diffusion-iteration count.
-    """
-    if family.lo < 1:
-        raise ParameterError(
-            "tuple extraction requires every vertex to hold a tuple (lo >= 1)"
-        )
-    if family.hi is None:
-        raise ParameterError("tuple extraction requires a finite upper bound")
-    stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
-        out = extract_once(state, family, rng, index=index)
-        stats.attempts += 1
-        fs = FlipStats()
-        if out.kind == "dummy":
-            state, fs = correct_interval(
-                out.collapsed, out.new_family, family.hi, index, rng
-            )
-            stats.absorb(fs)
-        if trace is not None:
-            trace.append({
-                "event": out.kind,
-                "image": out.image,
-                "preimages": None if out.preimages is None else list(out.preimages),
-                "interval_before": [family.lo, family.hi],
-                "interval_after": [out.new_family.lo, out.new_family.hi],
-                "iterations": fs.iterations_used,
-            })
-        if out.kind == "tuple":
-            return out, stats
-    raise SimulationError(
-        f"no tuple outcome after {MAX_TRANSITIONS} padded measurements"
     )

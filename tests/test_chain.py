@@ -17,7 +17,8 @@ from chainwalk.oracle import (
     generate_function,
     restrict,
 )
-from chainwalk.extraction import FamilyIndex, VertexFamily, correct_interval
+from chainwalk.extraction import FamilyIndex, VertexFamily
+from chainwalk.levels import Levels, repair
 from chainwalk.stats import IntervalPlan
 from chainwalk.amplify import FlipStats
 from chainwalk.chain import (
@@ -174,9 +175,9 @@ def test_extraction_step_dense_scenario():
     assert (plan.expected, plan.width) == (2, 1)
     family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
     ledger = CostLedger()
-    tuples, state, new_family, new_plan, _ = extraction_step(
-        index.class_state(2, 3), family, plan, np.random.default_rng(8),
-        index=index, ledger=ledger, fn=fn,
+    tuples, state, new_family, new_plan = extraction_step(
+        Levels.uniform(index, 2, 3), family, plan, np.random.default_rng(8),
+        ledger=ledger, fn=fn,
     )
     # one planned extraction plus one re-centering extraction
     assert tuples == [(0, (0, 1)), (7, (14, 15))]
@@ -187,7 +188,7 @@ def test_extraction_step_dense_scenario():
     assert ledger.oracle_queries == fn.query_count
     # the residual is uniform over its family class
     fresh = FamilyIndex(new_family.restriction, 4)
-    assert sorted(state.support()) == sorted(fresh.keys_in(0, 1))
+    assert sorted(state.as_state().support()) == sorted(fresh.keys_in(0, 1))
 
 
 def test_extraction_step_requires_dense_expectation():
@@ -196,9 +197,8 @@ def test_extraction_step_requires_dense_expectation():
     assert thin.expected_now < 2
     family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
     with pytest.raises(FlaggedInstanceError):
-        extraction_step(index.class_state(2, 3), family, thin,
-                        np.random.default_rng(0), index=index,
-                        ledger=CostLedger(), fn=fn)
+        extraction_step(Levels.uniform(index, 2, 3), family, thin,
+                        np.random.default_rng(0), ledger=CostLedger(), fn=fn)
 
 
 def test_walk_step_advances_interval():
@@ -207,8 +207,8 @@ def test_walk_step_advances_interval():
     family = VertexFamily(restriction=restriction, big_r=8, lo=1, hi=2)
     ledger = CostLedger()
     state, new_family, stats = walk_step(
-        index.class_state(1, 2), family, plan, np.random.default_rng(9),
-        index=index, ledger=ledger,
+        Levels.uniform(index, 1, 2), family, plan, np.random.default_rng(9),
+        ledger=ledger,
     )
     assert (new_family.lo, new_family.hi) == (3, 3)
     assert stats.iterations_used >= 1
@@ -216,7 +216,7 @@ def test_walk_step_advances_interval():
     assert ledger.update_calls == 2 * stats.iterations_used
     assert ledger.check_calls == stats.iterations_used
     fresh = sorted(index.keys_in(3, 3))
-    assert sorted(state.support()) == fresh
+    assert sorted(state.as_state().support()) == fresh
 
 
 def test_walk_step_validation():
@@ -224,8 +224,8 @@ def test_walk_step_validation():
     plan = IntervalPlan.build(8, 128, 4.0)
     bad_family = VertexFamily(restriction=restriction, big_r=8, lo=0, hi=0)
     with pytest.raises(ParameterError):
-        walk_step(index.axis_state(), bad_family, plan,
-                  np.random.default_rng(0), index=index, ledger=CostLedger())
+        walk_step(Levels.uniform(index), bad_family, plan,
+                  np.random.default_rng(0), ledger=CostLedger())
 
 
 def test_walk_step_flags_empty_target_cell():
@@ -238,8 +238,8 @@ def test_walk_step_flags_empty_target_cell():
     plan = IntervalPlan.build(8, 128, 4.0)
     family = VertexFamily(restriction=restriction, big_r=8, lo=1, hi=2)
     with pytest.raises(FlaggedInstanceError):
-        walk_step(index.class_state(1, 2), family, plan,
-                  np.random.default_rng(0), index=index, ledger=CostLedger())
+        walk_step(Levels.uniform(index, 1, 2), family, plan,
+                  np.random.default_rng(0), ledger=CostLedger())
 
 
 def _carved_pairs():
@@ -250,39 +250,39 @@ def _carved_pairs():
     return restriction, FamilyIndex(restriction, 6)
 
 
-@pytest.mark.parametrize(
-    "case, seed, expected",
-    [
-        # (lo, hi, target_hi) for correct_interval; (E, T) for walk_step.
-        # expected: (iterations, restarts, attempts), interval,
-        # (update, check) ledger calls or None, next rng.random() in hex
-        (("correct", 1, 1, 2), 0, ((8, 2, 5), (1, 2), None, "0x1.165603cf43b8fp-1")),
-        (("correct", 1, 1, 2), 1, ((7, 0, 6), (1, 2), None, "0x1.51a530eb452a6p-2")),
-        (("correct", 1, 1, 2), 2, ((4, 0, 3), (1, 2), None, "0x1.80d24727f15fcp-3")),
-        (("correct", 1, 1, 2), 3, ((7, 0, 6), (1, 2), None, "0x1.b8f68d41ae326p-2")),
-        (("correct", 1, 1, 2), 4, ((36, 1, 35), (1, 2), None, "0x1.d5d53a0241e66p-1")),
-        (("walk", 1, 1), 0, ((1, 0, 1), (2, 2), (2, 1), "0x1.0ec9ed84d0bc0p-6")),
-        (("walk", 1, 1), 1, ((1, 0, 1), (2, 2), (2, 1), "0x1.e5b5615da558dp-1")),
-        (("walk", 1, 1), 2, ((1, 0, 1), (2, 2), (2, 1), "0x1.787cd9d738668p-4")),
-        (("walk", 1, 1), 3, ((1, 0, 1), (2, 2), (2, 1), "0x1.2a112473bd0c0p-1")),
-        (("walk", 1, 1), 4, ((6, 0, 2), (2, 2), (12, 6), "0x1.8185b2fd21ecep-2")),
-        (("walk", 1, 2), 0, ((1, 0, 1), (2, 3), (2, 1), "0x1.0ec9ed84d0bc0p-6")),
-        (("walk", 1, 2), 1, ((1, 0, 1), (2, 3), (2, 1), "0x1.e5b5615da558dp-1")),
-        (("walk", 1, 2), 2, ((1, 0, 1), (2, 3), (2, 1), "0x1.787cd9d738668p-4")),
-        (("walk", 1, 2), 3, ((1, 0, 1), (2, 3), (2, 1), "0x1.2a112473bd0c0p-1")),
-        (("walk", 1, 2), 4, ((1, 0, 1), (2, 3), (2, 1), "0x1.4b1ab6ef864a8p-4")),
-        (("walk", 2, 1), 0, ((10, 6, 9), (3, 3), (20, 10), "0x1.13220e71bcf20p-5")),
-        (("walk", 2, 1), 1, ((2, 1, 2), (3, 3), (4, 2), "0x1.3f50be80ff35cp-2")),
-        (("walk", 2, 1), 2, ((1, 0, 1), (3, 3), (2, 1), "0x1.787cd9d738668p-4")),
-        (("walk", 2, 1), 3, ((1, 0, 1), (3, 3), (2, 1), "0x1.2a112473bd0c0p-1")),
-        (("walk", 2, 1), 4, ((6, 2, 5), (3, 3), (12, 6), "0x1.167f7cbe70768p-1")),
-        (("walk", 2, 2), 0, ((2, 1, 2), (3, 4), (4, 2), "0x1.a064f4f059bcap-1")),
-        (("walk", 2, 2), 1, ((9, 8, 9), (3, 4), (18, 9), "0x1.13878535acff3p-1")),
-        (("walk", 2, 2), 2, ((7, 6, 7), (3, 4), (14, 7), "0x1.509b0f6467179p-1")),
-        (("walk", 2, 2), 3, ((20, 19, 20), (3, 4), (40, 20), "0x1.31901717c6896p-2")),
-        (("walk", 2, 2), 4, ((3, 2, 3), (3, 4), (6, 3), "0x1.8185b2fd21ecep-2")),
-    ],
-)
+# (lo, hi, target_hi) for levels.repair; (E, T) for walk_step.  expected:
+# (iterations, restarts, attempts), interval, (update, check) ledger calls or
+# None, next rng.random() in hex
+CLASS_MOVES = [
+    (("correct", 1, 1, 2), 0, ((8, 2, 5), (1, 2), None, "0x1.165603cf43b8fp-1")),
+    (("correct", 1, 1, 2), 1, ((7, 0, 6), (1, 2), None, "0x1.51a530eb452a6p-2")),
+    (("correct", 1, 1, 2), 2, ((4, 0, 3), (1, 2), None, "0x1.80d24727f15fcp-3")),
+    (("correct", 1, 1, 2), 3, ((7, 0, 6), (1, 2), None, "0x1.b8f68d41ae326p-2")),
+    (("correct", 1, 1, 2), 4, ((36, 1, 35), (1, 2), None, "0x1.d5d53a0241e66p-1")),
+    (("walk", 1, 1), 0, ((1, 0, 1), (2, 2), (2, 1), "0x1.0ec9ed84d0bc0p-6")),
+    (("walk", 1, 1), 1, ((1, 0, 1), (2, 2), (2, 1), "0x1.e5b5615da558dp-1")),
+    (("walk", 1, 1), 2, ((1, 0, 1), (2, 2), (2, 1), "0x1.787cd9d738668p-4")),
+    (("walk", 1, 1), 3, ((1, 0, 1), (2, 2), (2, 1), "0x1.2a112473bd0c0p-1")),
+    (("walk", 1, 1), 4, ((6, 0, 2), (2, 2), (12, 6), "0x1.8185b2fd21ecep-2")),
+    (("walk", 1, 2), 0, ((1, 0, 1), (2, 3), (2, 1), "0x1.0ec9ed84d0bc0p-6")),
+    (("walk", 1, 2), 1, ((1, 0, 1), (2, 3), (2, 1), "0x1.e5b5615da558dp-1")),
+    (("walk", 1, 2), 2, ((1, 0, 1), (2, 3), (2, 1), "0x1.787cd9d738668p-4")),
+    (("walk", 1, 2), 3, ((1, 0, 1), (2, 3), (2, 1), "0x1.2a112473bd0c0p-1")),
+    (("walk", 1, 2), 4, ((1, 0, 1), (2, 3), (2, 1), "0x1.4b1ab6ef864a8p-4")),
+    (("walk", 2, 1), 0, ((10, 6, 9), (3, 3), (20, 10), "0x1.13220e71bcf20p-5")),
+    (("walk", 2, 1), 1, ((2, 1, 2), (3, 3), (4, 2), "0x1.3f50be80ff35cp-2")),
+    (("walk", 2, 1), 2, ((1, 0, 1), (3, 3), (2, 1), "0x1.787cd9d738668p-4")),
+    (("walk", 2, 1), 3, ((1, 0, 1), (3, 3), (2, 1), "0x1.2a112473bd0c0p-1")),
+    (("walk", 2, 1), 4, ((6, 2, 5), (3, 3), (12, 6), "0x1.167f7cbe70768p-1")),
+    (("walk", 2, 2), 0, ((2, 1, 2), (3, 4), (4, 2), "0x1.a064f4f059bcap-1")),
+    (("walk", 2, 2), 1, ((9, 8, 9), (3, 4), (18, 9), "0x1.13878535acff3p-1")),
+    (("walk", 2, 2), 2, ((7, 6, 7), (3, 4), (14, 7), "0x1.509b0f6467179p-1")),
+    (("walk", 2, 2), 3, ((20, 19, 20), (3, 4), (40, 20), "0x1.31901717c6896p-2")),
+    (("walk", 2, 2), 4, ((3, 2, 3), (3, 4), (6, 3), "0x1.8185b2fd21ecep-2")),
+]
+
+
+@pytest.mark.parametrize("case, seed, expected", CLASS_MOVES)
 def test_class_moves_pinned(case, seed, expected):
     restriction, index = _carved_pairs()
     assert index.histogram() == {0: 64, 1: 480, 2: 360, 3: 20}
@@ -290,9 +290,7 @@ def test_class_moves_pinned(case, seed, expected):
     if case[0] == "correct":
         _, lo, hi, target_hi = case
         family = VertexFamily(restriction, 6, lo, hi)
-        state, stats = correct_interval(
-            index.class_state(lo, hi), family, target_hi, index, rng
-        )
+        state, stats = repair(Levels.uniform(index, lo, hi), family, target_hi, rng)
         interval, ledger_calls = (lo, target_hi), None
     else:
         _, e_now, width = case
@@ -301,12 +299,12 @@ def test_class_moves_pinned(case, seed, expected):
         lo = max(0, e_now - width)
         ledger = CostLedger()
         state, family, stats = walk_step(
-            index.class_state(lo, e_now), VertexFamily(restriction, 6, lo, e_now),
-            plan, rng, index=index, ledger=ledger,
+            Levels.uniform(index, lo, e_now), VertexFamily(restriction, 6, lo, e_now),
+            plan, rng, ledger=ledger,
         )
         interval = (family.lo, family.hi)
         ledger_calls = (ledger.update_calls, ledger.check_calls)
-    assert set(state.support()) == set(index.keys_in(*interval))
+    assert set(state.as_state().support()) == set(index.keys_in(*interval))
     assert (
         (stats.iterations_used, stats.restarts, stats.attempts),
         interval, ledger_calls, rng.random().hex(),
@@ -408,18 +406,22 @@ def test_criterion_7_hot_path(monkeypatch):
 
 
 def test_run_states_stay_real(monkeypatch):
-    """Every operator of a run is real, so every vector that two
-    criterion-7 runs and a chain-wide run settle into a State is float64."""
-    dtypes = []
-    settle = State._settle
+    """Two criterion-7 runs and a chain-wide run hold their states as count
+    amplitudes: they build no vector over the vertices (no State is settled
+    and no index builds its axis), and every amplitude array is float64."""
+    vectors, dtypes = [], []
+    levels_init = Levels.__init__
 
-    def recorded(self, basis, vector, normalize=False):
-        dtypes.append(vector.dtype)
-        settle(self, basis, vector, normalize)
+    def recorded(self, index, amps):
+        dtypes.append(amps.dtype)
+        levels_init(self, index, amps)
 
-    monkeypatch.setattr(State, "_settle", recorded)
+    monkeypatch.setattr(State, "_settle", lambda *args: vectors.append("State"))
+    monkeypatch.setattr(FamilyIndex, "axis_state", lambda self: vectors.append("axis"))
+    monkeypatch.setattr(Levels, "__init__", recorded)
     shapes = [(4, m, k, 3, seed) for m, seed, k in (CHAIN_INSTANCES[0], CHAIN_INSTANCES[10])]
     for n, m, k, ell, seed in shapes + [(7, 8, 0, 1, 0)]:
         run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
                         max_outer_iterations=64))
+    assert vectors == []
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}

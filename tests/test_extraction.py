@@ -51,12 +51,12 @@ from chainwalk.extraction import (
     correct_interval,
     dummy_token,
     extract_once,
-    extract_tuple,
     hop,
     pad_and_attach,
     parse_token,
     tuple_token,
 )
+from chainwalk.levels import Levels, extract_tuple
 
 
 def eight_point():
@@ -499,8 +499,7 @@ def test_extract_tuple_with_trace():
     fam = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
     trace = []
     out, stats = extract_tuple(
-        index.class_state(1, 2), fam, np.random.default_rng(3),
-        index=index, trace=trace,
+        Levels.uniform(index, 1, 2), fam, np.random.default_rng(3), trace=trace,
     )
     image, preimages, residual, new_fam = out.image, out.preimages, out.collapsed, out.new_family
     assert image in (0, 1, 2, 3)
@@ -515,7 +514,7 @@ def test_extract_tuple_with_trace():
         assert event["iterations"] >= 1
     assert stats.attempts >= len(trace)
     # residual support avoids the measured preimages everywhere
-    for key in residual.support():
+    for key in residual.as_state().support():
         assert not set(preimages) & set(decode_subset(key))
 
 
@@ -537,7 +536,7 @@ def test_extract_tuple_dummy_path_pinned(seed, repairs, flip_stats, found, after
     fam = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
     rng = np.random.default_rng(seed)
     trace = []
-    out, stats = extract_tuple(index.class_state(1, 2), fam, rng, index=index, trace=trace)
+    out, stats = extract_tuple(Levels.uniform(index, 1, 2), fam, rng, trace=trace)
     image, preimages = found
     assert trace == [
         {"event": "dummy", "image": None, "preimages": None,
@@ -560,15 +559,15 @@ def test_extract_tuple_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
         extract_tuple(
-            index.class_state(0, 2),
+            Levels.uniform(index, 0, 2),
             VertexFamily(restriction=restriction, big_r=4, lo=0, hi=2),
-            rng, index=index,
+            rng,
         )
     with pytest.raises(ParameterError):
         extract_tuple(
-            index.class_state(1, None),
+            Levels.uniform(index, 1, None),
             VertexFamily(restriction=restriction, big_r=4, lo=1, hi=None),
-            rng, index=index,
+            rng,
         )
 
 
@@ -979,7 +978,7 @@ def test_extract_once_frees_the_parent_rank():
 def test_index_holds_each_vertex_once():
     """A built index and a derived one each hold one bit set of W uint64
     words and one int64 count per vertex, V (8 W + 8) bytes, besides their
-    domain and collision classes, which do not grow with V."""
+    domain, collision classes and class sizes, which do not grow with V."""
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
@@ -994,8 +993,9 @@ def test_index_holds_each_vertex_once():
         arrays = {name: value for name, value in vars(built).items()
                   if isinstance(value, np.ndarray)}
         assert sorted(arrays) == [
-            "_class_images", "_class_masks", "_domain", "_masks", "counts"
+            "_class_images", "_class_masks", "_domain", "_masks", "counts", "sizes"
         ]
+        assert len(arrays["sizes"]) == built.max_count() + 1
         masks, counts = arrays["_masks"], arrays["counts"]
         assert (masks.dtype, counts.dtype, masks.shape) == (
             np.uint64, np.int64, (built.total, 1)

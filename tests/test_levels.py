@@ -1,0 +1,284 @@
+"""Differential tests: count-class states (levels.py) against the vector path.
+
+The run holds its states as one amplitude per vertex count.  Each test here
+drives the count-class operation and the vector operation it replaced from
+the same state and the same seed, and requires the same outcomes, work
+records, supports and next draw.  They cover the branches no sweep run
+reaches: dummy outcomes and their repair, walk-step hops, dense extraction,
+and a flip whose good class is exactly half the axis.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chainwalk.amplify import _HALF, FlipStats, Want, flip as vector_flip, split
+from chainwalk.chain import CostLedger, _delta_for, extraction_step, walk_step
+from chainwalk.errors import (
+    FlaggedInstanceError,
+    ImpossibleTargetError,
+    ParameterError,
+    ValidationError,
+)
+from chainwalk.extraction import (
+    FamilyIndex,
+    VertexFamily,
+    correct_interval,
+    extract_once as vector_extract_once,
+    hop,
+)
+from chainwalk.levels import (
+    Levels,
+    _running_sum,
+    check_class,
+    extract_tuple,
+    flip,
+    repair,
+)
+from chainwalk.oracle import CollisionTable, FunctionTable, Params, restrict
+from chainwalk.stats import IntervalPlan
+from chainwalk.statevector import measure
+from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
+from test_extraction import eight_point, four_pair
+
+
+def _stats(stats: FlipStats):
+    return stats.iterations_used, stats.restarts, stats.attempts
+
+
+def _same_state(levels: Levels, vector) -> bool:
+    """Same support, amplitudes within 1e-12."""
+    dense = levels.as_state().vector
+    return (
+        np.array_equal(np.flatnonzero(dense), vector.live)
+        and np.allclose(dense, vector.vector, rtol=0, atol=1e-12)
+    )
+
+
+def _vector_extract_tuple(state, family, rng, index, trace):
+    """The vector path's extraction loop: padded measurements, each dummy
+    repaired by extraction.correct_interval, until a tuple comes out."""
+    stats = FlipStats()
+    while True:
+        out = vector_extract_once(state, family, rng, index=index)
+        stats.attempts += 1
+        fs = FlipStats()
+        if out.kind == "dummy":
+            state, fs = correct_interval(out.collapsed, out.new_family, family.hi, index, rng)
+            stats.absorb(fs)
+        trace.append({
+            "event": out.kind,
+            "image": out.image,
+            "preimages": None if out.preimages is None else list(out.preimages),
+            "interval_before": [family.lo, family.hi],
+            "interval_after": [out.new_family.lo, out.new_family.hi],
+            "iterations": fs.iterations_used,
+        })
+        if out.kind == "tuple":
+            return out, stats
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    weight=st.one_of(
+        st.floats(1e-9, 1.0),
+        st.builds(lambda k, e: k * 2.0 ** -e, st.integers(1, 4095), st.integers(12, 40)),
+    ),
+    count=st.integers(0, 100_000),
+)
+# flip's weights (1/sqrt V)^2 on half the axis, among them V = 120, whose sum
+# lands below 0.5
+@example(weight=(1.0 / np.sqrt(120)) ** 2, count=60)
+@example(weight=(1.0 / np.sqrt(8128)) ** 2, count=4064)
+@example(weight=(1.0 / np.sqrt(12870)) ** 2, count=6435)
+# ties: the weight is an odd number of half ulps of the sum
+@example(weight=3 * 2.0 ** -53, count=50_000)
+@example(weight=2.0 ** -52 + 2.0 ** -53, count=3)
+def test_running_sum_matches_cumsum(weight, count):
+    expected = float(np.cumsum(np.full(count, weight))[-1]) if count else 0.0
+    assert _running_sum(weight, count) == expected
+
+
+def _half_axis():
+    """R = 2 on a function with 60 vertices of count 0 and 60 of count 1: the
+    good class is exactly half the axis, and the running sum of its 60
+    weights is below 0.5, while the closed form 0.5 would be above the
+    alpha > 1/sqrt(2) boundary."""
+    values = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1]
+    index = FamilyIndex(restrict(FunctionTable(Params(n=4, m=4, k=0), values),
+                                 CollisionTable()), 2)
+    assert index.histogram() == {0: 60, 1: 60}
+    return index
+
+
+def test_half_axis_sits_on_the_boundary():
+    index = _half_axis()
+    weight = (1.0 / np.sqrt(index.total)) ** 2
+    mass = _running_sum(weight, 60)
+    assert mass < 0.5
+    assert split(mass).alpha < _HALF < split(0.5).alpha
+
+
+@pytest.mark.parametrize("want", [Want.GOOD, Want.BAD])
+@pytest.mark.parametrize("seed", range(8))
+def test_flip_on_half_the_axis_matches_the_vector_path(want, seed):
+    index = _half_axis()
+    good = lambda c: c >= 1
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    state, stats = flip(Levels.uniform(index), good, want, rng)
+    reference, ref_stats = vector_flip(
+        index.axis_state(), index.by_count(good), index.axis_state(), want, ref_rng
+    )
+    assert _stats(stats) == _stats(ref_stats)
+    assert _same_state(state, reference)
+    assert rng.random().hex() == ref_rng.random().hex()
+
+
+def test_extract_tuple_dummy_path_matches_the_vector_path():
+    """four_pair (R = 6, family [1, 2]) at seeds 0-199, the four seeds of
+    test_extract_tuple_dummy_path_pinned among them: the same trace, work
+    record, tuple, residual and next draw.  The seeds draw 135 dummies."""
+    _, restriction = four_pair()
+    index = FamilyIndex(restriction, 6)
+    family = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
+    dummies = 0
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        trace, ref_trace = [], []
+        out, stats = extract_tuple(Levels.uniform(index, 1, 2), family, rng, trace)
+        ref, ref_stats = _vector_extract_tuple(
+            index.class_state(1, 2), family, ref_rng, index, ref_trace
+        )
+        assert trace == ref_trace, seed
+        assert _stats(stats) == _stats(ref_stats), seed
+        assert (out.kind, out.image, out.preimages, out.new_family) == (
+            ref.kind, ref.image, ref.preimages, ref.new_family
+        )
+        assert out.new_index is out.collapsed.index
+        assert out.new_index.total == ref.new_index.total
+        assert len(out.collapsed) == len(ref.collapsed)
+        assert _same_state(out.collapsed, ref.collapsed), seed
+        assert rng.random().hex() == ref_rng.random().hex(), seed
+        dummies += sum(event["event"] == "dummy" for event in trace)
+    assert dummies == 135
+
+
+def _vector_walk_step(state, family, plan, rng, index, ledger):
+    """The vector path's dense walk step: measure the cell, then hop with
+    extraction.hop until cell 2 comes up."""
+    e_now, width = plan.expected_now, plan.width
+    lo_cell = max(0, e_now - width)
+
+    def cell_of(count):
+        return 0 if count < lo_cell else 1 if count <= e_now else 2 if count <= e_now + width else 3
+
+    outcome, state = measure(state, index.by_count(cell_of), rng)
+    cls = frozenset(c for c in range(family.lo, family.hi + 1) if cell_of(c) == outcome)
+    stats = FlipStats()
+    while outcome != 2:
+        state, cls, fs = hop(state, index, cls, cell_of, rng)
+        stats.absorb(fs)
+        ledger.charge_flip(fs, _delta_for(family))
+        outcome = cell_of(min(cls))
+    return state, replace(family, lo=e_now + 1, hi=e_now + width), stats
+
+
+@pytest.mark.parametrize("case, seed, expected", CLASS_MOVES)
+def test_class_moves_match_the_vector_path(case, seed, expected):
+    """test_class_moves_pinned's cases, on extraction.correct_interval and on
+    the vector walk step: they give the pinned values too."""
+    restriction, index = _carved_pairs()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if case[0] == "correct":
+        _, lo, hi, target_hi = case
+        family = VertexFamily(restriction, 6, lo, hi)
+        state, stats = repair(Levels.uniform(index, lo, hi), family, target_hi, rng)
+        ref, ref_stats = correct_interval(
+            index.class_state(lo, hi), family, target_hi, index, ref_rng
+        )
+        interval, ledger_calls = (lo, target_hi), None
+    else:
+        _, e_now, width = case
+        plan = IntervalPlan(big_r=6, bins=restriction.codomain_size, c=0.5,
+                            expected=e_now, width=width, expected_now=e_now)
+        lo = max(0, e_now - width)
+        family = VertexFamily(restriction, 6, lo, e_now)
+        ledger, ref_ledger = CostLedger(), CostLedger()
+        state, walked, stats = walk_step(Levels.uniform(index, lo, e_now), family, plan,
+                                         rng, ledger=ledger)
+        ref, new_family, ref_stats = _vector_walk_step(
+            index.class_state(lo, e_now), family, plan, ref_rng, index, ref_ledger
+        )
+        assert (walked, ledger) == (new_family, ref_ledger)
+        interval = (new_family.lo, new_family.hi)
+        ledger_calls = (ref_ledger.update_calls, ref_ledger.check_calls)
+    assert _stats(stats) == _stats(ref_stats)
+    assert _same_state(state, ref)
+    next_draw = ref_rng.random().hex()
+    assert rng.random().hex() == next_draw
+    assert (_stats(ref_stats), interval, ledger_calls, next_draw) == expected
+
+
+def test_extraction_step_dense_scenario_matches_the_vector_path():
+    """test_extraction_step_dense_scenario against the vector extraction loop:
+    one planned and one re-centering extraction, each verified."""
+    fn, restriction, index = _pair_rich_instance()
+    plan = IntervalPlan.build(8, 128, 4.0)
+    family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    ledger = CostLedger()
+    tuples, state, new_family, _ = extraction_step(
+        Levels.uniform(index, 2, 3), family, plan, rng, ledger=ledger, fn=fn,
+    )
+    ref_state, ref_family, ref_index, ref_tuples = index.class_state(2, 3), family, index, []
+    ref_ledger = CostLedger()
+    for _ in range(2):
+        out, fs = _vector_extract_tuple(ref_state, ref_family, ref_rng, ref_index, [])
+        ref_ledger.extraction_events += 1
+        ref_ledger.charge_flip(fs, _delta_for(ref_family))
+        ref_ledger.oracle_queries += len(out.preimages)
+        ref_tuples.append((out.image, out.preimages))
+        ref_state, ref_family, ref_index = out.collapsed, out.new_family, out.new_index
+    assert tuples == ref_tuples == [(0, (0, 1)), (7, (14, 15))]
+    assert new_family == ref_family
+    assert ledger == ref_ledger
+    assert state.index.total == ref_index.total
+    assert _same_state(state, ref_state)
+    assert rng.random().hex() == ref_rng.random().hex()
+
+
+def test_repair_premise_failures():
+    """levels.repair refuses what extraction.correct_interval refuses."""
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    rng = np.random.default_rng(0)
+    family = lambda lo, hi: VertexFamily(restriction=restriction, big_r=4, lo=lo, hi=hi)
+    with pytest.raises(FlaggedInstanceError):
+        repair(Levels.uniform(index, 1, 1), family(1, 1), 2, rng)
+    with pytest.raises(FlaggedInstanceError):
+        repair(Levels.uniform(index, 0, 1), family(0, 1), 2, rng)
+    with pytest.raises(ImpossibleTargetError):
+        repair(Levels.uniform(index), family(5, 5), 6, rng)
+    with pytest.raises(ParameterError):
+        repair(Levels.uniform(index), family(1, None), 2, rng)
+    same, stats = repair(Levels.uniform(index, 1, 2), family(1, 2), 2, rng)
+    assert np.array_equal(same.amps, Levels.uniform(index, 1, 2).amps)
+    assert stats == FlipStats()
+
+
+@pytest.mark.parametrize("case", ["class_dropped", "other_class_added", "not_uniform"])
+def test_check_class_rejects(case):
+    _, restriction = eight_point()
+    index = FamilyIndex(restriction, 4)
+    assert index.histogram() == {0: 28, 1: 39, 2: 3}
+    family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
+    check_class(Levels.uniform(index, 1, 2), family)
+    amps = {"class_dropped": [0.0, 1.0, 0.0], "other_class_added": [1.0, 1.0, 1.0],
+            "not_uniform": [0.0, 1.0, 2.0]}[case]
+    amps = np.array(amps) / math.sqrt(float(index.sizes @ np.square(amps)))
+    with pytest.raises(ValidationError):
+        check_class(Levels(index, amps), family)

@@ -43,6 +43,15 @@ SCOPE = [
 # definitions that stay although nothing outside the unit tests reads them
 KEPT = {
     "__init__.__version__": "the package version, read as chainwalk.__version__",
+    "extraction.correct_interval": (
+        "perfbench/tracing.py's TRACED table wraps it by name; the vector interval"
+        " repair that test_levels.py's dummy-path and class-move differential tests"
+        " compare levels.repair against"
+    ),
+    "extraction.hop": (
+        "correct_interval's move; the vector hop of test_levels.py's walk-step"
+        " differential test"
+    ),
     "extraction.parse_token": "the token decoder of the padded-register differential test",
     "johnson.VertexData": "vertex_data's record",
     "johnson.neighbors": "the explicit Johnson graph the edge-list tests compare against",
