@@ -7,8 +7,9 @@ measurements that pull one multicollision tuple out and shrink the domain).
 The residual state is reused from step to step without re-preparation; after
 every phase the run checks that the live state is exactly uniform over its
 declared vertex family.  States are held as levels.Levels, one amplitude per
-vertex count over the family's FamilyIndex, so no phase builds a vector over
-the vertices.
+vertex count over the family's law.LawIndex, whose class sizes and tuple
+holders come from the family's exact law, so no phase builds a vector over
+the vertices and no index enumerates one.
 
 run() is one loop of walk and extraction phases under one of two interval
 policies.  The window policy (the dense regime) holds an IntervalPlan: each
@@ -46,8 +47,9 @@ from .errors import (
     ParameterError,
     SimulationError,
 )
-from .extraction import MAX_TRANSITIONS, FamilyIndex, VertexFamily, in_range
+from .extraction import MAX_TRANSITIONS, VertexFamily, in_range
 from .johnson import closed_form_gap
+from .law import LawIndex
 from .oracle import (
     CollisionTable,
     FunctionTable,
@@ -416,7 +418,7 @@ def run(config: ChainConfig) -> ChainResult:
             f"({restriction.domain_size} points)"
         )
 
-    state = Levels.uniform(FamilyIndex(restriction, big_r))
+    state = Levels.uniform(LawIndex(restriction, big_r))
     family = VertexFamily(restriction, big_r, 0, None)
     ledger.setup_calls = 1
     fn.charge(big_r)

@@ -21,15 +21,19 @@ and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
 holds a family's full vertex set as arrays over vertex ordinals (each subset
 once, as a bit set of uint64 words over the positions of its domain, and its
 count), so that class sizes, membership predicates, and diffusion axes are
-exact.  It lists the domain's collision classes, the images with two or more
-points, as bit sets too.  The run's first index takes its subsets from
-johnson's lexicographic enumerator and counts each subset's classes met twice
-or more off their bit sets, or, when the classes are many for the subset size,
-sorts each subset's images, gathered through their positions, and counts their
-runs.  The index of each shrunken family after a tuple extraction is derived
-from its parent's by keeping the vertices whose bits in the tuple's class are
-exactly the tuple and clearing those bits, and the residual state is laid over
-it by the parent-to-child rank, with no byte key in between.  An index's Basis
+exact.  A run reads none of this: its index is law.LawIndex, which answers
+the count-level reads from the family's exact law, and FamilyIndex stays as
+the acceptance API, the vector path's index and the reference the law index
+is tested against.  FamilyIndex lists the domain's collision classes, the
+images with two or more points, as bit sets too.  A first index takes its
+subsets from johnson's lexicographic enumerator and counts each subset's
+classes met twice or more off their bit sets, or, when the classes are many
+for the subset size, sorts each subset's images, gathered through their
+positions, and counts their runs.  The index of each shrunken family after a
+tuple extraction is derived from its parent's by keeping the vertices whose
+bits in the tuple's class are exactly the tuple and clearing those bits, and
+the residual state is laid over it by the parent-to-child rank, with no byte
+key in between.  An index's Basis
 is its vertex ordinals, with byte keys spelled out of the bit sets only when a
 byte-key API reads them, so a family state is a vector over vertex ordinals,
 and its predicates and labels (class_mask, by_count) are vectors over the
@@ -50,13 +54,12 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .amplify import FlipStats, Want, flip
 from .errors import (
-    CapacityError,
     ContractViolationError,
     FlaggedInstanceError,
     ImpossibleTargetError,
@@ -65,6 +68,7 @@ from .errors import (
     ValidationError,
 )
 from .johnson import _combinations
+from .law import CountIndex, family_total
 from .oracle import RestrictedFunction, restrict
 from .stats import collision_counts
 from .statevector import (
@@ -84,7 +88,6 @@ if TYPE_CHECKING:
 _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
-_MAX_FAMILY_VERTICES = 250_000
 # An enumerated index counts by masks while its collision classes cover at
 # most this many bit-set words per point of a subset, and by sorting each
 # subset's images above it.  Counting by masks makes a few array passes over
@@ -237,7 +240,7 @@ def _distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ranked[first], which
 
 
-class FamilyIndex:
+class FamilyIndex(CountIndex):
     """Exhaustive per-subset multicollision data for one (restriction, R).
 
     The index holds every R-subset of the restricted domain, so class sizes
@@ -284,17 +287,7 @@ class FamilyIndex:
         big_r: int,
         parent: Optional["FamilyIndex"] = None,
     ) -> None:
-        points = restriction.domain_points
-        if not (0 < big_r <= len(points)):
-            raise ParameterError(
-                f"subset size {big_r} invalid for domain of {len(points)} points"
-            )
-        total = math.comb(len(points), big_r)
-        if total > _MAX_FAMILY_VERTICES:
-            raise CapacityError(
-                f"family of {total} vertices exceeds enumeration cap "
-                f"{_MAX_FAMILY_VERTICES}"
-            )
+        total = family_total(len(restriction.domain_points), big_r)
         self.restriction = restriction
         self.big_r = big_r
         self.total = total
@@ -408,25 +401,29 @@ class FamilyIndex:
         owners, classes, sets = self._held_tuples(ordinals)
         return self._tuple_rows(classes, sets), owners
 
-    def histogram(self) -> Dict[int, int]:
-        present = np.flatnonzero(self.sizes)
-        return dict(zip(present.tolist(), self.sizes[present].tolist()))
+    def tuple_holders(self, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """law.LawIndex.tuple_holders read off the vertices: the tuples held
+        by the vertices of the counts where `live` holds, as rows of
+        tuple_rows in token order, and each one's holders among those
+        vertices per count 0..max_count."""
+        ordinals = np.flatnonzero(live[self.counts])
+        owners, ranks, found = ranked_tuples(self, ordinals)
+        width = len(self.sizes)
+        cells = ranks * width + self.counts.take(ordinals.take(owners))
+        holders = np.bincount(cells, minlength=len(found) * width)
+        return found, holders.reshape(len(found), width)
 
-    def max_count(self) -> int:
-        return len(self.sizes) - 1
-
-    def class_size(self, lo: int, hi: Optional[int]) -> int:
-        if hi is not None and hi < lo:
-            return 0
-        return int(self.sizes[lo:None if hi is None else hi + 1].sum())
+    def child(self, restriction: RestrictedFunction, big_r: int) -> "FamilyIndex":
+        """The index derived for the family left after a tuple (see the
+        class docstring), without the parent-to-child rank."""
+        child = FamilyIndex(restriction, big_r, parent=self)
+        # a parent-sized table nothing reads
+        child.parent_rank = None
+        return child
 
     def class_mask(self, lo: int, hi: Optional[int]) -> np.ndarray:
         """Boolean vector over ordinals: the vertices with count in [lo, hi]."""
         return self.by_count(in_range(lo, hi))
-
-    def per_count(self, label: Callable[[int], object]) -> np.ndarray:
-        """label(c) of every count c = 0..max_count, as an array."""
-        return np.array([label(c) for c in range(len(self.sizes))])
 
     def by_count(self, label: Callable[[int], object]) -> np.ndarray:
         """Vector over ordinals: label(count) of every vertex, with `label`

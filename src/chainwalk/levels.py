@@ -7,25 +7,32 @@ uniform axis, the sign flips and measurements on count predicates, and the
 padded register, whose dummy outcomes keep a count range and whose tuple
 outcomes keep every holder of the tuple, which is the whole child index with
 each count one less.  This is Grover's invariant subspace (Boyer, Brassard,
-Hoyer and Tapp 1998).  So a Levels state is a FamilyIndex and one float64
+Hoyer and Tapp 1998).  So a Levels state is a family index and one float64
 amplitude per count 0..max_count, and each operation is arithmetic on those
-amplitudes and the class sizes |V_c|, with no vector over the vertices.
+amplitudes and the class sizes |V_c|, with no vector over the vertices.  The
+index is read only through law.CountIndex's count-level questions: the sizes
+and their total, class sizes, per-count labels, the held tuples with their
+holders per count (tuple_holders) and the child after a tuple (child).  A run
+holds law.LawIndex, which answers them from the family's exact law without a
+vertex; extraction.FamilyIndex answers them off its enumerated vertices, and
+the differential tests drive both.
 
 The form is exact: the vector path computes each vertex's amplitude by the
 same elementwise arithmetic from the same operands as every other vertex of
 its class, so the amplitude a class holds here is, bit for bit, the one each
-of its vertices holds there, wherever the reductions agree.  Two reductions
-are reproduced bit for bit, because a boundary sits exactly on them:
+of its vertices holds there, wherever the reductions agree.  One reduction is
+reproduced bit for bit, because a boundary sits exactly on it: flip's good
+mass, the running sum of |G| equal weights (1/sqrt V)^2 that
+State.probability takes (_running_sum).  At |G| = V/2 it decides both the
+alpha > 1/sqrt(2) branch and iteration_count.
 
-* flip's good mass, the running sum of |G| equal weights (1/sqrt V)^2 that
-  State.probability takes (_running_sum).  At |G| = V/2 it decides both the
-  alpha > 1/sqrt(2) branch and iteration_count;
-* each tuple label's weight in the padded register, a bincount over the
-  held-tuple instances in FamilyIndex._held_tuples order.
-
-Every other weight, and the Grover round's inner product, is the closed form
-sum_c |V_c| a_c^2, which can differ from the vector's sum in the last bits;
-a draw can then differ only when it lands that close to a label boundary.
+Every other weight is a closed form: a count class's is |V_c| a_c^2, a tuple
+label's in the padded register is its holders per count against each
+count's branch weight (holders @ power), and the Grover round's inner
+product is sum_c |V_c| a_c^2.  Each can differ from the vector's sum in the
+last bits; a draw can then differ only when it lands that close to a label
+boundary.  Both kinds of index give the same integers, so a run draws the
+same on either.
 Outcomes are read through np.array([...]).tolist(), as the vector path reads
 them, so a bool label stays a bool and a count an int.
 
@@ -56,12 +63,11 @@ from .extraction import (
     _UNIFORM_TOL,
     MAX_TRANSITIONS,
     ExtractionOutcome,
-    FamilyIndex,
     VertexFamily,
     _row_tuple,
     in_range,
-    ranked_tuples,
 )
+from .law import CountIndex
 from .oracle import restrict
 from .statevector import NORM_TOL, PRUNE_EPS, State, _draw_label
 
@@ -75,12 +81,12 @@ class Levels:
 
     __slots__ = ("index", "amps")
 
-    def __init__(self, index: FamilyIndex, amps: np.ndarray) -> None:
+    def __init__(self, index: CountIndex, amps: np.ndarray) -> None:
         self.index = index
         self.amps = _settled(amps, index.sizes)
 
     @classmethod
-    def uniform(cls, index: FamilyIndex, lo: int = 0, hi: Optional[int] = None) -> "Levels":
+    def uniform(cls, index: CountIndex, lo: int = 0, hi: Optional[int] = None) -> "Levels":
         """Uniform over the vertices with count in [lo, hi]: the diffusion
         axis by default, FamilyIndex.class_state's state otherwise."""
         size = index.class_size(lo, hi)
@@ -94,7 +100,8 @@ class Levels:
         return int(self.index.sizes[self.amps != 0].sum())
 
     def as_state(self) -> State:
-        """The same state as a vector over the index's basis."""
+        """The same state as a vector over the index's basis (a
+        FamilyIndex's: a LawIndex holds no vertices to lay it over)."""
         return State.over(self.index.basis, self.amps[self.index.counts])
 
 
@@ -308,10 +315,10 @@ def extract_once(
     """extraction.extract_once on a state uniform over the family's class.
 
     The dummy d_i's weight is the closed form over the counts below i; each
-    tuple's is the bincount over its holders.  A tuple outcome leaves the
-    holders, which make up the derived child index, each one count lower;
-    when the cut empties the vertex (R' = 0), collapsed and new_index are
-    None.  A dummy outcome d_i keeps the counts below i.
+    tuple's is its holders per count against each count's branch weight.  A
+    tuple outcome leaves the holders, which make up the index's child, each
+    one count lower; when the cut empties the vertex (R' = 0), collapsed and
+    new_index are None.  A dummy outcome d_i keeps the counts below i.
     """
     if family.hi is None:
         raise ParameterError(
@@ -322,11 +329,10 @@ def extract_once(
         raise ParameterError("cannot extract from a family with hi = 0")
     check_class(state, family)
     index, amps = state.index, state.amps
-    ordinals = np.flatnonzero((amps != 0)[index.counts])
-    owners, ranks, found = ranked_tuples(index, ordinals)
+    found, holders = index.tuple_holders(amps != 0)
     inv = 1.0 / math.sqrt(y)
     power = (amps * inv) ** 2
-    held = np.bincount(ranks, power.take(index.counts.take(ordinals.take(owners))), len(found))
+    held = holders @ power
     below = np.cumsum(index.sizes * power)
     dummies = below.take(np.minimum(np.arange(y), len(below) - 1))
     weights = dummies.tolist() + held.tolist()
@@ -342,9 +348,7 @@ def extract_once(
             hi=y - 1,
         )
         if new_family.big_r:
-            new_index = FamilyIndex(new_family.restriction, new_family.big_r, parent=index)
-            # a parent-sized table nothing reads
-            new_index.parent_rank = None
+            new_index = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1
             child = amps[1:len(new_index.sizes) + 1] * inv * scale
             collapsed: Optional[Levels] = Levels(new_index, child)

@@ -380,17 +380,24 @@ def test_report_pinned(shape, digest):
 
 
 def test_criterion_7_hot_path(monkeypatch):
-    """The 20 criterion-7 runs never spell out byte keys and build their
-    one (N, R) = (16, 8) pair of subset tables once; their reports, the pinned
-    (4, 4, 1, 3, 4) one among them, hash as before."""
-    key_tables = []
+    """The 20 criterion-7 runs enumerate no vertex: they build no FamilyIndex,
+    read no subset table and spell out no byte key, their indices being
+    law.LawIndex; their reports, the pinned (4, 4, 1, 3, 4) one among them,
+    hash as before."""
+    key_tables, enumerated = [], []
     subset_keys = extraction._subset_keys
+    index_init = FamilyIndex.__init__
 
     def counted(masks, domain):
         key_tables.append(masks.shape)
         return subset_keys(masks, domain)
 
+    def built(self, *args, **kwargs):
+        enumerated.append(args)
+        index_init(self, *args, **kwargs)
+
     monkeypatch.setattr(extraction, "_subset_keys", counted)
+    monkeypatch.setattr(FamilyIndex, "__init__", built)
     johnson._enumerate_combinations.cache_clear()
     digest = hashlib.sha256()
     for m, seed, k in CHAIN_INSTANCES:
@@ -398,8 +405,8 @@ def test_criterion_7_hot_path(monkeypatch):
                                  max_outer_iterations=64))
         digest.update(result.report_json().encode())
     info = johnson._enumerate_combinations.cache_info()
-    assert key_tables == []
-    assert (info.misses, info.hits) == (1, len(CHAIN_INSTANCES) - 1)
+    assert key_tables == [] and enumerated == []
+    assert (info.misses, info.hits) == (0, 0)
     assert digest.hexdigest() == (
         "07246bafe60db7f07f8654011ca39968ea0cb61e34dcbaab2eb5d3cbad450034"
     )

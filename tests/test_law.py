@@ -1,0 +1,178 @@
+"""The law index (law.py) against the enumerated FamilyIndex.
+
+A run's indices are LawIndexes, read off the family's generating function
+without a vertex; the FamilyIndex enumerates every vertex.  On random
+functions and on the children derived after a tuple, the two must give the
+same class sizes, total, token-ordered tuple rows and holder rows, and a
+count-class extraction on either must give the same outcome, work record,
+residual and next draw.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainwalk.errors import CapacityError, SimulationError
+from chainwalk.extraction import FamilyIndex, VertexFamily
+from chainwalk.law import LawIndex, family_law
+from chainwalk.levels import Levels, extract_tuple
+from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
+from test_extraction import four_pair
+
+# families small enough to enumerate in a property test
+_MAX_TEST_VERTICES = 20_000
+
+
+@st.composite
+def indexed_families(draw):
+    """(restriction, R) of a random function with n <= 5 and R <= 6, or of
+    the child left after up to two recorded tuples of it."""
+    n = draw(st.sampled_from([4, 5, 3]))
+    size = 1 << n
+    # classes of one to four points, images 0, 1, ... laid on shuffled points
+    images = []
+    for image, points in enumerate(draw(st.lists(st.integers(1, 4), min_size=size,
+                                                 max_size=size))):
+        images += [image] * min(points, size - len(images))
+    order = draw(st.permutations(range(size)))
+    fn = FunctionTable(Params(n=n, m=n), [images[i] for i in order])
+    sizes = [r for r in range(6, 1, -1) if math.comb(size, r) <= _MAX_TEST_VERTICES]
+    big_r = draw(st.sampled_from(sizes))
+    restriction = restrict(fn, CollisionTable())
+    for _ in range(draw(st.integers(0, 2))):
+        classes = {}
+        for point in restriction.domain_points:
+            classes.setdefault(fn.value(point), []).append(point)
+        shapes = [(image, points) for image, points in sorted(classes.items())
+                  if 2 <= len(points) and len(points) < big_r]
+        if not shapes:
+            break
+        image, points = draw(st.sampled_from(shapes))
+        cut = draw(st.lists(st.sampled_from(points), min_size=2, max_size=big_r - 1,
+                            unique=True))
+        try:
+            child = restrict(fn, restriction.table.insert(fn, image, cut))
+        except CapacityError:
+            break
+        restriction, big_r = child, big_r - len(cut)
+    return restriction, big_r
+
+
+def _same_index(law: LawIndex, index: FamilyIndex, live: np.ndarray) -> None:
+    assert law.total == index.total
+    assert law.sizes.dtype == index.sizes.dtype
+    assert np.array_equal(law.sizes, index.sizes)
+    rows, holders = law.tuple_holders(live)
+    ref_rows, ref_holders = index.tuple_holders(live)
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(holders, ref_holders)
+    # a listed tuple has a holder of a live count, so it never weighs 0
+    assert (holders[:, live] > 0).any(axis=1).all()
+
+
+def _extraction(index, family, seed):
+    """extract_tuple on a state uniform over the family's class: what came
+    out and the next draw, or the error it raised."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    try:
+        out, stats = extract_tuple(Levels.uniform(index, family.lo, family.hi),
+                                   family, rng, trace)
+    except SimulationError as exc:
+        return type(exc).__name__, str(exc)
+    residual = None if out.collapsed is None else out.collapsed.amps.tobytes()
+    sizes = None if out.new_index is None else out.new_index.sizes.tolist()
+    return (out.kind, out.image, out.preimages, out.new_family, residual, sizes,
+            stats, trace, rng.random().hex())
+
+
+@settings(deadline=None, max_examples=120)
+@given(drawn=indexed_families(), live_bits=st.integers(1, 15), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_law_index_matches_the_enumerated_index(drawn, live_bits, data, seed):
+    restriction, big_r = drawn
+    law, index = LawIndex(restriction, big_r), FamilyIndex(restriction, big_r)
+    _same_index(law, index, index.sizes > 0)
+    live = np.array([(live_bits >> c) & 1 for c in range(len(index.sizes))], dtype=bool)
+    _same_index(law, index, live & (index.sizes > 0))
+    top = index.max_count()
+    if top < 1:
+        return
+    lo = data.draw(st.integers(1, top))
+    hi = data.draw(st.integers(lo, top))
+    if not index.class_size(lo, hi):
+        return
+    family = VertexFamily(restriction, big_r, lo, hi)
+    ours, reference = _extraction(law, family, seed), _extraction(index, family, seed)
+    assert ours == reference
+    if ours[0] == "tuple" and ours[5] is not None:
+        # the children the two kinds built are the same family
+        new_family = ours[3]
+        child = FamilyIndex(new_family.restriction, new_family.big_r)
+        _same_index(LawIndex(new_family.restriction, new_family.big_r), child,
+                    child.sizes > 0)
+
+
+def test_dummy_path_matches_on_both_kinds():
+    """test_levels.py's dummy-path case, four_pair (R = 6, family [1, 2]) at
+    seeds 0-199, on both kinds: the seeds draw 135 dummies, each repaired."""
+    _, restriction = four_pair()
+    family = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
+    law, index = LawIndex(restriction, 6), FamilyIndex(restriction, 6)
+    dummies = 0
+    for seed in range(200):
+        ours = _extraction(law, family, seed)
+        assert ours == _extraction(index, family, seed), seed
+        dummies += sum(event["event"] == "dummy" for event in ours[7])
+    assert dummies == 135
+
+
+@pytest.mark.parametrize("n, m, big_r", [(4, 4, 8), (4, 5, 8), (7, 8, 2), (7, 7, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_law_index_on_the_benchmark_shapes(n, m, big_r, seed):
+    """The criterion-7 shape (N, R) = (16, 8) and the chain-wide (128, 2)."""
+    restriction = restrict(generate_function(Params(n=n, m=m), seed), CollisionTable())
+    index = FamilyIndex(restriction, big_r)
+    _same_index(LawIndex(restriction, big_r), index, index.sizes > 0)
+
+
+def _pairs_law(pairs, singles, big_r):
+    """The R-subsets of `pairs` pairs and `singles` singletons by count z:
+    z whole pairs, then one point of each of j other pairs and singletons."""
+    return [
+        math.comb(pairs, z) * sum(
+            math.comb(pairs - z, j) * 2**j * math.comb(singles, big_r - 2 * z - j)
+            for j in range(big_r - 2 * z + 1)
+        )
+        for z in range(big_r // 2 + 1)
+    ]
+
+
+@pytest.mark.parametrize("pairs, singles, big_r", [
+    # test_extraction.four_pair's shape
+    (4, 8, 6),
+    # coefficients up to C(80, 40), wider than eight bytes
+    (40, 3, 20),
+])
+def test_family_law_on_pairs(pairs, singles, big_r):
+    """A tuple's holders are the (R - 2)-subsets of the other points by
+    their count, one count higher."""
+    sizes, holders = family_law({1: singles, 2: pairs}, big_r)
+    assert sizes == _pairs_law(pairs, singles, big_r)
+    assert sum(sizes) == math.comb(2 * pairs + singles, big_r)
+    assert holders == {(2, 2): [0] + _pairs_law(pairs - 1, singles, big_r - 2)}
+
+
+def test_law_index_keeps_the_family_cap():
+    restriction = restrict(generate_function(Params(n=5, m=5), 0), CollisionTable())
+    messages = []
+    for kind in (LawIndex, FamilyIndex):
+        with pytest.raises(CapacityError) as info:
+            kind(restriction, 8)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == (
+        "family of 10518300 vertices exceeds enumeration cap 250000"
+    )

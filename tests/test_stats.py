@@ -3,13 +3,12 @@
 Expected means come from the exact bin-occupancy closed form: with q = 1-1/M,
 the expected number of images hit at least twice by R uniform draws is
 M (1 - q^R - (R/M) q^(R-1)); the whole law of Z comes from counting draws
-exactly (occupancy_law).  Everything empirical runs under fixed seeds.
+exactly (law.occupancy_law).  Everything empirical runs under fixed seeds.
 """
 
 import hashlib
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainwalk.errors import ParameterError
+from chainwalk.law import occupancy_law
 from chainwalk.stats import (
     IntervalPlan,
     _collision_counts_block,
@@ -160,32 +160,6 @@ def test_other_draws_keep_integers():
     for bit_generator in (np.random.Philox, np.random.MT19937):
         for bins in (1, 2, 256, 1000, 1 << 32, 1 << 33):
             _assert_draw_matches_integers(5, 33, 17, bins, bit_generator)
-
-
-def occupancy_law(big_r, bins):
-    """Exact P(Z = z) for z = 0 .. R // 2, as Fractions.
-
-    A draw with z bins hit twice or more and j hit once picks those bins
-    (C(M, z) C(M - z, j)), the j single draws and their bins (C(R, j) j!),
-    and splits the other R - j draws into z blocks of two or more, one per
-    bin (S2(R - j, z) z!).  S2(n, k), the partitions of n into k blocks of
-    size at least two, obeys S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1).
-    """
-    top = big_r // 2
-    s2 = [[0] * (top + 1) for _ in range(big_r + 1)]
-    s2[0][0] = 1
-    for n in range(2, big_r + 1):
-        for k in range(1, n // 2 + 1):
-            s2[n][k] = k * s2[n - 1][k] + (n - 1) * s2[n - 2][k - 1]
-    law = []
-    for z in range(top + 1):
-        ways = sum(
-            math.comb(bins, z) * math.comb(bins - z, j) * math.comb(big_r, j)
-            * math.factorial(j) * math.factorial(z) * s2[big_r - j][z]
-            for j in range(big_r - 2 * z + 1)
-        )
-        law.append(Fraction(ways, bins**big_r))
-    return law
 
 
 # the four (R, M) cases of the benchmark's checks workload

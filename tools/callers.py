@@ -57,6 +57,10 @@ KEPT = {
     "johnson.neighbors": "the explicit Johnson graph the edge-list tests compare against",
     "johnson.vertex_data": "the per-vertex reference FamilyIndex's tables are tested against",
     "johnson.vertices": "the explicit Johnson graph the edge-list tests compare against",
+    "law.occupancy_law": (
+        "the exact law of the sampled collision counts, which test_stats.py's"
+        " chi-square and exact-mean tests compare stats against"
+    ),
     "statevector.reflect_about_predicate": (
         "perfbench/tracing.py's TRACED table wraps it by name; the per-round"
         " reference the fused loop is tested against bit for bit"

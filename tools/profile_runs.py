@@ -5,14 +5,15 @@ graphs (spectral_gap and walk_operator_spectrum of each), the third criterion
 4's Monte-Carlo sampling (calibration and both interval hits at each of its
 three (R, M)).  Each block prints the wall time of the profiled calls, the
 total function-call count and the top 25 entries by cumulative time.  The
-criterion-7 block also prints how many FamilyIndex objects were built by
-enumeration and how many were derived from a parent, and the process's peak
-resident set (ru_maxrss) after it, so an index that outlives its run shows as
-memory.  The criterion-3 block also prints the peak of the memory that
-tracemalloc traces (numpy's arrays among it) over one more, unprofiled call
-of the 45 spectra, so the tracing does not touch the profiled wall time.  The
-criterion-4 block also prints the samples drawn per second of wall time, on
-as many threads as CWL_THREADS allows.  Run it from any directory:
+criterion-7 block also prints how many family indices were built: FamilyIndex
+objects by enumeration and derived from a parent, and LawIndex objects, one
+law.family_law each; and the process's peak resident set (ru_maxrss) after
+it, so an index that outlives its run shows as memory.  The criterion-3 block
+also prints the peak of the memory that tracemalloc traces (numpy's arrays
+among it) over one more, unprofiled call of the 45 spectra, so the tracing
+does not touch the profiled wall time.  The criterion-4 block also prints
+the samples drawn per second of wall time, on as many threads as CWL_THREADS
+allows.  Run it from any directory:
 
     python3 tools/profile_runs.py
 
@@ -96,14 +97,17 @@ def traced_peak_mib(workload) -> float:
 
 
 def index_builds(stats: pstats.Stats) -> str:
-    """FamilyIndex builds by path, read off the profile's call counts."""
+    """Family index builds by kind and path, read off the profile's call
+    counts."""
     calls = {
         name: ncalls
         for (path, _, name), (_, ncalls, *_) in stats.stats.items()
-        if path.endswith("extraction.py") and name in ("_enumerate", "_derive")
+        if (path.endswith("extraction.py") and name in ("_enumerate", "_derive"))
+        or (path.endswith("law.py") and name == "family_law")
     }
     return (f"FamilyIndex builds: {calls.get('_enumerate', 0)} by enumeration, "
-            f"{calls.get('_derive', 0)} derived from a parent")
+            f"{calls.get('_derive', 0)} derived from a parent; "
+            f"LawIndex builds: {calls.get('family_law', 0)} family laws")
 
 
 def main() -> None:
