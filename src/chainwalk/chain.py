@@ -228,7 +228,8 @@ def _verify_tuple(
 
 def _extract_one(state, family, rng, ledger, fn, trace):
     """Extract one tuple, charge and verify it, and check the residual against
-    the shrunken family's index, derived from the current one.
+    the index of the shrunken family (`index.child`: the law of the domain
+    less the tuple's class, at R - |P|).
 
     Returns (tuple, state, family); state is None once the extraction has
     emptied the vertex (R' = 0).

@@ -100,7 +100,9 @@ def family_law(
     # every coefficient counts r-subsets of the classes of two or more
     # points, r <= 2R, so stays below C(points, min(2R, points // 2)); a
     # slot is that many bits rounded up to 1, 2, 4, 8 or a multiple of 8
-    # bytes, the first four unpacked by struct
+    # bytes, the first four unpacked by struct in one call (one int.from_bytes
+    # a slot is the only way for wider slots, and doubles the law's time at
+    # N = 16, R = 8)
     need = -(-math.comb(points, min(2 * big_r, points // 2)).bit_length() // 8)
     step = 1 << (need - 1).bit_length() if need <= 8 else -(-need // 8) * 8
     bits = 8 * step
