@@ -298,7 +298,7 @@ class FamilyIndex(CountIndex):
             self._derive(parent)
         self.basis = Basis(total, functools.partial(_subset_keys, self._masks, self._domain))
         # the class size |V_c| of every count c = 0..max_count
-        self.sizes = np.bincount(self.counts)
+        self.sizes = np.bincount(self.counts).tolist()
         self._axis: Optional[State] = None
 
     def _enumerate(self) -> None:
@@ -401,17 +401,17 @@ class FamilyIndex(CountIndex):
         owners, classes, sets = self._held_tuples(ordinals)
         return self._tuple_rows(classes, sets), owners
 
-    def tuple_holders(self, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def tuple_holders(self, live: List[bool]) -> Tuple[List[List[int]], List[List[int]]]:
         """law.LawIndex.tuple_holders read off the vertices: the tuples held
         by the vertices of the counts where `live` holds, as rows of
         tuple_rows in token order, and each one's holders among those
-        vertices per count 0..max_count."""
-        ordinals = np.flatnonzero(live[self.counts])
+        vertices per count 0..max_count, both as lists."""
+        ordinals = np.flatnonzero(np.asarray(live, dtype=bool)[self.counts])
         owners, ranks, found = ranked_tuples(self, ordinals)
         width = len(self.sizes)
         cells = ranks * width + self.counts.take(ordinals.take(owners))
         holders = np.bincount(cells, minlength=len(found) * width)
-        return found, holders.reshape(len(found), width)
+        return found.tolist(), holders.reshape(len(found), width).tolist()
 
     def child(self, restriction: RestrictedFunction, big_r: int) -> "FamilyIndex":
         """The index derived for the family left after a tuple (see the
@@ -428,7 +428,7 @@ class FamilyIndex(CountIndex):
     def by_count(self, label: Callable[[int], object]) -> np.ndarray:
         """Vector over ordinals: label(count) of every vertex, with `label`
         called once per count 0..max_count."""
-        return self.per_count(label)[self.counts]
+        return np.asarray(self.per_count(label))[self.counts]
 
     def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
         """The vertices whose count lies in [lo, hi], in sorted key order."""

@@ -44,8 +44,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import CapacityError, ContractViolationError, ParameterError
 from .oracle import RestrictedFunction
 
@@ -152,19 +150,19 @@ def family_law(
 
 class CountIndex:
     """The count-level reads of a family index: `sizes`, the class size
-    |V_c| of every count c = 0..max_count as int64, and `total`, their sum.
+    |V_c| of every count c = 0..max_count as an exact Python int, and
+    `total`, their sum.
 
     A subclass also lists the tuples the vertices of given counts hold
     (tuple_holders) and builds the index of the family left after a tuple
     (child).
     """
 
-    sizes: np.ndarray
+    sizes: List[int]
     total: int
 
     def histogram(self) -> Dict[int, int]:
-        present = np.flatnonzero(self.sizes)
-        return dict(zip(present.tolist(), self.sizes[present].tolist()))
+        return {c: size for c, size in enumerate(self.sizes) if size}
 
     def max_count(self) -> int:
         return len(self.sizes) - 1
@@ -172,11 +170,11 @@ class CountIndex:
     def class_size(self, lo: int, hi: Optional[int]) -> int:
         if hi is not None and hi < lo:
             return 0
-        return int(self.sizes[lo:None if hi is None else hi + 1].sum())
+        return sum(self.sizes[lo:None if hi is None else hi + 1])
 
-    def per_count(self, label: Callable[[int], object]) -> np.ndarray:
-        """label(c) of every count c = 0..max_count, as an array."""
-        return np.array([label(c) for c in range(len(self.sizes))])
+    def per_count(self, label: Callable[[int], object]) -> list:
+        """label(c) of every count c = 0..max_count, as a list."""
+        return [label(c) for c in range(len(self.sizes))]
 
 
 class LawIndex(CountIndex):
@@ -205,16 +203,15 @@ class LawIndex(CountIndex):
             )
         while not sizes[-1]:
             sizes.pop()
-        self.sizes = np.array(sizes, dtype=np.int64)
+        self.sizes = sizes
         # the classes of two or more points, in image order
         self._classes = sorted(item for item in classes.items() if len(item[1]) >= 2)
 
-    def tuple_holders(self, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def tuple_holders(self, live: List[bool]) -> Tuple[List[List[int]], List[List[int]]]:
         """The tuples held by the vertices of the counts where `live` holds,
-        in tuple_token order, as int64 rows (image, size, preimages padded
-        with -1), and each one's holders among those vertices per count
-        0..max_count."""
-        live = live.tolist()
+        in tuple_token order, as rows (image, size, preimages padded with
+        -1), and each one's holders among those vertices per count
+        0..max_count.  Tuples of one shape share one holder row."""
         shapes = {}
         for shape, row in self._holders.items():
             row = [h if alive else 0 for h, alive in zip(row, live)]
@@ -230,8 +227,7 @@ class LawIndex(CountIndex):
                 for tup in itertools.combinations(members, p):
                     rows.append([image, p, *tup, *pad])
                     holders.append(row)
-        return (np.array(rows, dtype=np.int64).reshape(-1, 2 + self.big_r),
-                np.array(holders, dtype=np.int64).reshape(-1, len(live)))
+        return rows, holders
 
     def child(self, restriction: RestrictedFunction, big_r: int) -> "LawIndex":
         """The index of the family left after a tuple: `restriction` records

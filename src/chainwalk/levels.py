@@ -7,9 +7,12 @@ uniform axis, the sign flips and measurements on count predicates, and the
 padded register, whose dummy outcomes keep a count range and whose tuple
 outcomes keep every holder of the tuple, which is the whole child index with
 each count one less.  This is Grover's invariant subspace (Boyer, Brassard,
-Hoyer and Tapp 1998).  So a Levels state is a family index and one float64
-amplitude per count 0..max_count, and each operation is arithmetic on those
-amplitudes and the class sizes |V_c|, with no vector over the vertices.  The
+Hoyer and Tapp 1998).  So a Levels state is a family index and one amplitude
+per count 0..max_count, and each operation is arithmetic on those amplitudes
+and the class sizes |V_c|, with no vector over the vertices.  They are a few
+entries each, so the amplitudes are a list of Python floats, the sizes exact
+Python ints, and every operation a loop over them: numpy's per-call cost
+would outweigh the arithmetic, and exact ints take sizes past 2^63.  The
 index is read only through law.CountIndex's count-level questions: the sizes
 and their total, class sizes, per-count labels, the held tuples with their
 holders per count (tuple_holders) and the child after a tuple (child).  A run
@@ -32,9 +35,12 @@ count's branch weight (holders @ power), and the Grover round's inner
 product is sum_c |V_c| a_c^2.  Each can differ from the vector's sum in the
 last bits; a draw can then differ only when it lands that close to a label
 boundary.  Both kinds of index give the same integers, so a run draws the
-same on either.
-Outcomes are read through np.array([...]).tolist(), as the vector path reads
-them, so a bool label stays a bool and a count an int.
+same on either.  Every such sum is an explicit left-to-right fold in count
+order, with each product rounded before it is added: the same value on every
+Python and every machine, where builtin sum() compensates from Python 3.12 on
+and a BLAS dot or matrix-vector product may fuse or reorder its terms.
+Squares are x * x, and labels are sorted as sorted() sorts them, so a bool
+label stays a bool and a count an int.
 
 Each operation ends with the vector path's checks: amplitudes of magnitude
 PRUNE_EPS or below become exact zeros and norm^2 = sum_c |V_c| a_c^2 must be
@@ -75,13 +81,13 @@ from .statevector import NORM_TOL, PRUNE_EPS, State, _draw_label
 class Levels:
     """Amplitude amps[c] on every vertex of `index` whose count is c.
 
-    `amps` is float64, one entry per count 0..index.max_count(), settled on
-    construction (see _settled); a count no vertex has holds 0.
+    `amps` is a list of Python floats, one per count 0..index.max_count(),
+    settled on construction (see _settled); a count no vertex has holds 0.
     """
 
     __slots__ = ("index", "amps")
 
-    def __init__(self, index: CountIndex, amps: np.ndarray) -> None:
+    def __init__(self, index: CountIndex, amps: List[float]) -> None:
         self.index = index
         self.amps = _settled(amps, index.sizes)
 
@@ -92,27 +98,35 @@ class Levels:
         size = index.class_size(lo, hi)
         if not size:
             raise ImpossibleTargetError(f"no vertices with count in [{lo}, {hi}]")
-        inside = index.per_count(in_range(lo, hi))
-        return cls(index, np.where(inside, 1.0 / np.sqrt(size), 0.0))
+        amp, inside = 1.0 / math.sqrt(size), in_range(lo, hi)
+        return cls(index, [amp if inside(c) else 0.0 for c in range(len(index.sizes))])
 
     def __len__(self) -> int:
         """The support size: the vertices of nonzero amplitude."""
-        return int(self.index.sizes[self.amps != 0].sum())
+        return sum(size for size, a in zip(self.index.sizes, self.amps) if a)
 
     def as_state(self) -> State:
         """The same state as a vector over the index's basis (a
         FamilyIndex's: a LawIndex holds no vertices to lay it over)."""
-        return State.over(self.index.basis, self.amps[self.index.counts])
+        return State.over(self.index.basis, np.array(self.amps)[self.index.counts])
 
 
-def _settled(amps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _settled(amps: List[float], sizes: List[int]) -> List[float]:
     """statevector._settled on count amplitudes, in place: prune, then check
-    norm^2 = sum_c |V_c| a_c^2.  A count no vertex has is set to 0."""
-    amps[(np.abs(amps) <= PRUNE_EPS) | (sizes == 0)] = 0
-    norm2 = float(sizes @ (amps * amps))
+    norm^2 = sum_c |V_c| a_c^2, folded left to right.  A count no vertex has
+    is set to 0; a NaN is kept, and fails the check."""
+    if len(amps) != len(sizes):
+        raise ValidationError(f"{len(amps)} amplitudes for {len(sizes)} counts")
+    norm2 = 0.0
+    for c, size in enumerate(sizes):
+        a = amps[c]
+        if not size or abs(a) <= PRUNE_EPS:
+            amps[c] = 0.0
+        else:
+            norm2 += size * (a * a)
     if not norm2:
         raise ValidationError("state has no support")
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
     return amps
 
@@ -152,17 +166,20 @@ def _running_sum(weight: float, count: int) -> float:
     return total
 
 
-def _measure(state: Levels, table: np.ndarray, rng: np.random.Generator):
-    live = np.flatnonzero(state.amps)
-    distinct, ids = np.unique(table[live], return_inverse=True)
-    weights = np.bincount(
-        ids, state.index.sizes[live] * state.amps[live] ** 2, len(distinct)
-    ).tolist()
-    chosen = _draw_label(weights, rng)
-    keep = live[ids == chosen]
-    amps = np.zeros_like(state.amps)
-    amps[keep] = state.amps[keep] * (1.0 / np.sqrt(weights[chosen]))
-    return distinct.tolist()[chosen], Levels(state.index, amps)
+def _measure(state: Levels, table: list, rng: np.random.Generator):
+    amps, sizes = state.amps, state.index.sizes
+    # a label's weight summed in count order, as _collapse's np.bincount
+    # sums a label's entries in order
+    weights: dict = {}
+    for c, a in enumerate(amps):
+        if a:
+            label = table[c]
+            weights[label] = weights.get(label, 0.0) + sizes[c] * (a * a)
+    distinct = sorted(weights)
+    chosen = distinct[_draw_label([weights[label] for label in distinct], rng)]
+    scale = 1.0 / math.sqrt(weights[chosen])
+    kept = [a * scale if a and table[c] == chosen else 0.0 for c, a in enumerate(amps)]
+    return chosen, Levels(state.index, kept)
 
 
 def measure(state: Levels, label: Callable[[int], object], rng: np.random.Generator):
@@ -170,17 +187,21 @@ def measure(state: Levels, label: Callable[[int], object], rng: np.random.Genera
     return _measure(state, state.index.per_count(label), rng)
 
 
-def _grover(state: Levels, flags: np.ndarray, count: int) -> Levels:
+def _grover(state: Levels, flags: List[bool], count: int) -> Levels:
     """amplify.grover_iterate: count rounds of (Ref_axis . Ref_flip), each
     negating the counts off `flags` and adding (-2 <u, w>) u."""
     sizes = state.index.sizes
-    axis = np.where(sizes > 0, 1.0 / np.sqrt(state.index.total), 0.0)
-    weighted = sizes * axis
+    unit = 1.0 / math.sqrt(state.index.total)
+    axis = [unit if size else 0.0 for size in sizes]
+    weighted = [size * u for size, u in zip(sizes, axis)]
 
     def round_of(amps):
-        reflected = np.where(flags, amps, -amps)
-        reflected += (-2.0 * (weighted @ reflected)) * axis
-        return reflected
+        reflected = [a if flag else -a for a, flag in zip(amps, flags)]
+        inner = 0.0
+        for w, r in zip(weighted, reflected):
+            inner += w * r
+        inner *= -2.0
+        return [r + inner * u for r, u in zip(reflected, axis)]
 
     amps = state.amps
     for _ in range(count - 1):
@@ -199,9 +220,10 @@ def flip(
     lands on `want`, or fresh axis measurements when the good side is wanted
     and holds more than half the axis."""
     index = state.index
-    flags = index.per_count(good).astype(bool, copy=False)
-    unit = 1.0 / np.sqrt(index.total)
-    dec = split(_running_sum(unit * unit, int(index.sizes[flags].sum())))
+    flags = [bool(good(c)) for c in range(len(index.sizes))]
+    unit = 1.0 / math.sqrt(index.total)
+    good_size = sum(size for size, flag in zip(index.sizes, flags) if flag)
+    dec = split(_running_sum(unit * unit, good_size))
     target_amp = dec.alpha if want is Want.GOOD else dec.beta
     if target_amp <= _ZERO_AMP:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
@@ -236,15 +258,15 @@ def check_class(state: Levels, family: VertexFamily) -> None:
     ValidationError unless the support is the family's whole count class and
     every amplitude is within 1e-9 of uniform over it."""
     sizes, amps = state.index.sizes, state.amps
-    live = np.flatnonzero(amps)
+    live = [c for c, a in enumerate(amps) if a]
     top = len(sizes) - 1 if family.hi is None else family.hi
-    members = family.lo + np.flatnonzero(sizes[family.lo:top + 1])
-    if not np.array_equal(live, members):
+    members = [c for c, size in enumerate(sizes[family.lo:top + 1], family.lo) if size]
+    if live != members:
         raise ValidationError(
             f"state support does not match family {family.interval_label()}"
         )
     target = 1.0 / math.sqrt(len(state))
-    if np.any(np.abs(np.abs(amps[live]) - target) > _UNIFORM_TOL):
+    if any(abs(abs(amps[c]) - target) > _UNIFORM_TOL for c in live):
         raise ValidationError("state is not uniform over its support")
 
 
@@ -329,17 +351,26 @@ def extract_once(
         raise ParameterError("cannot extract from a family with hi = 0")
     check_class(state, family)
     index, amps = state.index, state.amps
-    found, holders = index.tuple_holders(amps != 0)
+    found, holders = index.tuple_holders([a != 0 for a in amps])
     inv = 1.0 / math.sqrt(y)
-    power = (amps * inv) ** 2
-    held = holders @ power
-    below = np.cumsum(index.sizes * power)
-    dummies = below.take(np.minimum(np.arange(y), len(below) - 1))
-    weights = dummies.tolist() + held.tolist()
+    scaled = [a * inv for a in amps]
+    power = [s * s for s in scaled]
+    # every weight a left fold in count order: dummy d_i's over the counts
+    # below i, a tuple's over its holders per count
+    below, acc = [], 0.0
+    for size, p in zip(index.sizes, power):
+        acc += size * p
+        below.append(acc)
+    weights = [below[min(i, len(below) - 1)] for i in range(y)]
+    for row in holders:
+        acc = 0.0
+        for h, p in zip(row, power):
+            acc += h * p
+        weights.append(acc)
     outcome = _draw_label(weights, rng)
-    scale = 1.0 / np.sqrt(weights[outcome])
+    scale = 1.0 / math.sqrt(weights[outcome])
     if outcome >= y:
-        image, preimages = _row_tuple(found[outcome - y].tolist())
+        image, preimages = _row_tuple(found[outcome - y])
         table = family.restriction.table.insert(family.restriction.base, image, preimages)
         new_family = VertexFamily(
             restriction=restrict(family.restriction.base, table),
@@ -350,18 +381,18 @@ def extract_once(
         if new_family.big_r:
             new_index = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1
-            child = amps[1:len(new_index.sizes) + 1] * inv * scale
+            child = [s * scale for s in scaled[1:len(new_index.sizes) + 1]]
             collapsed: Optional[Levels] = Levels(new_index, child)
         else:
             # the tuple was the one collapsed vertex, of count 1
-            _settled(amps[1:2] * inv * scale, np.ones(1, dtype=np.int64))
+            _settled([s * scale for s in scaled[1:2]], [1])
             new_index, collapsed = None, None
         return ExtractionOutcome(
             kind="tuple", image=image, preimages=preimages, dummy_index=None,
             collapsed=collapsed, new_family=new_family, new_index=new_index,
         )
-    kept = np.zeros_like(amps)
-    kept[:outcome + 1] = amps[:outcome + 1] * inv * scale
+    kept = [s * scale for s in scaled[:outcome + 1]]
+    kept += [0.0] * (len(amps) - len(kept))
     return ExtractionOutcome(
         kind="dummy", image=None, preimages=None, dummy_index=outcome + 1,
         collapsed=Levels(index, kept), new_family=replace(family, hi=outcome),

@@ -157,7 +157,8 @@ class State:
 
     def __init__(self, amplitudes: Dict[BasisKey, complex], *, normalize: bool = False):
         vector = _amplitude_vector(list(amplitudes.values()))
-        keep = np.abs(vector) > PRUNE_EPS
+        # pruned as _settled prunes: a NaN is kept, and fails its norm check
+        keep = ~(np.abs(vector) <= PRUNE_EPS)
         keys = list(itertools.compress(amplitudes, keep.tolist()))
         self._settle(Basis.of(keys), vector[keep], normalize)
 
@@ -237,8 +238,8 @@ def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
 
     Amplitudes of magnitude PRUNE_EPS or below become exact zeros, and a
     normalized vector is pruned again after the division; a vector left with
-    no nonzero amplitude, or whose norm^2 is further than NORM_TOL from 1,
-    raises ValidationError.  Returns `vector`.
+    no nonzero amplitude, or whose norm^2 is further than NORM_TOL from 1 or
+    NaN, raises ValidationError.  Returns `vector`.
     """
     vector[np.abs(vector) <= PRUNE_EPS] = 0
     norm2 = np.vdot(vector, vector).real
@@ -248,7 +249,8 @@ def _settled(vector: np.ndarray, normalize: bool = False) -> np.ndarray:
         vector /= np.sqrt(norm2)
         vector[np.abs(vector) <= PRUNE_EPS] = 0
         norm2 = np.vdot(vector, vector).real
-    if abs(norm2 - 1.0) > NORM_TOL:
+    # written so that a NaN norm fails it
+    if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
     return vector
 

@@ -978,7 +978,8 @@ def test_extract_once_frees_the_parent_rank():
 def test_index_holds_each_vertex_once():
     """A built index and a derived one each hold one bit set of W uint64
     words and one int64 count per vertex, V (8 W + 8) bytes, besides their
-    domain, collision classes and class sizes, which do not grow with V."""
+    domain and collision classes, which do not grow with V, and their class
+    sizes, a list."""
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
@@ -992,10 +993,10 @@ def test_index_holds_each_vertex_once():
     for built in (index, derived):
         arrays = {name: value for name, value in vars(built).items()
                   if isinstance(value, np.ndarray)}
-        assert sorted(arrays) == [
-            "_class_images", "_class_masks", "_domain", "_masks", "counts", "sizes"
-        ]
-        assert len(arrays["sizes"]) == built.max_count() + 1
+        assert sorted(arrays) == ["_class_images", "_class_masks", "_domain", "_masks", "counts"]
+        # the class sizes are a list of exact ints, one per count
+        assert len(built.sizes) == built.max_count() + 1
+        assert all(type(size) is int for size in built.sizes)
         masks, counts = arrays["_masks"], arrays["counts"]
         assert (masks.dtype, counts.dtype, masks.shape) == (
             np.uint64, np.int64, (built.total, 1)

@@ -31,15 +31,19 @@ from chainwalk.extraction import (
     extract_once as vector_extract_once,
     hop,
 )
+from chainwalk.law import CountIndex, LawIndex
 from chainwalk.levels import (
     Levels,
+    _grover,
     _running_sum,
+    _settled,
     check_class,
     extract_tuple,
     flip,
+    measure as levels_measure,
     repair,
 )
-from chainwalk.oracle import CollisionTable, FunctionTable, Params, restrict
+from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
 from chainwalk.stats import IntervalPlan
 from chainwalk.statevector import measure
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
@@ -266,7 +270,7 @@ def test_repair_premise_failures():
     with pytest.raises(ParameterError):
         repair(Levels.uniform(index), family(1, None), 2, rng)
     same, stats = repair(Levels.uniform(index, 1, 2), family(1, 2), 2, rng)
-    assert np.array_equal(same.amps, Levels.uniform(index, 1, 2).amps)
+    assert np.array(same.amps).tobytes() == np.array(Levels.uniform(index, 1, 2).amps).tobytes()
     assert stats == FlipStats()
 
 
@@ -279,6 +283,74 @@ def test_check_class_rejects(case):
     check_class(Levels.uniform(index, 1, 2), family)
     amps = {"class_dropped": [0.0, 1.0, 0.0], "other_class_added": [1.0, 1.0, 1.0],
             "not_uniform": [0.0, 1.0, 2.0]}[case]
-    amps = np.array(amps) / math.sqrt(float(index.sizes @ np.square(amps)))
+    # small integer sums, exact in any order
+    norm = math.sqrt(sum(size * a * a for size, a in zip(index.sizes, amps)))
+    amps = [a / norm for a in amps]
     with pytest.raises(ValidationError):
         check_class(Levels(index, amps), family)
+
+
+class _Counts(CountIndex):
+    """A bare count-level index: class sizes and their total, no family."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        self.total = sum(sizes)
+
+
+def test_nan_norm_is_rejected():
+    """A NaN amplitude is not pruned, and its NaN norm fails the check: on
+    the (4, 5, 1) index it would otherwise pass with support 7,359."""
+    index = LawIndex(restrict(generate_function(Params(n=4, m=5, k=1), 0), CollisionTable()), 8)
+    assert index.sizes == [7359, 5016, 495]
+    with pytest.raises(ValidationError):
+        Levels(index, [math.nan, 0.0, 0.0])
+
+
+def test_sizes_above_int64():
+    """Class sizes are exact ints, so classes of 2^70 vertices each, past
+    int64, settle, start uniform and measure."""
+    index = _Counts([2**70] * 3)
+    axis = Levels.uniform(index)
+    assert axis.amps == [1.0 / math.sqrt(3 * 2**70)] * 3
+    _settled(list(axis.amps), index.sizes)
+    outcome, state = levels_measure(axis, lambda c: c >= 1, np.random.default_rng(0))
+    kept = 2**71 if outcome else 2**70
+    assert [bool(a) for a in state.amps] == [not outcome, outcome, outcome]
+    assert all(math.isclose(a, 1.0 / math.sqrt(kept), rel_tol=1e-15)
+               for a in state.amps if a)
+
+
+# three amplitudes whose squares, and whose products with 1/sqrt(3) after
+# negating the last, a left fold sums differently from math.fsum
+_FOLD_AMPS = [0.501, 0.5, 0.7063986126826693]
+
+
+def _left_fold(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_measure_weight_is_a_left_fold():
+    """A count class's weight is sum_c |V_c| a_c^2 folded left to right:
+    here exactly 1.0, so the collapsed state is the input bit for bit, where
+    math.fsum (and builtin sum from Python 3.12) would rescale it."""
+    squares = [a * a for a in _FOLD_AMPS]
+    assert _left_fold(squares) == 1.0 != math.fsum(squares)
+    state = Levels(_Counts([1, 1, 1]), list(_FOLD_AMPS))
+    outcome, collapsed = levels_measure(state, lambda c: 0, np.random.default_rng(0))
+    assert outcome == 0 and collapsed.amps == _FOLD_AMPS
+
+
+def test_grover_inner_product_is_a_left_fold():
+    """The Grover round's <u, w> is the left fold of |V_c| u_c w_c."""
+    index = _Counts([1, 1, 1])
+    unit = 1.0 / math.sqrt(3)
+    reflected = [_FOLD_AMPS[0], _FOLD_AMPS[1], -_FOLD_AMPS[2]]
+    products = [unit * r for r in reflected]
+    inner = _left_fold(products)
+    assert inner != math.fsum(products)
+    rotated = _grover(Levels(index, list(_FOLD_AMPS)), [True, True, False], 1)
+    assert rotated.amps == [r + (-2.0 * inner) * unit for r in reflected]

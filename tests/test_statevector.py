@@ -58,6 +58,15 @@ def test_state_normalization_contract():
     assert len(ok) == 2
 
 
+def test_nan_norm_is_rejected():
+    """A NaN amplitude is not pruned, and its NaN norm fails the check."""
+    for normalize in (False, True):
+        with pytest.raises(ValidationError):
+            State({b"a": math.nan, b"b": 1.0}, normalize=normalize)
+    with pytest.raises(ValidationError):
+        State.over(Basis.of([b"a", b"b"]), [math.nan, 1.0])
+
+
 def test_tiny_amplitudes_pruned():
     st = State({b"a": 1.0, b"b": 1e-15}, normalize=True)
     assert st.support() == (b"a",)
