@@ -25,15 +25,12 @@ exact.  A run reads none of this: its index is law.LawIndex, which answers
 the count-level reads from the family's exact law, and FamilyIndex stays as
 the acceptance API, the vector path's index and the reference the law index
 is tested against.  FamilyIndex lists the domain's collision classes, the
-images with two or more points, as bit sets too.  A first index takes its
-subsets from johnson's lexicographic enumerator and counts each subset's
-classes met twice or more off their bit sets, or, when the classes are many
-for the subset size, sorts each subset's images, gathered through their
-positions, and counts their runs.  The index of each shrunken family after a
-tuple extraction is derived from its parent's by keeping the vertices whose
-bits in the tuple's class are exactly the tuple and clearing those bits, and
-the residual state is laid over it by the parent-to-child rank, with no byte
-key in between.  An index's Basis
+images with two or more points, as bit sets too.  It takes its subsets from
+johnson's lexicographic enumerator and counts each subset's classes met
+twice or more off their bit sets, class by class.  After a tuple extraction
+the shrunken family's index is built the same way, and each collapsed
+vertex, less the tuple's points, is placed in it by its lexicographic rank
+(johnson._lex_ordinals), with no byte key in between.  An index's Basis
 is its vertex ordinals, with byte keys spelled out of the bit sets only when a
 byte-key API reads them, so a family state is a vector over vertex ordinals,
 and its predicates and labels (class_mask, by_count) are vectors over the
@@ -67,10 +64,9 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .johnson import _combinations
+from .johnson import _combinations, _lex_ordinals
 from .law import CountIndex, family_total
 from .oracle import RestrictedFunction, restrict
-from .stats import collision_counts
 from .statevector import (
     Basis,
     BasisKey,
@@ -88,16 +84,6 @@ if TYPE_CHECKING:
 _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
-# An enumerated index counts by masks while its collision classes cover at
-# most this many bit-set words per point of a subset, and by sorting each
-# subset's images above it.  Counting by masks makes a few array passes over
-# V words per class word, sorting a V x R gather and sort.  Time by masks
-# over time by sorting, median of 31 runs each on a 2-core VM (numpy 2.4):
-# (N, R) = (16, 8) with 2-3 class words 0.10-0.14; (32, 4) with 9 words 0.44;
-# (64, 3) with 9 words 0.58; (32, 3) with 10-11 words 1.07-1.20; (64, 2) with
-# 6 words 1.17 (138 against 117 us); (128, 2) with 32-37 words 3.5-4.0;
-# (256, 2) with 40-71 words 4.2-8.5.
-_MASK_COUNT_WORDS_PER_POINT = 3
 # Bound on measure-and-flip rounds in any extraction, repair or walk loop.
 MAX_TRANSITIONS = 10_000
 
@@ -258,22 +244,9 @@ class FamilyIndex(CountIndex):
     the tuple being its bits in that class; tuple_rows reads them off for
     the vertices of each request, and the index stores none.
 
-    Without a parent, the index takes the cached lexicographic positions
-    and bit sets of johnson._combinations and counts each vertex's classes
-    met twice or more.  With few class words per point of a subset it
-    counts them class by class off the bit sets; otherwise it sorts each
-    subset's images, gathered through its positions, and counts their runs
-    with stats.collision_counts.  With a parent, `restriction` must be the
-    parent's with one tuple (image, P) more recorded and big_r the parent's
-    less |P|.  The vertices are then the parent's vertices whose bits in the
-    image's class are exactly P, with P's bits cleared: each count is the
-    parent's less 1, and the classes are the parent's less that one.  The
-    child keeps its parent's positions and domain.  Clearing P keeps the
-    row order: two sorted rows of one size order by which holds the least
-    point of their symmetric difference, never a point of P.  `parent_rank`
-    maps each parent ordinal to its ordinal here, -1 where the parent vertex
-    does not hold the tuple; it is None without a parent, and `extract_once`
-    sets it to None once it has laid the residual.
+    The index reads the bit sets of johnson._combinations, cached for the
+    smaller shapes, and counts each vertex's classes met twice or more
+    class by class off the bit sets.
 
     The basis spells its byte keys out of `_masks` only when a byte-key API
     first reads it (count_of, keys_in, pad_and_attach, State.items, align
@@ -281,84 +254,25 @@ class FamilyIndex(CountIndex):
     not the index, so an index is freed by reference counting alone.
     """
 
-    def __init__(
-        self,
-        restriction: RestrictedFunction,
-        big_r: int,
-        parent: Optional["FamilyIndex"] = None,
-    ) -> None:
-        total = family_total(len(restriction.domain_points), big_r)
+    def __init__(self, restriction: RestrictedFunction, big_r: int) -> None:
         self.restriction = restriction
         self.big_r = big_r
-        self.total = total
-        self.parent_rank: Optional[np.ndarray] = None
-        if parent is None:
-            self._enumerate()
-        else:
-            self._derive(parent)
-        self.basis = Basis(total, functools.partial(_subset_keys, self._masks, self._domain))
-        # the class size |V_c| of every count c = 0..max_count
-        self.sizes = np.bincount(self.counts).tolist()
-        self._axis: Optional[State] = None
-
-    def _enumerate(self) -> None:
-        points = self.restriction.domain_points
-        self._domain = np.asarray(points, dtype=np.int64)
-        images = self.restriction.base.values().take(self._domain)
-        positions, self._masks = _combinations(len(points), self.big_r)
+        self.total = family_total(len(restriction.domain_points), big_r)
+        self._domain = np.asarray(restriction.domain_points, dtype=np.int64)
+        images = restriction.base.values().take(self._domain)
+        # the bit sets alone: an uncached shape's position table is freed here
+        self._masks = _combinations(len(self._domain), big_r)[1]
         self._class_images, self._class_masks = _collision_classes(
             images, self._masks.shape[1]
         )
-        if np.count_nonzero(self._class_masks) <= _MASK_COUNT_WORDS_PER_POINT * self.big_r:
-            del positions   # frees an uncached shape's table before the count's temporaries
-            self.counts = np.zeros(self.total, dtype=np.int64)
-            for bits in self._class_masks:
-                words = np.flatnonzero(bits)
-                self.counts += _two_or_more(self._masks[:, words] & bits[words])
-        else:
-            # indexing, not take: take through the uint8 position table was
-            # 2-3 times slower at (N, R) = (16, 8) and (64, 3)
-            table = images[positions]
-            table.sort(axis=1)
-            self.counts = collision_counts(table)
-
-    def _derive(self, parent: "FamilyIndex") -> None:
-        old, new = parent.restriction, self.restriction
-        added = new.excluded_images - old.excluded_images
-        if (
-            new.base is not old.base
-            or len(added) != 1
-            or not old.excluded_images < new.excluded_images
-        ):
-            raise ParameterError(
-                "restriction is not the parent's with one more tuple recorded"
-            )
-        (image,) = added
-        preimages = new.table.preimages(image)
-        if self.big_r != parent.big_r - len(preimages):
-            raise ParameterError(
-                f"subset size {self.big_r} is not the parent's {parent.big_r} "
-                f"less the {len(preimages)} preimages cut out"
-            )
-        # the image was not excluded from the parent's domain, so its whole
-        # preimage class is there, and P's two or more points make it a class
-        cls = int(np.searchsorted(parent._class_images, image))
-        bits = parent._class_masks[cls]
-        words = np.flatnonzero(bits)
-        positions = np.searchsorted(parent._domain, preimages)
-        cut = np.zeros(len(bits), dtype=np.uint64)
-        np.bitwise_or.at(cut, positions >> 6, _bits(positions))
-        kept = np.flatnonzero(
-            ((parent._masks[:, words] & bits[words]) == cut[words]).all(axis=1)
-        )
-        self.parent_rank = np.full(parent.total, -1)
-        self.parent_rank[kept] = np.arange(len(kept))
-        self._masks = parent._masks.take(kept, axis=0)
-        self._masks[:, words] &= ~cut[words]
-        self.counts = parent.counts.take(kept) - 1
-        self._domain = parent._domain
-        self._class_images = np.delete(parent._class_images, cls)
-        self._class_masks = np.delete(parent._class_masks, cls, axis=0)
+        self.counts = np.zeros(self.total, dtype=np.int64)
+        for bits in self._class_masks:
+            words = np.flatnonzero(bits)
+            self.counts += _two_or_more(self._masks[:, words] & bits[words])
+        self.basis = Basis(self.total, functools.partial(_subset_keys, self._masks, self._domain))
+        # the class size |V_c| of every count c = 0..max_count
+        self.sizes = np.bincount(self.counts).tolist()
+        self._axis: Optional[State] = None
 
     def _held_tuples(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The tuples of the vertices `ordinals`, vertex by vertex and in
@@ -412,14 +326,6 @@ class FamilyIndex(CountIndex):
         cells = ranks * width + self.counts.take(ordinals.take(owners))
         holders = np.bincount(cells, minlength=len(found) * width)
         return found.tolist(), holders.reshape(len(found), width).tolist()
-
-    def child(self, restriction: RestrictedFunction, big_r: int) -> "FamilyIndex":
-        """The index derived for the family left after a tuple (see the
-        class docstring), without the parent-to-child rank."""
-        child = FamilyIndex(restriction, big_r, parent=self)
-        # a parent-sized table nothing reads
-        child.parent_rank = None
-        return child
 
     def class_mask(self, lo: int, hi: Optional[int]) -> np.ndarray:
         """Boolean vector over ordinals: the vertices with count in [lo, hi]."""
@@ -563,7 +469,7 @@ class ExtractionOutcome:
     kind "tuple": image/preimages hold the measured multicollision, collapsed
     is uniform over the shrunken family [lo-1, hi-1] with the preimages
     removed from every vertex and the collision table grown by one entry.
-    new_index is the shrunken family's index, derived from the input's, and
+    new_index is the shrunken family's index, built for its restriction, and
     collapsed lies over its basis; it is None when the cut leaves the empty
     subset (R' = 0), over which collapsed then lies alone (extract_once) or
     which leaves collapsed None too (levels.extract_once, whose collapsed is
@@ -579,6 +485,19 @@ class ExtractionOutcome:
     collapsed: Union[State, "Levels", None]
     new_family: VertexFamily
     new_index: Optional[FamilyIndex]
+
+
+def _cut_ordinals(
+    index: FamilyIndex, ordinals: np.ndarray, preimages: Tuple[int, ...], child: FamilyIndex
+) -> np.ndarray:
+    """The ordinal in `child` of each vertex `ordinals` of `index` less the
+    points `preimages`, which each of those vertices holds: the
+    lexicographic rank of its other points among the subsets of the child's
+    domain."""
+    points = index._domain.take(_set_positions(index._masks.take(ordinals, axis=0))[1])
+    points = points[~np.isin(points, preimages)]
+    positions = np.searchsorted(child._domain, points).reshape(len(ordinals), child.big_r)
+    return _lex_ordinals(positions, len(child._domain))
 
 
 def extract_once(
@@ -621,11 +540,8 @@ def extract_once(
             hi=y - 1,
         )
         if new_family.big_r:
-            # every collapsed vertex holds the tuple, so it has a child ordinal
-            new_index = FamilyIndex(new_family.restriction, new_family.big_r, parent=index)
-            basis, rows = new_index.basis, new_index.parent_rank[rows]
-            # a parent-sized table nothing reads again
-            new_index.parent_rank = None
+            new_index = index.child(new_family.restriction, new_family.big_r)
+            basis, rows = new_index.basis, _cut_ordinals(index, rows, preimages, new_index)
         else:
             # the tuple was the one collapsed vertex: the empty subset is left
             new_index, basis, rows = None, Basis.of([subset_key(())]), [0]

@@ -31,7 +31,10 @@ The lexicographic list of R-subsets, which stands in for the paper's qRAM
 vertex data, comes from one cached enumerator, _combinations, read by the edge
 list and by extraction.FamilyIndex.  It builds the positions and bit sets one
 size j at a time: the j-subsets whose least point is k are k followed by the
-last C(N - k - 1, j - 1) rows of size j - 1, those above k.
+last C(N - k - 1, j - 1) rows of size j - 1, those above k.  Its inverse,
+_lex_ordinals, ranks rows of sorted positions in that order: the edge list
+ranks each swapped subset with it, and extraction.extract_once each vertex
+left after a tuple is cut out.
 """
 
 from __future__ import annotations
@@ -154,14 +157,26 @@ def _combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
     return _enumerate_combinations.__wrapped__(n, r)
 
 
+def _lex_ordinals(positions: np.ndarray, n: int) -> np.ndarray:
+    """The ordinal of each row of `positions` among the r-subsets of
+    range(n) in lexicographic order, r the row length: a row of sorted
+    positions c_0 < ... < c_{r-1} has ordinal C(n,r) - 1 - sum_i
+    C(n-1-c_i, r-i), each term at most C(n,r)."""
+    r = positions.shape[1]
+    # terms[i, c] = C(n-1-c, r-i) wherever position c can sit at place i
+    terms = np.zeros((r, n), dtype=np.int64)
+    for i in range(r):
+        for c in range(i, n - r + i + 1):
+            terms[i, c] = math.comb(n - 1 - c, r - i)
+    return math.comb(n, r) - 1 - terms[np.arange(r), positions].sum(axis=1)
+
+
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edges of J(N, R) as (src, dst) arrays over vertex ordinals.
 
-    Ordinals are positions in lexicographic order.  Edges are grouped by
-    source, each vertex's d out-edges contiguous and in `neighbors()` order:
-    the R dropped points, then the N-R added ones.  A subset with sorted
-    ground positions c_0 < ... < c_{R-1} has lexicographic ordinal
-    C(N,R) - 1 - sum_i C(N-1-c_i, R-i), each term at most C(N,R).
+    Ordinals are positions in lexicographic order (_lex_ordinals).  Edges
+    are grouped by source, each vertex's d out-edges contiguous and in
+    `neighbors()` order: the R dropped points, then the N-R added ones.
     """
     n, r = graph.ground_size, graph.subset_size
     v_count = graph.vertex_count
@@ -173,13 +188,7 @@ def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     swapped = np.repeat(combos[:, None, None, :], r, axis=1).repeat(n - r, axis=2)
     columns = np.arange(r)
     swapped[:, columns, :, columns] = outside
-    swapped = np.sort(swapped.reshape(-1, r), axis=1)
-    # terms[i, c] = C(N-1-c, R-i) wherever point c can sit at position i
-    terms = np.zeros((r, n), dtype=np.int64)
-    for i in range(r):
-        for c in range(i, n - r + i + 1):
-            terms[i, c] = math.comb(n - 1 - c, r - i)
-    dst = v_count - 1 - terms[columns, swapped].sum(axis=1)
+    dst = _lex_ordinals(np.sort(swapped.reshape(-1, r), axis=1), n)
     src = np.repeat(np.arange(v_count), graph.degree)
     return src, dst
 

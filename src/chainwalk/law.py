@@ -153,13 +153,18 @@ class CountIndex:
     |V_c| of every count c = 0..max_count as an exact Python int, and
     `total`, their sum.
 
-    A subclass also lists the tuples the vertices of given counts hold
-    (tuple_holders) and builds the index of the family left after a tuple
-    (child).
+    A subclass is built from (restriction, R) and also lists the tuples the
+    vertices of given counts hold (tuple_holders).
     """
 
     sizes: List[int]
     total: int
+
+    def child(self, restriction: RestrictedFunction, big_r: int) -> "CountIndex":
+        """The index, of this one's kind, of the family left after a tuple:
+        `restriction` records it, which carves its whole class out of the
+        domain, and `big_r` is R less its size."""
+        return type(self)(restriction, big_r)
 
     def histogram(self) -> Dict[int, int]:
         return {c: size for c, size in enumerate(self.sizes) if size}
@@ -183,8 +188,8 @@ class LawIndex(CountIndex):
     The domain's images are grouped into classes once; the class sizes feed
     family_law, whose vertex counts become `sizes` (checked to sum to C(N, R))
     and whose holder rows are kept per tuple shape (|K|, |P|).  The family
-    cap and its CapacityError are FamilyIndex's, so a run stops where it did
-    when it enumerated.
+    cap and its CapacityError are family_total's, which both kinds of index
+    check, so a run stops where it did when it enumerated.
     """
 
     def __init__(self, restriction: RestrictedFunction, big_r: int) -> None:
@@ -228,12 +233,6 @@ class LawIndex(CountIndex):
                     rows.append([image, p, *tup, *pad])
                     holders.append(row)
         return rows, holders
-
-    def child(self, restriction: RestrictedFunction, big_r: int) -> "LawIndex":
-        """The index of the family left after a tuple: `restriction` records
-        it, which carves its whole class out of the domain, and `big_r` is R
-        less its size."""
-        return LawIndex(restriction, big_r)
 
 
 def occupancy_law(big_r: int, bins: int) -> List[Fraction]:

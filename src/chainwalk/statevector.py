@@ -24,10 +24,8 @@ states stay float64 from the first axis to the last residual.
 
 Predicates and measurement labels are key callbacks or vectors over the
 state's basis; a callback is read once per key into such a vector.  A
-measurement codes its labels as integer ids into the sorted distinct labels:
-a vector of bools or of small nonnegative integers (see _BINCOUNT_SLACK)
-through np.bincount, any other labels through np.unique.  Both give the same
-distinct labels, ids and weights.
+measurement codes its labels, whatever their type, as integer ids into the
+sorted distinct labels through np.unique.
 
 Conventions used throughout:
 
@@ -55,12 +53,6 @@ from .errors import ContractViolationError, ValidationError
 
 PRUNE_EPS = 1e-12
 NORM_TOL = 1e-9
-# Labels that are bools, or nonnegative integers below their count plus this
-# slack, are coded by np.bincount, whose bins then cost at most the labels
-# plus a constant.  That covers every label vector the package builds: vertex
-# counts, flip flags, hop and walk cells, and the padded register's labels,
-# which stay below V*y + y with y < 2^16 (dummy_token's range).
-_BINCOUNT_SLACK = 1 << 16
 
 BasisKey = bytes
 Labels = Union[Callable[[BasisKey], object], np.ndarray]
@@ -313,23 +305,6 @@ def reflect_about_predicate(state: State, flip: Labels) -> State:
     return State._build(state.basis, np.where(state.mask(flip), -state.vector, state.vector))
 
 
-def _codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct labels of `values`, sorted, and each entry's index into
-    them.  Bools and small nonnegative integers (see _BINCOUNT_SLACK) are
-    counted into bins, whose nonzero bins are the distinct labels, read back
-    in the labels' own dtype; anything else goes through np.unique."""
-    if (
-        values.dtype.kind in "biu"
-        and values.min() >= 0
-        and values.max() < len(values) + _BINCOUNT_SLACK
-    ):
-        codes = values.astype(np.intp, copy=False)
-        present = np.bincount(codes) > 0
-        ids = np.cumsum(present) - 1
-        return np.flatnonzero(present).astype(values.dtype), ids[codes]
-    return np.unique(values, return_inverse=True)
-
-
 def _draw_label(weights: Sequence[float], rng: np.random.Generator) -> int:
     """The label one uniform draw selects, given the labels' weights in sorted
     label order: the first whose cumulative weight exceeds the draw, else the
@@ -362,7 +337,9 @@ def measure(state: State, labels: Labels, rng: np.random.Generator):
     key is labelled once; outcomes are grouped by label, the label set is
     sorted, and _collapse draws the branch.
     """
-    distinct, label_ids = _codes(values_at(state.basis, labels, state.live, object))
+    distinct, label_ids = np.unique(
+        values_at(state.basis, labels, state.live, object), return_inverse=True
+    )
     amplitudes = state.vector[state.live]
     chosen, mask, scale = _collapse(amplitudes, label_ids, len(distinct), rng)
     vector = np.zeros(len(state.basis), dtype=state.vector.dtype)

@@ -27,8 +27,7 @@ Z of the sorted rows comes from one flat pass over the raveled table: a bool
 buffer marks each element equal to its predecessor, with the first column
 cleared so no pair spans two rows, a run of two or more starts where a mark
 follows an unmarked element, and the run starts are counted per row with
-bincount.  FamilyIndex counts its per-vertex collisions with the same kernel
-when its family has many collision classes for its subset size.
+bincount.
 """
 
 from __future__ import annotations

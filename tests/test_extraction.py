@@ -46,6 +46,7 @@ from chainwalk.statevector import (
 from chainwalk.extraction import (
     FamilyIndex,
     VertexFamily,
+    _cut_ordinals,
     _padded_register,
     check_uniform_class,
     correct_interval,
@@ -764,10 +765,9 @@ def test_wide_images_read_like_vertex_data(m):
 # a three-point tuple cut from a four-point vertex
 @example(values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7], big_r=4, pick=0)
 def test_derived_index_matches_fresh_build(values, big_r, pick):
-    """The index derived from a parent after recording a tuple held by some
-    vertex has the counts, keys and tuple rows of the index built from
-    scratch for the new restriction, and parent_rank sends each holder of
-    the tuple to its cut subset."""
+    """After recording a tuple held by some vertex, _cut_ordinals sends each
+    holder of the tuple to its cut subset's ordinal in the index built for
+    the new restriction, and the parent's child is that index."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     parent = FamilyIndex(restriction, big_r)
@@ -785,22 +785,16 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
         # only P itself holds the tuple, and the cut leaves no index to build
         assert [combos[o] for o in held] == [preimages]
         with pytest.raises(ParameterError):
-            FamilyIndex(new_restriction, 0, parent=parent)
+            parent.child(new_restriction, 0)
         return
-    child = FamilyIndex(new_restriction, big_r - size, parent=parent)
+    child = parent.child(new_restriction, big_r - size)
     fresh = FamilyIndex(new_restriction, big_r - size)
+    assert type(child) is FamilyIndex
     assert np.array_equal(child.counts, fresh.counts)
-    assert child.histogram() == fresh.histogram()
     assert child.basis.keys == fresh.basis.keys
-    every = np.arange(child.total)
-    for derived, built in zip(child.tuple_rows(every), fresh.tuple_rows(every)):
-        assert np.array_equal(derived, built)
     position = fresh.basis.position
-    expected = np.full(parent.total, -1)
-    for o in held:
-        expected[o] = position[subset_key(set(combos[o]) - set(preimages))]
-    assert np.array_equal(child.parent_rank, expected)
-    assert fresh.parent_rank is None
+    expected = [position[subset_key(set(combos[o]) - set(preimages))] for o in held]
+    assert _cut_ordinals(parent, np.array(held), preimages, fresh).tolist() == expected
 
 
 @st.composite
@@ -808,9 +802,9 @@ def _multiword_families(draw):
     """Images of 128 points, the points left out of a domain of 65 to 128
     of them (up to 80 at R = 3, under the vertex cap), and R, with a
     collision class met at positions on both sides of the bit sets' 64-bit
-    word boundary.  Either 16 images share the domain, and the index counts
-    by sorting, or every image there is distinct but for that class and at
-    most one more pair, and the index counts by masks."""
+    word boundary.  Either 16 images share the domain, so that the classes
+    are many and each spans both words, or every image there is distinct but
+    for that class and at most one more pair."""
     big_r = draw(st.sampled_from([2, 3]))
     if big_r == 2:
         size = draw(st.integers(65, 126) | st.just(128))
@@ -845,8 +839,8 @@ def _restricted(values, dropped):
 def test_multiword_index_matches_vertex_data(family, picks, pick):
     """On two-word bit sets: counts and tuples_of read as vertex_data reads
     them, the padded register is lexsorting every tuple row, and at R = 3
-    the index derived after a two-point tuple has the counts, keys and
-    tuple rows of a fresh build."""
+    _cut_ordinals sends each holder of a two-point tuple to its cut subset's
+    ordinal in the index built after it."""
     values, dropped, big_r = family
     fn, restriction = _restricted(values, dropped)
     domain = restriction.domain_points
@@ -873,19 +867,18 @@ def test_multiword_index_matches_vertex_data(family, picks, pick):
         # restrict refuses to carve out half the domain
         assume(size == 2 and len(dropped) + np.count_nonzero(fn.values() == image) < 64)
         shrunk = restrict(fn, restriction.table.insert(fn, image, pres[:size]))
-        child = FamilyIndex(shrunk, 1, parent=index)
-        fresh = FamilyIndex(shrunk, 1)
-        assert np.array_equal(child.counts, fresh.counts)
-        assert child.basis.keys == fresh.basis.keys
-        for derived, built in zip(child.tuple_rows(np.arange(child.total)),
-                                  fresh.tuple_rows(np.arange(fresh.total))):
-            assert np.array_equal(derived, built)
+        child = index.child(shrunk, 1)
+        cut = set(pres[:size])
+        members = {x for x in domain if fn.value(x) == image}
+        held = [o for o, c in enumerate(combos) if members & set(c) == cut]
+        expected = [child.basis.position[subset_key(set(combos[o]) - cut)] for o in held]
+        assert _cut_ordinals(index, np.array(held), tuple(cut), child).tolist() == expected
 
 
 def test_multiword_extraction_draws_a_dummy():
     """extract_once on two-word bit sets over [1, 2], where every vertex
     holds one tuple and the dummy d_2, draws dummies as well as tuples, each
-    as measuring the byte-key register draws it; a tuple's derived index is
+    as measuring the byte-key register draws it; a tuple's new index is
     a fresh build's.  No benchmarked run draws a dummy."""
     values = list(range(128))
     for low, high in ((3, 65), (10, 64), (63, 69)):
@@ -917,23 +910,6 @@ def test_multiword_extraction_draws_a_dummy():
     assert kinds == {"dummy", "tuple"}
 
 
-def test_derived_index_refuses_a_foreign_parent():
-    fn, restriction = four_pair()
-    parent = FamilyIndex(restriction, 6)
-    once = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
-    twice = restrict(fn, once.table.insert(fn, 1, (2, 3)))
-    with pytest.raises(ParameterError):
-        FamilyIndex(twice, 2, parent=parent)
-    with pytest.raises(ParameterError):
-        FamilyIndex(restriction, 4, parent=parent)
-    with pytest.raises(ParameterError):
-        FamilyIndex(once, 5, parent=parent)
-    other = FunctionTable(Params(n=4, m=4, k=0), fn.values())
-    with pytest.raises(ParameterError):
-        FamilyIndex(restrict(other, CollisionTable().insert(other, 0, (0, 1))), 4,
-                    parent=parent)
-
-
 def test_index_reads_images_and_points_past_64_bits():
     # n + m = 66 bits, which an (image, point) pair packed into one int64
     # could not hold
@@ -960,37 +936,24 @@ def test_extract_once_empties_a_full_tuple_vertex():
     assert out.collapsed.items() == [(subset_key(()), 1.0 + 0j)]
 
 
-def test_extract_once_frees_the_parent_rank():
-    """The derived index of a tuple outcome keeps no parent-sized rank table
-    once the residual is laid over it."""
-    _, restriction = eight_point()
-    index = FamilyIndex(restriction, 4)
-    family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
-    outcomes = [extract_once(index.class_state(1, 2), family, np.random.default_rng(seed),
-                             index=index) for seed in range(12)]
-    tuples = [out for out in outcomes if out.kind == "tuple"]
-    assert tuples
-    for out in tuples:
-        assert out.new_index.total == len(out.collapsed) == 15
-        assert out.new_index.parent_rank is None
-
-
 def test_index_holds_each_vertex_once():
-    """A built index and a derived one each hold one bit set of W uint64
-    words and one int64 count per vertex, V (8 W + 8) bytes, besides their
-    domain and collision classes, which do not grow with V, and their class
-    sizes, a list."""
+    """An index and the one a tuple outcome builds each hold one bit set of
+    W uint64 words and one int64 count per vertex, V (8 W + 8) bytes,
+    besides their domain and collision classes, which do not grow with V,
+    and their class sizes, a list."""
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
-    derived = next(
+    child = next(
         out.new_index
         for out in (extract_once(index.class_state(1, 2), family,
                                  np.random.default_rng(seed), index=index)
                     for seed in range(12))
         if out.kind == "tuple"
     )
-    for built in (index, derived):
+    # the eight points and the classes of images 0, 1 and 2; the child's
+    # domain lacks the two points of the class it cut out
+    for built, points, classes in ((index, 8, 3), (child, 6, 2)):
         arrays = {name: value for name, value in vars(built).items()
                   if isinstance(value, np.ndarray)}
         assert sorted(arrays) == ["_class_images", "_class_masks", "_domain", "_masks", "counts"]
@@ -1002,22 +965,20 @@ def test_index_holds_each_vertex_once():
             np.uint64, np.int64, (built.total, 1)
         )
         assert masks.nbytes + counts.nbytes == built.total * (8 + 8)
-        # the eight points and the classes of images 0, 1 and 2, less the
-        # one a derived index cut out
-        assert len(arrays["_domain"]) == 8
-        assert len(arrays["_class_images"]) == len(arrays["_class_masks"]) <= 3
+        assert len(arrays["_domain"]) == points
+        assert len(arrays["_class_images"]) == len(arrays["_class_masks"]) == classes
 
 
 @pytest.mark.parametrize("force_keys", [False, True])
 def test_index_is_freed_without_the_cycle_collector(force_keys):
-    """Neither an index nor its derived child sits in a reference cycle, with
-    byte keys spelled out or not, so deleting them frees them at once."""
+    """Neither an index nor its child sits in a reference cycle, with byte
+    keys spelled out or not, so deleting them frees them at once."""
     fn, restriction = four_pair()
     gc.disable()
     try:
         parent = FamilyIndex(restriction, 6)
         shrunk = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
-        child = FamilyIndex(shrunk, 4, parent=parent)
+        child = parent.child(shrunk, 4)
         for index in (parent, child):
             index.class_state(1, 2)
             if force_keys:

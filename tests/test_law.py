@@ -2,7 +2,7 @@
 
 A run's indices are LawIndexes, read off the family's generating function
 without a vertex; the FamilyIndex enumerates every vertex.  On random
-functions and on the children derived after a tuple, the two must give the
+functions and on the children left after a tuple, the two must give the
 same class sizes, total, token-ordered tuple rows and holder rows, and a
 count-class extraction on either must give the same outcome, work record,
 residual and next draw.
@@ -114,11 +114,13 @@ def test_law_index_matches_the_enumerated_index(drawn, live_bits, data, seed):
     ours, reference = _extraction(law, family, seed), _extraction(index, family, seed)
     assert ours == reference
     if ours[0] == "tuple" and ours[5] is not None:
-        # the children the two kinds built are the same family
+        # the children the two kinds build are the same family, each of its
+        # parent's kind
         new_family = ours[3]
-        child = FamilyIndex(new_family.restriction, new_family.big_r)
-        _same_index(LawIndex(new_family.restriction, new_family.big_r), child,
-                    _live(child))
+        law_child = law.child(new_family.restriction, new_family.big_r)
+        child = index.child(new_family.restriction, new_family.big_r)
+        assert type(law_child) is type(law) and type(child) is type(index)
+        _same_index(law_child, child, _live(child))
 
 
 def test_dummy_path_matches_on_both_kinds():

@@ -11,7 +11,6 @@ from hypothesis import strategies as hs
 from chainwalk.amplify import Want, flip, grover_iterate, iteration_count
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
-    _BINCOUNT_SLACK,
     NORM_TOL,
     PRUNE_EPS,
     Basis,
@@ -415,8 +414,8 @@ _LABEL_KINDS = {
     "bool": lambda picks: picks % 2 == 1,
     "small": lambda picks: picks,
     "uint8": lambda picks: picks.astype(np.uint8),
-    # the same labels moved past the bincount bound, or one of them far past
-    "above": lambda picks: picks + len(_KEYS) + _BINCOUNT_SLACK,
+    # the same labels moved 2^16 above their count, or one of them far above
+    "above": lambda picks: picks + len(_KEYS) + (1 << 16),
     "far": lambda picks: np.where(picks == 3, 1 << 40, picks),
     "negative": lambda picks: picks - 2,
 }
@@ -430,10 +429,9 @@ _LABEL_KINDS = {
     hs.integers(0, 2**32 - 1),
 )
 def test_label_codes_agree_with_unique(amps, picks, kind, seed):
-    """A label vector measured as it is (bincount for bools and small
-    nonnegative integers, np.unique otherwise), as an object vector and as a
-    key callback (both np.unique) gives one outcome, of one type, one
-    collapsed vector bit for bit, and leaves the generators level."""
+    """A label vector measured as it is, as an object vector and as a key
+    callback gives one outcome, of one type, one collapsed vector bit for
+    bit, and leaves the generators level."""
     vector = np.array(amps, dtype=complex)
     vector[np.abs(vector) <= PRUNE_EPS] = 0
     norm2 = np.vdot(vector, vector).real

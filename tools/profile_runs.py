@@ -5,10 +5,10 @@ graphs (spectral_gap and walk_operator_spectrum of each), the third criterion
 4's Monte-Carlo sampling (calibration and both interval hits at each of its
 three (R, M)).  Each block prints the wall time of the profiled calls, the
 total function-call count and the top 25 entries by cumulative time.  The
-criterion-7 block also prints how many family indices were built: FamilyIndex
-objects by enumeration and derived from a parent, and LawIndex objects, one
-law.family_law each; and the process's peak resident set (ru_maxrss) after
-it, so an index that outlives its run shows as memory.  The criterion-3 block
+criterion-7 block also prints how many family indices were built, counted by
+the code objects of FamilyIndex.__init__ and of law.family_law (one per
+LawIndex); and the process's peak resident set (ru_maxrss) after it, so an
+index that outlives its run shows as memory.  The criterion-3 block
 also prints the peak of the memory that tracemalloc traces (numpy's arrays
 among it) over one more, unprofiled call of the 45 spectra, so the tracing
 does not touch the profiled wall time.  The criterion-4 block also prints
@@ -41,7 +41,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path)
 
 from chainwalk.chain import ChainConfig, run  # noqa: E402
+from chainwalk.extraction import FamilyIndex  # noqa: E402
 from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
+from chainwalk.law import family_law  # noqa: E402
 from chainwalk.oracle import Params  # noqa: E402
 from chainwalk.stats import calibrate_constant, interval_hit_probability  # noqa: E402
 
@@ -97,17 +99,16 @@ def traced_peak_mib(workload) -> float:
 
 
 def index_builds(stats: pstats.Stats) -> str:
-    """Family index builds by kind and path, read off the profile's call
-    counts."""
-    calls = {
-        name: ncalls
-        for (path, _, name), (_, ncalls, *_) in stats.stats.items()
-        if (path.endswith("extraction.py") and name in ("_enumerate", "_derive"))
-        or (path.endswith("law.py") and name == "family_law")
-    }
-    return (f"FamilyIndex builds: {calls.get('_enumerate', 0)} by enumeration, "
-            f"{calls.get('_derive', 0)} derived from a parent; "
-            f"LawIndex builds: {calls.get('family_law', 0)} family laws")
+    """FamilyIndex and LawIndex builds, read off the profile's call counts
+    of FamilyIndex.__init__ and law.family_law."""
+    calls = {key: ncalls for key, (_, ncalls, *_) in stats.stats.items()}
+
+    def count(function) -> int:
+        code = function.__code__
+        return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+    return (f"FamilyIndex builds: {count(FamilyIndex.__init__)}; "
+            f"LawIndex builds: {count(family_law)} family laws")
 
 
 def main() -> None:
