@@ -34,6 +34,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _thread_count(text: str) -> int:
+    """A --threads value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
@@ -154,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vs.add_argument("--M", dest="big_m", type=int, required=True)
     p_vs.add_argument("--samples", type=int, default=100000)
     p_vs.add_argument("--seed", type=int, required=True)
-    p_vs.add_argument("--threads", type=int, default=None)
+    p_vs.add_argument("--threads", type=_thread_count, default=None,
+                      help="worker threads (default: CWL_THREADS, else 1)")
     p_vs.add_argument("--out", default=None, help="output path (default stdout)")
     p_vs.set_defaults(func=_cmd_verify_stats)
 

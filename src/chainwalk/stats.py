@@ -8,10 +8,11 @@ c between 1/2 and 2/3; the calibrated constant c feeds the interval plans
 (E = round(c R^2 / M), T = max(1, round(R / sqrt(M)))) used by the chained
 walk.  Sampling is blocked and each block gets its own spawned generator, so
 results do not depend on how many worker threads run the blocks.  The
-CWL_THREADS environment variable caps the default worker count.
+CWL_THREADS environment variable sets the default worker count; unset, not
+an integer or below 1, it gives 1.
 
 A block draws its R images per row as uint32 whenever M <= 2^32 and sorts
-each row in place.  numpy draws any range below 2^32 with Lemire's 32-bit
+its rows in place.  numpy draws any range below 2^32 with Lemire's 32-bit
 method whatever the output dtype, so these are the values an int64 draw
 gives, at half the memory traffic; a larger M draws int64.  When M = 2^b and
 the generator is PCG64, Lemire's method never rejects and returns the top b
@@ -23,11 +24,26 @@ generator draws through Generator.integers.  Each block's generator is
 spawned fresh and used once, so the half output that integers would have
 kept buffered is never read.
 
+Rows of R <= 16 draws into M <= 2^16 bins are sorted in packs of 64 // R
+rows, 64 draws when R divides 64, when the block's rows fill whole packs:
+each draw is ORed with its row's place in the pack, shifted above the
+(M - 1).bit_length() image bits, and each pack is sorted as one row.  The
+place sorts first, so every R-slice of a sorted pack is its own row, sorted,
+and two keys are equal only when they are equal images of one row.  The
+place takes at most 6 bits, so the key stays within the uint32 draw; M <=
+2^16 keeps the packs to the draws the packing was measured on.  A numpy row
+sort pays a fixed cost per row that a row of 16 or fewer keys does not
+amortise, and packing rows of 32 gained nothing, so wider rows, larger M
+and blocks that do not fill whole packs sort row by row.
+
 Z of the sorted rows comes from one flat pass over the raveled table: a bool
 buffer marks each element equal to its predecessor, with the first column
-cleared so no pair spans two rows, a run of two or more starts where a mark
-follows an unmarked element, and the run starts are counted per row with
-bincount.
+cleared so no pair spans two rows, and a run of two or more starts where a
+mark follows an unmarked element.  When the width is a multiple of 8 below
+512, each row's start flags are summed as uint64 words in 8 byte lanes and
+the lanes are added by one multiply (Hacker's Delight, 5-1); a row holds at
+most width / 2 < 256 runs, so no byte carries.  Any other width counts the
+run starts per row with bincount.
 """
 
 from __future__ import annotations
@@ -80,15 +96,35 @@ def _map_blocks(worker, jobs, threads: int):
 
 def collision_counts(sorted_rows: np.ndarray) -> np.ndarray:
     """Z of each row of a table whose rows are sorted: its runs of two or
-    more equal values, as int64."""
+    more equal values, as int64.
+
+    Rows of a width that is a multiple of 8 and below 512 are counted by
+    byte lanes: the run-start flags of a row are width / 8 uint64 words,
+    their lane-wise sum holds at most width / 8 < 64 in each of its 8 byte
+    lanes, and one multiply by 0x0101010101010101 gathers the lanes' total
+    into the top byte.  A row of width w has at most w / 2 < 256 runs, so
+    neither the lanes nor that total carry.  Any other width counts the flag
+    positions with bincount.
+    """
     rows, width = sorted_rows.shape
     flat = sorted_rows.ravel()
-    # dup[i]: element i equals element i-1 of the same row
-    dup = np.empty(flat.size, dtype=bool)
-    np.equal(flat[1:], flat[:-1], out=dup[1:])
+    # dup[i]: element i equals element i-1 of the same row; dup[size], an
+    # end mark that the row-start clearing also clears
+    dup = np.empty(flat.size + 1, dtype=bool)
+    np.equal(flat[1:], flat[:-1], out=dup[1:-1])
     dup[::width] = False
-    starts = np.flatnonzero(dup[1:] > dup[:-1])
-    return np.bincount(starts // width, minlength=rows)
+    # start[i]: a run of two or more starts at element i.  A row's last
+    # element starts none, so no flag spills into the next row.
+    start = dup[1:] > dup[:-1]
+    if width % 8 or width >= 512:
+        return np.bincount(np.flatnonzero(start) // width, minlength=rows)
+    words = start.view(np.uint64).reshape(rows, width // 8)
+    lanes = words[:, 0].copy()
+    for col in range(1, width // 8):
+        lanes += words[:, col]
+    lanes *= np.uint64(0x0101010101010101)
+    lanes >>= np.uint64(56)
+    return lanes.astype(np.int64)
 
 
 def _draw_images(gen: np.random.Generator, size: int, big_r: int, bins: int) -> np.ndarray:
@@ -110,8 +146,17 @@ def _draw_images(gen: np.random.Generator, size: int, big_r: int, bins: int) -> 
 def _collision_counts_block(args) -> np.ndarray:
     gen, size, big_r, bins = args
     draws = _draw_images(gen, size, big_r, bins)
-    draws.sort(axis=1)
-    return collision_counts(draws)
+    per_pack = 64 // big_r
+    if big_r > 16 or bins > 1 << 16 or size % per_pack:
+        draws.sort(axis=1)
+        return collision_counts(draws)
+    # packs of 64 // R rows, each image tagged above its bits with its
+    # row's place in the pack (see the module docstring)
+    packs = draws.reshape(size // per_pack, per_pack * big_r)
+    place = np.arange(per_pack, dtype=np.uint32) << np.uint32((bins - 1).bit_length())
+    packs |= np.repeat(place, big_r)
+    packs.sort(axis=1)
+    return collision_counts(packs.reshape(size, big_r))
 
 
 def sample_collision_counts(

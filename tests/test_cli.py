@@ -70,7 +70,7 @@ def test_simulate_flagged_instance_is_exit_two(monkeypatch, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
-def test_verify_stats_csv(tmp_path):
+def test_verify_stats_csv(tmp_path, capsys):
     out = tmp_path / "stats.csv"
     argv = [
         "verify-stats", "--R", "16", "--M", "256",
@@ -86,6 +86,12 @@ def test_verify_stats_csv(tmp_path):
     alt = tmp_path / "stats2.csv"
     assert cli.main(argv[:-1] + [str(alt), "--threads", "3"]) == 0
     assert out.read_bytes() == alt.read_bytes()
+    # a thread count below 1 is a usage error, not a silent single thread
+    for bad in ("0", "-4", "abc"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--threads", bad])
+        assert info.value.code == 1
+        assert "--threads" in capsys.readouterr().err
 
 
 def test_spectrum_values(tmp_path):

@@ -57,6 +57,7 @@ from chainwalk.extraction import (
     parse_token,
     tuple_token,
 )
+from chainwalk.law import LawIndex
 from chainwalk.levels import Levels, extract_tuple
 
 
@@ -766,8 +767,8 @@ def test_wide_images_read_like_vertex_data(m):
 @example(values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7], big_r=4, pick=0)
 def test_derived_index_matches_fresh_build(values, big_r, pick):
     """After recording a tuple held by some vertex, _cut_ordinals sends each
-    holder of the tuple to its cut subset's ordinal in the index built for
-    the new restriction, and the parent's child is that index."""
+    holder of the tuple to its cut subset's ordinal in the parent's child,
+    whose class sizes are those of the new restriction's law."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     parent = FamilyIndex(restriction, big_r)
@@ -788,13 +789,11 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
             parent.child(new_restriction, 0)
         return
     child = parent.child(new_restriction, big_r - size)
-    fresh = FamilyIndex(new_restriction, big_r - size)
     assert type(child) is FamilyIndex
-    assert np.array_equal(child.counts, fresh.counts)
-    assert child.basis.keys == fresh.basis.keys
-    position = fresh.basis.position
+    assert child.sizes == LawIndex(new_restriction, big_r - size).sizes
+    position = child.basis.position
     expected = [position[subset_key(set(combos[o]) - set(preimages))] for o in held]
-    assert _cut_ordinals(parent, np.array(held), preimages, fresh).tolist() == expected
+    assert _cut_ordinals(parent, np.array(held), preimages, child).tolist() == expected
 
 
 @st.composite
@@ -878,8 +877,9 @@ def test_multiword_index_matches_vertex_data(family, picks, pick):
 def test_multiword_extraction_draws_a_dummy():
     """extract_once on two-word bit sets over [1, 2], where every vertex
     holds one tuple and the dummy d_2, draws dummies as well as tuples, each
-    as measuring the byte-key register draws it; a tuple's new index is
-    a fresh build's.  No benchmarked run draws a dummy."""
+    as measuring the byte-key register draws it; a tuple's new index has
+    the class sizes of the law of its family.  No benchmarked run draws a
+    dummy."""
     values = list(range(128))
     for low, high in ((3, 65), (10, 64), (63, 69)):
         values[high] = values[low]
@@ -903,9 +903,8 @@ def test_multiword_extraction_draws_a_dummy():
         else:
             assert (out.kind, out.image, out.preimages) == parsed
             assert out.collapsed.items() == _reference_residual(collapsed, parsed[2])
-            fresh = FamilyIndex(out.new_family.restriction, 1)
-            assert np.array_equal(out.new_index.counts, fresh.counts)
-            assert out.new_index.basis.keys == fresh.basis.keys
+            law = LawIndex(out.new_family.restriction, 1)
+            assert out.new_index.sizes == law.sizes
         assert rng.random() == ref_rng.random()
     assert kinds == {"dummy", "tuple"}
 

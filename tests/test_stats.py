@@ -54,8 +54,10 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv("CWL_THREADS", "3")
     assert resolve_threads(None) == 3
     assert resolve_threads(7) == 7
+    monkeypatch.setenv("CWL_THREADS", "abc")
+    assert resolve_threads(None) == 1
     monkeypatch.delenv("CWL_THREADS")
-    assert resolve_threads(None) >= 1
+    assert resolve_threads(None) == 1
 
 
 def test_sample_counts_deterministic_and_thread_invariant():
@@ -85,18 +87,31 @@ def _runs_of_two_or_more(row):
     top=st.integers(1, 1 << 12),
     dtype=st.sampled_from([np.int64, np.uint32]),
     seed=st.integers(0, 2**32 - 1),
+    pairs=st.booleans(),
 )
-@example(rows=3, width=7, top=1, dtype=np.int64, seed=0)     # all equal: Z = 1
-@example(rows=4, width=1, top=1, dtype=np.uint32, seed=0)    # width 1: Z = 0
-def test_collision_counts_matches_a_run_counter(rows, width, top, dtype, seed):
+@example(rows=3, width=7, top=1, dtype=np.int64, seed=0, pairs=False)   # all equal: Z = 1
+@example(rows=4, width=1, top=1, dtype=np.uint32, seed=0, pairs=False)  # width 1: Z = 0
+# byte lanes at one and at eight words a row
+@example(rows=5, width=8, top=4, dtype=np.uint32, seed=1, pairs=False)
+@example(rows=5, width=64, top=40, dtype=np.int64, seed=2, pairs=False)
+# Z = width / 2: 252 in the lanes' top byte, 256 past it by bincount
+@example(rows=3, width=504, top=1, dtype=np.uint32, seed=3, pairs=True)
+@example(rows=3, width=512, top=1, dtype=np.uint32, seed=4, pairs=True)
+@example(rows=4, width=20, top=6, dtype=np.int64, seed=5, pairs=False)  # not 8k wide
+def test_collision_counts_matches_a_run_counter(rows, width, top, dtype, seed, pairs):
     table = np.random.default_rng(seed).integers(1, top, size=(rows, width),
                                                  dtype=dtype, endpoint=True)
+    if pairs:
+        # each value of a strictly rising row twice: Z = width // 2
+        table = np.repeat(table.cumsum(axis=1, dtype=dtype)[:, ::2], 2, axis=1)[:, :width]
     table.sort(axis=1)
     z = collision_counts(table)
     assert z.dtype == np.int64
     assert len(z) == rows
     assert z.tolist() == [_runs_of_two_or_more(row) for row in table.tolist()]
-    if top == 1:
+    if pairs:
+        assert z.tolist() == [width // 2] * rows
+    elif top == 1:
         assert z.tolist() == [int(width > 1)] * rows
 
 
@@ -135,8 +150,11 @@ def _assert_draw_matches_integers(seed, size, big_r, bins, bit_generator=np.rand
 @pytest.mark.parametrize("bits", range(33))
 def test_power_of_two_draws_match_integers(bits):
     # size * R odd (1, 15, 561) and even (1024, 131072): an odd count
-    # leaves the high half of the last raw output unused
-    for shape in ((1, 1), (3, 5), (33, 17), (64, 16), (8192, 16)):
+    # leaves the high half of the last raw output unused.  Up to M = 2^16,
+    # (64, 16), (8192, 16), (8192, 8) and (8192, 1) sort 64 draws a pack;
+    # 8191 rows of 16 do not fill whole packs and sort row by row.
+    for shape in ((1, 1), (3, 5), (33, 17), (64, 16), (8192, 16), (8192, 8),
+                  (8192, 1), (8191, 16)):
         _assert_draw_matches_integers([5, bits], *shape, 1 << bits)
 
 

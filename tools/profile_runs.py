@@ -12,8 +12,8 @@ index that outlives its run shows as memory.  The criterion-3 block
 also prints the peak of the memory that tracemalloc traces (numpy's arrays
 among it) over one more, unprofiled call of the 45 spectra, so the tracing
 does not touch the profiled wall time.  The criterion-4 block also prints
-the samples drawn per second of wall time, on as many threads as CWL_THREADS
-allows.  Run it from any directory:
+the samples drawn per second of wall time, on the worker count CWL_THREADS
+sets (1 when it is unset).  Run it from any directory:
 
     python3 tools/profile_runs.py
 
