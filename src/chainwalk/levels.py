@@ -23,24 +23,30 @@ the differential tests drive both.
 The form is exact: the vector path computes each vertex's amplitude by the
 same elementwise arithmetic from the same operands as every other vertex of
 its class, so the amplitude a class holds here is, bit for bit, the one each
-of its vertices holds there, wherever the reductions agree.  One reduction is
-reproduced bit for bit, because a boundary sits exactly on it: flip's good
-mass, the running sum of |G| equal weights (1/sqrt V)^2 that
+of its vertices holds there, wherever the reductions agree.  Only one
+reduction is reproduced bit for bit, because a boundary sits exactly on it:
+flip's good mass, the running sum of |G| equal weights (1/sqrt V)^2 that
 State.probability takes (_running_sum).  At |G| = V/2 it decides both the
 alpha > 1/sqrt(2) branch and iteration_count.
 
-Every other weight is a closed form: a count class's is |V_c| a_c^2, a tuple
-label's in the padded register is its holders per count against each
-count's branch weight (holders @ power), and the Grover round's inner
-product is sum_c |V_c| a_c^2.  Each can differ from the vector's sum in the
-last bits; a draw can then differ only when it lands that close to a label
-boundary.  Both kinds of index give the same integers, so a run draws the
-same on either.  Every such sum is an explicit left-to-right fold in count
-order, with each product rounded before it is added: the same value on every
-Python and every machine, where builtin sum() compensates from Python 3.12 on
-and a BLAS dot or matrix-vector product may fuse or reorder its terms.
-Squares are x * x, and labels are sorted as sorted() sorts them, so a bool
-label stays a bool and a count an int.
+Every other weight is a closed form: a count class's is |V_c| a_c^2, and a
+tuple label's in the padded register is its holders per count against each
+count's branch weight (holders @ power).  Each can differ from the vector's
+sum in the last bits; a draw can then differ only when it lands that close
+to a label boundary.  Both kinds of index give the same integers, so a run
+draws the same on either.  Every such sum is an explicit left-to-right fold
+in count order, with each product rounded before it is added: the same value
+on every Python and every machine, where builtin sum() compensates from
+Python 3.12 on and a BLAS dot or matrix-vector product may fuse or reorder
+its terms.  Squares are x * x, and labels are sorted as sorted() sorts them,
+so a bool label stays a bool and a count an int.
+
+A flip's rounds are a closed form too.  Every state a flip starts from is
+uniform on each side of its flags, so it lies in Grover's plane, and t
+rounds turn it by 2 t theta, sin^2 theta = |G|/V, in one rotation (_grover,
+which refuses a state off that plane).  Its amplitudes agree with the
+vector path's rounds within rounding, not bit for bit, and a flip costs the
+same whatever its round count.
 
 Each operation ends with the vector path's checks: amplitudes of magnitude
 PRUNE_EPS or below become exact zeros and norm^2 = sum_c |V_c| a_c^2 must be
@@ -188,25 +194,23 @@ def measure(state: Levels, label: Callable[[int], object], rng: np.random.Genera
 
 
 def _grover(state: Levels, flags: List[bool], count: int) -> Levels:
-    """amplify.grover_iterate: count rounds of (Ref_axis . Ref_flip), each
-    negating the counts off `flags` and adding (-2 <u, w>) u."""
-    sizes = state.index.sizes
-    unit = 1.0 / math.sqrt(state.index.total)
-    axis = [unit if size else 0.0 for size in sizes]
-    weighted = [size * u for size, u in zip(sizes, axis)]
-
-    def round_of(amps):
-        reflected = [a if flag else -a for a, flag in zip(amps, flags)]
-        inner = 0.0
-        for w, r in zip(weighted, reflected):
-            inner += w * r
-        inner *= -2.0
-        return [r + inner * u for r, u in zip(reflected, axis)]
-
-    amps = state.amps
-    for _ in range(count - 1):
-        amps = _settled(round_of(amps), sizes)
-    return Levels(state.index, round_of(amps))
+    """amplify.grover_iterate in closed form: count rounds of (Ref_axis .
+    Ref_flip) turn a state of Grover's plane, sqrt|G| a_good on the
+    good-uniform and sqrt|B| a_bad on the bad-uniform state, by 2 count theta
+    with sin^2 theta = |G|/V.  A state not uniform on each side of `flags`
+    lies off that plane and raises ValidationError."""
+    total, good, side = state.index.total, 0, {}
+    for a, size, flag in zip(state.amps, state.index.sizes, flags):
+        if size:
+            good += size if flag else 0
+            if side.setdefault(flag, a) != a:
+                raise ValidationError("state is not uniform on each side of the flip")
+    bad = total - good
+    g, b = math.sqrt(good) * side.get(True, 0.0), math.sqrt(bad) * side.get(False, 0.0)
+    phi = math.atan2(g, b) + 2 * count * math.asin(math.sqrt(good / total))
+    good_amp = math.sin(phi) / math.sqrt(good) if good else 0.0
+    bad_amp = math.cos(phi) / math.sqrt(bad) if bad else 0.0
+    return Levels(state.index, [good_amp if flag else bad_amp for flag in flags])
 
 
 def flip(

@@ -67,8 +67,12 @@ def round_count(x: float) -> int:
 
 
 def resolve_threads(threads: int | None = None) -> int:
+    """The worker count: `threads` when given, which must be at least 1,
+    else what CWL_THREADS gives."""
     if threads is not None:
-        return max(1, int(threads))
+        if int(threads) < 1:
+            raise ParameterError(f"need at least 1 worker thread, got {threads}")
+        return int(threads)
     raw = os.environ.get("CWL_THREADS", "")
     try:
         return max(1, int(raw))

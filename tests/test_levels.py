@@ -13,10 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chainwalk.amplify import _HALF, FlipStats, Want, flip as vector_flip, split
+from chainwalk.amplify import _HALF, FlipStats, Want, flip as vector_flip, grover_iterate, split
 from chainwalk.chain import CostLedger, _delta_for, extraction_step, walk_step
 from chainwalk.errors import (
     FlaggedInstanceError,
@@ -321,8 +321,7 @@ def test_sizes_above_int64():
                for a in state.amps if a)
 
 
-# three amplitudes whose squares, and whose products with 1/sqrt(3) after
-# negating the last, a left fold sums differently from math.fsum
+# three amplitudes whose squares a left fold sums differently from math.fsum
 _FOLD_AMPS = [0.501, 0.5, 0.7063986126826693]
 
 
@@ -344,13 +343,55 @@ def test_measure_weight_is_a_left_fold():
     assert outcome == 0 and collapsed.amps == _FOLD_AMPS
 
 
-def test_grover_inner_product_is_a_left_fold():
-    """The Grover round's <u, w> is the left fold of |V_c| u_c w_c."""
-    index = _Counts([1, 1, 1])
-    unit = 1.0 / math.sqrt(3)
-    reflected = [_FOLD_AMPS[0], _FOLD_AMPS[1], -_FOLD_AMPS[2]]
-    products = [unit * r for r in reflected]
-    inner = _left_fold(products)
-    assert inner != math.fsum(products)
-    rotated = _grover(Levels(index, list(_FOLD_AMPS)), [True, True, False], 1)
-    assert rotated.amps == [r + (-2.0 * inner) * unit for r in reflected]
+def test_grover_rotates_only_states_in_the_plane():
+    """t rounds turn a state sin(psi) on the good-uniform and cos(psi) on the
+    bad-uniform state to psi + 2 t theta, sin^2 theta = |G|/V; psi = theta is
+    the axis.  _FOLD_AMPS, with two amplitudes on the flagged side, lies off
+    that plane and is refused."""
+    index, flags = _Counts([1, 1, 1]), [True, True, False]
+    with pytest.raises(ValidationError):
+        _grover(Levels(index, list(_FOLD_AMPS)), flags, 1)
+    theta = math.asin(math.sqrt(2 / 3))
+    for psi in (theta, math.pi / 4, -2.0):
+        start = Levels(index, [math.sin(psi) / math.sqrt(2)] * 2 + [math.cos(psi)])
+        for count in range(4):
+            turned = psi + 2 * count * theta
+            expected = [math.sin(turned) / math.sqrt(2)] * 2 + [math.cos(turned)]
+            rotated = _grover(start, flags, count).amps
+            assert all(math.isclose(a, e, rel_tol=0, abs_tol=1e-15)
+                       for a, e in zip(rotated, expected))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+    big_r=st.sampled_from([2, 3, 4]),
+    picks=st.lists(st.booleans(), min_size=3, max_size=3),
+    psi=st.floats(-math.pi, math.pi),
+    count=st.integers(0, 40),
+)
+def test_grover_matches_the_vector_rounds(values, big_r, picks, psi, count):
+    """The closed-form rotation against amplify.grover_iterate's rounds, from
+    a state of Grover's plane drawn by its angle: the same support, and
+    amplitudes within 1e-12."""
+    index = FamilyIndex(restrict(FunctionTable(Params(n=4, m=4, k=0), values),
+                                 CollisionTable()), big_r)
+    flags = [picks[c] for c in range(len(index.sizes))]
+    good = sum(size for size, flag in zip(index.sizes, flags) if flag)
+    assume(0 < good < index.total)
+    start = Levels(index, [math.sin(psi) / math.sqrt(good) if flag
+                           else math.cos(psi) / math.sqrt(index.total - good)
+                           for flag in flags])
+    reference = grover_iterate(start.as_state(), index.by_count(flags.__getitem__),
+                               index.axis_state(), count)
+    assert _same_state(_grover(start, flags, count), reference)
+
+
+def test_flip_at_one_in_a_trillion_is_one_rotation():
+    """|G|/V = 10^-12: the flip's 785,398 rounds are one rotation, which
+    lands on the good vertex at the first attempt."""
+    index = _Counts([10**12 - 1, 1])
+    state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
+                        np.random.default_rng(0))
+    assert _stats(stats) == (785_398, 0, 1)
+    assert state.amps == [0.0, 1.0]

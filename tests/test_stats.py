@@ -54,8 +54,14 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv("CWL_THREADS", "3")
     assert resolve_threads(None) == 3
     assert resolve_threads(7) == 7
+    for bad in (0, -4):
+        with pytest.raises(ParameterError):
+            resolve_threads(bad)
     monkeypatch.setenv("CWL_THREADS", "abc")
     assert resolve_threads(None) == 1
+    for low in ("0", "-4"):
+        monkeypatch.setenv("CWL_THREADS", low)
+        assert resolve_threads(None) == 1
     monkeypatch.delenv("CWL_THREADS")
     assert resolve_threads(None) == 1
 
@@ -69,6 +75,9 @@ def test_sample_counts_deterministic_and_thread_invariant():
     assert len(a) == 30000
     with pytest.raises(ParameterError):
         sample_collision_counts(0, 256, 10, np.random.default_rng(0))
+    for bad in (0, -4):
+        with pytest.raises(ParameterError):
+            sample_collision_counts(16, 256, 10, np.random.default_rng(0), threads=bad)
 
 
 def _runs_of_two_or_more(row):

@@ -7,13 +7,15 @@ three (R, M)).  Each block prints the wall time of the profiled calls, the
 total function-call count and the top 25 entries by cumulative time.  The
 criterion-7 block also prints how many family indices were built, counted by
 the code objects of FamilyIndex.__init__ and of law.family_law (one per
-LawIndex); and the process's peak resident set (ru_maxrss) after it, so an
-index that outlives its run shows as memory.  The criterion-3 block
-also prints the peak of the memory that tracemalloc traces (numpy's arrays
-among it) over one more, unprofiled call of the 45 spectra, so the tracing
-does not touch the profiled wall time.  The criterion-4 block also prints
-the samples drawn per second of wall time, on the worker count CWL_THREADS
-sets (1 when it is unset).  Run it from any directory:
+LawIndex); how many flip rotations ran, counted by the code object of
+levels._grover, beside the Grover rounds they stand for, the sum of the
+runs' ledger check_calls; and the process's peak resident set (ru_maxrss)
+after it, so an index that outlives its run shows as memory.  The
+criterion-3 block also prints the peak of the memory that tracemalloc traces
+(numpy's arrays among it) over one more, unprofiled call of the 45 spectra,
+so the tracing does not touch the profiled wall time.  The criterion-4
+block also prints the samples drawn per second of wall time, on the worker
+count CWL_THREADS sets (1 when it is unset).  Run it from any directory:
 
     python3 tools/profile_runs.py
 
@@ -44,6 +46,7 @@ from chainwalk.chain import ChainConfig, run  # noqa: E402
 from chainwalk.extraction import FamilyIndex  # noqa: E402
 from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
 from chainwalk.law import family_law  # noqa: E402
+from chainwalk.levels import _grover  # noqa: E402
 from chainwalk.oracle import Params  # noqa: E402
 from chainwalk.stats import calibrate_constant, interval_hit_probability  # noqa: E402
 
@@ -54,10 +57,13 @@ CRITERION_4 = ((16, 256), (32, 1024), (32, 4096))
 CRITERION_4_SAMPLES = 100_000
 
 
-def criterion_7_runs() -> None:
-    for m, seed, k in CRITERION_7:
+def criterion_7_runs() -> int:
+    """The 20 runs; returns the Grover rounds they charge (check_calls)."""
+    return sum(
         run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
-                        max_outer_iterations=64))
+                        max_outer_iterations=64)).ledger.check_calls
+        for m, seed, k in CRITERION_7
+    )
 
 
 def criterion_3_spectra() -> None:
@@ -75,17 +81,18 @@ def criterion_4_sampling() -> None:
             interval_hit_probability(big_r, bins, cal.c, which, CRITERION_4_SAMPLES, rng)
 
 
-def profile(workload) -> tuple[pstats.Stats, float]:
+def profile(workload) -> tuple[pstats.Stats, float, object]:
+    """The profile, the wall time and the return value of one call."""
     profiler = cProfile.Profile()
     start = time.perf_counter()
-    profiler.runcall(workload)
+    result = profiler.runcall(workload)
     wall = time.perf_counter() - start
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
     print(f"{workload.__name__}: wall {wall:.3f} s, {stats.total_calls} function calls")
     stats.sort_stats("cumulative").print_stats(25)
     print(out.getvalue())
-    return stats, wall
+    return stats, wall, result
 
 
 def traced_peak_mib(workload) -> float:
@@ -98,29 +105,27 @@ def traced_peak_mib(workload) -> float:
         tracemalloc.stop()
 
 
-def index_builds(stats: pstats.Stats) -> str:
-    """FamilyIndex and LawIndex builds, read off the profile's call counts
-    of FamilyIndex.__init__ and law.family_law."""
-    calls = {key: ncalls for key, (_, ncalls, *_) in stats.stats.items()}
-
-    def count(function) -> int:
-        code = function.__code__
-        return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
-
-    return (f"FamilyIndex builds: {count(FamilyIndex.__init__)}; "
-            f"LawIndex builds: {count(family_law)} family laws")
+def call_count(stats: pstats.Stats, function) -> int:
+    """The profile's call count of `function`, found by its code object."""
+    code = function.__code__
+    _, ncalls, *_ = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name),
+                                    (0, 0))
+    return ncalls
 
 
 def main() -> None:
-    stats, _ = profile(criterion_7_runs)
-    print(index_builds(stats))
+    stats, _, rounds = profile(criterion_7_runs)
+    print(f"FamilyIndex builds: {call_count(stats, FamilyIndex.__init__)}; "
+          f"LawIndex builds: {call_count(stats, family_law)} family laws")
+    print(f"levels._grover calls: {call_count(stats, _grover)}, "
+          f"standing for {rounds} Grover rounds (ledger check_calls)")
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"ru_maxrss after criterion_7_runs: {peak:.1f} MiB\n")
     profile(criterion_3_spectra)
     print(f"tracemalloc peak of criterion_3_spectra: "
           f"{traced_peak_mib(criterion_3_spectra):.1f} MiB\n")
-    _, wall = profile(criterion_4_sampling)
+    _, wall, _ = profile(criterion_4_sampling)
     samples = 3 * len(CRITERION_4) * CRITERION_4_SAMPLES
     print(f"criterion_4_sampling: {samples} samples, {samples / wall:,.0f} samples/s")
 
