@@ -14,7 +14,10 @@ the rounds complex.
 `flip` drives rounds of iterate-then-measure until the projective flag
 measurement lands on the wanted side.  Inputs are expected to lie in
 span{B, G} (uniform class states always do); the returned state is then
-exactly the renormalized wanted projection of the axis.
+exactly the renormalized wanted projection of the axis.  What a flip does
+with its axis's good mass, whether the axis has a wanted component, whether
+to measure fresh axes and how many rounds to rotate by, is decided in one
+place, `flip_rounds`, which levels.flip reads too.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -129,6 +133,24 @@ def iteration_count(alpha: float) -> int:
     return math.floor(math.pi / (4.0 * theta))
 
 
+def flip_rounds(good_mass: float, want: Want) -> Optional[int]:
+    """The plan of a flip whose axis carries `good_mass` on its good side.
+
+    Raises ImpossibleTargetError when the axis's wanted amplitude is at most
+    1e-12.  Returns None when the good side is wanted and its amplitude
+    exceeds 1/sqrt(2): rotation is too coarse to help there, so each attempt
+    measures a fresh copy of the axis, and lands with probability above 1/2.
+    Otherwise returns the rounds each attempt rotates by before it measures:
+    iteration_count(alpha), at least 1, and 1 when alpha is about 0.
+    """
+    dec = split(good_mass)
+    if (dec.alpha if want is Want.GOOD else dec.beta) <= _ZERO_AMP:
+        raise ImpossibleTargetError(f"axis has no {want.value} component")
+    if want is Want.GOOD and dec.alpha > _HALF:
+        return None
+    return max(1, iteration_count(dec.alpha)) if dec.alpha > _ZERO_AMP else 1
+
+
 def flip(
     state: State,
     good: Labels,
@@ -139,38 +161,22 @@ def flip(
     """Iterate and project until the flag measurement lands on `want`.
 
     `good` is a key callback or a boolean vector over the axis's basis, read
-    once per key of that basis into the mask that the decomposition, the
-    iterations and every flag measurement use.  The wanted component of the
-    axis must be nonempty.  When the good amplitude exceeds 1/sqrt(2) and the
-    good side is wanted, rotation is too coarse to help, so each attempt
-    measures a fresh copy of the axis instead; success probability is then
-    above 1/2 per attempt.
+    once per key of that basis into the mask that the plan, the iterations
+    and every flag measurement use.  The plan is flip_rounds' on the axis's
+    good mass: each attempt rotates the state by its rounds, or measures a
+    fresh copy of the axis when it is None.
     """
     state, flags = _good_flags(state, good, axis)
-    dec = decompose(axis, flags)
-    target_amp = dec.alpha if want is Want.GOOD else dec.beta
-    if target_amp <= _ZERO_AMP:
-        raise ImpossibleTargetError(f"axis has no {want.value} component")
+    rounds = flip_rounds(axis.probability(flags), want)
     stats = FlipStats()
-    wanted_label = want is Want.GOOD
-
-    if want is Want.GOOD and dec.alpha > _HALF:
-        while True:
-            stats.attempts += 1
-            outcome, collapsed = measure(axis, flags, rng)
-            if outcome == wanted_label:
-                return collapsed, stats
-            stats.restarts += 1
-
-    count = iteration_count(dec.alpha) if dec.alpha > _ZERO_AMP else 1
-    if want is Want.BAD:
-        count = max(1, count)
-    current = state
     while True:
         stats.attempts += 1
-        current = grover_iterate(current, flags, axis, count)
-        stats.iterations_used += count
-        outcome, current = measure(current, flags, rng)
-        if outcome == wanted_label:
-            return current, stats
+        if rounds is None:
+            state = axis
+        else:
+            state = grover_iterate(state, flags, axis, rounds)
+            stats.iterations_used += rounds
+        outcome, state = measure(state, flags, rng)
+        if outcome == (want is Want.GOOD):
+            return state, stats
         stats.restarts += 1

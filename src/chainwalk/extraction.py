@@ -14,7 +14,11 @@ family with the count interval tightened to [x, i-1]).
 class and measures a partition of the counts left.  Interval repair
 (correct_interval) widens [x, i-1] back to [x, y] by a few hops.  A run does
 both on count-class states (levels.py); the vector versions here are the
-reference its differential tests compare against.
+reference its differential tests compare against.  What both paths decide
+on the same numbers is written here once and read by both: repair's
+premises and its start and target classes (repair_classes, over any
+law.CountIndex), the padding width y (VertexFamily.padding_width) and the
+family a tuple outcome leaves (VertexFamily.after_tuple).
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
@@ -150,6 +154,29 @@ class VertexFamily:
     def interval_label(self) -> str:
         top = "inf" if self.hi is None else str(self.hi)
         return f"[{self.lo},{top}]"
+
+    def padding_width(self) -> int:
+        """The padded register's width y = hi, which extraction needs finite
+        and at least 1."""
+        if self.hi is None:
+            raise ParameterError(
+                "extraction needs a finite upper bound; reframe the family first"
+            )
+        if self.hi < 1:
+            raise ParameterError("cannot extract from a family with hi = 0")
+        return self.hi
+
+    def after_tuple(self, image: int, preimages: Tuple[int, ...]) -> "VertexFamily":
+        """The family a tuple outcome leaves: the tuple recorded in the
+        collision table, which carves its class out of the domain, R less
+        the tuple's size, and each end of the interval one lower."""
+        table = self.restriction.table.insert(self.restriction.base, image, preimages)
+        return VertexFamily(
+            restriction=restrict(self.restriction.base, table),
+            big_r=self.big_r - len(preimages),
+            lo=max(0, self.lo - 1),
+            hi=self.hi - 1,
+        )
 
 
 def in_range(lo: int, hi: Optional[int]) -> Callable[[int], bool]:
@@ -514,13 +541,7 @@ def extract_once(
     over the basis of the outcome's index.  When an index is supplied the
     input support is checked to be the entire class; without one, one is built.
     """
-    if family.hi is None:
-        raise ParameterError(
-            "extraction needs a finite upper bound; reframe the family first"
-        )
-    y = family.hi
-    if y < 1:
-        raise ParameterError("cannot extract from a family with hi = 0")
+    y = family.padding_width()
     check_uniform_class(state, family, index)
     if index is None:
         index = FamilyIndex(family.restriction, family.big_r)
@@ -532,13 +553,7 @@ def extract_once(
     if outcome >= y:
         kind, dummy_index = "tuple", None
         image, preimages = _row_tuple(found[outcome - y].tolist())
-        table = family.restriction.table.insert(family.restriction.base, image, preimages)
-        new_family = VertexFamily(
-            restriction=restrict(family.restriction.base, table),
-            big_r=family.big_r - len(preimages),
-            lo=max(0, family.lo - 1),
-            hi=y - 1,
-        )
+        new_family = family.after_tuple(image, preimages)
         if new_family.big_r:
             new_index = index.child(new_family.restriction, new_family.big_r)
             basis, rows = new_index.basis, _cut_ordinals(index, rows, preimages, new_index)
@@ -579,20 +594,17 @@ def hop(
     return state, frozenset(c for c in rest if cell(c) == outcome), stats
 
 
-def correct_interval(
-    state: State,
-    family: VertexFamily,
-    target_hi: int,
-    index: FamilyIndex,
-    rng: np.random.Generator,
-) -> Tuple[State, FlipStats]:
-    """Widen a narrowed family state [lo, b] back to [lo, target_hi].
+def repair_classes(
+    index: CountIndex, family: VertexFamily, target_hi: int
+) -> Tuple[frozenset, frozenset]:
+    """The premises of widening a state over the family's class [lo, b] back
+    to [lo, target_hi], checked on the class sizes of `index`.
 
-    Hops between count classes until the state covers [lo, target_hi].  Each
-    hop splits the complement at lo while that holds counts below lo, and
-    otherwise (from [0, lo-1]) at target_hi + 1.  Requires the three classes
-    [lo, target_hi], [0, lo-1] and [target_hi+1, inf) to be nonempty;
-    instances failing that are flagged, not patched.
+    Returns the count classes a repair starts from and ends at, {lo..b} and
+    {lo..target_hi}: equal when b = target_hi, and no class size is read
+    then.  Otherwise the three classes [lo, target_hi], [0, lo-1] and
+    [target_hi+1, inf) must be nonempty; instances failing that are flagged,
+    not patched.
     """
     x = family.lo
     b = family.hi
@@ -600,13 +612,13 @@ def correct_interval(
         raise ParameterError(
             f"cannot correct interval [{x}, {b}] to [{x}, {target_hi}]"
         )
-    if b == target_hi:
-        return state, FlipStats()
     y = target_hi
-    low_size = index.class_size(0, x - 1) if x >= 1 else 0
-    mid_size = index.class_size(x, y)
+    start, target = frozenset(range(x, b + 1)), frozenset(range(x, y + 1))
+    if start == target:
+        return start, target
+    low_size = index.class_size(0, x - 1)
     top_size = index.class_size(y + 1, None)
-    if mid_size == 0:
+    if index.class_size(x, y) == 0:
         raise ImpossibleTargetError(
             f"target class [{x}, {y}] holds no vertices"
         )
@@ -616,12 +628,28 @@ def correct_interval(
             f"not patched: classes below {x} and above {y} must be nonempty "
             f"(sizes {low_size}, {top_size})."
         )
+    return start, target
+
+
+def correct_interval(
+    state: State,
+    family: VertexFamily,
+    target_hi: int,
+    index: FamilyIndex,
+    rng: np.random.Generator,
+) -> Tuple[State, FlipStats]:
+    """Widen a narrowed family state [lo, b] back to [lo, target_hi].
+
+    Hops from the classes repair_classes gives until the state covers [lo,
+    target_hi].  Each hop splits the complement at lo while that holds
+    counts below lo, and otherwise (from [0, lo-1]) at target_hi + 1.
+    """
+    cls, target = repair_classes(index, family, target_hi)
     stats = FlipStats()
-    cls, target = frozenset(range(x, b + 1)), frozenset(range(x, y + 1))
     for _ in range(MAX_TRANSITIONS):
         if cls == target:
             return state, stats
-        split = y + 1 if cls.issuperset(range(x)) else x
+        split = target_hi + 1 if cls.issuperset(range(family.lo)) else family.lo
         state, cls, fs = hop(state, index, cls, lambda c: c >= split, rng)
         stats.absorb(fs)
     raise SimulationError(

@@ -26,7 +26,8 @@ its class, so the amplitude a class holds here is, bit for bit, the one each
 of its vertices holds there, wherever the reductions agree.  Only one
 reduction is reproduced bit for bit, because a boundary sits exactly on it:
 flip's good mass, the running sum of |G| equal weights (1/sqrt V)^2 that
-State.probability takes (_running_sum).  At |G| = V/2 it decides both the
+State.probability takes (_running_sum).  amplify.flip_rounds plans both
+paths' flips from that mass, and at |G| = V/2 it decides both the
 alpha > 1/sqrt(2) branch and iteration_count.
 
 Every other weight is a closed form: a count class's is |V_c| a_c^2, and a
@@ -48,6 +49,12 @@ which refuses a state off that plane).  Its amplitudes agree with the
 vector path's rounds within rounding, not bit for bit, and a flip costs the
 same whatever its round count.
 
+Only the state arithmetic is written here.  The decisions both paths take
+on the same numbers are written once beside the vector path: a flip's plan
+in amplify.flip_rounds, interval repair's premises and its start and target
+classes in extraction.repair_classes, and extraction's padding width and the
+family a tuple outcome leaves on VertexFamily (padding_width, after_tuple).
+
 Each operation ends with the vector path's checks: amplitudes of magnitude
 PRUNE_EPS or below become exact zeros and norm^2 = sum_c |V_c| a_c^2 must be
 within NORM_TOL of 1 (_settled).  check_class is check_uniform_class with an
@@ -63,14 +70,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .amplify import _HALF, _ZERO_AMP, FlipStats, Want, iteration_count, split
-from .errors import (
-    FlaggedInstanceError,
-    ImpossibleTargetError,
-    ParameterError,
-    SimulationError,
-    ValidationError,
-)
+from .amplify import FlipStats, Want, flip_rounds
+from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import (
     _UNIFORM_TOL,
     MAX_TRANSITIONS,
@@ -78,9 +79,9 @@ from .extraction import (
     VertexFamily,
     _row_tuple,
     in_range,
+    repair_classes,
 )
 from .law import CountIndex
-from .oracle import restrict
 from .statevector import NORM_TOL, PRUNE_EPS, State, _draw_label
 
 
@@ -220,40 +221,25 @@ def flip(
     rng: np.random.Generator,
 ) -> Tuple[Levels, FlipStats]:
     """amplify.flip against the index's uniform axis, good(count) marking the
-    good vertices: rounds of iterate-then-measure until the flag measurement
-    lands on `want`, or fresh axis measurements when the good side is wanted
-    and holds more than half the axis."""
+    good vertices, on amplify.flip_rounds' plan for the axis's good mass:
+    rounds of iterate-then-measure until the flag measurement lands on
+    `want`, or fresh axis measurements when the plan is None."""
     index = state.index
     flags = [bool(good(c)) for c in range(len(index.sizes))]
     unit = 1.0 / math.sqrt(index.total)
     good_size = sum(size for size, flag in zip(index.sizes, flags) if flag)
-    dec = split(_running_sum(unit * unit, good_size))
-    target_amp = dec.alpha if want is Want.GOOD else dec.beta
-    if target_amp <= _ZERO_AMP:
-        raise ImpossibleTargetError(f"axis has no {want.value} component")
+    rounds = flip_rounds(_running_sum(unit * unit, good_size), want)
     stats = FlipStats()
-    wanted_label = want is Want.GOOD
-
-    if want is Want.GOOD and dec.alpha > _HALF:
-        axis = Levels.uniform(index)
-        while True:
-            stats.attempts += 1
-            outcome, collapsed = _measure(axis, flags, rng)
-            if outcome == wanted_label:
-                return collapsed, stats
-            stats.restarts += 1
-
-    count = iteration_count(dec.alpha) if dec.alpha > _ZERO_AMP else 1
-    if want is Want.BAD:
-        count = max(1, count)
-    current = state
     while True:
         stats.attempts += 1
-        current = _grover(current, flags, count)
-        stats.iterations_used += count
-        outcome, current = _measure(current, flags, rng)
-        if outcome == wanted_label:
-            return current, stats
+        if rounds is None:
+            state = Levels.uniform(index)
+        else:
+            state = _grover(state, flags, rounds)
+            stats.iterations_used += rounds
+        outcome, state = _measure(state, flags, rng)
+        if outcome == (want is Want.GOOD):
+            return state, stats
         stats.restarts += 1
 
 
@@ -296,38 +282,15 @@ def repair(
     rng: np.random.Generator,
 ) -> Tuple[Levels, FlipStats]:
     """extraction.correct_interval: widen a state over [lo, b] back to
-    [lo, target_hi] by hops, splitting the complement at lo while it holds
-    counts below lo and at target_hi + 1 otherwise.  The classes [lo,
-    target_hi], [0, lo-1] and [target_hi+1, inf) must be nonempty."""
-    x = family.lo
-    b = family.hi
-    if b is None or target_hi < x or b > target_hi:
-        raise ParameterError(
-            f"cannot correct interval [{x}, {b}] to [{x}, {target_hi}]"
-        )
-    if b == target_hi:
-        return state, FlipStats()
-    y = target_hi
-    index = state.index
-    low_size = index.class_size(0, x - 1) if x >= 1 else 0
-    mid_size = index.class_size(x, y)
-    top_size = index.class_size(y + 1, None)
-    if mid_size == 0:
-        raise ImpossibleTargetError(
-            f"target class [{x}, {y}] holds no vertices"
-        )
-    if low_size == 0 or top_size == 0:
-        raise FlaggedInstanceError(
-            "The instance violates a statistical premise; it is skipped, "
-            f"not patched: classes below {x} and above {y} must be nonempty "
-            f"(sizes {low_size}, {top_size})."
-        )
+    [lo, target_hi] by hops from the classes extraction.repair_classes
+    gives, splitting the complement at lo while it holds counts below lo and
+    at target_hi + 1 otherwise."""
+    cls, target = repair_classes(state.index, family, target_hi)
     stats = FlipStats()
-    cls, target = frozenset(range(x, b + 1)), frozenset(range(x, y + 1))
     for _ in range(MAX_TRANSITIONS):
         if cls == target:
             return state, stats
-        split_at = y + 1 if cls.issuperset(range(x)) else x
+        split_at = target_hi + 1 if cls.issuperset(range(family.lo)) else family.lo
         state, cls, fs = hop_out(state, cls, lambda c: c >= split_at, rng)
         stats.absorb(fs)
     raise SimulationError(
@@ -346,13 +309,7 @@ def extract_once(
     one count lower; when the cut empties the vertex (R' = 0), collapsed and
     new_index are None.  A dummy outcome d_i keeps the counts below i.
     """
-    if family.hi is None:
-        raise ParameterError(
-            "extraction needs a finite upper bound; reframe the family first"
-        )
-    y = family.hi
-    if y < 1:
-        raise ParameterError("cannot extract from a family with hi = 0")
+    y = family.padding_width()
     check_class(state, family)
     index, amps = state.index, state.amps
     found, holders = index.tuple_holders([a != 0 for a in amps])
@@ -375,13 +332,7 @@ def extract_once(
     scale = 1.0 / math.sqrt(weights[outcome])
     if outcome >= y:
         image, preimages = _row_tuple(found[outcome - y])
-        table = family.restriction.table.insert(family.restriction.base, image, preimages)
-        new_family = VertexFamily(
-            restriction=restrict(family.restriction.base, table),
-            big_r=family.big_r - len(preimages),
-            lo=max(0, family.lo - 1),
-            hi=y - 1,
-        )
+        new_family = family.after_tuple(image, preimages)
         if new_family.big_r:
             new_index = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1

@@ -20,6 +20,7 @@ from chainwalk.amplify import (
     Want,
     decompose,
     flip,
+    flip_rounds,
     grover_iterate,
     iteration_count,
 )
@@ -166,6 +167,23 @@ def test_flip_empty_target():
     axis = State({GOOD_KEY: 1.0})
     with pytest.raises(ImpossibleTargetError):
         flip(axis, is_good, axis, Want.BAD, np.random.default_rng(0))
+
+
+def test_flip_rounds_edges():
+    """The plan at each of its edges.  Mass 1/2 measures fresh axes only
+    through rounding: in binary64 sqrt(0.5) = 0.7071067811865476 exceeds
+    _HALF = 0.7071067811865475, the float just below it, so the tie |G| =
+    V/2 takes the axis branch while the next mass down rotates once."""
+    assert flip_rounds(0.5, Want.GOOD) is None
+    assert math.sqrt(math.nextafter(0.5, 0.0)) == 1.0 / math.sqrt(2.0)
+    assert flip_rounds(math.nextafter(0.5, 0.0), Want.GOOD) == 1
+    assert flip_rounds(0.0, Want.BAD) == 1
+    assert flip_rounds(0.75, Want.BAD) == 1
+    # the round count is read off, not run
+    assert flip_rounds(1e-20, Want.GOOD) == 7_853_981_633
+    for mass, want in [(0.0, Want.GOOD), (1e-24, Want.GOOD), (1.0, Want.BAD)]:
+        with pytest.raises(ImpossibleTargetError):
+            flip_rounds(mass, want)
 
 
 @pytest.mark.parametrize(

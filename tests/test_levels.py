@@ -256,22 +256,24 @@ def test_extraction_step_dense_scenario_matches_the_vector_path():
 
 
 def test_repair_premise_failures():
-    """levels.repair refuses what extraction.correct_interval refuses."""
+    """levels.repair refuses what extraction.correct_interval refuses, on
+    either kind of index."""
     _, restriction = eight_point()
-    index = FamilyIndex(restriction, 4)
     rng = np.random.default_rng(0)
     family = lambda lo, hi: VertexFamily(restriction=restriction, big_r=4, lo=lo, hi=hi)
-    with pytest.raises(FlaggedInstanceError):
-        repair(Levels.uniform(index, 1, 1), family(1, 1), 2, rng)
-    with pytest.raises(FlaggedInstanceError):
-        repair(Levels.uniform(index, 0, 1), family(0, 1), 2, rng)
-    with pytest.raises(ImpossibleTargetError):
-        repair(Levels.uniform(index), family(5, 5), 6, rng)
-    with pytest.raises(ParameterError):
-        repair(Levels.uniform(index), family(1, None), 2, rng)
-    same, stats = repair(Levels.uniform(index, 1, 2), family(1, 2), 2, rng)
-    assert np.array(same.amps).tobytes() == np.array(Levels.uniform(index, 1, 2).amps).tobytes()
-    assert stats == FlipStats()
+    for index in (FamilyIndex(restriction, 4), LawIndex(restriction, 4)):
+        assert index.sizes == [28, 39, 3]
+        with pytest.raises(FlaggedInstanceError):
+            repair(Levels.uniform(index, 1, 1), family(1, 1), 2, rng)
+        with pytest.raises(FlaggedInstanceError):
+            repair(Levels.uniform(index, 0, 1), family(0, 1), 2, rng)
+        with pytest.raises(ImpossibleTargetError):
+            repair(Levels.uniform(index), family(5, 5), 6, rng)
+        with pytest.raises(ParameterError):
+            repair(Levels.uniform(index), family(1, None), 2, rng)
+        same, stats = repair(Levels.uniform(index, 1, 2), family(1, 2), 2, rng)
+        assert np.array(same.amps).tobytes() == np.array(Levels.uniform(index, 1, 2).amps).tobytes()
+        assert stats == FlipStats()
 
 
 @pytest.mark.parametrize("case", ["class_dropped", "other_class_added", "not_uniform"])
