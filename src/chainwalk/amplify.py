@@ -14,10 +14,12 @@ the rounds complex.
 `flip` drives rounds of iterate-then-measure until the projective flag
 measurement lands on the wanted side.  Inputs are expected to lie in
 span{B, G} (uniform class states always do); the returned state is then
-exactly the renormalized wanted projection of the axis.  What a flip does
-with its axis's good mass, whether the axis has a wanted component, whether
-to measure fresh axes and how many rounds to rotate by, is decided in one
-place, `flip_rounds`, which levels.flip reads too.
+exactly the renormalized wanted projection of the axis.  A flip first
+refuses an axis with no key on the wanted side, counted exactly, since a
+float mass can round short of 0 or 1 there and the flip would never land.
+What it then does with its axis's good mass, whether the wanted amplitude
+is too small, whether to measure fresh axes and how many rounds to rotate
+by, is decided in one place, `flip_rounds`, which levels.flip reads too.
 """
 
 from __future__ import annotations
@@ -164,9 +166,13 @@ def flip(
     once per key of that basis into the mask that the plan, the iterations
     and every flag measurement use.  The plan is flip_rounds' on the axis's
     good mass: each attempt rotates the state by its rounds, or measures a
-    fresh copy of the axis when it is None.
+    fresh copy of the axis when it is None.  An axis with no support key on
+    the wanted side raises ImpossibleTargetError, whatever its mass rounds to.
     """
     state, flags = _good_flags(state, good, axis)
+    wanted = flags if want is Want.GOOD else ~flags
+    if not wanted[axis.live].any():
+        raise ImpossibleTargetError(f"axis has no {want.value} component")
     rounds = flip_rounds(axis.probability(flags), want)
     stats = FlipStats()
     while True:

@@ -31,10 +31,10 @@ closed-form prediction R + 2^k 2^(m/2)/sqrt(R) rides along for comparison.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -133,7 +133,7 @@ class CostLedger:
         self.check_calls += stats.iterations_used
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,10 @@ class ChainResult:
     per_step_trace: List[dict] = field(default_factory=list)
 
     def report_json(self) -> str:
+        """The run as the text of json.dumps(doc, sort_keys=True, indent=2)
+        and a newline, byte for byte, written by _append_json: an indent
+        sends json.dumps past CPython's C encoder, which cannot indent, to
+        its pure-Python generator encoder, which took about twice as long."""
         p = self.config.params
         doc = {
             "params": {"n": p.n, "m": p.m, "k": p.k},
@@ -203,7 +207,103 @@ class ChainResult:
             "outer_iterations": self.outer_iterations,
             "per_step_trace": self.per_step_trace,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        out: List[str] = []
+        _append_json(doc, "\n", out)
+        out.append("\n")
+        return "".join(out)
+
+
+_INFINITY = float("inf")
+# '"key": ' of every key written so far: a report has a few dozen distinct keys
+_KEY_HEADS: dict = {}
+
+
+def _float_text(value: float) -> str:
+    """json's text of a float: its repr, or NaN, Infinity or -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# json's text of a leaf, by its exact type
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _key_head(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    head = _KEY_HEADS[key] = encode_basestring_ascii(key) + ": "
+    return head
+
+
+def _append_json(value, pad: str, out: List[str]) -> None:
+    """Append the text json.dumps(value, sort_keys=True, indent=2) gives
+    `value` to `out`, `pad` being a newline and the indent of value's level.
+
+    Dicts, lists, tuples and the leaves of _LEAF_TEXT are told apart by
+    exact type.  Subclasses of str, int, float, list, tuple and dict are
+    taken in json's isinstance order, so an IntEnum writes as an int and
+    np.float64 as a float.  Any other value raises json's TypeError, and so
+    does a key that is not a str, where json would write an int, float,
+    bool or None key as a string.
+    """
+    cls = type(value)
+    if cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            head = _KEY_HEADS.get(key) or _key_head(key)
+            item = value[key]
+            text = _LEAF_TEXT.get(type(item))
+            if text is None:
+                out.append(sep + head)
+                _append_json(item, inner, out)
+            else:
+                out.append(sep + head + text(item))
+            sep = "," + inner
+        out.append(pad + "}")
+    elif cls is list or cls is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            text = _LEAF_TEXT.get(type(item))
+            if text is None:
+                out.append(sep)
+                _append_json(item, inner, out)
+            else:
+                out.append(sep + text(item))
+            sep = "," + inner
+        out.append(pad + "]")
+    elif cls in _LEAF_TEXT:
+        out.append(_LEAF_TEXT[cls](value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        _append_json(list(value), pad, out)
+    elif isinstance(value, dict):
+        _append_json(dict(value), pad, out)
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _delta_for(family: VertexFamily) -> float:

@@ -196,12 +196,18 @@ class LawIndex(CountIndex):
         points = restriction.domain_points
         self.total = family_total(len(points), big_r)
         self.big_r = big_r
-        # the domain ascends, so each class lists its points ascending
-        classes: Dict[int, List[int]] = {}
-        images = restriction.base.values().take(points).tolist()
+        table = restriction.base.images
+        images = [table[x] for x in points]
+        class_size = Counter(images)
+        # the classes of two or more points; the domain ascends, so each
+        # lists its points ascending
+        classes: Dict[int, List[int]] = {
+            image: [] for image, size in class_size.items() if size >= 2
+        }
         for point, image in zip(points, images):
-            classes.setdefault(image, []).append(point)
-        sizes, self._holders = family_law(Counter(map(len, classes.values())), big_r)
+            if image in classes:
+                classes[image].append(point)
+        sizes, self._holders = family_law(Counter(class_size.values()), big_r)
         if sum(sizes) != self.total:
             raise ContractViolationError(
                 f"family law sums to {sum(sizes)}, not C({len(points)}, {big_r}) = {self.total}"
@@ -209,8 +215,8 @@ class LawIndex(CountIndex):
         while not sizes[-1]:
             sizes.pop()
         self.sizes = sizes
-        # the classes of two or more points, in image order
-        self._classes = sorted(item for item in classes.items() if len(item[1]) >= 2)
+        # in image order
+        self._classes = sorted(classes.items())
 
     def tuple_holders(self, live: List[bool]) -> Tuple[List[List[int]], List[List[int]]]:
         """The tuples held by the vertices of the counts where `live` holds,

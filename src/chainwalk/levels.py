@@ -146,8 +146,10 @@ def _running_sum(weight: float, count: int) -> float:
     ulp, each addition rounds weight to a multiple of that ulp the same way,
     except that a tie rounds to an even significand, which can change the
     rounding once.  So two equal rises within a binade repeat until near the
-    binade's top, and the sum jumps over them in one exact product.  That is
-    O(log count) additions.
+    binade's top, and the sum jumps over them in one exact product: j rises
+    with j the floored quotient (top - total) / rise less 1, so that
+    j * rise < top - total (both are whole ulps below 2^52 of them, so the
+    float quotient floors to the exact one).  That is O(log count) additions.
     """
     if not count:
         return 0.0
@@ -165,7 +167,7 @@ def _running_sum(weight: float, count: int) -> float:
             if not step:
                 return total
             if step == rise:
-                jumps = min(count, int((top - total) / rise) - 3)
+                jumps = min(count, int((top - total) / rise) - 1)
                 if jumps > 0:
                     total += jumps * rise
                     count -= jumps
@@ -223,11 +225,14 @@ def flip(
     """amplify.flip against the index's uniform axis, good(count) marking the
     good vertices, on amplify.flip_rounds' plan for the axis's good mass:
     rounds of iterate-then-measure until the flag measurement lands on
-    `want`, or fresh axis measurements when the plan is None."""
+    `want`, or fresh axis measurements when the plan is None.  A wanted side
+    with no vertex raises ImpossibleTargetError, whatever the mass rounds to."""
     index = state.index
     flags = [bool(good(c)) for c in range(len(index.sizes))]
     unit = 1.0 / math.sqrt(index.total)
     good_size = sum(size for size, flag in zip(index.sizes, flags) if flag)
+    if good_size == (0 if want is Want.GOOD else index.total):
+        raise ImpossibleTargetError(f"axis has no {want.value} component")
     rounds = flip_rounds(_running_sum(unit * unit, good_size), want)
     stats = FlipStats()
     while True:

@@ -58,8 +58,10 @@ class Params:
 class FunctionTable:
     """Explicit value table for f with a thread-safe query counter.
 
-    The table itself is immutable.  `query_count` only reflects counted
-    accesses: per-point `query` calls and bulk `charge` amounts.
+    The table itself is immutable: `values()` is a read-only int64 array and
+    `images` the same values as a tuple of Python ints.  `query_count` only
+    reflects counted accesses: per-point `query` calls and bulk `charge`
+    amounts.
     """
 
     def __init__(self, params: Params, values) -> None:
@@ -68,11 +70,15 @@ class FunctionTable:
             raise ParameterError(
                 f"table needs {params.domain_size} entries, got shape {arr.shape}"
             )
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= params.codomain_size):
+        images = tuple(arr.tolist())
+        if images and (min(images) < 0 or max(images) >= params.codomain_size):
             raise ParameterError("table value out of codomain range")
         arr.setflags(write=False)
         self.params = params
         self._values = arr
+        # a point lookup or a scan over the domain indexes these Python ints
+        # instead of numpy scalars
+        self.images = images
         self._count = 0
         self._lock = threading.Lock()
 
@@ -89,12 +95,12 @@ class FunctionTable:
         self._check_point(x)
         with self._lock:
             self._count += 1
-        return int(self._values[x])
+        return self.images[x]
 
     def value(self, x: int) -> int:
         """Ground-truth lookup, not counted.  For verification scans only."""
         self._check_point(x)
-        return int(self._values[x])
+        return self.images[x]
 
     def charge(self, amount: int) -> None:
         """Account for `amount` superposition queries without a point lookup."""
@@ -235,25 +241,22 @@ def restrict(fn: FunctionTable, table: CollisionTable) -> RestrictedFunction:
     Raises CapacityError when the closure reaches half the domain, since the
     downstream rejection sampling needs a majority of allowed points.
     """
-    images = table.images()
-    excluded: set[int] = set()
-    if images:
-        vals = fn.values()
-        for x in range(fn.params.domain_size):
-            if int(vals[x]) in images:
-                excluded.add(x)
+    recorded = table.images()
+    excluded = frozenset(
+        [x for x, image in enumerate(fn.images) if image in recorded] if recorded else ()
+    )
     half = fn.params.domain_size // 2
     if len(excluded) >= half:
         raise CapacityError(
             f"exclusion closure has {len(excluded)} points, "
             f"needs fewer than {half}"
         )
-    domain = tuple(x for x in range(fn.params.domain_size) if x not in excluded)
+    domain = tuple([x for x in range(fn.params.domain_size) if x not in excluded])
     return RestrictedFunction(
         base=fn,
         table=table,
-        excluded_preimages=frozenset(excluded),
-        excluded_images=frozenset(images),
+        excluded_preimages=excluded,
+        excluded_images=recorded,
         domain_points=domain,
     )
 

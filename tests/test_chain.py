@@ -1,11 +1,14 @@
 """End-to-end tests for the chained search loop and its cost accounting."""
 
+import enum
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainwalk import extraction, johnson
 from chainwalk.errors import FlaggedInstanceError, ParameterError
@@ -25,6 +28,7 @@ from chainwalk.chain import (
     ChainConfig,
     ChainStatus,
     CostLedger,
+    _append_json,
     extraction_step,
     optimal_ell,
     predict_cost,
@@ -433,3 +437,62 @@ def test_run_states_stay_real(monkeypatch):
                         max_outer_iterations=64))
     assert vectors == []
     assert types == {(float, int)}
+
+
+class _Rank(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.sampled_from(list(_Rank)),
+    # non-ASCII and control characters among them
+    st.text(),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def _report_text(doc) -> str:
+    out = []
+    _append_json(doc, "\n", out)
+    return "".join(out)
+
+
+@settings(deadline=None, max_examples=400)
+@given(doc=_JSON_DOCS)
+def test_report_encoder_matches_json_dumps(doc):
+    """report_json's encoder writes what json.dumps(sort_keys=True,
+    indent=2) writes: nested and empty containers, tuples as lists, keys
+    and strings escaped to ASCII, big ints, bools, json's NaN and Infinity,
+    and np.float64 and IntEnum leaves as the floats and ints they are."""
+    assert _report_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1: 0}, {1.5: 0}, {True: 0}, {None: 0}, [{"a": {2: []}}]])
+def test_report_encoder_refuses_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError, match="report keys must be str"):
+        _report_text(doc)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, b"x", object()])
+def test_report_encoder_refuses_what_json_refuses(value):
+    for doc in (value, [value], {"a": value}):
+        with pytest.raises(TypeError) as ours:
+            _report_text(doc)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, sort_keys=True, indent=2)
+        assert str(ours.value) == str(theirs.value)

@@ -9,6 +9,7 @@ and a flip whose good class is exactly half the axis.
 """
 
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,65 @@ def _vector_extract_tuple(state, family, rng, index, trace):
 def test_running_sum_matches_cumsum(weight, count):
     expected = float(np.cumsum(np.full(count, weight))[-1]) if count else 0.0
     assert _running_sum(weight, count) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    weight=st.one_of(
+        # flip's weights (1/sqrt V)^2, up to V = 10^6
+        st.integers(2, 10**6).map(lambda v: (1.0 / math.sqrt(v)) * (1.0 / math.sqrt(v))),
+        # an odd 34-52-bit significand: in the binade whose ulp is twice its
+        # last bit, every addition is a tie, reached within 10^6 additions
+        st.builds(lambda s, e: (2 * s + 1) * 2.0 ** -e,
+                  st.integers(2**32, 2**51 - 1), st.integers(53, 80)),
+    ),
+    # sums that cross up to 20 binades
+    count=st.integers(0, 10**6),
+)
+@example(weight=(1.0 / math.sqrt(10**6)) * (1.0 / math.sqrt(10**6)), count=10**6)
+@example(weight=(2**52 - 1) * 2.0 ** -53, count=10**6)
+@example(weight=(2**40 + 1) * 2.0 ** -60, count=2**13 + 1)
+def test_running_sum_jumps_land_on_cumsum(weight, count):
+    """The jumps stop one rise short of the binade's top and still give
+    np.cumsum's last entry, bit for bit."""
+    expected = float(np.cumsum(np.full(count, weight))[-1]) if count else 0.0
+    assert _running_sum(weight, count) == expected
+
+
+def _raises_within(seconds, error, call):
+    """call() raises `error`; a call still running after `seconds` fails."""
+    def hung(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        with pytest.raises(error):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("want, good", [(Want.BAD, lambda c: True), (Want.GOOD, lambda c: False)])
+def test_flip_toward_an_empty_side_is_refused(want, good):
+    """eight_point's R = 4 family has V = 70 vertices.  With every count
+    good, both paths read the axis's good mass as 0.9999999999999983, so
+    its bad amplitude 4e-8 clears flip_rounds' 1e-12 and a BAD flip rotated
+    forever.  Both flips refuse a wanted side with no vertex, on either kind
+    of index and on the vector path."""
+    _, restriction = eight_point()
+    rng = np.random.default_rng(0)
+    family_index = FamilyIndex(restriction, 4)
+    for index in (family_index, LawIndex(restriction, 4)):
+        unit = 1.0 / math.sqrt(index.total)
+        assert _running_sum(unit * unit, index.total) == 0.9999999999999983
+        _raises_within(10, ImpossibleTargetError,
+                       lambda: flip(Levels.uniform(index), good, want, rng))
+    axis = family_index.axis_state()
+    assert axis.probability(np.ones(family_index.total, bool)) == 0.9999999999999983
+    _raises_within(10, ImpossibleTargetError,
+                   lambda: vector_flip(axis, family_index.by_count(good), axis, want, rng))
 
 
 def _half_axis():

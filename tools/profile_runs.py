@@ -5,12 +5,14 @@ graphs (spectral_gap and walk_operator_spectrum of each), the third criterion
 4's Monte-Carlo sampling (calibration and both interval hits at each of its
 three (R, M)).  Each block prints the wall time of the profiled calls, the
 total function-call count and the top 25 entries by cumulative time.  The
-criterion-7 block also prints how many family indices were built, counted by
-the code objects of FamilyIndex.__init__ and of law.family_law (one per
-LawIndex); how many flip rotations ran, counted by the code object of
-levels._grover, beside the Grover rounds they stand for, the sum of the
-runs' ledger check_calls; and the process's peak resident set (ru_maxrss)
-after it, so an index that outlives its run shows as memory.  The
+criterion-7 block writes each run's report_json(), as `cwl simulate` does,
+and also prints how many family indices were built, counted by the code
+objects of FamilyIndex.__init__ and of law.family_law (one per LawIndex);
+how many flip rotations ran, counted by the code object of levels._grover,
+beside the Grover rounds they stand for, the sum of the runs' ledger
+check_calls; report_json's calls and cumulative time, found by its code
+object; and the process's peak resident set (ru_maxrss) after it, so an
+index that outlives its run shows as memory.  The
 criterion-3 block also prints the peak of the memory that tracemalloc traces
 (numpy's arrays among it) over one more, unprofiled call of the 45 spectra,
 so the tracing does not touch the profiled wall time.  The criterion-4
@@ -42,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path)
 
-from chainwalk.chain import ChainConfig, run  # noqa: E402
+from chainwalk.chain import ChainConfig, ChainResult, run  # noqa: E402
 from chainwalk.extraction import FamilyIndex  # noqa: E402
 from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
 from chainwalk.law import family_law  # noqa: E402
@@ -58,12 +60,15 @@ CRITERION_4_SAMPLES = 100_000
 
 
 def criterion_7_runs() -> int:
-    """The 20 runs; returns the Grover rounds they charge (check_calls)."""
-    return sum(
-        run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
-                        max_outer_iterations=64)).ledger.check_calls
-        for m, seed, k in CRITERION_7
-    )
+    """The 20 runs, each writing its report as `cwl simulate` does; returns
+    the Grover rounds they charge (check_calls)."""
+    rounds = 0
+    for m, seed, k in CRITERION_7:
+        result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
+                                 max_outer_iterations=64))
+        result.report_json()
+        rounds += result.ledger.check_calls
+    return rounds
 
 
 def criterion_3_spectra() -> None:
@@ -105,20 +110,23 @@ def traced_peak_mib(workload) -> float:
         tracemalloc.stop()
 
 
-def call_count(stats: pstats.Stats, function) -> int:
-    """The profile's call count of `function`, found by its code object."""
+def calls_and_time(stats: pstats.Stats, function) -> tuple[int, float]:
+    """The profile's call count and cumulative time of `function`, found by
+    its code object."""
     code = function.__code__
-    _, ncalls, *_ = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name),
-                                    (0, 0))
-    return ncalls
+    _, ncalls, _, cumulative, _ = stats.stats.get(
+        (code.co_filename, code.co_firstlineno, code.co_name), (0, 0, 0.0, 0.0, None))
+    return ncalls, cumulative
 
 
 def main() -> None:
     stats, _, rounds = profile(criterion_7_runs)
-    print(f"FamilyIndex builds: {call_count(stats, FamilyIndex.__init__)}; "
-          f"LawIndex builds: {call_count(stats, family_law)} family laws")
-    print(f"levels._grover calls: {call_count(stats, _grover)}, "
+    print(f"FamilyIndex builds: {calls_and_time(stats, FamilyIndex.__init__)[0]}; "
+          f"LawIndex builds: {calls_and_time(stats, family_law)[0]} family laws")
+    print(f"levels._grover calls: {calls_and_time(stats, _grover)[0]}, "
           f"standing for {rounds} Grover rounds (ledger check_calls)")
+    reports, report_s = calls_and_time(stats, ChainResult.report_json)
+    print(f"ChainResult.report_json calls: {reports}, cumulative {report_s:.3f} s")
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"ru_maxrss after criterion_7_runs: {peak:.1f} MiB\n")
