@@ -37,8 +37,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
-import numpy as np
-
+from ._stream import Stream, Uniform
 from .amplify import FlipStats, Want
 from .errors import (
     CapacityError,
@@ -388,7 +387,7 @@ def extraction_step(
     state: Levels,
     family: VertexFamily,
     plan: IntervalPlan,
-    rng: np.random.Generator,
+    rng: Uniform,
     ledger: CostLedger,
     fn: FunctionTable,
     trace: Optional[List[dict]] = None,
@@ -428,7 +427,7 @@ def walk_step(
     state: Levels,
     family: VertexFamily,
     plan: IntervalPlan,
-    rng: np.random.Generator,
+    rng: Uniform,
     ledger: CostLedger,
 ):
     """Dense-regime walk: push the interval from [E-T, E] up to [E+1, E+T].
@@ -507,7 +506,7 @@ def run(config: ChainConfig) -> ChainResult:
     """
     params = config.params
     fn = generate_function(params, config.seed)
-    rng = np.random.default_rng([config.seed, 1])
+    rng = Stream([config.seed, 1])
     ledger = CostLedger(
         predicted_total=predict_cost(params, float(config.ell), "new").total
     )

@@ -70,6 +70,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ._stream import Uniform
 from .amplify import FlipStats, Want, flip_rounds
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import (
@@ -175,7 +176,7 @@ def _running_sum(weight: float, count: int) -> float:
     return total
 
 
-def _measure(state: Levels, table: list, rng: np.random.Generator):
+def _measure(state: Levels, table: list, rng: Uniform):
     amps, sizes = state.amps, state.index.sizes
     # a label's weight summed in count order, as _collapse's np.bincount
     # sums a label's entries in order
@@ -191,7 +192,7 @@ def _measure(state: Levels, table: list, rng: np.random.Generator):
     return chosen, Levels(state.index, kept)
 
 
-def measure(state: Levels, label: Callable[[int], object], rng: np.random.Generator):
+def measure(state: Levels, label: Callable[[int], object], rng: Uniform):
     """statevector.measure of the register label(count): (outcome, collapsed)."""
     return _measure(state, state.index.per_count(label), rng)
 
@@ -220,7 +221,7 @@ def flip(
     state: Levels,
     good: Callable[[int], bool],
     want: Want,
-    rng: np.random.Generator,
+    rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
     """amplify.flip against the index's uniform axis, good(count) marking the
     good vertices, on amplify.flip_rounds' plan for the axis's good mass:
@@ -269,7 +270,7 @@ def hop_out(
     state: Levels,
     cls: frozenset,
     cell: Callable[[int], object],
-    rng: np.random.Generator,
+    rng: Uniform,
 ) -> Tuple[Levels, frozenset, FlipStats]:
     """extraction.hop: flip a state uniform over the count class cls off it,
     then measure cell(count).  Returns the state, the class of counts outside
@@ -284,7 +285,7 @@ def repair(
     state: Levels,
     family: VertexFamily,
     target_hi: int,
-    rng: np.random.Generator,
+    rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
     """extraction.correct_interval: widen a state over [lo, b] back to
     [lo, target_hi] by hops from the classes extraction.repair_classes
@@ -304,7 +305,7 @@ def repair(
 
 
 def extract_once(
-    state: Levels, family: VertexFamily, rng: np.random.Generator
+    state: Levels, family: VertexFamily, rng: Uniform
 ) -> ExtractionOutcome:
     """extraction.extract_once on a state uniform over the family's class.
 
@@ -363,7 +364,7 @@ def extract_once(
 def extract_tuple(
     state: Levels,
     family: VertexFamily,
-    rng: np.random.Generator,
+    rng: Uniform,
     trace: Optional[List[dict]] = None,
 ) -> Tuple[ExtractionOutcome, FlipStats]:
     """Repeat padded measurements until a tuple comes out.

@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from operator import index
+from typing import Optional
 
 import numpy as np
 
+from ._stream import integers
 from .errors import (
     CapacityError,
     DomainError,
@@ -58,27 +61,30 @@ class Params:
 class FunctionTable:
     """Explicit value table for f with a thread-safe query counter.
 
-    The table itself is immutable: `values()` is a read-only int64 array and
-    `images` the same values as a tuple of Python ints.  `query_count` only
-    reflects counted accesses: per-point `query` calls and bulk `charge`
-    amounts.
+    The table itself is immutable: `images` holds its values as a tuple of
+    Python ints, and `values()` the same values as a read-only int64 array,
+    built on its first call.  `query_count` only reflects counted accesses:
+    per-point `query` calls and bulk `charge` amounts.
     """
 
     def __init__(self, params: Params, values) -> None:
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.shape != (params.domain_size,):
+        # Python ints, which a point lookup or a scan over the domain indexes
+        # faster than numpy scalars; an array is read through tolist(), and
+        # the caller's values are copied, never kept
+        listed = values.tolist() if hasattr(values, "tolist") else values
+        try:
+            images = tuple(map(index, listed))
+        except TypeError:
+            raise ParameterError("table values must be integers, one per domain point") from None
+        if len(images) != params.domain_size:
             raise ParameterError(
-                f"table needs {params.domain_size} entries, got shape {arr.shape}"
+                f"table needs {params.domain_size} entries, got {len(images)}"
             )
-        images = tuple(arr.tolist())
         if images and (min(images) < 0 or max(images) >= params.codomain_size):
             raise ParameterError("table value out of codomain range")
-        arr.setflags(write=False)
         self.params = params
-        self._values = arr
-        # a point lookup or a scan over the domain indexes these Python ints
-        # instead of numpy scalars
         self.images = images
+        self._values: Optional[np.ndarray] = None
         self._count = 0
         self._lock = threading.Lock()
 
@@ -110,15 +116,18 @@ class FunctionTable:
             self._count += amount
 
     def values(self) -> np.ndarray:
-        """Read-only view of the full table."""
+        """The full table as a read-only int64 array."""
+        if self._values is None:
+            values = np.array(self.images, dtype=np.int64)
+            values.setflags(write=False)
+            self._values = values
         return self._values
 
 
 def generate_function(params: Params, seed: int) -> FunctionTable:
-    """Draw a uniformly random table, reproducible from the integer seed."""
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, params.codomain_size, size=params.domain_size, dtype=np.int64)
-    return FunctionTable(params, values)
+    """Draw a uniformly random table, reproducible from the integer seed: the
+    values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64)."""
+    return FunctionTable(params, integers(seed, params.m, params.domain_size))
 
 
 class CollisionTable:

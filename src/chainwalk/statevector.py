@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from ._stream import Uniform
 from .errors import ContractViolationError, ValidationError
 
 PRUNE_EPS = 1e-12
@@ -305,10 +306,12 @@ def reflect_about_predicate(state: State, flip: Labels) -> State:
     return State._build(state.basis, np.where(state.mask(flip), -state.vector, state.vector))
 
 
-def _draw_label(weights: Sequence[float], rng: np.random.Generator) -> int:
+def _draw_label(weights: Sequence[float], rng: Uniform) -> int:
     """The label one uniform draw selects, given the labels' weights in sorted
     label order: the first whose cumulative weight exceeds the draw, else the
-    last.  A zero-weight label is never selected before the fallback."""
+    last.  A zero-weight label is never selected before the fallback.  It
+    reads only `rng.random()`, so a numpy Generator and the run's Stream
+    serve alike."""
     draw = float(rng.random())
     acc = 0.0
     for label_id, weight in enumerate(weights):

@@ -4,6 +4,9 @@ import enum
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +499,24 @@ def test_report_encoder_refuses_what_json_refuses(value):
         with pytest.raises(TypeError) as theirs:
             json.dumps(doc, sort_keys=True, indent=2)
         assert str(ours.value) == str(theirs.value)
+
+
+def test_run_in_a_fresh_interpreter_imports_no_numpy_random():
+    # the run path draws its table and measurement stream without numpy's
+    # Generator, so a run alone never imports numpy.random
+    m, seed, k = CHAIN_INSTANCES[0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "from chainwalk.chain import ChainConfig, run",
+        "from chainwalk.oracle import Params",
+        f"config = ChainConfig(params=Params(n=4, m={m}, k={k}), ell=3, seed={seed},"
+        " max_outer_iterations=64)",
+        "sys.stdout.write(run(config).report_json())",
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'",
+    ])
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    config = ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed, max_outer_iterations=64)
+    assert fresh.stdout == run(config).report_json()

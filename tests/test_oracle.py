@@ -198,3 +198,20 @@ def test_restrict_capacity_limit():
     table = CollisionTable().insert(fn, 0, (0, 1))
     with pytest.raises(CapacityError):
         restrict(fn, table)
+
+
+def test_function_table_copies_the_callers_array():
+    values = np.arange(8, dtype=np.int64)
+    fn = FunctionTable(Params(n=3, m=3, k=0), values)
+    assert values.flags.writeable
+    values[0] = 7
+    assert not fn.values().flags.writeable
+    assert fn.values().tolist() == list(fn.images) == list(range(8))
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros((8, 1), dtype=np.int64), [0.0] * 8, np.zeros(8), [0] * 7, [0] * 7 + [8],
+])
+def test_function_table_refuses_what_is_not_a_table(values):
+    with pytest.raises(ParameterError):
+        FunctionTable(Params(n=3, m=3, k=0), values)
