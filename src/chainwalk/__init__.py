@@ -1,135 +1,7 @@
-"""Exact desk-scale simulator for chained-walk multiple collision search."""
+"""Exact desk-scale simulator for chained-walk multiple collision search.
 
-from .amplify import (
-    AmplitudeDecomposition,
-    FlipStats,
-    Want,
-    decompose,
-    flip,
-    grover_iterate,
-    iteration_count,
-)
-from .chain import (
-    ChainConfig,
-    ChainResult,
-    ChainStatus,
-    CostLedger,
-    CostPrediction,
-    optimal_ell,
-    predict_cost,
-    run,
-)
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DomainError,
-    FlaggedInstanceError,
-    ImpossibleTargetError,
-    ParameterError,
-    SimulationError,
-    ValidationError,
-)
-from .extraction import (
-    ExtractionOutcome,
-    FamilyIndex,
-    VertexFamily,
-    check_uniform_class,
-    correct_interval,
-    extract_once,
-    pad_and_attach,
-)
-from .johnson import (
-    JohnsonGraph,
-    WalkSpectrum,
-    closed_form_gap,
-    spectral_gap,
-    vertex_data,
-    walk_operator_spectrum,
-)
-from .oracle import (
-    CollisionTable,
-    FunctionTable,
-    Params,
-    RestrictedFunction,
-    enumerate_multicollisions,
-    generate_function,
-    restrict,
-)
-from .regimes import RegimePoint, TradeoffPoint, evaluate, region_grid, tradeoff_curve
-from .statevector import (
-    State,
-    measure,
-    states_close,
-    uniform_state,
-)
-from .stats import (
-    IntervalPlan,
-    calibrate_constant,
-    interval_hit_probability,
-    multicollision_size_bound,
-    sample_collision_counts,
-    verify_stats_report,
-)
+The package root defines only `__version__`; every other name is imported
+from its module, for example `from chainwalk.chain import ChainConfig, run`.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmplitudeDecomposition",
-    "CapacityError",
-    "ChainConfig",
-    "ChainResult",
-    "ChainStatus",
-    "CollisionTable",
-    "ContractViolationError",
-    "CostLedger",
-    "CostPrediction",
-    "DomainError",
-    "ExtractionOutcome",
-    "FamilyIndex",
-    "FlaggedInstanceError",
-    "FlipStats",
-    "FunctionTable",
-    "ImpossibleTargetError",
-    "IntervalPlan",
-    "JohnsonGraph",
-    "ParameterError",
-    "Params",
-    "RegimePoint",
-    "RestrictedFunction",
-    "SimulationError",
-    "State",
-    "TradeoffPoint",
-    "ValidationError",
-    "VertexFamily",
-    "WalkSpectrum",
-    "Want",
-    "calibrate_constant",
-    "check_uniform_class",
-    "closed_form_gap",
-    "correct_interval",
-    "decompose",
-    "enumerate_multicollisions",
-    "evaluate",
-    "extract_once",
-    "flip",
-    "generate_function",
-    "grover_iterate",
-    "interval_hit_probability",
-    "iteration_count",
-    "measure",
-    "multicollision_size_bound",
-    "optimal_ell",
-    "pad_and_attach",
-    "predict_cost",
-    "region_grid",
-    "restrict",
-    "run",
-    "sample_collision_counts",
-    "spectral_gap",
-    "states_close",
-    "tradeoff_curve",
-    "uniform_state",
-    "vertex_data",
-    "verify_stats_report",
-    "walk_operator_spectrum",
-]

@@ -12,14 +12,15 @@ float64 through every round and measurement; a complex state or axis makes
 the rounds complex.
 
 `flip` drives rounds of iterate-then-measure until the projective flag
-measurement lands on the wanted side.  Inputs are expected to lie in
-span{B, G} (uniform class states always do); the returned state is then
-exactly the renormalized wanted projection of the axis.  A flip first
-refuses an axis with no key on the wanted side, counted exactly, since a
-float mass can round short of 0 or 1 there and the flip would never land.
-What it then does with its axis's good mass, whether the wanted amplitude
-is too small, whether to measure fresh axes and how many rounds to rotate
-by, is decided in one place, `flip_rounds`, which levels.flip reads too.
+measurement lands on the wanted side, for at most MAX_TRANSITIONS attempts.
+Inputs are expected to lie in span{B, G} (uniform class states always do);
+the returned state is then exactly the renormalized wanted projection of the
+axis.  A flip first refuses an axis with no key on the wanted side, counted
+exactly, since a float mass can round short of 0 or 1 there and the flip
+would never land.  What it then does with its axis's good mass, whether the
+wanted amplitude is too small, whether to measure fresh axes and how many
+rounds to rotate by, is decided in one place, `flip_rounds`, which
+levels.flip reads too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ImpossibleTargetError, ParameterError
+from .errors import ImpossibleTargetError, ParameterError, SimulationError
 from .statevector import (
     Labels,
     State,
@@ -43,6 +44,8 @@ from .statevector import (
 
 _HALF = 1.0 / math.sqrt(2.0)
 _ZERO_AMP = 1e-12
+# Bound on measure-and-flip rounds in any flip, extraction, repair or walk loop.
+MAX_TRANSITIONS = 10_000
 
 
 class Want(Enum):
@@ -167,7 +170,8 @@ def flip(
     and every flag measurement use.  The plan is flip_rounds' on the axis's
     good mass: each attempt rotates the state by its rounds, or measures a
     fresh copy of the axis when it is None.  An axis with no support key on
-    the wanted side raises ImpossibleTargetError, whatever its mass rounds to.
+    the wanted side raises ImpossibleTargetError, whatever its mass rounds to,
+    and SimulationError follows MAX_TRANSITIONS attempts that all miss.
     """
     state, flags = _good_flags(state, good, axis)
     wanted = flags if want is Want.GOOD else ~flags
@@ -175,7 +179,7 @@ def flip(
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     rounds = flip_rounds(axis.probability(flags), want)
     stats = FlipStats()
-    while True:
+    for _ in range(MAX_TRANSITIONS):
         stats.attempts += 1
         if rounds is None:
             state = axis
@@ -186,3 +190,6 @@ def flip(
         if outcome == (want is Want.GOOD):
             return state, stats
         stats.restarts += 1
+    raise SimulationError(
+        f"flip did not land on {want.value} in {MAX_TRANSITIONS} measurements"
+    )

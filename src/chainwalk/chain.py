@@ -38,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from ._stream import Stream, Uniform
-from .amplify import FlipStats, Want
+from .amplify import MAX_TRANSITIONS, FlipStats, Want
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
     SimulationError,
 )
-from .extraction import MAX_TRANSITIONS, VertexFamily, in_range
+from .extraction import VertexFamily, in_range
 from .johnson import closed_form_gap
 from .law import LawIndex
 from .oracle import (

@@ -15,6 +15,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -57,22 +58,22 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Optional[str], header: str, rows) -> None:
+    """Write `header` and one comma-joined line per row: a bool as true or
+    false, a float through _fmt and any other cell through str."""
+    lines = [header] + [",".join(_cell(value) for value in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def _cmd_regimes(args) -> int:
     rows = regimes.region_grid(args.step)
-    lines = ["m_hat,k_hat,prior_best,this_paper,improved"]
-    for m_hat, k_hat, prior_best, this_paper, improved in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(m_hat),
-                    _fmt(k_hat),
-                    _fmt(prior_best),
-                    _fmt(this_paper),
-                    "true" if improved else "false",
-                ]
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, "m_hat,k_hat,prior_best,this_paper,improved", rows)
     return 0
 
 
@@ -94,19 +95,7 @@ def _cmd_verify_stats(args) -> int:
         args.big_r, args.big_m, args.samples, rng, threads=args.threads
     )
     header = "R,M,samples,mean_Z,var_Z,c_hat,p_upper,p_lower"
-    row = ",".join(
-        [
-            str(report["R"]),
-            str(report["M"]),
-            str(report["samples"]),
-            _fmt(report["mean_Z"]),
-            _fmt(report["var_Z"]),
-            _fmt(report["c_hat"]),
-            _fmt(report["p_upper"]),
-            _fmt(report["p_lower"]),
-        ]
-    )
-    _write_text(args.out, header + "\n" + row + "\n")
+    _write_csv(args.out, header, [[report[key] for key in header.split(",")]])
     return 0
 
 
@@ -114,27 +103,16 @@ def _cmd_spectrum(args) -> int:
     graph = johnson.JohnsonGraph(tuple(range(args.big_n)), args.big_r)
     delta_closed = johnson.closed_form_gap(args.big_n, args.big_r)
     spectrum = johnson.walk_operator_spectrum(graph)
-    header = "N,R,delta_eigen,delta_closed,phase_gap,sqrt_delta"
-    row = ",".join(
-        [
-            str(args.big_n),
-            str(args.big_r),
-            _fmt(spectrum.delta),
-            _fmt(delta_closed),
-            _fmt(spectrum.phase_gap),
-            _fmt(float(np.sqrt(max(delta_closed, 0.0)))),
-        ]
-    )
-    _write_text(args.out, header + "\n" + row + "\n")
+    row = [args.big_n, args.big_r, spectrum.delta, delta_closed, spectrum.phase_gap,
+           math.sqrt(max(delta_closed, 0.0))]
+    _write_csv(args.out, "N,R,delta_eigen,delta_closed,phase_gap,sqrt_delta", [row])
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
     points = regimes.tradeoff_curve(args.mhat, args.khat, args.steps)
-    lines = ["ell_hat,time_exponent"]
-    for point in points:
-        lines.append(_fmt(point.ell_hat) + "," + _fmt(point.time_exponent))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [(point.ell_hat, point.time_exponent) for point in points]
+    _write_csv(args.out, "ell_hat,time_exponent", rows)
     return 0
 
 

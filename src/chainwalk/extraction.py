@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .amplify import FlipStats, Want, flip
+from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip
 from .errors import (
     ContractViolationError,
     FlaggedInstanceError,
@@ -88,8 +88,6 @@ if TYPE_CHECKING:
 _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
-# Bound on measure-and-flip rounds in any extraction, repair or walk loop.
-MAX_TRANSITIONS = 10_000
 
 
 def tuple_token(image: int, preimages) -> bytes:

@@ -71,11 +71,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._stream import Uniform
-from .amplify import FlipStats, Want, flip_rounds
+from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_rounds
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import (
     _UNIFORM_TOL,
-    MAX_TRANSITIONS,
     ExtractionOutcome,
     VertexFamily,
     _row_tuple,
@@ -227,7 +226,8 @@ def flip(
     good vertices, on amplify.flip_rounds' plan for the axis's good mass:
     rounds of iterate-then-measure until the flag measurement lands on
     `want`, or fresh axis measurements when the plan is None.  A wanted side
-    with no vertex raises ImpossibleTargetError, whatever the mass rounds to."""
+    with no vertex raises ImpossibleTargetError, whatever the mass rounds to,
+    and SimulationError follows MAX_TRANSITIONS attempts that all miss."""
     index = state.index
     flags = [bool(good(c)) for c in range(len(index.sizes))]
     unit = 1.0 / math.sqrt(index.total)
@@ -236,7 +236,7 @@ def flip(
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     rounds = flip_rounds(_running_sum(unit * unit, good_size), want)
     stats = FlipStats()
-    while True:
+    for _ in range(MAX_TRANSITIONS):
         stats.attempts += 1
         if rounds is None:
             state = Levels.uniform(index)
@@ -247,6 +247,9 @@ def flip(
         if outcome == (want is Want.GOOD):
             return state, stats
         stats.restarts += 1
+    raise SimulationError(
+        f"flip did not land on {want.value} in {MAX_TRANSITIONS} measurements"
+    )
 
 
 def check_class(state: Levels, family: VertexFamily) -> None:

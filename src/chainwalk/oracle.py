@@ -9,7 +9,6 @@ not counted.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from operator import index
@@ -196,18 +195,6 @@ class CollisionTable:
         out._entries = dict(self._entries)
         out._entries[int(image)] = pre
         return out
-
-    def to_json(self) -> str:
-        rows = [
-            {"image": image, "preimages": list(pre)}
-            for image, pre in self._entries.items()
-        ]
-        return json.dumps(rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CollisionTable":
-        """Parse a table, rejecting every tuple `insert` refuses without a function."""
-        return cls((row["image"], row["preimages"]) for row in json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line front end tests, run in process through main(), and the
 import footprint of a fresh process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -116,25 +117,56 @@ def test_tradeoff_to_stdout(capsys):
     assert float(first[1]) == pytest.approx(0.3 + 0.7)
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["regimes", "--step", "0.1"],
+         "a443337202fd6b7d453abd8458bd457390a8933c70a12a8759bc6b9e49f793a6"),
+        (["tradeoff", "--mhat", "1.4", "--khat", "0.3", "--steps", "50"],
+         "36fd44453fdb4cf676b8b096ad10ca968c11f043aa8d20984d3b14d7683b80ff"),
+        (["verify-stats", "--R", "16", "--M", "256", "--samples", "5000", "--seed", "5"],
+         "a50c23026328c61dff603e45dfa63e8a74daf52ef13b6460c65a4458e1263604"),
+    ],
+)
+def test_csv_bytes_pinned(argv, digest, capsys):
+    # the sha256 of each table's stdout; spectrum is left out, since its
+    # eigensolver's last bits can differ between BLAS builds
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 1
 
 
-def test_import_loads_no_scipy():
-    """Every cwl call and every import of the package pays for what the
-    package imports at module level; scipy is a test-only reference."""
+def _fresh_modules(imports: str, *packages: str) -> str:
+    """The modules of `packages` loaded in a fresh interpreter after
+    `imports`, as the printed sorted list."""
     src = str(Path(chainwalk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     probe = (
-        "import chainwalk, chainwalk.cli, sys; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"{imports}; import sys; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    """Every cwl call and every import of the package pays for what the
+    package imports at module level; scipy is a test-only reference."""
+    assert _fresh_modules("import chainwalk, chainwalk.cli", "scipy") == "[]"
+
+
+def test_package_root_imports_no_submodule():
+    """The package root defines only __version__, so importing it loads no
+    chainwalk submodule and no numpy."""
+    assert _fresh_modules("import chainwalk", "chainwalk", "numpy") == "['chainwalk']"

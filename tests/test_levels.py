@@ -23,6 +23,7 @@ from chainwalk.errors import (
     FlaggedInstanceError,
     ImpossibleTargetError,
     ParameterError,
+    SimulationError,
     ValidationError,
 )
 from chainwalk.extraction import (
@@ -165,6 +166,32 @@ def test_flip_toward_an_empty_side_is_refused(want, good):
     assert axis.probability(np.ones(family_index.total, bool)) == 0.9999999999999983
     _raises_within(10, ImpossibleTargetError,
                    lambda: vector_flip(axis, family_index.by_count(good), axis, want, rng))
+
+
+class _ZeroStream:
+    """A stream whose every draw is 0.0, so each measurement gives the first
+    label in sorted order."""
+
+    def random(self):
+        return 0.0
+
+
+def test_flip_that_never_lands_raises():
+    """eight_point's R = 4 family with counts 1 and 2 good: 42 of 70
+    vertices, so a GOOD flip measures fresh axes.  Labels sort False first,
+    so under zero draws every attempt lands on the bad side, and both flips
+    give up after MAX_TRANSITIONS attempts, on either kind of index and on
+    the vector path."""
+    _, restriction = eight_point()
+    good = lambda c: c >= 1
+    family_index = FamilyIndex(restriction, 4)
+    for index in (family_index, LawIndex(restriction, 4)):
+        assert index.sizes == [28, 39, 3]
+        _raises_within(30, SimulationError,
+                       lambda: flip(Levels.uniform(index), good, Want.GOOD, _ZeroStream()))
+    axis = family_index.axis_state()
+    _raises_within(30, SimulationError, lambda: vector_flip(
+        axis, family_index.by_count(good), axis, Want.GOOD, _ZeroStream()))
 
 
 def _half_axis():

@@ -1,7 +1,5 @@
 """Tests for the function-table oracle layer."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -105,7 +103,7 @@ def test_birthday_mean_matches_closed_form():
     assert abs(counts.mean() - expected) <= 4.0 * sigma
 
 
-def test_collision_table_insert_and_json_round_trip():
+def test_collision_table_insert_and_round_trip():
     fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 1, 1, 2, 3, 4, 5])
     table = CollisionTable()
     assert len(table) == 0
@@ -115,32 +113,11 @@ def test_collision_table_insert_and_json_round_trip():
     assert t1.preimages(0) == (0, 1)
     assert 0 in t1
     t2 = t1.insert(fn, 1, (2, 3))
-    blob = t2.to_json()
-    parsed = json.loads(blob)
-    assert parsed == [
-        {"image": 0, "preimages": [0, 1]},
-        {"image": 1, "preimages": [2, 3]},
-    ]
-    back = CollisionTable.from_json(blob)
+    assert list(t2.items()) == [(0, (0, 1)), (1, (2, 3))]
+    back = CollisionTable(t2.items())
     assert back == t2
     assert back.images() == frozenset({0, 1})
     assert back.all_preimages() == frozenset({0, 1, 2, 3})
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [{"image": 5, "preimages": [1]}],                      # fewer than 2 points
-        [{"image": 6, "preimages": [1, 1, 2]}],                # repeated preimage
-        [{"image": 5, "preimages": [1, 2]},
-         {"image": 6, "preimages": [2, 3]}],                   # point under two images
-        [{"image": 5, "preimages": [1, 2]},
-         {"image": 5, "preimages": [3, 4]}],                   # image recorded twice
-    ],
-)
-def test_collision_table_from_json_rejects_invalid_tuples(rows):
-    with pytest.raises(ValidationError):
-        CollisionTable.from_json(json.dumps(rows))
 
 
 @pytest.mark.parametrize(

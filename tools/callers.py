@@ -4,8 +4,8 @@ tests uses.
 A definition is a top-level function, class or assigned name of a module in
 src/chainwalk.  It counts as used when its name is read (a plain name or an
 attribute) anywhere in src/, tools/, perfbench/ or tests/test_acceptance.py,
-outside its own definition.  Imports, re-exports and __all__ entries are not
-uses, so an exported function that no code calls is listed.  Names are matched
+outside its own definition.  Imports are not uses, so an imported function
+that no code calls is listed.  Names are matched
 without their module, so a name defined in two modules counts as used by a
 read of either.  A listed name that tests/test_acceptance.py imports is marked,
 since that file's imports must keep resolving.
@@ -80,7 +80,7 @@ def defined_names(node: ast.stmt) -> list[str]:
         return [node.name]
     if isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        return [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
     return []
 
 
