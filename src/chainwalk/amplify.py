@@ -12,15 +12,15 @@ float64 through every round and measurement; a complex state or axis makes
 the rounds complex.
 
 `flip` drives rounds of iterate-then-measure until the projective flag
-measurement lands on the wanted side, for at most MAX_TRANSITIONS attempts.
+measurement lands on the wanted side, for at most `flip_attempts` attempts.
 Inputs are expected to lie in span{B, G} (uniform class states always do);
 the returned state is then exactly the renormalized wanted projection of the
 axis.  A flip first refuses an axis with no key on the wanted side, counted
 exactly, since a float mass can round short of 0 or 1 there and the flip
 would never land.  What it then does with its axis's good mass, whether the
 wanted amplitude is too small, whether to measure fresh axes and how many
-rounds to rotate by, is decided in one place, `flip_rounds`, which
-levels.flip reads too.
+rounds to rotate by, is decided in one place, `flip_rounds`, and how many
+attempts to make in `flip_attempts`; levels.flip reads both.
 """
 
 from __future__ import annotations
@@ -156,6 +156,29 @@ def flip_rounds(good_mass: float, want: Want) -> Optional[int]:
     return max(1, iteration_count(dec.alpha)) if dec.alpha > _ZERO_AMP else 1
 
 
+def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:
+    """The attempts a flip on flip_rounds' plan makes before it gives up:
+    MAX_TRANSITIONS over the chance p that one attempt lands after a miss,
+    so that a flip on a uniform stream misses them all with probability
+    (1 - p)^(MAX_TRANSITIONS / p) < e^-MAX_TRANSITIONS.
+
+    A miss leaves the state on the unwanted side, at angle 0 (a missed GOOD)
+    or pi/2 (a missed BAD) in Grover's plane, and the plan's rounds turn it
+    by 2 rounds theta, so p = sin^2(2 rounds theta) whichever side is
+    wanted; under a None plan every attempt measures a fresh axis, so p is
+    the good mass.  A BAD flip one round from an almost wholly good axis has
+    p about 4 times the bad mass, as small as 1.6e-5 on a family at the
+    enumeration cap.  At p = 0, a BAD flip on an axis with no good mass,
+    every state in the plane is bad, the first attempt lands, and the bound
+    is MAX_TRANSITIONS.
+    """
+    if rounds is None:
+        land = good_mass
+    else:
+        land = math.sin(2 * rounds * split(good_mass).theta) ** 2
+    return math.ceil(MAX_TRANSITIONS / land) if land > 0.0 else MAX_TRANSITIONS
+
+
 def flip(
     state: State,
     good: Labels,
@@ -171,15 +194,17 @@ def flip(
     good mass: each attempt rotates the state by its rounds, or measures a
     fresh copy of the axis when it is None.  An axis with no support key on
     the wanted side raises ImpossibleTargetError, whatever its mass rounds to,
-    and SimulationError follows MAX_TRANSITIONS attempts that all miss.
+    and SimulationError follows flip_attempts' attempts that all miss.
     """
     state, flags = _good_flags(state, good, axis)
     wanted = flags if want is Want.GOOD else ~flags
     if not wanted[axis.live].any():
         raise ImpossibleTargetError(f"axis has no {want.value} component")
-    rounds = flip_rounds(axis.probability(flags), want)
+    good_mass = axis.probability(flags)
+    rounds = flip_rounds(good_mass, want)
+    attempts = flip_attempts(good_mass, rounds)
     stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
+    for _ in range(attempts):
         stats.attempts += 1
         if rounds is None:
             state = axis
@@ -191,5 +216,5 @@ def flip(
             return state, stats
         stats.restarts += 1
     raise SimulationError(
-        f"flip did not land on {want.value} in {MAX_TRANSITIONS} measurements"
+        f"flip did not land on {want.value} in {attempts} measurements"
     )

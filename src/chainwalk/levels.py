@@ -71,7 +71,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._stream import Uniform
-from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_rounds
+from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_attempts, flip_rounds
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import (
     _UNIFORM_TOL,
@@ -227,16 +227,19 @@ def flip(
     rounds of iterate-then-measure until the flag measurement lands on
     `want`, or fresh axis measurements when the plan is None.  A wanted side
     with no vertex raises ImpossibleTargetError, whatever the mass rounds to,
-    and SimulationError follows MAX_TRANSITIONS attempts that all miss."""
+    and SimulationError follows amplify.flip_attempts' attempts that all
+    miss."""
     index = state.index
     flags = [bool(good(c)) for c in range(len(index.sizes))]
     unit = 1.0 / math.sqrt(index.total)
     good_size = sum(size for size, flag in zip(index.sizes, flags) if flag)
     if good_size == (0 if want is Want.GOOD else index.total):
         raise ImpossibleTargetError(f"axis has no {want.value} component")
-    rounds = flip_rounds(_running_sum(unit * unit, good_size), want)
+    good_mass = _running_sum(unit * unit, good_size)
+    rounds = flip_rounds(good_mass, want)
+    attempts = flip_attempts(good_mass, rounds)
     stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
+    for _ in range(attempts):
         stats.attempts += 1
         if rounds is None:
             state = Levels.uniform(index)
@@ -248,7 +251,7 @@ def flip(
             return state, stats
         stats.restarts += 1
     raise SimulationError(
-        f"flip did not land on {want.value} in {MAX_TRANSITIONS} measurements"
+        f"flip did not land on {want.value} in {attempts} measurements"
     )
 
 

@@ -17,9 +17,11 @@ from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import CollisionTable, Params, generate_function, restrict
 from chainwalk.statevector import State, states_close, uniform_state
 from chainwalk.amplify import (
+    MAX_TRANSITIONS,
     Want,
     decompose,
     flip,
+    flip_attempts,
     flip_rounds,
     grover_iterate,
     iteration_count,
@@ -184,6 +186,22 @@ def test_flip_rounds_edges():
     for mass, want in [(0.0, Want.GOOD), (1e-24, Want.GOOD), (1.0, Want.BAD)]:
         with pytest.raises(ImpossibleTargetError):
             flip_rounds(mass, want)
+
+
+def test_flip_attempts_follow_the_landing_chance():
+    """MAX_TRANSITIONS over the chance that an attempt lands after a miss:
+    the good mass when fresh axes are measured, sin^2(2 rounds theta) when
+    the plan rotates, and MAX_TRANSITIONS when that chance is 0."""
+    assert flip_attempts(0.6, None) == math.ceil(MAX_TRANSITIONS / 0.6)
+    # one round from mass 3/4: theta = pi/3, sin^2(2 pi/3) = 3/4
+    assert flip_attempts(0.75, flip_rounds(0.75, Want.BAD)) == 13_334
+    # one round from mass 1 - q lands with chance 4q(1 - q)
+    q = 1.0 / 130816
+    assert flip_attempts(1.0 - q, 1) == 327_042_501
+    assert flip_attempts(0.0, flip_rounds(0.0, Want.BAD)) == MAX_TRANSITIONS
+    for mass in (0.01, 0.1, 0.3, 0.49):
+        for want in Want:
+            assert flip_attempts(mass, flip_rounds(mass, want)) < 2 * MAX_TRANSITIONS
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chainwalk.amplify import _HALF, FlipStats, Want, flip as vector_flip, grover_iterate, split
+from chainwalk._stream import Stream
+from chainwalk.amplify import MAX_TRANSITIONS, _HALF, FlipStats, Want, flip as vector_flip, grover_iterate, split
 from chainwalk.chain import CostLedger, _delta_for, extraction_step, walk_step
 from chainwalk.errors import (
     FlaggedInstanceError,
@@ -47,7 +48,7 @@ from chainwalk.levels import (
 )
 from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
 from chainwalk.stats import IntervalPlan
-from chainwalk.statevector import measure
+from chainwalk.statevector import State, measure
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
 from test_extraction import eight_point, four_pair
 
@@ -180,8 +181,8 @@ def test_flip_that_never_lands_raises():
     """eight_point's R = 4 family with counts 1 and 2 good: 42 of 70
     vertices, so a GOOD flip measures fresh axes.  Labels sort False first,
     so under zero draws every attempt lands on the bad side, and both flips
-    give up after MAX_TRANSITIONS attempts, on either kind of index and on
-    the vector path."""
+    give up after flip_attempts' bound, ceil(10000 / (42/70)) attempts, on
+    either kind of index and on the vector path."""
     _, restriction = eight_point()
     good = lambda c: c >= 1
     family_index = FamilyIndex(restriction, 4)
@@ -192,6 +193,28 @@ def test_flip_that_never_lands_raises():
     axis = family_index.axis_state()
     _raises_within(30, SimulationError, lambda: vector_flip(
         axis, family_index.by_count(good), axis, Want.GOOD, _ZeroStream()))
+
+
+def test_flip_with_a_small_landing_chance_lands():
+    """A BAD flip from the good side of an almost wholly good axis: 512
+    points with one colliding pair, R = 2, so 1 of V = 130816 vertices holds
+    a tuple.  The plan rotates one round, and each attempt lands with
+    probability 4q(1 - q), q = 1/V, about 3.1e-5.  Under a uniform stream
+    the flip lands after 20768 attempts, more than MAX_TRANSITIONS, on the
+    law index and on the vector path over the same plane."""
+    fn = FunctionTable(Params(n=9, m=10, k=0), [0] + list(range(511)))
+    index = LawIndex(restrict(fn, CollisionTable()), 2)
+    assert index.sizes == [130815, 1]
+    zero_class = Levels(index, [1.0 / math.sqrt(130815), 0.0])
+    state, stats = flip(zero_class, lambda c: c == 0, Want.BAD, Stream([2, 1]))
+    assert [abs(a) for a in state.amps] == [0.0, 1.0]
+    assert stats.attempts == 20768 > MAX_TRANSITIONS
+    q = 1.0 / 130816
+    axis = State({b"good": math.sqrt(1.0 - q), b"bad": math.sqrt(q)})
+    state, stats = vector_flip(State({b"good": 1.0}), lambda key: key == b"good",
+                               axis, Want.BAD, Stream([2, 1]))
+    assert state.support() == (b"bad",)
+    assert stats.attempts == 20768
 
 
 def _half_axis():
