@@ -5,11 +5,10 @@ u = beta*B + alpha*G where G and B are the normalized good and bad
 components of u.  One amplification round applies (Ref_u . Ref_flip) where
 Ref_flip negates the good amplitudes; in the plane spanned by B and G this is
 a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
-`grover_iterate` runs its rounds on the bare amplitude vector, with the state
-layer's prune and norm check after each round, and builds one State at the
-end.  Every operator here is real, so a real state over a real axis stays
-float64 through every round and measurement; a complex state or axis makes
-the rounds complex.
+`grover_iterate` applies each round as the state layer's two reflections,
+each of which prunes and checks the norm.  Every operator here is real, so a
+real state over a real axis stays float64 through every round and
+measurement; a complex state or axis makes the rounds complex.
 
 `flip` drives rounds of iterate-then-measure until the projective flag
 measurement lands on the wanted side, for at most `flip_attempts` attempts.
@@ -36,9 +35,10 @@ from .errors import ImpossibleTargetError, ParameterError, SimulationError
 from .statevector import (
     Labels,
     State,
-    _settled,
     align,
     measure,
+    reflect_about_predicate,
+    reflect_about_state,
     values_at,
 )
 
@@ -103,27 +103,18 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
     `good` is a key callback or a boolean vector over the axis's basis, read
-    once per key of that basis.  The rounds run on the bare amplitude vector
-    over the axis's basis, and one State is built at the end.  A round negates the amplitudes off the mask, w = -v',
-    where v' is reflect_about_predicate's output, and adds (-2<u, w>) u,
-    which is reflect_about_state's 2<u, v'> u - v' bit for bit: negation is
-    exact, and so is the negated dot product, summed in the same order.
-    Each round ends with the prune and norm check; the flip needs none, as a
-    negation changes no magnitude and every State is already settled.  A
+    once per key of that basis.  Each round is reflect_about_predicate then
+    reflect_about_state, so each ends with their prune and norm check.  A
     real state and a complex axis, or the reverse, run complex rounds.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
     if count == 0:
         return state
-    out, flags = _good_flags(state, good, axis)
-    u = axis.vector
-    vector = out.vector.astype(np.result_type(out.vector, u), copy=False)
+    state, flags = _good_flags(state, good, axis)
     for _ in range(count):
-        reflected = np.where(flags, vector, -vector)
-        reflected += (-2.0 * np.vdot(u, reflected)) * u
-        vector = _settled(reflected)
-    return State._build(axis.basis, vector)
+        state = reflect_about_state(reflect_about_predicate(state, flags), axis)
+    return state
 
 
 def iteration_count(alpha: float) -> int:

@@ -249,12 +249,11 @@ def _append_json(value, pad: str, out: List[str]) -> None:
     """Append the text json.dumps(value, sort_keys=True, indent=2) gives
     `value` to `out`, `pad` being a newline and the indent of value's level.
 
-    Dicts, lists, tuples and the leaves of _LEAF_TEXT are told apart by
-    exact type.  Subclasses of str, int, float, list, tuple and dict are
-    taken in json's isinstance order, so an IntEnum writes as an int and
-    np.float64 as a float.  Any other value raises json's TypeError, and so
-    does a key that is not a str, where json would write an int, float,
-    bool or None key as a string.
+    Dicts, lists and the leaves of _LEAF_TEXT, the types a report holds,
+    are told apart by exact type.  Any other value raises json's TypeError,
+    also a tuple or a subclass such as IntEnum or np.float64, which json
+    would write; so does a key that is not a str, where json would write an
+    int, float, bool or None key as a string.
     """
     cls = type(value)
     if cls is dict:
@@ -274,7 +273,7 @@ def _append_json(value, pad: str, out: List[str]) -> None:
                 out.append(sep + head + text(item))
             sep = "," + inner
         out.append(pad + "}")
-    elif cls is list or cls is tuple:
+    elif cls is list:
         if not value:
             out.append("[]")
             return
@@ -291,16 +290,6 @@ def _append_json(value, pad: str, out: List[str]) -> None:
         out.append(pad + "]")
     elif cls in _LEAF_TEXT:
         out.append(_LEAF_TEXT[cls](value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        _append_json(list(value), pad, out)
-    elif isinstance(value, dict):
-        _append_json(dict(value), pad, out)
     else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
@@ -363,10 +352,7 @@ def _project_window(state, family, plan, rng, ledger):
     """Window-policy entry: amplify onto the vertices holding [E, E+T] tuples."""
     lo, hi = plan.expected_now, plan.expected_now + plan.width
     if state.index.class_size(lo, hi) == 0:
-        raise FlaggedInstanceError(
-            "The instance violates a statistical premise; it is skipped, "
-            f"not patched: no vertices hold [{lo}, {hi}] tuples."
-        )
+        raise FlaggedInstanceError(f"no vertices hold [{lo}, {hi}] tuples.")
     state = _flip_charged(state, family, in_range(lo, hi), Want.GOOD, rng, ledger)
     family = replace(family, lo=lo, hi=hi)
     check_class(state, family)
@@ -401,10 +387,7 @@ def extraction_step(
     is emptied.
     """
     if plan.expected_now < 2:
-        raise FlaggedInstanceError(
-            "The instance violates a statistical premise; it is skipped, "
-            f"not patched: dense extraction needs E >= 2, got {plan.expected_now}."
-        )
+        raise FlaggedInstanceError(f"dense extraction needs E >= 2, got {plan.expected_now}.")
     tuples = []
     for _ in range(plan.width):
         found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
@@ -413,10 +396,7 @@ def extraction_step(
         plan.c * family.big_r ** 2 / family.restriction.codomain_size
     ):
         if family.lo < 1:
-            raise FlaggedInstanceError(
-                "The instance violates a statistical premise; it is skipped, "
-                "not patched: interval re-centering ran out of extractable tuples."
-            )
+            raise FlaggedInstanceError("interval re-centering ran out of extractable tuples.")
         found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
         tuples.append(found)
     new_plan = plan.refreshed(family.big_r, family.restriction.codomain_size)
@@ -445,10 +425,7 @@ def walk_step(
             f"got {family.interval_label()}"
         )
     if state.index.class_size(e_now + 1, e_now + width) == 0:
-        raise FlaggedInstanceError(
-            "The instance violates a statistical premise; it is skipped, "
-            f"not patched: target cell [{e_now + 1}, {e_now + width}] is empty."
-        )
+        raise FlaggedInstanceError(f"target cell [{e_now + 1}, {e_now + width}] is empty.")
 
     def cell_of(count: int) -> int:
         if count < lo_cell:

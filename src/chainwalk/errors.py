@@ -30,4 +30,13 @@ class ContractViolationError(SimulationError):
 
 
 class FlaggedInstanceError(SimulationError):
-    """The instance violates a statistical premise; it is skipped, not patched."""
+    """The instance violates a statistical premise; it is skipped, not patched.
+
+    Raised with the reason alone; the message prepends the sentence above.
+    """
+
+    def __str__(self) -> str:
+        return (
+            "The instance violates a statistical premise; it is skipped, not patched: "
+            + super().__str__()
+        )

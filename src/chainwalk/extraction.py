@@ -269,9 +269,8 @@ class FamilyIndex(CountIndex):
     the tuple being its bits in that class; tuple_rows reads them off for
     the vertices of each request, and the index stores none.
 
-    The index reads the bit sets of johnson._combinations, cached for the
-    smaller shapes, and counts each vertex's classes met twice or more
-    class by class off the bit sets.
+    The index reads the bit sets of johnson._combinations and counts each
+    vertex's classes met twice or more class by class off the bit sets.
 
     The basis spells its byte keys out of `_masks` only when a byte-key API
     first reads it (count_of, keys_in, pad_and_attach, State.items, align
@@ -285,7 +284,7 @@ class FamilyIndex(CountIndex):
         self.total = family_total(len(restriction.domain_points), big_r)
         self._domain = np.asarray(restriction.domain_points, dtype=np.int64)
         images = restriction.base.values().take(self._domain)
-        # the bit sets alone: an uncached shape's position table is freed here
+        # the bit sets alone: the position table is freed here
         self._masks = _combinations(len(self._domain), big_r)[1]
         self._class_images, self._class_masks = _collision_classes(
             images, self._masks.shape[1]
@@ -622,8 +621,7 @@ def repair_classes(
         )
     if low_size == 0 or top_size == 0:
         raise FlaggedInstanceError(
-            "The instance violates a statistical premise; it is skipped, "
-            f"not patched: classes below {x} and above {y} must be nonempty "
+            f"classes below {x} and above {y} must be nonempty "
             f"(sizes {low_size}, {top_size})."
         )
     return start, target

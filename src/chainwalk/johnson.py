@@ -28,8 +28,8 @@ besides the V x V P and its eigenvectors, and no 2V x 2V or rank x rank
 array is formed.
 
 The lexicographic list of R-subsets, which stands in for the paper's qRAM
-vertex data, comes from one cached enumerator, _combinations, read by the edge
-list and by extraction.FamilyIndex.  It builds the positions and bit sets one
+vertex data, comes from one enumerator, _combinations, read by the edge list
+and by extraction.FamilyIndex.  It builds the positions and bit sets one
 size j at a time: the j-subsets whose least point is k are k followed by the
 last C(N - k - 1, j - 1) rows of size j - 1, those above k.  Its inverse,
 _lex_ordinals, ranks rows of sorted positions in that order: the edge list
@@ -39,7 +39,6 @@ left after a tuple is cut out.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,7 +55,6 @@ _PHASE_ZERO_TOL = 1e-6
 _PI_FOLD_TOL = 1e-9
 _GRAM_RANK_TOL = 1e-9
 _PANEL_COLUMNS = 32
-_SUBSET_CACHE_BYTES = 10 << 20
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,13 @@ def _check_vertex_cap(graph: JohnsonGraph) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {_MAX_VERTICES}")
 
 
-@functools.lru_cache(maxsize=4)
-def _enumerate_combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+def _combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The r-subsets of range(n) in lexicographic order, as two read-only
+    tables built together: the C(n, r) x r sorted positions of each, in the
+    narrowest unsigned dtype that holds n - 1, and the C(n, r) x ceil(n / 64)
+    uint64 bit sets, bit p % 64 of word p // 64 standing for position p.
+    Each call enumerates them afresh, and they are freed with their last
+    holder."""
     words = -(-n // 64)
     positions = np.empty((1, 0), dtype=np.min_scalar_type(n - 1))
     masks = np.zeros((1, words), dtype=np.uint64)
@@ -141,20 +144,6 @@ def _enumerate_combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
     positions.flags.writeable = False
     masks.flags.writeable = False
     return positions, masks
-
-
-def _combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The r-subsets of range(n) in lexicographic order, as two read-only
-    tables built together: the C(n, r) x r sorted positions of each, in the
-    narrowest unsigned dtype that holds n - 1, and the C(n, r) x ceil(n / 64)
-    uint64 bit sets, bit p % 64 of word p // 64 standing for position p.  A
-    pair of at most _SUBSET_CACHE_BYTES goes through an lru_cache of the 4
-    latest shapes, so every caller of a held shape gets the same arrays; a
-    larger one is enumerated on each call and freed with its last holder."""
-    row_bytes = r * np.min_scalar_type(n - 1).itemsize + 8 * -(-n // 64)
-    if math.comb(n, r) * row_bytes <= _SUBSET_CACHE_BYTES:
-        return _enumerate_combinations(n, r)
-    return _enumerate_combinations.__wrapped__(n, r)
 
 
 def _lex_ordinals(positions: np.ndarray, n: int) -> np.ndarray:

@@ -31,10 +31,9 @@ Conventions used throughout:
 
 * one settling step (_settled) sets amplitudes of magnitude 1e-12 or below
   to exactly zero and checks that the norm is within 1e-9 of 1.  It runs on
-  the result of every operation, and after every round of
-  amplify.grover_iterate, which runs on the bare vector; align only moves
-  amplitudes and settles nothing.  A state's support is its nonzero
-  positions;
+  the result of every operation, so on both reflections of every round of
+  amplify.grover_iterate; align only moves amplitudes and settles nothing.
+  A state's support is its nonzero positions;
 * measure and extraction.extract_once draw by one rule, _collapse: labels in
   sorted order, weights summed in entry order, one uniform draw, the chosen
   branch renormalized.  A fixed generator walks the same distribution;
@@ -293,8 +292,7 @@ def align(state: State, axis: State) -> State:
 def reflect_about_state(state: State, axis: State) -> State:
     """(2|axis><axis| - I) applied to `state`, over axis's basis.
 
-    amplify.grover_iterate gives the same vector on the bare amplitudes.  A
-    real state and a complex axis, or the reverse, give a complex result."""
+    A real state and a complex axis, or the reverse, give a complex result."""
     state = align(state, axis)
     out = np.negative(state.vector, dtype=np.result_type(state.vector, axis.vector))
     out += (2.0 * np.vdot(axis.vector, state.vector)) * axis.vector

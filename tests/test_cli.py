@@ -60,8 +60,7 @@ def test_simulate_parameter_error_is_exit_one(capsys):
 
 def test_simulate_flagged_instance_is_exit_two(monkeypatch, capsys):
     def boom(config):
-        raise FlaggedInstanceError("The instance violates a statistical premise; "
-                                   "it is skipped, not patched: synthetic.")
+        raise FlaggedInstanceError("synthetic.")
     monkeypatch.setattr(cli.chain, "run", boom)
     argv = [
         "simulate", "--n", "4", "--m", "5", "--k", "0",

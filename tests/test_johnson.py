@@ -189,7 +189,7 @@ def test_walk_spectrum_traced_peak():
     Gram matrix or 503 x 503 walk block is formed: the peak is about two
     6,300 x 32 panels (3.1 MiB) besides P and its eigenvectors."""
     graph = JohnsonGraph(ground_set=tuple(range(10)), subset_size=5)
-    walk_operator_spectrum(graph)   # the subset table is cached before tracing
+    walk_operator_spectrum(graph)   # a warm-up call, untraced
     tracemalloc.start()
     try:
         walk_operator_spectrum(graph)
@@ -227,10 +227,9 @@ def test_combinations_match_itertools(n, r):
 
 
 def test_large_subset_tables_are_not_held():
-    """A table pair above the cache's byte limit, the 17.8 MB of C(28, 7),
-    is freed at once when its caller drops it, with no help from the cycle
-    collector; a small pair stays cached, each call returning the same
-    arrays."""
+    """A table pair, the 17.8 MB of C(28, 7) as well as a small one, is
+    freed at once when its caller drops it, with no help from the cycle
+    collector."""
     gc.disable()
     try:
         large = _combinations(28, 7)
@@ -238,21 +237,18 @@ def test_large_subset_tables_are_not_held():
         small = _combinations(6, 3)
         refs = [weakref.ref(table) for table in large + small]
         del large, small
-        assert refs[0]() is None and refs[1]() is None
-        again = _combinations(6, 3)
-        assert refs[2]() is again[0] and refs[3]() is again[1]
+        assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
 
 def test_family_index_build_peak():
     """A fresh FamilyIndex build over the 201,376 five-subsets of 32 points,
-    its bit sets read from the cached subset tables, peaks beyond the
-    tables it keeps at under half of one V x R int64 table."""
+    its subset tables enumerated inside the build, peaks beyond the tables
+    it keeps at under half of one V x R int64 table."""
     params = Params(n=5, m=6, k=1)
     fn = FunctionTable(params, np.arange(32) % params.codomain_size)
     restriction = restrict(fn, CollisionTable())
-    _combinations(32, 5)   # the subset tables are cached before tracing
     tracemalloc.start()
     try:
         index = FamilyIndex(restriction, 5)

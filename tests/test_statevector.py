@@ -273,8 +273,8 @@ def test_grover_iterate_matches_reflection_pairs(axis_amps, data, good_keys, cou
 def test_grover_iterate_is_bit_exact_against_reflection_rounds(
     axis_amps, data, good_keys, own_basis, as_vector, count
 ):
-    """grover_iterate's rounds on the bare vector equal `count` public
-    reflection pairs exactly.  The axis lies over all of _KEYS and may be zero
+    """grover_iterate's rounds equal `count` public reflection pairs
+    exactly.  The axis lies over all of _KEYS and may be zero
     on some of them; the state lies over a basis of its own (the align path)
     or over the axis's; `good` is a callback or a boolean vector."""
     vector = np.array(axis_amps, dtype=complex)
@@ -323,13 +323,13 @@ def test_every_round_checks_the_norm():
             out = reflect_about_state(reflect_about_predicate(out, good), axis)
         return out
 
-    def fused(count):
+    def iterated(count):
         return grover_iterate(state, good, axis, count)
 
     refused = _smallest_refused_count(pairs)
     assert refused is not None and refused > 1
-    assert _smallest_refused_count(fused) == refused
-    for iterate in (pairs, fused):
+    assert _smallest_refused_count(iterated) == refused
+    for iterate in (pairs, iterated):
         with pytest.raises(ValidationError, match="norm"):
             iterate(refused)
         # one round short, the drift shows but is inside tolerance

@@ -61,14 +61,6 @@ KEPT = {
         "the exact law of the sampled collision counts, which test_stats.py's"
         " chi-square and exact-mean tests compare stats against"
     ),
-    "statevector.reflect_about_predicate": (
-        "perfbench/tracing.py's TRACED table wraps it by name; the per-round"
-        " reference the fused loop is tested against bit for bit"
-    ),
-    "statevector.reflect_about_state": (
-        "perfbench/tracing.py's TRACED table wraps it by name; the per-round"
-        " reference the fused loop is tested against bit for bit"
-    ),
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
     "statevector.uniform_state": "the reference state the amplification and extraction tests build",
     "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",

@@ -6,14 +6,13 @@ graphs (spectral_gap and walk_operator_spectrum of each), the third criterion
 three (R, M)).  Each block prints the wall time of the profiled calls, the
 total function-call count and the top 25 entries by cumulative time.  The
 criterion-7 block writes each run's report_json(), as `cwl simulate` does,
-and also prints how many family indices were built, counted by the code
-objects of FamilyIndex.__init__ and of law.family_law (one per LawIndex);
-how many flip rotations ran, counted by the code object of levels._grover,
-beside the Grover rounds they stand for, the sum of the runs' ledger
-check_calls; report_json's calls and cumulative time, found by its code
-object; and the process's peak resident set (ru_maxrss) after it, so an
-index that outlives its run shows as memory.  The
-criterion-3 block also prints the peak of the memory that tracemalloc traces
+and also prints how many family laws were built, counted by the code
+object of law.family_law (one per LawIndex); how many flip rotations ran,
+counted by the code object of levels._grover, beside the Grover rounds they
+stand for, the sum of the runs' ledger check_calls; report_json's calls and
+cumulative time, found by its code object; and the process's peak resident
+set (ru_maxrss) after it, so an index that outlives its run shows as
+memory.  The criterion-3 block also prints the peak of the memory that tracemalloc traces
 (numpy's arrays among it) over one more, unprofiled call of the 45 spectra,
 so the tracing does not touch the profiled wall time.  The criterion-4
 block also prints the samples drawn per second of wall time, on the worker
@@ -45,7 +44,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path)
 
 from chainwalk.chain import ChainConfig, ChainResult, run  # noqa: E402
-from chainwalk.extraction import FamilyIndex  # noqa: E402
 from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
 from chainwalk.law import family_law  # noqa: E402
 from chainwalk.levels import _grover  # noqa: E402
@@ -121,8 +119,7 @@ def calls_and_time(stats: pstats.Stats, function) -> tuple[int, float]:
 
 def main() -> None:
     stats, _, rounds = profile(criterion_7_runs)
-    print(f"FamilyIndex builds: {calls_and_time(stats, FamilyIndex.__init__)[0]}; "
-          f"LawIndex builds: {calls_and_time(stats, family_law)[0]} family laws")
+    print(f"LawIndex builds: {calls_and_time(stats, family_law)[0]} family laws")
     print(f"levels._grover calls: {calls_and_time(stats, _grover)[0]}, "
           f"standing for {rounds} Grover rounds (ledger check_calls)")
     reports, report_s = calls_and_time(stats, ChainResult.report_json)
