@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ImpossibleTargetError, ParameterError, SimulationError
 from .statevector import (
+    PRUNE_EPS,
     Labels,
     State,
     align,
@@ -43,7 +44,6 @@ from .statevector import (
 )
 
 _HALF = 1.0 / math.sqrt(2.0)
-_ZERO_AMP = 1e-12
 # Bound on measure-and-flip rounds in any flip, extraction, repair or walk loop.
 MAX_TRANSITIONS = 10_000
 
@@ -133,18 +133,19 @@ def flip_rounds(good_mass: float, want: Want) -> Optional[int]:
     """The plan of a flip whose axis carries `good_mass` on its good side.
 
     Raises ImpossibleTargetError when the axis's wanted amplitude is at most
-    1e-12.  Returns None when the good side is wanted and its amplitude
+    PRUNE_EPS, the floor below which the state layer takes an amplitude for
+    zero.  Returns None when the good side is wanted and its amplitude
     exceeds 1/sqrt(2): rotation is too coarse to help there, so each attempt
     measures a fresh copy of the axis, and lands with probability above 1/2.
     Otherwise returns the rounds each attempt rotates by before it measures:
     iteration_count(alpha), at least 1, and 1 when alpha is about 0.
     """
     dec = split(good_mass)
-    if (dec.alpha if want is Want.GOOD else dec.beta) <= _ZERO_AMP:
+    if (dec.alpha if want is Want.GOOD else dec.beta) <= PRUNE_EPS:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     if want is Want.GOOD and dec.alpha > _HALF:
         return None
-    return max(1, iteration_count(dec.alpha)) if dec.alpha > _ZERO_AMP else 1
+    return max(1, iteration_count(dec.alpha)) if dec.alpha > PRUNE_EPS else 1
 
 
 def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:

@@ -57,7 +57,7 @@ from .oracle import (
     restrict,
 )
 from .levels import Levels, check_class, extract_tuple, flip, hop_out, measure
-from .stats import IntervalPlan, round_count
+from .stats import IntervalPlan, window
 
 _ELL_SLACK = 4
 # c in the window policy's expected tuple count E = round(c R^2 / M)
@@ -392,9 +392,7 @@ def extraction_step(
     for _ in range(plan.width):
         found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
         tuples.append(found)
-    while family.hi > round_count(
-        plan.c * family.big_r ** 2 / family.restriction.codomain_size
-    ):
+    while family.hi > window(plan.c, family.big_r, family.restriction.codomain_size)[0]:
         if family.lo < 1:
             raise FlaggedInstanceError("interval re-centering ran out of extractable tuples.")
         found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
@@ -412,10 +410,13 @@ def walk_step(
 ):
     """Dense-regime walk: push the interval from [E-T, E] up to [E+1, E+T].
 
-    Measures which of the four count cells [0, E-T-1], [E-T, E], [E+1, E+T],
-    [E+T+1, inf) the state occupies, then hops from that class to a cell of
-    its complement until the third cell comes up.  Each hop's iterations are
-    charged as diffusions.  Returns (state, family over [E+1, E+T], stats).
+    The count cells are [0, E-T-1], [E-T, E], [E+1, E+T] and [E+T+1, inf).
+    The state is uniform over the family's class, which the premise puts in
+    the second cell, so the walk starts from that class without measuring
+    and hops from the class to a cell of its complement until the third
+    cell comes up.  The hops' iterations are charged as diffusions, once,
+    from their merged work record.  Returns (state, family over [E+1, E+T],
+    stats).
     """
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
@@ -436,23 +437,18 @@ def walk_step(
             return 2
         return 3
 
-    outcome, state = measure(state, cell_of, rng)
-    cls = frozenset(
-        c for c in range(family.lo, family.hi + 1) if cell_of(c) == outcome
-    )
-    delta = _delta_for(family)
+    cls = frozenset(range(family.lo, family.hi + 1))
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
-        if outcome == 2:
+        state, cls, fs = hop_out(state, cls, cell_of, rng)
+        stats.absorb(fs)
+        if cell_of(min(cls)) == 2:
+            ledger.charge_flip(stats, _delta_for(family))
             new_family = replace(family, lo=e_now + 1, hi=e_now + width)
             check_class(state, new_family)
             return state, new_family, stats
-        state, cls, fs = hop_out(state, cls, cell_of, rng)
-        stats.absorb(fs)
-        ledger.charge_flip(fs, delta)
-        outcome = cell_of(min(cls))
     raise SimulationError(
-        f"walk step did not reach the target cell in {MAX_TRANSITIONS} measurements"
+        f"walk step did not reach the target cell in {MAX_TRANSITIONS} hops"
     )
 
 
@@ -506,9 +502,7 @@ def run(config: ChainConfig) -> ChainResult:
 
     m_size = restriction.codomain_size
     plan: Optional[IntervalPlan] = None
-    if 8 * big_r < m_size and round_count(
-        _CALIBRATION_C * big_r * big_r / m_size
-    ) >= 2:
+    if 8 * big_r < m_size and window(_CALIBRATION_C, big_r, m_size)[0] >= 2:
         plan = IntervalPlan.build(big_r, m_size, _CALIBRATION_C)
         state, family = _project_window(state, family, plan, rng, ledger)
         _record(trace, 0, "project", family, len(state))

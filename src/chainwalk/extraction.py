@@ -339,17 +339,17 @@ class FamilyIndex(CountIndex):
         owners, classes, sets = self._held_tuples(ordinals)
         return self._tuple_rows(classes, sets), owners
 
-    def tuple_holders(self, live: List[bool]) -> Tuple[List[List[int]], List[List[int]]]:
+    def tuple_holders(self, live: List[bool]) -> Tuple[List[tuple], List[List[int]]]:
         """law.LawIndex.tuple_holders read off the vertices: the tuples held
-        by the vertices of the counts where `live` holds, as rows of
-        tuple_rows in token order, and each one's holders among those
-        vertices per count 0..max_count, both as lists."""
+        by the vertices of the counts where `live` holds, in token order, as
+        (image, preimages) pairs, and each one's holders among those
+        vertices per count 0..max_count as lists."""
         ordinals = np.flatnonzero(np.asarray(live, dtype=bool)[self.counts])
         owners, ranks, found = ranked_tuples(self, ordinals)
         width = len(self.sizes)
         cells = ranks * width + self.counts.take(ordinals.take(owners))
-        holders = np.bincount(cells, minlength=len(found) * width)
-        return found.tolist(), holders.reshape(len(found), width).tolist()
+        holders = np.bincount(cells, minlength=len(found) * width).reshape(len(found), width)
+        return list(map(_row_tuple, found.tolist())), holders.tolist()
 
     def class_mask(self, lo: int, hi: Optional[int]) -> np.ndarray:
         """Boolean vector over ordinals: the vertices with count in [lo, hi]."""

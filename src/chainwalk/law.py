@@ -154,7 +154,8 @@ class CountIndex:
     `total`, their sum.
 
     A subclass is built from (restriction, R) and also lists the tuples the
-    vertices of given counts hold (tuple_holders).
+    vertices of given counts hold, as (image, preimages) pairs with their
+    holders per count (tuple_holders).
     """
 
     sizes: List[int]
@@ -218,27 +219,26 @@ class LawIndex(CountIndex):
         # in image order
         self._classes = sorted(classes.items())
 
-    def tuple_holders(self, live: List[bool]) -> Tuple[List[List[int]], List[List[int]]]:
+    def tuple_holders(self, live: List[bool]) -> Tuple[List[tuple], List[List[int]]]:
         """The tuples held by the vertices of the counts where `live` holds,
-        in tuple_token order, as rows (image, size, preimages padded with
-        -1), and each one's holders among those vertices per count
-        0..max_count.  Tuples of one shape share one holder row."""
+        in tuple_token order, as (image, preimages) pairs, and each one's
+        holders among those vertices per count 0..max_count.  Tuples of one
+        shape share one holder row."""
         shapes = {}
         for shape, row in self._holders.items():
             row = [h if alive else 0 for h, alive in zip(row, live)]
             if any(row):
                 shapes[shape] = row
-        rows, holders = [], []
+        found, holders = [], []
         for image, members in self._classes:
             for p in range(2, min(len(members), self.big_r) + 1):
                 row = shapes.get((len(members), p))
                 if row is None:
                     continue
-                pad = [-1] * (self.big_r - p)
                 for tup in itertools.combinations(members, p):
-                    rows.append([image, p, *tup, *pad])
+                    found.append((image, tup))
                     holders.append(row)
-        return rows, holders
+        return found, holders
 
 
 def occupancy_law(big_r: int, bins: int) -> List[Fraction]:

@@ -14,11 +14,11 @@ entries each, so the amplitudes are a list of Python floats, the sizes exact
 Python ints, and every operation a loop over them: numpy's per-call cost
 would outweigh the arithmetic, and exact ints take sizes past 2^63.  The
 index is read only through law.CountIndex's count-level questions: the sizes
-and their total, class sizes, per-count labels, the held tuples with their
-holders per count (tuple_holders) and the child after a tuple (child).  A run
-holds law.LawIndex, which answers them from the family's exact law without a
-vertex; extraction.FamilyIndex answers them off its enumerated vertices, and
-the differential tests drive both.
+and their total, class sizes, per-count labels, the held tuples as (image,
+preimages) pairs with their holders per count (tuple_holders) and the child
+after a tuple (child).  A run holds law.LawIndex, which answers them from the
+family's exact law without a vertex; extraction.FamilyIndex answers them off
+its enumerated vertices, and the differential tests drive both.
 
 The form is exact: the vector path computes each vertex's amplitude by the
 same elementwise arithmetic from the same operands as every other vertex of
@@ -77,7 +77,6 @@ from .extraction import (
     _UNIFORM_TOL,
     ExtractionOutcome,
     VertexFamily,
-    _row_tuple,
     in_range,
     repair_classes,
 )
@@ -316,10 +315,11 @@ def extract_once(
     """extraction.extract_once on a state uniform over the family's class.
 
     The dummy d_i's weight is the closed form over the counts below i; each
-    tuple's is its holders per count against each count's branch weight.  A
-    tuple outcome leaves the holders, which make up the index's child, each
-    one count lower; when the cut empties the vertex (R' = 0), collapsed and
-    new_index are None.  A dummy outcome d_i keeps the counts below i.
+    tuple's, an (image, preimages) pair of the index's tuple_holders, is its
+    holders per count against each count's branch weight.  A tuple outcome
+    leaves the holders, which make up the index's child, each one count
+    lower; when the cut empties the vertex (R' = 0), collapsed and new_index
+    are None.  A dummy outcome d_i keeps the counts below i.
     """
     y = family.padding_width()
     check_class(state, family)
@@ -343,7 +343,7 @@ def extract_once(
     outcome = _draw_label(weights, rng)
     scale = 1.0 / math.sqrt(weights[outcome])
     if outcome >= y:
-        image, preimages = _row_tuple(found[outcome - y])
+        image, preimages = found[outcome - y]
         new_family = family.after_tuple(image, preimages)
         if new_family.big_r:
             new_index = index.child(new_family.restriction, new_family.big_r)

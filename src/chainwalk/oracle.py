@@ -125,7 +125,10 @@ class FunctionTable:
 
 def generate_function(params: Params, seed: int) -> FunctionTable:
     """Draw a uniformly random table, reproducible from the integer seed: the
-    values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64)."""
+    values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64).
+    A negative seed raises ParameterError, as default_rng refuses one."""
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     return FunctionTable(params, integers(seed, params.m, params.domain_size))
 
 

@@ -4,12 +4,13 @@ The quantity of interest is Z(S): the number of images hit at least twice by
 an R-element sample S drawn into M bins.  A j-fold hit contributes one to Z,
 not j-choose-2.  For lambda = R/M small, a Poisson model gives
 E[Z] ~ M * (1 - exp(-lambda)(1 + lambda)), which sits near c * R^2 / M with
-c between 1/2 and 2/3; the calibrated constant c feeds the interval plans
-(E = round(c R^2 / M), T = max(1, round(R / sqrt(M)))) used by the chained
-walk.  Sampling is blocked and each block gets its own spawned generator, so
-results do not depend on how many worker threads run the blocks.  The
-CWL_THREADS environment variable sets the default worker count; unset, not
-an integer or below 1, it gives 1.
+c between 1/2 and 2/3; the calibrated constant c feeds the concentration
+window E = round(c R^2 / M), T = max(1, round(R / sqrt(M))), written once in
+`window`, that the chained walk's interval plans hold.  Sampling is blocked
+and each block gets its own spawned generator, so results do not depend on
+how many worker threads run the blocks.  The CWL_THREADS environment
+variable sets the default worker count; unset, not an integer or below 1,
+it gives 1.
 
 A block draws its R images per row as uint32 whenever M <= 2^32 and sorts
 its rows in place.  numpy draws any range below 2^32 with Lemire's 32-bit
@@ -51,8 +52,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 import numpy as np
 
@@ -62,7 +63,7 @@ _BLOCK = 8192
 
 
 def round_count(x: float) -> int:
-    """Round half up to an integer; used for every E and T in interval plans."""
+    """Round half up to an integer; `window` rounds E and T with it."""
     return int(math.floor(x + 0.5))
 
 
@@ -237,52 +238,37 @@ def calibrate_constant(
     )
 
 
-def _window_width(big_r: int, bins: int) -> int:
-    """Half-width T = max(1, round(R / sqrt(M))) of the concentration window."""
-    return max(1, round_count(big_r / math.sqrt(bins)))
+def window(c: float, big_r: int, bins: int) -> Tuple[int, int]:
+    """The concentration window of Z over R-subsets into M bins, as (E, T):
+    E = round(c R^2 / M) and T = max(1, round(R / sqrt(M)))."""
+    return round_count(c * big_r * big_r / bins), max(1, round_count(big_r / math.sqrt(bins)))
 
 
 @dataclass(frozen=True)
 class IntervalPlan:
-    """Concentration window for Z over R-subsets into M bins.
+    """The window a dense run holds: c, the half-width T, frozen when the
+    plan is built, and E for the current (R, M), recomputed by `refreshed`
+    as the run shrinks R and M.
 
-    E is the rounded expected count at calibration time, E_prime the latest
-    recomputation after the pair (R, M) drifts, and T the half-width, frozen
-    when the plan is built.
+    `build` checks the premise 8R < M once.  A refresh cannot break it: each
+    of t extracted tuples takes at least two points from R and one image
+    from M, so 8R' <= 8R - 16t < M - t = M'.
     """
 
-    big_r: int
-    bins: int
     c: float
-    expected: int
     width: int
     expected_now: int
 
-    def __post_init__(self) -> None:
-        if 8 * self.big_r >= self.bins:
-            raise ParameterError(
-                f"need 8R < M, got R={self.big_r}, M={self.bins}"
-            )
-
     @classmethod
     def build(cls, big_r: int, bins: int, c: float) -> "IntervalPlan":
-        expected = round_count(c * big_r * big_r / bins)
-        width = _window_width(big_r, bins)
-        return cls(
-            big_r=big_r, bins=bins, c=c,
-            expected=expected, width=width, expected_now=expected,
-        )
+        if 8 * big_r >= bins:
+            raise ParameterError(f"need 8R < M, got R={big_r}, M={bins}")
+        expected, width = window(c, big_r, bins)
+        return cls(c=c, width=width, expected_now=expected)
 
     def refreshed(self, big_r: int, bins: int) -> "IntervalPlan":
         """Same c and width, E recomputed for the drifted (R, M)."""
-        return IntervalPlan(
-            big_r=big_r,
-            bins=bins,
-            c=self.c,
-            expected=self.expected,
-            width=self.width,
-            expected_now=round_count(self.c * big_r * big_r / bins),
-        )
+        return replace(self, expected_now=window(self.c, big_r, bins)[0])
 
 
 @dataclass(frozen=True)
@@ -310,8 +296,7 @@ def interval_hit_probability(
     """
     if which not in ("upper", "lower"):
         raise ParameterError(f"which must be 'upper' or 'lower', got {which!r}")
-    expected = round_count(c * big_r * big_r / bins)
-    width = _window_width(big_r, bins)
+    expected, width = window(c, big_r, bins)
     values = sample_collision_counts(big_r, bins, samples, rng, threads)
     if which == "upper":
         hits = (values >= expected) & (values <= expected + width)

@@ -58,6 +58,15 @@ def test_simulate_parameter_error_is_exit_one(capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_simulate_negative_seed_is_exit_one(capsys):
+    argv = [
+        "simulate", "--n", "4", "--m", "5", "--k", "0",
+        "--ell", "1", "--seed", "-1",
+    ]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
 def test_simulate_flagged_instance_is_exit_two(monkeypatch, capsys):
     def boom(config):
         raise FlaggedInstanceError("synthetic.")

@@ -48,7 +48,7 @@ from chainwalk.levels import (
 )
 from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
 from chainwalk.stats import IntervalPlan
-from chainwalk.statevector import State, measure
+from chainwalk.statevector import State
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
 from test_extraction import eight_point, four_pair
 
@@ -133,15 +133,16 @@ def test_running_sum_jumps_land_on_cumsum(weight, count):
     assert _running_sum(weight, count) == expected
 
 
-def _raises_within(seconds, error, call):
-    """call() raises `error`; a call still running after `seconds` fails."""
+def _raises_within(seconds, error, call, match=None):
+    """call() raises `error`, its message matching `match` when given; a
+    call still running after `seconds` fails."""
     def hung(signum, frame):
         raise AssertionError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(seconds)
     try:
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             call()
     finally:
         signal.alarm(0)
@@ -193,6 +194,22 @@ def test_flip_that_never_lands_raises():
     axis = family_index.axis_state()
     _raises_within(30, SimulationError, lambda: vector_flip(
         axis, family_index.by_count(good), axis, Want.GOOD, _ZeroStream()))
+
+
+def test_walk_step_that_never_reaches_the_target_raises():
+    """_carved_pairs with E = 2, T = 1 and the class [1, 2]: under zero
+    draws every BAD flip lands on its first attempt, and the cell draw
+    gives the first cell in sorted order, {0} from [1, 2] and [1, 2] from
+    {0}, so the walk never reaches cell 2 = {3} and walk_step gives up
+    after MAX_TRANSITIONS hops, on either kind of index."""
+    restriction, family_index = _carved_pairs()
+    plan = IntervalPlan(c=0.5, width=1, expected_now=2)
+    family = VertexFamily(restriction, 6, 1, 2)
+    for index in (family_index, LawIndex(restriction, 6)):
+        assert index.sizes == [64, 480, 360, 20]
+        _raises_within(30, SimulationError, lambda: walk_step(
+            Levels.uniform(index, 1, 2), family, plan, _ZeroStream(), ledger=CostLedger()),
+            match=f"walk step did not reach the target cell in {MAX_TRANSITIONS} hops")
 
 
 def test_flip_with_a_small_landing_chance_lands():
@@ -282,23 +299,23 @@ def test_extract_tuple_dummy_path_matches_the_vector_path():
 
 
 def _vector_walk_step(state, family, plan, rng, index, ledger):
-    """The vector path's dense walk step: measure the cell, then hop with
-    extraction.hop until cell 2 comes up."""
+    """The vector path's dense walk step: from the family's class, which
+    lies in cell 1, hop with extraction.hop until cell 2 comes up, charging
+    each hop as it lands."""
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
 
     def cell_of(count):
         return 0 if count < lo_cell else 1 if count <= e_now else 2 if count <= e_now + width else 3
 
-    outcome, state = measure(state, index.by_count(cell_of), rng)
-    cls = frozenset(c for c in range(family.lo, family.hi + 1) if cell_of(c) == outcome)
+    cls = frozenset(range(family.lo, family.hi + 1))
     stats = FlipStats()
-    while outcome != 2:
+    while True:
         state, cls, fs = hop(state, index, cls, cell_of, rng)
         stats.absorb(fs)
         ledger.charge_flip(fs, _delta_for(family))
-        outcome = cell_of(min(cls))
-    return state, replace(family, lo=e_now + 1, hi=e_now + width), stats
+        if cell_of(min(cls)) == 2:
+            return state, replace(family, lo=e_now + 1, hi=e_now + width), stats
 
 
 @pytest.mark.parametrize("case, seed, expected", CLASS_MOVES)
@@ -317,8 +334,7 @@ def test_class_moves_match_the_vector_path(case, seed, expected):
         interval, ledger_calls = (lo, target_hi), None
     else:
         _, e_now, width = case
-        plan = IntervalPlan(big_r=6, bins=restriction.codomain_size, c=0.5,
-                            expected=e_now, width=width, expected_now=e_now)
+        plan = IntervalPlan(c=0.5, width=width, expected_now=e_now)
         lo = max(0, e_now - width)
         family = VertexFamily(restriction, 6, lo, e_now)
         ledger, ref_ledger = CostLedger(), CostLedger()

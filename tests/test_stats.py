@@ -29,6 +29,7 @@ from chainwalk.stats import (
     round_count,
     sample_collision_counts,
     verify_stats_report,
+    window,
 )
 
 
@@ -280,14 +281,11 @@ def test_constant_approaches_half_from_below():
 
 
 def test_interval_plan_build_and_refresh():
+    assert window(4.0, 8, 128) == (2, 1)
     plan = IntervalPlan.build(8, 128, 4.0)
-    assert plan.expected == 2
-    assert plan.width == 1
-    assert plan.expected_now == 2
+    assert plan == IntervalPlan(c=4.0, width=1, expected_now=2)
     moved = plan.refreshed(7, 120)
-    assert moved.width == 1
-    assert moved.expected == 2
-    assert moved.expected_now == round_count(4.0 * 49 / 120)
+    assert moved == IntervalPlan(c=4.0, width=1, expected_now=round_count(4.0 * 49 / 120))
     with pytest.raises(ParameterError):
         IntervalPlan.build(32, 256, 1.0)
 
