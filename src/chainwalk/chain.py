@@ -6,10 +6,10 @@ vertices, charged as quantum-walk updates) with extraction phases (padded
 measurements that pull one multicollision tuple out and shrink the domain).
 The residual state is reused from step to step without re-preparation; after
 every phase the run checks that the live state is exactly uniform over its
-declared vertex family.  States are held as levels.Levels, one amplitude per
-vertex count over the family's law.LawIndex, whose class sizes and tuple
-holders come from the family's exact law, so no phase builds a vector over
-the vertices and no index enumerates one.
+declared vertex family.  States are held as levels.Levels, a class of vertex
+counts and a sign over the family's law.LawIndex, whose class sizes and
+tuple holders come from the family's exact law, so no phase builds a vector
+over the vertices and no index enumerates one.
 
 run() is one loop of walk and extraction phases under one of two interval
 policies.  The window policy (the dense regime) holds an IntervalPlan: each
@@ -437,12 +437,11 @@ def walk_step(
             return 2
         return 3
 
-    cls = frozenset(range(family.lo, family.hi + 1))
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
-        state, cls, fs = hop_out(state, cls, cell_of, rng)
+        state, fs = hop_out(state, cell_of, rng)
         stats.absorb(fs)
-        if cell_of(min(cls)) == 2:
+        if cell_of(min(state.counts)) == 2:
             ledger.charge_flip(stats, _delta_for(family))
             new_family = replace(family, lo=e_now + 1, hi=e_now + width)
             check_class(state, new_family)
@@ -498,14 +497,14 @@ def run(config: ChainConfig) -> ChainResult:
     ledger.oracle_queries += big_r
 
     trace: List[dict] = []
-    _record(trace, 0, "setup", family, len(state))
+    _record(trace, 0, "setup", family, state.support())
 
     m_size = restriction.codomain_size
     plan: Optional[IntervalPlan] = None
     if 8 * big_r < m_size and window(_CALIBRATION_C, big_r, m_size)[0] >= 2:
         plan = IntervalPlan.build(big_r, m_size, _CALIBRATION_C)
         state, family = _project_window(state, family, plan, rng, ledger)
-        _record(trace, 0, "project", family, len(state))
+        _record(trace, 0, "project", family, state.support())
     regime = "sparse" if plan is None else "dense"
 
     status = ChainStatus.MAX_ITERATIONS
@@ -522,7 +521,7 @@ def run(config: ChainConfig) -> ChainResult:
                         status = ChainStatus.SPARSE_FALLBACK
                         break
                     state, family = _count_walk(state, family, rng, ledger)
-                    _record(trace, outer, "walk", family, len(state))
+                    _record(trace, outer, "walk", family, state.support())
                 _, state, family = _extract_one(state, family, rng, ledger, fn, trace)
             else:
                 _, state, family, plan = extraction_step(
@@ -532,7 +531,7 @@ def run(config: ChainConfig) -> ChainResult:
                 status = ChainStatus.SPARSE_FALLBACK
                 break
             _record(
-                trace, outer, "extraction", family, len(state),
+                trace, outer, "extraction", family, state.support(),
                 tuples_total=len(family.restriction.table),
             )
             if plan is None or len(family.restriction.table) >= config.target:
@@ -540,10 +539,10 @@ def run(config: ChainConfig) -> ChainResult:
             if plan.expected_now < 2:
                 plan, regime = None, "mixed"
                 state, family = _measure_count(state, family, rng)
-                _record(trace, outer, "regime-switch", family, len(state))
+                _record(trace, outer, "regime-switch", family, state.support())
             else:
                 state, family, _ = walk_step(state, family, plan, rng, ledger=ledger)
-                _record(trace, outer, "walk", family, len(state))
+                _record(trace, outer, "walk", family, state.support())
     except CapacityError:
         status = ChainStatus.CAPACITY
 

@@ -13,8 +13,9 @@ family with the count interval tightened to [x, i-1]).
 `hop` moves a state that is uniform over a class of counts: it flips off the
 class and measures a partition of the counts left.  Interval repair
 (correct_interval) widens [x, i-1] back to [x, y] by a few hops.  A run does
-both on count-class states (levels.py); the vector versions here are the
-reference its differential tests compare against.  What both paths decide
+both on count-class states (levels.py), a class of counts and a sign in
+place of a vector; the vector versions here are the reference its
+differential tests compare against.  What both paths decide
 on the same numbers is written here once and read by both: repair's
 premises and its start and target classes (repair_classes, over any
 law.CountIndex), the padding width y (VertexFamily.padding_width) and the
@@ -497,7 +498,7 @@ class ExtractionOutcome:
     collapsed lies over its basis; it is None when the cut leaves the empty
     subset (R' = 0), over which collapsed then lies alone (extract_once) or
     which leaves collapsed None too (levels.extract_once, whose collapsed is
-    a levels.Levels state).
+    a levels.Levels class state).
     kind "dummy": dummy_index holds i, collapsed is uniform over the same
     family narrowed to [lo, i-1], and new_index is the input's index.
     """

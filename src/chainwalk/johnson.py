@@ -68,11 +68,7 @@ class JohnsonGraph:
         pts = tuple(sorted(set(self.ground_set)))
         if pts != tuple(self.ground_set):
             object.__setattr__(self, "ground_set", pts)
-        n = len(pts)
-        if not (0 < self.subset_size < n):
-            raise ParameterError(
-                f"need 0 < R < N, got R={self.subset_size}, N={n}"
-            )
+        _check_subset_size(len(pts), self.subset_size)
 
     @property
     def ground_size(self) -> int:
@@ -107,7 +103,14 @@ def neighbors(graph: JohnsonGraph, vertex: Iterable[int]) -> list:
     return out
 
 
+def _check_subset_size(ground_size: int, subset_size: int) -> None:
+    if not (0 < subset_size < ground_size):
+        raise ParameterError(f"need 0 < R < N, got R={subset_size}, N={ground_size}")
+
+
 def closed_form_gap(ground_size: int, subset_size: int) -> float:
+    """J(N, R)'s spectral gap N / (R (N - R)), for 0 < R < N."""
+    _check_subset_size(ground_size, subset_size)
     return ground_size / (subset_size * (ground_size - subset_size))
 
 

@@ -31,7 +31,8 @@ count.
 LawIndex is a family index on these laws: it answers the count-level reads a
 run makes (the sizes |V_c|, their total, class sizes and per-count labels,
 the held tuples with their holders per count, and the child after a tuple),
-the reads levels.py makes of extraction.FamilyIndex too, with no vertex held.
+the reads levels.py's class states make of extraction.FamilyIndex too, with
+no vertex held.
 """
 
 from __future__ import annotations
@@ -250,7 +251,10 @@ def occupancy_law(big_r: int, bins: int) -> List[Fraction]:
     and splits the other R - j draws into z blocks of two or more, one per
     bin (S2(R - j, z) z!).  S2(n, k), the partitions of n into k blocks of
     size at least two, obeys S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1).
+    Needs M > 0 and R >= 0.
     """
+    if bins <= 0 or big_r < 0:
+        raise ParameterError(f"need M > 0 and R >= 0, got R={big_r}, M={bins}")
     top = big_r // 2
     s2 = [[0] * (top + 1) for _ in range(big_r + 1)]
     s2[0][0] = 1

@@ -1,140 +1,124 @@
-"""A run's states held as one amplitude per vertex count.
+"""A run's states held as count classes.
 
 Every state chain.run holds depends on a vertex only through its tuple count
-z.  The run starts uniform over the family, and each operator it applies
-keeps a state of the form sum_c a_c 1[z = c]: the reflection about the
-uniform axis, the sign flips and measurements on count predicates, and the
-padded register, whose dummy outcomes keep a count range and whose tuple
-outcomes keep every holder of the tuple, which is the whole child index with
-each count one less.  This is Grover's invariant subspace (Boyer, Brassard,
-Hoyer and Tapp 1998).  So a Levels state is a family index and one amplitude
-per count 0..max_count, and each operation is arithmetic on those amplitudes
-and the class sizes |V_c|, with no vector over the vertices.  They are a few
-entries each, so the amplitudes are a list of Python floats, the sizes exact
-Python ints, and every operation a loop over them: numpy's per-call cost
-would outweigh the arithmetic, and exact ints take sizes past 2^63.  The
-index is read only through law.CountIndex's count-level questions: the sizes
-and their total, class sizes, per-count labels, the held tuples as (image,
-preimages) pairs with their holders per count (tuple_holders) and the child
-after a tuple (child).  A run holds law.LawIndex, which answers them from the
-family's exact law without a vertex; extraction.FamilyIndex answers them off
-its enumerated vertices, and the differential tests drive both.
+z, and between operations it is one sign times the uniform state over the
+vertices whose counts lie in one set, its class.  The run starts uniform
+over the family.  A flip's rounds, the reflections about the uniform axis
+and about a count predicate, keep the state in Grover's plane, spanned by
+the uniform states over the good and the bad vertices (Boyer, Brassard,
+Hoyer and Tapp 1998), and the flag measurement that ends each attempt
+leaves one side of it.  A count or cell measurement keeps the counts of the
+outcome, the padded register's dummy d_i the counts below i, and a tuple
+outcome its holders, which make up the child index with each count one
+less.  So a Levels state is a family index, the frozenset of the counts of
+its class that hold vertices and a sign, and each operation maps a class to
+a class, with no vector over the vertices and no amplitude.
 
-The form is exact: the vector path computes each vertex's amplitude by the
-same elementwise arithmetic from the same operands as every other vertex of
-its class, so the amplitude a class holds here is, bit for bit, the one each
-of its vertices holds there, wherever the reductions agree.  Only one
-reduction is reproduced bit for bit, because a boundary sits exactly on it:
-flip's good mass, the running sum of |G| equal weights (1/sqrt V)^2 that
-State.probability takes (_running_sum).  amplify.flip_rounds plans both
-paths' flips from that mass, and at |G| = V/2 it decides both the
-alpha > 1/sqrt(2) branch and iteration_count.
+From a class state every outcome of a measurement has an integer weight: a
+count label's is the sum of |V_c| over its counts in the class, the padded
+register's dummy d_i's the class's vertices below i and a tuple's its
+holders in the class, over y times the class's size.  _draw compares the
+stream's dyadic draw u with them exactly, in integers, so classes past
+2^63 vertices draw like small ones.  A flip's t rounds turn a state of
+Grover's plane at angle phi, sin phi on the good-uniform state and cos phi
+on the bad-uniform one, by 2 t theta, sin^2 theta = |G|/V, and its flag
+then lands bad with the closed-form float chance cos^2 phi.  A class that
+is neither the axis nor one side of the flags lies off that plane and is
+refused.  The flip's plan is amplify.flip_rounds' on the vector path's good
+mass, the running sum of |G| equal weights (1/sqrt V)^2 (_running_sum):
+at |G| = V/2 that sum decides the alpha > 1/sqrt(2) branch.
 
-Every other weight is a closed form: a count class's is |V_c| a_c^2, and a
-tuple label's in the padded register is its holders per count against each
-count's branch weight (holders @ power).  Each can differ from the vector's
-sum in the last bits; a draw can then differ only when it lands that close
-to a label boundary.  Both kinds of index give the same integers, so a run
-draws the same on either.  Every such sum is an explicit left-to-right fold
-in count order, with each product rounded before it is added: the same value
-on every Python and every machine, where builtin sum() compensates from
-Python 3.12 on and a BLAS dot or matrix-vector product may fuse or reorder
-its terms.  Squares are x * x, and labels are sorted as sorted() sorts them,
-so a bool label stays a bool and a count an int.
+No draw reads the sign.  It is kept so that as_state gives the vector
+path's state, sign included, which the differential tests compare against:
+a measurement keeps it, and a landed flip takes the sign of its side's
+amplitude after the rounds.
 
-A flip's rounds are a closed form too.  Every state a flip starts from is
-uniform on each side of its flags, so it lies in Grover's plane, and t
-rounds turn it by 2 t theta, sin^2 theta = |G|/V, in one rotation (_grover,
-which refuses a state off that plane).  Its amplitudes agree with the
-vector path's rounds within rounding, not bit for bit, and a flip costs the
-same whatever its round count.
+The index is read only through law.CountIndex's count-level questions: the
+sizes and their total, class sizes, per-count labels, the held tuples as
+(image, preimages) pairs with their holders per count (tuple_holders) and
+the child after a tuple (child).  A run holds law.LawIndex, which answers
+them from the family's exact law without a vertex; extraction.FamilyIndex
+answers them off its enumerated vertices, and the differential tests drive
+both.
 
 Only the state arithmetic is written here.  The decisions both paths take
 on the same numbers are written once beside the vector path: a flip's plan
-in amplify.flip_rounds, interval repair's premises and its start and target
-classes in extraction.repair_classes, and extraction's padding width and the
-family a tuple outcome leaves on VertexFamily (padding_width, after_tuple).
-
-Each operation ends with the vector path's checks: amplitudes of magnitude
-PRUNE_EPS or below become exact zeros and norm^2 = sum_c |V_c| a_c^2 must be
-within NORM_TOL of 1 (_settled).  check_class is check_uniform_class with an
-index: the support is the family's whole count class and every amplitude is
-within 1e-9 of uniform.
+in amplify.flip_rounds, interval repair's premises and its target class in
+extraction.repair_classes, and extraction's padding width and the family a
+tuple outcome leaves on VertexFamily (padding_width, after_tuple).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ._stream import Uniform
 from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_attempts, flip_rounds
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
-from .extraction import (
-    _UNIFORM_TOL,
-    ExtractionOutcome,
-    VertexFamily,
-    in_range,
-    repair_classes,
-)
+from .extraction import ExtractionOutcome, VertexFamily, repair_classes
 from .law import CountIndex
-from .statevector import NORM_TOL, PRUNE_EPS, State, _draw_label
+from .statevector import State
+
+
+def _class(index: CountIndex, lo: int, hi: Optional[int]) -> frozenset:
+    """The counts in [lo, hi] (hi None: unbounded) that hold vertices."""
+    top = len(index.sizes) if hi is None else min(hi + 1, len(index.sizes))
+    return frozenset(c for c in range(lo, top) if index.sizes[c])
 
 
 class Levels:
-    """Amplitude amps[c] on every vertex of `index` whose count is c.
+    """sign / sqrt(support()) on every vertex of `index` whose count is in
+    `counts`, counts that hold vertices; 0 on every other vertex."""
 
-    `amps` is a list of Python floats, one per count 0..index.max_count(),
-    settled on construction (see _settled); a count no vertex has holds 0.
-    """
+    __slots__ = ("index", "counts", "sign")
 
-    __slots__ = ("index", "amps")
-
-    def __init__(self, index: CountIndex, amps: List[float]) -> None:
-        self.index = index
-        self.amps = _settled(amps, index.sizes)
+    def __init__(self, index: CountIndex, counts: Iterable[int], sign: int = 1) -> None:
+        self.index, self.counts, self.sign = index, frozenset(counts), sign
+        if not self.counts:
+            raise ValidationError("state has no support")
 
     @classmethod
     def uniform(cls, index: CountIndex, lo: int = 0, hi: Optional[int] = None) -> "Levels":
         """Uniform over the vertices with count in [lo, hi]: the diffusion
         axis by default, FamilyIndex.class_state's state otherwise."""
-        size = index.class_size(lo, hi)
-        if not size:
+        counts = _class(index, lo, hi)
+        if not counts:
             raise ImpossibleTargetError(f"no vertices with count in [{lo}, {hi}]")
-        amp, inside = 1.0 / math.sqrt(size), in_range(lo, hi)
-        return cls(index, [amp if inside(c) else 0.0 for c in range(len(index.sizes))])
+        return cls(index, counts)
+
+    def support(self) -> int:
+        """The support size: the vertices of the class, an exact int."""
+        return sum(self.index.sizes[c] for c in self.counts)
 
     def __len__(self) -> int:
-        """The support size: the vertices of nonzero amplitude."""
-        return sum(size for size, a in zip(self.index.sizes, self.amps) if a)
+        """support(), for a class of fewer than 2^63 vertices."""
+        return self.support()
 
     def as_state(self) -> State:
         """The same state as a vector over the index's basis (a
         FamilyIndex's: a LawIndex holds no vertices to lay it over)."""
-        return State.over(self.index.basis, np.array(self.amps)[self.index.counts])
+        amp = self.sign / math.sqrt(self.support())
+        by_count = np.array(self.index.per_count(lambda c: amp if c in self.counts else 0.0))
+        return State.over(self.index.basis, by_count[self.index.counts])
 
 
-def _settled(amps: List[float], sizes: List[int]) -> List[float]:
-    """statevector._settled on count amplitudes, in place: prune, then check
-    norm^2 = sum_c |V_c| a_c^2, folded left to right.  A count no vertex has
-    is set to 0; a NaN is kept, and fails the check."""
-    if len(amps) != len(sizes):
-        raise ValidationError(f"{len(amps)} amplitudes for {len(sizes)} counts")
-    norm2 = 0.0
-    for c, size in enumerate(sizes):
-        a = amps[c]
-        if not size or abs(a) <= PRUNE_EPS:
-            amps[c] = 0.0
-        else:
-            norm2 += size * (a * a)
-    if not norm2:
-        raise ValidationError("state has no support")
-    if not abs(norm2 - 1.0) <= NORM_TOL:
-        raise ValidationError(f"state norm^2 = {norm2!r}, outside tolerance")
-    return amps
+def _draw(weights: List[int], rng: Uniform) -> int:
+    """The label the stream's next draw u selects among labels of integer
+    `weights`, in sorted label order: the first whose cumulative weight
+    exceeds u times their total.  u is a dyadic rational num / den, so the
+    comparison num * total < den * cumulative is exact."""
+    num, den = float(rng.random()).as_integer_ratio()
+    bar, acc = num * sum(weights), 0
+    for label_id, weight in enumerate(weights[:-1]):
+        acc += weight
+        if bar < den * acc:
+            return label_id
+    # u < 1, so the last label's cumulative weight, the total, exceeds it
+    return len(weights) - 1
 
 
 def _running_sum(weight: float, count: int) -> float:
@@ -174,45 +158,16 @@ def _running_sum(weight: float, count: int) -> float:
     return total
 
 
-def _measure(state: Levels, table: list, rng: Uniform):
-    amps, sizes = state.amps, state.index.sizes
-    # a label's weight summed in count order, as _collapse's np.bincount
-    # sums a label's entries in order
-    weights: dict = {}
-    for c, a in enumerate(amps):
-        if a:
-            label = table[c]
-            weights[label] = weights.get(label, 0.0) + sizes[c] * (a * a)
-    distinct = sorted(weights)
-    chosen = distinct[_draw_label([weights[label] for label in distinct], rng)]
-    scale = 1.0 / math.sqrt(weights[chosen])
-    kept = [a * scale if a and table[c] == chosen else 0.0 for c, a in enumerate(amps)]
-    return chosen, Levels(state.index, kept)
-
-
 def measure(state: Levels, label: Callable[[int], object], rng: Uniform):
     """statevector.measure of the register label(count): (outcome, collapsed)."""
-    return _measure(state, state.index.per_count(label), rng)
-
-
-def _grover(state: Levels, flags: List[bool], count: int) -> Levels:
-    """amplify.grover_iterate in closed form: count rounds of (Ref_axis .
-    Ref_flip) turn a state of Grover's plane, sqrt|G| a_good on the
-    good-uniform and sqrt|B| a_bad on the bad-uniform state, by 2 count theta
-    with sin^2 theta = |G|/V.  A state not uniform on each side of `flags`
-    lies off that plane and raises ValidationError."""
-    total, good, side = state.index.total, 0, {}
-    for a, size, flag in zip(state.amps, state.index.sizes, flags):
-        if size:
-            good += size if flag else 0
-            if side.setdefault(flag, a) != a:
-                raise ValidationError("state is not uniform on each side of the flip")
-    bad = total - good
-    g, b = math.sqrt(good) * side.get(True, 0.0), math.sqrt(bad) * side.get(False, 0.0)
-    phi = math.atan2(g, b) + 2 * count * math.asin(math.sqrt(good / total))
-    good_amp = math.sin(phi) / math.sqrt(good) if good else 0.0
-    bad_amp = math.cos(phi) / math.sqrt(bad) if bad else 0.0
-    return Levels(state.index, [good_amp if flag else bad_amp for flag in flags])
+    table, sizes = state.index.per_count(label), state.index.sizes
+    weights: dict = {}
+    for c in state.counts:
+        weights[table[c]] = weights.get(table[c], 0) + sizes[c]
+    distinct = sorted(weights)
+    chosen = distinct[_draw([weights[label] for label in distinct], rng)]
+    kept = [c for c in state.counts if table[c] == chosen]
+    return chosen, Levels(state.index, kept, state.sign)
 
 
 def flip(
@@ -226,27 +181,41 @@ def flip(
     rounds of iterate-then-measure until the flag measurement lands on
     `want`, or fresh axis measurements when the plan is None.  A wanted side
     with no vertex raises ImpossibleTargetError, whatever the mass rounds to,
-    and SimulationError follows amplify.flip_attempts' attempts that all
-    miss."""
+    a state off Grover's plane ValidationError, and SimulationError follows
+    amplify.flip_attempts' attempts that all miss."""
     index = state.index
-    flags = [bool(good(c)) for c in range(len(index.sizes))]
-    unit = 1.0 / math.sqrt(index.total)
-    good_size = sum(size for size, flag in zip(index.sizes, flags) if flag)
-    if good_size == (0 if want is Want.GOOD else index.total):
+    flags = index.per_count(good)
+    axis = _class(index, 0, None)
+    sides = {True: frozenset(c for c in axis if flags[c])}
+    sides[False] = axis - sides[True]
+    good_size = sum(index.sizes[c] for c in sides[True])
+    bad_size = index.total - good_size
+    if not (good_size if want is Want.GOOD else bad_size):
         raise ImpossibleTargetError(f"axis has no {want.value} component")
+    unit = 1.0 / math.sqrt(index.total)
     good_mass = _running_sum(unit * unit, good_size)
     rounds = flip_rounds(good_mass, want)
     attempts = flip_attempts(good_mass, rounds)
+    # (sin phi, cos phi) of each class of Grover's plane, up to a positive
+    # factor; with no good vertex the axis is the bad side
+    plane = {axis: (math.sqrt(good_size), math.sqrt(bad_size)),
+             sides[True]: (1, 0), sides[False]: (0, 1)}
+    turn = 2 * (rounds or 0) * math.asin(math.sqrt(good_size / index.total))
     stats = FlipStats()
     for _ in range(attempts):
         stats.attempts += 1
         if rounds is None:
-            state = Levels.uniform(index)
+            landed, sign = bool(_draw([bad_size, good_size], rng)), 1
         else:
-            state = _grover(state, flags, rounds)
+            if state.counts not in plane:
+                raise ValidationError("state's class is neither the axis nor a side of the flip")
+            g, b = plane[state.counts]
+            phi = math.atan2(state.sign * g, state.sign * b) + turn
             stats.iterations_used += rounds
-        outcome, state = _measure(state, flags, rng)
-        if outcome == (want is Want.GOOD):
+            landed = float(rng.random()) >= math.cos(phi) ** 2
+            sign = 1 if (math.sin(phi) if landed else math.cos(phi)) > 0 else -1
+        state = Levels(index, sides[landed], sign)
+        if landed == (want is Want.GOOD):
             return state, stats
         stats.restarts += 1
     raise SimulationError(
@@ -256,34 +225,25 @@ def flip(
 
 def check_class(state: Levels, family: VertexFamily) -> None:
     """extraction.check_uniform_class with the state's index: raise
-    ValidationError unless the support is the family's whole count class and
-    every amplitude is within 1e-9 of uniform over it."""
-    sizes, amps = state.index.sizes, state.amps
-    live = [c for c, a in enumerate(amps) if a]
-    top = len(sizes) - 1 if family.hi is None else family.hi
-    members = [c for c, size in enumerate(sizes[family.lo:top + 1], family.lo) if size]
-    if live != members:
+    ValidationError unless the state's class is the family's whole count
+    class."""
+    if state.counts != _class(state.index, family.lo, family.hi):
         raise ValidationError(
             f"state support does not match family {family.interval_label()}"
         )
-    target = 1.0 / math.sqrt(len(state))
-    if any(abs(abs(amps[c]) - target) > _UNIFORM_TOL for c in live):
-        raise ValidationError("state is not uniform over its support")
 
 
 def hop_out(
     state: Levels,
-    cls: frozenset,
     cell: Callable[[int], object],
     rng: Uniform,
-) -> Tuple[Levels, frozenset, FlipStats]:
-    """extraction.hop: flip a state uniform over the count class cls off it,
-    then measure cell(count).  Returns the state, the class of counts outside
-    cls in the measured cell, and the flip's work record."""
-    state, stats = flip(state, cls.__contains__, Want.BAD, rng)
-    outcome, state = measure(state, cell, rng)
-    rest = frozenset(range(len(state.index.sizes))) - cls
-    return state, frozenset(c for c in rest if cell(c) == outcome), stats
+) -> Tuple[Levels, FlipStats]:
+    """extraction.hop: flip a class state off its class, then measure
+    cell(count).  Returns the state, uniform over the counts outside the old
+    class in the measured cell, and the flip's work record."""
+    state, stats = flip(state, state.counts.__contains__, Want.BAD, rng)
+    _, state = measure(state, cell, rng)
+    return state, stats
 
 
 def repair(
@@ -293,16 +253,17 @@ def repair(
     rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
     """extraction.correct_interval: widen a state over [lo, b] back to
-    [lo, target_hi] by hops from the classes extraction.repair_classes
-    gives, splitting the complement at lo while it holds counts below lo and
-    at target_hi + 1 otherwise."""
-    cls, target = repair_classes(state.index, family, target_hi)
+    [lo, target_hi], on the premises extraction.repair_classes checks, by
+    hops that split the complement at lo while it holds counts below lo,
+    and at target_hi + 1 otherwise."""
+    repair_classes(state.index, family, target_hi)
+    target = _class(state.index, family.lo, target_hi)
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
-        if cls == target:
+        if state.counts == target:
             return state, stats
-        split_at = target_hi + 1 if cls.issuperset(range(family.lo)) else family.lo
-        state, cls, fs = hop_out(state, cls, lambda c: c >= split_at, rng)
+        split_at = target_hi + 1 if min(state.counts) < family.lo else family.lo
+        state, fs = hop_out(state, lambda c: c >= split_at, rng)
         stats.absorb(fs)
     raise SimulationError(
         f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
@@ -314,56 +275,37 @@ def extract_once(
 ) -> ExtractionOutcome:
     """extraction.extract_once on a state uniform over the family's class.
 
-    The dummy d_i's weight is the closed form over the counts below i; each
-    tuple's, an (image, preimages) pair of the index's tuple_holders, is its
-    holders per count against each count's branch weight.  A tuple outcome
-    leaves the holders, which make up the index's child, each one count
-    lower; when the cut empties the vertex (R' = 0), collapsed and new_index
-    are None.  A dummy outcome d_i keeps the counts below i.
+    The weights are integers over y times the class's size: the dummy
+    d_i's the class's vertices below i, each tuple's, an (image, preimages)
+    pair of the index's tuple_holders, its holders in the class.  A tuple
+    outcome leaves the holders, which make up the index's child, each one
+    count lower; when the cut empties the vertex (R' = 0), collapsed and
+    new_index are None.  A dummy outcome d_i keeps the counts below i.
     """
     y = family.padding_width()
     check_class(state, family)
-    index, amps = state.index, state.amps
-    found, holders = index.tuple_holders([a != 0 for a in amps])
-    inv = 1.0 / math.sqrt(y)
-    scaled = [a * inv for a in amps]
-    power = [s * s for s in scaled]
-    # every weight a left fold in count order: dummy d_i's over the counts
-    # below i, a tuple's over its holders per count
-    below, acc = [], 0.0
-    for size, p in zip(index.sizes, power):
-        acc += size * p
-        below.append(acc)
-    weights = [below[min(i, len(below) - 1)] for i in range(y)]
-    for row in holders:
-        acc = 0.0
-        for h, p in zip(row, power):
-            acc += h * p
-        weights.append(acc)
-    outcome = _draw_label(weights, rng)
-    scale = 1.0 / math.sqrt(weights[outcome])
+    index, counts = state.index, state.counts
+    found, holders = index.tuple_holders(index.per_count(counts.__contains__))
+    weights = [sum(index.sizes[c] for c in counts if c <= i) for i in range(y)]
+    weights += [sum(row) for row in holders]
+    outcome = _draw(weights, rng)
     if outcome >= y:
         image, preimages = found[outcome - y]
         new_family = family.after_tuple(image, preimages)
+        new_index, collapsed = None, None
         if new_family.big_r:
             new_index = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1
-            child = [s * scale for s in scaled[1:len(new_index.sizes) + 1]]
-            collapsed: Optional[Levels] = Levels(new_index, child)
-        else:
-            # the tuple was the one collapsed vertex, of count 1
-            _settled([s * scale for s in scaled[1:2]], [1])
-            new_index, collapsed = None, None
+            child = _class(new_index, 0, None) & {c - 1 for c in counts}
+            collapsed = Levels(new_index, child, state.sign)
         return ExtractionOutcome(
             kind="tuple", image=image, preimages=preimages, dummy_index=None,
             collapsed=collapsed, new_family=new_family, new_index=new_index,
         )
-    kept = [s * scale for s in scaled[:outcome + 1]]
-    kept += [0.0] * (len(amps) - len(kept))
     return ExtractionOutcome(
         kind="dummy", image=None, preimages=None, dummy_index=outcome + 1,
-        collapsed=Levels(index, kept), new_family=replace(family, hi=outcome),
-        new_index=index,
+        collapsed=Levels(index, [c for c in counts if c <= outcome], state.sign),
+        new_family=replace(family, hi=outcome), new_index=index,
     )
 
 

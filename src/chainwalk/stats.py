@@ -240,7 +240,10 @@ def calibrate_constant(
 
 def window(c: float, big_r: int, bins: int) -> Tuple[int, int]:
     """The concentration window of Z over R-subsets into M bins, as (E, T):
-    E = round(c R^2 / M) and T = max(1, round(R / sqrt(M)))."""
+    E = round(c R^2 / M) and T = max(1, round(R / sqrt(M))).  Needs M > 0
+    and R >= 0."""
+    if bins <= 0 or big_r < 0:
+        raise ParameterError(f"need M > 0 and R >= 0, got R={big_r}, M={bins}")
     return round_count(c * big_r * big_r / bins), max(1, round_count(big_r / math.sqrt(bins)))
 
 

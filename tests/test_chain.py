@@ -441,15 +441,16 @@ def test_criterion_7_hot_path(monkeypatch):
 
 def test_run_states_stay_real(monkeypatch):
     """Two criterion-7 runs and a chain-wide run hold their states as count
-    amplitudes: they build no vector over the vertices (no State is settled
-    and no index builds its axis), every amplitude is a Python float and
-    every class size a Python int."""
+    classes: they build no vector over the vertices (no State is settled
+    and no index builds its axis), and every count of a class, its class
+    size and the state's sign are Python ints."""
     vectors, types = [], set()
     levels_init = Levels.__init__
 
-    def recorded(self, index, amps):
-        types.update((type(a), type(size)) for a, size in zip(amps, index.sizes))
-        levels_init(self, index, amps)
+    def recorded(self, index, counts, sign=1):
+        counts = list(counts)
+        types.update((type(c), type(index.sizes[c]), type(sign)) for c in counts)
+        levels_init(self, index, counts, sign)
 
     monkeypatch.setattr(State, "_settle", lambda *args: vectors.append("State"))
     monkeypatch.setattr(FamilyIndex, "axis_state", lambda self: vectors.append("axis"))
@@ -459,7 +460,7 @@ def test_run_states_stay_real(monkeypatch):
         run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
                         max_outer_iterations=64))
     assert vectors == []
-    assert types == {(float, int)}
+    assert types == {(int, int, int)}
 
 
 class _Rank(enum.IntEnum):

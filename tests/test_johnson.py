@@ -76,6 +76,16 @@ def test_closed_form_gap_values():
         assert closed_form_gap(n, 1) == pytest.approx(n / (n - 1), abs=1e-15)
 
 
+@pytest.mark.parametrize("n, r", [(4, 0), (4, 4), (4, 5)])
+def test_closed_form_gap_refuses_what_the_graph_refuses(n, r):
+    """(4, 0) and (4, 4) divided by zero and (4, 5) gave -0.8; each raises
+    JohnsonGraph's ParameterError."""
+    for call in (lambda: closed_form_gap(n, r),
+                 lambda: JohnsonGraph(ground_set=tuple(range(n)), subset_size=r)):
+        with pytest.raises(ParameterError, match=f"need 0 < R < N, got R={r}, N={n}"):
+            call()
+
+
 def test_spectral_gap_matches_closed_form():
     for n, r in [(4, 2), (5, 2), (6, 3), (7, 2), (8, 4), (9, 3)]:
         g = JohnsonGraph(ground_set=tuple(range(n)), subset_size=r)

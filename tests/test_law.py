@@ -88,8 +88,7 @@ def _extraction(index, family, seed):
                                    family, rng, trace)
     except SimulationError as exc:
         return type(exc).__name__, str(exc)
-    # compared bitwise: float == takes -0.0 for 0.0 and never matches a NaN
-    residual = None if out.collapsed is None else np.array(out.collapsed.amps).tobytes()
+    residual = None if out.collapsed is None else (out.collapsed.counts, out.collapsed.sign)
     sizes = None if out.new_index is None else out.new_index.sizes
     return (out.kind, out.image, out.preimages, out.new_family, residual, sizes,
             stats, trace, rng.random().hex())

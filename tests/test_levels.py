@@ -1,16 +1,18 @@
 """Differential tests: count-class states (levels.py) against the vector path.
 
-The run holds its states as one amplitude per vertex count.  Each test here
-drives the count-class operation and the vector operation it replaced from
-the same state and the same seed, and requires the same outcomes, work
-records, supports and next draw.  They cover the branches no sweep run
+The run holds its states as count classes.  Each test here drives the
+count-class operation and the vector operation it replaced from the same
+state and the same seed, and requires the same outcomes, work records,
+supports and next draw.  They cover the branches no sweep run
 reaches: dummy outcomes and their repair, walk-step hops, dense extraction,
 and a flip whose good class is exactly half the axis.
 """
 
+import itertools
 import math
 import signal
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainwalk._stream import Stream
-from chainwalk.amplify import MAX_TRANSITIONS, _HALF, FlipStats, Want, flip as vector_flip, grover_iterate, split
+from chainwalk.amplify import MAX_TRANSITIONS, _HALF, FlipStats, Want, flip as vector_flip, split
 from chainwalk.chain import CostLedger, _delta_for, extraction_step, walk_step
 from chainwalk.errors import (
     FlaggedInstanceError,
@@ -37,16 +39,15 @@ from chainwalk.extraction import (
 from chainwalk.law import CountIndex, LawIndex
 from chainwalk.levels import (
     Levels,
-    _grover,
+    _draw,
     _running_sum,
-    _settled,
     check_class,
     extract_tuple,
     flip,
     measure as levels_measure,
     repair,
 )
-from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
+from chainwalk.oracle import CollisionTable, FunctionTable, Params, restrict
 from chainwalk.stats import IntervalPlan
 from chainwalk.statevector import State
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
@@ -222,9 +223,8 @@ def test_flip_with_a_small_landing_chance_lands():
     fn = FunctionTable(Params(n=9, m=10, k=0), [0] + list(range(511)))
     index = LawIndex(restrict(fn, CollisionTable()), 2)
     assert index.sizes == [130815, 1]
-    zero_class = Levels(index, [1.0 / math.sqrt(130815), 0.0])
-    state, stats = flip(zero_class, lambda c: c == 0, Want.BAD, Stream([2, 1]))
-    assert [abs(a) for a in state.amps] == [0.0, 1.0]
+    state, stats = flip(Levels(index, {0}), lambda c: c == 0, Want.BAD, Stream([2, 1]))
+    assert state.counts == {1}
     assert stats.attempts == 20768 > MAX_TRANSITIONS
     q = 1.0 / 130816
     axis = State({b"good": math.sqrt(1.0 - q), b"bad": math.sqrt(q)})
@@ -398,24 +398,20 @@ def test_repair_premise_failures():
         with pytest.raises(ParameterError):
             repair(Levels.uniform(index), family(1, None), 2, rng)
         same, stats = repair(Levels.uniform(index, 1, 2), family(1, 2), 2, rng)
-        assert np.array(same.amps).tobytes() == np.array(Levels.uniform(index, 1, 2).amps).tobytes()
+        assert (same.counts, same.sign) == ({1, 2}, 1)
         assert stats == FlipStats()
 
 
-@pytest.mark.parametrize("case", ["class_dropped", "other_class_added", "not_uniform"])
+@pytest.mark.parametrize("case", ["class_dropped", "other_class_added"])
 def test_check_class_rejects(case):
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     assert index.histogram() == {0: 28, 1: 39, 2: 3}
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
     check_class(Levels.uniform(index, 1, 2), family)
-    amps = {"class_dropped": [0.0, 1.0, 0.0], "other_class_added": [1.0, 1.0, 1.0],
-            "not_uniform": [0.0, 1.0, 2.0]}[case]
-    # small integer sums, exact in any order
-    norm = math.sqrt(sum(size * a * a for size, a in zip(index.sizes, amps)))
-    amps = [a / norm for a in amps]
+    counts = {"class_dropped": {1}, "other_class_added": {0, 1, 2}}[case]
     with pytest.raises(ValidationError):
-        check_class(Levels(index, amps), family)
+        check_class(Levels(index, counts), family)
 
 
 class _Counts(CountIndex):
@@ -426,68 +422,75 @@ class _Counts(CountIndex):
         self.total = sum(sizes)
 
 
-def test_nan_norm_is_rejected():
-    """A NaN amplitude is not pruned, and its NaN norm fails the check: on
-    the (4, 5, 1) index it would otherwise pass with support 7,359."""
-    index = LawIndex(restrict(generate_function(Params(n=4, m=5, k=1), 0), CollisionTable()), 8)
-    assert index.sizes == [7359, 5016, 495]
-    with pytest.raises(ValidationError):
-        Levels(index, [math.nan, 0.0, 0.0])
+class _Draws:
+    """A stream that gives the listed draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("weights", [[1] * 18, [1] * 40, [2**70] * 18, [2, 0, 1, 5]])
+def test_draw_at_a_cumulative_weight_takes_the_next_label(weights):
+    """A draw u with u times the total equal to a cumulative weight takes
+    the next label of positive weight, as Fraction arithmetic says: 18
+    equal weights at u = 1/2 give label 9, where a left fold of the float
+    weights 1/18 reads 0.5000000000000001 after label 8 and gives label 8."""
+    total, boundaries = sum(weights), 0
+    for cumulative in itertools.accumulate(weights[:-1]):
+        u = cumulative / total
+        if Fraction(u) * total != cumulative:
+            continue
+        expected = next(label for label, upto in enumerate(itertools.accumulate(weights))
+                        if Fraction(u) * total < upto)
+        assert _draw(weights, _Draws([u])) == expected
+        boundaries += 1
+    assert boundaries
+    assert _draw([1] * 18, _Draws([0.5])) == 9
 
 
 def test_sizes_above_int64():
     """Class sizes are exact ints, so classes of 2^70 vertices each, past
-    int64, settle, start uniform and measure."""
+    int64, start uniform, measure and count their support exactly."""
     index = _Counts([2**70] * 3)
     axis = Levels.uniform(index)
-    assert axis.amps == [1.0 / math.sqrt(3 * 2**70)] * 3
-    _settled(list(axis.amps), index.sizes)
+    assert axis.support() == 3 * 2**70
     outcome, state = levels_measure(axis, lambda c: c >= 1, np.random.default_rng(0))
-    kept = 2**71 if outcome else 2**70
-    assert [bool(a) for a in state.amps] == [not outcome, outcome, outcome]
-    assert all(math.isclose(a, 1.0 / math.sqrt(kept), rel_tol=1e-15)
-               for a in state.amps if a)
-
-
-# three amplitudes whose squares a left fold sums differently from math.fsum
-_FOLD_AMPS = [0.501, 0.5, 0.7063986126826693]
-
-
-def _left_fold(terms):
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
-
-
-def test_measure_weight_is_a_left_fold():
-    """A count class's weight is sum_c |V_c| a_c^2 folded left to right:
-    here exactly 1.0, so the collapsed state is the input bit for bit, where
-    math.fsum (and builtin sum from Python 3.12) would rescale it."""
-    squares = [a * a for a in _FOLD_AMPS]
-    assert _left_fold(squares) == 1.0 != math.fsum(squares)
-    state = Levels(_Counts([1, 1, 1]), list(_FOLD_AMPS))
-    outcome, collapsed = levels_measure(state, lambda c: 0, np.random.default_rng(0))
-    assert outcome == 0 and collapsed.amps == _FOLD_AMPS
+    assert state.counts == ({1, 2} if outcome else {0})
+    assert state.support() == (2**71 if outcome else 2**70)
+    # count 0 holds a third of the total.  u = 1/3 rounded down lies below
+    # that third, while a float weight 1/3 rounds to u itself, so u < weight
+    # would fail and pick the other label
+    assert levels_measure(axis, lambda c: c >= 1, _Draws([1 / 3]))[0] is False
+    assert levels_measure(axis, lambda c: c >= 1, _Draws([math.nextafter(1 / 3, 1)]))[0] is True
 
 
 def test_grover_rotates_only_states_in_the_plane():
-    """t rounds turn a state sin(psi) on the good-uniform and cos(psi) on the
-    bad-uniform state to psi + 2 t theta, sin^2 theta = |G|/V; psi = theta is
-    the axis.  _FOLD_AMPS, with two amplitudes on the flagged side, lies off
-    that plane and is refused."""
-    index, flags = _Counts([1, 1, 1]), [True, True, False]
-    with pytest.raises(ValidationError):
-        _grover(Levels(index, list(_FOLD_AMPS)), flags, 1)
+    """Counts 0 and 1 good and 2 bad, one vertex each: a BAD flip rotates
+    one round, 2 theta with sin^2 theta = 2/3, from the axis (phi = theta),
+    the good side (pi/2) or the bad side (0), each with either sign (pi
+    more), and lands bad with chance cos^2(phi + 2 theta), on the sign of
+    cos(phi + 2 theta): a draw just below the chance lands, one just above
+    it misses and lands at the second attempt.  A class on neither side of
+    the flags, {1} or {0, 2}, lies off Grover's plane and is refused."""
+    index, good = _Counts([1, 1, 1]), lambda c: c <= 1
     theta = math.asin(math.sqrt(2 / 3))
-    for psi in (theta, math.pi / 4, -2.0):
-        start = Levels(index, [math.sin(psi) / math.sqrt(2)] * 2 + [math.cos(psi)])
-        for count in range(4):
-            turned = psi + 2 * count * theta
-            expected = [math.sin(turned) / math.sqrt(2)] * 2 + [math.cos(turned)]
-            rotated = _grover(start, flags, count).amps
-            assert all(math.isclose(a, e, rel_tol=0, abs_tol=1e-15)
-                       for a, e in zip(rotated, expected))
+    for counts, phi in (({0, 1, 2}, theta), ({0, 1}, math.pi / 2), ({2}, 0.0)):
+        for sign in (1, -1):
+            turned = phi + 2 * theta + (0.0 if sign > 0 else math.pi)
+            chance = math.cos(turned) ** 2
+            landed = 1 if math.cos(turned) > 0 else -1
+            state, stats = flip(Levels(index, counts, sign), good, Want.BAD,
+                                _Draws([chance - 1e-9]))
+            assert (state.counts, state.sign, _stats(stats)) == ({2}, landed, (1, 0, 1))
+            state, stats = flip(Levels(index, counts, sign), good, Want.BAD,
+                                _Draws([chance + 1e-9, 0.0]))
+            assert (state.counts, _stats(stats)) == ({2}, (2, 1, 2))
+    for counts in ({1}, {0, 2}):
+        with pytest.raises(ValidationError):
+            flip(Levels(index, counts), good, Want.BAD, _Draws([0.0]))
 
 
 @settings(deadline=None, max_examples=60)
@@ -495,24 +498,30 @@ def test_grover_rotates_only_states_in_the_plane():
     values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
     big_r=st.sampled_from([2, 3, 4]),
     picks=st.lists(st.booleans(), min_size=3, max_size=3),
-    psi=st.floats(-math.pi, math.pi),
-    count=st.integers(0, 40),
+    start=st.sampled_from(["axis", "good", "bad"]),
+    sign=st.sampled_from([1, -1]),
+    want=st.sampled_from(Want),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_grover_matches_the_vector_rounds(values, big_r, picks, psi, count):
-    """The closed-form rotation against amplify.grover_iterate's rounds, from
-    a state of Grover's plane drawn by its angle: the same support, and
-    amplitudes within 1e-12."""
+def test_flip_matches_the_vector_flip(values, big_r, picks, start, sign, want, seed):
+    """levels.flip against amplify.flip from the same class state, the axis
+    or one side of the flags with either sign, on a small family: the same
+    work record, the same state and the same next draw."""
     index = FamilyIndex(restrict(FunctionTable(Params(n=4, m=4, k=0), values),
                                  CollisionTable()), big_r)
-    flags = [picks[c] for c in range(len(index.sizes))]
-    good = sum(size for size, flag in zip(index.sizes, flags) if flag)
-    assume(0 < good < index.total)
-    start = Levels(index, [math.sin(psi) / math.sqrt(good) if flag
-                           else math.cos(psi) / math.sqrt(index.total - good)
-                           for flag in flags])
-    reference = grover_iterate(start.as_state(), index.by_count(flags.__getitem__),
-                               index.axis_state(), count)
-    assert _same_state(_grover(start, flags, count), reference)
+    good = picks.__getitem__
+    good_size = sum(size for c, size in enumerate(index.sizes) if picks[c])
+    assume(0 < good_size < index.total)
+    counts = {c for c, size in enumerate(index.sizes)
+              if size and (start == "axis" or picks[c] == (start == "good"))}
+    state = Levels(index, counts, sign)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours, stats = flip(state, good, want, rng)
+    reference, ref_stats = vector_flip(state.as_state(), index.by_count(good),
+                                       index.axis_state(), want, ref_rng)
+    assert _stats(stats) == _stats(ref_stats)
+    assert _same_state(ours, reference)
+    assert rng.random().hex() == ref_rng.random().hex()
 
 
 def test_flip_at_one_in_a_trillion_is_one_rotation():
@@ -522,4 +531,4 @@ def test_flip_at_one_in_a_trillion_is_one_rotation():
     state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
                         np.random.default_rng(0))
     assert _stats(stats) == (785_398, 0, 1)
-    assert state.amps == [0.0, 1.0]
+    assert (state.counts, state.sign) == ({1}, 1)

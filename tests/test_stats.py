@@ -290,6 +290,26 @@ def test_interval_plan_build_and_refresh():
         IntervalPlan.build(32, 256, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: window(0.5, 4, 0), id="window-M0"),
+    pytest.param(lambda: window(0.5, 4, -4), id="window-M-4"),
+    pytest.param(lambda: window(0.5, -1, 16), id="window-R-1"),
+    pytest.param(lambda: interval_hit_probability(4, 0, 0.5, "upper", 10,
+                                                  np.random.default_rng(0)),
+                 id="interval_hit_probability-M0"),
+    pytest.param(lambda: occupancy_law(4, 0), id="occupancy_law-M0"),
+    pytest.param(lambda: occupancy_law(4, -4), id="occupancy_law-M-4"),
+    pytest.param(lambda: occupancy_law(-1, 16), id="occupancy_law-R-1"),
+])
+def test_window_and_occupancy_law_refuse_empty_bins(call):
+    """M <= 0 or R < 0 raise ParameterError, not ZeroDivisionError or a math
+    domain error: window(0.5, 4, 0) divided by M, window(0.5, 4, -4) took
+    sqrt(M), interval_hit_probability reads its window before it samples,
+    and occupancy_law(4, 0) divided by M^R."""
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_interval_hit_probability():
     c = exact_c(32, 1024)
     up = interval_hit_probability(32, 1024, c, "upper", 10_000, np.random.default_rng(2))
