@@ -16,10 +16,14 @@ Inputs are expected to lie in span{B, G} (uniform class states always do);
 the returned state is then exactly the renormalized wanted projection of the
 axis.  A flip first refuses an axis with no key on the wanted side, counted
 exactly, since a float mass can round short of 0 or 1 there and the flip
-would never land.  What it then does with its axis's good mass, whether the
-wanted amplitude is too small, whether to measure fresh axes and how many
-rounds to rotate by, is decided in one place, `flip_rounds`, and how many
-attempts to make in `flip_attempts`; levels.flip reads both.
+would never land.  It then plans from its axis's good share (`_good_share`):
+the good squared norm over the whole, each summed exactly from the distinct
+squared amplitudes and divided once, so that a uniform axis reads the
+correctly rounded |G|/V that levels.flip reads off its exact class sizes.
+What a flip does with that share, whether the wanted amplitude is too
+small, whether to measure fresh axes and how many rounds to rotate by, is
+decided in one place, `flip_rounds`, and how many attempts to make in
+`flip_attempts`; levels.flip reads both.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -171,6 +176,21 @@ def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:
     return math.ceil(MAX_TRANSITIONS / land) if land > 0.0 else MAX_TRANSITIONS
 
 
+def _good_share(axis: State, flags: np.ndarray) -> float:
+    """The axis's good squared norm over its whole squared norm, `flags`
+    marking the good keys of its basis: each an exact sum of the distinct
+    squared amplitudes times their multiplicities, divided once and rounded
+    once, so a uniform axis over V keys with |G| good reads |G|/V."""
+    weights = np.abs(axis.vector[axis.live]) ** 2
+
+    def exact_sum(values: np.ndarray) -> Fraction:
+        distinct, counts = np.unique(values, return_counts=True)
+        return sum((Fraction(w) * c for w, c in zip(distinct.tolist(), counts.tolist())),
+                   Fraction(0))
+
+    return float(exact_sum(weights[flags[axis.live]]) / exact_sum(weights))
+
+
 def flip(
     state: State,
     good: Labels,
@@ -183,18 +203,19 @@ def flip(
     `good` is a key callback or a boolean vector over the axis's basis, read
     once per key of that basis into the mask that the plan, the iterations
     and every flag measurement use.  The plan is flip_rounds' on the axis's
-    good mass: each attempt rotates the state by its rounds, or measures a
-    fresh copy of the axis when it is None.  An axis with no support key on
-    the wanted side raises ImpossibleTargetError, whatever its mass rounds to,
-    and SimulationError follows flip_attempts' attempts that all miss.
+    good share (_good_share): each attempt rotates the state by its rounds,
+    or measures a fresh copy of the axis when it is None.  An axis with no
+    support key on the wanted side raises ImpossibleTargetError, whatever
+    its share rounds to, and SimulationError follows flip_attempts' attempts
+    that all miss.
     """
     state, flags = _good_flags(state, good, axis)
     wanted = flags if want is Want.GOOD else ~flags
     if not wanted[axis.live].any():
         raise ImpossibleTargetError(f"axis has no {want.value} component")
-    good_mass = axis.probability(flags)
-    rounds = flip_rounds(good_mass, want)
-    attempts = flip_attempts(good_mass, rounds)
+    share = _good_share(axis, flags)
+    rounds = flip_rounds(share, want)
+    attempts = flip_attempts(share, rounds)
     stats = FlipStats()
     for _ in range(attempts):
         stats.attempts += 1

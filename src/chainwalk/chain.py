@@ -54,6 +54,7 @@ from .oracle import (
     FunctionTable,
     Params,
     generate_function,
+    require_int,
     restrict,
 )
 from .levels import Levels, check_class, extract_tuple, flip, hop_out, measure
@@ -79,7 +80,8 @@ class ChainConfig:
     holds 2^k tuples.  max_outer_iterations defaults to the loop bound
     ceil(2^k 2^(m/2) / R); desk-scale sparse runs extract one tuple per
     iteration, so tests that need the full collision set raise the bound
-    explicitly.
+    explicitly.  ell, seed and max_outer_iterations must be integers (not
+    bools); anything else raises ParameterError.
     """
 
     params: Params
@@ -88,6 +90,10 @@ class ChainConfig:
     max_outer_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_int("ell", self.ell)
+        require_int("seed", self.seed)
+        if self.max_outer_iterations is not None:
+            require_int("max_outer_iterations", self.max_outer_iterations)
         if self.ell < 1:
             raise ParameterError("ell must be at least 1 (R >= 2)")
         bound = (2 * self.params.k + self.params.m) / 3.0 + _ELL_SLACK
@@ -158,8 +164,8 @@ class CostPrediction:
 def predict_cost(params: Params, ell: float, regime: str) -> CostPrediction:
     if regime not in ("prior", "new"):
         raise ParameterError(f"regime must be 'prior' or 'new', got {regime!r}")
-    if ell <= 0:
-        raise ParameterError("ell must be positive")
+    if not 0 < ell < math.inf:
+        raise ParameterError(f"ell must be positive and finite, got {ell}")
     setup = 2.0 ** ell
     walk = 2.0 ** (params.k + params.m / 2.0 - ell / 2.0)
     if regime == "prior":

@@ -24,9 +24,10 @@ Grover's plane at angle phi, sin phi on the good-uniform state and cos phi
 on the bad-uniform one, by 2 t theta, sin^2 theta = |G|/V, and its flag
 then lands bad with the closed-form float chance cos^2 phi.  A class that
 is neither the axis nor one side of the flags lies off that plane and is
-refused.  The flip's plan is amplify.flip_rounds' on the vector path's good
-mass, the running sum of |G| equal weights (1/sqrt V)^2 (_running_sum):
-at |G| = V/2 that sum decides the alpha > 1/sqrt(2) branch.
+refused.  The flip's plan is amplify.flip_rounds' on the axis's good share
+|G|/V, one correctly rounded division of exact ints, so it reads 1/3 at
+|G| = V/3 and exactly 1/2 at |G| = V/2 however large V is; the vector flip
+plans from the same float on a uniform axis.
 
 No draw reads the sign.  It is kept so that as_state gives the vector
 path's state, sign included, which the differential tests compare against:
@@ -121,43 +122,6 @@ def _draw(weights: List[int], rng: Uniform) -> int:
     return len(weights) - 1
 
 
-def _running_sum(weight: float, count: int) -> float:
-    """0.0 plus `weight` `count` times, rounded after each addition: the last
-    entry of np.cumsum over `count` copies of `weight`.
-
-    While the sum stays in one binade, whose floats are the multiples of one
-    ulp, each addition rounds weight to a multiple of that ulp the same way,
-    except that a tie rounds to an even significand, which can change the
-    rounding once.  So two equal rises within a binade repeat until near the
-    binade's top, and the sum jumps over them in one exact product: j rises
-    with j the floored quotient (top - total) / rise less 1, so that
-    j * rise < top - total (both are whole ulps below 2^52 of them, so the
-    float quotient floors to the exact one).  That is O(log count) additions.
-    """
-    if not count:
-        return 0.0
-    total, count = weight, count - 1
-    while count:
-        top = math.ldexp(1.0, math.frexp(total)[1])
-        rise = None
-        while count:
-            nxt = total + weight
-            count -= 1
-            if nxt >= top:
-                total = nxt
-                break
-            step, total = nxt - total, nxt
-            if not step:
-                return total
-            if step == rise:
-                jumps = min(count, int((top - total) / rise) - 1)
-                if jumps > 0:
-                    total += jumps * rise
-                    count -= jumps
-            rise = step
-    return total
-
-
 def measure(state: Levels, label: Callable[[int], object], rng: Uniform):
     """statevector.measure of the register label(count): (outcome, collapsed)."""
     table, sizes = state.index.per_count(label), state.index.sizes
@@ -177,10 +141,10 @@ def flip(
     rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
     """amplify.flip against the index's uniform axis, good(count) marking the
-    good vertices, on amplify.flip_rounds' plan for the axis's good mass:
-    rounds of iterate-then-measure until the flag measurement lands on
-    `want`, or fresh axis measurements when the plan is None.  A wanted side
-    with no vertex raises ImpossibleTargetError, whatever the mass rounds to,
+    good vertices, on amplify.flip_rounds' plan for the axis's good share
+    |G|/V: rounds of iterate-then-measure until the flag measurement lands
+    on `want`, or fresh axis measurements when the plan is None.  A wanted
+    side with no vertex raises ImpossibleTargetError, whatever |G|/V rounds to,
     a state off Grover's plane ValidationError, and SimulationError follows
     amplify.flip_attempts' attempts that all miss."""
     index = state.index
@@ -192,15 +156,14 @@ def flip(
     bad_size = index.total - good_size
     if not (good_size if want is Want.GOOD else bad_size):
         raise ImpossibleTargetError(f"axis has no {want.value} component")
-    unit = 1.0 / math.sqrt(index.total)
-    good_mass = _running_sum(unit * unit, good_size)
-    rounds = flip_rounds(good_mass, want)
-    attempts = flip_attempts(good_mass, rounds)
+    good_share = good_size / index.total
+    rounds = flip_rounds(good_share, want)
+    attempts = flip_attempts(good_share, rounds)
     # (sin phi, cos phi) of each class of Grover's plane, up to a positive
     # factor; with no good vertex the axis is the bad side
     plane = {axis: (math.sqrt(good_size), math.sqrt(bad_size)),
              sides[True]: (1, 0), sides[False]: (0, 1)}
-    turn = 2 * (rounds or 0) * math.asin(math.sqrt(good_size / index.total))
+    turn = 2 * (rounds or 0) * math.asin(math.sqrt(good_share))
     stats = FlipStats()
     for _ in range(attempts):
         stats.attempts += 1

@@ -9,6 +9,7 @@ not counted.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 from operator import index
@@ -123,10 +124,19 @@ class FunctionTable:
         return self._values
 
 
+def require_int(name: str, value) -> None:
+    """Raise ParameterError unless `value` is an integer: a Python or numpy
+    int, not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def generate_function(params: Params, seed: int) -> FunctionTable:
     """Draw a uniformly random table, reproducible from the integer seed: the
     values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64).
-    A negative seed raises ParameterError, as default_rng refuses one."""
+    A seed that is not an integer, or is negative, raises ParameterError, as
+    default_rng refuses a negative one."""
+    require_int("seed", seed)
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     return FunctionTable(params, integers(seed, params.m, params.domain_size))

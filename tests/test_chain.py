@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwalk import extraction, johnson
+from chainwalk import extraction, johnson, law, stats
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -55,6 +55,45 @@ def test_config_validation():
         ChainConfig(params=params, ell=8, seed=0)   # above (2k + m)/3 + 4
     with pytest.raises(ParameterError):
         ChainConfig(params=params, ell=3, seed=0, max_outer_iterations=0)
+
+
+_P = Params(n=4, m=5, k=0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: stats.window(0.5, 4, 0), id="window-M0"),
+    pytest.param(lambda: stats.window(0.5, 4, -4), id="window-M-4"),
+    pytest.param(lambda: stats.interval_hit_probability(
+        4, 0, 0.5, "upper", 10, np.random.default_rng(0)), id="interval_hit_probability-M0"),
+    pytest.param(lambda: johnson.closed_form_gap(4, 0), id="closed_form_gap-R0"),
+    pytest.param(lambda: johnson.closed_form_gap(4, 4), id="closed_form_gap-R=N"),
+    pytest.param(lambda: johnson.closed_form_gap(4, 5), id="closed_form_gap-R>N"),
+    pytest.param(lambda: law.occupancy_law(4, 0), id="occupancy_law-M0"),
+    pytest.param(lambda: run(ChainConfig(_P, 2.5, 0)), id="run-ell-float"),
+    pytest.param(lambda: run(ChainConfig(_P, 2, 1.5)), id="run-seed-float"),
+    pytest.param(lambda: run(ChainConfig(_P, 2, 0, 2.5)), id="run-max_outer-float"),
+    pytest.param(lambda: run(ChainConfig(_P, True, 0)), id="run-ell-bool"),
+    pytest.param(lambda: run(ChainConfig(_P, 2, "0")), id="run-seed-str"),
+    pytest.param(lambda: generate_function(_P, "a"), id="generate_function-seed-str"),
+    pytest.param(lambda: generate_function(_P, 1.5), id="generate_function-seed-float"),
+    pytest.param(lambda: predict_cost(_P, math.nan, "new"), id="predict_cost-nan"),
+    pytest.param(lambda: predict_cost(_P, math.inf, "new"), id="predict_cost-inf"),
+    pytest.param(lambda: predict_cost(_P, -math.inf, "prior"), id="predict_cost--inf"),
+])
+def test_probe_calls_raise_parameter_error(call):
+    """The error-contract probe calls: each raised a bare ZeroDivisionError,
+    ValueError or TypeError, or returned a nonsense value (a negative gap,
+    NaN or infinite cost terms, a run bounded by 2.5 iterations), and each
+    now raises ParameterError."""
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_numpy_ints_pass_the_integer_checks():
+    """A numpy int is an integer to ChainConfig and generate_function."""
+    config = ChainConfig(_P, np.int64(2), np.int64(3), np.int64(4))
+    assert config.vertex_size == 4 and config.outer_bound == 4
+    assert generate_function(_P, np.int64(3)).images == generate_function(_P, 3).images
 
 
 def test_predict_cost_terms_and_validity():

@@ -12,14 +12,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainwalk.errors import CapacityError, SimulationError
+from chainwalk import law as law_module
+from chainwalk.chain import ChainConfig, ChainStatus, run
+from chainwalk.errors import (
+    CapacityError,
+    ContractViolationError,
+    ParameterError,
+    SimulationError,
+)
 from chainwalk.extraction import FamilyIndex, VertexFamily
 from chainwalk.law import LawIndex, family_law
 from chainwalk.levels import Levels, extract_tuple
 from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
+from test_acceptance import CHAIN_INSTANCES
 from test_extraction import four_pair
 
 # families small enough to enumerate in a property test
@@ -120,6 +128,95 @@ def test_law_index_matches_the_enumerated_index(drawn, live_bits, data, seed):
         child = index.child(new_family.restriction, new_family.big_r)
         assert type(law_child) is type(law) and type(child) is type(index)
         _same_index(law_child, child, _live(child))
+
+
+def _check_children(fn, index: LawIndex, depth: int) -> int:
+    """Cut the first tuple of every shape (|K|, |P|) that `index` holds, and
+    compare each child with a fresh LawIndex of the same restriction; then,
+    while `depth` lasts, the children's own children.  Returns the children
+    compared."""
+    found, _ = index.tuple_holders([True] * len(index.sizes))
+    first = {}
+    for image, preimages in found:
+        shape = (sum(fn.value(x) == image for x in index.restriction.domain_points),
+                 len(preimages))
+        first.setdefault(shape, (image, preimages))
+    compared = 0
+    for image, preimages in first.values():
+        table = index.restriction.table.insert(fn, image, preimages)
+        try:
+            restriction = restrict(fn, table)
+        except CapacityError:
+            continue        # restrict refuses half the domain
+        big_r = index.big_r - len(preimages)
+        if not big_r:
+            # only P itself holds the tuple, and the cut leaves no index
+            with pytest.raises(ParameterError):
+                index.child(restriction, 0)
+            continue
+        child, fresh = index.child(restriction, big_r), LawIndex(restriction, big_r)
+        # the sizes come off the parent's row, and no law is built yet
+        assert child._holders is None
+        assert (child.total, child.sizes) == (fresh.total, fresh.sizes)
+        for bits in (-1, 0b101, 0b10):
+            live = _live(fresh, bits)
+            assert child.tuple_holders(live) == fresh.tuple_holders(live)
+        compared += 1
+        if depth:
+            compared += _check_children(fn, child, depth - 1)
+    return compared
+
+
+@settings(deadline=None, max_examples=100)
+@given(values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
+       big_r=st.integers(2, 6))
+# the first holder is the pair {0, 1} itself: R - |P| = 0
+@example(values=[0, 0] + list(range(1, 8)) * 2, big_r=2)
+# pairs and one triple, whose one-, two- and three-point cuts give the shapes
+# (2, 2), (3, 2) and (3, 3)
+@example(values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7], big_r=4)
+def test_child_law_matches_fresh_build(values, big_r):
+    """A LawIndex's child after a tuple of each shape, and that child's own
+    children, equal a fresh LawIndex of the new restriction in sizes and in
+    the tuple holders they build on first read."""
+    fn = FunctionTable(Params(n=4, m=4, k=0), values)
+    _check_children(fn, LawIndex(restrict(fn, CollisionTable()), big_r), depth=1)
+
+
+def test_child_refuses_a_family_no_tuple_leaves():
+    """child reads a holder row of the parent only for a restriction that
+    carves one more class and an R less by a tuple's size: the parent's own
+    restriction, a tuple of one point and two carved classes are refused."""
+    fn = FunctionTable(Params(n=4, m=4, k=0), [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7])
+    restriction = restrict(fn, CollisionTable())
+    parent, pair = LawIndex(restriction, 4), CollisionTable().insert(fn, 0, (0, 1))
+    for shrunk, big_r in ((restriction, 2), (restrict(fn, pair), 3),
+                          (restrict(fn, pair.insert(fn, 1, (3, 4))), 2)):
+        with pytest.raises(ContractViolationError, match="is not a family that a tuple"):
+            parent.child(shrunk, big_r)
+
+
+def test_last_child_builds_no_law(monkeypatch):
+    """Over the 20 criterion-7 runs, every LawIndex but the child left by a
+    run's last tuple computes its law once: 58 indexes, 38 family_law
+    calls."""
+    laws, children = [], []
+    family, child = law_module.family_law, LawIndex.child
+    monkeypatch.setattr(law_module, "family_law",
+                        lambda *args: laws.append(args) or family(*args))
+    monkeypatch.setattr(LawIndex, "child",
+                        lambda self, *args: children.append(child(self, *args)) or children[-1])
+    builds = 0
+    for m, seed, k in CHAIN_INSTANCES:
+        before = len(laws), len(children)
+        result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
+                                 max_outer_iterations=64))
+        assert result.status is ChainStatus.COMPLETED
+        made = len(children) - before[1]
+        assert made and children[-1]._holders is None
+        assert len(laws) - before[0] == made
+        builds += 1 + made
+    assert (builds, len(laws)) == (58, 38)
 
 
 def test_dummy_path_matches_on_both_kinds():

@@ -16,11 +16,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainwalk._stream import Stream
-from chainwalk.amplify import MAX_TRANSITIONS, _HALF, FlipStats, Want, flip as vector_flip, split
+from chainwalk.amplify import (
+    MAX_TRANSITIONS,
+    _HALF,
+    FlipStats,
+    Want,
+    _good_share,
+    flip as vector_flip,
+    flip_rounds,
+    iteration_count,
+    split,
+)
 from chainwalk.chain import CostLedger, _delta_for, extraction_step, walk_step
 from chainwalk.errors import (
     FlaggedInstanceError,
@@ -40,7 +50,6 @@ from chainwalk.law import CountIndex, LawIndex
 from chainwalk.levels import (
     Levels,
     _draw,
-    _running_sum,
     check_class,
     extract_tuple,
     flip,
@@ -90,50 +99,6 @@ def _vector_extract_tuple(state, family, rng, index, trace):
             return out, stats
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    weight=st.one_of(
-        st.floats(1e-9, 1.0),
-        st.builds(lambda k, e: k * 2.0 ** -e, st.integers(1, 4095), st.integers(12, 40)),
-    ),
-    count=st.integers(0, 100_000),
-)
-# flip's weights (1/sqrt V)^2 on half the axis, among them V = 120, whose sum
-# lands below 0.5
-@example(weight=(1.0 / np.sqrt(120)) ** 2, count=60)
-@example(weight=(1.0 / np.sqrt(8128)) ** 2, count=4064)
-@example(weight=(1.0 / np.sqrt(12870)) ** 2, count=6435)
-# ties: the weight is an odd number of half ulps of the sum
-@example(weight=3 * 2.0 ** -53, count=50_000)
-@example(weight=2.0 ** -52 + 2.0 ** -53, count=3)
-def test_running_sum_matches_cumsum(weight, count):
-    expected = float(np.cumsum(np.full(count, weight))[-1]) if count else 0.0
-    assert _running_sum(weight, count) == expected
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    weight=st.one_of(
-        # flip's weights (1/sqrt V)^2, up to V = 10^6
-        st.integers(2, 10**6).map(lambda v: (1.0 / math.sqrt(v)) * (1.0 / math.sqrt(v))),
-        # an odd 34-52-bit significand: in the binade whose ulp is twice its
-        # last bit, every addition is a tie, reached within 10^6 additions
-        st.builds(lambda s, e: (2 * s + 1) * 2.0 ** -e,
-                  st.integers(2**32, 2**51 - 1), st.integers(53, 80)),
-    ),
-    # sums that cross up to 20 binades
-    count=st.integers(0, 10**6),
-)
-@example(weight=(1.0 / math.sqrt(10**6)) * (1.0 / math.sqrt(10**6)), count=10**6)
-@example(weight=(2**52 - 1) * 2.0 ** -53, count=10**6)
-@example(weight=(2**40 + 1) * 2.0 ** -60, count=2**13 + 1)
-def test_running_sum_jumps_land_on_cumsum(weight, count):
-    """The jumps stop one rise short of the binade's top and still give
-    np.cumsum's last entry, bit for bit."""
-    expected = float(np.cumsum(np.full(count, weight))[-1]) if count else 0.0
-    assert _running_sum(weight, count) == expected
-
-
 def _raises_within(seconds, error, call, match=None):
     """call() raises `error`, its message matching `match` when given; a
     call still running after `seconds` fails."""
@@ -153,20 +118,21 @@ def _raises_within(seconds, error, call, match=None):
 @pytest.mark.parametrize("want, good", [(Want.BAD, lambda c: True), (Want.GOOD, lambda c: False)])
 def test_flip_toward_an_empty_side_is_refused(want, good):
     """eight_point's R = 4 family has V = 70 vertices.  With every count
-    good, both paths read the axis's good mass as 0.9999999999999983, so
-    its bad amplitude 4e-8 clears flip_rounds' 1e-12 and a BAD flip rotated
-    forever.  Both flips refuse a wanted side with no vertex, on either kind
+    good, the axis's running float mass reads 0.9999999999999983, whose bad
+    amplitude 4e-8 clears flip_rounds' 1e-12, so a BAD flip planned from it
+    rotated forever.  Both flips plan from the exact share |G|/V, here 1.0,
+    and refuse a wanted side with no vertex before they plan, on either kind
     of index and on the vector path."""
     _, restriction = eight_point()
     rng = np.random.default_rng(0)
     family_index = FamilyIndex(restriction, 4)
     for index in (family_index, LawIndex(restriction, 4)):
-        unit = 1.0 / math.sqrt(index.total)
-        assert _running_sum(unit * unit, index.total) == 0.9999999999999983
         _raises_within(10, ImpossibleTargetError,
                        lambda: flip(Levels.uniform(index), good, want, rng))
     axis = family_index.axis_state()
-    assert axis.probability(np.ones(family_index.total, bool)) == 0.9999999999999983
+    every = np.ones(family_index.total, bool)
+    assert axis.probability(every) == 0.9999999999999983
+    assert _good_share(axis, every) == 1.0
     _raises_within(10, ImpossibleTargetError,
                    lambda: vector_flip(axis, family_index.by_count(good), axis, want, rng))
 
@@ -236,9 +202,9 @@ def test_flip_with_a_small_landing_chance_lands():
 
 def _half_axis():
     """R = 2 on a function with 60 vertices of count 0 and 60 of count 1: the
-    good class is exactly half the axis, and the running sum of its 60
-    weights is below 0.5, while the closed form 0.5 would be above the
-    alpha > 1/sqrt(2) boundary."""
+    good class is exactly half the axis, whose share 0.5 is above the
+    alpha > 1/sqrt(2) boundary, while the running sum of its 60 weights is
+    below 0.5."""
     values = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1]
     index = FamilyIndex(restrict(FunctionTable(Params(n=4, m=4, k=0), values),
                                  CollisionTable()), 2)
@@ -247,11 +213,16 @@ def _half_axis():
 
 
 def test_half_axis_sits_on_the_boundary():
+    """Both flips read the half axis's share as exactly 0.5, so a GOOD flip
+    measures fresh axes on either path, where the running float mass, below
+    0.5, would rotate."""
     index = _half_axis()
-    weight = (1.0 / np.sqrt(index.total)) ** 2
-    mass = _running_sum(weight, 60)
+    axis, flags = index.axis_state(), index.by_count(lambda c: c >= 1)
+    mass = axis.probability(flags)
     assert mass < 0.5
+    assert 60 / index.total == _good_share(axis, flags) == 0.5
     assert split(mass).alpha < _HALF < split(0.5).alpha
+    assert flip_rounds(0.5, Want.GOOD) is None
 
 
 @pytest.mark.parametrize("want", [Want.GOOD, Want.BAD])
@@ -532,3 +503,21 @@ def test_flip_at_one_in_a_trillion_is_one_rotation():
                         np.random.default_rng(0))
     assert _stats(stats) == (785_398, 0, 1)
     assert (state.counts, state.sign) == ({1}, 1)
+
+
+@pytest.mark.parametrize("total, stalled", [
+    (3 * (10**20 // 3), 1.22e-4),
+    (math.comb(128, 64), 4.2e-22),
+])
+def test_flip_plan_reads_the_share_past_a_float_sum(total, stalled):
+    """|G| = V/3 on families near 10^20 and of C(128, 64) vertices: each
+    attempt of a GOOD flip rotates iteration_count(sqrt(1/3)) = 1 round.  A
+    running float sum of the |G| weights (1/sqrt V)^2 stalls near `stalled`
+    there, far below 1/3, and would size many more rounds."""
+    index = _Counts([total - total // 3, total // 3])
+    rounds = iteration_count(math.sqrt(1 / 3))
+    assert rounds == 1 < iteration_count(math.sqrt(stalled))
+    state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
+                        np.random.default_rng(0))
+    assert state.counts == {1}
+    assert stats.iterations_used == rounds * stats.attempts

@@ -6,14 +6,16 @@ graphs (spectral_gap and walk_operator_spectrum of each), the third criterion
 three (R, M)).  Each block prints the wall time of the profiled calls, the
 total function-call count and the top 25 entries by cumulative time.  The
 criterion-7 block writes each run's report_json(), as `cwl simulate` does,
-and also prints how many family laws were built, counted by the code
-object of law.family_law (one per LawIndex); how many class-state flips
-ran, counted by the code object of levels.flip, beside the Grover rounds
-they rotated by, the runs' ledger check_calls, which sum the flips'
-FlipStats.iterations_used; report_json's calls and
-cumulative time, found by its code object; and the process's peak resident
-set (ru_maxrss) after it, so an index that outlives its run shows as
-memory.  The criterion-3 block also prints the peak of the memory that tracemalloc traces
+and also prints how many LawIndexes were built and how many family laws
+they computed, each counted by its code object (LawIndex.__init__,
+law.family_law): a child takes its sizes off its parent's holder row and
+computes its own law only when its tuples are read, so the child left by a
+run's last tuple computes none; how many class-state flips ran, counted by
+the code object of levels.flip, beside the Grover rounds they rotated by,
+the runs' ledger check_calls, which sum the flips'
+FlipStats.iterations_used; report_json's calls and cumulative time, found
+by its code object; and the process's peak resident set (ru_maxrss) after
+it, so an index that outlives its run shows as memory.  The criterion-3 block also prints the peak of the memory that tracemalloc traces
 (numpy's arrays among it) over one more, unprofiled call of the 45 spectra,
 so the tracing does not touch the profiled wall time.  The criterion-4
 block also prints the samples drawn per second of wall time, on the worker
@@ -46,7 +48,7 @@ from sweep_reports import CRITERION_7  # noqa: E402  (also puts src/ on the path
 
 from chainwalk.chain import ChainConfig, ChainResult, run  # noqa: E402
 from chainwalk.johnson import JohnsonGraph, spectral_gap, walk_operator_spectrum  # noqa: E402
-from chainwalk.law import family_law  # noqa: E402
+from chainwalk.law import LawIndex, family_law  # noqa: E402
 from chainwalk.levels import flip  # noqa: E402
 from chainwalk.oracle import Params  # noqa: E402
 from chainwalk.stats import calibrate_constant, interval_hit_probability  # noqa: E402
@@ -120,7 +122,8 @@ def calls_and_time(stats: pstats.Stats, function) -> tuple[int, float]:
 
 def main() -> None:
     stats, _, rounds = profile(criterion_7_runs)
-    print(f"LawIndex builds: {calls_and_time(stats, family_law)[0]} family laws")
+    print(f"LawIndex builds: {calls_and_time(stats, LawIndex.__init__)[0]}, "
+          f"family_law calls: {calls_and_time(stats, family_law)[0]}")
     print(f"levels.flip calls: {calls_and_time(stats, flip)[0]}, "
           f"rotating by {rounds} Grover rounds in all (ledger check_calls)")
     reports, report_s = calls_and_time(stats, ChainResult.report_json)
