@@ -7,9 +7,9 @@ measurements that pull one multicollision tuple out and shrink the domain).
 The residual state is reused from step to step without re-preparation; after
 every phase the run checks that the live state is exactly uniform over its
 declared vertex family.  States are held as levels.Levels, a class of vertex
-counts and a sign over the family's law.LawIndex, whose class sizes and
-tuple holders come from the family's exact law, so no phase builds a vector
-over the vertices and no index enumerates one.
+counts over the family's law.LawIndex, whose class sizes and tuple holders
+come from the family's exact law, so no phase builds a vector over the
+vertices and no index enumerates one.
 
 run() is one loop of walk and extraction phases under one of two interval
 policies.  The window policy (the dense regime) holds an IntervalPlan: each
@@ -32,6 +32,7 @@ closed-form prediction R + 2^k 2^(m/2)/sqrt(R) rides along for comparison.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -90,10 +91,9 @@ class ChainConfig:
     max_outer_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        require_int("ell", self.ell)
-        require_int("seed", self.seed)
+        require_int(ell=self.ell, seed=self.seed)
         if self.max_outer_iterations is not None:
-            require_int("max_outer_iterations", self.max_outer_iterations)
+            require_int(max_outer_iterations=self.max_outer_iterations)
         if self.ell < 1:
             raise ParameterError("ell must be at least 1 (R >= 2)")
         bound = (2 * self.params.k + self.params.m) / 3.0 + _ELL_SLACK
@@ -164,10 +164,13 @@ class CostPrediction:
 def predict_cost(params: Params, ell: float, regime: str) -> CostPrediction:
     if regime not in ("prior", "new"):
         raise ParameterError(f"regime must be 'prior' or 'new', got {regime!r}")
-    if not 0 < ell < math.inf:
-        raise ParameterError(f"ell must be positive and finite, got {ell}")
-    setup = 2.0 ** ell
-    walk = 2.0 ** (params.k + params.m / 2.0 - ell / 2.0)
+    if not isinstance(ell, numbers.Real) or not 0 < ell < math.inf:
+        raise ParameterError(f"ell must be a positive finite number, got {ell!r}")
+    try:
+        setup = 2.0 ** ell
+        walk = 2.0 ** (params.k + params.m / 2.0 - ell / 2.0)
+    except OverflowError:
+        raise ParameterError(f"cost terms at ell={ell} overflow a float") from None
     if regime == "prior":
         valid = ell <= params.m / 2.0
     else:
@@ -382,7 +385,7 @@ def extraction_step(
     rng: Uniform,
     ledger: CostLedger,
     fn: FunctionTable,
-    trace: Optional[List[dict]] = None,
+    trace: List[dict],
 ):
     """Dense-regime extraction: T tuples, then a few more to re-center.
 

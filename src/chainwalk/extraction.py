@@ -13,13 +13,13 @@ family with the count interval tightened to [x, i-1]).
 `hop` moves a state that is uniform over a class of counts: it flips off the
 class and measures a partition of the counts left.  Interval repair
 (correct_interval) widens [x, i-1] back to [x, y] by a few hops.  A run does
-both on count-class states (levels.py), a class of counts and a sign in
-place of a vector; the vector versions here are the reference its
-differential tests compare against.  What both paths decide
-on the same numbers is written here once and read by both: repair's
-premises and its start and target classes (repair_classes, over any
-law.CountIndex), the padding width y (VertexFamily.padding_width) and the
-family a tuple outcome leaves (VertexFamily.after_tuple).
+both on count-class states (levels.py), a class of counts in place of a
+vector; the vector versions here are the reference its differential tests
+compare against.  What both paths decide on the same numbers is written
+here once and read by both: repair's premises and its start and target
+classes (repair_classes, over any law.CountIndex), the padding width y
+(VertexFamily.padding_width) and the family a tuple outcome leaves
+(VertexFamily.after_tuple).
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
@@ -109,18 +109,6 @@ def dummy_token(index: int) -> bytes:
     if not (1 <= index < (1 << 16)):
         raise ParameterError(f"dummy index out of range: {index}")
     return _DUMMY_TAG + struct.pack(">H", index)
-
-
-def parse_token(token: bytes):
-    """Decode a register value into ("tuple", image, preimages) or ("dummy", i)."""
-    if token[:1] == _DUMMY_TAG and len(token) == 3:
-        return ("dummy", struct.unpack(">H", token[1:])[0])
-    if token[:1] == _TUPLE_TAG and len(token) >= 6:
-        image, count = struct.unpack(">IB", token[1:6])
-        if len(token) == 6 + 4 * count:
-            pres = struct.unpack(f">{count}I", token[6:])
-            return ("tuple", image, tuple(pres))
-    raise ValidationError(f"unrecognized extraction token: {token!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Johnson graphs, their walk spectra, and per-vertex collision data.
+"""Johnson graphs and their walk spectra.
 
 Vertices of J(N, R) are the R-element subsets of an N-element ground set,
 adjacent when they differ by swapping one element.  The degree-normalized
@@ -39,15 +39,14 @@ left after a tuple is cut out.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationError
-from .oracle import RestrictedFunction
+from .oracle import require_int
 
 _MAX_VERTICES = 5000
 _MAX_EDGES = 20_000
@@ -83,27 +82,8 @@ class JohnsonGraph:
         return math.comb(self.ground_size, self.subset_size)
 
 
-def vertices(graph: JohnsonGraph) -> Iterator[Tuple[int, ...]]:
-    """All vertices in lexicographic order, as sorted tuples."""
-    return itertools.combinations(graph.ground_set, graph.subset_size)
-
-
-def neighbors(graph: JohnsonGraph, vertex: Iterable[int]) -> list:
-    """The R(N-R) vertices reachable by one element swap."""
-    v = tuple(sorted(vertex))
-    inside = set(v)
-    if len(v) != graph.subset_size or not inside.issubset(graph.ground_set):
-        raise ParameterError(f"not a vertex of this graph: {v}")
-    outside = [p for p in graph.ground_set if p not in inside]
-    out = []
-    for drop in v:
-        kept = [p for p in v if p != drop]
-        for add in outside:
-            out.append(tuple(sorted(kept + [add])))
-    return out
-
-
 def _check_subset_size(ground_size: int, subset_size: int) -> None:
+    require_int(N=ground_size, R=subset_size)
     if not (0 < subset_size < ground_size):
         raise ParameterError(f"need 0 < R < N, got R={subset_size}, N={ground_size}")
 
@@ -167,8 +147,9 @@ def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edges of J(N, R) as (src, dst) arrays over vertex ordinals.
 
     Ordinals are positions in lexicographic order (_lex_ordinals).  Edges
-    are grouped by source, each vertex's d out-edges contiguous and in
-    `neighbors()` order: the R dropped points, then the N-R added ones.
+    are grouped by source, each vertex's d out-edges contiguous and in swap
+    order: for each of its R points in turn, that point swapped for each of
+    the N-R points outside it.
     """
     n, r = graph.ground_size, graph.subset_size
     v_count = graph.vertex_count
@@ -314,41 +295,3 @@ def walk_operator_spectrum(graph: JohnsonGraph) -> WalkSpectrum:
         phase_gap=phase_gap,
         eigenphases=tuple(float(p) for p in np.sort(phases)),
     )
-
-
-@dataclass(frozen=True)
-class VertexData:
-    """Images and in-vertex multicollision tuples of one subset."""
-
-    subset: Tuple[int, ...]
-    images: Tuple[Tuple[int, int], ...]
-    multicollisions: Tuple[Tuple[int, Tuple[int, ...]], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.multicollisions)
-
-
-def vertex_data(restriction: RestrictedFunction, subset: Iterable[int]) -> VertexData:
-    """Ground-truth view of one vertex under the restricted function.
-
-    The subset must avoid the exclusion closure.  A multicollision is an image
-    with at least two preimages inside the subset; each is one tuple carrying
-    every in-subset preimage, listed in image order.
-    """
-    raw = tuple(int(p) for p in subset)
-    pts = tuple(sorted(set(raw)))
-    if len(pts) != len(raw):
-        raise ParameterError("subset has repeated points")
-    groups: dict[int, list[int]] = {}
-    images = []
-    for x in pts:
-        y = restriction.value(x)   # raises DomainError on excluded points
-        images.append((x, y))
-        groups.setdefault(y, []).append(x)
-    multis = tuple(
-        (image, tuple(sorted(pre)))
-        for image, pre in sorted(groups.items())
-        if len(pre) >= 2
-    )
-    return VertexData(subset=pts, images=tuple(images), multicollisions=multis)

@@ -172,9 +172,6 @@ class CountIndex:
         domain, and `big_r` is R less its size."""
         return type(self)(restriction, big_r)
 
-    def histogram(self) -> Dict[int, int]:
-        return {c: size for c, size in enumerate(self.sizes) if size}
-
     def max_count(self) -> int:
         return len(self.sizes) - 1
 

@@ -1,8 +1,8 @@
 """A run's states held as count classes.
 
 Every state chain.run holds depends on a vertex only through its tuple count
-z, and between operations it is one sign times the uniform state over the
-vertices whose counts lie in one set, its class.  The run starts uniform
+z, and between operations it is, up to a global sign, the uniform state over
+the vertices whose counts lie in one set, its class.  The run starts uniform
 over the family.  A flip's rounds, the reflections about the uniform axis
 and about a count predicate, keep the state in Grover's plane, spanned by
 the uniform states over the good and the bad vertices (Boyer, Brassard,
@@ -10,9 +10,11 @@ Hoyer and Tapp 1998), and the flag measurement that ends each attempt
 leaves one side of it.  A count or cell measurement keeps the counts of the
 outcome, the padded register's dummy d_i the counts below i, and a tuple
 outcome its holders, which make up the child index with each count one
-less.  So a Levels state is a family index, the frozenset of the counts of
-its class that hold vertices and a sign, and each operation maps a class to
-a class, with no vector over the vertices and no amplitude.
+less.  So a Levels state is (index, counts): a family index and the
+frozenset of the counts of its class that hold vertices, and each operation
+maps a class to a class, with no vector over the vertices, no amplitude and
+no sign.  A flip lands with chance cos^2 phi, of period pi, and no count,
+cell or padded draw reads a global sign.
 
 From a class state every outcome of a measurement has an integer weight: a
 count label's is the sum of |V_c| over its counts in the class, the padded
@@ -28,11 +30,6 @@ refused.  The flip's plan is amplify.flip_rounds' on the axis's good share
 |G|/V, one correctly rounded division of exact ints, so it reads 1/3 at
 |G| = V/3 and exactly 1/2 at |G| = V/2 however large V is; the vector flip
 plans from the same float on a uniform axis.
-
-No draw reads the sign.  It is kept so that as_state gives the vector
-path's state, sign included, which the differential tests compare against:
-a measurement keeps it, and a landed flip takes the sign of its side's
-amplitude after the rounds.
 
 The index is read only through law.CountIndex's count-level questions: the
 sizes and their total, class sizes, per-count labels, the held tuples as
@@ -55,14 +52,11 @@ import math
 from dataclasses import replace
 from typing import Callable, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from ._stream import Uniform
 from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_attempts, flip_rounds
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import ExtractionOutcome, VertexFamily, repair_classes
 from .law import CountIndex
-from .statevector import State
 
 
 def _class(index: CountIndex, lo: int, hi: Optional[int]) -> frozenset:
@@ -72,13 +66,14 @@ def _class(index: CountIndex, lo: int, hi: Optional[int]) -> frozenset:
 
 
 class Levels:
-    """sign / sqrt(support()) on every vertex of `index` whose count is in
-    `counts`, counts that hold vertices; 0 on every other vertex."""
+    """1 / sqrt(support()), up to a global sign, on every vertex of `index`
+    whose count is in `counts`, counts that hold vertices; 0 on every other
+    vertex."""
 
-    __slots__ = ("index", "counts", "sign")
+    __slots__ = ("index", "counts")
 
-    def __init__(self, index: CountIndex, counts: Iterable[int], sign: int = 1) -> None:
-        self.index, self.counts, self.sign = index, frozenset(counts), sign
+    def __init__(self, index: CountIndex, counts: Iterable[int]) -> None:
+        self.index, self.counts = index, frozenset(counts)
         if not self.counts:
             raise ValidationError("state has no support")
 
@@ -94,17 +89,6 @@ class Levels:
     def support(self) -> int:
         """The support size: the vertices of the class, an exact int."""
         return sum(self.index.sizes[c] for c in self.counts)
-
-    def __len__(self) -> int:
-        """support(), for a class of fewer than 2^63 vertices."""
-        return self.support()
-
-    def as_state(self) -> State:
-        """The same state as a vector over the index's basis (a
-        FamilyIndex's: a LawIndex holds no vertices to lay it over)."""
-        amp = self.sign / math.sqrt(self.support())
-        by_count = np.array(self.index.per_count(lambda c: amp if c in self.counts else 0.0))
-        return State.over(self.index.basis, by_count[self.index.counts])
 
 
 def _draw(weights: List[int], rng: Uniform) -> int:
@@ -131,7 +115,7 @@ def measure(state: Levels, label: Callable[[int], object], rng: Uniform):
     distinct = sorted(weights)
     chosen = distinct[_draw([weights[label] for label in distinct], rng)]
     kept = [c for c in state.counts if table[c] == chosen]
-    return chosen, Levels(state.index, kept, state.sign)
+    return chosen, Levels(state.index, kept)
 
 
 def flip(
@@ -168,16 +152,14 @@ def flip(
     for _ in range(attempts):
         stats.attempts += 1
         if rounds is None:
-            landed, sign = bool(_draw([bad_size, good_size], rng)), 1
+            landed = bool(_draw([bad_size, good_size], rng))
         else:
             if state.counts not in plane:
                 raise ValidationError("state's class is neither the axis nor a side of the flip")
-            g, b = plane[state.counts]
-            phi = math.atan2(state.sign * g, state.sign * b) + turn
+            phi = math.atan2(*plane[state.counts]) + turn
             stats.iterations_used += rounds
             landed = float(rng.random()) >= math.cos(phi) ** 2
-            sign = 1 if (math.sin(phi) if landed else math.cos(phi)) > 0 else -1
-        state = Levels(index, sides[landed], sign)
+        state = Levels(index, sides[landed])
         if landed == (want is Want.GOOD):
             return state, stats
         stats.restarts += 1
@@ -260,14 +242,14 @@ def extract_once(
             new_index = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1
             child = _class(new_index, 0, None) & {c - 1 for c in counts}
-            collapsed = Levels(new_index, child, state.sign)
+            collapsed = Levels(new_index, child)
         return ExtractionOutcome(
             kind="tuple", image=image, preimages=preimages, dummy_index=None,
             collapsed=collapsed, new_family=new_family, new_index=new_index,
         )
     return ExtractionOutcome(
         kind="dummy", image=None, preimages=None, dummy_index=outcome + 1,
-        collapsed=Levels(index, [c for c in counts if c <= outcome], state.sign),
+        collapsed=Levels(index, [c for c in counts if c <= outcome]),
         new_family=replace(family, hi=outcome), new_index=index,
     )
 
@@ -276,16 +258,15 @@ def extract_tuple(
     state: Levels,
     family: VertexFamily,
     rng: Uniform,
-    trace: Optional[List[dict]] = None,
+    trace: List[dict],
 ) -> Tuple[ExtractionOutcome, FlipStats]:
     """Repeat padded measurements until a tuple comes out.
 
     Dummy outcomes are repaired back to the full interval before retrying,
     so the expected number of measurement rounds is at most y/lo plus O(1).
-    Returns the tuple outcome and the work record.  Trace entries, when a
-    list is supplied, record each event; for a dummy event interval_after is
-    the narrowed interval before repair and iterations is the repair's
-    diffusion-iteration count.
+    Returns the tuple outcome and the work record.  Each event is appended
+    to `trace`; for a dummy event interval_after is the narrowed interval
+    before repair and iterations is the repair's diffusion-iteration count.
     """
     if family.lo < 1:
         raise ParameterError(
@@ -301,15 +282,14 @@ def extract_tuple(
         if out.kind == "dummy":
             state, fs = repair(out.collapsed, out.new_family, family.hi, rng)
             stats.absorb(fs)
-        if trace is not None:
-            trace.append({
-                "event": out.kind,
-                "image": out.image,
-                "preimages": None if out.preimages is None else list(out.preimages),
-                "interval_before": [family.lo, family.hi],
-                "interval_after": [out.new_family.lo, out.new_family.hi],
-                "iterations": fs.iterations_used,
-            })
+        trace.append({
+            "event": out.kind,
+            "image": out.image,
+            "preimages": None if out.preimages is None else list(out.preimages),
+            "interval_before": [family.lo, family.hi],
+            "interval_after": [out.new_family.lo, out.new_family.hi],
+            "iterations": fs.iterations_used,
+        })
         if out.kind == "tuple":
             return out, stats
     raise SimulationError(

@@ -30,9 +30,9 @@ from .errors import (
 class Params:
     """Problem size: n input bits, m output bits, 2^k collision tuples wanted.
 
-    Valid ranges are 1 <= n <= m <= 2n and 0 <= k <= 2n - m, so that a random
-    function is expected to carry about 2^(2n-m) collisions and the target is
-    not larger than that.
+    n, m and k are integers (require_int) in the ranges 1 <= n <= m <= 2n
+    and 0 <= k <= 2n - m, so that a random function is expected to carry
+    about 2^(2n-m) collisions and the target is not larger than that.
     """
 
     n: int
@@ -40,6 +40,7 @@ class Params:
     k: int = 0
 
     def __post_init__(self) -> None:
+        require_int(n=self.n, m=self.m, k=self.k)
         if not (1 <= self.n <= self.m <= 2 * self.n):
             raise ParameterError(
                 f"need 1 <= n <= m <= 2n, got n={self.n}, m={self.m}"
@@ -124,11 +125,12 @@ class FunctionTable:
         return self._values
 
 
-def require_int(name: str, value) -> None:
-    """Raise ParameterError unless `value` is an integer: a Python or numpy
-    int, not a bool, a float or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+def require_int(**values) -> None:
+    """Raise ParameterError unless each of the named `values` is an integer:
+    a Python or numpy int, not a bool, a float or a string."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def generate_function(params: Params, seed: int) -> FunctionTable:
@@ -136,7 +138,7 @@ def generate_function(params: Params, seed: int) -> FunctionTable:
     values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64).
     A seed that is not an integer, or is negative, raises ParameterError, as
     default_rng refuses a negative one."""
-    require_int("seed", seed)
+    require_int(seed=seed)
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     return FunctionTable(params, integers(seed, params.m, params.domain_size))

@@ -258,14 +258,6 @@ def values_at(basis: Basis, labels: Labels, positions: np.ndarray, dtype) -> np.
     return np.asarray(labels)[positions]
 
 
-def uniform_state(keys: Iterable[BasisKey]) -> State:
-    """Equal positive amplitude on each distinct key, over the sorted keys."""
-    ks = sorted(set(keys))
-    if not ks:
-        raise ValidationError("uniform state over empty key set")
-    return State._build(Basis.of(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks))))
-
-
 def align(state: State, axis: State) -> State:
     """`state` over axis's basis: `state` itself when it already lies over
     that basis, else its support amplitudes moved, unchanged, to their keys'

@@ -58,6 +58,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ParameterError
+from .oracle import require_int
 
 _BLOCK = 8192
 
@@ -71,7 +72,8 @@ def resolve_threads(threads: int | None = None) -> int:
     """The worker count: `threads` when given, which must be at least 1,
     else what CWL_THREADS gives."""
     if threads is not None:
-        if int(threads) < 1:
+        require_int(threads=threads)
+        if threads < 1:
             raise ParameterError(f"need at least 1 worker thread, got {threads}")
         return int(threads)
     raw = os.environ.get("CWL_THREADS", "")

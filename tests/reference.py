@@ -1,0 +1,119 @@
+"""Reference constructions the unit tests check the package against.
+
+No run reads these, so they live beside the tests rather than in
+src/chainwalk: the explicit Johnson graph, the per-vertex collision data a
+FamilyIndex's tables are checked against, the uniform vector state, the
+padded-register token decoder, a count index's histogram, and the vector a
+count-class state stands for.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import struct
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, Tuple
+
+import numpy as np
+
+from chainwalk.errors import ParameterError, ValidationError
+from chainwalk.extraction import _DUMMY_TAG, _TUPLE_TAG
+from chainwalk.johnson import JohnsonGraph
+from chainwalk.law import CountIndex
+from chainwalk.levels import Levels
+from chainwalk.oracle import RestrictedFunction
+from chainwalk.statevector import Basis, BasisKey, State
+
+
+def vertices(graph: JohnsonGraph) -> Iterator[Tuple[int, ...]]:
+    """All vertices in lexicographic order, as sorted tuples."""
+    return itertools.combinations(graph.ground_set, graph.subset_size)
+
+
+def neighbors(graph: JohnsonGraph, vertex: Iterable[int]) -> list:
+    """The R(N-R) vertices reachable by one element swap."""
+    v = tuple(sorted(vertex))
+    inside = set(v)
+    if len(v) != graph.subset_size or not inside.issubset(graph.ground_set):
+        raise ParameterError(f"not a vertex of this graph: {v}")
+    outside = [p for p in graph.ground_set if p not in inside]
+    out = []
+    for drop in v:
+        kept = [p for p in v if p != drop]
+        for add in outside:
+            out.append(tuple(sorted(kept + [add])))
+    return out
+
+
+@dataclass(frozen=True)
+class VertexData:
+    """Images and in-vertex multicollision tuples of one subset."""
+
+    subset: Tuple[int, ...]
+    images: Tuple[Tuple[int, int], ...]
+    multicollisions: Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.multicollisions)
+
+
+def vertex_data(restriction: RestrictedFunction, subset: Iterable[int]) -> VertexData:
+    """Ground-truth view of one vertex under the restricted function.
+
+    The subset must avoid the exclusion closure.  A multicollision is an image
+    with at least two preimages inside the subset; each is one tuple carrying
+    every in-subset preimage, listed in image order.
+    """
+    raw = tuple(int(p) for p in subset)
+    pts = tuple(sorted(set(raw)))
+    if len(pts) != len(raw):
+        raise ParameterError("subset has repeated points")
+    groups: dict[int, list[int]] = {}
+    images = []
+    for x in pts:
+        y = restriction.value(x)   # raises DomainError on excluded points
+        images.append((x, y))
+        groups.setdefault(y, []).append(x)
+    multis = tuple(
+        (image, tuple(sorted(pre)))
+        for image, pre in sorted(groups.items())
+        if len(pre) >= 2
+    )
+    return VertexData(subset=pts, images=tuple(images), multicollisions=multis)
+
+
+def uniform_state(keys: Iterable[BasisKey]) -> State:
+    """Equal positive amplitude on each distinct key, over the sorted keys."""
+    ks = sorted(set(keys))
+    if not ks:
+        raise ValidationError("uniform state over empty key set")
+    return State._build(Basis.of(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks))))
+
+
+def parse_token(token: bytes):
+    """Decode a register value into ("tuple", image, preimages) or ("dummy", i)."""
+    if token[:1] == _DUMMY_TAG and len(token) == 3:
+        return ("dummy", struct.unpack(">H", token[1:])[0])
+    if token[:1] == _TUPLE_TAG and len(token) >= 6:
+        image, count = struct.unpack(">IB", token[1:6])
+        if len(token) == 6 + 4 * count:
+            pres = struct.unpack(f">{count}I", token[6:])
+            return ("tuple", image, tuple(pres))
+    raise ValidationError(f"unrecognized extraction token: {token!r}")
+
+
+def histogram(index: CountIndex) -> Dict[int, int]:
+    """The index's class sizes, {count: vertices}, for the counts held."""
+    return {c: size for c, size in enumerate(index.sizes) if size}
+
+
+def as_state(levels: Levels) -> State:
+    """A class state as the vector it stands for, with a positive sign, over
+    its index's basis (a FamilyIndex's: a LawIndex holds no vertices to lay
+    it over)."""
+    amp = 1.0 / math.sqrt(levels.support())
+    index = levels.index
+    by_count = np.array(index.per_count(lambda c: amp if c in levels.counts else 0.0))
+    return State.over(index.basis, by_count[index.counts])

@@ -15,7 +15,8 @@ import pytest
 from chainwalk.errors import ImpossibleTargetError
 from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import CollisionTable, Params, generate_function, restrict
-from chainwalk.statevector import State, states_close, uniform_state
+from chainwalk.statevector import State, states_close
+from reference import uniform_state
 from chainwalk.amplify import (
     MAX_TRANSITIONS,
     Want,

@@ -40,6 +40,7 @@ from chainwalk.chain import (
     walk_step,
 )
 from chainwalk.statevector import State
+from reference import as_state, histogram
 from test_acceptance import CHAIN_INSTANCES
 
 
@@ -79,12 +80,21 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: predict_cost(_P, math.nan, "new"), id="predict_cost-nan"),
     pytest.param(lambda: predict_cost(_P, math.inf, "new"), id="predict_cost-inf"),
     pytest.param(lambda: predict_cost(_P, -math.inf, "prior"), id="predict_cost--inf"),
+    pytest.param(lambda: predict_cost(_P, 2000.0, "new"), id="predict_cost-overflow"),
+    pytest.param(lambda: predict_cost(_P, "a", "new"), id="predict_cost-str"),
+    pytest.param(lambda: Params(4.0, 5, 0), id="Params-n-float"),
+    pytest.param(lambda: Params(True, 1, 0), id="Params-n-bool"),
+    pytest.param(lambda: Params(4, 5, 0.5), id="Params-k-float"),
+    pytest.param(lambda: johnson.JohnsonGraph((0, 1, 2), 1.5), id="JohnsonGraph-R-float"),
+    pytest.param(lambda: johnson.closed_form_gap(4.5, 2), id="closed_form_gap-N-float"),
+    pytest.param(lambda: stats.resolve_threads(1.5), id="resolve_threads-float"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
-    ValueError or TypeError, or returned a nonsense value (a negative gap,
-    NaN or infinite cost terms, a run bounded by 2.5 iterations), and each
-    now raises ParameterError."""
+    ValueError, TypeError or OverflowError, or returned a nonsense value (a
+    negative gap, NaN or infinite cost terms, a run bounded by 2.5
+    iterations, a graph or Params of non-integer size, a gap at N = 4.5, one
+    worker for 1.5 threads), and each now raises ParameterError."""
     with pytest.raises(ParameterError):
         call()
 
@@ -224,14 +234,14 @@ def _pair_rich_instance():
 
 def test_extraction_step_dense_scenario():
     fn, restriction, index = _pair_rich_instance()
-    assert index.histogram() == {0: 256, 1: 3584, 2: 6720, 3: 2240, 4: 70}
+    assert histogram(index) == {0: 256, 1: 3584, 2: 6720, 3: 2240, 4: 70}
     plan = IntervalPlan.build(8, 128, 4.0)
     assert (plan.expected_now, plan.width) == (2, 1)
     family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
     ledger = CostLedger()
     tuples, state, new_family, new_plan = extraction_step(
         Levels.uniform(index, 2, 3), family, plan, np.random.default_rng(8),
-        ledger=ledger, fn=fn,
+        ledger=ledger, fn=fn, trace=[],
     )
     # one planned extraction plus one re-centering extraction
     assert tuples == [(0, (0, 1)), (7, (14, 15))]
@@ -242,7 +252,7 @@ def test_extraction_step_dense_scenario():
     assert ledger.oracle_queries == fn.query_count
     # the residual is uniform over its family class
     fresh = FamilyIndex(new_family.restriction, 4)
-    assert sorted(state.as_state().support()) == sorted(fresh.keys_in(0, 1))
+    assert sorted(as_state(state).support()) == sorted(fresh.keys_in(0, 1))
 
 
 def test_extraction_step_requires_dense_expectation():
@@ -252,7 +262,7 @@ def test_extraction_step_requires_dense_expectation():
     family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
     with pytest.raises(FlaggedInstanceError):
         extraction_step(Levels.uniform(index, 2, 3), family, thin,
-                        np.random.default_rng(0), ledger=CostLedger(), fn=fn)
+                        np.random.default_rng(0), ledger=CostLedger(), fn=fn, trace=[])
 
 
 def test_walk_step_advances_interval():
@@ -270,7 +280,7 @@ def test_walk_step_advances_interval():
     assert ledger.update_calls == 2 * stats.iterations_used
     assert ledger.check_calls == stats.iterations_used
     fresh = sorted(index.keys_in(3, 3))
-    assert sorted(state.as_state().support()) == fresh
+    assert sorted(as_state(state).support()) == fresh
 
 
 def test_walk_step_validation():
@@ -339,7 +349,7 @@ CLASS_MOVES = [
 @pytest.mark.parametrize("case, seed, expected", CLASS_MOVES)
 def test_class_moves_pinned(case, seed, expected):
     restriction, index = _carved_pairs()
-    assert index.histogram() == {0: 64, 1: 480, 2: 360, 3: 20}
+    assert histogram(index) == {0: 64, 1: 480, 2: 360, 3: 20}
     rng = np.random.default_rng(seed)
     if case[0] == "correct":
         _, lo, hi, target_hi = case
@@ -357,7 +367,7 @@ def test_class_moves_pinned(case, seed, expected):
         )
         interval = (family.lo, family.hi)
         ledger_calls = (ledger.update_calls, ledger.check_calls)
-    assert set(state.as_state().support()) == set(index.keys_in(*interval))
+    assert set(as_state(state).support()) == set(index.keys_in(*interval))
     assert (
         (stats.iterations_used, stats.restarts, stats.attempts),
         interval, ledger_calls, rng.random().hex(),
@@ -481,15 +491,15 @@ def test_criterion_7_hot_path(monkeypatch):
 def test_run_states_stay_real(monkeypatch):
     """Two criterion-7 runs and a chain-wide run hold their states as count
     classes: they build no vector over the vertices (no State is settled
-    and no index builds its axis), and every count of a class, its class
-    size and the state's sign are Python ints."""
+    and no index builds its axis), and every count of a class and its class
+    size are Python ints."""
     vectors, types = [], set()
     levels_init = Levels.__init__
 
-    def recorded(self, index, counts, sign=1):
+    def recorded(self, index, counts):
         counts = list(counts)
-        types.update((type(c), type(index.sizes[c]), type(sign)) for c in counts)
-        levels_init(self, index, counts, sign)
+        types.update((type(c), type(index.sizes[c])) for c in counts)
+        levels_init(self, index, counts)
 
     monkeypatch.setattr(State, "_settle", lambda *args: vectors.append("State"))
     monkeypatch.setattr(FamilyIndex, "axis_state", lambda self: vectors.append("axis"))
@@ -499,7 +509,7 @@ def test_run_states_stay_real(monkeypatch):
         run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
                         max_outer_iterations=64))
     assert vectors == []
-    assert types == {(int, int, int)}
+    assert types == {(int, int)}
 
 
 class _Rank(enum.IntEnum):

@@ -23,12 +23,10 @@ from chainwalk.johnson import (
     _combinations,
     _edge_list,
     closed_form_gap,
-    neighbors,
     spectral_gap,
-    vertex_data,
-    vertices,
     walk_operator_spectrum,
 )
+from reference import neighbors, vertex_data, vertices
 
 
 def test_graph_validation():

@@ -96,7 +96,7 @@ def _extraction(index, family, seed):
                                    family, rng, trace)
     except SimulationError as exc:
         return type(exc).__name__, str(exc)
-    residual = None if out.collapsed is None else (out.collapsed.counts, out.collapsed.sign)
+    residual = None if out.collapsed is None else out.collapsed.counts
     sizes = None if out.new_index is None else out.new_index.sizes
     return (out.kind, out.image, out.preimages, out.new_family, residual, sizes,
             stats, trace, rng.random().hex())

@@ -24,8 +24,8 @@ from chainwalk.statevector import (
     reflect_about_state,
     states_close,
     subset_key,
-    uniform_state,
 )
+from reference import uniform_state
 
 
 def test_subset_key_codec():

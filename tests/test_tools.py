@@ -1,11 +1,15 @@
-"""Tests for the scripts in tools/."""
+"""Tests for the scripts in tools/, and for the boundary of tests/reference.py."""
 
+import ast
 import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+TESTS = ROOT / "tests"
 
 
 def test_callers_finds_no_dead_code():
@@ -16,6 +20,53 @@ def test_callers_finds_no_dead_code():
         capture_output=True, text=True, timeout=60,
     )
     assert scan.returncode == 0, scan.stdout + scan.stderr
+
+
+def test_callers_finds_an_unread_method(tmp_path):
+    """A copy of the scanned tree passes the scan; with one method that
+    nothing reads added to levels.Levels, the scan lists it and exits 1."""
+    for part in ("src", "tools", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    (tmp_path / "tests").mkdir()
+    shutil.copy(TESTS / "test_acceptance.py", tmp_path / "tests")
+    scan = [sys.executable, str(tmp_path / "tools" / "callers.py")]
+    assert subprocess.run(scan, capture_output=True, timeout=60).returncode == 0
+    levels = tmp_path / "src" / "chainwalk" / "levels.py"
+    text = levels.read_text()
+    anchor = "    def support(self) -> int:\n"
+    assert text.count(anchor) == 1
+    levels.write_text(text.replace(
+        anchor, "    def never_read(self) -> int:\n        return 0\n\n" + anchor))
+    found = subprocess.run(scan, capture_output=True, text=True, timeout=60)
+    assert found.returncode == 1
+    assert "  levels.Levels.never_read (2 lines)" in found.stdout.splitlines()
+
+
+def _reads(tree: ast.AST) -> set:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(tree)
+            if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+            or isinstance(sub, ast.Attribute)}
+
+
+def test_every_reference_is_read_by_a_test():
+    """tools/callers.py does not scan tests/, so a reference no test reads
+    would go dead unseen: every top-level definition of tests/reference.py
+    is read by some tests/test_*.py, or by a reference that is."""
+    tree = ast.parse((TESTS / "reference.py").read_text())
+    defined = {node.name: _reads(node) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined
+    read = set().union(*(_reads(ast.parse(path.read_text()))
+                         for path in sorted(TESTS.glob("test_*.py"))))
+    reached = set(defined) & read
+    while True:
+        more = set(defined) & set().union(*(defined[name] for name in reached))
+        if more <= reached:
+            break
+        reached |= more
+    assert reached == set(defined), sorted(set(defined) - reached)
 
 
 def test_sweep_reports_unchanged():

@@ -1,14 +1,17 @@
-"""List the top-level definitions of src/chainwalk that nothing outside the unit
-tests uses.
+"""List the definitions of src/chainwalk that nothing outside the unit tests
+uses.
 
 A definition is a top-level function, class or assigned name of a module in
-src/chainwalk.  It counts as used when its name is read (a plain name or an
-attribute) anywhere in src/, tools/, perfbench/ or tests/test_acceptance.py,
-outside its own definition.  Imports are not uses, so an imported function
-that no code calls is listed.  Names are matched
-without their module, so a name defined in two modules counts as used by a
-read of either.  A listed name that tests/test_acceptance.py imports is marked,
-since that file's imports must keep resolving.
+src/chainwalk, or a method or property of such a class (module.Class.name).
+It counts as used when its name is read (a plain name or an attribute)
+anywhere in src/, tools/, perfbench/ or tests/test_acceptance.py, outside its
+own definition.  Imports are not uses, so an imported function that no code
+calls is listed.  Names are matched without their module or class, so a name
+defined in two places counts as used by a read of either, and a method read
+only through getattr or a string is not seen.  Dunder methods are not
+scanned: len(), `in`, operators and the dataclass machinery read them
+without naming them.  A listed name that tests/test_acceptance.py imports is
+marked, since that file's imports must keep resolving.
 
 A definition in KEPT stays on purpose, and the table gives the reason; the
 scan prints it under its own heading.  Every other definition that nothing
@@ -52,18 +55,35 @@ KEPT = {
         "correct_interval's move; the vector hop of test_levels.py's walk-step"
         " differential test"
     ),
-    "extraction.parse_token": "the token decoder of the padded-register differential test",
-    "johnson.VertexData": "vertex_data's record",
-    "johnson.neighbors": "the explicit Johnson graph the edge-list tests compare against",
-    "johnson.vertex_data": "the per-vertex reference FamilyIndex's tables are tested against",
-    "johnson.vertices": "the explicit Johnson graph the edge-list tests compare against",
     "law.occupancy_law": (
         "the exact law of the sampled collision counts, which test_stats.py's"
         " chi-square and exact-mean tests compare stats against"
     ),
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
-    "statevector.uniform_state": "the reference state the amplification and extraction tests build",
     "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",
+    # methods and properties that only the unit tests and kept definitions read
+    "extraction.FamilyIndex._ordinal_of": "count_of's and tuples_of's key lookup",
+    "extraction.FamilyIndex.count_of": (
+        "one vertex's count off the enumerated tables, which the index tests"
+        " check against the reference per-vertex data"
+    ),
+    "extraction.FamilyIndex.keys_in": (
+        "the vertex keys of a count interval, the support the extraction and"
+        " run tests compare class states with"
+    ),
+    "extraction.FamilyIndex.tuple_rows": (
+        "tuples_of's row reader, which the index tests also read for many"
+        " vertices at once"
+    ),
+    "extraction.FamilyIndex.tuples_of": (
+        "one vertex's held tuples off the enumerated tables, which the index"
+        " tests check against the reference per-vertex data"
+    ),
+    "extraction.VertexFamily.contains_count": (
+        "the family's count interval as a predicate, which the family tests read"
+    ),
+    "law.CountIndex.max_count": "the top count, which extraction.hop and the index tests read",
+    "statevector.State.norm": "the norm the state-vector tests check operations keep",
 }
 
 
@@ -74,6 +94,12 @@ def defined_names(node: ast.stmt) -> list[str]:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         return [t.id for t in targets if isinstance(t, ast.Name)]
     return []
+
+
+def is_method(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
 
 
 def read_names(node: ast.AST) -> set[str]:
@@ -87,22 +113,28 @@ def read_names(node: ast.AST) -> set[str]:
 
 
 def main() -> int:
-    # (module.name, lines) of each definition, and the names each top-level
-    # statement of the scope reads, keyed by the definition it is (or None)
+    # (name, lines) of each definition, and the names each top-level
+    # statement and each method of the scope reads, with the definitions it
+    # lies in: a method lies in its class too
     definitions: dict[str, tuple[str, int]] = {}
-    reads: list[tuple[str | None, set[str]]] = []
+    reads: list[tuple[tuple[str, ...], set[str]]] = []
     for path in SCOPE:
         tree = ast.parse(path.read_text(), filename=str(path))
         in_package = path.parent == PACKAGE
         for node in tree.body:
             names = defined_names(node)
-            qualified = None
-            if in_package and names:
-                lines = node.end_lineno - node.lineno + 1
-                for name in names:
-                    qualified = f"{path.stem}.{name}"
-                    definitions[qualified] = (name, lines)
-            reads.append((qualified, read_names(node) - set(names)))
+            owners = tuple(f"{path.stem}.{name}" for name in names) if in_package else ()
+            for qualified, name in zip(owners, names):
+                definitions[qualified] = (name, node.end_lineno - node.lineno + 1)
+            methods = []
+            if in_package and isinstance(node, ast.ClassDef):
+                methods = [sub for sub in node.body if is_method(sub)]
+            for method in methods:
+                qualified = f"{owners[0]}.{method.name}"
+                definitions[qualified] = (method.name, method.end_lineno - method.lineno + 1)
+                reads.append(((*owners, qualified), read_names(method) - {method.name}))
+            rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
+            reads.append((owners, set().union(*map(read_names, rest)) - set(names)))
 
     acceptance_imports = {
         alias.name
@@ -116,9 +148,9 @@ def main() -> int:
         mark = ", imported by the acceptance tests" if name in acceptance_imports else ""
         return f"  {qualified} ({lines} lines{mark})"
 
-    dead: list[str] = []
+    dead: set[str] = set()
     while True:
-        used = set().union(*(names for owner, names in reads if owner not in dead))
+        used = set().union(*(names for owners, names in reads if not dead.intersection(owners)))
         found = sorted(q for q, (name, _) in definitions.items()
                        if q not in dead and name not in used)
         if not found:
@@ -127,7 +159,7 @@ def main() -> int:
         if unlisted:
             print("unused:" if not dead else "used only by unused or kept definitions:")
             print("\n".join(describe(q) for q in unlisted))
-        dead += found
+        dead.update(found)
     kept = [q for q in dead if q in KEPT]
     print("kept:")
     for qualified in sorted(kept):
