@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import ImpossibleTargetError, ParameterError, SimulationError
 from .statevector import (
-    PRUNE_EPS,
     Labels,
     State,
     align,
@@ -137,20 +136,21 @@ def iteration_count(alpha: float) -> int:
 def flip_rounds(good_mass: float, want: Want) -> Optional[int]:
     """The plan of a flip whose axis carries `good_mass` on its good side.
 
-    Raises ImpossibleTargetError when the axis's wanted amplitude is at most
-    PRUNE_EPS, the floor below which the state layer takes an amplitude for
-    zero.  Returns None when the good side is wanted and its amplitude
+    Raises ImpossibleTargetError when the axis's wanted amplitude is 0: a
+    share that rounds to a positive float, however small, is planned.
+    Returns None when the good side is wanted and its amplitude
     exceeds 1/sqrt(2): rotation is too coarse to help there, so each attempt
     measures a fresh copy of the axis, and lands with probability above 1/2.
     Otherwise returns the rounds each attempt rotates by before it measures:
-    iteration_count(alpha), at least 1, and 1 when alpha is about 0.
+    iteration_count(alpha), at least 1, and 1 when alpha is 0 (a BAD flip
+    off an axis with no good side).
     """
     dec = split(good_mass)
-    if (dec.alpha if want is Want.GOOD else dec.beta) <= PRUNE_EPS:
+    if (dec.alpha if want is Want.GOOD else dec.beta) <= 0.0:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     if want is Want.GOOD and dec.alpha > _HALF:
         return None
-    return max(1, iteration_count(dec.alpha)) if dec.alpha > PRUNE_EPS else 1
+    return max(1, iteration_count(dec.alpha)) if dec.alpha > 0.0 else 1
 
 
 def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:

@@ -52,7 +52,6 @@ register; pad_and_attach spells it in byte keys for callers that read keys.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -134,9 +133,6 @@ class VertexFamily:
             raise ParameterError(
                 f"empty interval [{self.lo}, {self.hi}]"
             )
-
-    def contains_count(self, count: int) -> bool:
-        return count >= self.lo and (self.hi is None or count <= self.hi)
 
     def interval_label(self) -> str:
         top = "inf" if self.hi is None else str(self.hi)
@@ -262,7 +258,7 @@ class FamilyIndex(CountIndex):
     vertex's classes met twice or more class by class off the bit sets.
 
     The basis spells its byte keys out of `_masks` only when a byte-key API
-    first reads it (count_of, keys_in, pad_and_attach, State.items, align
+    first reads it (tuples_of, pad_and_attach, State.items, align
     from another basis).  Its key factory holds the masks and the domain,
     not the index, so an index is freed by reference counting alone.
     """
@@ -313,9 +309,6 @@ class FamilyIndex(CountIndex):
         except KeyError:
             raise ValidationError("key is not a vertex of this family") from None
 
-    def count_of(self, key: BasisKey) -> int:
-        return int(self.counts[self._ordinal_of(key)])
-
     def tuples_of(self, key: BasisKey) -> tuple:
         """The vertex's multicollisions as (image, preimages), in image order."""
         rows, _ = self.tuple_rows(np.array([self._ordinal_of(key)]))
@@ -349,10 +342,6 @@ class FamilyIndex(CountIndex):
         called once per count 0..max_count."""
         return np.asarray(self.per_count(label))[self.counts]
 
-    def keys_in(self, lo: int, hi: Optional[int]) -> List[BasisKey]:
-        """The vertices whose count lies in [lo, hi], in sorted key order."""
-        return list(itertools.compress(self.basis.keys, self.class_mask(lo, hi).tolist()))
-
     def axis_state(self) -> State:
         """Uniform superposition over the whole vertex set (diffusion axis)."""
         if self._axis is None:
@@ -372,27 +361,25 @@ class FamilyIndex(CountIndex):
         return State.over(self.basis, mask * (1.0 / np.sqrt(size)))
 
 
-def check_uniform_class(
-    state: State, family: VertexFamily, index: Optional[FamilyIndex] = None
-) -> None:
-    """Raise ValidationError unless the state is exactly uniform over its support.
+def check_uniform_class(state: State, family: VertexFamily, index: FamilyIndex) -> None:
+    """Raise ValidationError unless the state is exactly uniform over the
+    family's entire count class in `index`.
 
-    With an index, the support must also be the family's entire count class:
-    every key a vertex whose count lies in the family's interval, and as many
-    keys as the class holds.  The support positions are distinct, so those
-    two facts make it the whole class.
+    Every support key must be a vertex whose count lies in the family's
+    interval, and there must be as many keys as the class holds.  The
+    support positions are distinct, so those two facts make it the whole
+    class.
     """
-    if index is not None:
-        live = align(state, index.axis_state()).live
-        counts = index.counts.take(live)
-        if (
-            len(live) != index.class_size(family.lo, family.hi)
-            or counts.min() < family.lo
-            or (family.hi is not None and counts.max() > family.hi)
-        ):
-            raise ValidationError(
-                f"state support does not match family {family.interval_label()}"
-            )
+    live = align(state, index.axis_state()).live
+    counts = index.counts.take(live)
+    if (
+        len(live) != index.class_size(family.lo, family.hi)
+        or counts.min() < family.lo
+        or (family.hi is not None and counts.max() > family.hi)
+    ):
+        raise ValidationError(
+            f"state support does not match family {family.interval_label()}"
+        )
     target = 1.0 / math.sqrt(len(state))
     if np.any(np.abs(np.abs(state.vector[state.live]) - target) > _UNIFORM_TOL):
         raise ValidationError("state is not uniform over its support")
@@ -517,20 +504,18 @@ def extract_once(
     state: State,
     family: VertexFamily,
     rng: np.random.Generator,
-    index: Optional[FamilyIndex] = None,
+    index: FamilyIndex,
 ) -> ExtractionOutcome:
-    """One padded-register measurement on a uniform family state.
+    """One padded-register measurement on a state uniform over the family's
+    entire count class in `index`, which check_uniform_class checks first.
 
     With probability sum_z |V_z| z / (y |V_{lo,hi}|) the outcome is a tuple;
     the dummy index i appears with probability |V_{lo,i-1}| / (y |V_{lo,hi}|).
     Every branch collapses to a uniform state over its stated family, laid
-    over the basis of the outcome's index.  When an index is supplied the
-    input support is checked to be the entire class; without one, one is built.
+    over the basis of the outcome's index.
     """
     y = family.padding_width()
     check_uniform_class(state, family, index)
-    if index is None:
-        index = FamilyIndex(family.restriction, family.big_r)
     ordinals, amplitudes, labels, found = _padded_register(state, index, y)
     outcome, mask, scale = _collapse(amplitudes, labels, y + len(found), rng)
     entries = np.flatnonzero(mask)
@@ -576,7 +561,7 @@ def hop(
         state, index.by_count(cls.__contains__), index.axis_state(), Want.BAD, rng
     )
     outcome, state = measure(state, index.by_count(cell), rng)
-    rest = frozenset(range(index.max_count() + 1)) - cls
+    rest = frozenset(range(len(index.sizes))) - cls
     return state, frozenset(c for c in rest if cell(c) == outcome), stats
 
 

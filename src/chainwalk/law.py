@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapacityError, ContractViolationError, ParameterError
-from .oracle import RestrictedFunction
+from .oracle import RestrictedFunction, require_int
 
 _MAX_FAMILY_VERTICES = 250_000
 # struct's unsigned integer of each width in bytes
@@ -171,9 +171,6 @@ class CountIndex:
         `restriction` records it, which carves its whole class out of the
         domain, and `big_r` is R less its size."""
         return type(self)(restriction, big_r)
-
-    def max_count(self) -> int:
-        return len(self.sizes) - 1
 
     def class_size(self, lo: int, hi: Optional[int]) -> int:
         if hi is not None and hi < lo:
@@ -300,8 +297,9 @@ def occupancy_law(big_r: int, bins: int) -> List[Fraction]:
     and splits the other R - j draws into z blocks of two or more, one per
     bin (S2(R - j, z) z!).  S2(n, k), the partitions of n into k blocks of
     size at least two, obeys S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1).
-    Needs M > 0 and R >= 0.
+    Needs integers M > 0 and R >= 0.
     """
+    require_int(big_r=big_r, bins=bins)
     if bins <= 0 or big_r < 0:
         raise ParameterError(f"need M > 0 and R >= 0, got R={big_r}, M={bins}")
     top = big_r // 2

@@ -147,29 +147,16 @@ def generate_function(params: Params, seed: int) -> FunctionTable:
 class CollisionTable:
     """Ordered map from image to the sorted tuple of its recorded preimages.
 
-    Tables are value-like: `insert` returns a new table and never mutates.
+    A table never changes: `insert` returns a new table.
     Insertion order is preserved, preimage tuples are sorted, every tuple has
     size at least 2, and no point appears under two images.
     """
 
-    def __init__(self, entries=None) -> None:
-        """Table of (image, preimages) pairs, each checked as `insert` checks it
-        without a function."""
+    def __init__(self) -> None:
         self._entries: dict[int, tuple[int, ...]] = {}
-        for image, pre in entries or ():
-            image = int(image)
-            self._entries[image] = self._checked(image, pre)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, image: int) -> bool:
-        return image in self._entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CollisionTable):
-            return NotImplemented
-        return list(self._entries.items()) == list(other._entries.items())
 
     def items(self):
         return self._entries.items()
@@ -177,17 +164,14 @@ class CollisionTable:
     def images(self) -> frozenset[int]:
         return frozenset(self._entries)
 
-    def preimages(self, image: int) -> tuple[int, ...]:
-        return self._entries[image]
-
     def all_preimages(self) -> frozenset[int]:
         out: set[int] = set()
         for pre in self._entries.values():
             out.update(pre)
         return frozenset(out)
 
-    def _checked(self, image: int, preimages) -> tuple[int, ...]:
-        """Sorted preimages of a new tuple, after the checks needing no function."""
+    def insert(self, fn: FunctionTable, image: int, preimages) -> "CollisionTable":
+        """Validated copy-and-insert of one collision tuple."""
         pre = tuple(sorted(int(x) for x in preimages))
         if len(pre) < 2:
             raise ValidationError("a collision tuple needs at least 2 preimages")
@@ -198,11 +182,6 @@ class CollisionTable:
         overlap = self.all_preimages().intersection(pre)
         if overlap:
             raise ValidationError(f"preimages {sorted(overlap)} already recorded")
-        return pre
-
-    def insert(self, fn: FunctionTable, image: int, preimages) -> "CollisionTable":
-        """Validated copy-and-insert of one collision tuple."""
-        pre = self._checked(image, preimages)
         for x in pre:
             if fn.value(x) != image:
                 raise ValidationError(f"point {x} does not map to image {image}")

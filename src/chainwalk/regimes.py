@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import ParameterError
+from .oracle import require_int
 
 _TOL = 1e-9
 
@@ -120,6 +121,7 @@ def region_grid(step: float) -> List[Tuple[float, float, float, float, bool]]:
 def tradeoff_curve(m_hat: float, k_hat: float, steps: int) -> List[TradeoffPoint]:
     """Memory-time curve k_hat + m_hat/2 - ell_hat/2 for ell_hat up to the optimum."""
     _validate_point(m_hat, k_hat)
+    require_int(steps=steps)
     if steps < 1:
         raise ParameterError("steps must be positive")
     ell_max = 2.0 * k_hat / 3.0 + m_hat / 3.0

@@ -201,9 +201,6 @@ class State:
         pos = self.basis.position.get(key)
         return pos is not None and self.vector[pos] != 0
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.vector, self.vector).real))
-
     def mask(self, predicate: Labels) -> np.ndarray:
         """Boolean vector over the basis: the predicate (a key callback or a
         boolean vector over the basis) on the support, False off it."""

@@ -179,6 +179,7 @@ def sample_collision_counts(
     function on a fresh R-subset.  Block-deterministic: the result depends on
     the generator and the sample count, never on the thread count.
     """
+    require_int(big_r=big_r, bins=bins, samples=samples)
     if big_r < 1 or bins < 1 or samples < 1:
         raise ParameterError("R, M, samples must all be positive")
     sizes = _block_sizes(samples, _BLOCK)
@@ -225,6 +226,7 @@ def calibrate_constant(
     threads: int | None = None,
 ) -> CalibrationResult:
     """Estimate c from fresh samples.  Requires 8R < M."""
+    require_int(big_r=big_r, bins=bins, samples=samples)
     if 8 * big_r >= bins:
         raise ParameterError(f"need 8R < M, got R={big_r}, M={bins}")
     values = sample_collision_counts(big_r, bins, samples, rng, threads)
@@ -242,10 +244,11 @@ def calibrate_constant(
 
 def window(c: float, big_r: int, bins: int) -> Tuple[int, int]:
     """The concentration window of Z over R-subsets into M bins, as (E, T):
-    E = round(c R^2 / M) and T = max(1, round(R / sqrt(M))).  Needs M > 0
-    and R >= 0."""
-    if bins <= 0 or big_r < 0:
-        raise ParameterError(f"need M > 0 and R >= 0, got R={big_r}, M={bins}")
+    E = round(c R^2 / M) and T = max(1, round(R / sqrt(M))).  Needs integers
+    M > 0 and R >= 0, and a finite c."""
+    require_int(big_r=big_r, bins=bins)
+    if bins <= 0 or big_r < 0 or not math.isfinite(c):
+        raise ParameterError(f"need M > 0, R >= 0 and a finite c, got c={c}, R={big_r}, M={bins}")
     return round_count(c * big_r * big_r / bins), max(1, round_count(big_r / math.sqrt(bins)))
 
 
@@ -323,6 +326,7 @@ def multicollision_size_bound(n: int, m: int, ell: int) -> float:
     exponentiates.  The value is reported verbatim even when it exceeds 1 and
     is vacuous as a probability.
     """
+    require_int(n=n, m=m, ell=ell)
     if n < 1 or m < 1:
         raise ParameterError("n and m must be positive")
     if not (2 <= ell <= (1 << n)):

@@ -176,7 +176,9 @@ def test_flip_rounds_edges():
     """The plan at each of its edges.  Mass 1/2 measures fresh axes only
     through rounding: in binary64 sqrt(0.5) = 0.7071067811865476 exceeds
     _HALF = 0.7071067811865475, the float just below it, so the tie |G| =
-    V/2 takes the axis branch while the next mass down rotates once."""
+    V/2 takes the axis branch while the next mass down rotates once.  Only
+    an exact 0 on the wanted side is refused: a share of 1e-24 or 1e-30 is
+    planned by iteration_count, a BAD flip included."""
     assert flip_rounds(0.5, Want.GOOD) is None
     assert math.sqrt(math.nextafter(0.5, 0.0)) == 1.0 / math.sqrt(2.0)
     assert flip_rounds(math.nextafter(0.5, 0.0), Want.GOOD) == 1
@@ -184,7 +186,9 @@ def test_flip_rounds_edges():
     assert flip_rounds(0.75, Want.BAD) == 1
     # the round count is read off, not run
     assert flip_rounds(1e-20, Want.GOOD) == 7_853_981_633
-    for mass, want in [(0.0, Want.GOOD), (1e-24, Want.GOOD), (1.0, Want.BAD)]:
+    assert flip_rounds(1e-24, Want.GOOD) == 785_398_163_397
+    assert flip_rounds(1e-30, Want.BAD) == iteration_count(1e-15)
+    for mass, want in [(0.0, Want.GOOD), (1.0, Want.BAD)]:
         with pytest.raises(ImpossibleTargetError):
             flip_rounds(mass, want)
 
@@ -245,7 +249,7 @@ def test_flip_reads_a_key_callback_once_per_key():
 
         def good(key):
             calls.append(key)
-            return index.count_of(key) >= 1
+            return index.counts[index.basis.position[key]] >= 1
 
         out, _ = flip(axis, good, axis, want, np.random.default_rng(0))
         assert len(calls) == index.total

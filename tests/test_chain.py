@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwalk import extraction, johnson, law, stats
+from chainwalk import extraction, johnson, law, regimes, stats
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -88,13 +88,27 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: johnson.JohnsonGraph((0, 1, 2), 1.5), id="JohnsonGraph-R-float"),
     pytest.param(lambda: johnson.closed_form_gap(4.5, 2), id="closed_form_gap-N-float"),
     pytest.param(lambda: stats.resolve_threads(1.5), id="resolve_threads-float"),
+    pytest.param(lambda: regimes.tradeoff_curve(1.5, 0.1, 2.5), id="tradeoff_curve-steps-float"),
+    pytest.param(lambda: stats.sample_collision_counts(2, 64, 2.5, np.random.default_rng(0)),
+                 id="sample_collision_counts-samples-float"),
+    pytest.param(lambda: stats.calibrate_constant(2, 64, 2.5, np.random.default_rng(0)),
+                 id="calibrate_constant-samples-float"),
+    pytest.param(lambda: stats.multicollision_size_bound(4, 5, 2.5),
+                 id="multicollision_size_bound-ell-float"),
+    pytest.param(lambda: law.occupancy_law(2.5, 4), id="occupancy_law-R-float"),
+    pytest.param(lambda: stats.window(math.nan, 4, 16), id="window-c-nan"),
+    pytest.param(lambda: stats.interval_hit_probability(
+        4, 64, math.nan, "upper", 10, np.random.default_rng(0)),
+        id="interval_hit_probability-c-nan"),
+    pytest.param(lambda: stats.window(0.5, 2.5, 16), id="window-R-float"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
     ValueError, TypeError or OverflowError, or returned a nonsense value (a
     negative gap, NaN or infinite cost terms, a run bounded by 2.5
     iterations, a graph or Params of non-integer size, a gap at N = 4.5, one
-    worker for 1.5 threads), and each now raises ParameterError."""
+    worker for 1.5 threads, a window for R = 2.5), and each now raises
+    ParameterError."""
     with pytest.raises(ParameterError):
         call()
 
@@ -252,7 +266,7 @@ def test_extraction_step_dense_scenario():
     assert ledger.oracle_queries == fn.query_count
     # the residual is uniform over its family class
     fresh = FamilyIndex(new_family.restriction, 4)
-    assert sorted(as_state(state).support()) == sorted(fresh.keys_in(0, 1))
+    assert sorted(as_state(state).support()) == sorted(fresh.class_state(0, 1).keys())
 
 
 def test_extraction_step_requires_dense_expectation():
@@ -279,7 +293,7 @@ def test_walk_step_advances_interval():
     # delta = 16/(8*8) = 1/4, so each iteration costs two update calls
     assert ledger.update_calls == 2 * stats.iterations_used
     assert ledger.check_calls == stats.iterations_used
-    fresh = sorted(index.keys_in(3, 3))
+    fresh = sorted(index.class_state(3, 3).keys())
     assert sorted(as_state(state).support()) == fresh
 
 
@@ -298,7 +312,7 @@ def test_walk_step_flags_empty_target_cell():
     fn = FunctionTable(Params(n=4, m=7, k=0), values)
     restriction = restrict(fn, CollisionTable())
     index = FamilyIndex(restriction, 8)
-    assert index.max_count() == 2
+    assert len(index.sizes) == 3
     plan = IntervalPlan.build(8, 128, 4.0)
     family = VertexFamily(restriction=restriction, big_r=8, lo=1, hi=2)
     with pytest.raises(FlaggedInstanceError):
@@ -367,7 +381,7 @@ def test_class_moves_pinned(case, seed, expected):
         )
         interval = (family.lo, family.hi)
         ledger_calls = (ledger.update_calls, ledger.check_calls)
-    assert set(as_state(state).support()) == set(index.keys_in(*interval))
+    assert set(as_state(state).support()) == set(index.class_state(*interval).keys())
     assert (
         (stats.iterations_used, stats.restarts, stats.attempts),
         interval, ledger_calls, rng.random().hex(),

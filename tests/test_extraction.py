@@ -51,6 +51,7 @@ from chainwalk.extraction import (
     dummy_token,
     extract_once,
     hop,
+    in_range,
     pad_and_attach,
     tuple_token,
 )
@@ -98,11 +99,12 @@ def test_token_validation():
 def test_vertex_family_validation():
     _, restriction = eight_point()
     fam = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
-    assert fam.contains_count(1) and fam.contains_count(2)
-    assert not fam.contains_count(0) and not fam.contains_count(3)
+    inside = in_range(fam.lo, fam.hi)
+    assert inside(1) and inside(2)
+    assert not inside(0) and not inside(3)
     assert fam.interval_label() == "[1,2]"
     open_fam = VertexFamily(restriction=restriction, big_r=4, lo=0, hi=None)
-    assert open_fam.contains_count(99)
+    assert in_range(open_fam.lo, open_fam.hi)(99)
     assert open_fam.interval_label() == "[0,inf]"
     # an emptied-out vertex is legitimate after a full-size extraction
     VertexFamily(restriction=restriction, big_r=0, lo=0, hi=0)
@@ -126,16 +128,16 @@ def test_family_index_matches_brute_force():
         hist[z] = hist.get(z, 0) + 1
     assert histogram(index) == hist == {0: 28, 1: 39, 2: 3}
     assert index.total == 70
-    assert index.max_count() == 2
+    assert len(index.sizes) == 3
     key = subset_key((0, 1, 2, 3))
-    assert index.count_of(key) == 2
+    assert index.counts[index.basis.position[key]] == 2
     assert index.tuples_of(key) == ((0, (0, 1)), (1, (2, 3)))
     assert index.class_size(1, 2) == 42
     assert index.class_size(1, None) == 42
     assert index.class_size(3, None) == 0
-    assert len(index.keys_in(0, 0)) == 28
+    assert len(index.class_state(0, 0).keys()) == 28
     with pytest.raises(ValidationError):
-        index.count_of(subset_key((0, 1, 2)))
+        index.tuples_of(subset_key((0, 1, 2)))
 
 
 def test_family_index_states_and_caps():
@@ -208,7 +210,7 @@ def test_extract_once_both_branches():
             # residual is uniform over every remaining pair, i.e. the full
             # class [0, 1] of the shrunken instance
             fresh = FamilyIndex(out.new_family.restriction, 2)
-            assert sorted(out.collapsed.support()) == sorted(fresh.keys_in(0, 1))
+            assert sorted(out.collapsed.support()) == sorted(fresh.class_state(0, 1).keys())
             assert len(out.collapsed) == 15
             amp = 1.0 / math.sqrt(15)
             assert all(abs(abs(a) - amp) < 1e-9 for _, a in out.collapsed.items())
@@ -265,9 +267,11 @@ def test_extract_once_validation():
     state = index.class_state(1, 2)
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        extract_once(state, VertexFamily(restriction=restriction, big_r=4, lo=1, hi=None), rng)
+        extract_once(state, VertexFamily(restriction=restriction, big_r=4, lo=1, hi=None), rng,
+                     index)
     with pytest.raises(ParameterError):
-        extract_once(state, VertexFamily(restriction=restriction, big_r=4, lo=0, hi=0), rng)
+        extract_once(state, VertexFamily(restriction=restriction, big_r=4, lo=0, hi=0), rng,
+                     index)
     # support must be the entire declared class
     with pytest.raises(ValidationError):
         extract_once(
@@ -277,10 +281,11 @@ def test_extract_once_validation():
             index=index,
         )
     # and uniform over it
-    keys = index.keys_in(1, 2)
+    keys = index.class_state(1, 2).keys()
     lopsided = State({k: (2.0 if i == 0 else 1.0) for i, k in enumerate(keys)}, normalize=True)
     with pytest.raises(ValidationError):
-        extract_once(lopsided, VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2), rng)
+        extract_once(lopsided, VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2), rng,
+                     index)
 
 
 def test_two_vertex_padding_contrast():
@@ -305,23 +310,26 @@ def test_two_vertex_padding_contrast():
 
 
 def test_two_vertex_measured_branches():
+    """Measuring the two-vertex padded register: a tuple both vertices hold
+    leaves them balanced, and the dummy d_3 only the vertex of two tuples."""
     _, restriction = eight_point()
     v1 = (0, 1, 2, 3, 4, 5)
     v2 = (0, 1, 2, 3, 6, 7)
     st = State({subset_key(v1): 1.0, subset_key(v2): 1.0}, normalize=True)
-    fam = VertexFamily(restriction=restriction, big_r=6, lo=2, hi=3)
+    padded = pad_and_attach(st, restriction, 3)
     kinds = set()
     for seed in range(30):
-        out = extract_once(st, fam, np.random.default_rng(seed))
-        kinds.add(out.kind)
-        if out.kind == "tuple":
-            assert len(out.collapsed) in (1, 2)
-            if len(out.collapsed) == 2:
-                amps = [abs(a) for _, a in out.collapsed.items()]
+        token, collapsed = measure(padded, key_register, np.random.default_rng(seed))
+        kind = parse_token(token)[0]
+        kinds.add(kind)
+        if kind == "tuple":
+            assert len(collapsed) in (1, 2)
+            if len(collapsed) == 2:
+                amps = [abs(a) for _, a in collapsed.items()]
                 assert all(abs(a - 1.0 / math.sqrt(2)) < 1e-9 for a in amps)
         else:
-            assert out.dummy_index == 3
-            assert out.collapsed.support() == (subset_key(v2),)
+            assert token == dummy_token(3)
+            assert collapsed.support() == (attach_register(subset_key(v2), token),)
     assert kinds == {"tuple", "dummy"}
 
 
@@ -340,16 +348,15 @@ def test_hop_lands_uniform_on_measured_cell(values, big_r, picks, split, seed):
     cls = frozenset(c for c, pick in zip(present, picks) if pick)
     assume(0 < len(cls) < len(present))
     keys = index.axis_state().support()
-    start = uniform_state([key for key in keys if index.count_of(key) in cls])
+    count = lambda key: index.counts[index.basis.position[key]]
+    start = uniform_state([key for key in keys if count(key) in cls])
     cell = lambda c: c >= split
     state, new_cls, _ = hop(start, index, cls, cell, np.random.default_rng(seed))
-    assert set(state.support()) == {
-        key for key in keys if index.count_of(key) in new_cls
-    }
+    assert set(state.support()) == {key for key in keys if count(key) in new_cls}
     target = 1.0 / math.sqrt(len(state))
     assert all(abs(abs(amp) - target) < 1e-9 for _, amp in state.items())
-    measured = cell(index.count_of(state.support()[0]))
-    rest = frozenset(range(index.max_count() + 1)) - cls
+    measured = cell(count(state.support()[0]))
+    rest = frozenset(range(len(index.sizes))) - cls
     assert new_cls == {c for c in rest if cell(c) == measured}
 
 
@@ -372,22 +379,19 @@ def test_family_index_matches_vertex_data(values, big_r, carve, lo, width):
     index = FamilyIndex(restriction, big_r)
     combos = list(itertools.combinations(restriction.domain_points, big_r))
     keys = [subset_key(combo) for combo in combos]
-    hist = {}
+    hist, count = {}, {}
     for key, combo in zip(keys, combos):
         data = vertex_data(restriction, combo)
-        assert index.count_of(key) == data.count
+        assert index.counts[index.basis.position[key]] == data.count
         assert index.tuples_of(key) == data.multicollisions
         hist[data.count] = hist.get(data.count, 0) + 1
+        count[key] = data.count
     assert histogram(index) == hist
     assert index.total == len(keys)
     assert index.axis_state().support() == tuple(sorted(keys))
     hi = None if width is None else lo + width
-    members = index.keys_in(lo, hi)
-    assert members == sorted(members)
-    assert members == [
-        key for key in sorted(keys)
-        if index.count_of(key) >= lo and (hi is None or index.count_of(key) <= hi)
-    ]
+    members = list(itertools.compress(index.basis.keys, index.class_mask(lo, hi)))
+    assert members == [key for key in sorted(keys) if in_range(lo, hi)(count[key])]
 
 
 def _class_one_two():
@@ -399,33 +403,28 @@ def _class_one_two():
 def test_check_uniform_class_accepts_the_class():
     family, index = _class_one_two()
     check_uniform_class(index.class_state(1, 2), family, index)
-    check_uniform_class(index.class_state(1, 2), family)
-    # without an index only uniformity is checked, not the support
-    check_uniform_class(index.class_state(2, 2), family)
+    # the same class over a basis of its own keys
+    check_uniform_class(uniform_state(index.class_state(1, 2).keys()), family, index)
 
 
 @pytest.mark.parametrize("case", [
     "vertex_dropped", "other_class_added", "not_a_vertex", "not_uniform",
-    "not_uniform_without_index",
 ])
 def test_check_uniform_class_rejects(case):
     family, index = _class_one_two()
-    keys = index.keys_in(1, 2)
+    keys = index.class_state(1, 2).keys()
     amps = {key: 1.0 for key in keys}
-    use_index = index
     if case == "vertex_dropped":
         del amps[keys[0]]
     elif case == "other_class_added":
-        amps[index.keys_in(0, 0)[0]] = 1.0
+        amps[index.class_state(0, 0).keys()[0]] = 1.0
     elif case == "not_a_vertex":
         del amps[keys[0]]
         amps[subset_key((0, 1, 2))] = 1.0
     else:
         amps[keys[0]] = 2.0
-        if case == "not_uniform_without_index":
-            use_index = None
     with pytest.raises(ValidationError):
-        check_uniform_class(State(amps, normalize=True), family, use_index)
+        check_uniform_class(State(amps, normalize=True), family, index)
 
 
 @pytest.mark.parametrize("lo, hi, outsider", [(1, 2, 0), (0, 1, 2)])
@@ -435,9 +434,9 @@ def test_check_uniform_class_rejects_a_swapped_vertex(lo, hi, outsider):
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=lo, hi=hi)
-    keys = index.keys_in(lo, hi)
+    keys = index.class_state(lo, hi).keys()
     check_uniform_class(State({key: 1.0 for key in keys}, normalize=True), family, index)
-    swapped = keys[1:] + index.keys_in(outsider, outsider)[:1]
+    swapped = keys[1:] + index.class_state(outsider, outsider).keys()[:1]
     with pytest.raises(ValidationError, match="does not match family"):
         check_uniform_class(
             State({key: 1.0 for key in swapped}, normalize=True), family, index
@@ -600,11 +599,11 @@ def test_tuple_rows_match_vertex_data(values, big_r, first, second):
             vertex_data(restriction, combos[o]).multicollisions for o in ordinals
         ]
     lo = max(1, min(histogram(index)))
-    hi = index.max_count()
+    hi = len(index.sizes) - 1
     assume(index.class_size(lo, hi) > 0)
     over_index = pad_and_attach(index.class_state(lo, hi), restriction, hi, index)
     over_keys = pad_and_attach(
-        uniform_state(index.keys_in(lo, hi)), restriction, hi, index
+        uniform_state(index.class_state(lo, hi).keys()), restriction, hi, index
     )
     reference = pad_and_attach(index.class_state(lo, hi), restriction, hi)
     assert over_index.items() == over_keys.items() == reference.items()
@@ -626,34 +625,36 @@ def _reference_residual(collapsed, preimages):
     big_r=st.sampled_from([3, 4]),
     lo=st.integers(0, 2),
     width=st.integers(0, 2),
-    with_index=st.booleans(),
+    over_index=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(values=[0] * 16, big_r=3, lo=0, width=1, with_index=False, seed=0)
+@example(values=[0] * 16, big_r=3, lo=0, width=1, over_index=False, seed=0)
 # image 0 has three preimages: tuples (0, (0, 2)) and (0, (0, 1, 2)) share
 # an image and order by size before preimages
 @example(
     values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7],
-    big_r=4, lo=1, width=1, with_index=True, seed=0,
+    big_r=4, lo=1, width=1, over_index=True, seed=0,
 )
 def test_extract_once_matches_padded_register_reference(
-    values, big_r, lo, width, with_index, seed
+    values, big_r, lo, width, over_index, seed
 ):
     """extract_once against measuring pad_and_attach's byte-key register
-    through key_register and stripping the register off the collapsed keys."""
+    through key_register and stripping the register off the collapsed keys.
+    The class state lies over the index's basis or over a basis of its own
+    keys, which pad_and_attach then reads through an index it builds."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     index = FamilyIndex(restriction, big_r)
     hi = lo + width
     assume(hi >= 1 and index.class_size(lo, hi) > 0)
     family = VertexFamily(restriction=restriction, big_r=big_r, lo=lo, hi=hi)
-    if with_index:
+    if over_index:
         state, given_index = index.class_state(lo, hi), index
     else:
-        state, given_index = uniform_state(index.keys_in(lo, hi)), None
+        state, given_index = uniform_state(index.class_state(lo, hi).keys()), None
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
-        out = extract_once(state, family, rng, index=given_index)
+        out = extract_once(state, family, rng, index=index)
     except CapacityError:
         out = None      # the measured tuple's closure covers half the domain
     padded = pad_and_attach(state, restriction, hi, given_index)
@@ -714,7 +715,7 @@ def test_bit_sets_identify_tuples(values, big_r):
     assert np.all(np.where(held, np.asarray(values)[points], rows[:, :1]) == rows[:, :1])
     # the register against lexsorting every row, as tokens sort
     total = index.total
-    y = max(1, index.max_count())
+    y = max(1, len(index.sizes) - 1)
     ordinals, amplitudes, labels, found = _padded_register(index.axis_state(), index, y)
     distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(found, distinct)
@@ -849,12 +850,12 @@ def test_multiword_index_matches_vertex_data(family, picks, pick):
     for ordinal in [0, index.total - 1] + [p % index.total for p in picks]:
         data = vertex_data(restriction, combos[ordinal])
         key = subset_key(combos[ordinal])
-        assert index.count_of(key) == data.count
+        assert index.counts[index.basis.position[key]] == data.count
         assert index.tuples_of(key) == data.multicollisions
     every = np.arange(index.total)
     rows, owners = index.tuple_rows(every)
     assert np.array_equal(np.bincount(owners, minlength=index.total), index.counts)
-    y = max(1, index.max_count())
+    y = max(1, len(index.sizes) - 1)
     _, _, labels, found = _padded_register(index.axis_state(), index, y)
     distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(found, distinct)
@@ -886,7 +887,7 @@ def test_multiword_extraction_draws_a_dummy():
     _, restriction = _restricted(values, list(range(70, 128)))
     assert restriction.domain_points == tuple(range(70))
     index = FamilyIndex(restriction, 3)
-    assert index._masks.shape == (54_740, 2) and index.max_count() == 1
+    assert index._masks.shape == (54_740, 2) and len(index.sizes) == 2
     family = VertexFamily(restriction=restriction, big_r=3, lo=1, hi=2)
     state = index.class_state(1, 2)
     padded = pad_and_attach(state, restriction, 2, index)
@@ -920,17 +921,18 @@ def test_index_reads_images_and_points_past_64_bits():
     index = FamilyIndex(restriction, 2)
     for combo in itertools.combinations((0, 1, 2), 2):
         data = vertex_data(restriction, combo)
-        assert index.count_of(subset_key(combo)) == data.count == 1
+        assert index.counts[index.basis.position[subset_key(combo)]] == data.count == 1
         assert index.tuples_of(subset_key(combo)) == data.multicollisions
 
 
 def test_extract_once_empties_a_full_tuple_vertex():
-    """A vertex that is one whole tuple leaves the empty subset and no index."""
-    fn, restriction = four_pair()
-    state = uniform_state([subset_key((0, 1))])
+    """A vertex that is one whole tuple leaves the empty subset and no index:
+    the class [1, 1] of pairs is the four preimage pairs."""
+    _, restriction = four_pair()
+    index = FamilyIndex(restriction, 2)
     family = VertexFamily(restriction=restriction, big_r=2, lo=1, hi=1)
-    out = extract_once(state, family, np.random.default_rng(0))
-    assert (out.kind, out.image, out.preimages) == ("tuple", 0, (0, 1))
+    out = extract_once(index.class_state(1, 1), family, np.random.default_rng(0), index)
+    assert (out.kind, out.image, out.preimages) == ("tuple", 2, (4, 5))
     assert out.new_index is None and out.new_family.big_r == 0
     assert out.collapsed.items() == [(subset_key(()), 1.0 + 0j)]
 
@@ -957,7 +959,7 @@ def test_index_holds_each_vertex_once():
                   if isinstance(value, np.ndarray)}
         assert sorted(arrays) == ["_class_images", "_class_masks", "_domain", "_masks", "counts"]
         # the class sizes are a list of exact ints, one per count
-        assert len(built.sizes) == built.max_count() + 1
+        assert len(built.sizes) == built.counts.max() + 1
         assert all(type(size) is int for size in built.sizes)
         masks, counts = arrays["_masks"], arrays["counts"]
         assert (masks.dtype, counts.dtype, masks.shape) == (
@@ -981,7 +983,7 @@ def test_index_is_freed_without_the_cycle_collector(force_keys):
         for index in (parent, child):
             index.class_state(1, 2)
             if force_keys:
-                index.count_of(index.basis.keys[0])
+                index.basis.position[index.basis.keys[0]]
         refs = [weakref.ref(parent), weakref.ref(child)]
         del parent, child, index
         assert [ref() for ref in refs] == [None, None]

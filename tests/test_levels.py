@@ -259,9 +259,11 @@ def test_extract_tuple_dummy_path_matches_the_vector_path():
         )
         assert trace == ref_trace, seed
         assert _stats(stats) == _stats(ref_stats), seed
-        assert (out.kind, out.image, out.preimages, out.new_family) == (
-            ref.kind, ref.image, ref.preimages, ref.new_family
-        )
+        assert (out.kind, out.image, out.preimages) == (ref.kind, ref.image, ref.preimages)
+        new, ref_new = out.new_family, ref.new_family
+        assert (new.big_r, new.lo, new.hi, list(new.restriction.table.items())) == (
+            ref_new.big_r, ref_new.lo, ref_new.hi, list(ref_new.restriction.table.items())
+        ), seed
         assert out.new_index is out.collapsed.index
         assert out.new_index.total == ref.new_index.total
         assert out.collapsed.support() == len(ref.collapsed)
@@ -347,7 +349,10 @@ def test_extraction_step_dense_scenario_matches_the_vector_path():
         ref_tuples.append((out.image, out.preimages))
         ref_state, ref_family, ref_index = out.collapsed, out.new_family, out.new_index
     assert tuples == ref_tuples == [(0, (0, 1)), (7, (14, 15))]
-    assert new_family == ref_family
+    assert (new_family.big_r, new_family.lo, new_family.hi,
+            list(new_family.restriction.table.items())) == (
+        ref_family.big_r, ref_family.lo, ref_family.hi, list(ref_family.restriction.table.items())
+    )
     assert ledger == ref_ledger
     assert state.index.total == ref_index.total
     assert _same_state(state, ref_state)
@@ -508,6 +513,17 @@ def test_flip_at_one_in_a_trillion_is_one_rotation():
     state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
                         np.random.default_rng(0))
     assert _stats(stats) == (785_398, 0, 1)
+    assert state.counts == {1}
+
+
+def test_flip_at_one_in_10_to_the_30_is_one_rotation():
+    """|G|/V = 10^-30, a good amplitude of 1e-15: the flip is planned, not
+    refused, and its iteration_count(1e-15) rounds are one rotation, which
+    lands on the good vertex at the first attempt."""
+    index = _Counts([10**30 - 1, 1])
+    state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
+                        np.random.default_rng(0))
+    assert _stats(stats) == (iteration_count(1e-15), 0, 1) == (785_398_163_397_448, 0, 1)
     assert state.counts == {1}
 
 

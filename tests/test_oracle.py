@@ -104,18 +104,22 @@ def test_birthday_mean_matches_closed_form():
 
 
 def test_collision_table_insert_and_round_trip():
+    """insert returns a new table with the tuple's preimages sorted, and a
+    table rebuilt from another's items by insert reads back the same items,
+    in insertion order, not image order."""
     fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 1, 1, 2, 3, 4, 5])
     table = CollisionTable()
     assert len(table) == 0
-    t1 = table.insert(fn, 0, (1, 0))
+    t1 = table.insert(fn, 1, (3, 2))
     assert len(table) == 0, "insert returns a new table"
     assert len(t1) == 1
-    assert t1.preimages(0) == (0, 1)
-    assert 0 in t1
-    t2 = t1.insert(fn, 1, (2, 3))
-    assert list(t2.items()) == [(0, (0, 1)), (1, (2, 3))]
-    back = CollisionTable(t2.items())
-    assert back == t2
+    assert list(t1.items()) == [(1, (2, 3))]
+    t2 = t1.insert(fn, 0, [1, 0])
+    assert list(t2.items()) == [(1, (2, 3)), (0, (0, 1))]
+    back = CollisionTable()
+    for image, preimages in t2.items():
+        back = back.insert(fn, image, preimages)
+    assert list(back.items()) == list(t2.items())
     assert back.images() == frozenset({0, 1})
     assert back.all_preimages() == frozenset({0, 1, 2, 3})
 
@@ -131,12 +135,20 @@ def test_collision_table_insert_and_round_trip():
     ],
 )
 def test_collision_table_constructor_rejects_invalid_tuples(entries):
+    """A table grown from an empty one by insert refuses each bad row. Points
+    1 to 4 all map to 5, so only the image check refuses (5, (3, 4))."""
+    fn = FunctionTable(Params(n=3, m=3, k=0), [0, 5, 5, 5, 5, 2, 3, 4])
+    table = CollisionTable()
     with pytest.raises(ValidationError):
-        CollisionTable(entries)
+        for image, preimages in entries:
+            table = table.insert(fn, image, preimages)
 
 
 def test_collision_table_constructor_keeps_order_and_sorts():
-    table = CollisionTable([(6, (3, 2)), (5, [1, 0, 4])])
+    fn = FunctionTable(Params(n=3, m=3, k=0), [5, 5, 6, 6, 5, 0, 1, 2])
+    table = CollisionTable()
+    for image, preimages in [(6, (3, 2)), (5, [1, 0, 4])]:
+        table = table.insert(fn, image, preimages)
     assert list(table.items()) == [(6, (2, 3)), (5, (0, 1, 4))]
 
 
@@ -152,6 +164,9 @@ def test_insert_rejects_non_collisions():
     grown = table.insert(fn, 0, (0, 1))
     with pytest.raises(ValidationError):
         grown.insert(fn, 0, (0, 1))
+    # a point already recorded under another image
+    with pytest.raises(ValidationError, match=r"preimages \[1\] already recorded"):
+        grown.insert(fn, 1, (1, 2))
 
 
 def test_restrict_excludes_full_preimage_closure():

@@ -361,6 +361,10 @@ def test_multicollision_size_bound():
     assert multicollision_size_bound(60, 120, 2) == pytest.approx(
         math.comb(1 << 60, 2) * 2.0**-120, rel=1e-9
     )
+    # past ell = 4096 the count term is a difference of lgammas
+    assert multicollision_size_bound(13, 1, 6300) == pytest.approx(
+        2 ** (math.log2(math.comb(8192, 6300)) - 6299), rel=1e-9
+    )
     with pytest.raises(ParameterError):
         multicollision_size_bound(4, 8, 1)
     with pytest.raises(ParameterError):

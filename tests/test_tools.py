@@ -22,9 +22,9 @@ def test_callers_finds_no_dead_code():
     assert scan.returncode == 0, scan.stdout + scan.stderr
 
 
-def test_callers_finds_an_unread_method(tmp_path):
-    """A copy of the scanned tree passes the scan; with one method that
-    nothing reads added to levels.Levels, the scan lists it and exits 1."""
+def _scan_with_a_method(tmp_path, name):
+    """Scan a copy of the scanned tree, which must pass, then scan it again
+    with a plain method `name` added to levels.Levels; the second scan."""
     for part in ("src", "tools", "perfbench"):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
@@ -37,10 +37,26 @@ def test_callers_finds_an_unread_method(tmp_path):
     anchor = "    def support(self) -> int:\n"
     assert text.count(anchor) == 1
     levels.write_text(text.replace(
-        anchor, "    def never_read(self) -> int:\n        return 0\n\n" + anchor))
-    found = subprocess.run(scan, capture_output=True, text=True, timeout=60)
+        anchor, f"    def {name}(self) -> int:\n        return 0\n\n" + anchor))
+    return subprocess.run(scan, capture_output=True, text=True, timeout=60)
+
+
+def test_callers_finds_an_unread_method(tmp_path):
+    """With a method that nothing reads added to levels.Levels, the scan
+    lists it and exits 1."""
+    found = _scan_with_a_method(tmp_path, "never_read")
     assert found.returncode == 1
     assert "  levels.Levels.never_read (2 lines)" in found.stdout.splitlines()
+
+
+def test_callers_counts_only_calls_of_a_plain_method(tmp_path):
+    """chain.py reads `.preimages` as an attribute of an extraction outcome
+    but calls nothing of that name, so a plain method Levels.preimages is
+    listed as unused."""
+    assert ".preimages" in (ROOT / "src" / "chainwalk" / "chain.py").read_text()
+    found = _scan_with_a_method(tmp_path, "preimages")
+    assert found.returncode == 1
+    assert "  levels.Levels.preimages (2 lines)" in found.stdout.splitlines()
 
 
 def _reads(tree: ast.AST) -> set:

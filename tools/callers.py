@@ -5,10 +5,14 @@ A definition is a top-level function, class or assigned name of a module in
 src/chainwalk, or a method or property of such a class (module.Class.name).
 It counts as used when its name is read (a plain name or an attribute)
 anywhere in src/, tools/, perfbench/ or tests/test_acceptance.py, outside its
-own definition.  Imports are not uses, so an imported function that no code
-calls is listed.  Names are matched without their module or class, so a name
-defined in two places counts as used by a read of either, and a method read
-only through getattr or a string is not seen.  Dunder methods are not
+own definition.  A plain method, one with no decorator, counts as used only
+where its name is called, so a method that shares its name with an
+attribute read elsewhere (`out.preimages`) is still listed; a property, a
+classmethod and every top-level definition count any read.  Imports are not
+uses, so an imported function that no code calls is listed.  Names are
+matched without their module or class, so a name defined in two places
+counts as used by a read of either, and a method read only through getattr,
+a string or a caller outside the scope is not seen.  Dunder methods are not
 scanned: len(), `in`, operators and the dataclass machinery read them
 without naming them.  A listed name that tests/test_acceptance.py imports is
 marked, since that file's imports must keep resolving.
@@ -61,16 +65,12 @@ KEPT = {
     ),
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
     "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",
-    # methods and properties that only the unit tests and kept definitions read
-    "extraction.FamilyIndex._ordinal_of": "count_of's and tuples_of's key lookup",
-    "extraction.FamilyIndex.count_of": (
-        "one vertex's count off the enumerated tables, which the index tests"
-        " check against the reference per-vertex data"
+    # methods and properties that only the unit tests, kept definitions or
+    # callers outside the scope read
+    "cli._Parser.error": (
+        "argparse.ArgumentParser calls it on a usage error; the override exits 1"
     ),
-    "extraction.FamilyIndex.keys_in": (
-        "the vertex keys of a count interval, the support the extraction and"
-        " run tests compare class states with"
-    ),
+    "extraction.FamilyIndex._ordinal_of": "tuples_of's key lookup",
     "extraction.FamilyIndex.tuple_rows": (
         "tuples_of's row reader, which the index tests also read for many"
         " vertices at once"
@@ -79,11 +79,6 @@ KEPT = {
         "one vertex's held tuples off the enumerated tables, which the index"
         " tests check against the reference per-vertex data"
     ),
-    "extraction.VertexFamily.contains_count": (
-        "the family's count interval as a predicate, which the family tests read"
-    ),
-    "law.CountIndex.max_count": "the top count, which extraction.hop and the index tests read",
-    "statevector.State.norm": "the norm the state-vector tests check operations keep",
 }
 
 
@@ -112,12 +107,24 @@ def read_names(node: ast.AST) -> set[str]:
     return names
 
 
+def called_names(node: ast.AST) -> set[str]:
+    """The names called: f of each f(...) and x.f(...)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            if isinstance(sub.func, ast.Name):
+                names.add(sub.func.id)
+            elif isinstance(sub.func, ast.Attribute):
+                names.add(sub.func.attr)
+    return names
+
+
 def main() -> int:
-    # (name, lines) of each definition, and the names each top-level
-    # statement and each method of the scope reads, with the definitions it
-    # lies in: a method lies in its class too
-    definitions: dict[str, tuple[str, int]] = {}
-    reads: list[tuple[tuple[str, ...], set[str]]] = []
+    # (name, lines, whether only a call uses it) of each definition, and the
+    # names each top-level statement and each method of the scope reads and
+    # calls, with the definitions it lies in: a method lies in its class too
+    definitions: dict[str, tuple[str, int, bool]] = {}
+    reads: list[tuple[tuple[str, ...], set[str], set[str]]] = []
     for path in SCOPE:
         tree = ast.parse(path.read_text(), filename=str(path))
         in_package = path.parent == PACKAGE
@@ -125,16 +132,20 @@ def main() -> int:
             names = defined_names(node)
             owners = tuple(f"{path.stem}.{name}" for name in names) if in_package else ()
             for qualified, name in zip(owners, names):
-                definitions[qualified] = (name, node.end_lineno - node.lineno + 1)
+                definitions[qualified] = (name, node.end_lineno - node.lineno + 1, False)
             methods = []
             if in_package and isinstance(node, ast.ClassDef):
                 methods = [sub for sub in node.body if is_method(sub)]
             for method in methods:
                 qualified = f"{owners[0]}.{method.name}"
-                definitions[qualified] = (method.name, method.end_lineno - method.lineno + 1)
-                reads.append(((*owners, qualified), read_names(method) - {method.name}))
+                lines = method.end_lineno - method.lineno + 1
+                definitions[qualified] = (method.name, lines, not method.decorator_list)
+                own = {method.name}
+                reads.append(((*owners, qualified), read_names(method) - own,
+                              called_names(method) - own))
             rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
-            reads.append((owners, set().union(*map(read_names, rest)) - set(names)))
+            reads.append((owners, set().union(*map(read_names, rest)) - set(names),
+                          set().union(*map(called_names, rest)) - set(names)))
 
     acceptance_imports = {
         alias.name
@@ -144,15 +155,18 @@ def main() -> int:
     }
 
     def describe(qualified: str) -> str:
-        name, lines = definitions[qualified]
+        name, lines, _ = definitions[qualified]
         mark = ", imported by the acceptance tests" if name in acceptance_imports else ""
         return f"  {qualified} ({lines} lines{mark})"
 
     dead: set[str] = set()
     while True:
-        used = set().union(*(names for owners, names in reads if not dead.intersection(owners)))
-        found = sorted(q for q, (name, _) in definitions.items()
-                       if q not in dead and name not in used)
+        live = [(names, calls) for owners, names, calls in reads
+                if not dead.intersection(owners)]
+        used = set().union(*(names for names, _ in live))
+        called = set().union(*(calls for _, calls in live))
+        found = sorted(q for q, (name, _, call_only) in definitions.items()
+                       if q not in dead and name not in (called if call_only else used))
         if not found:
             break
         unlisted = [q for q in found if q not in KEPT]
