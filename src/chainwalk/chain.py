@@ -32,7 +32,6 @@ closed-form prediction R + 2^k 2^(m/2)/sqrt(R) rides along for comparison.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -56,6 +55,7 @@ from .oracle import (
     Params,
     generate_function,
     require_int,
+    require_real,
     restrict,
 )
 from .levels import Levels, check_class, extract_tuple, flip, hop_out, measure
@@ -150,8 +150,6 @@ class CostPrediction:
     versus large vertices (R >= 2^(m/2), vertices hold many collisions).
     """
 
-    regime: str
-    ell: float
     setup_term: float
     walk_term: float
     valid: bool
@@ -164,7 +162,8 @@ class CostPrediction:
 def predict_cost(params: Params, ell: float, regime: str) -> CostPrediction:
     if regime not in ("prior", "new"):
         raise ParameterError(f"regime must be 'prior' or 'new', got {regime!r}")
-    if not isinstance(ell, numbers.Real) or not 0 < ell < math.inf:
+    require_real(ell=ell)
+    if not 0 < ell < math.inf:
         raise ParameterError(f"ell must be a positive finite number, got {ell!r}")
     try:
         setup = 2.0 ** ell
@@ -175,9 +174,7 @@ def predict_cost(params: Params, ell: float, regime: str) -> CostPrediction:
         valid = ell <= params.m / 2.0
     else:
         valid = ell >= params.m / 2.0
-    return CostPrediction(
-        regime=regime, ell=ell, setup_term=setup, walk_term=walk, valid=valid
-    )
+    return CostPrediction(setup_term=setup, walk_term=walk, valid=valid)
 
 
 def optimal_ell(params: Params) -> float:

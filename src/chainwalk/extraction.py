@@ -195,7 +195,7 @@ def _subset_keys(masks: np.ndarray, domain: np.ndarray) -> List[BasisKey]:
 
 
 def _row_tuple(row: List[int]) -> Tuple[int, Tuple[int, ...]]:
-    """(image, preimages) of one row of FamilyIndex.tuple_rows."""
+    """(image, preimages) of one row of FamilyIndex._tuple_rows."""
     return row[0], tuple(row[2:2 + row[1]])
 
 
@@ -251,14 +251,14 @@ class FamilyIndex(CountIndex):
     images with two or more domain points, are listed in image order as
     bit sets of their positions (`_class_images`, `_class_masks`).  A
     vertex holds a tuple of each class it meets in two or more positions,
-    the tuple being its bits in that class; tuple_rows reads them off for
+    the tuple being its bits in that class; _held_tuples reads them off for
     the vertices of each request, and the index stores none.
 
     The index reads the bit sets of johnson._combinations and counts each
     vertex's classes met twice or more class by class off the bit sets.
 
     The basis spells its byte keys out of `_masks` only when a byte-key API
-    first reads it (tuples_of, pad_and_attach, State.items, align
+    first reads it (pad_and_attach, State.items, align
     from another basis).  Its key factory holds the masks and the domain,
     not the index, so an index is freed by reference counting alone.
     """
@@ -302,24 +302,6 @@ class FamilyIndex(CountIndex):
         place = np.arange(len(owner)) - (np.cumsum(sizes) - sizes).take(owner)
         rows[owner, 2 + place] = self._domain.take(position)
         return rows
-
-    def _ordinal_of(self, key: BasisKey) -> int:
-        try:
-            return self.basis.position[key]
-        except KeyError:
-            raise ValidationError("key is not a vertex of this family") from None
-
-    def tuples_of(self, key: BasisKey) -> tuple:
-        """The vertex's multicollisions as (image, preimages), in image order."""
-        rows, _ = self.tuple_rows(np.array([self._ordinal_of(key)]))
-        return tuple(map(_row_tuple, rows.tolist()))
-
-    def tuple_rows(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The tuples of the vertices `ordinals` as int64 rows (image, size,
-        preimages padded with -1), vertex by vertex and in image order within
-        a vertex, and each row's position in `ordinals`."""
-        owners, classes, sets = self._held_tuples(ordinals)
-        return self._tuple_rows(classes, sets), owners
 
     def tuple_holders(self, live: List[bool]) -> Tuple[List[tuple], List[List[int]]]:
         """law.LawIndex.tuple_holders read off the vertices: the tuples held
@@ -391,7 +373,7 @@ def _padded_register(state: State, index: FamilyIndex, y: int):
     Entry r * y + c belongs to vertex ordinals[r]: its z tuples in image
     order, then d_{z+1}..d_y, each at the vertex's amplitude over sqrt(y).
     Returns (ordinals, the amplitude of each entry, the label of each entry,
-    the distinct tuples as rows of FamilyIndex.tuple_rows).  Labels sort as
+    the distinct tuples as rows of FamilyIndex._tuple_rows).  Labels sort as
     the tokens do: d_i is i - 1, and the j-th tuple in (image, size,
     preimages) order y + j.  The last label is always present: every tuple
     label is, and without tuples every vertex holds d_y.  Dummies d_i with i
@@ -418,7 +400,7 @@ def ranked_tuples(index: FamilyIndex, ordinals: np.ndarray):
 
     Returns each held instance's vertex position in `ordinals` and its
     tuple's rank, instances in FamilyIndex._held_tuples order, and the
-    distinct tuples as rows of FamilyIndex.tuple_rows in rank order.
+    distinct tuples as rows of FamilyIndex._tuple_rows in rank order.
     """
     owners, classes, sets = index._held_tuples(ordinals)
     # the classes are disjoint, so a tuple is its bit set alone; only the
@@ -474,14 +456,14 @@ class ExtractionOutcome:
     subset (R' = 0), over which collapsed then lies alone (extract_once) or
     which leaves collapsed None too (levels.extract_once, whose collapsed is
     a levels.Levels class state).
-    kind "dummy": dummy_index holds i, collapsed is uniform over the same
-    family narrowed to [lo, i-1], and new_index is the input's index.
+    kind "dummy", the dummy d_i: collapsed is uniform over the same family
+    narrowed to [lo, i-1], so new_family.hi is i - 1, and new_index is the
+    input's index.
     """
 
     kind: str
     image: Optional[int]
     preimages: Optional[Tuple[int, ...]]
-    dummy_index: Optional[int]
     collapsed: Union[State, "Levels", None]
     new_family: VertexFamily
     new_index: Optional[FamilyIndex]
@@ -522,7 +504,7 @@ def extract_once(
     rows = ordinals.take(entries // y)
     amplitudes = amplitudes.take(entries) * scale
     if outcome >= y:
-        kind, dummy_index = "tuple", None
+        kind = "tuple"
         image, preimages = _row_tuple(found[outcome - y].tolist())
         new_family = family.after_tuple(image, preimages)
         if new_family.big_r:
@@ -532,13 +514,13 @@ def extract_once(
             # the tuple was the one collapsed vertex: the empty subset is left
             new_index, basis, rows = None, Basis.of([subset_key(())]), [0]
     else:
-        kind, dummy_index, image, preimages = "dummy", outcome + 1, None, None
-        new_family = replace(family, hi=dummy_index - 1)
+        kind, image, preimages = "dummy", None, None
+        new_family = replace(family, hi=outcome)
         new_index, basis = index, index.basis
     vector = np.zeros(len(basis), dtype=amplitudes.dtype)
     vector[rows] = amplitudes
     return ExtractionOutcome(
-        kind=kind, image=image, preimages=preimages, dummy_index=dummy_index,
+        kind=kind, image=image, preimages=preimages,
         collapsed=State._build(basis, vector), new_family=new_family, new_index=new_index,
     )
 

@@ -1,6 +1,5 @@
 """Exact laws in integers: a vertex family's class sizes and tuple holders,
-read off its generating function without enumerating a vertex, and the
-occupancy law of uniform draws.
+read off its generating function without enumerating a vertex.
 
 Let a restricted function's domain of N points fall into image classes K of
 sizes s.  An R-subset meets each class in t of its points, and its count z is
@@ -46,11 +45,10 @@ import math
 import operator
 import struct
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapacityError, ContractViolationError, ParameterError
-from .oracle import RestrictedFunction, require_int
+from .oracle import RestrictedFunction
 
 _MAX_FAMILY_VERTICES = 250_000
 # struct's unsigned integer of each width in bytes
@@ -242,9 +240,16 @@ class LawIndex(CountIndex):
         return sizes
 
     def _holder_rows(self) -> Dict[Tuple[int, int], List[int]]:
-        """The holder rows per tuple shape, from family_law on first read."""
+        """The holder rows per tuple shape, from family_law on first read.
+        An index built without sizes ran the law when it was built; a child,
+        whose sizes came off its parent's holder row, runs it here, and the
+        law's sizes must be those, up to trailing zeros."""
         if self._holders is None:
-            self._law()
+            law = self._law()
+            if law[:len(self.sizes)] != self.sizes or any(law[len(self.sizes):]):
+                raise ContractViolationError(
+                    f"family law gives sizes {law}, not {self.sizes} as the parent's row does"
+                )
         return self._holders
 
     def child(self, restriction: RestrictedFunction, big_r: int) -> "LawIndex":
@@ -287,33 +292,3 @@ class LawIndex(CountIndex):
                     holders.append(row)
         return found, holders
 
-
-def occupancy_law(big_r: int, bins: int) -> List[Fraction]:
-    """Exact P(Z = z) for z = 0 .. R // 2, as Fractions, where Z counts the
-    bins hit twice or more by R uniform draws into `bins` bins.
-
-    A draw with z bins hit twice or more and j hit once picks those bins
-    (C(M, z) C(M - z, j)), the j single draws and their bins (C(R, j) j!),
-    and splits the other R - j draws into z blocks of two or more, one per
-    bin (S2(R - j, z) z!).  S2(n, k), the partitions of n into k blocks of
-    size at least two, obeys S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1).
-    Needs integers M > 0 and R >= 0.
-    """
-    require_int(big_r=big_r, bins=bins)
-    if bins <= 0 or big_r < 0:
-        raise ParameterError(f"need M > 0 and R >= 0, got R={big_r}, M={bins}")
-    top = big_r // 2
-    s2 = [[0] * (top + 1) for _ in range(big_r + 1)]
-    s2[0][0] = 1
-    for n in range(2, big_r + 1):
-        for k in range(1, n // 2 + 1):
-            s2[n][k] = k * s2[n - 1][k] + (n - 1) * s2[n - 2][k - 1]
-    law = []
-    for z in range(top + 1):
-        ways = sum(
-            math.comb(bins, z) * math.comb(bins - z, j) * math.comb(big_r, j)
-            * math.factorial(j) * math.factorial(z) * s2[big_r - j][z]
-            for j in range(big_r - 2 * z + 1)
-        )
-        law.append(Fraction(ways, bins**big_r))
-    return law

@@ -244,11 +244,11 @@ def extract_once(
             child = _class(new_index, 0, None) & {c - 1 for c in counts}
             collapsed = Levels(new_index, child)
         return ExtractionOutcome(
-            kind="tuple", image=image, preimages=preimages, dummy_index=None,
+            kind="tuple", image=image, preimages=preimages,
             collapsed=collapsed, new_family=new_family, new_index=new_index,
         )
     return ExtractionOutcome(
-        kind="dummy", image=None, preimages=None, dummy_index=outcome + 1,
+        kind="dummy", image=None, preimages=None,
         collapsed=Levels(index, [c for c in counts if c <= outcome]),
         new_family=replace(family, hi=outcome), new_index=index,
     )

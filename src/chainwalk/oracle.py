@@ -133,6 +133,14 @@ def require_int(**values) -> None:
             raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(**values) -> None:
+    """Raise ParameterError unless each of the named `values` is a real
+    number (numbers.Real): not a string, a complex or None."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def generate_function(params: Params, seed: int) -> FunctionTable:
     """Draw a uniformly random table, reproducible from the integer seed: the
     values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64).
@@ -195,15 +203,14 @@ class CollisionTable:
 class RestrictedFunction:
     """f with every recorded image's full preimage class carved out.
 
-    `excluded_preimages` is the closure: all domain points whose image appears
-    in the collision table, whether or not the table stored them.  The
-    simulated algorithm never reads this set directly; it only shows up through
-    which basis labels are allowed.
+    `domain_points` are the points left, ascending: every point whose image
+    the collision table does not record, whether or not the table stored the
+    point.  The simulated algorithm never reads the carved points directly;
+    they only show up through which basis labels are allowed.
     """
 
     base: FunctionTable
     table: CollisionTable
-    excluded_preimages: frozenset[int]
     excluded_images: frozenset[int]
     domain_points: tuple[int, ...]
 
@@ -215,15 +222,6 @@ class RestrictedFunction:
     def codomain_size(self) -> int:
         return self.base.params.codomain_size - len(self.excluded_images)
 
-    def allows(self, x: int) -> bool:
-        return 0 <= x < self.base.params.domain_size and x not in self.excluded_preimages
-
-    def value(self, x: int) -> int:
-        """Ground-truth lookup restricted to the allowed domain."""
-        if not self.allows(x):
-            raise DomainError(f"point {x} excluded from restricted domain")
-        return self.base.value(x)
-
 
 def restrict(fn: FunctionTable, table: CollisionTable) -> RestrictedFunction:
     """Carve the recorded images and their full preimage classes out of f.
@@ -232,44 +230,28 @@ def restrict(fn: FunctionTable, table: CollisionTable) -> RestrictedFunction:
     downstream rejection sampling needs a majority of allowed points.
     """
     recorded = table.images()
-    excluded = frozenset(
-        [x for x, image in enumerate(fn.images) if image in recorded] if recorded else ()
-    )
+    domain = tuple([x for x, image in enumerate(fn.images) if image not in recorded])
+    excluded = fn.params.domain_size - len(domain)
     half = fn.params.domain_size // 2
-    if len(excluded) >= half:
+    if excluded >= half:
         raise CapacityError(
-            f"exclusion closure has {len(excluded)} points, "
+            f"exclusion closure has {excluded} points, "
             f"needs fewer than {half}"
         )
-    domain = tuple([x for x in range(fn.params.domain_size) if x not in excluded])
     return RestrictedFunction(
-        base=fn,
-        table=table,
-        excluded_preimages=excluded,
-        excluded_images=recorded,
-        domain_points=domain,
+        base=fn, table=table, excluded_images=recorded, domain_points=domain
     )
 
 
-def enumerate_multicollisions(fn: FunctionTable | RestrictedFunction):
-    """Ground-truth scan for every image with >= 2 preimages.
+def enumerate_multicollisions(fn: FunctionTable):
+    """Ground-truth scan of the whole domain for every image with >= 2
+    preimages.
 
-    Accepts a FunctionTable (scan the whole domain) or a RestrictedFunction
-    (scan its allowed points only).  A j-fold collision is one entry carrying
-    all j preimages, not j-choose-2 separate pairs.  Entries come back sorted
-    by image, preimages sorted inside each entry.
+    A j-fold collision is one entry carrying all j preimages, not j-choose-2
+    separate pairs.  Entries come back sorted by image, preimages sorted
+    inside each entry.
     """
-    if isinstance(fn, RestrictedFunction):
-        points = fn.domain_points
-    else:
-        points = range(fn.params.domain_size)
     groups: dict[int, list[int]] = {}
-    for x in points:
-        groups.setdefault(fn.value(x), []).append(x)
-    out = [
-        (image, tuple(sorted(pre)))
-        for image, pre in groups.items()
-        if len(pre) >= 2
-    ]
-    out.sort(key=lambda entry: entry[0])
-    return out
+    for x, image in enumerate(fn.images):
+        groups.setdefault(image, []).append(x)
+    return sorted((image, tuple(pre)) for image, pre in groups.items() if len(pre) >= 2)

@@ -20,21 +20,18 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import ParameterError
-from .oracle import require_int
+from .oracle import require_int, require_real
 
 _TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class RegimePoint:
-    """Per-algorithm exponents at one (m_hat, k_hat)."""
+    """Per-algorithm exponents at one (m_hat, k_hat).  Inside its validity
+    range each prior algorithm reaches this_paper's exponent."""
 
-    m_hat: float
-    k_hat: float
-    bht: float
     bht_valid: bool
     bht_ext: float
-    chained: float
     chained_valid: bool
     chained_ext: float
     this_paper: float
@@ -54,6 +51,7 @@ class TradeoffPoint:
 
 
 def _validate_point(m_hat: float, k_hat: float) -> None:
+    require_real(m_hat=m_hat, k_hat=k_hat)
     if not (1.0 - _TOL <= m_hat <= 2.0 + _TOL):
         raise ParameterError(f"m_hat must lie in [1, 2], got {m_hat}")
     if not (-_TOL <= k_hat <= 2.0 - m_hat + _TOL):
@@ -79,12 +77,8 @@ def evaluate(m_hat: float, k_hat: float) -> RegimePoint:
         base if chained_valid else chained_ext,
     )
     return RegimePoint(
-        m_hat=m_hat,
-        k_hat=k_hat,
-        bht=base,
         bht_valid=bht_valid,
         bht_ext=bht_ext,
-        chained=base,
         chained_valid=chained_valid,
         chained_ext=chained_ext,
         this_paper=base,
@@ -99,6 +93,7 @@ def region_grid(step: float) -> List[Tuple[float, float, float, float, bool]]:
     given step.  Grid coordinates are built from integer multiples of the
     step so boundary membership is stable.
     """
+    require_real(step=step)
     if not (0.0 < step <= 0.1):
         raise ParameterError(f"step must lie in (0, 0.1], got {step}")
     m_steps = int(round(1.0 / step))

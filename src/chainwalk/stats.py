@@ -58,7 +58,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .oracle import require_int
+from .oracle import require_int, require_real
 
 _BLOCK = 8192
 
@@ -245,8 +245,9 @@ def calibrate_constant(
 def window(c: float, big_r: int, bins: int) -> Tuple[int, int]:
     """The concentration window of Z over R-subsets into M bins, as (E, T):
     E = round(c R^2 / M) and T = max(1, round(R / sqrt(M))).  Needs integers
-    M > 0 and R >= 0, and a finite c."""
+    M > 0 and R >= 0, and a finite real c."""
     require_int(big_r=big_r, bins=bins)
+    require_real(c=c)
     if bins <= 0 or big_r < 0 or not math.isfinite(c):
         raise ParameterError(f"need M > 0, R >= 0 and a finite c, got c={c}, R={big_r}, M={bins}")
     return round_count(c * big_r * big_r / bins), max(1, round_count(big_r / math.sqrt(bins)))
@@ -281,7 +282,6 @@ class IntervalPlan:
 
 @dataclass(frozen=True)
 class IntervalHitReport:
-    which: str
     probability: float
     expected: int
     width: int
@@ -311,7 +311,6 @@ def interval_hit_probability(
     else:
         hits = (values >= expected - width) & (values <= expected)
     return IntervalHitReport(
-        which=which,
         probability=float(hits.mean()),
         expected=expected,
         width=width,

@@ -3,8 +3,9 @@
 No run reads these, so they live beside the tests rather than in
 src/chainwalk: the explicit Johnson graph, the per-vertex collision data a
 FamilyIndex's tables are checked against, the uniform vector state, the
-padded-register token decoder, a count index's histogram, and the vector a
-count-class state stands for.
+padded-register token decoder, a count index's histogram, the vector a
+count-class state stands for, and the exact occupancy law that the sampled
+collision counts of stats.py are checked against.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from chainwalk.errors import ParameterError, ValidationError
+from chainwalk.errors import DomainError, ParameterError, ValidationError
 from chainwalk.extraction import _DUMMY_TAG, _TUPLE_TAG
 from chainwalk.johnson import JohnsonGraph
 from chainwalk.law import CountIndex
 from chainwalk.levels import Levels
-from chainwalk.oracle import RestrictedFunction
+from chainwalk.oracle import RestrictedFunction, require_int
 from chainwalk.statevector import Basis, BasisKey, State
 
 
@@ -70,10 +72,13 @@ def vertex_data(restriction: RestrictedFunction, subset: Iterable[int]) -> Verte
     pts = tuple(sorted(set(raw)))
     if len(pts) != len(raw):
         raise ParameterError("subset has repeated points")
+    allowed = set(restriction.domain_points)
     groups: dict[int, list[int]] = {}
     images = []
     for x in pts:
-        y = restriction.value(x)   # raises DomainError on excluded points
+        if x not in allowed:
+            raise DomainError(f"point {x} excluded from restricted domain")
+        y = restriction.base.value(x)
         images.append((x, y))
         groups.setdefault(y, []).append(x)
     multis = tuple(
@@ -117,3 +122,34 @@ def as_state(levels: Levels) -> State:
     index = levels.index
     by_count = np.array(index.per_count(lambda c: amp if c in levels.counts else 0.0))
     return State.over(index.basis, by_count[index.counts])
+
+
+def occupancy_law(big_r: int, bins: int) -> List[Fraction]:
+    """Exact P(Z = z) for z = 0 .. R // 2, as Fractions, where Z counts the
+    bins hit twice or more by R uniform draws into `bins` bins.
+
+    A draw with z bins hit twice or more and j hit once picks those bins
+    (C(M, z) C(M - z, j)), the j single draws and their bins (C(R, j) j!),
+    and splits the other R - j draws into z blocks of two or more, one per
+    bin (S2(R - j, z) z!).  S2(n, k), the partitions of n into k blocks of
+    size at least two, obeys S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1).
+    Needs integers M > 0 and R >= 0.
+    """
+    require_int(big_r=big_r, bins=bins)
+    if bins <= 0 or big_r < 0:
+        raise ParameterError(f"need M > 0 and R >= 0, got R={big_r}, M={bins}")
+    top = big_r // 2
+    s2 = [[0] * (top + 1) for _ in range(big_r + 1)]
+    s2[0][0] = 1
+    for n in range(2, big_r + 1):
+        for k in range(1, n // 2 + 1):
+            s2[n][k] = k * s2[n - 1][k] + (n - 1) * s2[n - 2][k - 1]
+    law = []
+    for z in range(top + 1):
+        ways = sum(
+            math.comb(bins, z) * math.comb(bins - z, j) * math.comb(big_r, j)
+            * math.factorial(j) * math.factorial(z) * s2[big_r - j][z]
+            for j in range(big_r - 2 * z + 1)
+        )
+        law.append(Fraction(ways, bins**big_r))
+    return law

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwalk import extraction, johnson, law, regimes, stats
+from chainwalk import chain, extraction, johnson, law, regimes, stats
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -69,7 +69,6 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: johnson.closed_form_gap(4, 0), id="closed_form_gap-R0"),
     pytest.param(lambda: johnson.closed_form_gap(4, 4), id="closed_form_gap-R=N"),
     pytest.param(lambda: johnson.closed_form_gap(4, 5), id="closed_form_gap-R>N"),
-    pytest.param(lambda: law.occupancy_law(4, 0), id="occupancy_law-M0"),
     pytest.param(lambda: run(ChainConfig(_P, 2.5, 0)), id="run-ell-float"),
     pytest.param(lambda: run(ChainConfig(_P, 2, 1.5)), id="run-seed-float"),
     pytest.param(lambda: run(ChainConfig(_P, 2, 0, 2.5)), id="run-max_outer-float"),
@@ -95,12 +94,19 @@ _P = Params(n=4, m=5, k=0)
                  id="calibrate_constant-samples-float"),
     pytest.param(lambda: stats.multicollision_size_bound(4, 5, 2.5),
                  id="multicollision_size_bound-ell-float"),
-    pytest.param(lambda: law.occupancy_law(2.5, 4), id="occupancy_law-R-float"),
     pytest.param(lambda: stats.window(math.nan, 4, 16), id="window-c-nan"),
     pytest.param(lambda: stats.interval_hit_probability(
         4, 64, math.nan, "upper", 10, np.random.default_rng(0)),
         id="interval_hit_probability-c-nan"),
     pytest.param(lambda: stats.window(0.5, 2.5, 16), id="window-R-float"),
+    pytest.param(lambda: stats.window("a", 4, 16), id="window-c-str"),
+    pytest.param(lambda: stats.interval_hit_probability(
+        4, 64, "a", "upper", 10, np.random.default_rng(0)),
+        id="interval_hit_probability-c-str"),
+    pytest.param(lambda: regimes.region_grid("a"), id="region_grid-step-str"),
+    pytest.param(lambda: regimes.evaluate("a", 0), id="evaluate-m_hat-str"),
+    pytest.param(lambda: regimes.evaluate(1.5, "a"), id="evaluate-k_hat-str"),
+    pytest.param(lambda: regimes.tradeoff_curve("a", 0.1, 3), id="tradeoff_curve-m_hat-str"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
@@ -461,6 +467,61 @@ def test_report_pinned(shape, digest):
     n, m, k, ell, seed = shape
     result = run(ChainConfig(params=Params(n=n, m=m, k=k), ell=ell, seed=seed,
                              max_outer_iterations=64))
+    assert hashlib.sha256(result.report_json().encode()).hexdigest() == digest
+
+
+# (7, 10, 2, 6) with the family cap lifted: project, extract, walk, extract
+_DENSE_WALKS = [
+    (2, "76ba0bdd75aa00026799d57a8983dcb7cc1ba9fefd22954f04a6c05134b6154c"),
+    (3, "f56d99bd0653715f51a1e45f02a8e269fc88992412b4b4e96e97c40d344d115d"),
+    (4, "369c3a8ffc08b7628b04ad5a13a044b8143c6fc0a4e8409e4cd2edb52a094224"),
+    (5, "f7d2b0830d63be4071e40f9eff70811a616d1d9af844fd445836b1c9620e580d"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", _DENSE_WALKS)
+def test_dense_run_walks_after_an_extraction(monkeypatch, seed, digest):
+    """The (6, 10, k, 6) starts flag every walk_step that run() makes, so
+    the sweep reaches no walk after a dense extraction.  With the family cap
+    lifted, (7, 10, 2, 6) at seeds 2 to 5 completes dense after one
+    walk_step, which writes a walk entry past iteration 0.  Each report is
+    pinned."""
+    monkeypatch.setattr(law, "_MAX_FAMILY_VERTICES", 10**200)
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk_step(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "walk_step", counted)
+    result = run(ChainConfig(Params(7, 10, 2), 6, seed))
+    assert (result.status, result.regime, len(walks)) == (ChainStatus.COMPLETED, "dense", 1)
+    assert any(entry.get("phase") == "walk" and entry["iteration"] >= 1
+               for entry in result.per_step_trace)
+    assert hashlib.sha256(result.report_json().encode()).hexdigest() == digest
+
+
+# (7, 10, 4, 6) with the family cap lifted: E drops below 2 after three walks
+_MIXED_RUNS = [
+    (8, "ceb65f46d3accf33b0557059dbd4f2a248ae5ca037fd60890c2ecc8aba74cb24"),
+    (12, "54c73ab9434c8b9f31b5e2987157be4d799f29a86f4974129789197fc76f56aa"),
+    (24, "a7b03b5931cc94d8177c1daf4c5129f83014bf378b50fbbe117d4bbd40b6ceb2"),
+    (30, "c20a9d4f81c21c962bad17d769ed2320b8eb8ec8083918a231082ded7f842838"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", _MIXED_RUNS)
+def test_dense_run_switches_to_the_count_walk(monkeypatch, seed, digest):
+    """With the family cap lifted, (7, 10, 4, 6) at these seeds walks three
+    times with walk_step until E drops below 2 at its fourth extraction.
+    The run then measures its count, records one regime-switch entry and
+    goes on with the count walk, as a "mixed" run.  No sweep line reaches
+    the switch.  Each report is pinned."""
+    monkeypatch.setattr(law, "_MAX_FAMILY_VERTICES", 10**200)
+    result = run(ChainConfig(Params(7, 10, 4), 6, seed))
+    phases = [entry.get("phase") for entry in result.per_step_trace]
+    assert result.regime == "mixed" and phases.count("regime-switch") == 1
+    assert phases[:phases.index("regime-switch")].count("walk") == 3
     assert hashlib.sha256(result.report_json().encode()).hexdigest() == digest
 
 

@@ -46,6 +46,7 @@ from chainwalk.extraction import (
     VertexFamily,
     _cut_ordinals,
     _padded_register,
+    _row_tuple,
     check_uniform_class,
     correct_interval,
     dummy_token,
@@ -53,6 +54,7 @@ from chainwalk.extraction import (
     hop,
     in_range,
     pad_and_attach,
+    ranked_tuples,
     tuple_token,
 )
 from chainwalk.law import LawIndex
@@ -129,15 +131,15 @@ def test_family_index_matches_brute_force():
     assert histogram(index) == hist == {0: 28, 1: 39, 2: 3}
     assert index.total == 70
     assert len(index.sizes) == 3
-    key = subset_key((0, 1, 2, 3))
-    assert index.counts[index.basis.position[key]] == 2
-    assert index.tuples_of(key) == ((0, (0, 1)), (1, (2, 3)))
+    ordinal = index.basis.position[subset_key((0, 1, 2, 3))]
+    assert index.counts[ordinal] == 2
+    _, ranks, found = ranked_tuples(index, np.array([ordinal]))
+    assert found[ranks].tolist() == [[0, 2, 0, 1, -1, -1], [1, 2, 2, 3, -1, -1]]
     assert index.class_size(1, 2) == 42
     assert index.class_size(1, None) == 42
     assert index.class_size(3, None) == 0
     assert len(index.class_state(0, 0).keys()) == 28
-    with pytest.raises(ValidationError):
-        index.tuples_of(subset_key((0, 1, 2)))
+    assert subset_key((0, 1, 2)) not in index.basis.position
 
 
 def test_family_index_states_and_caps():
@@ -215,7 +217,6 @@ def test_extract_once_both_branches():
             amp = 1.0 / math.sqrt(15)
             assert all(abs(abs(a) - amp) < 1e-9 for _, a in out.collapsed.items())
         else:
-            assert out.dummy_index == 2
             assert (out.new_family.lo, out.new_family.hi) == (1, 1)
             assert states_close(out.collapsed, index.class_state(1, 1))
     assert seen == {"tuple", "dummy"}
@@ -236,8 +237,8 @@ def test_extract_once_keeps_the_input_dtype():
         out = extract_once(state, fam, rng, index=index)
         other = extract_once(twin, fam, twin_rng, index=index)
         seen.add(out.kind)
-        assert (out.kind, out.preimages, out.dummy_index) == (
-            other.kind, other.preimages, other.dummy_index
+        assert (out.kind, out.preimages, out.new_family.hi) == (
+            other.kind, other.preimages, other.new_family.hi
         )
         assert out.collapsed.vector.dtype == np.float64
         assert other.collapsed.vector.dtype == np.complex128
@@ -379,11 +380,15 @@ def test_family_index_matches_vertex_data(values, big_r, carve, lo, width):
     index = FamilyIndex(restriction, big_r)
     combos = list(itertools.combinations(restriction.domain_points, big_r))
     keys = [subset_key(combo) for combo in combos]
+    owners, ranks, found = ranked_tuples(index, np.arange(index.total))
+    held = [[] for _ in keys]
+    for owner, row in zip(owners.tolist(), found[ranks].tolist()):
+        held[owner].append(_row_tuple(row))
     hist, count = {}, {}
     for key, combo in zip(keys, combos):
         data = vertex_data(restriction, combo)
         assert index.counts[index.basis.position[key]] == data.count
-        assert index.tuples_of(key) == data.multicollisions
+        assert tuple(held[index.basis.position[key]]) == data.multicollisions
         hist[data.count] = hist.get(data.count, 0) + 1
         count[key] = data.count
     assert histogram(index) == hist
@@ -546,7 +551,7 @@ def test_extract_tuple_dummy_path_pinned(seed, repairs, flip_stats, found, after
          "interval_before": [1, 2], "interval_after": [0, 1], "iterations": 0}
     ]
     assert (stats.iterations_used, stats.restarts, stats.attempts) == flip_stats
-    assert (out.kind, out.image, out.preimages, out.dummy_index) == ("tuple", image, preimages, None)
+    assert (out.kind, out.image, out.preimages) == ("tuple", image, preimages)
     assert (out.new_family.lo, out.new_family.hi, out.new_family.big_r) == (0, 1, 4)
     assert (out.collapsed.support(), out.new_index.total) == (998, 1001)
     assert rng.random().hex() == after
@@ -580,22 +585,24 @@ def test_extract_tuple_validation():
     second=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
 )
 def test_tuple_rows_match_vertex_data(values, big_r, first, second):
-    """The tuple rows of a request with repeated vertices, read back vertex
-    by vertex, give what vertex_data gives; so does a second request."""
+    """The tuple rows that ranked_tuples gives a request with repeated
+    vertices, each instance's row found[rank], read back vertex by vertex,
+    give what vertex_data gives; so does a second request."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     index = FamilyIndex(restriction, big_r)
     combos = list(itertools.combinations(restriction.domain_points, big_r))
     for request in (first, second):
         ordinals = [o % index.total for o in request]
-        rows, owners = index.tuple_rows(np.array(ordinals, dtype=np.intp))
+        owners, ranks, found = ranked_tuples(index, np.array(ordinals, dtype=np.intp))
+        rows = found[ranks]
         assert rows.dtype == np.int64 and rows.shape[1] == 2 + big_r
         assert owners.tolist() == sorted(owners.tolist())
-        found = [[] for _ in ordinals]
+        held = [[] for _ in ordinals]
         for (image, size, *pres), owner in zip(rows.tolist(), owners.tolist()):
             assert pres[size:] == [-1] * (big_r - size)
-            found[owner].append((image, tuple(pres[:size])))
-        assert [tuple(tuples) for tuples in found] == [
+            held[owner].append((image, tuple(pres[:size])))
+        assert [tuple(tuples) for tuples in held] == [
             vertex_data(restriction, combos[o]).multicollisions for o in ordinals
         ]
     lo = max(1, min(histogram(index)))
@@ -668,7 +675,7 @@ def test_extract_once_matches_padded_register_reference(
         assert (out.kind, out.image, out.preimages) == parsed
         assert out.collapsed.items() == _reference_residual(collapsed, parsed[2])
     else:
-        assert (out.kind, out.dummy_index) == parsed
+        assert (out.kind, out.new_family.hi + 1) == parsed
         assert out.collapsed.items() == _reference_residual(collapsed, ())
     assert rng.random() == ref_rng.random()
 
@@ -696,8 +703,11 @@ def test_bit_sets_identify_tuples(values, big_r):
     index = FamilyIndex(restriction, big_r)
     every = np.arange(index.total)
     owners, classes, sets = index._held_tuples(every)
-    rows, row_owners = index.tuple_rows(every)
-    assert np.array_equal(owners, row_owners)
+    rows = index._tuple_rows(classes, sets)
+    # ranked_tuples gives every instance its row, through the distinct ones
+    ranked_owners, ranks, distinct_rows = ranked_tuples(index, every)
+    assert np.array_equal(owners, ranked_owners)
+    assert np.array_equal(distinct_rows[ranks], rows)
     # at most 64 points: one word a bit set
     bit_sets = sets[:, 0]
     pairs = np.column_stack([bit_sets.view(np.int64), rows])
@@ -736,8 +746,8 @@ def test_wide_images_read_like_vertex_data(m):
     top = (1 << m) - 1
     fn = FunctionTable(Params(n=21, m=m, k=0), np.full(1 << 21, top, dtype=np.int64))
     restriction = RestrictedFunction(
-        base=fn, table=CollisionTable(), excluded_preimages=frozenset(),
-        excluded_images=frozenset(), domain_points=tuple(range(61)),
+        base=fn, table=CollisionTable(), excluded_images=frozenset(),
+        domain_points=tuple(range(61)),
     )
     index = FamilyIndex(restriction, 58)
     assert index.total == 35_990 and histogram(index) == {1: 35_990}
@@ -749,8 +759,9 @@ def test_wide_images_read_like_vertex_data(m):
     # the lexicographic vertex order is the token order of their tuples
     assert np.array_equal(labels, 1 + np.arange(index.total))
     for ordinal in (0, 17_995, 35_989):
-        key = index.basis.keys[ordinal]
-        assert index.tuples_of(key) == vertex_data(restriction, combos[ordinal]).multicollisions
+        _, ranks, rows = ranked_tuples(index, np.array([ordinal]))
+        data = vertex_data(restriction, combos[ordinal])
+        assert tuple(map(_row_tuple, rows[ranks].tolist())) == data.multicollisions
     # a register token holds 32-bit images only
     with pytest.raises(ParameterError):
         pad_and_attach(index.class_state(1, 1), restriction, 1, index)
@@ -775,8 +786,8 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
     parent = FamilyIndex(restriction, big_r)
     holders = np.flatnonzero(parent.counts)
     assume(len(holders) > 0)
-    rows, _ = parent.tuple_rows(holders[pick % len(holders)].reshape(1))
-    image, size, *pres = rows[pick % len(rows)].tolist()
+    _, ranks, found = ranked_tuples(parent, holders[pick % len(holders)].reshape(1))
+    image, size, *pres = found[ranks[pick % len(ranks)]].tolist()
     preimages = tuple(pres[:size])
     preimage_class = {x for x, value in enumerate(values) if value == image}
     assume(len(preimage_class) < 8)     # restrict refuses half the domain
@@ -837,10 +848,10 @@ def _restricted(values, dropped):
 @given(family=_multiword_families(), picks=st.lists(st.integers(0, 10**6), max_size=20),
        pick=st.integers(0, 10**6))
 def test_multiword_index_matches_vertex_data(family, picks, pick):
-    """On two-word bit sets: counts and tuples_of read as vertex_data reads
-    them, the padded register is lexsorting every tuple row, and at R = 3
-    _cut_ordinals sends each holder of a two-point tuple to its cut subset's
-    ordinal in the index built after it."""
+    """On two-word bit sets: counts and ranked_tuples' rows read as
+    vertex_data reads them, the padded register is lexsorting every tuple
+    row, and at R = 3 _cut_ordinals sends each holder of a two-point tuple
+    to its cut subset's ordinal in the index built after it."""
     values, dropped, big_r = family
     fn, restriction = _restricted(values, dropped)
     domain = restriction.domain_points
@@ -849,11 +860,13 @@ def test_multiword_index_matches_vertex_data(family, picks, pick):
     combos = list(itertools.combinations(domain, big_r))
     for ordinal in [0, index.total - 1] + [p % index.total for p in picks]:
         data = vertex_data(restriction, combos[ordinal])
-        key = subset_key(combos[ordinal])
-        assert index.counts[index.basis.position[key]] == data.count
-        assert index.tuples_of(key) == data.multicollisions
+        at = index.basis.position[subset_key(combos[ordinal])]
+        assert index.counts[at] == data.count
+        _, ranks, rows = ranked_tuples(index, np.array([at]))
+        assert tuple(map(_row_tuple, rows[ranks].tolist())) == data.multicollisions
     every = np.arange(index.total)
-    rows, owners = index.tuple_rows(every)
+    owners, classes, sets = index._held_tuples(every)
+    rows = index._tuple_rows(classes, sets)
     assert np.array_equal(np.bincount(owners, minlength=index.total), index.counts)
     y = max(1, len(index.sizes) - 1)
     _, _, labels, found = _padded_register(index.axis_state(), index, y)
@@ -899,7 +912,7 @@ def test_multiword_extraction_draws_a_dummy():
         parsed = parse_token(token)
         kinds.add(out.kind)
         if out.kind == "dummy":
-            assert parsed == ("dummy", 2) and out.dummy_index == 2
+            assert parsed == ("dummy", 2) and out.new_family.hi == 1
             assert out.collapsed.items() == _reference_residual(collapsed, ())
         else:
             assert (out.kind, out.image, out.preimages) == parsed
@@ -915,14 +928,16 @@ def test_index_reads_images_and_points_past_64_bits():
     # could not hold
     fn = FunctionTable(Params(n=22, m=44, k=0), np.zeros(1 << 22, dtype=np.int64))
     restriction = RestrictedFunction(
-        base=fn, table=CollisionTable(), excluded_preimages=frozenset(),
-        excluded_images=frozenset(), domain_points=(0, 1, 2),
+        base=fn, table=CollisionTable(), excluded_images=frozenset(),
+        domain_points=(0, 1, 2),
     )
     index = FamilyIndex(restriction, 2)
     for combo in itertools.combinations((0, 1, 2), 2):
         data = vertex_data(restriction, combo)
-        assert index.counts[index.basis.position[subset_key(combo)]] == data.count == 1
-        assert index.tuples_of(subset_key(combo)) == data.multicollisions
+        at = index.basis.position[subset_key(combo)]
+        assert index.counts[at] == data.count == 1
+        _, ranks, rows = ranked_tuples(index, np.array([at]))
+        assert tuple(map(_row_tuple, rows[ranks].tolist())) == data.multicollisions
 
 
 def test_extract_once_empties_a_full_tuple_vertex():

@@ -198,6 +198,24 @@ def test_child_refuses_a_family_no_tuple_leaves():
             parent.child(shrunk, big_r)
 
 
+def test_child_checks_the_sizes_it_took_against_its_law():
+    """A child takes its sizes off its parent's holder row and runs
+    family_law on its first tuple_holders, whose sizes must be the same.
+    The same child built again with two of its sizes swapped, which keeps
+    their total, is refused there."""
+    fn = FunctionTable(Params(n=4, m=4, k=0), [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7])
+    restriction = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
+    child = LawIndex(restrict(fn, CollisionTable()), 6).child(restriction, 4)
+    live = [True] * len(child.sizes)
+    sizes = list(child.sizes)
+    sizes[0], sizes[1] = sizes[1], sizes[0]
+    assert sizes != child.sizes
+    forged = LawIndex(restriction, 4, sizes, (child._classes, child._class_sizes))
+    with pytest.raises(ContractViolationError, match="family law gives sizes"):
+        forged.tuple_holders(live)
+    assert child.tuple_holders(live) == LawIndex(restriction, 4).tuple_holders(live)
+
+
 def test_last_child_builds_no_law(monkeypatch):
     """Over the 20 criterion-7 runs, every LawIndex but the child left by a
     run's last tuple computes its law once: 58 indexes, 38 family_law

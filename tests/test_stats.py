@@ -3,7 +3,7 @@
 Expected means come from the exact bin-occupancy closed form: with q = 1-1/M,
 the expected number of images hit at least twice by R uniform draws is
 M (1 - q^R - (R/M) q^(R-1)); the whole law of Z comes from counting draws
-exactly (law.occupancy_law).  Everything empirical runs under fixed seeds.
+exactly (reference.occupancy_law).  Everything empirical runs under fixed seeds.
 """
 
 import hashlib
@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainwalk.errors import ParameterError
-from chainwalk.law import occupancy_law
 from chainwalk.stats import (
     IntervalPlan,
     _collision_counts_block,
@@ -31,6 +30,7 @@ from chainwalk.stats import (
     verify_stats_report,
     window,
 )
+from reference import occupancy_law
 
 
 def exact_mean(big_r, bins):

@@ -11,10 +11,12 @@ attribute read elsewhere (`out.preimages`) is still listed; a property, a
 classmethod and every top-level definition count any read.  Imports are not
 uses, so an imported function that no code calls is listed.  Names are
 matched without their module or class, so a name defined in two places
-counts as used by a read of either, and a method read only through getattr,
-a string or a caller outside the scope is not seen.  Dunder methods are not
-scanned: len(), `in`, operators and the dataclass machinery read them
-without naming them.  A listed name that tests/test_acceptance.py imports is
+counts as used by a read of either: every fn.value(x) of a FunctionTable
+hid RestrictedFunction.value, which only unit tests called.  A method read
+only through getattr, a string or a caller outside the scope is not seen.
+Dunder methods and dataclass fields are not scanned: len(), `in`,
+operators and the dataclass machinery read the first without naming them,
+and a field that nothing reads is not seen.  A listed name that tests/test_acceptance.py imports is
 marked, since that file's imports must keep resolving.
 
 A definition in KEPT stays on purpose, and the table gives the reason; the
@@ -59,25 +61,12 @@ KEPT = {
         "correct_interval's move; the vector hop of test_levels.py's walk-step"
         " differential test"
     ),
-    "law.occupancy_law": (
-        "the exact law of the sampled collision counts, which test_stats.py's"
-        " chi-square and exact-mean tests compare stats against"
-    ),
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
     "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",
     # methods and properties that only the unit tests, kept definitions or
     # callers outside the scope read
     "cli._Parser.error": (
         "argparse.ArgumentParser calls it on a usage error; the override exits 1"
-    ),
-    "extraction.FamilyIndex._ordinal_of": "tuples_of's key lookup",
-    "extraction.FamilyIndex.tuple_rows": (
-        "tuples_of's row reader, which the index tests also read for many"
-        " vertices at once"
-    ),
-    "extraction.FamilyIndex.tuples_of": (
-        "one vertex's held tuples off the enumerated tables, which the index"
-        " tests check against the reference per-vertex data"
     ),
 }
 
