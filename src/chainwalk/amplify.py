@@ -6,9 +6,7 @@ components of u.  One amplification round applies (Ref_u . Ref_flip) where
 Ref_flip negates the good amplitudes; in the plane spanned by B and G this is
 a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
 `grover_iterate` applies each round as the state layer's two reflections,
-each of which prunes and checks the norm.  Every operator here is real, so a
-real state over a real axis stays float64 through every round and
-measurement; a complex state or axis makes the rounds complex.
+each of which prunes and checks the norm.
 
 `flip` drives rounds of iterate-then-measure until the projective flag
 measurement lands on the wanted side, for at most `flip_attempts` attempts.
@@ -17,34 +15,32 @@ the returned state is then exactly the renormalized wanted projection of the
 axis.  A flip first refuses an axis with no key on the wanted side, counted
 exactly, since a float mass can round short of 0 or 1 there and the flip
 would never land.  It then plans from its axis's good share (`_good_share`):
-the good squared norm over the whole, each summed exactly from the distinct
-squared amplitudes and divided once, so that a uniform axis reads the
-correctly rounded |G|/V that levels.flip reads off its exact class sizes.
-What a flip does with that share, whether the wanted amplitude is too
-small, whether to measure fresh axes and how many rounds to rotate by, is
-decided in one place, `flip_rounds`, and how many attempts to make in
-`flip_attempts`; levels.flip reads both.
+the good squared norm over the whole, each summed exactly and divided once,
+so that a uniform axis reads the correctly rounded |G|/V that levels.flip
+reads off its exact class sizes.  What a flip does with that share, whether
+the wanted amplitude is too small, whether to measure fresh axes and how
+many rounds to rotate by, is decided in one place, `flip_rounds`, and how
+many attempts to make in `flip_attempts`; levels.flip reads both.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
+from ._stream import Uniform
 from .errors import ImpossibleTargetError, ParameterError, SimulationError
 from .statevector import (
     Labels,
     State,
-    align,
     measure,
     reflect_about_predicate,
     reflect_about_state,
-    values_at,
 )
 
 _HALF = 1.0 / math.sqrt(2.0)
@@ -93,29 +89,16 @@ def split(good_mass: float) -> AmplitudeDecomposition:
     return AmplitudeDecomposition(alpha=alpha, beta=beta, theta=math.asin(min(1.0, alpha)))
 
 
-def _good_flags(state: State, good: Labels, axis: State):
-    """`state` aligned onto the axis's basis, and `good` read once on every
-    key of that basis as a boolean vector.  A flag off the support of the
-    state and of the axis decides only the sign of a zero, which the next
-    settling step clears."""
-    state = align(state, axis)
-    everywhere = np.arange(len(state.basis))
-    return state, values_at(state.basis, good, everywhere, bool).astype(bool, copy=False)
-
-
 def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State:
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
-    `good` is a key callback or a boolean vector over the axis's basis, read
-    once per key of that basis.  Each round is reflect_about_predicate then
-    reflect_about_state, so each ends with their prune and norm check.  A
-    real state and a complex axis, or the reverse, run complex rounds.
+    `good` is a key callback, read once per key of the axis; a key off the
+    axis counts as bad.  Each round is reflect_about_predicate then
+    reflect_about_state, so each ends with their prune and norm check.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
-    if count == 0:
-        return state
-    state, flags = _good_flags(state, good, axis)
+    flags = frozenset(filter(good, axis.amplitudes)).__contains__
     for _ in range(count):
         state = reflect_about_state(reflect_about_predicate(state, flags), axis)
     return state
@@ -176,19 +159,17 @@ def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:
     return math.ceil(MAX_TRANSITIONS / land) if land > 0.0 else MAX_TRANSITIONS
 
 
-def _good_share(axis: State, flags: np.ndarray) -> float:
-    """The axis's good squared norm over its whole squared norm, `flags`
-    marking the good keys of its basis: each an exact sum of the distinct
-    squared amplitudes times their multiplicities, divided once and rounded
-    once, so a uniform axis over V keys with |G| good reads |G|/V."""
-    weights = np.abs(axis.vector[axis.live]) ** 2
+def _good_share(axis: State, good: frozenset) -> float:
+    """The axis's good squared norm over its whole squared norm, `good`
+    holding its good keys: each an exact sum of the distinct weights times
+    their multiplicities, divided once and rounded once, so a uniform axis
+    over V keys with |G| good reads |G|/V."""
+    def exact_sum(amplitudes: list) -> Fraction:
+        weights = Counter(map(operator.mul, amplitudes, amplitudes))
+        return sum((Fraction(w) * c for w, c in weights.items()), Fraction(0))
 
-    def exact_sum(values: np.ndarray) -> Fraction:
-        distinct, counts = np.unique(values, return_counts=True)
-        return sum((Fraction(w) * c for w, c in zip(distinct.tolist(), counts.tolist())),
-                   Fraction(0))
-
-    return float(exact_sum(weights[flags[axis.live]]) / exact_sum(weights))
+    good_sum = exact_sum(list(map(axis.amplitudes.__getitem__, good)))
+    return float(good_sum / exact_sum(list(axis.amplitudes.values())))
 
 
 def flip(
@@ -196,24 +177,22 @@ def flip(
     good: Labels,
     axis: State,
     want: Want,
-    rng: np.random.Generator,
+    rng: Uniform,
 ) -> tuple[State, FlipStats]:
     """Iterate and project until the flag measurement lands on `want`.
 
-    `good` is a key callback or a boolean vector over the axis's basis, read
-    once per key of that basis into the mask that the plan, the iterations
-    and every flag measurement use.  The plan is flip_rounds' on the axis's
-    good share (_good_share): each attempt rotates the state by its rounds,
-    or measures a fresh copy of the axis when it is None.  An axis with no
-    support key on the wanted side raises ImpossibleTargetError, whatever
-    its share rounds to, and SimulationError follows flip_attempts' attempts
-    that all miss.
+    `good` is a key callback, read once per key of the axis into the set of
+    good keys that the plan, the iterations and every flag measurement use.
+    The plan is flip_rounds' on the axis's good share (_good_share): each
+    attempt rotates the state by its rounds, or measures a fresh copy of the
+    axis when it is None.  An axis with no key on the wanted side raises
+    ImpossibleTargetError, whatever its share rounds to, and SimulationError
+    follows flip_attempts' attempts that all miss.
     """
-    state, flags = _good_flags(state, good, axis)
-    wanted = flags if want is Want.GOOD else ~flags
-    if not wanted[axis.live].any():
+    good = frozenset(filter(good, axis.amplitudes))
+    if (len(good) if want is Want.GOOD else len(axis) - len(good)) == 0:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
-    share = _good_share(axis, flags)
+    share = _good_share(axis, good)
     rounds = flip_rounds(share, want)
     attempts = flip_attempts(share, rounds)
     stats = FlipStats()
@@ -222,9 +201,9 @@ def flip(
         if rounds is None:
             state = axis
         else:
-            state = grover_iterate(state, flags, axis, rounds)
+            state = grover_iterate(state, good.__contains__, axis, rounds)
             stats.iterations_used += rounds
-        outcome, state = measure(state, flags, rng)
+        outcome, state = measure(state, good.__contains__, rng)
         if outcome == (want is Want.GOOD):
             return state, stats
         stats.restarts += 1

@@ -27,18 +27,13 @@ block per eigenvector, the working set is one E x _PANEL_COLUMNS panel
 besides the V x V P and its eigenvectors, and no 2V x 2V or rank x rank
 array is formed.
 
-The lexicographic list of R-subsets, which stands in for the paper's qRAM
-vertex data, comes from one enumerator, _combinations, read by the edge list
-and by extraction.FamilyIndex.  It builds the positions and bit sets one
-size j at a time: the j-subsets whose least point is k are k followed by the
-last C(N - k - 1, j - 1) rows of size j - 1, those above k.  Its inverse,
-_lex_ordinals, ranks rows of sorted positions in that order: the edge list
-ranks each swapped subset with it, and extraction.extract_once each vertex
-left after a tuple is cut out.
+The edge list takes the R-subsets in itertools.combinations' lexicographic
+order, and _lex_ordinals ranks each swapped subset in that order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -65,6 +60,8 @@ class JohnsonGraph:
 
     def __post_init__(self) -> None:
         pts = tuple(sorted(set(self.ground_set)))
+        if len(pts) != len(self.ground_set):
+            raise ParameterError(f"ground set repeats a point: {self.ground_set}")
         if pts != tuple(self.ground_set):
             object.__setattr__(self, "ground_set", pts)
         _check_subset_size(len(pts), self.subset_size)
@@ -100,35 +97,6 @@ def _check_vertex_cap(graph: JohnsonGraph) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {_MAX_VERTICES}")
 
 
-def _combinations(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The r-subsets of range(n) in lexicographic order, as two read-only
-    tables built together: the C(n, r) x r sorted positions of each, in the
-    narrowest unsigned dtype that holds n - 1, and the C(n, r) x ceil(n / 64)
-    uint64 bit sets, bit p % 64 of word p // 64 standing for position p.
-    Each call enumerates them afresh, and they are freed with their last
-    holder."""
-    words = -(-n // 64)
-    positions = np.empty((1, 0), dtype=np.min_scalar_type(n - 1))
-    masks = np.zeros((1, words), dtype=np.uint64)
-    for j in range(1, r + 1):
-        # the j-subsets of {r - j, ..., n - 1}, the only ones level j + 1 reads
-        rows = np.empty((math.comb(n - r + j, j), j), dtype=positions.dtype)
-        sets = np.empty((len(rows), words), dtype=np.uint64)
-        start = 0
-        for k in range(r - j, n - j + 1):
-            tail = math.comb(n - k - 1, j - 1)
-            level = slice(start, start + tail)
-            rows[level, 0] = k
-            rows[level, 1:] = positions[-tail:]
-            sets[level] = masks[-tail:]
-            sets[level, k >> 6] |= np.uint64(1 << (k & 63))
-            start += tail
-        positions, masks = rows, sets
-    positions.flags.writeable = False
-    masks.flags.writeable = False
-    return positions, masks
-
-
 def _lex_ordinals(positions: np.ndarray, n: int) -> np.ndarray:
     """The ordinal of each row of `positions` among the r-subsets of
     range(n) in lexicographic order, r the row length: a row of sorted
@@ -153,7 +121,7 @@ def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """
     n, r = graph.ground_size, graph.subset_size
     v_count = graph.vertex_count
-    combos, _ = _combinations(n, r)
+    combos = np.array(list(itertools.combinations(range(n), r)))
     outside = np.ones((v_count, n), dtype=bool)
     outside[np.arange(v_count)[:, None], combos] = False
     outside = np.nonzero(outside)[1].reshape(v_count, n - r)

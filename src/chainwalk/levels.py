@@ -29,7 +29,8 @@ is neither the axis nor one side of the flags lies off that plane and is
 refused.  The flip's plan is amplify.flip_rounds' on the axis's good share
 |G|/V, one correctly rounded division of exact ints, so it reads 1/3 at
 |G| = V/3 and exactly 1/2 at |G| = V/2 however large V is; the vector flip
-plans from the same float on a uniform axis.
+plans from the same float on a uniform axis.  The axis's angle is read off
+|G|/V and |B|/V too, which a float holds where V past 2^1024 would not.
 
 The index is read only through law.CountIndex's count-level questions: the
 sizes and their total, class sizes, per-count labels, the held tuples as
@@ -144,8 +145,9 @@ def flip(
     rounds = flip_rounds(good_share, want)
     attempts = flip_attempts(good_share, rounds)
     # (sin phi, cos phi) of each class of Grover's plane, up to a positive
-    # factor; with no good vertex the axis is the bad side
-    plane = {axis: (math.sqrt(good_size), math.sqrt(bad_size)),
+    # factor, read off the shares, which a float holds where the sizes past
+    # 2^1024 would not; with no good vertex the axis is the bad side
+    plane = {axis: (math.sqrt(good_share), math.sqrt(bad_size / index.total)),
              sides[True]: (1, 0), sides[False]: (0, 1)}
     turn = 2 * (rounds or 0) * math.asin(math.sqrt(good_share))
     stats = FlipStats()
@@ -183,8 +185,8 @@ def hop_out(
     cell: Callable[[int], object],
     rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
-    """extraction.hop: flip a class state off its class, then measure
-    cell(count).  Returns the state, uniform over the counts outside the old
+    """One hop of extraction.correct_interval: flip a class state off its
+    class, then measure cell(count).  Returns the state, uniform over the counts outside the old
     class in the measured cell, and the flip's work record."""
     state, stats = flip(state, state.counts.__contains__, Want.BAD, rng)
     _, state = measure(state, cell, rng)

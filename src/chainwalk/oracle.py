@@ -135,9 +135,9 @@ def require_int(**values) -> None:
 
 def require_real(**values) -> None:
     """Raise ParameterError unless each of the named `values` is a real
-    number (numbers.Real): not a string, a complex or None."""
+    number (numbers.Real): not a bool, a string, a complex or None."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 

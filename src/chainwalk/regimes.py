@@ -27,13 +27,10 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class RegimePoint:
-    """Per-algorithm exponents at one (m_hat, k_hat).  Inside its validity
-    range each prior algorithm reaches this_paper's exponent."""
+    """This paper's exponent and the best prior one at one (m_hat, k_hat).
+    Inside its validity range each prior algorithm reaches this_paper's
+    exponent."""
 
-    bht_valid: bool
-    bht_ext: float
-    chained_valid: bool
-    chained_ext: float
     this_paper: float
     prior_best: float
 
@@ -76,14 +73,7 @@ def evaluate(m_hat: float, k_hat: float) -> RegimePoint:
         base if bht_valid else bht_ext,
         base if chained_valid else chained_ext,
     )
-    return RegimePoint(
-        bht_valid=bht_valid,
-        bht_ext=bht_ext,
-        chained_valid=chained_valid,
-        chained_ext=chained_ext,
-        this_paper=base,
-        prior_best=prior_best,
-    )
+    return RegimePoint(this_paper=base, prior_best=prior_best)
 
 
 def region_grid(step: float) -> List[Tuple[float, float, float, float, bool]]:

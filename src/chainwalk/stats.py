@@ -210,11 +210,9 @@ def _summarize(values: np.ndarray) -> CollisionStats:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibrated constant c = mean_Z * M / R^2 with a 3-sigma interval."""
+    """Calibrated constant c = mean_Z * M / R^2 and the samples' summary."""
 
     c: float
-    ci_low: float
-    ci_high: float
     stats: CollisionStats
 
 
@@ -231,25 +229,20 @@ def calibrate_constant(
         raise ParameterError(f"need 8R < M, got R={big_r}, M={bins}")
     values = sample_collision_counts(big_r, bins, samples, rng, threads)
     summary = _summarize(values)
-    scale = bins / (big_r * big_r)
-    c = summary.mean_z * scale
-    sigma_c = math.sqrt(max(summary.var_z, 0.0) / summary.sample_count) * scale
-    return CalibrationResult(
-        c=c,
-        ci_low=c - 3.0 * sigma_c,
-        ci_high=c + 3.0 * sigma_c,
-        stats=summary,
-    )
+    return CalibrationResult(c=summary.mean_z * (bins / (big_r * big_r)), stats=summary)
 
 
 def window(c: float, big_r: int, bins: int) -> Tuple[int, int]:
     """The concentration window of Z over R-subsets into M bins, as (E, T):
     E = round(c R^2 / M) and T = max(1, round(R / sqrt(M))).  Needs integers
-    M > 0 and R >= 0, and a finite real c."""
+    M > 0 and R >= 0, and a real c >= 0 with c R^2 / M finite."""
     require_int(big_r=big_r, bins=bins)
     require_real(c=c)
-    if bins <= 0 or big_r < 0 or not math.isfinite(c):
-        raise ParameterError(f"need M > 0, R >= 0 and a finite c, got c={c}, R={big_r}, M={bins}")
+    if bins <= 0 or big_r < 0 or not (c >= 0 and c * big_r * big_r / bins < math.inf):
+        raise ParameterError(
+            f"need M > 0, R >= 0 and c >= 0 with c R^2 / M finite, "
+            f"got c={c}, R={big_r}, M={bins}"
+        )
     return round_count(c * big_r * big_r / bins), max(1, round_count(big_r / math.sqrt(bins)))
 
 
@@ -283,9 +276,6 @@ class IntervalPlan:
 @dataclass(frozen=True)
 class IntervalHitReport:
     probability: float
-    expected: int
-    width: int
-    sparse_regime: bool
 
 
 def interval_hit_probability(
@@ -300,7 +290,7 @@ def interval_hit_probability(
     """Empirical probability that Z lands in [E, E+T] or [E-T, E].
 
     `which` is "upper" or "lower".  When E < 2 the window logic is outside
-    its working regime; the report is still produced but flagged sparse.
+    its working regime; the probability is still reported.
     """
     if which not in ("upper", "lower"):
         raise ParameterError(f"which must be 'upper' or 'lower', got {which!r}")
@@ -310,12 +300,7 @@ def interval_hit_probability(
         hits = (values >= expected) & (values <= expected + width)
     else:
         hits = (values >= expected - width) & (values <= expected)
-    return IntervalHitReport(
-        probability=float(hits.mean()),
-        expected=expected,
-        width=width,
-        sparse_regime=expected < 2,
-    )
+    return IntervalHitReport(probability=float(hits.mean()))
 
 
 def multicollision_size_bound(n: int, m: int, ell: int) -> float:

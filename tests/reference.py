@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-import numpy as np
 
 from chainwalk.errors import DomainError, ParameterError, ValidationError
 from chainwalk.extraction import _DUMMY_TAG, _TUPLE_TAG
@@ -25,7 +24,7 @@ from chainwalk.johnson import JohnsonGraph
 from chainwalk.law import CountIndex
 from chainwalk.levels import Levels
 from chainwalk.oracle import RestrictedFunction, require_int
-from chainwalk.statevector import Basis, BasisKey, State
+from chainwalk.statevector import BasisKey, State
 
 
 def vertices(graph: JohnsonGraph) -> Iterator[Tuple[int, ...]]:
@@ -94,7 +93,7 @@ def uniform_state(keys: Iterable[BasisKey]) -> State:
     ks = sorted(set(keys))
     if not ks:
         raise ValidationError("uniform state over empty key set")
-    return State._build(Basis.of(ks), np.full(len(ks), 1.0 / np.sqrt(len(ks))))
+    return State(dict.fromkeys(ks, 1.0 / math.sqrt(len(ks))))
 
 
 def parse_token(token: bytes):
@@ -116,12 +115,11 @@ def histogram(index: CountIndex) -> Dict[int, int]:
 
 def as_state(levels: Levels) -> State:
     """A class state as the vector it stands for, with a positive sign, over
-    its index's basis (a FamilyIndex's: a LawIndex holds no vertices to lay
-    it over)."""
+    its index's vertices in key order (a FamilyIndex's: a LawIndex holds no
+    vertices to lay it over)."""
     amp = 1.0 / math.sqrt(levels.support())
-    index = levels.index
-    by_count = np.array(index.per_count(lambda c: amp if c in levels.counts else 0.0))
-    return State.over(index.basis, by_count[index.counts])
+    return State({key: amp for key, held in levels.index.tuples.items()
+                  if len(held) in levels.counts})
 
 
 def occupancy_law(big_r: int, bins: int) -> List[Fraction]:

@@ -221,12 +221,13 @@ def test_flip_attempts_follow_the_landing_chance():
 )
 def test_flip_with_a_vector_matches_the_callback(size, good_below, want, seed):
     """The same predicate as a key callback and as a boolean vector over the
-    axis's basis gives the same state, FlipStats and generator stream."""
+    axis's keys, a dict from key to flag read by key, gives the same state,
+    FlipStats and generator stream."""
     keys = [bytes([i]) for i in range(size)]
     good = lambda key: key[0] < good_below
     axis = uniform_state(keys)
     start = uniform_state([k for k in keys if good(k) != (want is Want.GOOD)])
-    flags = np.array([good(key) for key in axis.basis.keys])
+    flags = {key: good(key) for key in axis.keys()}.__getitem__
     for _ in range(5):
         rng, vec_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         out, stats = flip(start, good, axis, want, rng)
@@ -238,20 +239,19 @@ def test_flip_with_a_vector_matches_the_callback(size, good_below, want, seed):
 
 
 def test_flip_reads_a_key_callback_once_per_key():
-    """One mask, read once on every key of the axis's basis, serves the
-    decomposition, the iterations and every flag measurement of a flip."""
+    """One set of good keys, read once on every key of the axis, serves the
+    plan, the iterations and every flag measurement of a flip."""
     fn = generate_function(Params(n=4, m=5, k=0), 0)
     index = FamilyIndex(restrict(fn, CollisionTable()), 8)
     assert index.total == 12870
-    axis = index.axis_state()
+    axis = index.axis
     for want in (Want.GOOD, Want.BAD):
         calls = []
 
         def good(key):
             calls.append(key)
-            return index.counts[index.basis.position[key]] >= 1
+            return len(index.tuples[key]) >= 1
 
         out, _ = flip(axis, good, axis, want, np.random.default_rng(0))
-        assert len(calls) == index.total
-        mask = index.class_mask(1, None)
-        assert bool(mask[out.live].all()) == (want is Want.GOOD)
+        assert sorted(calls) == sorted(index.tuples)
+        assert all(len(index.tuples[key]) >= 1 for key in out.keys()) == (want is Want.GOOD)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwalk import chain, extraction, johnson, law, regimes, stats
+from chainwalk import chain, johnson, law, regimes, statevector, stats
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -95,6 +95,11 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: stats.multicollision_size_bound(4, 5, 2.5),
                  id="multicollision_size_bound-ell-float"),
     pytest.param(lambda: stats.window(math.nan, 4, 16), id="window-c-nan"),
+    pytest.param(lambda: stats.window(-1.0, 4, 16), id="window-c-negative"),
+    pytest.param(lambda: stats.window(1e308, 4, 16), id="window-E-overflow"),
+    pytest.param(lambda: johnson.JohnsonGraph((0, 0, 1), 1), id="JohnsonGraph-repeated-point"),
+    pytest.param(lambda: regimes.evaluate(True, 0), id="evaluate-m_hat-bool"),
+    pytest.param(lambda: predict_cost(_P, True, "new"), id="predict_cost-ell-bool"),
     pytest.param(lambda: stats.interval_hit_probability(
         4, 64, math.nan, "upper", 10, np.random.default_rng(0)),
         id="interval_hit_probability-c-nan"),
@@ -527,37 +532,54 @@ def test_dense_run_switches_to_the_count_walk(monkeypatch, seed, digest):
 
 def test_criterion_7_hot_path(monkeypatch):
     """The 20 criterion-7 runs enumerate no vertex: they build no FamilyIndex,
-    read no subset table and spell out no byte key, their indices being
-    law.LawIndex; their reports, the pinned (4, 4, 1, 3, 4) one among them,
-    hash as before."""
-    key_tables, enumerated, subset_tables = [], [], []
-    subset_keys = extraction._subset_keys
+    which enumerates and spells each vertex's byte key, and spell no subset
+    key, their indices being law.LawIndex; their reports, the pinned
+    (4, 4, 1, 3, 4) one among them, hash as before."""
+    keys, enumerated = [], []
+    spell = statevector.subset_key
     index_init = FamilyIndex.__init__
-    combinations = johnson._combinations
 
-    def counted(masks, domain):
-        key_tables.append(masks.shape)
-        return subset_keys(masks, domain)
+    def counted(points):
+        keys.append(points)
+        return spell(points)
 
     def built(self, *args, **kwargs):
         enumerated.append(args)
         index_init(self, *args, **kwargs)
 
-    def listed(n, r):
-        subset_tables.append((n, r))
-        return combinations(n, r)
-
-    monkeypatch.setattr(extraction, "_subset_keys", counted)
+    monkeypatch.setattr(statevector, "subset_key", counted)
     monkeypatch.setattr(FamilyIndex, "__init__", built)
-    # extraction imports the enumerator by name, so both bindings are patched
-    monkeypatch.setattr(johnson, "_combinations", listed)
-    monkeypatch.setattr(extraction, "_combinations", listed)
     digest = hashlib.sha256()
     for m, seed, k in CHAIN_INSTANCES:
         result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
                                  max_outer_iterations=64))
         digest.update(result.report_json().encode())
-    assert key_tables == [] and enumerated == [] and subset_tables == []
+    assert keys == [] and enumerated == []
+    assert digest.hexdigest() == (
+        "07246bafe60db7f07f8654011ca39968ea0cb61e34dcbaab2eb5d3cbad450034"
+    )
+
+
+def test_criterion_7_runs_on_the_enumerated_index(monkeypatch):
+    """With extraction.FamilyIndex, which enumerates every vertex, as the
+    runs' index in place of law.LawIndex, the 20 criterion-7 runs report
+    byte for byte as on the law: their reports hash to
+    test_criterion_7_hot_path's digest."""
+    monkeypatch.setattr(chain, "LawIndex", FamilyIndex)
+    enumerated = []
+    index_init = FamilyIndex.__init__
+
+    def built(self, *args, **kwargs):
+        enumerated.append(args)
+        index_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FamilyIndex, "__init__", built)
+    digest = hashlib.sha256()
+    for m, seed, k in CHAIN_INSTANCES:
+        result = run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
+                                 max_outer_iterations=64))
+        digest.update(result.report_json().encode())
+    assert enumerated
     assert digest.hexdigest() == (
         "07246bafe60db7f07f8654011ca39968ea0cb61e34dcbaab2eb5d3cbad450034"
     )
@@ -565,9 +587,9 @@ def test_criterion_7_hot_path(monkeypatch):
 
 def test_run_states_stay_real(monkeypatch):
     """Two criterion-7 runs and a chain-wide run hold their states as count
-    classes: they build no vector over the vertices (no State is settled
-    and no index builds its axis), and every count of a class and its class
-    size are Python ints."""
+    classes: they build no vector over the vertices (no State is built and
+    no index builds a class state), and every count of a class and its
+    class size are Python ints."""
     vectors, types = [], set()
     levels_init = Levels.__init__
 
@@ -576,8 +598,8 @@ def test_run_states_stay_real(monkeypatch):
         types.update((type(c), type(index.sizes[c])) for c in counts)
         levels_init(self, index, counts)
 
-    monkeypatch.setattr(State, "_settle", lambda *args: vectors.append("State"))
-    monkeypatch.setattr(FamilyIndex, "axis_state", lambda self: vectors.append("axis"))
+    monkeypatch.setattr(State, "__init__", lambda *args, **kwargs: vectors.append("State"))
+    monkeypatch.setattr(FamilyIndex, "class_state", lambda *args: vectors.append("class"))
     monkeypatch.setattr(Levels, "__init__", recorded)
     shapes = [(4, m, k, 3, seed) for m, seed, k in (CHAIN_INSTANCES[0], CHAIN_INSTANCES[10])]
     for n, m, k, ell, seed in shapes + [(7, 8, 0, 1, 0)]:

@@ -41,20 +41,16 @@ from chainwalk.statevector import (
     states_close,
     subset_key,
 )
+from chainwalk.amplify import Want, flip
 from chainwalk.extraction import (
     FamilyIndex,
     VertexFamily,
-    _cut_ordinals,
-    _padded_register,
-    _row_tuple,
     check_uniform_class,
     correct_interval,
     dummy_token,
     extract_once,
-    hop,
     in_range,
     pad_and_attach,
-    ranked_tuples,
     tuple_token,
 )
 from chainwalk.law import LawIndex
@@ -131,21 +127,18 @@ def test_family_index_matches_brute_force():
     assert histogram(index) == hist == {0: 28, 1: 39, 2: 3}
     assert index.total == 70
     assert len(index.sizes) == 3
-    ordinal = index.basis.position[subset_key((0, 1, 2, 3))]
-    assert index.counts[ordinal] == 2
-    _, ranks, found = ranked_tuples(index, np.array([ordinal]))
-    assert found[ranks].tolist() == [[0, 2, 0, 1, -1, -1], [1, 2, 2, 3, -1, -1]]
+    assert index.tuples[subset_key((0, 1, 2, 3))] == ((0, (0, 1)), (1, (2, 3)))
     assert index.class_size(1, 2) == 42
     assert index.class_size(1, None) == 42
     assert index.class_size(3, None) == 0
     assert len(index.class_state(0, 0).keys()) == 28
-    assert subset_key((0, 1, 2)) not in index.basis.position
+    assert subset_key((0, 1, 2)) not in index.tuples
 
 
 def test_family_index_states_and_caps():
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
-    axis = index.axis_state()
+    axis = index.axis
     assert len(axis) == 70
     amp = 1.0 / math.sqrt(70)
     assert all(abs(a - amp) < 1e-12 for _, a in axis.items())
@@ -219,31 +212,6 @@ def test_extract_once_both_branches():
         else:
             assert (out.new_family.lo, out.new_family.hi) == (1, 1)
             assert states_close(out.collapsed, index.class_state(1, 1))
-    assert seen == {"tuple", "dummy"}
-
-
-def test_extract_once_keeps_the_input_dtype():
-    """Both branches of a real class state give real residuals, and the same
-    state as complex128 gives complex ones with the same outcome and draws."""
-    _, restriction = eight_point()
-    index = FamilyIndex(restriction, 4)
-    fam = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
-    state = index.class_state(1, 2)
-    assert state.vector.dtype == np.float64
-    twin = State.over(index.basis, state.vector.astype(complex))
-    seen = set()
-    for seed in range(12):
-        rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = extract_once(state, fam, rng, index=index)
-        other = extract_once(twin, fam, twin_rng, index=index)
-        seen.add(out.kind)
-        assert (out.kind, out.preimages, out.new_family.hi) == (
-            other.kind, other.preimages, other.new_family.hi
-        )
-        assert out.collapsed.vector.dtype == np.float64
-        assert other.collapsed.vector.dtype == np.complex128
-        assert np.array_equal(out.collapsed.vector, other.collapsed.vector)
-        assert rng.random() == twin_rng.random()
     assert seen == {"tuple", "dummy"}
 
 
@@ -334,6 +302,17 @@ def test_two_vertex_measured_branches():
     assert kinds == {"tuple", "dummy"}
 
 
+def hop(state, index, cls, cell, rng):
+    """One move of correct_interval: flip a state uniform over the count
+    class `cls` off it, against the family's diffusion axis, then measure
+    cell(count).  Returns the state, the counts outside `cls` in the
+    measured cell, and the flip's work record."""
+    state, stats = flip(state, index.by_count(cls.__contains__), index.axis, Want.BAD, rng)
+    outcome, state = measure(state, index.by_count(cell), rng)
+    rest = frozenset(range(len(index.sizes))) - cls
+    return state, frozenset(c for c in rest if cell(c) == outcome), stats
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     values=st.lists(st.integers(0, 7), min_size=16, max_size=16),
@@ -348,8 +327,8 @@ def test_hop_lands_uniform_on_measured_cell(values, big_r, picks, split, seed):
     present = sorted(histogram(index))
     cls = frozenset(c for c, pick in zip(present, picks) if pick)
     assume(0 < len(cls) < len(present))
-    keys = index.axis_state().support()
-    count = lambda key: index.counts[index.basis.position[key]]
+    keys = index.axis.support()
+    count = lambda key: len(index.tuples[key])
     start = uniform_state([key for key in keys if count(key) in cls])
     cell = lambda c: c >= split
     state, new_cls, _ = hop(start, index, cls, cell, np.random.default_rng(seed))
@@ -380,23 +359,20 @@ def test_family_index_matches_vertex_data(values, big_r, carve, lo, width):
     index = FamilyIndex(restriction, big_r)
     combos = list(itertools.combinations(restriction.domain_points, big_r))
     keys = [subset_key(combo) for combo in combos]
-    owners, ranks, found = ranked_tuples(index, np.arange(index.total))
-    held = [[] for _ in keys]
-    for owner, row in zip(owners.tolist(), found[ranks].tolist()):
-        held[owner].append(_row_tuple(row))
     hist, count = {}, {}
     for key, combo in zip(keys, combos):
         data = vertex_data(restriction, combo)
-        assert index.counts[index.basis.position[key]] == data.count
-        assert tuple(held[index.basis.position[key]]) == data.multicollisions
+        assert index.tuples[key] == data.multicollisions
         hist[data.count] = hist.get(data.count, 0) + 1
         count[key] = data.count
     assert histogram(index) == hist
     assert index.total == len(keys)
-    assert index.axis_state().support() == tuple(sorted(keys))
+    # the vertices are held in key order, which is their lexicographic order
+    assert list(index.tuples) == sorted(keys) == keys
+    assert index.axis.support() == tuple(keys)
     hi = None if width is None else lo + width
-    members = list(itertools.compress(index.basis.keys, index.class_mask(lo, hi)))
-    assert members == [key for key in sorted(keys) if in_range(lo, hi)(count[key])]
+    members = list(filter(index.by_count(in_range(lo, hi)), index.tuples))
+    assert members == [key for key in keys if in_range(lo, hi)(count[key])]
 
 
 def _class_one_two():
@@ -408,7 +384,7 @@ def _class_one_two():
 def test_check_uniform_class_accepts_the_class():
     family, index = _class_one_two()
     check_uniform_class(index.class_state(1, 2), family, index)
-    # the same class over a basis of its own keys
+    # the same class, as a state built apart from the index
     check_uniform_class(uniform_state(index.class_state(1, 2).keys()), family, index)
 
 
@@ -468,7 +444,7 @@ def test_correct_interval_identity_and_recovery():
 def test_correct_interval_premise_failures():
     _, restriction8 = eight_point()
     index8 = FamilyIndex(restriction8, 4)
-    axis = index8.axis_state()
+    axis = index8.axis
     rng = np.random.default_rng(0)
     # nobody sits above count 2 on the 8-point instance
     with pytest.raises(FlaggedInstanceError):
@@ -585,25 +561,18 @@ def test_extract_tuple_validation():
     second=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
 )
 def test_tuple_rows_match_vertex_data(values, big_r, first, second):
-    """The tuple rows that ranked_tuples gives a request with repeated
-    vertices, each instance's row found[rank], read back vertex by vertex,
-    give what vertex_data gives; so does a second request."""
+    """The tuples of each vertex of a request, repeats included, read as
+    vertex_data reads them; so do those of a second request.  The padded
+    register is the same over the index's class state, over a state of the
+    same keys built apart, and through an index pad_and_attach builds."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     index = FamilyIndex(restriction, big_r)
     combos = list(itertools.combinations(restriction.domain_points, big_r))
     for request in (first, second):
-        ordinals = [o % index.total for o in request]
-        owners, ranks, found = ranked_tuples(index, np.array(ordinals, dtype=np.intp))
-        rows = found[ranks]
-        assert rows.dtype == np.int64 and rows.shape[1] == 2 + big_r
-        assert owners.tolist() == sorted(owners.tolist())
-        held = [[] for _ in ordinals]
-        for (image, size, *pres), owner in zip(rows.tolist(), owners.tolist()):
-            assert pres[size:] == [-1] * (big_r - size)
-            held[owner].append((image, tuple(pres[:size])))
-        assert [tuple(tuples) for tuples in held] == [
-            vertex_data(restriction, combos[o]).multicollisions for o in ordinals
+        combos_asked = [combos[o % index.total] for o in request]
+        assert [index.tuples[subset_key(combo)] for combo in combos_asked] == [
+            vertex_data(restriction, combo).multicollisions for combo in combos_asked
         ]
     lo = max(1, min(histogram(index)))
     hi = len(index.sizes) - 1
@@ -618,7 +587,7 @@ def test_tuple_rows_match_vertex_data(values, big_r, first, second):
 
 def _reference_residual(collapsed, preimages):
     """The collapsed padded state with the register dropped and the measured
-    preimages deleted from every vertex, as (key, amplitude) in basis order."""
+    preimages deleted from every vertex, as (key, amplitude) in key order."""
     removed = set(preimages)
     return [
         (subset_key(p for p in decode_subset(key) if p not in removed), amp)
@@ -647,8 +616,8 @@ def test_extract_once_matches_padded_register_reference(
 ):
     """extract_once against measuring pad_and_attach's byte-key register
     through key_register and stripping the register off the collapsed keys.
-    The class state lies over the index's basis or over a basis of its own
-    keys, which pad_and_attach then reads through an index it builds."""
+    The class state is the index's own or one built apart from its keys,
+    which pad_and_attach then reads through an index it builds."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     index = FamilyIndex(restriction, big_r)
@@ -680,69 +649,13 @@ def test_extract_once_matches_padded_register_reference(
     assert rng.random() == ref_rng.random()
 
 
-_FUNCTIONS = st.sampled_from([4, 5, 6]).flatmap(
-    lambda n: st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=1 << n, max_size=1 << n)
-)
-
-
-@settings(deadline=None, max_examples=60)
-@given(values=_FUNCTIONS, big_r=st.integers(2, 4))
-@example(values=[i // 2 for i in range(64)], big_r=3)
-# one 64-point class: every vertex is a single tuple of R points
-@example(values=[0] * 64, big_r=3)
-def test_bit_sets_identify_tuples(values, big_r):
-    """A tuple is its bit set: two tuples share a bit set exactly when their
-    rows are equal, and a bit set holds the row's preimages at their domain
-    positions, all inside the class of the row's image.  The padded
-    register's distinct tuples and labels are those of lexsorting every
-    tuple row."""
-    n = len(values).bit_length() - 1
-    assume(math.comb(len(values), big_r) <= 250_000)
-    fn = FunctionTable(Params(n=n, m=n, k=0), values)
-    restriction = restrict(fn, CollisionTable())
-    index = FamilyIndex(restriction, big_r)
-    every = np.arange(index.total)
-    owners, classes, sets = index._held_tuples(every)
-    rows = index._tuple_rows(classes, sets)
-    # ranked_tuples gives every instance its row, through the distinct ones
-    ranked_owners, ranks, distinct_rows = ranked_tuples(index, every)
-    assert np.array_equal(owners, ranked_owners)
-    assert np.array_equal(distinct_rows[ranks], rows)
-    # at most 64 points: one word a bit set
-    bit_sets = sets[:, 0]
-    pairs = np.column_stack([bit_sets.view(np.int64), rows])
-    assert (len(np.unique(pairs, axis=0)) == len(np.unique(bit_sets))
-            == len(np.unique(rows, axis=0)))
-    held = rows[:, 2:] >= 0
-    points = np.where(held, rows[:, 2:], 0)
-    assert np.array_equal(held.sum(axis=1), rows[:, 1])
-    # the domain is every point, so a point is its own position
-    assert restriction.domain_points == tuple(range(len(values)))
-    expected = np.where(held, np.left_shift(np.uint64(1), points.astype(np.uint64)), 0)
-    assert np.array_equal(bit_sets, np.bitwise_or.reduce(expected, axis=1))
-    assert np.array_equal(bit_sets & index._class_masks[classes, 0], bit_sets)
-    assert np.array_equal(index._class_images[classes], rows[:, 0])
-    assert np.all(np.where(held, np.asarray(values)[points], rows[:, :1]) == rows[:, :1])
-    # the register against lexsorting every row, as tokens sort
-    total = index.total
-    y = max(1, len(index.sizes) - 1)
-    ordinals, amplitudes, labels, found = _padded_register(index.axis_state(), index, y)
-    distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
-    assert np.array_equal(found, distinct)
-    expected = np.tile(np.arange(y), (total, 1))
-    expected[np.arange(y) < index.counts[:, None]] = y + token_rank.reshape(-1)
-    assert np.array_equal(labels, expected.ravel())
-    assert np.array_equal(ordinals, every)
-    assert np.array_equal(amplitudes, np.repeat(index.axis_state().vector / math.sqrt(y), y))
-
-
 @pytest.mark.parametrize("m", [41, 42])
 def test_wide_images_read_like_vertex_data(m):
     """Over the 35,990 58-subsets of 61 points in one class of the top image
-    of m bits, whose int64 tuple keys once overflowed at m = 42: every vertex
-    holds one 58-point tuple, the register's tuples are the subsets
-    themselves in token order, and sampled vertices read as vertex_data
-    reads them."""
+    of m bits, at m = 42 past the 41 bits an int64 packing of (image, point)
+    holds: every vertex holds one 58-point tuple, the tuples in token order
+    are the subsets themselves in order, and sampled vertices read as
+    vertex_data reads them."""
     top = (1 << m) - 1
     fn = FunctionTable(Params(n=21, m=m, k=0), np.full(1 << 21, top, dtype=np.int64))
     restriction = RestrictedFunction(
@@ -751,17 +664,15 @@ def test_wide_images_read_like_vertex_data(m):
     )
     index = FamilyIndex(restriction, 58)
     assert index.total == 35_990 and histogram(index) == {1: 35_990}
-    ordinals, _, labels, found = _padded_register(index.class_state(1, 1), index, 1)
-    combos = np.array(list(itertools.combinations(range(61), 58)))
-    assert np.array_equal(ordinals, np.arange(index.total))
-    assert np.all(found[:, 0] == top) and np.all(found[:, 1] == 58)
-    assert np.array_equal(found[:, 2:], combos)
-    # the lexicographic vertex order is the token order of their tuples
-    assert np.array_equal(labels, 1 + np.arange(index.total))
+    combos = list(itertools.combinations(range(61), 58))
+    # each vertex holds its one tuple, and the lexicographic vertex order is
+    # the token order of their tuples
+    found, holders = index.tuple_holders([False, True])
+    assert found == [(top, combo) for combo in combos]
+    assert holders == [[0, 1]] * index.total
     for ordinal in (0, 17_995, 35_989):
-        _, ranks, rows = ranked_tuples(index, np.array([ordinal]))
         data = vertex_data(restriction, combos[ordinal])
-        assert tuple(map(_row_tuple, rows[ranks].tolist())) == data.multicollisions
+        assert index.tuples[subset_key(combos[ordinal])] == data.multicollisions
     # a register token holds 32-bit images only
     with pytest.raises(ParameterError):
         pad_and_attach(index.class_state(1, 1), restriction, 1, index)
@@ -778,17 +689,17 @@ def test_wide_images_read_like_vertex_data(m):
 # a three-point tuple cut from a four-point vertex
 @example(values=[0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7], big_r=4, pick=0)
 def test_derived_index_matches_fresh_build(values, big_r, pick):
-    """After recording a tuple held by some vertex, _cut_ordinals sends each
-    holder of the tuple to its cut subset's ordinal in the parent's child,
-    whose class sizes are those of the new restriction's law."""
+    """After recording a tuple held by some vertex, each holder of the tuple
+    less its preimages is a vertex of the parent's child of one count fewer,
+    and the child's class sizes are those of the new restriction's law."""
     fn = FunctionTable(Params(n=4, m=4, k=0), values)
     restriction = restrict(fn, CollisionTable())
     parent = FamilyIndex(restriction, big_r)
-    holders = np.flatnonzero(parent.counts)
+    holders = [key for key, count in parent.counts.items() if count]
     assume(len(holders) > 0)
-    _, ranks, found = ranked_tuples(parent, holders[pick % len(holders)].reshape(1))
-    image, size, *pres = found[ranks[pick % len(ranks)]].tolist()
-    preimages = tuple(pres[:size])
+    tuples = vertex_data(restriction, decode_subset(holders[pick % len(holders)])).multicollisions
+    image, preimages = tuples[pick % len(tuples)]
+    size = len(preimages)
     preimage_class = {x for x, value in enumerate(values) if value == image}
     assume(len(preimage_class) < 8)     # restrict refuses half the domain
     new_restriction = restrict(fn, restriction.table.insert(fn, image, preimages))
@@ -803,34 +714,10 @@ def test_derived_index_matches_fresh_build(values, big_r, pick):
     child = parent.child(new_restriction, big_r - size)
     assert type(child) is FamilyIndex
     assert child.sizes == LawIndex(new_restriction, big_r - size).sizes
-    position = child.basis.position
-    expected = [position[subset_key(set(combos[o]) - set(preimages))] for o in held]
-    assert _cut_ordinals(parent, np.array(held), preimages, child).tolist() == expected
-
-
-@st.composite
-def _multiword_families(draw):
-    """Images of 128 points, the points left out of a domain of 65 to 128
-    of them (up to 80 at R = 3, under the vertex cap), and R, with a
-    collision class met at positions on both sides of the bit sets' 64-bit
-    word boundary.  Either 16 images share the domain, so that the classes
-    are many and each spans both words, or every image there is distinct but
-    for that class and at most one more pair."""
-    big_r = draw(st.sampled_from([2, 3]))
-    if big_r == 2:
-        size = draw(st.integers(65, 126) | st.just(128))
-    else:
-        size = draw(st.integers(65, 80))
-    dropped = sorted(draw(st.permutations(range(128)))[:128 - size])
-    domain = [x for x in range(128) if x not in dropped]
-    if draw(st.booleans()):
-        values = draw(st.lists(st.integers(0, 15), min_size=128, max_size=128))
-    else:
-        values = list(range(128))
-        a, b = draw(st.lists(st.sampled_from(domain), min_size=2, max_size=2, unique=True))
-        values[b] = values[a]
-    values[draw(st.sampled_from(domain[64:]))] = values[draw(st.sampled_from(domain[:64]))]
-    return values, dropped, big_r
+    # each holder less the tuple is a child vertex of one count fewer
+    for o in held:
+        cut = subset_key(set(combos[o]) - set(preimages))
+        assert child.counts[cut] == parent.counts[subset_key(combos[o])] - 1
 
 
 def _restricted(values, dropped):
@@ -844,52 +731,8 @@ def _restricted(values, dropped):
     return fn, restrict(fn, table)
 
 
-@settings(deadline=None, max_examples=15)
-@given(family=_multiword_families(), picks=st.lists(st.integers(0, 10**6), max_size=20),
-       pick=st.integers(0, 10**6))
-def test_multiword_index_matches_vertex_data(family, picks, pick):
-    """On two-word bit sets: counts and ranked_tuples' rows read as
-    vertex_data reads them, the padded register is lexsorting every tuple
-    row, and at R = 3 _cut_ordinals sends each holder of a two-point tuple
-    to its cut subset's ordinal in the index built after it."""
-    values, dropped, big_r = family
-    fn, restriction = _restricted(values, dropped)
-    domain = restriction.domain_points
-    index = FamilyIndex(restriction, big_r)
-    assert index._masks.shape == (math.comb(len(domain), big_r), 2)
-    combos = list(itertools.combinations(domain, big_r))
-    for ordinal in [0, index.total - 1] + [p % index.total for p in picks]:
-        data = vertex_data(restriction, combos[ordinal])
-        at = index.basis.position[subset_key(combos[ordinal])]
-        assert index.counts[at] == data.count
-        _, ranks, rows = ranked_tuples(index, np.array([at]))
-        assert tuple(map(_row_tuple, rows[ranks].tolist())) == data.multicollisions
-    every = np.arange(index.total)
-    owners, classes, sets = index._held_tuples(every)
-    rows = index._tuple_rows(classes, sets)
-    assert np.array_equal(np.bincount(owners, minlength=index.total), index.counts)
-    y = max(1, len(index.sizes) - 1)
-    _, _, labels, found = _padded_register(index.axis_state(), index, y)
-    distinct, token_rank = np.unique(rows, axis=0, return_inverse=True)
-    assert np.array_equal(found, distinct)
-    expected = np.tile(np.arange(y), (index.total, 1))
-    expected[np.arange(y) < index.counts[:, None]] = y + token_rank.reshape(-1)
-    assert np.array_equal(labels, expected.ravel())
-    if big_r == 3 and len(rows):
-        image, size, *pres = rows[pick % len(rows)].tolist()
-        # restrict refuses to carve out half the domain
-        assume(size == 2 and len(dropped) + np.count_nonzero(fn.values() == image) < 64)
-        shrunk = restrict(fn, restriction.table.insert(fn, image, pres[:size]))
-        child = index.child(shrunk, 1)
-        cut = set(pres[:size])
-        members = {x for x in domain if fn.value(x) == image}
-        held = [o for o, c in enumerate(combos) if members & set(c) == cut]
-        expected = [child.basis.position[subset_key(set(combos[o]) - cut)] for o in held]
-        assert _cut_ordinals(index, np.array(held), tuple(cut), child).tolist() == expected
-
-
 def test_multiword_extraction_draws_a_dummy():
-    """extract_once on two-word bit sets over [1, 2], where every vertex
+    """extract_once over [1, 2] on a domain of 70 points, where every vertex
     holds one tuple and the dummy d_2, draws dummies as well as tuples, each
     as measuring the byte-key register draws it; a tuple's new index has
     the class sizes of the law of its family.  No benchmarked run draws a
@@ -900,7 +743,7 @@ def test_multiword_extraction_draws_a_dummy():
     _, restriction = _restricted(values, list(range(70, 128)))
     assert restriction.domain_points == tuple(range(70))
     index = FamilyIndex(restriction, 3)
-    assert index._masks.shape == (54_740, 2) and len(index.sizes) == 2
+    assert index.total == 54_740 and len(index.sizes) == 2
     family = VertexFamily(restriction=restriction, big_r=3, lo=1, hi=2)
     state = index.class_state(1, 2)
     padded = pad_and_attach(state, restriction, 2, index)
@@ -934,10 +777,8 @@ def test_index_reads_images_and_points_past_64_bits():
     index = FamilyIndex(restriction, 2)
     for combo in itertools.combinations((0, 1, 2), 2):
         data = vertex_data(restriction, combo)
-        at = index.basis.position[subset_key(combo)]
-        assert index.counts[at] == data.count == 1
-        _, ranks, rows = ranked_tuples(index, np.array([at]))
-        assert tuple(map(_row_tuple, rows[ranks].tolist())) == data.multicollisions
+        assert index.tuples[subset_key(combo)] == data.multicollisions
+        assert data.count == 1
 
 
 def test_extract_once_empties_a_full_tuple_vertex():
@@ -953,10 +794,9 @@ def test_extract_once_empties_a_full_tuple_vertex():
 
 
 def test_index_holds_each_vertex_once():
-    """An index and the one a tuple outcome builds each hold one bit set of
-    W uint64 words and one int64 count per vertex, V (8 W + 8) bytes,
-    besides their domain and collision classes, which do not grow with V,
-    and their class sizes, a list."""
+    """An index and the one a tuple outcome builds each hold every vertex
+    once, under its key with its count, and their class sizes, a list of
+    exact ints, count those vertices by count."""
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
@@ -967,28 +807,24 @@ def test_index_holds_each_vertex_once():
                     for seed in range(12))
         if out.kind == "tuple"
     )
-    # the eight points and the classes of images 0, 1 and 2; the child's
-    # domain lacks the two points of the class it cut out
-    for built, points, classes in ((index, 8, 3), (child, 6, 2)):
-        arrays = {name: value for name, value in vars(built).items()
-                  if isinstance(value, np.ndarray)}
-        assert sorted(arrays) == ["_class_images", "_class_masks", "_domain", "_masks", "counts"]
-        # the class sizes are a list of exact ints, one per count
-        assert len(built.sizes) == built.counts.max() + 1
-        assert all(type(size) is int for size in built.sizes)
-        masks, counts = arrays["_masks"], arrays["counts"]
-        assert (masks.dtype, counts.dtype, masks.shape) == (
-            np.uint64, np.int64, (built.total, 1)
+    # the child's domain lacks the two points of the class it cut out
+    for built, points in ((index, 8), (child, 6)):
+        assert len(built.counts) == built.total == math.comb(points, built.big_r)
+        assert list(built.counts) == sorted(
+            subset_key(vertex) for vertex in
+            itertools.combinations(built.restriction.domain_points, built.big_r)
         )
-        assert masks.nbytes + counts.nbytes == built.total * (8 + 8)
-        assert len(arrays["_domain"]) == points
-        assert len(arrays["_class_images"]) == len(arrays["_class_masks"]) == classes
+        assert len(built.sizes) == max(built.counts.values()) + 1
+        assert all(type(size) is int for size in built.sizes)
+        assert built.sizes == [list(built.counts.values()).count(c)
+                               for c in range(len(built.sizes))]
 
 
-@pytest.mark.parametrize("force_keys", [False, True])
-def test_index_is_freed_without_the_cycle_collector(force_keys):
-    """Neither an index nor its child sits in a reference cycle, with byte
-    keys spelled out or not, so deleting them frees them at once."""
+@pytest.mark.parametrize("read_keys", [False, True])
+def test_index_is_freed_without_the_cycle_collector(read_keys):
+    """Neither an index nor its child sits in a reference cycle, with a
+    by_count callback over its keys made and read or not, so deleting them
+    frees them at once."""
     fn, restriction = four_pair()
     gc.disable()
     try:
@@ -997,10 +833,13 @@ def test_index_is_freed_without_the_cycle_collector(force_keys):
         child = parent.child(shrunk, 4)
         for index in (parent, child):
             index.class_state(1, 2)
-            if force_keys:
-                index.basis.position[index.basis.keys[0]]
+            if read_keys:
+                count = index.by_count(lambda c: c)
+                count(next(iter(index.tuples)))
         refs = [weakref.ref(parent), weakref.ref(child)]
         del parent, child, index
+        if read_keys:
+            del count
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()

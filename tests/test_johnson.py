@@ -1,17 +1,14 @@
 """Tests for the swap graph layer: gaps, walk spectrum, vertex ground truth."""
 
-import gc
 import itertools
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
 from chainwalk import johnson
 from chainwalk.errors import CapacityError, DomainError, ParameterError, ValidationError
-from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import (
     CollisionTable,
     FunctionTable,
@@ -20,8 +17,8 @@ from chainwalk.oracle import (
 )
 from chainwalk.johnson import (
     JohnsonGraph,
-    _combinations,
     _edge_list,
+    _lex_ordinals,
     closed_form_gap,
     spectral_gap,
     walk_operator_spectrum,
@@ -207,8 +204,7 @@ def test_walk_spectrum_traced_peak():
     assert peak <= 6 * 2**20
 
 
-# word boundaries of the bit sets at 63, 64, 65 and 128 points, r = 1 and
-# r = N, and at 300 points positions wider than one byte
+# r = 1 and r = N, and a few hundred points
 _SUBSET_GRID = [
     (1, 1), (2, 1), (2, 2), (5, 3), (9, 9), (16, 8), (20, 1),
     (63, 2), (63, 62), (64, 2), (64, 63), (64, 64), (65, 3), (65, 64),
@@ -218,53 +214,10 @@ _SUBSET_GRID = [
 
 @pytest.mark.parametrize("n, r", _SUBSET_GRID)
 def test_combinations_match_itertools(n, r):
-    """Row i of both tables is the i-th subset itertools.combinations lists:
-    its points, and its bit set with bit p % 64 of word p // 64 for point p."""
-    positions, masks = _combinations(n, r)
-    words = -(-n // 64)
-    expected = list(itertools.combinations(range(n), r))
-    assert positions.dtype == np.min_scalar_type(n - 1)
-    assert positions.shape == (len(expected), r)
-    assert positions.tolist() == [list(combo) for combo in expected]
-    assert masks.dtype == np.uint64 and masks.shape == (len(expected), words)
-    values = [sum(1 << p for p in combo) for combo in expected]
-    assert masks.tolist() == [
-        [(value >> (64 * w)) & (2**64 - 1) for w in range(words)] for value in values
-    ]
-    assert not positions.flags.writeable and not masks.flags.writeable
-
-
-def test_large_subset_tables_are_not_held():
-    """A table pair, the 17.8 MB of C(28, 7) as well as a small one, is
-    freed at once when its caller drops it, with no help from the cycle
-    collector."""
-    gc.disable()
-    try:
-        large = _combinations(28, 7)
-        assert sum(table.nbytes for table in large) > 10 * 2**20
-        small = _combinations(6, 3)
-        refs = [weakref.ref(table) for table in large + small]
-        del large, small
-        assert all(ref() is None for ref in refs)
-    finally:
-        gc.enable()
-
-
-def test_family_index_build_peak():
-    """A fresh FamilyIndex build over the 201,376 five-subsets of 32 points,
-    its subset tables enumerated inside the build, peaks beyond the tables
-    it keeps at under half of one V x R int64 table."""
-    params = Params(n=5, m=6, k=1)
-    fn = FunctionTable(params, np.arange(32) % params.codomain_size)
-    restriction = restrict(fn, CollisionTable())
-    tracemalloc.start()
-    try:
-        index = FamilyIndex(restriction, 5)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert index.total == 201_376
-    assert peak - held <= 0.5 * index.total * index.big_r * 8
+    """The edge list's subset order, itertools.combinations', is the order
+    _lex_ordinals ranks: row i of the combinations has ordinal i."""
+    combos = np.array(list(itertools.combinations(range(n), r))).reshape(-1, r)
+    assert _lex_ordinals(combos, n).tolist() == list(range(math.comb(n, r)))
 
 
 def test_walk_spectrum_edge_cap():

@@ -44,7 +44,6 @@ from chainwalk.extraction import (
     VertexFamily,
     correct_interval,
     extract_once as vector_extract_once,
-    hop,
 )
 from chainwalk.law import CountIndex, LawIndex
 from chainwalk.levels import (
@@ -61,7 +60,7 @@ from chainwalk.stats import IntervalPlan
 from chainwalk.statevector import State
 from reference import as_state, histogram
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
-from test_extraction import eight_point, four_pair
+from test_extraction import eight_point, four_pair, hop
 
 
 def _stats(stats: FlipStats):
@@ -72,9 +71,10 @@ def _same_state(levels: Levels, vector) -> bool:
     """Same support, amplitudes within 1e-12 up to one global sign, the
     equality states_close uses: a class state holds no sign, since no draw
     reads one."""
-    dense = as_state(levels).vector
-    return np.array_equal(np.flatnonzero(dense), vector.live) and any(
-        np.allclose(sign * dense, vector.vector, rtol=0, atol=1e-12) for sign in (1, -1)
+    dense = as_state(levels)
+    return dense.support() == vector.support() and any(
+        all(abs(sign * a - vector.amplitude(key)) <= 1e-12 for key, a in dense.items())
+        for sign in (1, -1)
     )
 
 
@@ -131,10 +131,9 @@ def test_flip_toward_an_empty_side_is_refused(want, good):
     for index in (family_index, LawIndex(restriction, 4)):
         _raises_within(10, ImpossibleTargetError,
                        lambda: flip(Levels.uniform(index), good, want, rng))
-    axis = family_index.axis_state()
-    every = np.ones(family_index.total, bool)
-    assert axis.probability(every) == 0.9999999999999983
-    assert _good_share(axis, every) == 1.0
+    axis = family_index.axis
+    assert axis.probability(lambda key: True) == 0.9999999999999983
+    assert _good_share(axis, frozenset(axis.keys())) == 1.0
     _raises_within(10, ImpossibleTargetError,
                    lambda: vector_flip(axis, family_index.by_count(good), axis, want, rng))
 
@@ -160,7 +159,7 @@ def test_flip_that_never_lands_raises():
         assert index.sizes == [28, 39, 3]
         _raises_within(30, SimulationError,
                        lambda: flip(Levels.uniform(index), good, Want.GOOD, _ZeroStream()))
-    axis = family_index.axis_state()
+    axis = family_index.axis
     _raises_within(30, SimulationError, lambda: vector_flip(
         axis, family_index.by_count(good), axis, Want.GOOD, _ZeroStream()))
 
@@ -219,10 +218,10 @@ def test_half_axis_sits_on_the_boundary():
     measures fresh axes on either path, where the running float mass, below
     0.5, would rotate."""
     index = _half_axis()
-    axis, flags = index.axis_state(), index.by_count(lambda c: c >= 1)
+    axis, flags = index.axis, index.by_count(lambda c: c >= 1)
     mass = axis.probability(flags)
     assert mass < 0.5
-    assert 60 / index.total == _good_share(axis, flags) == 0.5
+    assert 60 / index.total == _good_share(axis, frozenset(filter(flags, axis.keys()))) == 0.5
     assert split(mass).alpha < _HALF < split(0.5).alpha
     assert flip_rounds(0.5, Want.GOOD) is None
 
@@ -235,7 +234,7 @@ def test_flip_on_half_the_axis_matches_the_vector_path(want, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     state, stats = flip(Levels.uniform(index), good, want, rng)
     reference, ref_stats = vector_flip(
-        index.axis_state(), index.by_count(good), index.axis_state(), want, ref_rng
+        index.axis, index.by_count(good), index.axis, want, ref_rng
     )
     assert _stats(stats) == _stats(ref_stats)
     assert _same_state(state, reference)
@@ -249,14 +248,13 @@ def test_extract_tuple_dummy_path_matches_the_vector_path():
     _, restriction = four_pair()
     index = FamilyIndex(restriction, 6)
     family = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
+    start, ref_start = Levels.uniform(index, 1, 2), index.class_state(1, 2)
     dummies = 0
     for seed in range(200):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         trace, ref_trace = [], []
-        out, stats = extract_tuple(Levels.uniform(index, 1, 2), family, rng, trace)
-        ref, ref_stats = _vector_extract_tuple(
-            index.class_state(1, 2), family, ref_rng, index, ref_trace
-        )
+        out, stats = extract_tuple(start, family, rng, trace)
+        ref, ref_stats = _vector_extract_tuple(ref_start, family, ref_rng, index, ref_trace)
         assert trace == ref_trace, seed
         assert _stats(stats) == _stats(ref_stats), seed
         assert (out.kind, out.image, out.preimages) == (ref.kind, ref.image, ref.preimages)
@@ -275,8 +273,8 @@ def test_extract_tuple_dummy_path_matches_the_vector_path():
 
 def _vector_walk_step(state, family, plan, rng, index, ledger):
     """The vector path's dense walk step: from the family's class, which
-    lies in cell 1, hop with extraction.hop until cell 2 comes up, charging
-    each hop as it lands."""
+    lies in cell 1, hop as correct_interval does until cell 2 comes up,
+    charging each hop as it lands."""
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
 
@@ -499,11 +497,22 @@ def test_flip_matches_the_vector_flip(values, big_r, picks, start, want, seed):
     for sign in (1, -1):
         ref_rng = np.random.default_rng(seed)
         reference, ref_stats = vector_flip(
-            State.over(start_vector.basis, sign * start_vector.vector),
-            index.by_count(good), index.axis_state(), want, ref_rng)
+            State({key: sign * a for key, a in start_vector.items()}),
+            index.by_count(good), index.axis, want, ref_rng)
         assert _stats(stats) == _stats(ref_stats)
         assert _same_state(ours, reference)
         assert ref_rng.random().hex() == next_draw
+
+
+def test_flip_past_2_to_the_1024_vertices_lands():
+    """Sizes of 2^1100 and a third of it, past what a float holds: the flip
+    reads Grover's plane off the shares |G|/V = 1/4 and |B|/V = 3/4, so its
+    one round turns the axis at 30 degrees onto the good side, and the
+    first attempt lands."""
+    index = _Counts([2**1100, 2**1100 // 3])
+    state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
+                        np.random.default_rng(0))
+    assert (state.counts, _stats(stats)) == ({1}, (1, 0, 1))
 
 
 def test_flip_at_one_in_a_trillion_is_one_rotation():

@@ -10,35 +10,28 @@ from chainwalk.regimes import evaluate, region_grid, tradeoff_curve
 
 def test_reference_points():
     # full-range images, maximal collisions: everyone who is valid ties at 1
+    # (BHT is valid here; the chained walk's extension reads 1.25)
     p = evaluate(1.0, 1.0)
     assert p.this_paper == pytest.approx(1.0)
-    assert p.bht_valid
-    assert not p.chained_valid
-    assert p.chained_ext == pytest.approx(1.25)
     assert p.prior_best == pytest.approx(1.0)
     assert not p.improved
 
     # single collision in a width-2n image space
+    # (the chained walk is valid here; BHT's extension reads 1)
     p = evaluate(2.0, 0.0)
     assert p.this_paper == pytest.approx(2.0 / 3.0)
-    assert not p.bht_valid
-    assert p.bht_ext == pytest.approx(1.0)
-    assert p.chained_valid
     assert p.prior_best == pytest.approx(2.0 / 3.0)
     assert not p.improved
 
     # interior of the improvement triangle
+    # (neither prior algorithm is valid; both extensions read 5/6)
     p = evaluate(4.0 / 3.0, 0.5)
     assert p.this_paper == pytest.approx(7.0 / 9.0)
-    assert not p.bht_valid and not p.chained_valid
-    assert p.bht_ext == pytest.approx(5.0 / 6.0)
-    assert p.chained_ext == pytest.approx(5.0 / 6.0)
     assert p.prior_best == pytest.approx(5.0 / 6.0)
     assert p.improved
 
     # both prior algorithms still valid: a three-way tie
     p = evaluate(1.2, 0.3)
-    assert p.bht_valid and p.chained_valid
     assert p.prior_best == pytest.approx(0.6)
     assert p.this_paper == pytest.approx(0.6)
     assert not p.improved
