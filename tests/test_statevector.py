@@ -472,11 +472,13 @@ def _ref_flip(state, good, axis, want, rng):
             return state
 
 
-def test_flip_matches_the_dict_reference():
+@pytest.mark.parametrize("swapped", [True, False])
+def test_flip_matches_the_dict_reference(swapped):
     """reflect_about_state, grover_iterate and flip, on a fixed state and
-    axis, match the dict reference."""
-    axis, ref_axis = _mixed_pair(_MIX_AXIS)
-    state, ref_state = _mixed_pair(_MIX_STATE)
+    axis, and with the two vectors' roles swapped, match the dict reference."""
+    axis_amps, state_amps = (_MIX_STATE, _MIX_AXIS) if swapped else (_MIX_AXIS, _MIX_STATE)
+    axis, ref_axis = _mixed_pair(axis_amps)
+    state, ref_state = _mixed_pair(state_amps)
     good = lambda key: key in (b"\x01", b"\x04")
     _assert_matches(reflect_about_state(state, axis), _ref_reflect_state(ref_state, ref_axis))
     for count in (1, 3):
