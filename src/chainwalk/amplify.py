@@ -26,7 +26,6 @@ many attempts to make in `flip_attempts`; levels.flip reads both.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -92,16 +91,24 @@ def split(good_mass: float) -> AmplitudeDecomposition:
 def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State:
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
-    `good` is a key callback, read once per key of the axis; a key off the
-    axis counts as bad.  Each round is reflect_about_predicate then
-    reflect_about_state, so each ends with their prune and norm check.
+    `good` is a key callback, read once per key of the axis or the state
+    (_good_keys): every key the rounds can reach.  Each round is
+    reflect_about_predicate then reflect_about_state, so each ends with
+    their prune and norm check.
     """
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
-    flags = frozenset(filter(good, axis.amplitudes)).__contains__
+    flags = _good_keys(good, state, axis).__contains__
     for _ in range(count):
         state = reflect_about_state(reflect_about_predicate(state, flags), axis)
     return state
+
+
+def _good_keys(good: Labels, state: State, axis: State) -> frozenset:
+    """The keys of the axis and of the state where `good` holds, each read
+    once.  The rounds and measurements of an iteration from `state` reach
+    no other key."""
+    return frozenset(filter(good, {**axis.amplitudes, **state.amplitudes}))
 
 
 def iteration_count(alpha: float) -> int:
@@ -161,15 +168,15 @@ def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:
 
 def _good_share(axis: State, good: frozenset) -> float:
     """The axis's good squared norm over its whole squared norm, `good`
-    holding its good keys: each an exact sum of the distinct weights times
-    their multiplicities, divided once and rounded once, so a uniform axis
-    over V keys with |G| good reads |G|/V."""
-    def exact_sum(amplitudes: list) -> Fraction:
-        weights = Counter(map(operator.mul, amplitudes, amplitudes))
-        return sum((Fraction(w) * c for w, c in weights.items()), Fraction(0))
+    holding the axis's good keys: each an exact sum over the distinct
+    amplitudes of their weight times their multiplicity, divided once and
+    rounded once, so a uniform axis over V keys with |G| good reads |G|/V."""
+    def exact_sum(amplitudes) -> Fraction:
+        counted = Counter(amplitudes).items()
+        return sum((Fraction(a * a) * c for a, c in counted), Fraction(0))
 
-    good_sum = exact_sum(list(map(axis.amplitudes.__getitem__, good)))
-    return float(good_sum / exact_sum(list(axis.amplitudes.values())))
+    good_sum = exact_sum(map(axis.amplitudes.__getitem__, good))
+    return float(good_sum / exact_sum(axis.amplitudes.values()))
 
 
 def flip(
@@ -181,18 +188,20 @@ def flip(
 ) -> tuple[State, FlipStats]:
     """Iterate and project until the flag measurement lands on `want`.
 
-    `good` is a key callback, read once per key of the axis into the set of
-    good keys that the plan, the iterations and every flag measurement use.
+    `good` is a key callback, read once per key of the axis or the state
+    into the set of good keys (_good_keys) that the plan, the iterations and
+    every flag measurement use; the plan reads those on the axis.
     The plan is flip_rounds' on the axis's good share (_good_share): each
     attempt rotates the state by its rounds, or measures a fresh copy of the
     axis when it is None.  An axis with no key on the wanted side raises
     ImpossibleTargetError, whatever its share rounds to, and SimulationError
     follows flip_attempts' attempts that all miss.
     """
-    good = frozenset(filter(good, axis.amplitudes))
-    if (len(good) if want is Want.GOOD else len(axis) - len(good)) == 0:
+    good = _good_keys(good, state, axis)
+    on_axis = good.intersection(axis.amplitudes)
+    if (len(on_axis) if want is Want.GOOD else len(axis) - len(on_axis)) == 0:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
-    share = _good_share(axis, good)
+    share = _good_share(axis, on_axis)
     rounds = flip_rounds(share, want)
     attempts = flip_attempts(share, rounds)
     stats = FlipStats()

@@ -32,9 +32,9 @@ the family's exact law, and FamilyIndex stays as the acceptance API, the
 vector path's index and the reference the law index is tested against.
 
 The padded register is a State over vertex key + token keys
-(pad_and_attach).  extract_once draws its outcome from the register's
-weights without spelling its keys, in token order: the dummies by index,
-then the tuples by (image, size, preimages).
+(pad_and_attach), and extract_once measures it with statevector.measure,
+its outcomes the tokens in sorted order: the dummies by index, then the
+tuples by (image, size, preimages).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .law import CountIndex, family_total
 from .oracle import RestrictedFunction, restrict
-from .statevector import BasisKey, State, _draw_label, decode_subset, measure
+from .statevector import BasisKey, State, decode_subset, measure
 
 if TYPE_CHECKING:
     from .levels import Levels
@@ -170,8 +171,8 @@ class FamilyIndex(CountIndex):
         self.big_r = big_r
         domain = restriction.domain_points
         self.total = family_total(len(domain), big_r)
-        spell = struct.Struct(f">H{big_r}I").pack
-        keys = [spell(big_r, *vertex) for vertex in itertools.combinations(domain, big_r)]
+        spell = functools.partial(struct.Struct(f">H{big_r}I").pack, big_r)
+        keys = list(itertools.starmap(spell, itertools.combinations(domain, big_r)))
         # each vertex's images, in the vertices' order, sorted
         images = itertools.combinations([restriction.base.images[x] for x in domain], big_r)
         rows = np.fromiter(itertools.chain.from_iterable(images), np.int64)
@@ -182,6 +183,8 @@ class FamilyIndex(CountIndex):
         self.counts: Dict[BasisKey, int] = dict(zip(keys, counts.tolist()))
         # the class size |V_c| of every count c = 0..max_count
         self.sizes: List[int] = np.bincount(counts).tolist()
+        # by_count's callbacks, under their labels of the counts
+        self._labelled: Dict[tuple, Callable[[BasisKey], object]] = {}
 
     @functools.cached_property
     def tuples(self) -> Dict[BasisKey, Tuple[HeldTuple, ...]]:
@@ -192,11 +195,12 @@ class FamilyIndex(CountIndex):
         domain = self.restriction.domain_points
         class_size = Counter(images[x] for x in domain)
         shared = {x for x in domain if class_size[images[x]] >= 2}.__contains__
-        held: Dict[BasisKey, Tuple[HeldTuple, ...]] = {}
+        held: Dict[BasisKey, Tuple[HeldTuple, ...]] = dict.fromkeys(self.counts, ())
         grouped: Dict[Tuple[int, ...], Tuple[HeldTuple, ...]] = {}
-        vertices = itertools.combinations(domain, self.big_r)
-        for (key, count), vertex in zip(self.counts.items(), vertices):
-            part = tuple(filter(shared, vertex)) if count else ()
+        vertices = zip(self.counts, itertools.combinations(domain, self.big_r))
+        # a vertex of count 0 holds no tuple
+        for key, vertex in itertools.compress(vertices, self.counts.values()):
+            part = tuple(filter(shared, vertex))
             if part not in grouped:
                 met: Dict[int, List[int]] = {}
                 for x in part:
@@ -235,9 +239,12 @@ class FamilyIndex(CountIndex):
 
     def by_count(self, label: Callable[[int], object]) -> Callable[[BasisKey], object]:
         """Key callback: label(count) of a vertex, and None off the family,
-        with `label` called once per count 0..max_count."""
-        table = self.per_count(label)
-        return {key: table[c] for key, c in self.counts.items()}.get
+        with `label` called once per count 0..max_count.  Labels that agree
+        on every count share one callback, built on first use."""
+        table = tuple(self.per_count(label))
+        if table not in self._labelled:
+            self._labelled[table] = {key: table[c] for key, c in self.counts.items()}.get
+        return self._labelled[table]
 
     @functools.cached_property
     def axis(self) -> State:
@@ -264,7 +271,8 @@ def check_uniform_class(state: State, family: VertexFamily, index: FamilyIndex) 
     if len(state) != index.class_size(family.lo, family.hi) or not all(map(inside, state.keys())):
         raise ValidationError(f"state support does not match family {family.interval_label()}")
     target = 1.0 / math.sqrt(len(state))
-    if any(abs(abs(a) - target) > _UNIFORM_TOL for _, a in state.items()):
+    magnitudes = list(map(abs, state.amplitudes.values()))
+    if max(magnitudes) - target > _UNIFORM_TOL or target - min(magnitudes) > _UNIFORM_TOL:
         raise ValidationError("state is not uniform over its support")
 
 
@@ -288,8 +296,11 @@ def pad_and_attach(
     if index is None:
         index = FamilyIndex(restriction, len(decode_subset(state.keys()[0])))
     dummies = [dummy_token(i) for i in range(1, y + 1)]
-    # each distinct tuple's token is spelled once
-    spell = functools.cache(lambda found: tuple_token(*found))
+    # vertices that hold the same tuples share one list of tokens
+    tokens = functools.cache(
+        lambda held: [tuple_token(*found) for found in held] + dummies[len(held):]
+    )
+    scale = 1.0 / math.sqrt(y)
     register = {}
     for key, amplitude in state.items():
         held = index.tuples.get(key)
@@ -299,8 +310,8 @@ def pad_and_attach(
             raise ContractViolationError(
                 f"a vertex holds {len(held)} tuples, above the padding width {y}"
             )
-        for token in list(map(spell, held)) + dummies[len(held):]:
-            register[key + token] = amplitude * (1.0 / math.sqrt(y))
+        for token in tokens(held):
+            register[key + token] = amplitude * scale
     return State(register)
 
 
@@ -338,46 +349,38 @@ def extract_once(
     """One padded-register measurement on a state uniform over the family's
     entire count class in `index`, which check_uniform_class checks first.
 
-    It draws as measure draws on pad_and_attach's register, without spelling
-    its keys: each outcome's weight sums its branches' in vertex order, the
-    outcomes in token order (d_1..d_y, then the tuples), one uniform draw.
-    With probability sum_z |V_z| z / (y |V_{lo,hi}|) the outcome is a tuple;
-    the dummy index i appears with probability |V_{lo,i-1}| / (y |V_{lo,hi}|).
+    It measures pad_and_attach's register with `measure`, so the outcomes
+    are the tokens in sorted order: d_1..d_y, then the tuples.  With
+    probability sum_z |V_z| z / (y |V_{lo,hi}|) the outcome is a tuple; the
+    dummy index i appears with probability |V_{lo,i-1}| / (y |V_{lo,hi}|).
     Every branch collapses to a uniform state over its stated family: the
     vertices the outcome's branches lie on, less the tuple's preimages after
     a tuple.
     """
     y = family.padding_width()
     check_uniform_class(state, family, index)
-    branches = {key: a * (1.0 / math.sqrt(y)) for key, a in state.items()}
-    # dummies[i - 1] is d_i's weight, on the vertices of fewer than i tuples
-    dummies = [0.0] * y
-    holders: Dict[HeldTuple, float] = {}
-    for key, branch in branches.items():
-        # check_uniform_class has made every key a vertex of at most y tuples
-        held, weight = index.tuples[key], branch * branch
-        for found in held:
-            holders[found] = holders.get(found, 0.0) + weight
-        for i in range(len(held), y):
-            dummies[i] += weight
-    found = [t for t in index._holder_rows if t in holders]
-    outcome = _draw_label(dummies + [holders[t] for t in found], rng)
-    if outcome < y:
-        scale = 1.0 / math.sqrt(dummies[outcome])
+    # every key of the index is 2 + 4 R bytes long: the register follows them
+    width = 2 + 4 * index.big_r
+    token, collapsed = measure(
+        pad_and_attach(state, family.restriction, y, index),
+        operator.itemgetter(slice(width, None)),
+        rng,
+    )
+    vertices = {key[:width]: a for key, a in collapsed.items()}
+    if token.startswith(_DUMMY_TAG):
+        (i,) = struct.unpack_from(">H", token, 1)
         return ExtractionOutcome(
-            kind="dummy", image=None, preimages=None,
-            collapsed=State({key: branch * scale for key, branch in branches.items()
-                             if index.counts[key] <= outcome}),
-            new_family=replace(family, hi=outcome), new_index=index,
+            kind="dummy", image=None, preimages=None, collapsed=State(vertices),
+            new_family=replace(family, hi=i - 1), new_index=index,
         )
-    image, preimages = tup = found[outcome - y]
+    image, size = struct.unpack_from(">IB", token, 1)
+    preimages = struct.unpack_from(f">{size}I", token, 6)
     new_family = family.after_tuple(image, preimages)
     new_index = index.child(new_family.restriction, new_family.big_r) if new_family.big_r else None
-    scale = 1.0 / math.sqrt(holders[tup])
     spell = struct.Struct(f">H{new_family.big_r}I").pack
     residual = {
-        spell(new_family.big_r, *(p for p in decode_subset(key) if p not in preimages)):
-        branch * scale for key, branch in branches.items() if tup in index.tuples[key]
+        spell(new_family.big_r, *(p for p in decode_subset(key) if p not in preimages)): a
+        for key, a in vertices.items()
     }
     return ExtractionOutcome(
         kind="tuple", image=image, preimages=preimages,
@@ -421,6 +424,26 @@ def repair_classes(
     return start, target
 
 
+def hop(
+    state: State,
+    index: FamilyIndex,
+    cls: frozenset,
+    cell: Callable[[int], object],
+    rng: Uniform,
+) -> Tuple[State, frozenset, FlipStats]:
+    """Move a state uniform over the count class cls to a cell of its complement.
+
+    Flips off the vertices whose count lies in cls, against the family's
+    diffusion axis, then measures the label cell(count).  Counts run over
+    0..max_count; the returned class is the complement's counts in the
+    measured cell, and the returned state is uniform over exactly its vertices.
+    """
+    state, stats = flip(state, index.by_count(cls.__contains__), index.axis, Want.BAD, rng)
+    outcome, state = measure(state, index.by_count(cell), rng)
+    rest = frozenset(range(len(index.sizes))) - cls
+    return state, frozenset(c for c in rest if cell(c) == outcome), stats
+
+
 def correct_interval(
     state: State,
     family: VertexFamily,
@@ -430,12 +453,10 @@ def correct_interval(
 ) -> Tuple[State, FlipStats]:
     """Widen a narrowed family state [lo, b] back to [lo, target_hi].
 
-    From the class repair_classes gives, each hop flips off the vertices
-    whose count lies in the state's class, against the family's diffusion
-    axis, then measures which side of a split the count left lies on: lo
-    while the class holds counts below lo, and otherwise (from [0, lo-1])
-    target_hi + 1.  The class becomes the counts outside it on the measured
-    side, until it is [lo, target_hi].
+    From the class repair_classes gives, each hop measures which side of a
+    split the count left lies on: lo while the class holds counts below lo,
+    and otherwise (from [0, lo-1]) target_hi + 1.  The class becomes the
+    counts outside it on the measured side, until it is [lo, target_hi].
     """
     cls, target = repair_classes(index, family, target_hi)
     stats = FlipStats()
@@ -443,12 +464,8 @@ def correct_interval(
         if cls == target:
             return state, stats
         split = target_hi + 1 if cls.issuperset(range(family.lo)) else family.lo
-        state, fs = flip(state, index.by_count(cls.__contains__), index.axis, Want.BAD, rng)
+        state, cls, fs = hop(state, index, cls, lambda c: c >= split, rng)
         stats.absorb(fs)
-        above, state = measure(state, index.by_count(lambda c: c >= split), rng)
-        cls = frozenset(
-            c for c in range(len(index.sizes)) if c not in cls and (c >= split) == above
-        )
     raise SimulationError(
         f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
     )

@@ -19,10 +19,11 @@ Conventions used throughout:
 
 * a key's weight is its squared amplitude a * a, and a probability or a
   label's weight adds the weights one float at a time in key order;
-* measure and extraction.extract_once draw by one rule: labels in sorted
-  order, each label's weight summed in key order, one uniform draw read
-  through `rng.random()` alone (_draw_label), the chosen branch
-  renormalized.  A fixed generator walks the same distribution;
+* measure draws by one rule, and extraction.extract_once is a measure of
+  the padded register: labels in sorted order, each label's weight summed
+  in key order, one uniform draw read through `rng.random()` alone, the
+  chosen branch renormalized.  A fixed generator walks the same
+  distribution;
 * state equality is taken up to one global phase.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ._stream import Uniform
 from .errors import ContractViolationError, ValidationError
@@ -73,11 +74,8 @@ def attach_register(key: BasisKey, token: bytes) -> BasisKey:
 
 
 def _pruned(amplitudes: Dict[BasisKey, float]) -> Dict[BasisKey, float]:
-    """A copy of `amplitudes` less those of magnitude PRUNE_EPS or below.  A
-    NaN is kept, and fails the norm check: min skips a NaN after the first
-    value, and a NaN first makes the minimum NaN, which takes the filter."""
-    if min(map(abs, amplitudes.values()), default=0.0) > PRUNE_EPS:
-        return dict(amplitudes)
+    """A copy of `amplitudes` less those of magnitude PRUNE_EPS or below; a
+    NaN is kept, and fails the norm check."""
     return {k: a for k, a in amplitudes.items() if not abs(a) <= PRUNE_EPS}
 
 
@@ -149,26 +147,15 @@ def reflect_about_predicate(state: State, flip: Labels) -> State:
     return State({k: -a if flip(k) else a for k, a in state.amplitudes.items()})
 
 
-def _draw_label(weights: Sequence[float], rng: Uniform) -> int:
-    """The label one uniform draw selects, given the labels' weights in sorted
-    label order: the first whose cumulative weight exceeds the draw, else the
-    last.  It reads only `rng.random()`, so a numpy Generator and the run's
-    Stream serve alike."""
-    draw = float(rng.random())
-    acc = 0.0
-    for label_id, weight in enumerate(weights):
-        acc += weight
-        if draw < acc:
-            return label_id
-    return len(weights) - 1
-
-
 def measure(state: State, labels: Labels, rng: Uniform):
     """Projective measurement of the register that `labels` spells out.
 
     Returns (outcome, collapsed state): each support key is labelled once,
-    outcomes are the sorted distinct labels, and _draw_label draws one; the
-    keys of that label keep their order and are renormalized.
+    and the outcome is the first of the sorted distinct labels whose
+    cumulative weight exceeds one uniform draw, else the last.  The draw
+    reads only `rng.random()`, so a numpy Generator and the run's Stream
+    serve alike.  The keys of that label keep their order and are
+    renormalized.
     """
     amplitudes = state.amplitudes
     label_of = list(map(labels, amplitudes))
@@ -176,7 +163,12 @@ def measure(state: State, labels: Labels, rng: Uniform):
     for label, a in zip(label_of, amplitudes.values()):
         weights[label] = weights.get(label, 0.0) + a * a
     distinct = sorted(weights)
-    chosen = distinct[_draw_label([weights[label] for label in distinct], rng)]
+    draw, acc, chosen = float(rng.random()), 0.0, distinct[-1]
+    for label in distinct:
+        acc += weights[label]
+        if draw < acc:
+            chosen = label
+            break
     scale = 1.0 / math.sqrt(weights[chosen])
     return chosen, State({
         k: a * scale for (k, a), label in zip(amplitudes.items(), label_of) if label == chosen

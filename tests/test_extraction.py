@@ -49,6 +49,7 @@ from chainwalk.extraction import (
     correct_interval,
     dummy_token,
     extract_once,
+    hop,
     in_range,
     pad_and_attach,
     tuple_token,
@@ -300,17 +301,6 @@ def test_two_vertex_measured_branches():
             assert token == dummy_token(3)
             assert collapsed.support() == (attach_register(subset_key(v2), token),)
     assert kinds == {"tuple", "dummy"}
-
-
-def hop(state, index, cls, cell, rng):
-    """One move of correct_interval: flip a state uniform over the count
-    class `cls` off it, against the family's diffusion axis, then measure
-    cell(count).  Returns the state, the counts outside `cls` in the
-    measured cell, and the flip's work record."""
-    state, stats = flip(state, index.by_count(cls.__contains__), index.axis, Want.BAD, rng)
-    outcome, state = measure(state, index.by_count(cell), rng)
-    rest = frozenset(range(len(index.sizes))) - cls
-    return state, frozenset(c for c in rest if cell(c) == outcome), stats
 
 
 @settings(deadline=None, max_examples=40)

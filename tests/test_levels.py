@@ -44,6 +44,7 @@ from chainwalk.extraction import (
     VertexFamily,
     correct_interval,
     extract_once as vector_extract_once,
+    hop,
 )
 from chainwalk.law import CountIndex, LawIndex
 from chainwalk.levels import (
@@ -60,7 +61,7 @@ from chainwalk.stats import IntervalPlan
 from chainwalk.statevector import State
 from reference import as_state, histogram
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
-from test_extraction import eight_point, four_pair, hop
+from test_extraction import eight_point, four_pair
 
 
 def _stats(stats: FlipStats):

@@ -240,18 +240,13 @@ def _pair(amps):
     return State(amps, normalize=True), _ref_normalized(amps)
 
 
-def _pair_on(data, axis):
-    """A (State, reference) pair whose keys are drawn from axis's keys, in
-    the order they were drawn."""
-    return _pair(data.draw(_amplitudes(axis.keys())))
-
-
 @settings(deadline=None, max_examples=150)
-@given(_AMPS, hs.data(), hs.sets(hs.sampled_from(_KEYS)))
-def test_reflections_match_dict_reference(axis_amps, data, flipped):
-    """The axis may carry keys the state lacks."""
+@given(_AMPS, _AMPS, hs.sets(hs.sampled_from(_KEYS)))
+def test_reflections_match_dict_reference(axis_amps, state_amps, flipped):
+    """The axis may carry keys the state lacks, and the state keys the
+    axis lacks."""
     axis, ref_axis = _pair(axis_amps)
-    state, ref_state = _pair_on(data, axis)
+    state, ref_state = _pair(state_amps)
     out = reflect_about_state(state, axis)
     _assert_matches(out, _ref_reflect_state(ref_state, ref_axis))
     flip = lambda key: key in flipped
@@ -262,10 +257,11 @@ def test_reflections_match_dict_reference(axis_amps, data, flipped):
 
 
 @settings(deadline=None, max_examples=100)
-@given(_AMPS, hs.data(), hs.sets(hs.sampled_from(_KEYS)), hs.integers(0, 4))
-def test_grover_iterate_matches_reflection_pairs(axis_amps, data, good_keys, count):
+@given(_AMPS, _AMPS, hs.sets(hs.sampled_from(_KEYS)), hs.integers(0, 4))
+def test_grover_iterate_matches_reflection_pairs(axis_amps, state_amps, good_keys, count):
+    """good is read on every key, on the axis or off it."""
     axis, ref_axis = _pair(axis_amps)
-    state, ref = _pair_on(data, axis)
+    state, ref = _pair(state_amps)
     good = lambda key: key in good_keys
     for _ in range(count):
         ref = _ref_reflect_state(_ref_reflect_predicate(ref, good), ref_axis)
@@ -276,19 +272,20 @@ def test_grover_iterate_matches_reflection_pairs(axis_amps, data, good_keys, cou
 @given(
     hs.lists(hs.one_of(_AMP, hs.just(0.0)), min_size=len(_KEYS), max_size=len(_KEYS)),
     _PLACED_ANCHOR,
-    hs.data(),
+    _AMPS,
     hs.sets(hs.sampled_from(_KEYS)),
     hs.integers(0, 6),
 )
 def test_grover_iterate_is_bit_exact_against_reflection_rounds(
-    axis_amps, placed, data, good_keys, count
+    axis_amps, placed, state_amps, good_keys, count
 ):
     """grover_iterate's rounds equal `count` public reflection pairs
     exactly, key order included.  The axis's keys are those of _KEYS whose
-    amplitude survives the prune, and the state's are drawn from them."""
+    amplitude survives the prune, so it may be zero on some; the state's
+    are drawn from all of _KEYS."""
     amps = dict(zip(_KEYS, _anchored(axis_amps, placed)))
     axis = State(amps, normalize=True)
-    state, _ = _pair_on(data, axis)
+    state, _ = _pair(state_amps)
     good = lambda key: key in good_keys
     ref = state
     for _ in range(count):
@@ -337,10 +334,10 @@ def test_every_round_checks_the_norm():
 
 
 @settings(deadline=None, max_examples=150)
-@given(_AMPS, hs.data(), hs.integers(1, 4), hs.integers(0, 2**32 - 1))
-def test_measure_matches_dict_reference(axis_amps, data, modulus, seed):
+@given(_AMPS, _AMPS, hs.integers(1, 4), hs.integers(0, 2**32 - 1))
+def test_measure_matches_dict_reference(axis_amps, state_amps, modulus, seed):
     axis, ref_axis = _pair(axis_amps)
-    state, ref = _pair_on(data, axis)
+    state, ref = _pair(state_amps)
     # a derived state: its keys come in the axis's order
     state, ref = reflect_about_state(state, axis), _ref_reflect_state(ref, ref_axis)
     register = lambda key: key[0] % modulus
@@ -493,6 +490,20 @@ def test_flip_matches_the_dict_reference(swapped):
         out, _ = flip(axis, good, axis, want, rng)
         _assert_matches(out, _ref_flip(ref_axis, good, ref_axis, want, ref_rng), tol=1e-11)
         assert rng.random() == ref_rng.random()
+
+
+def test_a_good_key_off_the_axis_is_read_as_good():
+    """A state key where the axis is zero and good holds: one round negates
+    it and reflects it back, as the reflection pair does, and flip's flag
+    measurement finds it on the good side at the first attempt."""
+    axis = State({b"g": 0.6, b"b": 0.8})
+    state = State({b"o": 1.0})
+    good = lambda key: key in (b"g", b"o")
+    pair = reflect_about_state(reflect_about_predicate(state, good), axis)
+    assert grover_iterate(state, good, axis, 1).items() == pair.items() == [(b"o", 1.0)]
+    out, stats = flip(state, good, axis, Want.GOOD, np.random.default_rng(0))
+    assert out.items() == [(b"o", 1.0)]
+    assert (stats.attempts, stats.restarts, stats.iterations_used) == (1, 0, 1)
 
 
 _REAL_AMP = hs.one_of(

@@ -57,6 +57,10 @@ KEPT = {
         " repair that test_levels.py's dummy-path and class-move differential tests"
         " compare levels.repair against"
     ),
+    "extraction.hop": (
+        "correct_interval's move; the vector hop of test_levels.py's walk-step"
+        " differential test"
+    ),
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
     "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",
     # methods and properties that only the unit tests, kept definitions or
