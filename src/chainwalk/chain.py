@@ -137,22 +137,14 @@ class CostLedger:
         self.update_calls += stats.iterations_used * per_diffusion
         self.check_calls += stats.iterations_used
 
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass(frozen=True)
 class CostPrediction:
-    """Closed-form query count R + 2^k 2^(m/2) / sqrt(R) with validity info.
-
-    The prior and new regimes share the algebraic form and differ in where
-    they apply: small vertices (R <= 2^(m/2), one collision found per walk)
-    versus large vertices (R >= 2^(m/2), vertices hold many collisions).
-    """
+    """Closed-form query count R + 2^k 2^(m/2) / sqrt(R), as its setup and
+    walk terms."""
 
     setup_term: float
     walk_term: float
-    valid: bool
 
     @property
     def total(self) -> float:
@@ -160,8 +152,12 @@ class CostPrediction:
 
 
 def predict_cost(params: Params, ell: float, regime: str) -> CostPrediction:
-    if regime not in ("prior", "new"):
-        raise ParameterError(f"regime must be 'prior' or 'new', got {regime!r}")
+    """The cost terms at R = 2^ell.  The prior regime (R <= 2^(m/2)) and the
+    new one (R >= 2^(m/2)) share this form, so `regime` must be "new"; any
+    other value raises ParameterError, as does an ell that is not a positive
+    finite real or whose terms overflow a float."""
+    if regime != "new":
+        raise ParameterError(f"regime must be 'new', got {regime!r}")
     require_real(ell=ell)
     if not 0 < ell < math.inf:
         raise ParameterError(f"ell must be a positive finite number, got {ell!r}")
@@ -170,11 +166,7 @@ def predict_cost(params: Params, ell: float, regime: str) -> CostPrediction:
         walk = 2.0 ** (params.k + params.m / 2.0 - ell / 2.0)
     except OverflowError:
         raise ParameterError(f"cost terms at ell={ell} overflow a float") from None
-    if regime == "prior":
-        valid = ell <= params.m / 2.0
-    else:
-        valid = ell >= params.m / 2.0
-    return CostPrediction(setup_term=setup, walk_term=walk, valid=valid)
+    return CostPrediction(setup_term=setup, walk_term=walk)
 
 
 def optimal_ell(params: Params) -> float:
@@ -208,7 +200,7 @@ class ChainResult:
                 {"image": image, "preimages": list(pres)}
                 for image, pres in self.collision_table.items()
             ],
-            "ledger": self.ledger.as_dict(),
+            "ledger": vars(self.ledger),
             "outer_iterations": self.outer_iterations,
             "per_step_trace": self.per_step_trace,
         }

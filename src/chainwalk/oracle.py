@@ -145,10 +145,13 @@ def generate_function(params: Params, seed: int) -> FunctionTable:
     """Draw a uniformly random table, reproducible from the integer seed: the
     values of default_rng(seed).integers(0, 2**m, 2**n, dtype=np.int64).
     A seed that is not an integer, or is negative, raises ParameterError, as
-    default_rng refuses a negative one."""
+    default_rng refuses a negative one; so does m > 63, whose images an int64
+    cannot hold."""
     require_int(seed=seed)
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    if params.m > 63:
+        raise ParameterError(f"need m <= 63 to draw a table, got m={params.m}")
     return FunctionTable(params, integers(seed, params.m, params.domain_size))
 
 

@@ -193,19 +193,8 @@ def sample_collision_counts(
 class CollisionStats:
     """Summary of one Z sample."""
 
-    sample_count: int
     mean_z: float
     var_z: float
-
-
-def _summarize(values: np.ndarray) -> CollisionStats:
-    mean = float(values.mean())
-    var = float(values.var(ddof=1)) if len(values) > 1 else 0.0
-    return CollisionStats(
-        sample_count=len(values),
-        mean_z=mean,
-        var_z=var,
-    )
 
 
 @dataclass(frozen=True)
@@ -228,8 +217,10 @@ def calibrate_constant(
     if 8 * big_r >= bins:
         raise ParameterError(f"need 8R < M, got R={big_r}, M={bins}")
     values = sample_collision_counts(big_r, bins, samples, rng, threads)
-    summary = _summarize(values)
-    return CalibrationResult(c=summary.mean_z * (bins / (big_r * big_r)), stats=summary)
+    mean = float(values.mean())
+    var = float(values.var(ddof=1)) if samples > 1 else 0.0
+    return CalibrationResult(c=mean * (bins / (big_r * big_r)),
+                             stats=CollisionStats(mean_z=mean, var_z=var))
 
 
 def window(c: float, big_r: int, bins: int) -> Tuple[int, int]:
@@ -301,36 +292,6 @@ def interval_hit_probability(
     else:
         hits = (values >= expected - width) & (values <= expected)
     return IntervalHitReport(probability=float(hits.mean()))
-
-
-def multicollision_size_bound(n: int, m: int, ell: int) -> float:
-    """Union bound on the probability of any ell-fold multicollision.
-
-    Computes 2^(-m(ell-1)) * C(2^n, ell) in log space and only then
-    exponentiates.  The value is reported verbatim even when it exceeds 1 and
-    is vacuous as a probability.
-    """
-    require_int(n=n, m=m, ell=ell)
-    if n < 1 or m < 1:
-        raise ParameterError("n and m must be positive")
-    if not (2 <= ell <= (1 << n)):
-        raise ParameterError(f"need 2 <= ell <= 2^n, got ell={ell}")
-    domain = 1 << n
-    if ell <= 4096:
-        # term-by-term sum: the lgamma difference lgamma(D+1) - lgamma(D-ell+1)
-        # cancels catastrophically once ell/D drops below float resolution
-        log2_choose = sum(math.log2(domain - i) for i in range(ell))
-        log2_choose -= math.lgamma(ell + 1) / math.log(2.0)
-    else:
-        log2_choose = (
-            math.lgamma(domain + 1)
-            - math.lgamma(ell + 1)
-            - math.lgamma(domain - ell + 1)
-        ) / math.log(2.0)
-    log2_bound = log2_choose - m * (ell - 1)
-    if log2_bound > 1000.0:
-        return math.inf
-    return 2.0 ** log2_bound
 
 
 def verify_stats_report(

@@ -4,8 +4,9 @@ No run reads these, so they live beside the tests rather than in
 src/chainwalk: the explicit Johnson graph, the per-vertex collision data a
 FamilyIndex's tables are checked against, the uniform vector state, the
 padded-register token decoder, a count index's histogram, the vector a
-count-class state stands for, and the exact occupancy law that the sampled
-collision counts of stats.py are checked against.
+count-class state stands for, the exact occupancy law that the sampled
+collision counts of stats.py are checked against, and the union bound behind
+criterion 5's 560/65536.
 """
 
 from __future__ import annotations
@@ -151,3 +152,33 @@ def occupancy_law(big_r: int, bins: int) -> List[Fraction]:
         )
         law.append(Fraction(ways, bins**big_r))
     return law
+
+
+def multicollision_size_bound(n: int, m: int, ell: int) -> float:
+    """Union bound on the probability of any ell-fold multicollision.
+
+    Computes 2^(-m(ell-1)) * C(2^n, ell) in log space and only then
+    exponentiates.  The value is reported verbatim even when it exceeds 1 and
+    is vacuous as a probability.
+    """
+    require_int(n=n, m=m, ell=ell)
+    if n < 1 or m < 1:
+        raise ParameterError("n and m must be positive")
+    if not (2 <= ell <= (1 << n)):
+        raise ParameterError(f"need 2 <= ell <= 2^n, got ell={ell}")
+    domain = 1 << n
+    if ell <= 4096:
+        # term-by-term sum: the lgamma difference lgamma(D+1) - lgamma(D-ell+1)
+        # cancels catastrophically once ell/D drops below float resolution
+        log2_choose = sum(math.log2(domain - i) for i in range(ell))
+        log2_choose -= math.lgamma(ell + 1) / math.log(2.0)
+    else:
+        log2_choose = (
+            math.lgamma(domain + 1)
+            - math.lgamma(ell + 1)
+            - math.lgamma(domain - ell + 1)
+        ) / math.log(2.0)
+    log2_bound = log2_choose - m * (ell - 1)
+    if log2_bound > 1000.0:
+        return math.inf
+    return 2.0 ** log2_bound

@@ -76,9 +76,10 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: run(ChainConfig(_P, 2, "0")), id="run-seed-str"),
     pytest.param(lambda: generate_function(_P, "a"), id="generate_function-seed-str"),
     pytest.param(lambda: generate_function(_P, 1.5), id="generate_function-seed-float"),
+    pytest.param(lambda: generate_function(Params(32, 64, 0), 0), id="generate_function-m-64"),
     pytest.param(lambda: predict_cost(_P, math.nan, "new"), id="predict_cost-nan"),
     pytest.param(lambda: predict_cost(_P, math.inf, "new"), id="predict_cost-inf"),
-    pytest.param(lambda: predict_cost(_P, -math.inf, "prior"), id="predict_cost--inf"),
+    pytest.param(lambda: predict_cost(_P, -math.inf, "new"), id="predict_cost--inf"),
     pytest.param(lambda: predict_cost(_P, 2000.0, "new"), id="predict_cost-overflow"),
     pytest.param(lambda: predict_cost(_P, "a", "new"), id="predict_cost-str"),
     pytest.param(lambda: Params(4.0, 5, 0), id="Params-n-float"),
@@ -92,8 +93,6 @@ _P = Params(n=4, m=5, k=0)
                  id="sample_collision_counts-samples-float"),
     pytest.param(lambda: stats.calibrate_constant(2, 64, 2.5, np.random.default_rng(0)),
                  id="calibrate_constant-samples-float"),
-    pytest.param(lambda: stats.multicollision_size_bound(4, 5, 2.5),
-                 id="multicollision_size_bound-ell-float"),
     pytest.param(lambda: stats.window(math.nan, 4, 16), id="window-c-nan"),
     pytest.param(lambda: stats.window(-1.0, 4, 16), id="window-c-negative"),
     pytest.param(lambda: stats.window(1e308, 4, 16), id="window-E-overflow"),
@@ -133,15 +132,14 @@ def test_numpy_ints_pass_the_integer_checks():
 
 def test_predict_cost_terms_and_validity():
     params = Params(n=20, m=30, k=4)
-    prior = predict_cost(params, 10.0, "prior")
-    assert prior.setup_term == pytest.approx(2.0**10)
-    assert prior.walk_term == pytest.approx(2.0 ** (4 + 15 - 5))
-    assert prior.valid
-    assert not predict_cost(params, 16.0, "prior").valid
-    assert predict_cost(params, 16.0, "new").valid
-    assert not predict_cost(params, 10.0, "new").valid
-    with pytest.raises(ParameterError):
-        predict_cost(params, 10.0, "else")
+    pred = predict_cost(params, 10.0, "new")
+    assert pred.setup_term == pytest.approx(2.0**10)
+    assert pred.walk_term == pytest.approx(2.0 ** (4 + 15 - 5))
+    assert pred.total == pred.setup_term + pred.walk_term
+    # the prior regime shares the form and is no separate case
+    for regime in ("prior", "else"):
+        with pytest.raises(ParameterError):
+            predict_cost(params, 10.0, regime)
     with pytest.raises(ParameterError):
         predict_cost(params, 0.0, "new")
 
@@ -170,7 +168,7 @@ def test_cost_ledger_charging():
     ledger.charge_flip(stats, 1.0)
     assert ledger.update_calls == 9
     assert ledger.check_calls == 6
-    d = ledger.as_dict()
+    d = vars(ledger)
     assert set(d) == {
         "setup_calls", "update_calls", "check_calls",
         "oracle_queries", "extraction_events", "predicted_total",

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
 TESTS = ROOT / "tests"
@@ -22,41 +24,65 @@ def test_callers_finds_no_dead_code():
     assert scan.returncode == 0, scan.stdout + scan.stderr
 
 
-def _scan_with_a_method(tmp_path, name):
-    """Scan a copy of the scanned tree, which must pass, then scan it again
-    with a plain method `name` added to levels.Levels; the second scan."""
+@pytest.fixture(scope="module")
+def scan_tree(tmp_path_factory):
+    """A copy of the scanned tree, on which the scan passes."""
+    tree = tmp_path_factory.mktemp("scan")
     for part in ("src", "tools", "perfbench"):
-        shutil.copytree(ROOT / part, tmp_path / part,
+        shutil.copytree(ROOT / part, tree / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
-    (tmp_path / "tests").mkdir()
-    shutil.copy(TESTS / "test_acceptance.py", tmp_path / "tests")
-    scan = [sys.executable, str(tmp_path / "tools" / "callers.py")]
+    (tree / "tests").mkdir()
+    shutil.copy(TESTS / "test_acceptance.py", tree / "tests")
+    scan = [sys.executable, str(tree / "tools" / "callers.py")]
     assert subprocess.run(scan, capture_output=True, timeout=60).returncode == 0
-    levels = tmp_path / "src" / "chainwalk" / "levels.py"
-    text = levels.read_text()
-    anchor = "    def support(self) -> int:\n"
+    return tree
+
+
+def _scan_with(tree, module, anchor, added):
+    """The scan of `tree` with the lines `added` put before `anchor` in
+    src/chainwalk/`module`, which is restored afterwards."""
+    source = tree / "src" / "chainwalk" / module
+    text = source.read_text()
     assert text.count(anchor) == 1
-    levels.write_text(text.replace(
-        anchor, f"    def {name}(self) -> int:\n        return 0\n\n" + anchor))
-    return subprocess.run(scan, capture_output=True, text=True, timeout=60)
+    source.write_text(text.replace(anchor, added + anchor))
+    try:
+        return subprocess.run([sys.executable, str(tree / "tools" / "callers.py")],
+                              capture_output=True, text=True, timeout=60)
+    finally:
+        source.write_text(text)
 
 
-def test_callers_finds_an_unread_method(tmp_path):
+def _scan_with_a_method(tree, name):
+    """The scan with a plain method `name` added to levels.Levels."""
+    return _scan_with(tree, "levels.py", "    def support(self) -> int:\n",
+                      f"    def {name}(self) -> int:\n        return 0\n\n")
+
+
+def test_callers_finds_an_unread_method(scan_tree):
     """With a method that nothing reads added to levels.Levels, the scan
     lists it and exits 1."""
-    found = _scan_with_a_method(tmp_path, "never_read")
+    found = _scan_with_a_method(scan_tree, "never_read")
     assert found.returncode == 1
     assert "  levels.Levels.never_read (2 lines)" in found.stdout.splitlines()
 
 
-def test_callers_counts_only_calls_of_a_plain_method(tmp_path):
+def test_callers_counts_only_calls_of_a_plain_method(scan_tree):
     """chain.py reads `.preimages` as an attribute of an extraction outcome
     but calls nothing of that name, so a plain method Levels.preimages is
     listed as unused."""
     assert ".preimages" in (ROOT / "src" / "chainwalk" / "chain.py").read_text()
-    found = _scan_with_a_method(tmp_path, "preimages")
+    found = _scan_with_a_method(scan_tree, "preimages")
     assert found.returncode == 1
     assert "  levels.Levels.preimages (2 lines)" in found.stdout.splitlines()
+
+
+def test_callers_finds_an_unread_field(scan_tree):
+    """With a field that nothing reads added to the dataclass
+    amplify.FlipStats, the scan lists it and exits 1."""
+    found = _scan_with(scan_tree, "amplify.py", "    attempts: int = 0\n",
+                       "    never_read: int = 0\n")
+    assert found.returncode == 1
+    assert "  amplify.FlipStats.never_read (1 lines)" in found.stdout.splitlines()
 
 
 def _reads(tree: ast.AST) -> set:

@@ -2,22 +2,23 @@
 uses.
 
 A definition is a top-level function, class or assigned name of a module in
-src/chainwalk, or a method or property of such a class (module.Class.name).
-It counts as used when its name is read (a plain name or an attribute)
-anywhere in src/, tools/, perfbench/ or tests/test_acceptance.py, outside its
-own definition.  A plain method, one with no decorator, counts as used only
-where its name is called, so a method that shares its name with an
-attribute read elsewhere (`out.preimages`) is still listed; a property, a
-classmethod and every top-level definition count any read.  Imports are not
-uses, so an imported function that no code calls is listed.  Names are
-matched without their module or class, so a name defined in two places
-counts as used by a read of either: every fn.value(x) of a FunctionTable
-hid RestrictedFunction.value, which only unit tests called.  A method read
-only through getattr, a string or a caller outside the scope is not seen.
-Dunder methods and dataclass fields are not scanned: len(), `in`,
-operators and the dataclass machinery read the first without naming them,
-and a field that nothing reads is not seen.  A listed name that tests/test_acceptance.py imports is
-marked, since that file's imports must keep resolving.
+src/chainwalk, or a method, property or annotated field of such a class
+(module.Class.name).  It counts as used when its name is read (a plain name
+or an attribute) anywhere in src/, tools/, perfbench/ or
+tests/test_acceptance.py, outside its own definition.  A plain method, one
+with no decorator, counts as used only where its name is called, so a method
+that shares its name with an attribute read elsewhere (`out.preimages`) is
+still listed; a property, a classmethod, a field and every top-level
+definition count any read, a write to an attribute of that name included.
+Imports are not uses, so an imported function that no code calls is listed.
+Names are matched without their module or class, so a name defined in two
+places counts as used by a read of either: every fn.value(x) of a
+FunctionTable hid RestrictedFunction.value, which only unit tests called, and
+a local variable `valid` hid CostPrediction.valid.  A definition read only
+through getattr, vars(), a string or a caller outside the scope is not seen.
+Dunder methods are not scanned: len(), `in` and operators read them without
+naming them.  A listed name that tests/test_acceptance.py imports is marked,
+since that file's imports must keep resolving.
 
 A definition in KEPT stays on purpose, and the table gives the reason; the
 scan prints it under its own heading.  Every other definition that nothing
@@ -62,11 +63,17 @@ KEPT = {
         " differential test"
     ),
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
-    "stats.multicollision_size_bound": "the closed form behind criterion 5's 560/65536",
-    # methods and properties that only the unit tests, kept definitions or
-    # callers outside the scope read
+    # methods, properties and fields that only the unit tests, kept
+    # definitions or callers outside the scope read
     "cli._Parser.error": (
         "argparse.ArgumentParser calls it on a usage error; the override exits 1"
+    ),
+    "johnson.WalkSpectrum.eigenphases": (
+        "the measured spectrum that test_johnson.py's"
+        " test_walk_spectrum_matches_dense_reference checks against a dense reference"
+    ),
+    "chain.CostLedger.predicted_total": (
+        "every report writes it, through vars() of the ledger in report_json"
     ),
 }
 
@@ -125,6 +132,11 @@ def main() -> int:
             methods = []
             if in_package and isinstance(node, ast.ClassDef):
                 methods = [sub for sub in node.body if is_method(sub)]
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        qualified = f"{owners[0]}.{sub.target.id}"
+                        lines = sub.end_lineno - sub.lineno + 1
+                        definitions[qualified] = (sub.target.id, lines, False)
             for method in methods:
                 qualified = f"{owners[0]}.{method.name}"
                 lines = method.end_lineno - method.lineno + 1
