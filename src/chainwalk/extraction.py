@@ -44,7 +44,6 @@ import itertools
 import math
 import operator
 import struct
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -189,12 +188,12 @@ class FamilyIndex(CountIndex):
     @functools.cached_property
     def tuples(self) -> Dict[BasisKey, Tuple[HeldTuple, ...]]:
         """Each vertex's tuples under its key, grouped on first read.  A
-        vertex's tuples are those of its points in classes of two or more,
-        so vertices that share those points share one grouping."""
+        vertex's tuples are those of its points in the restriction's classes
+        of two or more, so vertices that share those points share one
+        grouping."""
         images = self.restriction.base.images
         domain = self.restriction.domain_points
-        class_size = Counter(images[x] for x in domain)
-        shared = {x for x in domain if class_size[images[x]] >= 2}.__contains__
+        shared = {x for _, points in self.restriction.classes[0] for x in points}.__contains__
         held: Dict[BasisKey, Tuple[HeldTuple, ...]] = dict.fromkeys(self.counts, ())
         grouped: Dict[Tuple[int, ...], Tuple[HeldTuple, ...]] = {}
         vertices = zip(self.counts, itertools.combinations(domain, self.big_r))

@@ -36,6 +36,8 @@ no vertex held.  The child after a tuple (K, P) is the family of
 parent's holders of a (|K|, |P|) tuple of count z + 1: the child takes its
 sizes off that row, and runs family_law for its own holder rows only when
 they are first read, which the child left by a run's last tuple never does.
+Every index reads its domain's classes from oracle.RestrictedFunction.classes,
+the one grouping of a restricted domain by image.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import itertools
 import math
 import operator
 import struct
-from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapacityError, ContractViolationError, ParameterError
@@ -180,35 +181,16 @@ class CountIndex:
         return [label(c) for c in range(len(self.sizes))]
 
 
-def _classes(restriction: RestrictedFunction) -> Tuple[List[Tuple[int, List[int]]], Counter]:
-    """The image classes of the restriction's domain: those of two or more
-    points as (image, points) pairs in image order, each listing its points
-    ascending as the domain does, and the sizes of all of them, singletons
-    included, as family_law takes them ({size: how many classes})."""
-    points = restriction.domain_points
-    table = restriction.base.images
-    images = [table[x] for x in points]
-    class_size = Counter(images)
-    classes: Dict[int, List[int]] = {
-        image: [] for image, size in class_size.items() if size >= 2
-    }
-    for point, image in zip(points, images):
-        if image in classes:
-            classes[image].append(point)
-    return sorted(classes.items()), Counter(class_size.values())
-
-
 class LawIndex(CountIndex):
     """A family index on the exact law of (restriction, R), holding no vertex.
 
-    The domain's images are grouped into classes once; the class sizes feed
-    family_law, whose vertex counts become `sizes` (checked to sum to C(N, R))
-    and whose holder rows are kept per tuple shape (|K|, |P|).  A child takes
-    its classes and sizes from its parent instead, the classes less K and the
-    sizes off the parent's holder row, and runs family_law on its first
-    tuple_holders.  The family cap and its CapacityError are family_total's,
-    which both kinds of index check, so a run stops where it did when it
-    enumerated.
+    The class sizes of the restriction's `classes` feed family_law, whose
+    vertex counts become `sizes` (checked to sum to C(N, R)) and whose holder
+    rows are kept per tuple shape (|K|, |P|).  A child takes its sizes off
+    its parent's holder row instead and runs family_law on its first
+    tuple_holders, so its restriction groups its domain only then.  The
+    family cap and its CapacityError are family_total's, which both kinds of
+    index check, so a run stops where it did when it enumerated.
     """
 
     def __init__(
@@ -216,12 +198,10 @@ class LawIndex(CountIndex):
         restriction: RestrictedFunction,
         big_r: int,
         sizes: Optional[List[int]] = None,
-        classes: Optional[Tuple[List[Tuple[int, List[int]]], Counter]] = None,
     ) -> None:
         points = restriction.domain_points
         self.total = family_total(len(points), big_r)
         self.restriction, self.big_r = restriction, big_r
-        self._classes, self._class_sizes = _classes(restriction) if classes is None else classes
         self._holders: Optional[Dict[Tuple[int, int], List[int]]] = None
         if sizes is None:
             sizes = self._law()
@@ -236,7 +216,7 @@ class LawIndex(CountIndex):
     def _law(self) -> List[int]:
         """Run family_law on the class sizes, keep its holder rows and return
         its sizes of every count 0..R // 2."""
-        sizes, self._holders = family_law(self._class_sizes, self.big_r)
+        sizes, self._holders = family_law(self.restriction.classes[1], self.big_r)
         return sizes
 
     def _holder_rows(self) -> Dict[Tuple[int, int], List[int]]:
@@ -257,8 +237,9 @@ class LawIndex(CountIndex):
         domain and `big_r` is R - |P|, so the child's classes are this
         index's less K, and its vertices of count z are this index's holders
         of a (|K|, |P|) tuple of count z + 1."""
-        carved = [len(points) for image, points in self._classes
-                  if image in restriction.excluded_images]
+        recorded = restriction.table.images()
+        carved = [len(points) for image, points in self.restriction.classes[0]
+                  if image in recorded]
         shape = (carved[0], self.big_r - big_r) if len(carved) == 1 else None
         row = self._holder_rows().get(shape)
         if row is None:
@@ -266,10 +247,7 @@ class LawIndex(CountIndex):
                 f"({len(restriction.domain_points)} points, R = {big_r}) is not a "
                 f"family that a tuple of this one leaves"
             )
-        classes = [c for c in self._classes if c[0] not in restriction.excluded_images]
-        # Counter's difference drops the size if K was its last class
-        class_sizes = self._class_sizes - Counter({carved[0]: 1})
-        return LawIndex(restriction, big_r, row[1:], (classes, class_sizes))
+        return LawIndex(restriction, big_r, row[1:])
 
     def tuple_holders(self, live: List[bool]) -> Tuple[List[tuple], List[List[int]]]:
         """The tuples held by the vertices of the counts where `live` holds,
@@ -282,7 +260,7 @@ class LawIndex(CountIndex):
             if any(row):
                 shapes[shape] = row
         found, holders = [], []
-        for image, members in self._classes:
+        for image, members in self.restriction.classes[0]:
             for p in range(2, min(len(members), self.big_r) + 1):
                 row = shapes.get((len(members), p))
                 if row is None:

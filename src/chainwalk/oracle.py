@@ -9,11 +9,13 @@ not counted.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from operator import index
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -209,12 +211,13 @@ class RestrictedFunction:
     `domain_points` are the points left, ascending: every point whose image
     the collision table does not record, whether or not the table stored the
     point.  The simulated algorithm never reads the carved points directly;
-    they only show up through which basis labels are allowed.
+    they only show up through which basis labels are allowed.  `classes`
+    groups those points by image, on first read; it is the one grouping of a
+    restricted domain that the family indexes read.
     """
 
     base: FunctionTable
     table: CollisionTable
-    excluded_images: frozenset[int]
     domain_points: tuple[int, ...]
 
     @property
@@ -223,7 +226,26 @@ class RestrictedFunction:
 
     @property
     def codomain_size(self) -> int:
-        return self.base.params.codomain_size - len(self.excluded_images)
+        return self.base.params.codomain_size - len(self.table)
+
+    @functools.cached_property
+    def classes(self) -> Tuple[List[Tuple[int, List[int]]], Counter]:
+        """The image classes of the domain: those of two or more points as
+        (image, points) pairs in image order, each listing its points
+        ascending as the domain does, and the sizes of all of them,
+        singletons included, as law.family_law takes them ({size: how many
+        classes})."""
+        points = self.domain_points
+        table = self.base.images
+        images = [table[x] for x in points]
+        class_size = Counter(images)
+        classes: Dict[int, List[int]] = {
+            image: [] for image, size in class_size.items() if size >= 2
+        }
+        for point, image in zip(points, images):
+            if image in classes:
+                classes[image].append(point)
+        return sorted(classes.items()), Counter(class_size.values())
 
 
 def restrict(fn: FunctionTable, table: CollisionTable) -> RestrictedFunction:
@@ -241,9 +263,7 @@ def restrict(fn: FunctionTable, table: CollisionTable) -> RestrictedFunction:
             f"exclusion closure has {excluded} points, "
             f"needs fewer than {half}"
         )
-    return RestrictedFunction(
-        base=fn, table=table, excluded_images=recorded, domain_points=domain
-    )
+    return RestrictedFunction(base=fn, table=table, domain_points=domain)
 
 
 def enumerate_multicollisions(fn: FunctionTable):

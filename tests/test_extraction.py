@@ -649,8 +649,7 @@ def test_wide_images_read_like_vertex_data(m):
     top = (1 << m) - 1
     fn = FunctionTable(Params(n=21, m=m, k=0), np.full(1 << 21, top, dtype=np.int64))
     restriction = RestrictedFunction(
-        base=fn, table=CollisionTable(), excluded_images=frozenset(),
-        domain_points=tuple(range(61)),
+        base=fn, table=CollisionTable(), domain_points=tuple(range(61)),
     )
     index = FamilyIndex(restriction, 58)
     assert index.total == 35_990 and histogram(index) == {1: 35_990}
@@ -761,8 +760,7 @@ def test_index_reads_images_and_points_past_64_bits():
     # could not hold
     fn = FunctionTable(Params(n=22, m=44, k=0), np.zeros(1 << 22, dtype=np.int64))
     restriction = RestrictedFunction(
-        base=fn, table=CollisionTable(), excluded_images=frozenset(),
-        domain_points=(0, 1, 2),
+        base=fn, table=CollisionTable(), domain_points=(0, 1, 2),
     )
     index = FamilyIndex(restriction, 2)
     for combo in itertools.combinations((0, 1, 2), 2):

@@ -210,7 +210,7 @@ def test_child_checks_the_sizes_it_took_against_its_law():
     sizes = list(child.sizes)
     sizes[0], sizes[1] = sizes[1], sizes[0]
     assert sizes != child.sizes
-    forged = LawIndex(restriction, 4, sizes, (child._classes, child._class_sizes))
+    forged = LawIndex(restriction, 4, sizes)
     with pytest.raises(ContractViolationError, match="family law gives sizes"):
         forged.tuple_holders(live)
     assert child.tuple_holders(live) == LawIndex(restriction, 4).tuple_holders(live)

@@ -1,7 +1,11 @@
 """Tests for the function-table oracle layer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainwalk.errors import (
     CapacityError,
@@ -84,9 +88,33 @@ def test_enumerate_respects_restriction():
     fn = FunctionTable(Params(n=3, m=3, k=0), [0, 0, 0, 1, 1, 2, 3, 4])
     restriction = restrict(fn, CollisionTable().insert(fn, 0, (0, 1)))
     got = {image: pre for image, pre in enumerate_multicollisions(restriction.base)
-           if image not in restriction.excluded_images}
+           if image not in restriction.table.images()}
     assert got == {1: (3, 4)}
     assert set(got[1]) <= set(restriction.domain_points)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(3, 6), seed=st.integers(0, 2**16))
+def test_restriction_classes_are_the_ground_truth_less_the_table(data, n, seed):
+    """A restriction's classes are enumerate_multicollisions' entries less
+    the recorded images, points ascending, and its class sizes, singletons
+    included, sum to its domain size."""
+    fn = generate_function(Params(n=n, m=data.draw(st.integers(n, 2 * n)), k=0), seed)
+    truth = enumerate_multicollisions(fn)
+    chosen = data.draw(st.permutations(truth))[:data.draw(st.integers(0, 3))]
+    table, carved = CollisionTable(), 0
+    for image, points in chosen:
+        # keep the closure under half the domain, which restrict refuses
+        if carved + len(points) < fn.params.domain_size // 2:
+            cut = data.draw(st.lists(st.sampled_from(points), min_size=2, unique=True))
+            table, carved = table.insert(fn, image, cut), carved + len(points)
+    restriction = restrict(fn, table)
+    pairs, sizes = restriction.classes
+    assert pairs == [(image, list(points)) for image, points in truth
+                     if image not in table.images()]
+    assert sum(size * count for size, count in sizes.items()) == restriction.domain_size
+    assert Counter(len(points) for _, points in pairs) == Counter(
+        {size: count for size, count in sizes.items() if size >= 2})
 
 
 def test_birthday_mean_matches_closed_form():
@@ -181,7 +209,7 @@ def test_restrict_excludes_full_preimage_closure():
     assert restriction.domain_points == (3, 4, 5, 6, 7)
     assert restriction.domain_size == 5
     assert restriction.codomain_size == 7
-    assert restriction.excluded_images == {0}
+    assert restriction.table.images() == {0}
     assert [fn.value(x) for x in restriction.domain_points] == [1, 1, 2, 3, 4]
 
 
