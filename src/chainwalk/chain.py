@@ -32,6 +32,7 @@ closed-form prediction R + 2^k 2^(m/2)/sqrt(R) rides along for comparison.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -82,7 +83,8 @@ class ChainConfig:
     ceil(2^k 2^(m/2) / R); desk-scale sparse runs extract one tuple per
     iteration, so tests that need the full collision set raise the bound
     explicitly.  ell, seed and max_outer_iterations must be integers (not
-    bools); anything else raises ParameterError.
+    bools), and are stored as Python ints; anything else raises
+    ParameterError.
     """
 
     params: Params
@@ -91,9 +93,12 @@ class ChainConfig:
     max_outer_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        require_int(ell=self.ell, seed=self.seed)
+        ints = {"ell": self.ell, "seed": self.seed}
         if self.max_outer_iterations is not None:
-            require_int(max_outer_iterations=self.max_outer_iterations)
+            ints["max_outer_iterations"] = self.max_outer_iterations
+        require_int(**ints)
+        for name, value in ints.items():
+            object.__setattr__(self, name, operator.index(value))
         if self.ell < 1:
             raise ParameterError("ell must be at least 1 (R >= 2)")
         bound = (2 * self.params.k + self.params.m) / 3.0 + _ELL_SLACK

@@ -321,14 +321,11 @@ class ExtractionOutcome:
     kind "tuple": image/preimages hold the measured multicollision, collapsed
     is uniform over the shrunken family [lo-1, hi-1] with the preimages
     removed from every vertex and the collision table grown by one entry.
-    new_index is the shrunken family's index, built for its restriction; it
-    is None when the cut leaves the empty subset (R' = 0), on which
-    collapsed then lies alone (extract_once), or which leaves collapsed None
-    too (levels.extract_once, whose collapsed is a levels.Levels class
-    state).
+    When the cut leaves the empty subset (R' = 0), collapsed lies on it
+    alone (extract_once), or is None (levels.extract_once, whose collapsed
+    is a levels.Levels class state over the child index).
     kind "dummy", the dummy d_i: collapsed is uniform over the same family
-    narrowed to [lo, i-1], so new_family.hi is i - 1, and new_index is the
-    input's index.
+    narrowed to [lo, i-1], so new_family.hi is i - 1.
     """
 
     kind: str
@@ -336,7 +333,6 @@ class ExtractionOutcome:
     preimages: Optional[Tuple[int, ...]]
     collapsed: Union[State, "Levels", None]
     new_family: VertexFamily
-    new_index: Optional[FamilyIndex]
 
 
 def extract_once(
@@ -370,12 +366,11 @@ def extract_once(
         (i,) = struct.unpack_from(">H", token, 1)
         return ExtractionOutcome(
             kind="dummy", image=None, preimages=None, collapsed=State(vertices),
-            new_family=replace(family, hi=i - 1), new_index=index,
+            new_family=replace(family, hi=i - 1),
         )
     image, size = struct.unpack_from(">IB", token, 1)
     preimages = struct.unpack_from(f">{size}I", token, 6)
     new_family = family.after_tuple(image, preimages)
-    new_index = index.child(new_family.restriction, new_family.big_r) if new_family.big_r else None
     spell = struct.Struct(f">H{new_family.big_r}I").pack
     residual = {
         spell(new_family.big_r, *(p for p in decode_subset(key) if p not in preimages)): a
@@ -383,7 +378,7 @@ def extract_once(
     }
     return ExtractionOutcome(
         kind="tuple", image=image, preimages=preimages,
-        collapsed=State(residual), new_family=new_family, new_index=new_index,
+        collapsed=State(residual), new_family=new_family,
     )
 
 

@@ -12,23 +12,23 @@ Ref_B about span{b_x}.  W is the identity off span(A u B), so eigenphases are
 computed on that subspace only; the premise checked downstream is that the
 smallest nonzero phase is at least sqrt(delta).
 
-No E x V matrix is formed.  One vectorized edge list (source and target
-ordinals) serves both spectra: the adjacency P is one indexed assignment, and
-one eigh of P gives the basis of span(A u B).  Each eigenvector u of P, of
-eigenvalue lambda, gives the pair of unit vectors (A u +- B u) /
-sqrt(2(1 +- lambda)), which W maps to itself (Szegedy; Magniez-Nayak-Roland-
-Santha); a vector whose squared norm is below 1e-9 of the largest, at
-lambda = +-1, is dropped.  The reflections act on the edge space in O(E) per
-basis vector, the form in which Magniez-Nayak-Roland-Santha apply W.  The
-basis vectors pass through them in panels of _PANEL_COLUMNS, and each image
-is read back only in its own pair, after a check that it leaves no weight
-outside it.  So W's phases are measured on the edge space from one 2 x 2
-block per eigenvector, the working set is one E x _PANEL_COLUMNS panel
-besides the V x V P and its eigenvectors, and no 2V x 2V or rank x rank
-array is formed.
+No E x V matrix is formed.  One edge list, the ordered pairs of R-subsets
+that share R - 1 points, serves both spectra: the adjacency P is one
+indexed assignment, and one eigh of P gives the basis of span(A u B).  Each
+eigenvector u of P, of eigenvalue lambda, gives the pair of unit vectors
+(A u +- B u) / sqrt(2(1 +- lambda)), which W maps to itself (Szegedy;
+Magniez-Nayak-Roland-Santha); a vector whose squared norm is below 1e-9 of
+the largest, at lambda = +-1, is dropped.  The reflections act on the edge
+space in O(E) per basis vector, the form in which Magniez-Nayak-Roland-
+Santha apply W.  The basis vectors pass through them in panels of
+_PANEL_COLUMNS, and each image is read back only in its own pair, after a
+check that it leaves no weight outside it.  So W's phases are measured on
+the edge space from one 2 x 2 block per eigenvector, the working set is one
+E x _PANEL_COLUMNS panel besides the V x V P and its eigenvectors, and no
+2V x 2V or rank x rank array is formed.
 
-The edge list takes the R-subsets in itertools.combinations' lexicographic
-order, and _lex_ordinals ranks each swapped subset in that order.
+The vertex ordinals are positions in itertools.combinations' order, and the
+edge list reads adjacency off the subsets' membership matrix.
 """
 
 from __future__ import annotations
@@ -97,41 +97,21 @@ def _check_vertex_cap(graph: JohnsonGraph) -> None:
         raise CapacityError(f"{count} vertices exceeds dense solver cap {_MAX_VERTICES}")
 
 
-def _lex_ordinals(positions: np.ndarray, n: int) -> np.ndarray:
-    """The ordinal of each row of `positions` among the r-subsets of
-    range(n) in lexicographic order, r the row length: a row of sorted
-    positions c_0 < ... < c_{r-1} has ordinal C(n,r) - 1 - sum_i
-    C(n-1-c_i, r-i), each term at most C(n,r)."""
-    r = positions.shape[1]
-    # terms[i, c] = C(n-1-c, r-i) wherever position c can sit at place i
-    terms = np.zeros((r, n), dtype=np.int64)
-    for i in range(r):
-        for c in range(i, n - r + i + 1):
-            terms[i, c] = math.comb(n - 1 - c, r - i)
-    return math.comb(n, r) - 1 - terms[np.arange(r), positions].sum(axis=1)
-
-
 def _edge_list(graph: JohnsonGraph) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edges of J(N, R) as (src, dst) arrays over vertex ordinals.
 
-    Ordinals are positions in lexicographic order (_lex_ordinals).  Edges
-    are grouped by source, each vertex's d out-edges contiguous and in swap
-    order: for each of its R points in turn, that point swapped for each of
-    the N-R points outside it.
+    Ordinals are positions in itertools.combinations' order, and two
+    R-subsets are adjacent when they share R - 1 points: the edges are the
+    nonzeros of member @ member.T == R - 1, member the V x N membership
+    matrix, so they are grouped by source, each vertex's d out-edges
+    contiguous and its targets ascending.  Every overlap is at most R, so
+    the float product is exact.
     """
     n, r = graph.ground_size, graph.subset_size
-    v_count = graph.vertex_count
     combos = np.array(list(itertools.combinations(range(n), r)))
-    outside = np.ones((v_count, n), dtype=bool)
-    outside[np.arange(v_count)[:, None], combos] = False
-    outside = np.nonzero(outside)[1].reshape(v_count, n - r)
-    # swapped[v, i, j] is vertex v with its i-th point replaced by outside[v, j]
-    swapped = np.repeat(combos[:, None, None, :], r, axis=1).repeat(n - r, axis=2)
-    columns = np.arange(r)
-    swapped[:, columns, :, columns] = outside
-    dst = _lex_ordinals(np.sort(swapped.reshape(-1, r), axis=1), n)
-    src = np.repeat(np.arange(v_count), graph.degree)
-    return src, dst
+    member = np.zeros((len(combos), n))
+    member[np.arange(len(combos))[:, None], combos] = 1.0
+    return np.nonzero(member @ member.T == r - 1)
 
 
 def _transition_matrix(graph: JohnsonGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

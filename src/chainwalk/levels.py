@@ -226,8 +226,8 @@ def extract_once(
     d_i's the class's vertices below i, each tuple's, an (image, preimages)
     pair of the index's tuple_holders, its holders in the class.  A tuple
     outcome leaves the holders, which make up the index's child, each one
-    count lower; when the cut empties the vertex (R' = 0), collapsed and
-    new_index are None.  A dummy outcome d_i keeps the counts below i.
+    count lower; when the cut empties the vertex (R' = 0), collapsed is
+    None.  A dummy outcome d_i keeps the counts below i.
     """
     y = family.padding_width()
     check_class(state, family)
@@ -239,20 +239,19 @@ def extract_once(
     if outcome >= y:
         image, preimages = found[outcome - y]
         new_family = family.after_tuple(image, preimages)
-        new_index, collapsed = None, None
+        collapsed = None
         if new_family.big_r:
-            new_index = index.child(new_family.restriction, new_family.big_r)
+            child = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1
-            child = _class(new_index, 0, None) & {c - 1 for c in counts}
-            collapsed = Levels(new_index, child)
+            collapsed = Levels(child, _class(child, 0, None) & {c - 1 for c in counts})
         return ExtractionOutcome(
             kind="tuple", image=image, preimages=preimages,
-            collapsed=collapsed, new_family=new_family, new_index=new_index,
+            collapsed=collapsed, new_family=new_family,
         )
     return ExtractionOutcome(
         kind="dummy", image=None, preimages=None,
         collapsed=Levels(index, [c for c in counts if c <= outcome]),
-        new_family=replace(family, hi=outcome), new_index=index,
+        new_family=replace(family, hi=outcome),
     )
 
 

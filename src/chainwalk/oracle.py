@@ -32,9 +32,10 @@ from .errors import (
 class Params:
     """Problem size: n input bits, m output bits, 2^k collision tuples wanted.
 
-    n, m and k are integers (require_int) in the ranges 1 <= n <= m <= 2n
-    and 0 <= k <= 2n - m, so that a random function is expected to carry
-    about 2^(2n-m) collisions and the target is not larger than that.
+    n, m and k are integers (require_int), stored as Python ints, in the
+    ranges 1 <= n <= m <= 2n and 0 <= k <= 2n - m, so that a random function
+    is expected to carry about 2^(2n-m) collisions and the target is not
+    larger than that.
     """
 
     n: int
@@ -43,6 +44,8 @@ class Params:
 
     def __post_init__(self) -> None:
         require_int(n=self.n, m=self.m, k=self.k)
+        for name in ("n", "m", "k"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if not (1 <= self.n <= self.m <= 2 * self.n):
             raise ParameterError(
                 f"need 1 <= n <= m <= 2n, got n={self.n}, m={self.m}"

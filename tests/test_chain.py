@@ -207,6 +207,20 @@ def test_run_collects_every_collision():
             assert fn.value(x) == image
 
 
+def test_numpy_integers_run_as_python_ints():
+    """Each integer field given as np.int64 is stored as an int, and the
+    run's report is the Python-int run's, byte for byte."""
+    wide = np.int64
+    cfg = ChainConfig(params=Params(n=wide(4), m=wide(5), k=wide(1)), ell=wide(2),
+                      seed=wide(3), max_outer_iterations=wide(16))
+    plain = ChainConfig(params=Params(n=4, m=5, k=1), ell=2, seed=3,
+                        max_outer_iterations=16)
+    assert run(cfg).report_json() == run(plain).report_json()
+    fields = (cfg.params.n, cfg.params.m, cfg.params.k, cfg.ell, cfg.seed,
+              cfg.max_outer_iterations)
+    assert all(type(value) is int for value in fields)
+
+
 def test_run_deterministic():
     cfg = ChainConfig(params=Params(n=4, m=5, k=1), ell=3, seed=7,
                       max_outer_iterations=16)

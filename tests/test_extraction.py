@@ -519,7 +519,7 @@ def test_extract_tuple_dummy_path_pinned(seed, repairs, flip_stats, found, after
     assert (stats.iterations_used, stats.restarts, stats.attempts) == flip_stats
     assert (out.kind, out.image, out.preimages) == ("tuple", image, preimages)
     assert (out.new_family.lo, out.new_family.hi, out.new_family.big_r) == (0, 1, 4)
-    assert (out.collapsed.support(), out.new_index.total) == (998, 1001)
+    assert (out.collapsed.support(), out.collapsed.index.total) == (998, 1001)
     assert rng.random().hex() == after
 
 
@@ -723,9 +723,9 @@ def _restricted(values, dropped):
 def test_multiword_extraction_draws_a_dummy():
     """extract_once over [1, 2] on a domain of 70 points, where every vertex
     holds one tuple and the dummy d_2, draws dummies as well as tuples, each
-    as measuring the byte-key register draws it; a tuple's new index has
-    the class sizes of the law of its family.  No benchmarked run draws a
-    dummy."""
+    as measuring the byte-key register draws it; a tuple's family has a
+    child index with the class sizes of its law.  No benchmarked run draws
+    a dummy."""
     values = list(range(128))
     for low, high in ((3, 65), (10, 64), (63, 69)):
         values[high] = values[low]
@@ -750,7 +750,8 @@ def test_multiword_extraction_draws_a_dummy():
             assert (out.kind, out.image, out.preimages) == parsed
             assert out.collapsed.items() == _reference_residual(collapsed, parsed[2])
             law = LawIndex(out.new_family.restriction, 1)
-            assert out.new_index.sizes == law.sizes
+            child = index.child(out.new_family.restriction, out.new_family.big_r)
+            assert child.sizes == law.sizes
         assert rng.random() == ref_rng.random()
     assert kinds == {"dummy", "tuple"}
 
@@ -770,26 +771,26 @@ def test_index_reads_images_and_points_past_64_bits():
 
 
 def test_extract_once_empties_a_full_tuple_vertex():
-    """A vertex that is one whole tuple leaves the empty subset and no index:
+    """A vertex that is one whole tuple leaves the empty subset (R' = 0):
     the class [1, 1] of pairs is the four preimage pairs."""
     _, restriction = four_pair()
     index = FamilyIndex(restriction, 2)
     family = VertexFamily(restriction=restriction, big_r=2, lo=1, hi=1)
     out = extract_once(index.class_state(1, 1), family, np.random.default_rng(0), index)
     assert (out.kind, out.image, out.preimages) == ("tuple", 2, (4, 5))
-    assert out.new_index is None and out.new_family.big_r == 0
+    assert out.new_family.big_r == 0
     assert out.collapsed.items() == [(subset_key(()), 1.0 + 0j)]
 
 
 def test_index_holds_each_vertex_once():
-    """An index and the one a tuple outcome builds each hold every vertex
-    once, under its key with its count, and their class sizes, a list of
+    """An index and its child for a tuple outcome's family each hold every
+    vertex once, under its key with its count, and their class sizes, a list of
     exact ints, count those vertices by count."""
     _, restriction = eight_point()
     index = FamilyIndex(restriction, 4)
     family = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
     child = next(
-        out.new_index
+        index.child(out.new_family.restriction, out.new_family.big_r)
         for out in (extract_once(index.class_state(1, 2), family,
                                  np.random.default_rng(seed), index=index)
                     for seed in range(12))

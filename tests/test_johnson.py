@@ -18,7 +18,6 @@ from chainwalk.oracle import (
 from chainwalk.johnson import (
     JohnsonGraph,
     _edge_list,
-    _lex_ordinals,
     closed_form_gap,
     spectral_gap,
     walk_operator_spectrum,
@@ -61,7 +60,9 @@ def test_edge_list_follows_neighbors():
         index = {v: i for i, v in enumerate(verts)}
         src, dst = _edge_list(g)
         assert src.tolist() == [index[v] for v in verts for _ in range(g.degree)]
-        assert dst.tolist() == [index[w] for v in verts for w in neighbors(g, v)]
+        assert dst.tolist() == [
+            ordinal for v in verts for ordinal in sorted(index[w] for w in neighbors(g, v))
+        ]
 
 
 def test_closed_form_gap_values():
@@ -202,22 +203,6 @@ def test_walk_spectrum_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
-
-
-# r = 1 and r = N, and a few hundred points
-_SUBSET_GRID = [
-    (1, 1), (2, 1), (2, 2), (5, 3), (9, 9), (16, 8), (20, 1),
-    (63, 2), (63, 62), (64, 2), (64, 63), (64, 64), (65, 3), (65, 64),
-    (128, 2), (128, 127), (128, 128), (300, 2),
-]
-
-
-@pytest.mark.parametrize("n, r", _SUBSET_GRID)
-def test_combinations_match_itertools(n, r):
-    """The edge list's subset order, itertools.combinations', is the order
-    _lex_ordinals ranks: row i of the combinations has ordinal i."""
-    combos = np.array(list(itertools.combinations(range(n), r))).reshape(-1, r)
-    assert _lex_ordinals(combos, n).tolist() == list(range(math.comb(n, r)))
 
 
 def test_walk_spectrum_edge_cap():

@@ -97,7 +97,7 @@ def _extraction(index, family, seed):
     except SimulationError as exc:
         return type(exc).__name__, str(exc)
     residual = None if out.collapsed is None else out.collapsed.counts
-    sizes = None if out.new_index is None else out.new_index.sizes
+    sizes = None if out.collapsed is None else out.collapsed.index.sizes
     new = out.new_family
     left = (new.big_r, new.lo, new.hi, list(new.restriction.table.items()))
     return (out.kind, out.image, out.preimages, left, residual, sizes,

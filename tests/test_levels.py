@@ -263,8 +263,7 @@ def test_extract_tuple_dummy_path_matches_the_vector_path():
         assert (new.big_r, new.lo, new.hi, list(new.restriction.table.items())) == (
             ref_new.big_r, ref_new.lo, ref_new.hi, list(ref_new.restriction.table.items())
         ), seed
-        assert out.new_index is out.collapsed.index
-        assert out.new_index.total == ref.new_index.total
+        assert out.collapsed.index.total == index.child(ref_new.restriction, ref_new.big_r).total
         assert out.collapsed.support() == len(ref.collapsed)
         assert _same_state(out.collapsed, ref.collapsed), seed
         assert rng.random().hex() == ref_rng.random().hex(), seed
@@ -346,7 +345,8 @@ def test_extraction_step_dense_scenario_matches_the_vector_path():
         ref_ledger.charge_flip(fs, _delta_for(ref_family))
         ref_ledger.oracle_queries += len(out.preimages)
         ref_tuples.append((out.image, out.preimages))
-        ref_state, ref_family, ref_index = out.collapsed, out.new_family, out.new_index
+        ref_state, ref_family = out.collapsed, out.new_family
+        ref_index = ref_index.child(ref_family.restriction, ref_family.big_r)
     assert tuples == ref_tuples == [(0, (0, 1)), (7, (14, 15))]
     assert (new_family.big_r, new_family.lo, new_family.hi,
             list(new_family.restriction.table.items())) == (

@@ -38,24 +38,29 @@ def scan_tree(tmp_path_factory):
     return tree
 
 
-def _scan_with(tree, module, anchor, added):
-    """The scan of `tree` with the lines `added` put before `anchor` in
-    src/chainwalk/`module`, which is restored afterwards."""
-    source = tree / "src" / "chainwalk" / module
-    text = source.read_text()
-    assert text.count(anchor) == 1
-    source.write_text(text.replace(anchor, added + anchor))
+def _scan_with(tree, *edits):
+    """The scan of `tree` with each edit (module, anchor, added) putting the
+    lines `added` before `anchor` in src/chainwalk/`module`; the edited
+    files are restored afterwards."""
+    originals = {}
     try:
+        for module, anchor, added in edits:
+            source = tree / "src" / "chainwalk" / module
+            text = source.read_text()
+            originals.setdefault(source, text)
+            assert text.count(anchor) == 1
+            source.write_text(text.replace(anchor, added + anchor))
         return subprocess.run([sys.executable, str(tree / "tools" / "callers.py")],
                               capture_output=True, text=True, timeout=60)
     finally:
-        source.write_text(text)
+        for source, text in originals.items():
+            source.write_text(text)
 
 
 def _scan_with_a_method(tree, name):
     """The scan with a plain method `name` added to levels.Levels."""
-    return _scan_with(tree, "levels.py", "    def support(self) -> int:\n",
-                      f"    def {name}(self) -> int:\n        return 0\n\n")
+    return _scan_with(tree, ("levels.py", "    def support(self) -> int:\n",
+                             f"    def {name}(self) -> int:\n        return 0\n\n"))
 
 
 def test_callers_finds_an_unread_method(scan_tree):
@@ -79,10 +84,25 @@ def test_callers_counts_only_calls_of_a_plain_method(scan_tree):
 def test_callers_finds_an_unread_field(scan_tree):
     """With a field that nothing reads added to the dataclass
     amplify.FlipStats, the scan lists it and exits 1."""
-    found = _scan_with(scan_tree, "amplify.py", "    attempts: int = 0\n",
-                       "    never_read: int = 0\n")
+    found = _scan_with(scan_tree, ("amplify.py", "    attempts: int = 0\n",
+                                   "    never_read: int = 0\n"))
     assert found.returncode == 1
     assert "  amplify.FlipStats.never_read (1 lines)" in found.stdout.splitlines()
+
+
+def test_callers_does_not_count_a_local_as_a_field(scan_tree):
+    """A field weights of extraction.ExtractionOutcome, set by keyword in
+    levels.extract_once from its local variable weights and read nowhere
+    as an attribute, is listed: a local of the same name is not a read of
+    the field."""
+    found = _scan_with(
+        scan_tree,
+        ("extraction.py", "\n\ndef extract_once(", "    weights: Optional[list] = None\n"),
+        ("levels.py", "            collapsed=collapsed, new_family=new_family,\n",
+         "            weights=weights,\n"),
+    )
+    assert found.returncode == 1
+    assert "  extraction.ExtractionOutcome.weights (1 lines)" in found.stdout.splitlines()
 
 
 def _reads(tree: ast.AST) -> set:

@@ -3,19 +3,21 @@ uses.
 
 A definition is a top-level function, class or assigned name of a module in
 src/chainwalk, or a method, property or annotated field of such a class
-(module.Class.name).  It counts as used when its name is read (a plain name
-or an attribute) anywhere in src/, tools/, perfbench/ or
-tests/test_acceptance.py, outside its own definition.  A plain method, one
-with no decorator, counts as used only where its name is called, so a method
+(module.Class.name).  It counts as used when its name is read anywhere in
+src/, tools/, perfbench/ or tests/test_acceptance.py, outside its own
+definition, and what counts as a read depends on the definition.  A
+top-level definition counts any read of its name, a plain name or an
+attribute.  A field, a property, a classmethod or any other decorated method
+counts only its name read or written as an attribute (x.name), so a local
+variable or a keyword argument of that name is not a use.  A plain method,
+one with no decorator, counts only where its name is called, so a method
 that shares its name with an attribute read elsewhere (`out.preimages`) is
-still listed; a property, a classmethod, a field and every top-level
-definition count any read, a write to an attribute of that name included.
-Imports are not uses, so an imported function that no code calls is listed.
-Names are matched without their module or class, so a name defined in two
-places counts as used by a read of either: every fn.value(x) of a
-FunctionTable hid RestrictedFunction.value, which only unit tests called, and
-a local variable `valid` hid CostPrediction.valid.  A definition read only
-through getattr, vars(), a string or a caller outside the scope is not seen.
+still listed.  Imports are not uses, so an imported function that no code
+calls is listed.  Names are matched without their module or class, so a
+name defined in two places counts as used by a read of either: every
+fn.value(x) of a FunctionTable hid RestrictedFunction.value, which only unit
+tests called.  A definition read only through getattr, vars(), a string or a
+caller outside the scope is not seen.
 Dunder methods are not scanned: len(), `in` and operators read them without
 naming them.  A listed name that tests/test_acceptance.py imports is marked,
 since that file's imports must keep resolving.
@@ -65,6 +67,10 @@ KEPT = {
     "statevector.states_close": "the phase-blind state comparison of the extraction tests",
     # methods, properties and fields that only the unit tests, kept
     # definitions or callers outside the scope read
+    "extraction.FamilyIndex.axis": (
+        "the uniform axis that hop flips against, cached per index; the axis of"
+        " the vector references in test_extraction.py and test_levels.py"
+    ),
     "cli._Parser.error": (
         "argparse.ArgumentParser calls it on a usage error; the override exits 1"
     ),
@@ -93,14 +99,17 @@ def is_method(node: ast.AST) -> bool:
     )
 
 
+def attribute_names(node: ast.AST) -> set[str]:
+    """The names read or written as an attribute: name of each x.name."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def read_names(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+    """The plain names loaded and the attribute names."""
+    return attribute_names(node) | {
+        sub.id for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
 
 
 def called_names(node: ast.AST) -> set[str]:
@@ -115,12 +124,23 @@ def called_names(node: ast.AST) -> set[str]:
     return names
 
 
+# how each kind of definition counts a use: a top-level definition any read
+# of its name, a field, property or decorated method an attribute, a plain
+# method a call
+USES = {"read": read_names, "attribute": attribute_names, "call": called_names}
+
+
+def uses(nodes: list[ast.AST], own: set[str]) -> dict[str, set[str]]:
+    """The names `nodes` use, by kind of use, less their own names."""
+    return {kind: set().union(*map(find, nodes)) - own for kind, find in USES.items()}
+
+
 def main() -> int:
-    # (name, lines, whether only a call uses it) of each definition, and the
-    # names each top-level statement and each method of the scope reads and
-    # calls, with the definitions it lies in: a method lies in its class too
-    definitions: dict[str, tuple[str, int, bool]] = {}
-    reads: list[tuple[tuple[str, ...], set[str], set[str]]] = []
+    # (name, lines, kind of use that counts) of each definition, and the
+    # names each top-level statement and each method of the scope uses, with
+    # the definitions it lies in: a method lies in its class too
+    definitions: dict[str, tuple[str, int, str]] = {}
+    reads: list[tuple[tuple[str, ...], dict[str, set[str]]]] = []
     for path in SCOPE:
         tree = ast.parse(path.read_text(), filename=str(path))
         in_package = path.parent == PACKAGE
@@ -128,7 +148,7 @@ def main() -> int:
             names = defined_names(node)
             owners = tuple(f"{path.stem}.{name}" for name in names) if in_package else ()
             for qualified, name in zip(owners, names):
-                definitions[qualified] = (name, node.end_lineno - node.lineno + 1, False)
+                definitions[qualified] = (name, node.end_lineno - node.lineno + 1, "read")
             methods = []
             if in_package and isinstance(node, ast.ClassDef):
                 methods = [sub for sub in node.body if is_method(sub)]
@@ -136,17 +156,15 @@ def main() -> int:
                     if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
                         qualified = f"{owners[0]}.{sub.target.id}"
                         lines = sub.end_lineno - sub.lineno + 1
-                        definitions[qualified] = (sub.target.id, lines, False)
+                        definitions[qualified] = (sub.target.id, lines, "attribute")
             for method in methods:
                 qualified = f"{owners[0]}.{method.name}"
                 lines = method.end_lineno - method.lineno + 1
-                definitions[qualified] = (method.name, lines, not method.decorator_list)
-                own = {method.name}
-                reads.append(((*owners, qualified), read_names(method) - own,
-                              called_names(method) - own))
+                kind = "attribute" if method.decorator_list else "call"
+                definitions[qualified] = (method.name, lines, kind)
+                reads.append(((*owners, qualified), uses([method], {method.name})))
             rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
-            reads.append((owners, set().union(*map(read_names, rest)) - set(names),
-                          set().union(*map(called_names, rest)) - set(names)))
+            reads.append((owners, uses(rest, set(names))))
 
     acceptance_imports = {
         alias.name
@@ -162,12 +180,10 @@ def main() -> int:
 
     dead: set[str] = set()
     while True:
-        live = [(names, calls) for owners, names, calls in reads
-                if not dead.intersection(owners)]
-        used = set().union(*(names for names, _ in live))
-        called = set().union(*(calls for _, calls in live))
-        found = sorted(q for q, (name, _, call_only) in definitions.items()
-                       if q not in dead and name not in (called if call_only else used))
+        live = [named for owners, named in reads if not dead.intersection(owners)]
+        used = {kind: set().union(*(named[kind] for named in live)) for kind in USES}
+        found = sorted(q for q, (name, _, kind) in definitions.items()
+                       if q not in dead and name not in used[kind])
         if not found:
             break
         unlisted = [q for q in found if q not in KEPT]
