@@ -487,12 +487,8 @@ def run(config: ChainConfig) -> ChainResult:
     )
     restriction = restrict(fn, CollisionTable())
     big_r = config.vertex_size
-    if big_r > restriction.domain_size:
-        raise ParameterError(
-            f"initial vertex size {big_r} exceeds the domain "
-            f"({restriction.domain_size} points)"
-        )
-
+    # LawIndex refuses an R above the domain, as every family index does
+    # (law.family_total)
     state = Levels.uniform(LawIndex(restriction, big_r))
     family = VertexFamily(restriction, big_r, 0, None)
     ledger.setup_calls = 1

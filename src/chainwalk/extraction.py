@@ -60,8 +60,9 @@ from .errors import (
     ValidationError,
 )
 from .law import CountIndex, family_total
-from .oracle import RestrictedFunction, restrict
+from .oracle import RestrictedFunction, require_int, require_ints, restrict
 from .statevector import BasisKey, State, decode_subset, measure
+from .stats import collision_counts
 
 if TYPE_CHECKING:
     from .levels import Levels
@@ -74,20 +75,26 @@ HeldTuple = Tuple[int, Tuple[int, ...]]
 
 
 def tuple_token(image: int, preimages) -> bytes:
-    """Serialized extraction-register value for one multicollision tuple."""
-    pres = tuple(sorted(int(p) for p in preimages))
+    """Serialized extraction-register value for one multicollision tuple.
+    The image and each preimage must be integers (require_int)."""
+    require_int(image=image)
+    image = operator.index(image)
+    pres = tuple(sorted(require_ints("preimage", preimages)))
     if len(pres) < 2:
         raise ParameterError("a tuple token needs at least two preimages")
     if len(pres) > 255:
         raise ParameterError("tuple too large to serialize")
-    if not (0 <= int(image) < 1 << 32 and 0 <= pres[0] and pres[-1] < 1 << 32):
+    if not (0 <= image < 1 << 32 and 0 <= pres[0] and pres[-1] < 1 << 32):
         raise ParameterError("tuple image and preimages must lie in [0, 2**32)")
-    body = struct.pack(">IB", int(image), len(pres))
+    body = struct.pack(">IB", image, len(pres))
     return _TUPLE_TAG + body + b"".join(struct.pack(">I", p) for p in pres)
 
 
 def dummy_token(index: int) -> bytes:
-    """Serialized extraction-register value for the dummy branch d_index."""
+    """Serialized extraction-register value for the dummy branch d_index,
+    an integer (require_int)."""
+    require_int(index=index)
+    index = operator.index(index)
     if not (1 <= index < (1 << 16)):
         raise ParameterError(f"dummy index out of range: {index}")
     return _DUMMY_TAG + struct.pack(">H", index)
@@ -159,10 +166,11 @@ class FamilyIndex(CountIndex):
 
     `counts` maps each vertex's byte key, in lexicographic order, to its
     count: with the vertex's images sorted, each class it meets twice or
-    more is a run of equal images.  `tuples` maps each key to the tuples the
-    vertex holds, as (image, preimages) pairs in image order, its points
-    grouped by image on first read: only extraction and tuple_holders read
-    them.
+    more is a run of equal images, and stats.collision_counts, the
+    sampler's run count, counts the runs.  `tuples` maps each key to the
+    tuples the vertex holds, as (image, preimages) pairs in image order, its
+    points grouped by image on first read: only extraction and
+    tuple_holders read them.
     """
 
     def __init__(self, restriction: RestrictedFunction, big_r: int) -> None:
@@ -175,10 +183,7 @@ class FamilyIndex(CountIndex):
         # each vertex's images, in the vertices' order, sorted
         images = itertools.combinations([restriction.base.images[x] for x in domain], big_r)
         rows = np.fromiter(itertools.chain.from_iterable(images), np.int64)
-        rows = np.sort(rows.reshape(self.total, big_r), axis=1)
-        equal = rows[:, 1:] == rows[:, :-1]
-        # a run starts at an equal pair that no equal pair precedes
-        counts = equal[:, :1].sum(axis=1) + (equal[:, 1:] & ~equal[:, :-1]).sum(axis=1)
+        counts = collision_counts(np.sort(rows.reshape(self.total, big_r), axis=1))
         self.counts: Dict[BasisKey, int] = dict(zip(keys, counts.tolist()))
         # the class size |V_c| of every count c = 0..max_count
         self.sizes: List[int] = np.bincount(counts).tolist()

@@ -268,13 +268,13 @@ def extract_tuple(
     Returns the tuple outcome and the work record.  Each event is appended
     to `trace`; for a dummy event interval_after is the narrowed interval
     before repair and iterations is the repair's diffusion-iteration count.
+    A family with lo < 1 is refused here, and one without a finite upper
+    bound by the first extract_once (VertexFamily.padding_width).
     """
     if family.lo < 1:
         raise ParameterError(
             "tuple extraction requires every vertex to hold a tuple (lo >= 1)"
         )
-    if family.hi is None:
-        raise ParameterError("tuple extraction requires a finite upper bound")
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
         out = extract_once(state, family, rng)

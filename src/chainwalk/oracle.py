@@ -15,9 +15,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from operator import index
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from ._stream import integers
 from .errors import (
@@ -67,10 +65,10 @@ class Params:
 class FunctionTable:
     """Explicit value table for f with a thread-safe query counter.
 
-    The table itself is immutable: `images` holds its values as a tuple of
-    Python ints, and `values()` the same values as a read-only int64 array,
-    built on its first call.  `query_count` only reflects counted accesses:
-    per-point `query` calls and bulk `charge` amounts.
+    The table itself is immutable: `images` holds its values, once, as a
+    tuple of Python ints (require_ints), and `values()` builds them into a
+    read-only int64 array on each call.  `query_count` only reflects counted
+    accesses: per-point `query` calls and bulk `charge` amounts.
     """
 
     def __init__(self, params: Params, values) -> None:
@@ -79,7 +77,7 @@ class FunctionTable:
         # the caller's values are copied, never kept
         listed = values.tolist() if hasattr(values, "tolist") else values
         try:
-            images = tuple(map(index, listed))
+            images = require_ints("table value", listed)
         except TypeError:
             raise ParameterError("table values must be integers, one per domain point") from None
         if len(images) != params.domain_size:
@@ -90,7 +88,6 @@ class FunctionTable:
             raise ParameterError("table value out of codomain range")
         self.params = params
         self.images = images
-        self._values: Optional[np.ndarray] = None
         self._count = 0
         self._lock = threading.Lock()
 
@@ -121,13 +118,14 @@ class FunctionTable:
         with self._lock:
             self._count += amount
 
-    def values(self) -> np.ndarray:
-        """The full table as a read-only int64 array."""
-        if self._values is None:
-            values = np.array(self.images, dtype=np.int64)
-            values.setflags(write=False)
-            self._values = values
-        return self._values
+    def values(self):
+        """The full table as a read-only int64 numpy array, built on each
+        call: only tests read it, so a run never imports numpy for it."""
+        import numpy as np
+
+        values = np.array(self.images, dtype=np.int64)
+        values.setflags(write=False)
+        return values
 
 
 def require_int(**values) -> None:
@@ -136,6 +134,18 @@ def require_int(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def require_ints(name: str, values) -> Tuple[int, ...]:
+    """The `values` as a tuple of Python ints, after require_int accepts
+    each one under `name`."""
+    values = tuple(values)
+    # a numpy int, or what is no integer at all
+    if set(map(type, values)) - {int}:
+        for value in values:
+            require_int(**{name: value})
+        values = tuple(map(index, values))
+    return values
 
 
 def require_real(**values) -> None:
@@ -187,8 +197,11 @@ class CollisionTable:
         return frozenset(out)
 
     def insert(self, fn: FunctionTable, image: int, preimages) -> "CollisionTable":
-        """Validated copy-and-insert of one collision tuple."""
-        pre = tuple(sorted(int(x) for x in preimages))
+        """Validated copy-and-insert of one collision tuple.  The image and
+        each preimage must be integers (require_int)."""
+        require_int(image=image)
+        image = index(image)
+        pre = tuple(sorted(require_ints("preimage", preimages)))
         if len(pre) < 2:
             raise ValidationError("a collision tuple needs at least 2 preimages")
         if len(set(pre)) != len(pre):
@@ -203,7 +216,7 @@ class CollisionTable:
                 raise ValidationError(f"point {x} does not map to image {image}")
         out = CollisionTable()
         out._entries = dict(self._entries)
-        out._entries[int(image)] = pre
+        out._entries[image] = pre
         return out
 
 

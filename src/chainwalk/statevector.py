@@ -36,6 +36,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from ._stream import Uniform
 from .errors import ContractViolationError, ValidationError
+from .oracle import require_ints
 
 PRUNE_EPS = 1e-12
 NORM_TOL = 1e-9
@@ -45,8 +46,9 @@ Labels = Callable[[BasisKey], object]
 
 
 def subset_key(points: Iterable[int]) -> BasisKey:
-    """Canonical key for a set of domain points (order independent)."""
-    pts = sorted(set(int(p) for p in points))
+    """Canonical key for a set of domain points (order independent), each
+    an integer (require_int)."""
+    pts = sorted(set(require_ints("point", points)))
     for p in pts:
         if p < 0 or p > 0xFFFFFFFF:
             raise ValidationError(f"point {p} out of encodable range")

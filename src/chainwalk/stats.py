@@ -103,7 +103,8 @@ def _map_blocks(worker, jobs, threads: int):
 
 def collision_counts(sorted_rows: np.ndarray) -> np.ndarray:
     """Z of each row of a table whose rows are sorted: its runs of two or
-    more equal values, as int64.
+    more equal values, as int64.  The sampler's blocks and
+    extraction.FamilyIndex's vertices are both counted here.
 
     Rows of a width that is a multiple of 8 and below 512 are counted by
     byte lanes: the run-start flags of a row are width / 8 uint64 words,

@@ -250,8 +250,11 @@ def test_run_capacity_stop():
 
 
 def test_run_rejects_oversized_vertex():
+    """R above the domain: the law index refuses it (law.family_total)."""
     with pytest.raises(ParameterError):
         run(ChainConfig(params=Params(n=2, m=4, k=0), ell=3, seed=0))
+    with pytest.raises(ParameterError):
+        run(ChainConfig(Params(1, 1, 0), ell=2, seed=0))
 
 
 def test_run_refuses_a_negative_seed():

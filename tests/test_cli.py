@@ -178,3 +178,10 @@ def test_package_root_imports_no_submodule():
     """The package root defines only __version__, so importing it loads no
     chainwalk submodule and no numpy."""
     assert _fresh_modules("import chainwalk", "chainwalk", "numpy") == "['chainwalk']"
+
+
+def test_oracle_imports_numpy_only_for_its_array():
+    """oracle imports numpy inside FunctionTable.values() alone, so neither
+    it nor the law and the vector layer, which read it, load numpy."""
+    imports = "import chainwalk.oracle, chainwalk.law, chainwalk.statevector, chainwalk.amplify"
+    assert _fresh_modules(imports, "numpy") == "[]"

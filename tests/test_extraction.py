@@ -95,6 +95,41 @@ def test_token_validation():
             parse_token(junk)
 
 
+_EIGHT = FunctionTable(Params(n=3, m=3, k=1), [0, 0, 1, 1, 2, 2, 3, 4])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: CollisionTable().insert(_EIGHT, 0.0, [1.7, 0.2]), id="insert-floats"),
+    pytest.param(lambda: CollisionTable().insert(_EIGHT, False, [True, 0]), id="insert-bools"),
+    pytest.param(lambda: CollisionTable().insert(_EIGHT, 0, [1.0, 0]), id="insert-preimage-float"),
+    pytest.param(lambda: subset_key([1.9, 2]), id="subset_key-float"),
+    pytest.param(lambda: subset_key([True, 2]), id="subset_key-bool"),
+    pytest.param(lambda: tuple_token(1.5, (2.7, 3)), id="tuple_token-floats"),
+    pytest.param(lambda: tuple_token(1, (2, "3")), id="tuple_token-str"),
+    pytest.param(lambda: dummy_token(1.5), id="dummy_token-float"),
+    pytest.param(lambda: dummy_token(True), id="dummy_token-bool"),
+    pytest.param(lambda: FunctionTable(Params(1, 1, 0), [True, False]), id="FunctionTable-bools"),
+    pytest.param(lambda: FunctionTable(Params(1, 1, 0), np.array([True, False])),
+                 id="FunctionTable-bool-array"),
+])
+def test_acceptance_api_refuses_non_integers(call):
+    """Each call truncated a float, took a bool as an int, or raised a bare
+    struct.error; each now raises ParameterError."""
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_acceptance_api_takes_numpy_integers():
+    """numpy integers pass the same checks, and give what Python ints give."""
+    i = np.int64
+    assert (CollisionTable().insert(_EIGHT, i(0), [i(1), i(0)]).items()
+            == CollisionTable().insert(_EIGHT, 0, [1, 0]).items())
+    assert subset_key(np.array([3, 1])) == subset_key([1, 3])
+    assert tuple_token(i(1), np.array([3, 2])) == tuple_token(1, (2, 3))
+    assert dummy_token(np.uint16(2)) == dummy_token(2)
+    assert FunctionTable(Params(1, 1, 0), [i(1), i(0)]).images == (1, 0)
+
+
 def test_vertex_family_validation():
     _, restriction = eight_point()
     fam = VertexFamily(restriction=restriction, big_r=4, lo=1, hi=2)
