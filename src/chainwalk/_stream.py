@@ -6,6 +6,14 @@ measurement stream, default_rng([seed, 1]) read only through random().
 `integers` and `Stream` give exactly those draws, so a run builds no numpy
 Generator.
 
+Every measurement outcome, on the class path (levels) and on the vector
+path (statevector.measure), is drawn by `choose`, the one reader of
+random() outside Stream: over labels of integer weights, it takes the
+first whose cumulative weight exceeds u times their total, compared
+exactly in integers, u being the stream's dyadic draw.  So the outcome at
+a boundary is the one Fraction arithmetic gives, however many labels there
+are and however large their weights.
+
 Seeding is numpy's SeedSequence with its default pool of four words: the
 seed's 32-bit words, least significant first and concatenated over a list,
 are hashed into the pool (mix_entropy), and generate_state(4, uint64) hashes
@@ -23,6 +31,7 @@ random() is the top 53 bits of a 64-bit output times 2^-53.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import index
 from typing import List, Protocol
 
@@ -133,6 +142,19 @@ def integers(seed, m: int, size: int) -> List[int]:
             x = ((state >> 64 ^ state) & _M64) * _TWICE >> (state >> 122)
             append((x & _M64) >> shift)
     return out
+
+
+def choose(weights: List[int], rng: Uniform) -> int:
+    """The label the stream's next draw u selects among labels of integer
+    `weights`, in label order: the first whose cumulative weight exceeds u
+    times their total.  u is a dyadic rational num / den, so the comparison
+    num * total < den * cumulative is exact."""
+    num, den = float(rng.random()).as_integer_ratio()
+    bar = num * sum(weights)
+    # u < 1, so a positive total exceeds u times itself; the last label at a
+    # zero total
+    return next((label_id for label_id, acc in enumerate(accumulate(weights))
+                 if bar < den * acc), len(weights) - 1)
 
 
 class Stream:

@@ -45,7 +45,6 @@ from .errors import (
     ContractViolationError,
     FlaggedInstanceError,
     ParameterError,
-    SimulationError,
 )
 from .extraction import VertexFamily, in_range
 from .johnson import closed_form_gap
@@ -59,7 +58,7 @@ from .oracle import (
     require_real,
     restrict,
 )
-from .levels import Levels, check_class, extract_tuple, flip, hop_out, measure
+from .levels import Levels, check_class, extract_tuple, flip, hop_until, measure
 from .stats import IntervalPlan, window
 
 _ELL_SLACK = 4
@@ -416,10 +415,10 @@ def walk_step(
     The count cells are [0, E-T-1], [E-T, E], [E+1, E+T] and [E+T+1, inf).
     The state is uniform over the family's class, which the premise puts in
     the second cell, so the walk starts from that class without measuring
-    and hops from the class to a cell of its complement until the third
-    cell comes up.  The hops' iterations are charged as diffusions, once,
-    from their merged work record.  Returns (state, family over [E+1, E+T],
-    stats).
+    and hops (levels.hop_until) from the class to a cell of its complement
+    until the third cell comes up.  The hops' iterations are charged as
+    diffusions, once, from their merged work record.  Returns (state,
+    family over [E+1, E+T], stats).
     """
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
@@ -440,18 +439,14 @@ def walk_step(
             return 2
         return 3
 
-    stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
-        state, fs = hop_out(state, cell_of, rng)
-        stats.absorb(fs)
-        if cell_of(min(state.counts)) == 2:
-            ledger.charge_flip(stats, _delta_for(family))
-            new_family = replace(family, lo=e_now + 1, hi=e_now + width)
-            check_class(state, new_family)
-            return state, new_family, stats
-    raise SimulationError(
-        f"walk step did not reach the target cell in {MAX_TRANSITIONS} hops"
+    state, stats = hop_until(
+        state, lambda _: cell_of, lambda current: cell_of(min(current.counts)) == 2, rng,
+        f"walk step did not reach the target cell in {MAX_TRANSITIONS} hops",
     )
+    ledger.charge_flip(stats, _delta_for(family))
+    new_family = replace(family, lo=e_now + 1, hi=e_now + width)
+    check_class(state, new_family)
+    return state, new_family, stats
 
 
 def _record(result_trace, step, phase, family, support, **extra) -> None:

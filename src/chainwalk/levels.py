@@ -16,21 +16,23 @@ maps a class to a class, with no vector over the vertices, no amplitude and
 no sign.  A flip lands with chance cos^2 phi, of period pi, and no count,
 cell or padded draw reads a global sign.
 
-From a class state every outcome of a measurement has an integer weight: a
-count label's is the sum of |V_c| over its counts in the class, the padded
-register's dummy d_i's the class's vertices below i and a tuple's its
-holders in the class, over y times the class's size.  _draw compares the
-stream's dyadic draw u with them exactly, in integers, so classes past
-2^63 vertices draw like small ones.  A flip's t rounds turn a state of
-Grover's plane at angle phi, sin phi on the good-uniform state and cos phi
-on the bad-uniform one, by 2 t theta, sin^2 theta = |G|/V, and its flag
-then lands bad with the closed-form float chance cos^2 phi.  A class that
-is neither the axis nor one side of the flags lies off that plane and is
-refused.  The flip's plan is amplify.flip_rounds' on the axis's good share
-|G|/V, one correctly rounded division of exact ints, so it reads 1/3 at
-|G| = V/3 and exactly 1/2 at |G| = V/2 however large V is; the vector flip
-plans from the same float on a uniform axis.  The axis's angle is read off
-|G|/V and |B|/V too, which a float holds where V past 2^1024 would not.
+Every outcome is drawn by _stream.choose, the package's one draw rule,
+over integer weights.  From a class state every outcome of a measurement
+has one: a count label's is the sum of |V_c| over its counts in the class,
+the padded register's dummy d_i's the class's vertices below i and a
+tuple's its holders in the class, over y times the class's size, so
+classes past 2^63 vertices draw like small ones.  A flip's t rounds turn a
+state of Grover's plane at angle phi, sin phi on the good-uniform state and
+cos phi on the bad-uniform one, by 2 t theta, sin^2 theta = |G|/V, and its
+flag then lands bad with the closed-form float chance cos^2 phi, drawn as
+the weights (p, q - p) of that float's exact ratio p / q; a flip with no
+rounds lands with weights (|B|, |G|).  A class that is neither the axis nor
+one side of the flags lies off that plane and is refused.  The flip's plan
+is amplify.flip_rounds' on the axis's good share |G|/V, one correctly
+rounded division of exact ints, so it reads 1/3 at |G| = V/3 and exactly
+1/2 at |G| = V/2 however large V is; the vector flip plans from the same
+float on a uniform axis.  The axis's angle is read off |G|/V and |B|/V
+too, which a float holds where V past 2^1024 would not.
 
 The index is read only through law.CountIndex's count-level questions: the
 sizes and their total, class sizes, per-count labels, the held tuples as
@@ -53,7 +55,7 @@ import math
 from dataclasses import replace
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from ._stream import Uniform
+from ._stream import Uniform, choose
 from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_attempts, flip_rounds
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import ExtractionOutcome, VertexFamily, repair_classes
@@ -92,21 +94,6 @@ class Levels:
         return sum(self.index.sizes[c] for c in self.counts)
 
 
-def _draw(weights: List[int], rng: Uniform) -> int:
-    """The label the stream's next draw u selects among labels of integer
-    `weights`, in sorted label order: the first whose cumulative weight
-    exceeds u times their total.  u is a dyadic rational num / den, so the
-    comparison num * total < den * cumulative is exact."""
-    num, den = float(rng.random()).as_integer_ratio()
-    bar, acc = num * sum(weights), 0
-    for label_id, weight in enumerate(weights[:-1]):
-        acc += weight
-        if bar < den * acc:
-            return label_id
-    # u < 1, so the last label's cumulative weight, the total, exceeds it
-    return len(weights) - 1
-
-
 def measure(state: Levels, label: Callable[[int], object], rng: Uniform):
     """statevector.measure of the register label(count): (outcome, collapsed)."""
     table, sizes = state.index.per_count(label), state.index.sizes
@@ -114,7 +101,7 @@ def measure(state: Levels, label: Callable[[int], object], rng: Uniform):
     for c in state.counts:
         weights[table[c]] = weights.get(table[c], 0) + sizes[c]
     distinct = sorted(weights)
-    chosen = distinct[_draw([weights[label] for label in distinct], rng)]
+    chosen = distinct[choose([weights[label] for label in distinct], rng)]
     kept = [c for c in state.counts if table[c] == chosen]
     return chosen, Levels(state.index, kept)
 
@@ -154,13 +141,15 @@ def flip(
     for _ in range(attempts):
         stats.attempts += 1
         if rounds is None:
-            landed = bool(_draw([bad_size, good_size], rng))
+            weights = [bad_size, good_size]
         else:
             if state.counts not in plane:
                 raise ValidationError("state's class is neither the axis nor a side of the flip")
             phi = math.atan2(*plane[state.counts]) + turn
             stats.iterations_used += rounds
-            landed = float(rng.random()) >= math.cos(phi) ** 2
+            bad, whole = (math.cos(phi) ** 2).as_integer_ratio()
+            weights = [bad, whole - bad]
+        landed = bool(choose(weights, rng))
         state = Levels(index, sides[landed])
         if landed == (want is Want.GOOD):
             return state, stats
@@ -180,16 +169,28 @@ def check_class(state: Levels, family: VertexFamily) -> None:
         )
 
 
-def hop_out(
+def hop_until(
     state: Levels,
-    cell: Callable[[int], object],
+    cells: Callable[[Levels], Callable[[int], object]],
+    done: Callable[[Levels], bool],
     rng: Uniform,
+    failure: str,
 ) -> Tuple[Levels, FlipStats]:
-    """One hop of extraction.correct_interval: flip a class state off its
-    class, then measure cell(count).  Returns the state, uniform over the counts outside the old
-    class in the measured cell, and the flip's work record."""
-    state, stats = flip(state, state.counts.__contains__, Want.BAD, rng)
-    _, state = measure(state, cell, rng)
+    """The hops of extraction.correct_interval and of a walk step, until
+    done(state) holds: each flips a class state off its class, then
+    measures cells(state)(count), cells reading the state before the hop.
+    Returns the state, uniform over the counts outside the last class in
+    the measured cell, and the hops' merged work record; SimulationError,
+    saying `failure`, follows MAX_TRANSITIONS hops that never reach done."""
+    stats, hops = FlipStats(), 0
+    while not done(state):
+        if hops == MAX_TRANSITIONS:
+            raise SimulationError(failure)
+        hops += 1
+        cell = cells(state)
+        state, fs = flip(state, state.counts.__contains__, Want.BAD, rng)
+        stats.absorb(fs)
+        _, state = measure(state, cell, rng)
     return state, stats
 
 
@@ -205,15 +206,14 @@ def repair(
     and at target_hi + 1 otherwise."""
     repair_classes(state.index, family, target_hi)
     target = _class(state.index, family.lo, target_hi)
-    stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
-        if state.counts == target:
-            return state, stats
-        split_at = target_hi + 1 if min(state.counts) < family.lo else family.lo
-        state, fs = hop_out(state, lambda c: c >= split_at, rng)
-        stats.absorb(fs)
-    raise SimulationError(
-        f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
+
+    def cells(current: Levels) -> Callable[[int], bool]:
+        split_at = target_hi + 1 if min(current.counts) < family.lo else family.lo
+        return lambda c: c >= split_at
+
+    return hop_until(
+        state, cells, lambda current: current.counts == target, rng,
+        f"interval correction did not converge in {MAX_TRANSITIONS} transitions",
     )
 
 
@@ -235,7 +235,7 @@ def extract_once(
     found, holders = index.tuple_holders(index.per_count(counts.__contains__))
     weights = [sum(index.sizes[c] for c in counts if c <= i) for i in range(y)]
     weights += [sum(row) for row in holders]
-    outcome = _draw(weights, rng)
+    outcome = choose(weights, rng)
     if outcome >= y:
         image, preimages = found[outcome - y]
         new_family = family.after_tuple(image, preimages)

@@ -19,11 +19,14 @@ Conventions used throughout:
 
 * a key's weight is its squared amplitude a * a, and a probability or a
   label's weight adds the weights one float at a time in key order;
-* measure draws by one rule, and extraction.extract_once is a measure of
-  the padded register: labels in sorted order, each label's weight summed
-  in key order, one uniform draw read through `rng.random()` alone, the
-  chosen branch renormalized.  A fixed generator walks the same
-  distribution;
+* measure draws by _stream.choose, the rule the class path (levels) draws
+  every outcome by, and extraction.extract_once is a measure of the padded
+  register: labels in sorted order, each label's float weight summed in key
+  order and then taken exactly, as an integer over one power-of-two
+  denominator, and one uniform draw, the chosen branch renormalized.  So
+  both paths pick the same label from the same draw wherever their weights
+  agree, also at a boundary, where a left fold of float weights could round
+  across it;
 * state equality is taken up to one global phase.
 """
 
@@ -34,8 +37,8 @@ import operator
 import struct
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from ._stream import Uniform
-from .errors import ContractViolationError, ValidationError
+from ._stream import Uniform, choose
+from .errors import ContractViolationError, ParameterError, ValidationError
 from .oracle import require_ints
 
 PRUNE_EPS = 1e-12
@@ -47,11 +50,10 @@ Labels = Callable[[BasisKey], object]
 
 def subset_key(points: Iterable[int]) -> BasisKey:
     """Canonical key for a set of domain points (order independent), each
-    an integer (require_int)."""
+    an integer (require_int) in [0, 2**32), or ParameterError."""
     pts = sorted(set(require_ints("point", points)))
-    for p in pts:
-        if p < 0 or p > 0xFFFFFFFF:
-            raise ValidationError(f"point {p} out of encodable range")
+    if pts and not (0 <= pts[0] and pts[-1] < 1 << 32):
+        raise ParameterError("points must lie in [0, 2**32)")
     return struct.pack(f">H{len(pts)}I", len(pts), *pts)
 
 
@@ -153,11 +155,11 @@ def measure(state: State, labels: Labels, rng: Uniform):
     """Projective measurement of the register that `labels` spells out.
 
     Returns (outcome, collapsed state): each support key is labelled once,
-    and the outcome is the first of the sorted distinct labels whose
-    cumulative weight exceeds one uniform draw, else the last.  The draw
-    reads only `rng.random()`, so a numpy Generator and the run's Stream
-    serve alike.  The keys of that label keep their order and are
-    renormalized.
+    and the outcome is _stream.choose's over the sorted distinct labels,
+    each weighing its float weight exactly: an integer over the largest of
+    their power-of-two denominators.  The draw reads only `rng.random()`,
+    so a numpy Generator and the run's Stream serve alike.  The keys of
+    that label keep their order and are renormalized.
     """
     amplitudes = state.amplitudes
     label_of = list(map(labels, amplitudes))
@@ -165,12 +167,9 @@ def measure(state: State, labels: Labels, rng: Uniform):
     for label, a in zip(label_of, amplitudes.values()):
         weights[label] = weights.get(label, 0.0) + a * a
     distinct = sorted(weights)
-    draw, acc, chosen = float(rng.random()), 0.0, distinct[-1]
-    for label in distinct:
-        acc += weights[label]
-        if draw < acc:
-            chosen = label
-            break
+    ratios = [float(weights[label]).as_integer_ratio() for label in distinct]
+    den = max(d for _, d in ratios)
+    chosen = distinct[choose([n * (den // d) for n, d in ratios], rng)]
     scale = 1.0 / math.sqrt(weights[chosen])
     return chosen, State({
         k: a * scale for (k, a), label in zip(amplitudes.items(), label_of) if label == chosen

@@ -112,9 +112,11 @@ def collision_counts(sorted_rows: np.ndarray) -> np.ndarray:
     lanes, and one multiply by 0x0101010101010101 gathers the lanes' total
     into the top byte.  A row of width w has at most w / 2 < 256 runs, so
     neither the lanes nor that total carry.  Any other width counts the flag
-    positions with bincount.
+    positions with bincount.  A row of width 0 holds no run: Z = 0.
     """
     rows, width = sorted_rows.shape
+    if not width:
+        return np.zeros(rows, dtype=np.int64)
     flat = sorted_rows.ravel()
     # dup[i]: element i equals element i-1 of the same row; dup[size], an
     # end mark that the row-start clearing also clears

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwalk import chain, johnson, law, regimes, statevector, stats
+from chainwalk import _stream, chain, johnson, law, levels, regimes, statevector, stats
 from chainwalk.errors import FlaggedInstanceError, ParameterError
 from chainwalk.oracle import (
     CollisionTable,
@@ -111,13 +111,16 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: regimes.evaluate("a", 0), id="evaluate-m_hat-str"),
     pytest.param(lambda: regimes.evaluate(1.5, "a"), id="evaluate-k_hat-str"),
     pytest.param(lambda: regimes.tradeoff_curve("a", 0.1, 3), id="tradeoff_curve-m_hat-str"),
+    pytest.param(lambda: statevector.subset_key([-1, 2]), id="subset_key-negative"),
+    pytest.param(lambda: statevector.subset_key([1 << 32]), id="subset_key-2**32"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
     ValueError, TypeError or OverflowError, or returned a nonsense value (a
     negative gap, NaN or infinite cost terms, a run bounded by 2.5
     iterations, a graph or Params of non-integer size, a gap at N = 4.5, one
-    worker for 1.5 threads, a window for R = 2.5), and each now raises
+    worker for 1.5 threads, a window for R = 2.5), or, for a subset key's
+    point outside [0, 2**32), raised ValidationError, and each now raises
     ParameterError."""
     with pytest.raises(ParameterError):
         call()
@@ -573,6 +576,30 @@ def test_criterion_7_hot_path(monkeypatch):
     assert digest.hexdigest() == (
         "07246bafe60db7f07f8654011ca39968ea0cb61e34dcbaab2eb5d3cbad450034"
     )
+
+
+def test_criterion_7_runs_read_the_stream_only_through_choose(monkeypatch):
+    """Each draw of the 20 criterion-7 runs, their rotating flips' landings
+    among them, is one _stream.choose: a Stream that counts its random()
+    calls and a spy on the chooser count the same, nonzero number."""
+    reads, chosen = [], []
+
+    class CountedStream(_stream.Stream):
+        def random(self):
+            reads.append(None)
+            return super().random()
+
+    def spy(weights, rng):
+        chosen.append(weights)
+        return _stream.choose(weights, rng)
+
+    monkeypatch.setattr(chain, "Stream", CountedStream)
+    for module in (levels, statevector):
+        monkeypatch.setattr(module, "choose", spy)
+    for m, seed, k in CHAIN_INSTANCES:
+        run(ChainConfig(params=Params(n=4, m=m, k=k), ell=3, seed=seed,
+                        max_outer_iterations=64))
+    assert len(reads) == len(chosen) > 0
 
 
 def test_criterion_7_runs_on_the_enumerated_index(monkeypatch):

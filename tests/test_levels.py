@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainwalk._stream import Stream
+from chainwalk._stream import Stream, choose
 from chainwalk.amplify import (
     MAX_TRANSITIONS,
     _HALF,
@@ -49,7 +49,6 @@ from chainwalk.extraction import (
 from chainwalk.law import CountIndex, LawIndex
 from chainwalk.levels import (
     Levels,
-    _draw,
     check_class,
     extract_tuple,
     flip,
@@ -58,7 +57,7 @@ from chainwalk.levels import (
 )
 from chainwalk.oracle import CollisionTable, FunctionTable, Params, restrict
 from chainwalk.stats import IntervalPlan
-from chainwalk.statevector import State
+from chainwalk.statevector import State, decode_subset, measure as vector_measure, subset_key
 from reference import as_state, histogram
 from test_chain import CLASS_MOVES, _carved_pairs, _pair_rich_instance
 from test_extraction import eight_point, four_pair
@@ -422,10 +421,21 @@ def test_draw_at_a_cumulative_weight_takes_the_next_label(weights):
             continue
         expected = next(label for label, upto in enumerate(itertools.accumulate(weights))
                         if Fraction(u) * total < upto)
-        assert _draw(weights, _Draws([u])) == expected
+        assert choose(weights, _Draws([u])) == expected
         boundaries += 1
     assert boundaries
-    assert _draw([1] * 18, _Draws([0.5])) == 9
+    assert choose([1] * 18, _Draws([0.5])) == 9
+
+
+def test_vector_measure_at_a_cumulative_weight_takes_the_next_label():
+    """statevector.measure draws by choose too: a uniform 18-key state,
+    labelled by key, at u = 1/2 gives label 9, as choose([1] * 18) does,
+    since its 18 equal float weights are taken exactly, where a left fold of
+    them reads 0.5000000000000001 after label 8 and gives label 8."""
+    state = State({subset_key([point]): 1.0 for point in range(18)}, normalize=True)
+    label, collapsed = vector_measure(state, lambda key: decode_subset(key)[0], _Draws([0.5]))
+    assert label == choose([1] * 18, _Draws([0.5])) == 9
+    assert collapsed.support() == (subset_key([9]),)
 
 
 def test_sizes_above_int64():

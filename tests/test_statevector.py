@@ -1,6 +1,8 @@
 """Tests for the exact state layer."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,13 +182,12 @@ def _ref_measure(state, register, rng):
         label = register(k)
         weights[label] = weights.get(label, 0.0) + abs(a) ** 2
     labels = sorted(weights)
-    draw = float(rng.random())
-    acc, outcome = 0.0, labels[-1]
-    for label in labels:
-        acc += weights[label]
-        if draw < acc:
-            outcome = label
-            break
+    # the first label whose cumulative weight exceeds u times the total, in
+    # exact rationals: u and every float weight are dyadic
+    exact = [Fraction(weights[label]) for label in labels]
+    bar = Fraction(float(rng.random())) * sum(exact)
+    outcome = next(label for label, upto in zip(labels, itertools.accumulate(exact))
+                   if bar < upto)
     scale = 1.0 / math.sqrt(weights[outcome])
     return outcome, _ref_prune(
         {k: a * scale for k, a in state.items() if register(k) == outcome}

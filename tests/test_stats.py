@@ -92,7 +92,7 @@ def _runs_of_two_or_more(row):
 @settings(deadline=None, max_examples=200)
 @given(
     rows=st.integers(0, 50),
-    width=st.integers(1, 65),
+    width=st.integers(0, 65),
     top=st.integers(1, 1 << 12),
     dtype=st.sampled_from([np.int64, np.uint32]),
     seed=st.integers(0, 2**32 - 1),
@@ -107,6 +107,7 @@ def _runs_of_two_or_more(row):
 @example(rows=3, width=504, top=1, dtype=np.uint32, seed=3, pairs=True)
 @example(rows=3, width=512, top=1, dtype=np.uint32, seed=4, pairs=True)
 @example(rows=4, width=20, top=6, dtype=np.int64, seed=5, pairs=False)  # not 8k wide
+@example(rows=3, width=0, top=1, dtype=np.int64, seed=0, pairs=False)  # empty rows: Z = 0
 def test_collision_counts_matches_a_run_counter(rows, width, top, dtype, seed, pairs):
     table = np.random.default_rng(seed).integers(1, top, size=(rows, width),
                                                  dtype=dtype, endpoint=True)
