@@ -8,19 +8,22 @@ a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
 `grover_iterate` applies each round as the state layer's two reflections,
 each of which prunes and checks the norm.
 
-`flip` drives rounds of iterate-then-measure until the projective flag
+A flip drives attempts of iterate-then-measure until the projective flag
 measurement lands on the wanted side, for at most `flip_attempts` attempts.
+Both state paths run that loop, `flip_until`, each with its own attempt:
+`flip` here rotates a vector by `grover_iterate` and measures it, and
+levels.flip turns a count class in closed form and draws its landing.
 Inputs are expected to lie in span{B, G} (uniform class states always do);
 the returned state is then exactly the renormalized wanted projection of the
-axis.  A flip first refuses an axis with no key on the wanted side, counted
-exactly, since a float mass can round short of 0 or 1 there and the flip
-would never land.  It then plans from its axis's good share (`_good_share`):
-the good squared norm over the whole, each summed exactly and divided once,
-so that a uniform axis reads the correctly rounded |G|/V that levels.flip
-reads off its exact class sizes.  What a flip does with that share, whether
-the wanted amplitude is too small, whether to measure fresh axes and how
-many rounds to rotate by, is decided in one place, `flip_rounds`, and how
-many attempts to make in `flip_attempts`; levels.flip reads both.
+axis.  The loop plans from the axis's good share: here `_good_share`, the
+good squared norm over the whole, each summed exactly and divided once, so
+that a uniform axis reads the correctly rounded |G|/V that levels.flip
+reads off its exact class sizes.  Both shares are exact, so an axis with no
+key on the wanted side reads exactly 0 or 1, however large it is.  What a
+flip does with its share, whether the wanted amplitude is 0 (refused),
+whether to measure fresh axes and how many rounds to rotate by, is decided
+in one place, `flip_rounds`, and how many attempts to make in
+`flip_attempts`.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from ._stream import Uniform
 from .errors import ImpossibleTargetError, ParameterError, SimulationError
+from .oracle import require_int
 from .statevector import (
     Labels,
     State,
@@ -45,6 +49,8 @@ from .statevector import (
 _HALF = 1.0 / math.sqrt(2.0)
 # Bound on measure-and-flip rounds in any flip, extraction, repair or walk loop.
 MAX_TRANSITIONS = 10_000
+# A flip's state: a State on the vector path, a levels.Levels on the class path.
+S = TypeVar("S")
 
 
 class Want(Enum):
@@ -96,6 +102,7 @@ def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State
     reflect_about_predicate then reflect_about_state, so each ends with
     their prune and norm check.
     """
+    require_int(count=count)
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
     flags = _good_keys(good, state, axis).__contains__
@@ -179,6 +186,31 @@ def _good_share(axis: State, good: frozenset) -> float:
     return float(good_sum / exact_sum(axis.amplitudes.values()))
 
 
+def flip_until(
+    state: S, share: float, want: Want, attempt: Callable[[S, Optional[int]], tuple[bool, S]]
+) -> tuple[S, FlipStats]:
+    """The attempt loop both flips run, on flip_rounds' plan for an axis
+    whose good side carries `share`: attempt(state, rounds) rotates the
+    state by the plan's rounds, or takes a fresh axis when they are None,
+    measures the flag and returns (landed good, state).  Returns the first
+    state that lands on `want`, with the attempts, restarts and rounds
+    spent.  flip_rounds refuses a share with no wanted amplitude before any
+    attempt, and SimulationError follows flip_attempts' attempts that all
+    miss.
+    """
+    rounds = flip_rounds(share, want)
+    attempts = flip_attempts(share, rounds)
+    stats = FlipStats()
+    for _ in range(attempts):
+        stats.attempts += 1
+        stats.iterations_used += rounds or 0
+        landed, state = attempt(state, rounds)
+        if landed == (want is Want.GOOD):
+            return state, stats
+        stats.restarts += 1
+    raise SimulationError(f"flip did not land on {want.value} in {attempts} measurements")
+
+
 def flip(
     state: State,
     good: Labels,
@@ -186,36 +218,20 @@ def flip(
     want: Want,
     rng: Uniform,
 ) -> tuple[State, FlipStats]:
-    """Iterate and project until the flag measurement lands on `want`.
+    """flip_until on the axis's good share (_good_share), each attempt
+    rotating the state by grover_iterate, or taking the axis under a None
+    plan, then measuring the flag.
 
     `good` is a key callback, read once per key of the axis or the state
-    into the set of good keys (_good_keys) that the plan, the iterations and
-    every flag measurement use; the plan reads those on the axis.
-    The plan is flip_rounds' on the axis's good share (_good_share): each
-    attempt rotates the state by its rounds, or measures a fresh copy of the
-    axis when it is None.  An axis with no key on the wanted side raises
-    ImpossibleTargetError, whatever its share rounds to, and SimulationError
-    follows flip_attempts' attempts that all miss.
+    into the set of good keys (_good_keys) that the share, the iterations
+    and every flag measurement use.  The share is exact, so an axis with no
+    key on the wanted side reads exactly 0 or 1, which flip_rounds refuses.
     """
     good = _good_keys(good, state, axis)
-    on_axis = good.intersection(axis.amplitudes)
-    if (len(on_axis) if want is Want.GOOD else len(axis) - len(on_axis)) == 0:
-        raise ImpossibleTargetError(f"axis has no {want.value} component")
-    share = _good_share(axis, on_axis)
-    rounds = flip_rounds(share, want)
-    attempts = flip_attempts(share, rounds)
-    stats = FlipStats()
-    for _ in range(attempts):
-        stats.attempts += 1
-        if rounds is None:
-            state = axis
-        else:
-            state = grover_iterate(state, good.__contains__, axis, rounds)
-            stats.iterations_used += rounds
-        outcome, state = measure(state, good.__contains__, rng)
-        if outcome == (want is Want.GOOD):
-            return state, stats
-        stats.restarts += 1
-    raise SimulationError(
-        f"flip did not land on {want.value} in {attempts} measurements"
-    )
+    flags = good.__contains__
+
+    def attempt(state: State, rounds: Optional[int]) -> tuple[bool, State]:
+        state = axis if rounds is None else grover_iterate(state, flags, axis, rounds)
+        return measure(state, flags, rng)
+
+    return flip_until(state, _good_share(axis, good.intersection(axis.amplitudes)), want, attempt)

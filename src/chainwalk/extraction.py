@@ -17,8 +17,9 @@ states (levels.py), a class of counts in place of a vector; the vector
 versions here are the reference its differential tests compare against.
 What both paths decide on the same numbers is written here once and read by
 both: repair's premises and its start and target classes (repair_classes,
-over any law.CountIndex), the padding width y (VertexFamily.padding_width)
-and the family a tuple outcome leaves (VertexFamily.after_tuple).
+over any law.CountIndex), the cell each repair hop measures (repair_cell),
+the padding width y (VertexFamily.padding_width) and the family a tuple
+outcome leaves (VertexFamily.after_tuple).
 
 Families are described by VertexFamily: a restricted function, a subset size,
 and an inclusive count interval whose upper end may be unbounded.  FamilyIndex
@@ -104,7 +105,8 @@ def dummy_token(index: int) -> bytes:
 class VertexFamily:
     """All subsets of a fixed size whose multicollision count lies in [lo, hi].
 
-    hi = None means unbounded above.  Membership additionally requires the
+    hi = None means unbounded above; R, lo and a finite hi are integers
+    (require_int).  Membership additionally requires the
     subset to avoid the restriction's exclusion closure, which is implied for
     subsets drawn from restriction.domain_points.
     """
@@ -115,14 +117,15 @@ class VertexFamily:
     hi: Optional[int]
 
     def __post_init__(self) -> None:
+        require_int(big_r=self.big_r, lo=self.lo)
         if self.big_r < 0:
             raise ParameterError("subset size must be non-negative")
         if self.lo < 0:
             raise ParameterError("interval lower bound must be non-negative")
-        if self.hi is not None and self.hi < self.lo:
-            raise ParameterError(
-                f"empty interval [{self.lo}, {self.hi}]"
-            )
+        if self.hi is not None:
+            require_int(hi=self.hi)
+            if self.hi < self.lo:
+                raise ParameterError(f"empty interval [{self.lo}, {self.hi}]")
 
     def interval_label(self) -> str:
         top = "inf" if self.hi is None else str(self.hi)
@@ -295,6 +298,7 @@ def pad_and_attach(
     d_{z+1}..d_y; without an index, one is built for the state's subset
     size.
     """
+    require_int(y=y)
     if y < 1:
         raise ParameterError("padding width y must be at least 1")
     if index is None:
@@ -423,6 +427,17 @@ def repair_classes(
     return start, target
 
 
+def repair_cell(
+    counts: frozenset, family: VertexFamily, target_hi: int
+) -> Callable[[int], bool]:
+    """The cell label, c >= split, that a repair hop off the class `counts`
+    measures: a class holding a count below lo (on repair's path, [0, lo-1])
+    splits the counts left at target_hi + 1, so the hop lands on
+    [lo, target_hi] or above it, and every other class splits them at lo."""
+    split = target_hi + 1 if min(counts) < family.lo else family.lo
+    return lambda c: c >= split
+
+
 def hop(
     state: State,
     index: FamilyIndex,
@@ -452,18 +467,16 @@ def correct_interval(
 ) -> Tuple[State, FlipStats]:
     """Widen a narrowed family state [lo, b] back to [lo, target_hi].
 
-    From the class repair_classes gives, each hop measures which side of a
-    split the count left lies on: lo while the class holds counts below lo,
-    and otherwise (from [0, lo-1]) target_hi + 1.  The class becomes the
-    counts outside it on the measured side, until it is [lo, target_hi].
+    From the class repair_classes gives, each hop measures the cell
+    repair_cell gives for the class, and the class becomes the counts
+    outside it in the measured cell, until it is [lo, target_hi].
     """
     cls, target = repair_classes(index, family, target_hi)
     stats = FlipStats()
     for _ in range(MAX_TRANSITIONS):
         if cls == target:
             return state, stats
-        split = target_hi + 1 if cls.issuperset(range(family.lo)) else family.lo
-        state, cls, fs = hop(state, index, cls, lambda c: c >= split, rng)
+        state, cls, fs = hop(state, index, cls, repair_cell(cls, family, target_hi), rng)
         stats.absorb(fs)
     raise SimulationError(
         f"interval correction did not converge in {MAX_TRANSITIONS} transitions"

@@ -49,7 +49,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapacityError, ContractViolationError, ParameterError
-from .oracle import RestrictedFunction
+from .oracle import RestrictedFunction, require_int
 
 _MAX_FAMILY_VERTICES = 250_000
 # struct's unsigned integer of each width in bytes
@@ -60,6 +60,7 @@ def family_total(points: int, big_r: int) -> int:
     """C(points, big_r), the vertex count of a family, after the checks every
     family index makes: a subset size in 1..points and at most
     _MAX_FAMILY_VERTICES vertices."""
+    require_int(big_r=big_r)
     if not (0 < big_r <= points):
         raise ParameterError(
             f"subset size {big_r} invalid for domain of {points} points"

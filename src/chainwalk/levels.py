@@ -27,12 +27,15 @@ cos phi on the bad-uniform one, by 2 t theta, sin^2 theta = |G|/V, and its
 flag then lands bad with the closed-form float chance cos^2 phi, drawn as
 the weights (p, q - p) of that float's exact ratio p / q; a flip with no
 rounds lands with weights (|B|, |G|).  A class that is neither the axis nor
-one side of the flags lies off that plane and is refused.  The flip's plan
-is amplify.flip_rounds' on the axis's good share |G|/V, one correctly
-rounded division of exact ints, so it reads 1/3 at |G| = V/3 and exactly
-1/2 at |G| = V/2 however large V is; the vector flip plans from the same
-float on a uniform axis.  The axis's angle is read off |G|/V and |B|/V
-too, which a float holds where V past 2^1024 would not.
+one side of the flags lies off that plane and is refused.  That attempt is
+all levels.flip writes: the loop, its plan, its bound and its refusal of an
+empty wanted side are amplify.flip_until's, which the vector flip runs too,
+on the axis's good share |G|/V.  That share is one correctly rounded
+division of exact ints, so it reads 1/3 at |G| = V/3, exactly 1/2 at
+|G| = V/2 and exactly 0 or 1 when a side is empty, however large V is; the
+vector flip's share reads the same float on a uniform axis.  The axis's
+angle is read off |G|/V and |B|/V too, which a float holds where V past
+2^1024 would not.
 
 The index is read only through law.CountIndex's count-level questions: the
 sizes and their total, class sizes, per-count labels, the held tuples as
@@ -43,10 +46,12 @@ answers them off its enumerated vertices, and the differential tests drive
 both.
 
 Only the state arithmetic is written here.  The decisions both paths take
-on the same numbers are written once beside the vector path: a flip's plan
-in amplify.flip_rounds, interval repair's premises and its target class in
-extraction.repair_classes, and extraction's padding width and the family a
-tuple outcome leaves on VertexFamily (padding_width, after_tuple).
+on the same numbers are written once beside the vector path: a flip's loop
+and plan in amplify (flip_until, flip_rounds, flip_attempts), interval
+repair's premises and its target class in extraction.repair_classes and
+the cell each repair hop measures in extraction.repair_cell, and
+extraction's padding width and the family a tuple outcome leaves on
+VertexFamily (padding_width, after_tuple).
 """
 
 from __future__ import annotations
@@ -56,9 +61,9 @@ from dataclasses import replace
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ._stream import Uniform, choose
-from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_attempts, flip_rounds
+from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_until
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
-from .extraction import ExtractionOutcome, VertexFamily, repair_classes
+from .extraction import ExtractionOutcome, VertexFamily, repair_cell, repair_classes
 from .law import CountIndex
 
 
@@ -113,12 +118,10 @@ def flip(
     rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
     """amplify.flip against the index's uniform axis, good(count) marking the
-    good vertices, on amplify.flip_rounds' plan for the axis's good share
-    |G|/V: rounds of iterate-then-measure until the flag measurement lands
-    on `want`, or fresh axis measurements when the plan is None.  A wanted
-    side with no vertex raises ImpossibleTargetError, whatever |G|/V rounds to,
-    a state off Grover's plane ValidationError, and SimulationError follows
-    amplify.flip_attempts' attempts that all miss."""
+    good vertices: amplify.flip_until on the axis's good share |G|/V, each
+    attempt turning the state's class in Grover's plane by the plan's rounds
+    and drawing where the flag lands, or drawing a fresh axis's flag when
+    the plan is None.  A state off Grover's plane raises ValidationError."""
     index = state.index
     flags = index.per_count(good)
     axis = _class(index, 0, None)
@@ -126,37 +129,27 @@ def flip(
     sides[False] = axis - sides[True]
     good_size = sum(index.sizes[c] for c in sides[True])
     bad_size = index.total - good_size
-    if not (good_size if want is Want.GOOD else bad_size):
-        raise ImpossibleTargetError(f"axis has no {want.value} component")
     good_share = good_size / index.total
-    rounds = flip_rounds(good_share, want)
-    attempts = flip_attempts(good_share, rounds)
     # (sin phi, cos phi) of each class of Grover's plane, up to a positive
     # factor, read off the shares, which a float holds where the sizes past
     # 2^1024 would not; with no good vertex the axis is the bad side
     plane = {axis: (math.sqrt(good_share), math.sqrt(bad_size / index.total)),
              sides[True]: (1, 0), sides[False]: (0, 1)}
-    turn = 2 * (rounds or 0) * math.asin(math.sqrt(good_share))
-    stats = FlipStats()
-    for _ in range(attempts):
-        stats.attempts += 1
+    theta = math.asin(math.sqrt(good_share))
+
+    def attempt(state: Levels, rounds: Optional[int]) -> Tuple[bool, Levels]:
         if rounds is None:
             weights = [bad_size, good_size]
         else:
             if state.counts not in plane:
                 raise ValidationError("state's class is neither the axis nor a side of the flip")
-            phi = math.atan2(*plane[state.counts]) + turn
-            stats.iterations_used += rounds
+            phi = math.atan2(*plane[state.counts]) + 2 * rounds * theta
             bad, whole = (math.cos(phi) ** 2).as_integer_ratio()
             weights = [bad, whole - bad]
         landed = bool(choose(weights, rng))
-        state = Levels(index, sides[landed])
-        if landed == (want is Want.GOOD):
-            return state, stats
-        stats.restarts += 1
-    raise SimulationError(
-        f"flip did not land on {want.value} in {attempts} measurements"
-    )
+        return landed, Levels(index, sides[landed])
+
+    return flip_until(state, good_share, want, attempt)
 
 
 def check_class(state: Levels, family: VertexFamily) -> None:
@@ -202,17 +195,12 @@ def repair(
 ) -> Tuple[Levels, FlipStats]:
     """extraction.correct_interval: widen a state over [lo, b] back to
     [lo, target_hi], on the premises extraction.repair_classes checks, by
-    hops that split the complement at lo while it holds counts below lo,
-    and at target_hi + 1 otherwise."""
+    hops that measure extraction.repair_cell's cell for the class."""
     repair_classes(state.index, family, target_hi)
     target = _class(state.index, family.lo, target_hi)
-
-    def cells(current: Levels) -> Callable[[int], bool]:
-        split_at = target_hi + 1 if min(current.counts) < family.lo else family.lo
-        return lambda c: c >= split_at
-
     return hop_until(
-        state, cells, lambda current: current.counts == target, rng,
+        state, lambda current: repair_cell(current.counts, family, target_hi),
+        lambda current: current.counts == target, rng,
         f"interval correction did not converge in {MAX_TRANSITIONS} transitions",
     )
 

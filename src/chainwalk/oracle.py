@@ -96,6 +96,7 @@ class FunctionTable:
         return self._count
 
     def _check_point(self, x: int) -> None:
+        require_int(point=x)
         if not (0 <= x < self.params.domain_size):
             raise DomainError(f"point {x} outside domain of size {self.params.domain_size}")
 
@@ -113,6 +114,7 @@ class FunctionTable:
 
     def charge(self, amount: int) -> None:
         """Account for `amount` superposition queries without a point lookup."""
+        require_int(amount=amount)
         if amount < 0:
             raise ParameterError("charge amount must be nonnegative")
         with self._lock:
@@ -132,7 +134,9 @@ def require_int(**values) -> None:
     """Raise ParameterError unless each of the named `values` is an integer:
     a Python or numpy int, not a bool, a float or a string."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        # a Python int passes on its type alone, before the slower ABC check
+        if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 

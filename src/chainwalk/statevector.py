@@ -57,18 +57,23 @@ def subset_key(points: Iterable[int]) -> BasisKey:
     return struct.pack(f">H{len(pts)}I", len(pts), *pts)
 
 
-def decode_subset(key: BasisKey) -> Tuple[int, ...]:
-    """Subset block of a key, as a sorted tuple of points."""
-    (count,) = struct.unpack_from(">H", key, 0)
+def _point_count(key: BasisKey) -> int:
+    """The point count a key's two-byte header gives, or ValidationError
+    when the key is shorter than the header and that many points."""
+    count = int.from_bytes(key[:2], "big")
     if len(key) < 2 + 4 * count:
         raise ValidationError("truncated subset block")
-    return struct.unpack_from(f">{count}I", key, 2)
+    return count
+
+
+def decode_subset(key: BasisKey) -> Tuple[int, ...]:
+    """Subset block of a key, as a sorted tuple of points."""
+    return struct.unpack_from(f">{_point_count(key)}I", key, 2)
 
 
 def key_register(key: BasisKey) -> bytes:
     """Register suffix of a key (empty bytes when none is attached)."""
-    (count,) = struct.unpack_from(">H", key, 0)
-    return key[2 + 4 * count:]
+    return key[2 + 4 * _point_count(key):]
 
 
 def attach_register(key: BasisKey, token: bytes) -> BasisKey:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from chainwalk.errors import ImpossibleTargetError
+from chainwalk.errors import ImpossibleTargetError, SimulationError
 from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import CollisionTable, Params, generate_function, restrict
 from chainwalk.statevector import State, states_close
@@ -24,6 +24,7 @@ from chainwalk.amplify import (
     flip,
     flip_attempts,
     flip_rounds,
+    flip_until,
     grover_iterate,
     iteration_count,
 )
@@ -170,6 +171,61 @@ def test_flip_empty_target():
     axis = State({GOOD_KEY: 1.0})
     with pytest.raises(ImpossibleTargetError):
         flip(axis, is_good, axis, Want.BAD, np.random.default_rng(0))
+
+
+class _ScriptedAttempt:
+    """An attempt that misses `misses` times and then lands on `want`,
+    recording the (state, rounds) of each call; each attempt returns the
+    call count as its state."""
+
+    def __init__(self, misses, want):
+        self.misses, self.good, self.calls = misses, want is Want.GOOD, []
+
+    def __call__(self, state, rounds):
+        self.calls.append((state, rounds))
+        landed = len(self.calls) > self.misses
+        return landed == self.good, len(self.calls)
+
+
+@pytest.mark.parametrize("share, want, rounds", [
+    (0.01, Want.GOOD, 7),    # rotates iteration_count(0.1) rounds
+    (0.75, Want.BAD, 1),
+    (0.6, Want.GOOD, None),  # measures fresh axes: no iteration counted
+    (0.0, Want.BAD, 1),      # no good side: every state is bad
+])
+@pytest.mark.parametrize("misses", [0, 1, 4])
+def test_flip_until_counts_each_attempt(share, want, rounds, misses):
+    """k misses then a landing: (k + 1) rounds iterations, k restarts and
+    k + 1 attempts, each attempt handed the last one's state and the plan's
+    rounds, and the landing's state returned."""
+    attempt = _ScriptedAttempt(misses, want)
+    assert flip_rounds(share, want) == rounds
+    state, stats = flip_until("start", share, want, attempt)
+    assert state == misses + 1
+    assert attempt.calls == [("start", rounds)] + [(i, rounds) for i in range(1, misses + 1)]
+    assert stats.iterations_used == (misses + 1) * (rounds or 0)
+    assert stats.restarts == misses
+    assert stats.attempts == misses + 1
+
+
+@pytest.mark.parametrize("share, want", [(0.0, Want.GOOD), (1.0, Want.BAD)])
+def test_flip_until_refuses_an_empty_side_before_any_attempt(share, want):
+    attempt = _ScriptedAttempt(0, want)
+    with pytest.raises(ImpossibleTargetError, match=f"axis has no {want.value} component"):
+        flip_until("start", share, want, attempt)
+    assert attempt.calls == []
+
+
+def test_flip_until_gives_up_after_flip_attempts():
+    """An attempt that never lands is called flip_attempts' bound of times,
+    and the give-up names that bound."""
+    share, want = 0.6, Want.GOOD
+    bound = flip_attempts(share, flip_rounds(share, want))
+    assert bound == math.ceil(MAX_TRANSITIONS / 0.6) == 16_667
+    attempt = _ScriptedAttempt(bound, want)
+    with pytest.raises(SimulationError, match=f"flip did not land on good in {bound} measurements"):
+        flip_until("start", share, want, attempt)
+    assert len(attempt.calls) == bound
 
 
 def test_flip_rounds_edges():

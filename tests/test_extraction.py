@@ -41,7 +41,7 @@ from chainwalk.statevector import (
     states_close,
     subset_key,
 )
-from chainwalk.amplify import Want, flip
+from chainwalk.amplify import Want, flip, grover_iterate
 from chainwalk.extraction import (
     FamilyIndex,
     VertexFamily,
@@ -54,7 +54,7 @@ from chainwalk.extraction import (
     pad_and_attach,
     tuple_token,
 )
-from chainwalk.law import LawIndex
+from chainwalk.law import LawIndex, family_total
 from chainwalk.levels import Levels, extract_tuple
 from reference import as_state, histogram, parse_token, uniform_state, vertex_data
 
@@ -95,7 +95,22 @@ def test_token_validation():
             parse_token(junk)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: decode_subset(b"\x00"), id="decode_subset-short-header"),
+    pytest.param(lambda: key_register(b""), id="key_register-empty"),
+    pytest.param(lambda: decode_subset(subset_key([1, 2])[:-1]), id="decode_subset-short-block"),
+    pytest.param(lambda: key_register(subset_key([1, 2])[:-1]), id="key_register-short-block"),
+])
+def test_short_keys_raise_validation_error(call):
+    """A key shorter than its two-byte header, or than the points its header
+    counts, is a truncated subset block; the short headers raised a bare
+    struct.error, and key_register returned b"" for a short block."""
+    with pytest.raises(ValidationError, match="truncated subset block"):
+        call()
+
+
 _EIGHT = FunctionTable(Params(n=3, m=3, k=1), [0, 0, 1, 1, 2, 2, 3, 4])
+_EIGHT_R = restrict(_EIGHT, CollisionTable())
 
 
 @pytest.mark.parametrize("call", [
@@ -111,10 +126,28 @@ _EIGHT = FunctionTable(Params(n=3, m=3, k=1), [0, 0, 1, 1, 2, 2, 3, 4])
     pytest.param(lambda: FunctionTable(Params(1, 1, 0), [True, False]), id="FunctionTable-bools"),
     pytest.param(lambda: FunctionTable(Params(1, 1, 0), np.array([True, False])),
                  id="FunctionTable-bool-array"),
+    pytest.param(lambda: FamilyIndex(_EIGHT_R, 2.0), id="FamilyIndex-R-float"),
+    pytest.param(lambda: LawIndex(_EIGHT_R, 2.0), id="LawIndex-R-float"),
+    pytest.param(lambda: LawIndex(_EIGHT_R, True), id="LawIndex-R-bool"),
+    pytest.param(lambda: family_total(8, 2.0), id="family_total-R-float"),
+    pytest.param(lambda: VertexFamily(_EIGHT_R, 4, 1.5, 2), id="VertexFamily-lo-float"),
+    pytest.param(lambda: VertexFamily(_EIGHT_R, "4", 1, 2), id="VertexFamily-R-str"),
+    pytest.param(lambda: VertexFamily(_EIGHT_R, 4, 1, 2.5).padding_width(),
+                 id="VertexFamily-hi-float"),
+    pytest.param(lambda: FunctionTable(_EIGHT.params, _EIGHT.images).charge(1.5),
+                 id="charge-float"),
+    pytest.param(lambda: FunctionTable(_EIGHT.params, _EIGHT.images).charge("1"),
+                 id="charge-str"),
+    pytest.param(lambda: _EIGHT.query(1.5), id="query-float"),
+    pytest.param(lambda: grover_iterate(State({b"a": 1.0}), bool, State({b"a": 1.0}), 1.5),
+                 id="grover_iterate-count-float"),
+    pytest.param(lambda: pad_and_attach(FamilyIndex(_EIGHT_R, 4).axis, _EIGHT_R, 2.5),
+                 id="pad_and_attach-y-float"),
 ])
 def test_acceptance_api_refuses_non_integers(call):
-    """Each call truncated a float, took a bool as an int, or raised a bare
-    struct.error; each now raises ParameterError."""
+    """Each call truncated a float, took a bool as an int, kept a float (a
+    family's bound, a query count), or raised a bare struct.error or
+    TypeError; each now raises ParameterError."""
     with pytest.raises(ParameterError):
         call()
 

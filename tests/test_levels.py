@@ -123,8 +123,9 @@ def test_flip_toward_an_empty_side_is_refused(want, good):
     good, the axis's running float mass reads 0.9999999999999983, whose bad
     amplitude 4e-8 clears flip_rounds' 1e-12, so a BAD flip planned from it
     rotated forever.  Both flips plan from the exact share |G|/V, here 1.0,
-    and refuse a wanted side with no vertex before they plan, on either kind
-    of index and on the vector path."""
+    and flip_rounds refuses a wanted side with no vertex when it plans from
+    that share, before any attempt, on either kind of index and on the
+    vector path."""
     _, restriction = eight_point()
     rng = np.random.default_rng(0)
     family_index = FamilyIndex(restriction, 4)
