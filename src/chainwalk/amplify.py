@@ -9,7 +9,7 @@ a rotation by 2*asin(alpha), so a state at angle phi moves to phi + 2*theta.
 each of which prunes and checks the norm.
 
 A flip drives attempts of iterate-then-measure until the projective flag
-measurement lands on the wanted side, for at most `flip_attempts` attempts.
+measurement lands on the wanted side, for at most the plan's attempts.
 Both state paths run that loop, `flip_until`, each with its own attempt:
 `flip` here rotates a vector by `grover_iterate` and measures it, and
 levels.flip turns a count class in closed form and draws its landing.
@@ -21,9 +21,9 @@ that a uniform axis reads the correctly rounded |G|/V that levels.flip
 reads off its exact class sizes.  Both shares are exact, so an axis with no
 key on the wanted side reads exactly 0 or 1, however large it is.  What a
 flip does with its share, whether the wanted amplitude is 0 (refused),
-whether to measure fresh axes and how many rounds to rotate by, is decided
-in one place, `flip_rounds`, and how many attempts to make in
-`flip_attempts`.
+whether to measure fresh axes, how many rounds to rotate by and how many
+attempts to make, is decided in one place, `flip_plan`, from one split of
+the share.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Optional, TypeVar
 
 from ._stream import Uniform
 from .errors import ImpossibleTargetError, ParameterError, SimulationError
-from .oracle import require_int
+from .oracle import require_int, require_real
 from .statevector import (
     Labels,
     State,
@@ -87,11 +87,14 @@ def decompose(state: State, good: Labels) -> AmplitudeDecomposition:
 
 
 def split(good_mass: float) -> AmplitudeDecomposition:
-    """The amplitude split of a state whose good side carries `good_mass`."""
+    """The amplitude split of a state whose good side carries `good_mass`,
+    clamped to [0, 1]; a NaN mass raises ParameterError."""
+    if math.isnan(good_mass):
+        raise ParameterError("good mass is not a number")
     good_mass = min(1.0, max(0.0, good_mass))
     alpha = math.sqrt(good_mass)
-    beta = math.sqrt(max(0.0, 1.0 - good_mass))
-    return AmplitudeDecomposition(alpha=alpha, beta=beta, theta=math.asin(min(1.0, alpha)))
+    beta = math.sqrt(1.0 - good_mass)
+    return AmplitudeDecomposition(alpha=alpha, beta=beta, theta=math.asin(alpha))
 
 
 def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State:
@@ -118,59 +121,43 @@ def _good_keys(good: Labels, state: State, axis: State) -> frozenset:
     return frozenset(filter(good, {**axis.amplitudes, **state.amplitudes}))
 
 
-def iteration_count(alpha: float) -> int:
-    """Rounds of rotation aimed at a quarter turn: round(pi/(4*asin a) - 1/2).
+def flip_plan(share: float, want: Want) -> tuple[Optional[int], int]:
+    """The plan of a flip whose axis carries `share` of its squared norm on
+    its good side: (rounds, attempts), the rounds each attempt rotates by
+    before it measures and the attempts it makes before it gives up.
 
-    Rounding is half-up, so the count is floor(pi/(4*asin a)), which for
-    alpha <= 1/sqrt(2) is at least 1.
+    A share that is not a real number in [0, 1], NaN included, raises
+    ParameterError, and one with no wanted amplitude ImpossibleTargetError:
+    a share that rounds to a positive float, however small, is planned.
+    When the good side is wanted and its amplitude exceeds 1/sqrt(2),
+    rotation is too coarse to help, so rounds is None: each attempt
+    measures a fresh copy of the axis, and lands with chance p = share.
+    Otherwise rounds is floor(pi/(4 theta)), at least 1, and 1 when alpha is
+    0 (a BAD flip off an axis with no good side).  A miss leaves the state
+    on the unwanted side, at angle 0 (a missed GOOD) or pi/2 (a missed BAD)
+    in Grover's plane, and the rounds turn it by 2 rounds theta, so an
+    attempt after a miss lands with chance p = sin^2(2 rounds theta)
+    whichever side is wanted.  A BAD flip one round from an almost wholly
+    good axis has p about 4 times the bad mass, as small as 1.6e-5 on a
+    family at the enumeration cap.
+
+    attempts is MAX_TRANSITIONS / p, rounded up, so that a flip on a
+    uniform stream misses them all with probability
+    (1 - p)^(MAX_TRANSITIONS / p) < e^-MAX_TRANSITIONS.  At p = 0, a BAD
+    flip on an axis with no good mass, every state in the plane is bad, the
+    first attempt lands, and attempts is MAX_TRANSITIONS.
     """
-    if alpha <= 0.0:
-        raise ImpossibleTargetError("cannot size iterations for zero amplitude")
-    theta = math.asin(min(1.0, alpha))
-    return math.floor(math.pi / (4.0 * theta))
-
-
-def flip_rounds(good_mass: float, want: Want) -> Optional[int]:
-    """The plan of a flip whose axis carries `good_mass` on its good side.
-
-    Raises ImpossibleTargetError when the axis's wanted amplitude is 0: a
-    share that rounds to a positive float, however small, is planned.
-    Returns None when the good side is wanted and its amplitude
-    exceeds 1/sqrt(2): rotation is too coarse to help there, so each attempt
-    measures a fresh copy of the axis, and lands with probability above 1/2.
-    Otherwise returns the rounds each attempt rotates by before it measures:
-    iteration_count(alpha), at least 1, and 1 when alpha is 0 (a BAD flip
-    off an axis with no good side).
-    """
-    dec = split(good_mass)
+    require_real(share=share)
+    if not 0.0 <= share <= 1.0:
+        raise ParameterError(f"share must lie in [0, 1], got {share!r}")
+    dec = split(share)
     if (dec.alpha if want is Want.GOOD else dec.beta) <= 0.0:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     if want is Want.GOOD and dec.alpha > _HALF:
-        return None
-    return max(1, iteration_count(dec.alpha)) if dec.alpha > 0.0 else 1
-
-
-def flip_attempts(good_mass: float, rounds: Optional[int]) -> int:
-    """The attempts a flip on flip_rounds' plan makes before it gives up:
-    MAX_TRANSITIONS over the chance p that one attempt lands after a miss,
-    so that a flip on a uniform stream misses them all with probability
-    (1 - p)^(MAX_TRANSITIONS / p) < e^-MAX_TRANSITIONS.
-
-    A miss leaves the state on the unwanted side, at angle 0 (a missed GOOD)
-    or pi/2 (a missed BAD) in Grover's plane, and the plan's rounds turn it
-    by 2 rounds theta, so p = sin^2(2 rounds theta) whichever side is
-    wanted; under a None plan every attempt measures a fresh axis, so p is
-    the good mass.  A BAD flip one round from an almost wholly good axis has
-    p about 4 times the bad mass, as small as 1.6e-5 on a family at the
-    enumeration cap.  At p = 0, a BAD flip on an axis with no good mass,
-    every state in the plane is bad, the first attempt lands, and the bound
-    is MAX_TRANSITIONS.
-    """
-    if rounds is None:
-        land = good_mass
-    else:
-        land = math.sin(2 * rounds * split(good_mass).theta) ** 2
-    return math.ceil(MAX_TRANSITIONS / land) if land > 0.0 else MAX_TRANSITIONS
+        return None, math.ceil(MAX_TRANSITIONS / share)
+    rounds = max(1, math.floor(math.pi / (4.0 * dec.theta))) if dec.alpha > 0.0 else 1
+    land = math.sin(2 * rounds * dec.theta) ** 2
+    return rounds, math.ceil(MAX_TRANSITIONS / land) if land > 0.0 else MAX_TRANSITIONS
 
 
 def _good_share(axis: State, good: frozenset) -> float:
@@ -189,17 +176,15 @@ def _good_share(axis: State, good: frozenset) -> float:
 def flip_until(
     state: S, share: float, want: Want, attempt: Callable[[S, Optional[int]], tuple[bool, S]]
 ) -> tuple[S, FlipStats]:
-    """The attempt loop both flips run, on flip_rounds' plan for an axis
+    """The attempt loop both flips run, on flip_plan's plan for an axis
     whose good side carries `share`: attempt(state, rounds) rotates the
     state by the plan's rounds, or takes a fresh axis when they are None,
     measures the flag and returns (landed good, state).  Returns the first
     state that lands on `want`, with the attempts, restarts and rounds
-    spent.  flip_rounds refuses a share with no wanted amplitude before any
-    attempt, and SimulationError follows flip_attempts' attempts that all
-    miss.
+    spent.  flip_plan refuses a share with no wanted amplitude before any
+    attempt, and SimulationError follows the plan's attempts that all miss.
     """
-    rounds = flip_rounds(share, want)
-    attempts = flip_attempts(share, rounds)
+    rounds, attempts = flip_plan(share, want)
     stats = FlipStats()
     for _ in range(attempts):
         stats.attempts += 1
@@ -225,7 +210,7 @@ def flip(
     `good` is a key callback, read once per key of the axis or the state
     into the set of good keys (_good_keys) that the share, the iterations
     and every flag measurement use.  The share is exact, so an axis with no
-    key on the wanted side reads exactly 0 or 1, which flip_rounds refuses.
+    key on the wanted side reads exactly 0 or 1, which flip_plan refuses.
     """
     good = _good_keys(good, state, axis)
     flags = good.__contains__

@@ -71,6 +71,8 @@ if TYPE_CHECKING:
 _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
+# Both repair paths' give-up, after the bound on their hops, formatted in.
+REPAIR_STALLED = "interval correction did not converge in {} transitions"
 
 HeldTuple = Tuple[int, Tuple[int, ...]]
 
@@ -469,15 +471,17 @@ def correct_interval(
 
     From the class repair_classes gives, each hop measures the cell
     repair_cell gives for the class, and the class becomes the counts
-    outside it in the measured cell, until it is [lo, target_hi].
+    outside it in the measured cell, until it is [lo, target_hi].  As
+    levels.hop_until does, it checks the class before each hop and after
+    the last, and SimulationError (REPAIR_STALLED) follows MAX_TRANSITIONS
+    hops that never reach it.
     """
     cls, target = repair_classes(index, family, target_hi)
-    stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
-        if cls == target:
-            return state, stats
+    stats, hops = FlipStats(), 0
+    while cls != target:
+        if hops == MAX_TRANSITIONS:
+            raise SimulationError(REPAIR_STALLED.format(MAX_TRANSITIONS))
+        hops += 1
         state, cls, fs = hop(state, index, cls, repair_cell(cls, family, target_hi), rng)
         stats.absorb(fs)
-    raise SimulationError(
-        f"interval correction did not converge in {MAX_TRANSITIONS} transitions"
-    )
+    return state, stats

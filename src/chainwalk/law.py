@@ -42,6 +42,7 @@ the one grouping of a restricted domain by image.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -155,8 +156,8 @@ def family_law(
 
 class CountIndex:
     """The count-level reads of a family index: `sizes`, the class size
-    |V_c| of every count c = 0..max_count as an exact Python int, and
-    `total`, their sum.
+    |V_c| of every count c = 0..max_count as an exact Python int, `total`,
+    their sum, and `occupied`, the counts whose size is not 0.
 
     A subclass is built from (restriction, R) and also lists the tuples the
     vertices of given counts hold, as (image, preimages) pairs with their
@@ -180,6 +181,11 @@ class CountIndex:
     def per_count(self, label: Callable[[int], object]) -> list:
         """label(c) of every count c = 0..max_count, as a list."""
         return [label(c) for c in range(len(self.sizes))]
+
+    @functools.cached_property
+    def occupied(self) -> frozenset:
+        """The counts whose class holds vertices, built on first read."""
+        return frozenset(c for c, size in enumerate(self.sizes) if size)
 
 
 class LawIndex(CountIndex):

@@ -47,11 +47,11 @@ both.
 
 Only the state arithmetic is written here.  The decisions both paths take
 on the same numbers are written once beside the vector path: a flip's loop
-and plan in amplify (flip_until, flip_rounds, flip_attempts), interval
-repair's premises and its target class in extraction.repair_classes and
-the cell each repair hop measures in extraction.repair_cell, and
-extraction's padding width and the family a tuple outcome leaves on
-VertexFamily (padding_width, after_tuple).
+and plan in amplify (flip_until, flip_plan), interval repair's premises
+and its target class in extraction.repair_classes, the cell each repair
+hop measures in extraction.repair_cell and its give-up text,
+extraction.REPAIR_STALLED, and extraction's padding width and the family a
+tuple outcome leaves on VertexFamily (padding_width, after_tuple).
 """
 
 from __future__ import annotations
@@ -63,20 +63,17 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from ._stream import Uniform, choose
 from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_until
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
-from .extraction import ExtractionOutcome, VertexFamily, repair_cell, repair_classes
+from .extraction import (
+    REPAIR_STALLED, ExtractionOutcome, VertexFamily, in_range, repair_cell, repair_classes,
+)
 from .law import CountIndex
-
-
-def _class(index: CountIndex, lo: int, hi: Optional[int]) -> frozenset:
-    """The counts in [lo, hi] (hi None: unbounded) that hold vertices."""
-    top = len(index.sizes) if hi is None else min(hi + 1, len(index.sizes))
-    return frozenset(c for c in range(lo, top) if index.sizes[c])
 
 
 class Levels:
     """1 / sqrt(support()), up to a global sign, on every vertex of `index`
     whose count is in `counts`, counts that hold vertices; 0 on every other
-    vertex."""
+    vertex.  No counts raise ValidationError, and a count that holds no
+    vertex of the index ParameterError."""
 
     __slots__ = ("index", "counts")
 
@@ -84,12 +81,14 @@ class Levels:
         self.index, self.counts = index, frozenset(counts)
         if not self.counts:
             raise ValidationError("state has no support")
+        if not self.counts <= index.occupied:
+            raise ParameterError("state holds a count with no vertex")
 
     @classmethod
     def uniform(cls, index: CountIndex, lo: int = 0, hi: Optional[int] = None) -> "Levels":
         """Uniform over the vertices with count in [lo, hi]: the diffusion
         axis by default, FamilyIndex.class_state's state otherwise."""
-        counts = _class(index, lo, hi)
+        counts = frozenset(filter(in_range(lo, hi), index.occupied))
         if not counts:
             raise ImpossibleTargetError(f"no vertices with count in [{lo}, {hi}]")
         return cls(index, counts)
@@ -123,9 +122,8 @@ def flip(
     and drawing where the flag lands, or drawing a fresh axis's flag when
     the plan is None.  A state off Grover's plane raises ValidationError."""
     index = state.index
-    flags = index.per_count(good)
-    axis = _class(index, 0, None)
-    sides = {True: frozenset(c for c in axis if flags[c])}
+    axis = index.occupied
+    sides = {True: frozenset(filter(good, axis))}
     sides[False] = axis - sides[True]
     good_size = sum(index.sizes[c] for c in sides[True])
     bad_size = index.total - good_size
@@ -156,7 +154,7 @@ def check_class(state: Levels, family: VertexFamily) -> None:
     """extraction.check_uniform_class with the state's index: raise
     ValidationError unless the state's class is the family's whole count
     class."""
-    if state.counts != _class(state.index, family.lo, family.hi):
+    if state.counts != frozenset(filter(in_range(family.lo, family.hi), state.index.occupied)):
         raise ValidationError(
             f"state support does not match family {family.interval_label()}"
         )
@@ -194,14 +192,14 @@ def repair(
     rng: Uniform,
 ) -> Tuple[Levels, FlipStats]:
     """extraction.correct_interval: widen a state over [lo, b] back to
-    [lo, target_hi], on the premises extraction.repair_classes checks, by
-    hops that measure extraction.repair_cell's cell for the class."""
-    repair_classes(state.index, family, target_hi)
-    target = _class(state.index, family.lo, target_hi)
+    [lo, target_hi], on the premises extraction.repair_classes checks and
+    to the counts of its target class that hold vertices, by hops that
+    measure extraction.repair_cell's cell for the class."""
+    target = repair_classes(state.index, family, target_hi)[1] & state.index.occupied
     return hop_until(
         state, lambda current: repair_cell(current.counts, family, target_hi),
         lambda current: current.counts == target, rng,
-        f"interval correction did not converge in {MAX_TRANSITIONS} transitions",
+        REPAIR_STALLED.format(MAX_TRANSITIONS),
     )
 
 
@@ -231,7 +229,7 @@ def extract_once(
         if new_family.big_r:
             child = index.child(new_family.restriction, new_family.big_r)
             # a holder of count c is a child vertex of count c - 1
-            collapsed = Levels(child, _class(child, 0, None) & {c - 1 for c in counts})
+            collapsed = Levels(child, child.occupied & {c - 1 for c in counts})
         return ExtractionOutcome(
             kind="tuple", image=image, preimages=preimages,
             collapsed=collapsed, new_family=new_family,

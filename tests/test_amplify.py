@@ -22,11 +22,9 @@ from chainwalk.amplify import (
     Want,
     decompose,
     flip,
-    flip_attempts,
-    flip_rounds,
+    flip_plan,
     flip_until,
     grover_iterate,
-    iteration_count,
 )
 
 GOOD_KEY = b"g"
@@ -84,17 +82,18 @@ def test_iterate_matches_rotation_law():
 
 
 def test_iteration_count_values():
+    """flip_plan's rounds for a GOOD flip at good amplitude alpha, that is
+    at share alpha^2."""
     # alpha = 1/2: pi/(4 asin) - 1/2 is exactly 1, and one round suffices
-    assert iteration_count(0.5) == 1
-    assert iteration_count(1 / math.sqrt(2)) == 1
-    assert iteration_count(1.0) == 0
+    assert flip_plan(0.5 ** 2, Want.GOOD)[0] == 1
+    # the share whose amplitude is 1/sqrt(2), the float below 1/2
+    assert math.sqrt(math.nextafter(0.5, 0.0)) == 1 / math.sqrt(2)
+    assert flip_plan(math.nextafter(0.5, 0.0), Want.GOOD)[0] == 1
     # small alpha behaves like round(pi / (4 alpha) - 1/2)
     for alpha in (0.01, 0.02, 0.05):
         theta = math.asin(alpha)
         want = int(math.floor(math.pi / (4 * theta) - 0.5 + 0.5))
-        assert iteration_count(alpha) == want
-    with pytest.raises(ImpossibleTargetError):
-        iteration_count(0.0)
+        assert flip_plan(alpha * alpha, Want.GOOD)[0] == want
 
 
 def test_flip_returns_exact_class_uniform():
@@ -188,7 +187,7 @@ class _ScriptedAttempt:
 
 
 @pytest.mark.parametrize("share, want, rounds", [
-    (0.01, Want.GOOD, 7),    # rotates iteration_count(0.1) rounds
+    (0.01, Want.GOOD, 7),    # rotates floor(pi / (4 asin 0.1)) rounds
     (0.75, Want.BAD, 1),
     (0.6, Want.GOOD, None),  # measures fresh axes: no iteration counted
     (0.0, Want.BAD, 1),      # no good side: every state is bad
@@ -199,7 +198,7 @@ def test_flip_until_counts_each_attempt(share, want, rounds, misses):
     k + 1 attempts, each attempt handed the last one's state and the plan's
     rounds, and the landing's state returned."""
     attempt = _ScriptedAttempt(misses, want)
-    assert flip_rounds(share, want) == rounds
+    assert flip_plan(share, want)[0] == rounds
     state, stats = flip_until("start", share, want, attempt)
     assert state == misses + 1
     assert attempt.calls == [("start", rounds)] + [(i, rounds) for i in range(1, misses + 1)]
@@ -217,10 +216,10 @@ def test_flip_until_refuses_an_empty_side_before_any_attempt(share, want):
 
 
 def test_flip_until_gives_up_after_flip_attempts():
-    """An attempt that never lands is called flip_attempts' bound of times,
+    """An attempt that never lands is called flip_plan's bound of times,
     and the give-up names that bound."""
     share, want = 0.6, Want.GOOD
-    bound = flip_attempts(share, flip_rounds(share, want))
+    _, bound = flip_plan(share, want)
     assert bound == math.ceil(MAX_TRANSITIONS / 0.6) == 16_667
     attempt = _ScriptedAttempt(bound, want)
     with pytest.raises(SimulationError, match=f"flip did not land on good in {bound} measurements"):
@@ -229,40 +228,41 @@ def test_flip_until_gives_up_after_flip_attempts():
 
 
 def test_flip_rounds_edges():
-    """The plan at each of its edges.  Mass 1/2 measures fresh axes only
-    through rounding: in binary64 sqrt(0.5) = 0.7071067811865476 exceeds
-    _HALF = 0.7071067811865475, the float just below it, so the tie |G| =
-    V/2 takes the axis branch while the next mass down rotates once.  Only
-    an exact 0 on the wanted side is refused: a share of 1e-24 or 1e-30 is
-    planned by iteration_count, a BAD flip included."""
-    assert flip_rounds(0.5, Want.GOOD) is None
+    """flip_plan's rounds at each of its edges.  Mass 1/2 measures fresh
+    axes only through rounding: in binary64 sqrt(0.5) = 0.7071067811865476
+    exceeds _HALF = 0.7071067811865475, the float just below it, so the tie
+    |G| = V/2 takes the axis branch while the next mass down rotates once.
+    Only an exact 0 on the wanted side is refused: a share of 1e-24 or
+    1e-30 is planned, a BAD flip included."""
+    assert flip_plan(0.5, Want.GOOD)[0] is None
     assert math.sqrt(math.nextafter(0.5, 0.0)) == 1.0 / math.sqrt(2.0)
-    assert flip_rounds(math.nextafter(0.5, 0.0), Want.GOOD) == 1
-    assert flip_rounds(0.0, Want.BAD) == 1
-    assert flip_rounds(0.75, Want.BAD) == 1
+    assert flip_plan(math.nextafter(0.5, 0.0), Want.GOOD)[0] == 1
+    assert flip_plan(0.0, Want.BAD)[0] == 1
+    assert flip_plan(0.75, Want.BAD)[0] == 1
     # the round count is read off, not run
-    assert flip_rounds(1e-20, Want.GOOD) == 7_853_981_633
-    assert flip_rounds(1e-24, Want.GOOD) == 785_398_163_397
-    assert flip_rounds(1e-30, Want.BAD) == iteration_count(1e-15)
+    assert flip_plan(1e-20, Want.GOOD)[0] == 7_853_981_633
+    assert flip_plan(1e-24, Want.GOOD)[0] == 785_398_163_397
+    assert flip_plan(1e-30, Want.BAD)[0] == flip_plan(1e-30, Want.GOOD)[0] == 785_398_163_397_448
     for mass, want in [(0.0, Want.GOOD), (1.0, Want.BAD)]:
-        with pytest.raises(ImpossibleTargetError):
-            flip_rounds(mass, want)
+        with pytest.raises(ImpossibleTargetError, match=f"axis has no {want.value} component"):
+            flip_plan(mass, want)
 
 
 def test_flip_attempts_follow_the_landing_chance():
-    """MAX_TRANSITIONS over the chance that an attempt lands after a miss:
-    the good mass when fresh axes are measured, sin^2(2 rounds theta) when
-    the plan rotates, and MAX_TRANSITIONS when that chance is 0."""
-    assert flip_attempts(0.6, None) == math.ceil(MAX_TRANSITIONS / 0.6)
+    """flip_plan's attempts: MAX_TRANSITIONS over the chance that an attempt
+    lands after a miss, the good mass when fresh axes are measured,
+    sin^2(2 rounds theta) when the plan rotates, and MAX_TRANSITIONS when
+    that chance is 0."""
+    assert flip_plan(0.6, Want.GOOD) == (None, math.ceil(MAX_TRANSITIONS / 0.6))
     # one round from mass 3/4: theta = pi/3, sin^2(2 pi/3) = 3/4
-    assert flip_attempts(0.75, flip_rounds(0.75, Want.BAD)) == 13_334
+    assert flip_plan(0.75, Want.BAD) == (1, 13_334)
     # one round from mass 1 - q lands with chance 4q(1 - q)
     q = 1.0 / 130816
-    assert flip_attempts(1.0 - q, 1) == 327_042_501
-    assert flip_attempts(0.0, flip_rounds(0.0, Want.BAD)) == MAX_TRANSITIONS
+    assert flip_plan(1.0 - q, Want.BAD) == (1, 327_042_501)
+    assert flip_plan(0.0, Want.BAD) == (1, MAX_TRANSITIONS)
     for mass in (0.01, 0.1, 0.3, 0.49):
         for want in Want:
-            assert flip_attempts(mass, flip_rounds(mass, want)) < 2 * MAX_TRANSITIONS
+            assert flip_plan(mass, want)[1] < 2 * MAX_TRANSITIONS
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwalk import _stream, chain, johnson, law, levels, regimes, statevector, stats
-from chainwalk.errors import FlaggedInstanceError, ParameterError
+from chainwalk import (
+    _stream, amplify, chain, extraction, johnson, law, levels, regimes, statevector, stats,
+)
+from chainwalk.errors import FlaggedInstanceError, ParameterError, SimulationError
 from chainwalk.oracle import (
     CollisionTable,
     FunctionTable,
@@ -113,6 +115,13 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: regimes.tradeoff_curve("a", 0.1, 3), id="tradeoff_curve-m_hat-str"),
     pytest.param(lambda: statevector.subset_key([-1, 2]), id="subset_key-negative"),
     pytest.param(lambda: statevector.subset_key([1 << 32]), id="subset_key-2**32"),
+    pytest.param(lambda: amplify.split(math.nan), id="split-nan"),
+    pytest.param(lambda: Levels(
+        law.LawIndex(restrict(generate_function(_P, 0), CollisionTable()), 4), [1.5]),
+        id="Levels-count-without-vertex"),
+    pytest.param(lambda: amplify.flip_plan("a", amplify.Want.GOOD), id="flip_plan-str"),
+    pytest.param(lambda: amplify.flip_plan(math.nan, amplify.Want.GOOD), id="flip_plan-nan"),
+    pytest.param(lambda: amplify.flip_plan(1.5, amplify.Want.GOOD), id="flip_plan-1.5"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
@@ -120,8 +129,9 @@ def test_probe_calls_raise_parameter_error(call):
     negative gap, NaN or infinite cost terms, a run bounded by 2.5
     iterations, a graph or Params of non-integer size, a gap at N = 4.5, one
     worker for 1.5 threads, a window for R = 2.5), or, for a subset key's
-    point outside [0, 2**32), raised ValidationError, and each now raises
-    ParameterError."""
+    point outside [0, 2**32), raised ValidationError, or, for a NaN share,
+    read it as 0 (split) or as an empty good side (the flip plan), and each
+    now raises ParameterError."""
     with pytest.raises(ParameterError):
         call()
 
@@ -415,6 +425,35 @@ def test_class_moves_pinned(case, seed, expected):
         (stats.iterations_used, stats.restarts, stats.attempts),
         interval, ledger_calls, rng.random().hex(),
     ) == expected
+
+
+@pytest.mark.parametrize("bound", [3, 2])
+def test_both_repair_paths_give_up_by_one_rule(monkeypatch, bound):
+    """The carved pairs' [1, 1] repaired to [1, 2] at seed 0 takes 3 hops on
+    either path, CLASS_MOVES' first row.  Both paths check the class before
+    each hop and after the last, so under a bound of 3 hops both return that
+    row's state and work, and under a bound of 2 both give up with one text."""
+    restriction, index = _carved_pairs()
+    family = VertexFamily(restriction, 6, 1, 1)
+    monkeypatch.setattr(extraction, "MAX_TRANSITIONS", bound)
+    monkeypatch.setattr(levels, "MAX_TRANSITIONS", bound)
+    paths = [
+        lambda rng: extraction.correct_interval(index.class_state(1, 1), family, 2, index, rng),
+        lambda rng: repair(Levels.uniform(index, 1, 1), family, 2, rng),
+    ]
+    for path in paths:
+        rng = np.random.default_rng(0)
+        if bound == 2:
+            with pytest.raises(SimulationError) as failed:
+                path(rng)
+            assert str(failed.value) == "interval correction did not converge in 2 transitions"
+            continue
+        state, stats = path(rng)
+        if isinstance(state, Levels):
+            state = as_state(state)
+        assert set(state.support()) == set(index.class_state(1, 2).keys())
+        assert (stats.iterations_used, stats.restarts, stats.attempts) == (8, 2, 5)
+        assert rng.random().hex() == "0x1.165603cf43b8fp-1"
 
 
 _DENSE_FLAG = "The instance violates a statistical premise; it is skipped, not patched: "

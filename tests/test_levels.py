@@ -27,8 +27,7 @@ from chainwalk.amplify import (
     Want,
     _good_share,
     flip as vector_flip,
-    flip_rounds,
-    iteration_count,
+    flip_plan,
     split,
 )
 from chainwalk.chain import CostLedger, _delta_for, extraction_step, walk_step
@@ -121,9 +120,9 @@ def _raises_within(seconds, error, call, match=None):
 def test_flip_toward_an_empty_side_is_refused(want, good):
     """eight_point's R = 4 family has V = 70 vertices.  With every count
     good, the axis's running float mass reads 0.9999999999999983, whose bad
-    amplitude 4e-8 clears flip_rounds' 1e-12, so a BAD flip planned from it
-    rotated forever.  Both flips plan from the exact share |G|/V, here 1.0,
-    and flip_rounds refuses a wanted side with no vertex when it plans from
+    amplitude 4e-8 clears an old plan's 1e-12 floor, so a BAD flip planned
+    from it rotated forever.  Both flips plan from the exact share |G|/V, here 1.0,
+    and flip_plan refuses a wanted side with no vertex when it plans from
     that share, before any attempt, on either kind of index and on the
     vector path."""
     _, restriction = eight_point()
@@ -151,7 +150,7 @@ def test_flip_that_never_lands_raises():
     """eight_point's R = 4 family with counts 1 and 2 good: 42 of 70
     vertices, so a GOOD flip measures fresh axes.  Labels sort False first,
     so under zero draws every attempt lands on the bad side, and both flips
-    give up after flip_attempts' bound, ceil(10000 / (42/70)) attempts, on
+    give up after flip_plan's bound, ceil(10000 / (42/70)) attempts, on
     either kind of index and on the vector path."""
     _, restriction = eight_point()
     good = lambda c: c >= 1
@@ -224,7 +223,7 @@ def test_half_axis_sits_on_the_boundary():
     assert mass < 0.5
     assert 60 / index.total == _good_share(axis, frozenset(filter(flags, axis.keys()))) == 0.5
     assert split(mass).alpha < _HALF < split(0.5).alpha
-    assert flip_rounds(0.5, Want.GOOD) is None
+    assert flip_plan(0.5, Want.GOOD)[0] is None
 
 
 @pytest.mark.parametrize("want", [Want.GOOD, Want.BAD])
@@ -539,12 +538,12 @@ def test_flip_at_one_in_a_trillion_is_one_rotation():
 
 def test_flip_at_one_in_10_to_the_30_is_one_rotation():
     """|G|/V = 10^-30, a good amplitude of 1e-15: the flip is planned, not
-    refused, and its iteration_count(1e-15) rounds are one rotation, which
+    refused, and its floor(pi / (4 asin 1e-15)) rounds are one rotation, which
     lands on the good vertex at the first attempt."""
     index = _Counts([10**30 - 1, 1])
     state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
                         np.random.default_rng(0))
-    assert _stats(stats) == (iteration_count(1e-15), 0, 1) == (785_398_163_397_448, 0, 1)
+    assert _stats(stats) == (flip_plan(1e-30, Want.GOOD)[0], 0, 1) == (785_398_163_397_448, 0, 1)
     assert state.counts == {1}
 
 
@@ -554,12 +553,12 @@ def test_flip_at_one_in_10_to_the_30_is_one_rotation():
 ])
 def test_flip_plan_reads_the_share_past_a_float_sum(total, stalled):
     """|G| = V/3 on families near 10^20 and of C(128, 64) vertices: each
-    attempt of a GOOD flip rotates iteration_count(sqrt(1/3)) = 1 round.  A
-    running float sum of the |G| weights (1/sqrt V)^2 stalls near `stalled`
-    there, far below 1/3, and would size many more rounds."""
+    attempt of a GOOD flip rotates flip_plan's floor(pi/(4 asin sqrt(1/3)))
+    = 1 round.  A running float sum of the |G| weights (1/sqrt V)^2 stalls
+    near `stalled` there, far below 1/3, and would size many more rounds."""
     index = _Counts([total - total // 3, total // 3])
-    rounds = iteration_count(math.sqrt(1 / 3))
-    assert rounds == 1 < iteration_count(math.sqrt(stalled))
+    rounds, _ = flip_plan(1 / 3, Want.GOOD)
+    assert rounds == 1 < flip_plan(stalled, Want.GOOD)[0]
     state, stats = flip(Levels.uniform(index), lambda c: c >= 1, Want.GOOD,
                         np.random.default_rng(0))
     assert state.counts == {1}
