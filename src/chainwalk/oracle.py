@@ -156,9 +156,7 @@ def require_real(**values) -> None:
     """Raise ParameterError unless each of the named `values` is a real
     number (numbers.Real): not a bool, a string, a complex or None."""
     for name, value in values.items():
-        # a Python float passes on its type alone, before the slower ABC check
-        if type(value) is not float and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from chainwalk.amplify import Want, flip, flip_plan, grover_iterate
+from chainwalk.amplify import Want, flip, grover_iterate
 from chainwalk.errors import ValidationError
 from chainwalk.statevector import (
     NORM_TOL,
@@ -458,9 +458,10 @@ def _mixed_pair(amps):
 def _ref_flip(state, good, axis, want, rng):
     """flip on the dict reference: the same iteration count, then rounds of
     reflection pairs and a flag measurement until it lands on `want`."""
-    share = sum(abs(a) ** 2 for k, a in axis.items() if good(k))
-    # a None plan measures the axis, where this flip starts
-    count = flip_plan(share, want)[0] or 0
+    alpha = math.sqrt(sum(abs(a) ** 2 for k, a in axis.items() if good(k)))
+    count = math.floor(math.pi / (4 * math.asin(min(1.0, alpha))))
+    if want is Want.BAD:
+        count = max(1, count)
     while True:
         for _ in range(count):
             state = _ref_reflect_state(_ref_reflect_predicate(state, good), axis)
