@@ -24,6 +24,11 @@ flip does with its share, whether the wanted amplitude is 0 (refused),
 whether to measure fresh axes, how many rounds to rotate by and how many
 attempts to make, is decided in one place, `flip_plan`, from one split of
 the share.
+
+Interval repair and the walk step hop a state off its count class until
+the target class comes up, for at most MAX_TRANSITIONS hops.  Both paths
+run that loop, `hop_until`, each with its own hop: extraction.hop moves a
+vector and its class, and levels.class_hop a class state.
 """
 
 from __future__ import annotations
@@ -88,7 +93,9 @@ def decompose(state: State, good: Labels) -> AmplitudeDecomposition:
 
 def split(good_mass: float) -> AmplitudeDecomposition:
     """The amplitude split of a state whose good side carries `good_mass`,
-    clamped to [0, 1]; a NaN mass raises ParameterError."""
+    clamped to [0, 1]; a mass that is not a real number, NaN included,
+    raises ParameterError."""
+    require_real(good_mass=good_mass)
     if math.isnan(good_mass):
         raise ParameterError("good mass is not a number")
     good_mass = min(1.0, max(0.0, good_mass))
@@ -126,9 +133,11 @@ def flip_plan(share: float, want: Want) -> tuple[Optional[int], int]:
     its good side: (rounds, attempts), the rounds each attempt rotates by
     before it measures and the attempts it makes before it gives up.
 
-    A share that is not a real number in [0, 1], NaN included, raises
-    ParameterError, and one with no wanted amplitude ImpossibleTargetError:
-    a share that rounds to a positive float, however small, is planned.
+    A `want` that is not a Want, or a share that is not a real number in
+    [0, 1], NaN included, raises ParameterError (split refuses a share that
+    is not a real number), and a share with no wanted amplitude
+    ImpossibleTargetError: a share that rounds to a positive float, however
+    small, is planned.
     When the good side is wanted and its amplitude exceeds 1/sqrt(2),
     rotation is too coarse to help, so rounds is None: each attempt
     measures a fresh copy of the axis, and lands with chance p = share.
@@ -147,10 +156,11 @@ def flip_plan(share: float, want: Want) -> tuple[Optional[int], int]:
     flip on an axis with no good mass, every state in the plane is bad, the
     first attempt lands, and attempts is MAX_TRANSITIONS.
     """
-    require_real(share=share)
+    if not isinstance(want, Want):
+        raise ParameterError(f"want must be a Want, got {want!r}")
+    dec = split(share)
     if not 0.0 <= share <= 1.0:
         raise ParameterError(f"share must lie in [0, 1], got {share!r}")
-    dec = split(share)
     if (dec.alpha if want is Want.GOOD else dec.beta) <= 0.0:
         raise ImpossibleTargetError(f"axis has no {want.value} component")
     if want is Want.GOOD and dec.alpha > _HALF:
@@ -181,8 +191,9 @@ def flip_until(
     state by the plan's rounds, or takes a fresh axis when they are None,
     measures the flag and returns (landed good, state).  Returns the first
     state that lands on `want`, with the attempts, restarts and rounds
-    spent.  flip_plan refuses a share with no wanted amplitude before any
-    attempt, and SimulationError follows the plan's attempts that all miss.
+    spent.  flip_plan refuses a `want` that is not a Want and a share with
+    no wanted amplitude before any attempt, and SimulationError follows the
+    plan's attempts that all miss.
     """
     rounds, attempts = flip_plan(share, want)
     stats = FlipStats()
@@ -194,6 +205,25 @@ def flip_until(
             return state, stats
         stats.restarts += 1
     raise SimulationError(f"flip did not land on {want.value} in {attempts} measurements")
+
+
+def hop_until(
+    state: S, step: Callable[[S], tuple[S, FlipStats]], done: Callable[[S], bool], failure: str
+) -> tuple[S, FlipStats]:
+    """The hop loop of interval repair and of a walk step on both state
+    paths: step(state) returns the state one hop moves to and the hop's work
+    record, until done(state) holds, which is read before each hop and after
+    the last.  Returns that state and the hops' merged work record;
+    SimulationError, saying failure.format(MAX_TRANSITIONS), follows
+    MAX_TRANSITIONS hops that never reach done."""
+    stats, hops = FlipStats(), 0
+    while not done(state):
+        if hops == MAX_TRANSITIONS:
+            raise SimulationError(failure.format(MAX_TRANSITIONS))
+        hops += 1
+        state, fs = step(state)
+        stats.absorb(fs)
+    return state, stats
 
 
 def flip(

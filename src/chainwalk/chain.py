@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from ._stream import Stream, Uniform
-from .amplify import MAX_TRANSITIONS, FlipStats, Want
+from .amplify import FlipStats, Want, hop_until
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -58,7 +58,7 @@ from .oracle import (
     require_real,
     restrict,
 )
-from .levels import Levels, check_class, extract_tuple, flip, hop_until, measure
+from .levels import Levels, check_class, class_hop, extract_tuple, flip, measure
 from .stats import IntervalPlan, window
 
 _ELL_SLACK = 4
@@ -415,10 +415,10 @@ def walk_step(
     The count cells are [0, E-T-1], [E-T, E], [E+1, E+T] and [E+T+1, inf).
     The state is uniform over the family's class, which the premise puts in
     the second cell, so the walk starts from that class without measuring
-    and hops (levels.hop_until) from the class to a cell of its complement
-    until the third cell comes up.  The hops' iterations are charged as
-    diffusions, once, from their merged work record.  Returns (state,
-    family over [E+1, E+T], stats).
+    and hops (amplify.hop_until over levels.class_hop) from the class to a
+    cell of its complement until the third cell comes up.  The hops'
+    iterations are charged as diffusions, once, from their merged work
+    record.  Returns (state, family over [E+1, E+T], stats).
     """
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
@@ -440,8 +440,9 @@ def walk_step(
         return 3
 
     state, stats = hop_until(
-        state, lambda _: cell_of, lambda current: cell_of(min(current.counts)) == 2, rng,
-        f"walk step did not reach the target cell in {MAX_TRANSITIONS} hops",
+        state, lambda current: class_hop(current, cell_of, rng),
+        lambda current: cell_of(min(current.counts)) == 2,
+        "walk step did not reach the target cell in {} hops",
     )
     ledger.charge_flip(stats, _delta_for(family))
     new_family = replace(family, lo=e_now + 1, hi=e_now + width)

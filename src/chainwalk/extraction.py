@@ -51,13 +51,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ._stream import Uniform
-from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip
+from .amplify import FlipStats, Want, flip, hop_until
 from .errors import (
     ContractViolationError,
     FlaggedInstanceError,
     ImpossibleTargetError,
     ParameterError,
-    SimulationError,
     ValidationError,
 )
 from .law import CountIndex, family_total
@@ -71,7 +70,7 @@ if TYPE_CHECKING:
 _TUPLE_TAG = b"t"
 _DUMMY_TAG = b"d"
 _UNIFORM_TOL = 1e-9
-# Both repair paths' give-up, after the bound on their hops, formatted in.
+# Both repair paths' give-up, which amplify.hop_until formats with its bound.
 REPAIR_STALLED = "interval correction did not converge in {} transitions"
 
 HeldTuple = Tuple[int, Tuple[int, ...]]
@@ -469,19 +468,17 @@ def correct_interval(
 ) -> Tuple[State, FlipStats]:
     """Widen a narrowed family state [lo, b] back to [lo, target_hi].
 
-    From the class repair_classes gives, each hop measures the cell
-    repair_cell gives for the class, and the class becomes the counts
-    outside it in the measured cell, until it is [lo, target_hi].  As
-    levels.hop_until does, it checks the class before each hop and after
-    the last, and SimulationError (REPAIR_STALLED) follows MAX_TRANSITIONS
-    hops that never reach it.
+    From the class repair_classes gives, amplify.hop_until runs hops over
+    (state, class) pairs: each measures the cell repair_cell gives for the
+    class, and the class becomes the counts outside it in the measured
+    cell, until it is [lo, target_hi].
     """
     cls, target = repair_classes(index, family, target_hi)
-    stats, hops = FlipStats(), 0
-    while cls != target:
-        if hops == MAX_TRANSITIONS:
-            raise SimulationError(REPAIR_STALLED.format(MAX_TRANSITIONS))
-        hops += 1
-        state, cls, fs = hop(state, index, cls, repair_cell(cls, family, target_hi), rng)
-        stats.absorb(fs)
-    return state, stats
+
+    def step(pair):
+        state, cls = pair
+        state, cls, stats = hop(state, index, cls, repair_cell(cls, family, target_hi), rng)
+        return (state, cls), stats
+
+    moved, stats = hop_until((state, cls), step, lambda pair: pair[1] == target, REPAIR_STALLED)
+    return moved[0], stats

@@ -47,11 +47,13 @@ both.
 
 Only the state arithmetic is written here.  The decisions both paths take
 on the same numbers are written once beside the vector path: a flip's loop
-and plan in amplify (flip_until, flip_plan), interval repair's premises
-and its target class in extraction.repair_classes, the cell each repair
-hop measures in extraction.repair_cell and its give-up text,
-extraction.REPAIR_STALLED, and extraction's padding width and the family a
-tuple outcome leaves on VertexFamily (padding_width, after_tuple).
+and plan in amplify (flip_until, flip_plan), the hop loop of interval
+repair and of a walk step, with its bound, in amplify.hop_until, which
+runs class_hop here, interval repair's premises and its target class in
+extraction.repair_classes, the cell each repair hop measures in
+extraction.repair_cell and its give-up text, extraction.REPAIR_STALLED,
+and extraction's padding width and the family a tuple outcome leaves on
+VertexFamily (padding_width, after_tuple).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import replace
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ._stream import Uniform, choose
-from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_until
+from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_until, hop_until
 from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
 from .extraction import (
     REPAIR_STALLED, ExtractionOutcome, VertexFamily, in_range, repair_cell, repair_classes,
@@ -160,29 +162,15 @@ def check_class(state: Levels, family: VertexFamily) -> None:
         )
 
 
-def hop_until(
-    state: Levels,
-    cells: Callable[[Levels], Callable[[int], object]],
-    done: Callable[[Levels], bool],
-    rng: Uniform,
-    failure: str,
+def class_hop(
+    state: Levels, cell: Callable[[int], object], rng: Uniform
 ) -> Tuple[Levels, FlipStats]:
-    """The hops of extraction.correct_interval and of a walk step, until
-    done(state) holds: each flips a class state off its class, then
-    measures cells(state)(count), cells reading the state before the hop.
-    Returns the state, uniform over the counts outside the last class in
-    the measured cell, and the hops' merged work record; SimulationError,
-    saying `failure`, follows MAX_TRANSITIONS hops that never reach done."""
-    stats, hops = FlipStats(), 0
-    while not done(state):
-        if hops == MAX_TRANSITIONS:
-            raise SimulationError(failure)
-        hops += 1
-        cell = cells(state)
-        state, fs = flip(state, state.counts.__contains__, Want.BAD, rng)
-        stats.absorb(fs)
-        _, state = measure(state, cell, rng)
-    return state, stats
+    """extraction.hop on a class state, the step interval repair and a walk
+    step pass amplify.hop_until: flips the state off its class, then
+    measures cell(count).  Returns the state, uniform over the counts
+    outside the class in the measured cell, and the flip's work record."""
+    state, stats = flip(state, state.counts.__contains__, Want.BAD, rng)
+    return measure(state, cell, rng)[1], stats
 
 
 def repair(
@@ -193,13 +181,14 @@ def repair(
 ) -> Tuple[Levels, FlipStats]:
     """extraction.correct_interval: widen a state over [lo, b] back to
     [lo, target_hi], on the premises extraction.repair_classes checks and
-    to the counts of its target class that hold vertices, by hops that
-    measure extraction.repair_cell's cell for the class."""
+    to the counts of its target class that hold vertices, by
+    amplify.hop_until over class hops that measure extraction.repair_cell's
+    cell for the class."""
     target = repair_classes(state.index, family, target_hi)[1] & state.index.occupied
     return hop_until(
-        state, lambda current: repair_cell(current.counts, family, target_hi),
-        lambda current: current.counts == target, rng,
-        REPAIR_STALLED.format(MAX_TRANSITIONS),
+        state,
+        lambda current: class_hop(current, repair_cell(current.counts, family, target_hi), rng),
+        lambda current: current.counts == target, REPAIR_STALLED,
     )
 
 

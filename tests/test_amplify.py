@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from chainwalk import amplify
 from chainwalk.errors import ImpossibleTargetError, SimulationError
 from chainwalk.extraction import FamilyIndex
 from chainwalk.oracle import CollisionTable, Params, generate_function, restrict
@@ -19,12 +20,14 @@ from chainwalk.statevector import State, states_close
 from reference import uniform_state
 from chainwalk.amplify import (
     MAX_TRANSITIONS,
+    FlipStats,
     Want,
     decompose,
     flip,
     flip_plan,
     flip_until,
     grover_iterate,
+    hop_until,
 )
 
 GOOD_KEY = b"g"
@@ -225,6 +228,55 @@ def test_flip_until_gives_up_after_flip_attempts():
     with pytest.raises(SimulationError, match=f"flip did not land on good in {bound} measurements"):
         flip_until("start", share, want, attempt)
     assert len(attempt.calls) == bound
+
+
+class _ScriptedHop:
+    """A hop from state i to i + 1 whose work record is i + 1 iterations,
+    one restart and two attempts, recording the state of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, state):
+        self.calls.append(state)
+        return state + 1, FlipStats(iterations_used=state + 1, restarts=1, attempts=2)
+
+
+def test_hop_until_makes_no_hop_when_done_at_entry():
+    hop = _ScriptedHop()
+    assert hop_until(5, hop, lambda state: True, "never {}") == (5, FlipStats())
+    assert hop.calls == []
+
+
+@pytest.mark.parametrize("hops", [1, 2, 5])
+def test_hop_until_merges_each_hop(hops):
+    """k hops: each handed the last one's state, their records merged into
+    one, and done read before each hop and after the last."""
+    hop, read = _ScriptedHop(), []
+
+    def done(state):
+        read.append(state)
+        return state == hops
+
+    state, stats = hop_until(0, hop, done, "never {}")
+    assert state == hops
+    assert hop.calls == list(range(hops))
+    assert read == list(range(hops + 1))
+    assert stats == FlipStats(iterations_used=hops * (hops + 1) // 2, restarts=hops,
+                              attempts=2 * hops)
+
+
+def test_hop_until_gives_up_after_the_bound(monkeypatch):
+    """Under a bound of 3, a state that is done after the third hop is
+    returned, and one that never is raises the caller's text formatted
+    with the bound, after 3 hops."""
+    monkeypatch.setattr(amplify, "MAX_TRANSITIONS", 3)
+    assert hop_until(0, _ScriptedHop(), lambda state: state == 3, "never {}")[0] == 3
+    hop = _ScriptedHop()
+    with pytest.raises(SimulationError) as failed:
+        hop_until(0, hop, lambda state: False, "walk step did not reach the target cell in {} hops")
+    assert str(failed.value) == "walk step did not reach the target cell in 3 hops"
+    assert hop.calls == [0, 1, 2]
 
 
 def test_flip_rounds_edges():

@@ -122,6 +122,10 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: amplify.flip_plan("a", amplify.Want.GOOD), id="flip_plan-str"),
     pytest.param(lambda: amplify.flip_plan(math.nan, amplify.Want.GOOD), id="flip_plan-nan"),
     pytest.param(lambda: amplify.flip_plan(1.5, amplify.Want.GOOD), id="flip_plan-1.5"),
+    pytest.param(lambda: amplify.flip_plan(0.6, "good"), id="flip_plan-want-str"),
+    pytest.param(lambda: amplify.flip_until(None, 0.6, "good", lambda state, rounds: (True, state)),
+                 id="flip_until-want-str"),
+    pytest.param(lambda: amplify.split("a"), id="split-str"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
@@ -130,8 +134,9 @@ def test_probe_calls_raise_parameter_error(call):
     iterations, a graph or Params of non-integer size, a gap at N = 4.5, one
     worker for 1.5 threads, a window for R = 2.5), or, for a subset key's
     point outside [0, 2**32), raised ValidationError, or, for a NaN share,
-    read it as 0 (split) or as an empty good side (the flip plan), and each
-    now raises ParameterError."""
+    read it as 0 (split) or as an empty good side (the flip plan), or, for
+    a `want` that is not a Want, planned a BAD flip or raised a bare
+    AttributeError, and each now raises ParameterError."""
     with pytest.raises(ParameterError):
         call()
 
@@ -432,11 +437,11 @@ def test_both_repair_paths_give_up_by_one_rule(monkeypatch, bound):
     """The carved pairs' [1, 1] repaired to [1, 2] at seed 0 takes 3 hops on
     either path, CLASS_MOVES' first row.  Both paths check the class before
     each hop and after the last, so under a bound of 3 hops both return that
-    row's state and work, and under a bound of 2 both give up with one text."""
+    row's state and work, and under a bound of 2 both give up with one text:
+    both run amplify.hop_until, which reads the one bound."""
     restriction, index = _carved_pairs()
     family = VertexFamily(restriction, 6, 1, 1)
-    monkeypatch.setattr(extraction, "MAX_TRANSITIONS", bound)
-    monkeypatch.setattr(levels, "MAX_TRANSITIONS", bound)
+    monkeypatch.setattr(amplify, "MAX_TRANSITIONS", bound)
     paths = [
         lambda rng: extraction.correct_interval(index.class_state(1, 1), family, 2, index, rng),
         lambda rng: repair(Levels.uniform(index, 1, 1), family, 2, rng),
