@@ -11,8 +11,9 @@ each of which prunes and checks the norm.
 A flip drives attempts of iterate-then-measure until the projective flag
 measurement lands on the wanted side, for at most the plan's attempts.
 Both state paths run that loop, `flip_until`, each with its own attempt:
-`flip` here rotates a vector by `grover_iterate` and measures it, and
-levels.flip turns a count class in closed form and draws its landing.
+`flip` here rotates a vector by `grover_iterate` and measures it, testing
+one set of good keys that it reads once, and levels.flip turns a count
+class in closed form and draws its landing.
 Inputs are expected to lie in span{B, G} (uniform class states always do);
 the returned state is then exactly the renormalized wanted projection of the
 axis.  The loop plans from the axis's good share: here `_good_share`, the
@@ -26,9 +27,12 @@ attempts to make, is decided in one place, `flip_plan`, from one split of
 the share.
 
 Interval repair and the walk step hop a state off its count class until
-the target class comes up, for at most MAX_TRANSITIONS hops.  Both paths
-run that loop, `hop_until`, each with its own hop: extraction.hop moves a
-vector and its class, and levels.class_hop a class state.
+the target class comes up, and tuple extraction measures the padded
+register until a tuple comes out, each for at most MAX_TRANSITIONS steps.
+All three run one loop, `hop_until`, each with its own step:
+extraction.hop moves a vector and its class, levels.class_hop a class
+state, and levels.extract_tuple measures once and repairs a dummy.  So
+MAX_TRANSITIONS is read here alone.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .statevector import (
 )
 
 _HALF = 1.0 / math.sqrt(2.0)
-# Bound on measure-and-flip rounds in any flip, extraction, repair or walk loop.
+# Bound on the steps of hop_until, and the scale of a flip's attempt bound.
 MAX_TRANSITIONS = 10_000
 # A flip's state: a State on the vector path, a levels.Levels on the class path.
 S = TypeVar("S")
@@ -107,25 +111,17 @@ def split(good_mass: float) -> AmplitudeDecomposition:
 def grover_iterate(state: State, good: Labels, axis: State, count: int) -> State:
     """Apply (Ref_axis . Ref_flip)^count, one exact rotation per application.
 
-    `good` is a key callback, read once per key of the axis or the state
-    (_good_keys): every key the rounds can reach.  Each round is
-    reflect_about_predicate then reflect_about_state, so each ends with
-    their prune and norm check.
+    `good` is a key callback, read on every key of the state in every
+    round; flip passes the membership test of the good-key set it builds
+    once.  Each round is reflect_about_predicate then reflect_about_state,
+    so each ends with their prune and norm check.
     """
     require_int(count=count)
     if count < 0:
         raise ParameterError("iteration count must be nonnegative")
-    flags = _good_keys(good, state, axis).__contains__
     for _ in range(count):
-        state = reflect_about_state(reflect_about_predicate(state, flags), axis)
+        state = reflect_about_state(reflect_about_predicate(state, good), axis)
     return state
-
-
-def _good_keys(good: Labels, state: State, axis: State) -> frozenset:
-    """The keys of the axis and of the state where `good` holds, each read
-    once.  The rounds and measurements of an iteration from `state` reach
-    no other key."""
-    return frozenset(filter(good, {**axis.amplitudes, **state.amplitudes}))
 
 
 def flip_plan(share: float, want: Want) -> tuple[Optional[int], int]:
@@ -210,12 +206,15 @@ def flip_until(
 def hop_until(
     state: S, step: Callable[[S], tuple[S, FlipStats]], done: Callable[[S], bool], failure: str
 ) -> tuple[S, FlipStats]:
-    """The hop loop of interval repair and of a walk step on both state
-    paths: step(state) returns the state one hop moves to and the hop's work
-    record, until done(state) holds, which is read before each hop and after
-    the last.  Returns that state and the hops' merged work record;
-    SimulationError, saying failure.format(MAX_TRANSITIONS), follows
-    MAX_TRANSITIONS hops that never reach done."""
+    """The loop of interval repair and of a walk step on both state paths,
+    and of levels.extract_tuple's padded measurements: step(state) returns
+    the state one hop moves to and the hop's work record, until done(state)
+    holds, which is read before each hop and after the last.  Returns that
+    state and the hops' merged work record; SimulationError, saying
+    failure.format(MAX_TRANSITIONS), follows MAX_TRANSITIONS hops that never
+    reach done.  A state may be a pair that carries what the loop's caller
+    reads after it, as a class beside a vector or an outcome beside a class
+    state."""
     stats, hops = FlipStats(), 0
     while not done(state):
         if hops == MAX_TRANSITIONS:
@@ -238,11 +237,12 @@ def flip(
     plan, then measuring the flag.
 
     `good` is a key callback, read once per key of the axis or the state
-    into the set of good keys (_good_keys) that the share, the iterations
-    and every flag measurement use.  The share is exact, so an axis with no
-    key on the wanted side reads exactly 0 or 1, which flip_plan refuses.
+    into the one set of good keys that the share, every round and every
+    flag measurement read: the rounds and measurements of a flip reach no
+    other key.  The share is exact, so an axis with no key on the wanted
+    side reads exactly 0 or 1, which flip_plan refuses.
     """
-    good = _good_keys(good, state, axis)
+    good = frozenset(filter(good, {**axis.amplitudes, **state.amplitudes}))
     flags = good.__contains__
 
     def attempt(state: State, rounds: Optional[int]) -> tuple[bool, State]:

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .extraction import VertexFamily, in_range
 from .johnson import closed_form_gap
-from .law import LawIndex
+from .law import LawIndex, family_total
 from .oracle import (
     CollisionTable,
     FunctionTable,
@@ -305,9 +305,11 @@ def _delta_for(family: VertexFamily) -> float:
 def _verify_tuple(
     fn: FunctionTable, ledger: CostLedger, image: int, preimages: Tuple[int, ...]
 ) -> None:
-    """Classical confirmation of a measured tuple, with counted queries."""
-    if len(set(preimages)) != len(preimages) or len(preimages) < 2:
-        raise ContractViolationError("measured tuple is not a valid collision")
+    """Classical confirmation of a measured tuple: one counted query per
+    preimage, each of which must map to `image`.  The tuple's shape, two or
+    more distinct preimages, is CollisionTable.insert's check, which the
+    extraction that measured it made when it recorded it
+    (VertexFamily.after_tuple)."""
     for x in preimages:
         ledger.oracle_queries += 1
         if fn.query(x) != image:
@@ -476,15 +478,15 @@ def run(config: ChainConfig) -> ChainResult:
     a tuple, or the vertex was emptied).
     """
     params = config.params
+    big_r = config.vertex_size
+    # the family's size is checked before its 2^n-entry table is drawn
+    family_total(params.domain_size, big_r)
     fn = generate_function(params, config.seed)
     rng = Stream([config.seed, 1])
     ledger = CostLedger(
         predicted_total=predict_cost(params, float(config.ell), "new").total
     )
     restriction = restrict(fn, CollisionTable())
-    big_r = config.vertex_size
-    # LawIndex refuses an R above the domain, as every family index does
-    # (law.family_total)
     state = Levels.uniform(LawIndex(restriction, big_r))
     family = VertexFamily(restriction, big_r, 0, None)
     ledger.setup_calls = 1

@@ -237,13 +237,8 @@ class FamilyIndex(CountIndex):
         by the vertices of the counts where `live` holds, in token order, as
         (image, preimages) pairs, and each one's holders among those
         vertices per count 0..max_count."""
-        found, holders = [], []
-        for held, row in self._holder_rows.items():
-            row = [h if alive else 0 for h, alive in zip(row, live)]
-            if any(row):
-                found.append(held)
-                holders.append(row)
-        return found, holders
+        rows = self._live_rows(self._holder_rows, live)
+        return list(rows), list(rows.values())
 
     def by_count(self, label: Callable[[int], object]) -> Callable[[BasisKey], object]:
         """Key callback: label(count) of a vertex, and None off the family,

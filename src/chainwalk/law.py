@@ -47,7 +47,7 @@ import itertools
 import math
 import operator
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import CapacityError, ContractViolationError, ParameterError
 from .oracle import RestrictedFunction, require_int
@@ -60,19 +60,31 @@ _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 def family_total(points: int, big_r: int) -> int:
     """C(points, big_r), the vertex count of a family, after the checks every
     family index makes: a subset size in 1..points and at most
-    _MAX_FAMILY_VERTICES vertices."""
+    _MAX_FAMILY_VERTICES vertices.
+
+    C(points, big_r) is at least points when big_r < points, so a domain of
+    more points than the cap is refused before the binomial is computed.  A
+    refusal states the total, or the binomial C(points, big_r) where the
+    total is not computed or has more digits than Python prints.
+    """
     require_int(big_r=big_r)
     if not (0 < big_r <= points):
         raise ParameterError(
             f"subset size {big_r} invalid for domain of {points} points"
         )
-    total = math.comb(points, big_r)
-    if total > _MAX_FAMILY_VERTICES:
-        raise CapacityError(
-            f"family of {total} vertices exceeds enumeration cap "
-            f"{_MAX_FAMILY_VERTICES}"
-        )
-    return total
+    shown = None
+    if big_r == points or points <= _MAX_FAMILY_VERTICES:
+        total = math.comb(points, big_r)
+        if total <= _MAX_FAMILY_VERTICES:
+            return total
+        try:
+            shown = str(total)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    raise CapacityError(
+        f"family of {shown or f'C({points}, {big_r})'} vertices exceeds enumeration cap "
+        f"{_MAX_FAMILY_VERTICES}"
+    )
 
 
 def _power(base: int, exp: int, keep: int) -> int:
@@ -161,7 +173,9 @@ class CountIndex:
 
     A subclass is built from (restriction, R) and also lists the tuples the
     vertices of given counts hold, as (image, preimages) pairs with their
-    holders per count (tuple_holders).
+    holders per count (tuple_holders).  Both kinds keep holder rows per
+    count, extraction.FamilyIndex one per tuple and LawIndex one per tuple
+    shape, and both mask them to the live counts by _live_rows.
     """
 
     sizes: List[int]
@@ -186,6 +200,15 @@ class CountIndex:
     def occupied(self) -> frozenset:
         """The counts whose class holds vertices, built on first read."""
         return frozenset(c for c, size in enumerate(self.sizes) if size)
+
+    @staticmethod
+    def _live_rows(rows: Dict[Any, List[int]], live: List[bool]) -> Dict[Any, List[int]]:
+        """Each row of `rows`, a count of holders per count, with the
+        holders of the counts where `live` fails set to 0, less the rows
+        that no live count holds; the rows keep their order."""
+        masked = ((key, [h if alive else 0 for h, alive in zip(row, live)])
+                  for key, row in rows.items())
+        return {key: row for key, row in masked if any(row)}
 
 
 class LawIndex(CountIndex):
@@ -261,11 +284,7 @@ class LawIndex(CountIndex):
         in tuple_token order, as (image, preimages) pairs, and each one's
         holders among those vertices per count 0..max_count.  Tuples of one
         shape share one holder row."""
-        shapes = {}
-        for shape, row in self._holder_rows().items():
-            row = [h if alive else 0 for h, alive in zip(row, live)]
-            if any(row):
-                shapes[shape] = row
+        shapes = self._live_rows(self._holder_rows(), live)
         found, holders = [], []
         for image, members in self.restriction.classes[0]:
             for p in range(2, min(len(members), self.big_r) + 1):

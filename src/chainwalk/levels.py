@@ -47,9 +47,10 @@ both.
 
 Only the state arithmetic is written here.  The decisions both paths take
 on the same numbers are written once beside the vector path: a flip's loop
-and plan in amplify (flip_until, flip_plan), the hop loop of interval
-repair and of a walk step, with its bound, in amplify.hop_until, which
-runs class_hop here, interval repair's premises and its target class in
+and plan in amplify (flip_until, flip_plan), the loop of interval repair, of
+a walk step and of tuple extraction, with its bound, in amplify.hop_until,
+which runs class_hop here and extract_tuple's padded measurements over
+(state, outcome) pairs, interval repair's premises and its target class in
 extraction.repair_classes, the cell each repair hop measures in
 extraction.repair_cell and its give-up text, extraction.REPAIR_STALLED,
 and extraction's padding width and the family a tuple outcome leaves on
@@ -63,8 +64,8 @@ from dataclasses import replace
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ._stream import Uniform, choose
-from .amplify import MAX_TRANSITIONS, FlipStats, Want, flip_until, hop_until
-from .errors import ImpossibleTargetError, ParameterError, SimulationError, ValidationError
+from .amplify import FlipStats, Want, flip_until, hop_until
+from .errors import ImpossibleTargetError, ParameterError, ValidationError
 from .extraction import (
     REPAIR_STALLED, ExtractionOutcome, VertexFamily, in_range, repair_cell, repair_classes,
 )
@@ -236,25 +237,26 @@ def extract_tuple(
     rng: Uniform,
     trace: List[dict],
 ) -> Tuple[ExtractionOutcome, FlipStats]:
-    """Repeat padded measurements until a tuple comes out.
-
-    Dummy outcomes are repaired back to the full interval before retrying,
+    """Repeat padded measurements until a tuple comes out, by
+    amplify.hop_until over (state, outcome) pairs: each step measures once
+    by extract_once and repairs a dummy outcome back to the full interval,
     so the expected number of measurement rounds is at most y/lo plus O(1).
-    Returns the tuple outcome and the work record.  Each event is appended
-    to `trace`; for a dummy event interval_after is the narrowed interval
-    before repair and iterations is the repair's diffusion-iteration count.
-    A family with lo < 1 is refused here, and one without a finite upper
-    bound by the first extract_once (VertexFamily.padding_width).
+
+    Returns the tuple outcome and the work record: one attempt per
+    measurement, with each repair's record merged in.  Each event is
+    appended to `trace`; for a dummy event interval_after is the narrowed
+    interval before repair and iterations is the repair's diffusion-iteration
+    count.  A family with lo < 1 is refused here, and one without a finite
+    upper bound by the first extract_once (VertexFamily.padding_width).
     """
     if family.lo < 1:
         raise ParameterError(
             "tuple extraction requires every vertex to hold a tuple (lo >= 1)"
         )
-    stats = FlipStats()
-    for _ in range(MAX_TRANSITIONS):
-        out = extract_once(state, family, rng)
-        stats.attempts += 1
-        fs = FlipStats()
+
+    def step(pair):
+        out = extract_once(pair[0], family, rng)
+        stats, state = FlipStats(attempts=1), None
         if out.kind == "dummy":
             state, fs = repair(out.collapsed, out.new_family, family.hi, rng)
             stats.absorb(fs)
@@ -264,10 +266,13 @@ def extract_tuple(
             "preimages": None if out.preimages is None else list(out.preimages),
             "interval_before": [family.lo, family.hi],
             "interval_after": [out.new_family.lo, out.new_family.hi],
-            "iterations": fs.iterations_used,
+            "iterations": stats.iterations_used,
         })
-        if out.kind == "tuple":
-            return out, stats
-    raise SimulationError(
-        f"no tuple outcome after {MAX_TRANSITIONS} padded measurements"
+        return (state, out), stats
+
+    # a tuple outcome leaves no state to measure again, which ends the loop
+    (_, out), stats = hop_until(
+        (state, None), step, lambda pair: pair[0] is None,
+        "no tuple outcome after {} padded measurements",
     )
+    return out, stats

@@ -24,11 +24,12 @@ from chainwalk.errors import (
     SimulationError,
 )
 from chainwalk.extraction import FamilyIndex, VertexFamily
-from chainwalk.law import LawIndex, family_law
+from chainwalk.law import LawIndex, family_law, family_total
 from chainwalk.levels import Levels, extract_tuple
 from chainwalk.oracle import CollisionTable, FunctionTable, Params, generate_function, restrict
 from test_acceptance import CHAIN_INSTANCES
 from test_extraction import four_pair
+from test_levels import _raises_within
 
 # families small enough to enumerate in a property test
 _MAX_TEST_VERTICES = 20_000
@@ -299,3 +300,16 @@ def test_law_index_keeps_the_family_cap():
     assert messages[0] == messages[1] == (
         "family of 10518300 vertices exceeds enumeration cap 250000"
     )
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: run(ChainConfig(Params(14, 14, 14), 13, 0)), id="run-n14-R8192"),
+    pytest.param(lambda: family_total(2**22, 2**21), id="family_total-2^22"),
+    pytest.param(lambda: run(ChainConfig(Params(40, 40, 0), 1, 0)), id="run-n40"),
+])
+def test_a_family_past_the_cap_is_refused_at_once(call):
+    """C(16384, 8192) has more digits than Python prints, C(2^22, 2^21)
+    takes minutes to compute and a table of 2^40 entries cannot be drawn:
+    each family is refused with CapacityError within a second, naming its
+    size by the binomial, and a run refuses it before drawing its table."""
+    _raises_within(1, CapacityError, call, match=r"family of C\(\d+, \d+\) vertices exceeds")

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainwalk import amplify, levels as levels_module
 from chainwalk._stream import Stream, choose
 from chainwalk.amplify import (
     MAX_TRANSITIONS,
@@ -178,6 +179,27 @@ def test_walk_step_that_never_reaches_the_target_raises():
         _raises_within(30, SimulationError, lambda: walk_step(
             Levels.uniform(index, 1, 2), family, plan, _ZeroStream(), ledger=CostLedger()),
             match=f"walk step did not reach the target cell in {MAX_TRANSITIONS} hops")
+
+
+def test_extract_tuple_that_never_draws_a_tuple_raises(monkeypatch):
+    """four_pair's R = 6 family [1, 2] under zero draws: every padded
+    measurement gives the dummy d_2, the first label of positive weight
+    (no vertex of the class has count 0, so d_1 has none), and a stubbed
+    repair puts the class back, so under a bound of 3 the
+    extraction gives up after three dummies, with amplify's bound in its
+    text."""
+    _, restriction = four_pair()
+    index = LawIndex(restriction, 6)
+    family = VertexFamily(restriction=restriction, big_r=6, lo=1, hi=2)
+    start = Levels.uniform(index, 1, 2)
+    monkeypatch.setattr(amplify, "MAX_TRANSITIONS", 3)
+    monkeypatch.setattr(levels_module, "repair",
+                        lambda state, family, target_hi, rng: (start, FlipStats()))
+    trace = []
+    with pytest.raises(SimulationError) as failed:
+        extract_tuple(start, family, _ZeroStream(), trace)
+    assert str(failed.value) == "no tuple outcome after 3 padded measurements"
+    assert [(event["event"], event["interval_after"]) for event in trace] == [("dummy", [1, 1])] * 3
 
 
 def test_flip_with_a_small_landing_chance_lands():

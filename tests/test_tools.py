@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -129,6 +130,40 @@ def test_every_reference_is_read_by_a_test():
             break
         reached |= more
     assert reached == set(defined), sorted(set(defined) - reached)
+
+
+_CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment line
+class Shape:
+    """A class docstring."""
+
+    sides = (
+        3,
+    )
+
+    def area(self):
+        """A function docstring."""
+        text = """a string
+        that is not a docstring"""
+        return len(text)
+'''
+
+
+def test_code_lines_counts_lines_that_hold_code():
+    """tools/code_lines.py's rule on a fixture: of its 19 lines, the import,
+    the class line, the three lines of the tuple, the def line, the two
+    lines of the string that is not a docstring and the return are code;
+    the docstrings, the comment line and the blank lines are not."""
+    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.code_lines(_CODE_LINES_FIXTURE) == 9
+    assert module.code_lines("") == 0
 
 
 def test_sweep_reports_unchanged():
