@@ -4,12 +4,14 @@ A run starts from the uniform superposition over all R-subsets of the domain
 and alternates walk phases (amplitude amplification toward collision-bearing
 vertices, charged as quantum-walk updates) with extraction phases (padded
 measurements that pull one multicollision tuple out and shrink the domain).
-The residual state is reused from step to step without re-preparation; after
-every phase the run checks that the live state is exactly uniform over its
-declared vertex family.  States are held as levels.Levels, a class of vertex
-counts over the family's law.LawIndex, whose class sizes and tuple holders
-come from the family's exact law, so no phase builds a vector over the
-vertices and no index enumerates one.
+The residual state is reused from step to step without re-preparation, so
+every phase must leave a state exactly uniform over its declared vertex
+family: _record checks each recorded phase's state against its family before
+it writes the phase's trace entry, and levels.extract_once checks the state
+each padded measurement starts from.  States are held as levels.Levels, a
+class of vertex counts over the family's law.LawIndex, whose class sizes and
+tuple holders come from the family's exact law, so no phase builds a vector
+over the vertices and no index enumerates one.
 
 run() is one loop of walk and extraction phases under one of two interval
 policies.  The window policy (the dense regime) holds an IntervalPlan: each
@@ -319,22 +321,20 @@ def _verify_tuple(
 
 
 def _extract_one(state, family, rng, ledger, fn, trace):
-    """Extract one tuple, charge and verify it, and check the residual against
-    the index of the shrunken family (`index.child`: the law of the domain
-    less the tuple's class, at R - |P|).
+    """Extract one tuple, charge and verify it.  The residual lies on the
+    index of the shrunken family (`index.child`: the law of the domain less
+    the tuple's class, at R - |P|), and the family's collision table records
+    the tuple.
 
-    Returns (tuple, state, family); state is None once the extraction has
-    emptied the vertex (R' = 0).
+    Returns (state, family); state is None once the extraction has emptied
+    the vertex (R' = 0).
     """
     delta = _delta_for(family)
     out, fs = extract_tuple(state, family, rng, trace)
     ledger.extraction_events += 1
     ledger.charge_flip(fs, delta)
-    found = (out.image, out.preimages)
-    _verify_tuple(fn, ledger, *found)
-    if out.collapsed is not None:
-        check_class(out.collapsed, out.new_family)
-    return found, out.collapsed, out.new_family
+    _verify_tuple(fn, ledger, out.image, out.preimages)
+    return out.collapsed, out.new_family
 
 
 def _flip_charged(state, family, good, want, rng, ledger) -> Levels:
@@ -347,9 +347,7 @@ def _flip_charged(state, family, good, want, rng, ledger) -> Levels:
 def _measure_count(state, family, rng):
     """Measure the exact tuple count z and narrow the family to [z, z]."""
     count, state = measure(state, lambda c: c, rng)
-    family = replace(family, lo=count, hi=count)
-    check_class(state, family)
-    return state, family
+    return state, replace(family, lo=count, hi=count)
 
 
 def _project_window(state, family, plan, rng, ledger):
@@ -358,9 +356,7 @@ def _project_window(state, family, plan, rng, ledger):
     if state.index.class_size(lo, hi) == 0:
         raise FlaggedInstanceError(f"no vertices hold [{lo}, {hi}] tuples.")
     state = _flip_charged(state, family, in_range(lo, hi), Want.GOOD, rng, ledger)
-    family = replace(family, lo=lo, hi=hi)
-    check_class(state, family)
-    return state, family
+    return state, replace(family, lo=lo, hi=hi)
 
 
 def _count_walk(state, family, rng, ledger):
@@ -387,22 +383,18 @@ def extraction_step(
     Starting from a state over [x, y], extracts plan.width tuples (interval
     slides to [x-T, y-T]) and keeps extracting while the upper bound still
     exceeds the recomputed expectation for the shrunken subset size.  Returns
-    (tuples, state, family, refreshed plan); state is None once the vertex
-    is emptied.
+    (state, family, refreshed plan), the family's collision table holding
+    the tuples; state is None once the vertex is emptied.
     """
     if plan.expected_now < 2:
         raise FlaggedInstanceError(f"dense extraction needs E >= 2, got {plan.expected_now}.")
-    tuples = []
     for _ in range(plan.width):
-        found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
-        tuples.append(found)
+        state, family = _extract_one(state, family, rng, ledger, fn, trace)
     while family.hi > window(plan.c, family.big_r, family.restriction.codomain_size)[0]:
         if family.lo < 1:
             raise FlaggedInstanceError("interval re-centering ran out of extractable tuples.")
-        found, state, family = _extract_one(state, family, rng, ledger, fn, trace)
-        tuples.append(found)
-    new_plan = plan.refreshed(family.big_r, family.restriction.codomain_size)
-    return tuples, state, family, new_plan
+        state, family = _extract_one(state, family, rng, ledger, fn, trace)
+    return state, family, plan.refreshed(family.big_r, family.restriction.codomain_size)
 
 
 def walk_step(
@@ -420,7 +412,8 @@ def walk_step(
     and hops (amplify.hop_until over levels.class_hop) from the class to a
     cell of its complement until the third cell comes up.  The hops'
     iterations are charged as diffusions, once, from their merged work
-    record.  Returns (state, family over [E+1, E+T], stats).
+    record.  Returns (state, family over [E+1, E+T], stats); the run's walk
+    record checks that the state is that family's whole class.
     """
     e_now, width = plan.expected_now, plan.width
     lo_cell = max(0, e_now - width)
@@ -447,18 +440,21 @@ def walk_step(
         "walk step did not reach the target cell in {} hops",
     )
     ledger.charge_flip(stats, _delta_for(family))
-    new_family = replace(family, lo=e_now + 1, hi=e_now + width)
-    check_class(state, new_family)
-    return state, new_family, stats
+    return state, replace(family, lo=e_now + 1, hi=e_now + width), stats
 
 
-def _record(result_trace, step, phase, family, support, **extra) -> None:
+def _record(result_trace, step, phase, state, family, **extra) -> None:
+    """Append the trace entry of a phase that left `state` over `family`,
+    once levels.check_class has found the state uniform over the family's
+    whole class: the one check of a phase's result, so uniform_ok is True
+    in every entry written."""
+    check_class(state, family)
     entry = {
         "iteration": step,
         "phase": phase,
         "interval": family.interval_label(),
         "subset_size": family.big_r,
-        "support_size": support,
+        "support_size": state.support(),
         "uniform_ok": True,
     }
     entry.update(extra)
@@ -494,14 +490,14 @@ def run(config: ChainConfig) -> ChainResult:
     ledger.oracle_queries += big_r
 
     trace: List[dict] = []
-    _record(trace, 0, "setup", family, state.support())
+    _record(trace, 0, "setup", state, family)
 
     m_size = restriction.codomain_size
     plan: Optional[IntervalPlan] = None
     if 8 * big_r < m_size and window(_CALIBRATION_C, big_r, m_size)[0] >= 2:
         plan = IntervalPlan.build(big_r, m_size, _CALIBRATION_C)
         state, family = _project_window(state, family, plan, rng, ledger)
-        _record(trace, 0, "project", family, state.support())
+        _record(trace, 0, "project", state, family)
     regime = "sparse" if plan is None else "dense"
 
     status = ChainStatus.MAX_ITERATIONS
@@ -518,17 +514,17 @@ def run(config: ChainConfig) -> ChainResult:
                         status = ChainStatus.SPARSE_FALLBACK
                         break
                     state, family = _count_walk(state, family, rng, ledger)
-                    _record(trace, outer, "walk", family, state.support())
-                _, state, family = _extract_one(state, family, rng, ledger, fn, trace)
+                    _record(trace, outer, "walk", state, family)
+                state, family = _extract_one(state, family, rng, ledger, fn, trace)
             else:
-                _, state, family, plan = extraction_step(
+                state, family, plan = extraction_step(
                     state, family, plan, rng, trace=trace, ledger=ledger, fn=fn,
                 )
             if family.big_r < 1:
                 status = ChainStatus.SPARSE_FALLBACK
                 break
             _record(
-                trace, outer, "extraction", family, state.support(),
+                trace, outer, "extraction", state, family,
                 tuples_total=len(family.restriction.table),
             )
             if plan is None or len(family.restriction.table) >= config.target:
@@ -536,10 +532,10 @@ def run(config: ChainConfig) -> ChainResult:
             if plan.expected_now < 2:
                 plan, regime = None, "mixed"
                 state, family = _measure_count(state, family, rng)
-                _record(trace, outer, "regime-switch", family, state.support())
+                _record(trace, outer, "regime-switch", state, family)
             else:
                 state, family, _ = walk_step(state, family, plan, rng, ledger=ledger)
-                _record(trace, outer, "walk", family, state.support())
+                _record(trace, outer, "walk", state, family)
     except CapacityError:
         status = ChainStatus.CAPACITY
 

@@ -47,6 +47,7 @@ import itertools
 import math
 import operator
 import struct
+import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import CapacityError, ContractViolationError, ParameterError
@@ -63,9 +64,11 @@ def family_total(points: int, big_r: int) -> int:
     _MAX_FAMILY_VERTICES vertices.
 
     C(points, big_r) is at least points when big_r < points, so a domain of
-    more points than the cap is refused before the binomial is computed.  A
-    refusal states the total, or the binomial C(points, big_r) where the
-    total is not computed or has more digits than Python prints.
+    more points than the cap is refused before the binomial is computed, and
+    so is a total that a float estimate of its log10 puts more than 3 digits
+    past sys.get_int_max_str_digits() (0: no limit), which str() would
+    refuse.  A refusal states the total, or the binomial C(points, big_r)
+    where the total is not computed or has more digits than Python prints.
     """
     require_int(big_r=big_r)
     if not (0 < big_r <= points):
@@ -73,7 +76,9 @@ def family_total(points: int, big_r: int) -> int:
             f"subset size {big_r} invalid for domain of {points} points"
         )
     shown = None
-    if big_r == points or points <= _MAX_FAMILY_VERTICES:
+    limit = sys.get_int_max_str_digits()
+    if big_r == points or (points <= _MAX_FAMILY_VERTICES
+                           and not (limit and _log10_comb(points, big_r) > limit + 3)):
         total = math.comb(points, big_r)
         if total <= _MAX_FAMILY_VERTICES:
             return total
@@ -85,6 +90,12 @@ def family_total(points: int, big_r: int) -> int:
         f"family of {shown or f'C({points}, {big_r})'} vertices exceeds enumeration cap "
         f"{_MAX_FAMILY_VERTICES}"
     )
+
+
+def _log10_comb(points: int, big_r: int) -> float:
+    """log10 C(points, big_r), to float accuracy."""
+    return (math.lgamma(points + 1) - math.lgamma(big_r + 1)
+            - math.lgamma(points - big_r + 1)) / math.log(10)
 
 
 def _power(base: int, exp: int, keep: int) -> int:

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from chainwalk import (
     _stream, amplify, chain, extraction, johnson, law, levels, regimes, statevector, stats,
 )
-from chainwalk.errors import FlaggedInstanceError, ParameterError, SimulationError
+from chainwalk.errors import (
+    ContractViolationError,
+    FlaggedInstanceError,
+    ImpossibleTargetError,
+    ParameterError,
+    SimulationError,
+    ValidationError,
+)
 from chainwalk.oracle import (
     CollisionTable,
     FunctionTable,
@@ -61,6 +68,7 @@ def test_config_validation():
 
 
 _P = Params(n=4, m=5, k=0)
+_ONE = State({statevector.subset_key([0, 1]): 1.0})
 
 
 @pytest.mark.parametrize("call", [
@@ -126,6 +134,7 @@ _P = Params(n=4, m=5, k=0)
     pytest.param(lambda: amplify.flip_until(None, 0.6, "good", lambda state, rounds: (True, state)),
                  id="flip_until-want-str"),
     pytest.param(lambda: amplify.split("a"), id="split-str"),
+    pytest.param(lambda: amplify.grover_iterate(_ONE, bool, _ONE, -1), id="grover_iterate-count-1"),
 ])
 def test_probe_calls_raise_parameter_error(call):
     """The error-contract probe calls: each raised a bare ZeroDivisionError,
@@ -138,6 +147,40 @@ def test_probe_calls_raise_parameter_error(call):
     a `want` that is not a Want, planned a BAD flip or raised a bare
     AttributeError, and each now raises ParameterError."""
     with pytest.raises(ParameterError):
+        call()
+
+
+# _P's function at seed 0, restricted to no tuple
+_P_DOMAIN = restrict(generate_function(_P, 0), CollisionTable())
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: statevector.attach_register(
+        statevector.subset_key([1, 2]) + b"tok", b"tok"),
+        ContractViolationError, "key already carries a register", id="attach_register-twice"),
+    pytest.param(lambda: State({statevector.subset_key([1, 2]): 0.0}),
+                 ValidationError, "state has no support", id="State-zero"),
+    pytest.param(lambda: State({statevector.subset_key([1, 2]): 1e-13}),
+                 ValidationError, "state has no support", id="State-pruned"),
+    pytest.param(lambda: Levels(law.LawIndex(_P_DOMAIN, 4), []),
+                 ValidationError, "state has no support", id="Levels-no-counts"),
+    pytest.param(lambda: Levels.uniform(law.LawIndex(_P_DOMAIN, 4), 99),
+                 ImpossibleTargetError, r"no vertices with count in \[99, None\]",
+                 id="Levels.uniform-empty-class"),
+    pytest.param(lambda: _stream.integers(0, 0, 4),
+                 ValueError, "need 1 <= m <= 63", id="integers-m0"),
+    pytest.param(lambda: _stream.integers(0, 64, 4),
+                 ValueError, "need 1 <= m <= 63", id="integers-m64"),
+    pytest.param(lambda: extraction.pad_and_attach(
+        State({statevector.subset_key([0, 1, 2]): 1.0}), _P_DOMAIN, 2, FamilyIndex(_P_DOMAIN, 2)),
+        ValidationError, "not a vertex of its index", id="pad_and_attach-foreign-key"),
+    pytest.param(lambda: law.LawIndex(_P_DOMAIN, 4, [1, 2]), ContractViolationError,
+                 r"family law sums to 3, not C\(16, 4\) = 1820", id="LawIndex-sizes-off"),
+])
+def test_public_refusals(call, error, match):
+    """The refusals of public calls that no run reaches, each with its
+    error and text."""
+    with pytest.raises(error, match=match):
         call()
 
 
@@ -297,12 +340,12 @@ def test_extraction_step_dense_scenario():
     assert (plan.expected_now, plan.width) == (2, 1)
     family = VertexFamily(restriction=restriction, big_r=8, lo=2, hi=3)
     ledger = CostLedger()
-    tuples, state, new_family, new_plan = extraction_step(
+    state, new_family, new_plan = extraction_step(
         Levels.uniform(index, 2, 3), family, plan, np.random.default_rng(8),
         ledger=ledger, fn=fn, trace=[],
     )
     # one planned extraction plus one re-centering extraction
-    assert tuples == [(0, (0, 1)), (7, (14, 15))]
+    assert list(new_family.restriction.table.items()) == [(0, (0, 1)), (7, (14, 15))]
     assert (new_family.lo, new_family.hi, new_family.big_r) == (0, 1, 4)
     assert new_plan.expected_now == 1
     assert ledger.extraction_events == 2
@@ -590,6 +633,41 @@ def test_dense_run_switches_to_the_count_walk(monkeypatch, seed, digest):
     assert result.regime == "mixed" and phases.count("regime-switch") == 1
     assert phases[:phases.index("regime-switch")].count("walk") == 3
     assert hashlib.sha256(result.report_json().encode()).hexdigest() == digest
+
+
+def _shape_of(result):
+    """The report as a dict, every preimages value replaced by its length."""
+    doc = json.loads(result.report_json())
+    for entry in doc["tuples"] + doc["per_step_trace"]:
+        if entry.get("preimages") is not None:
+            entry["preimages"] = len(entry["preimages"])
+    return doc
+
+
+def test_relabelling_the_domain_moves_only_the_preimages(monkeypatch):
+    """A run reads its function through the sizes of its image classes;
+    which points carry them shows only in its preimages.  On f composed
+    with a fixed permutation of the domain, at the same seed, the 20
+    criterion-7 runs, criterion 8's four and the 8 cap-lifted dense pins
+    give the reports they give on f, once every preimages value is
+    replaced by its length; their preimages do move."""
+    monkeypatch.setattr(law, "_MAX_FAMILY_VERTICES", 10**200)
+    configs = [ChainConfig(Params(4, m, k), 3, seed, 64) for m, seed, k in CHAIN_INSTANCES]
+    configs += [ChainConfig(Params(4, 7, 1), ell, 1, 64) for ell in range(1, 5)]
+    configs += [ChainConfig(Params(7, 10, 2), 6, seed) for seed, _ in _DENSE_WALKS]
+    configs += [ChainConfig(Params(7, 10, 4), 6, seed) for seed, _ in _MIXED_RUNS]
+    reports = [run(config) for config in configs]
+    drawn = chain.generate_function
+    for sigma in (lambda x, size: size - 1 - x, lambda x, size: (5 * x + 3) % size):
+        def relabelled(params, seed):
+            images = drawn(params, seed).images
+            return FunctionTable(params, [images[sigma(x, len(images))]
+                                          for x in range(len(images))])
+
+        monkeypatch.setattr(chain, "generate_function", relabelled)
+        moved = [run(config) for config in configs]
+        assert [_shape_of(r) for r in moved] == [_shape_of(r) for r in reports]
+        assert any(a.report_json() != b.report_json() for a, b in zip(moved, reports))
 
 
 def test_criterion_7_hot_path(monkeypatch):

@@ -9,6 +9,8 @@ residual and next draw.
 """
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -313,3 +315,39 @@ def test_a_family_past_the_cap_is_refused_at_once(call):
     each family is refused with CapacityError within a second, naming its
     size by the binomial, and a run refuses it before drawing its table."""
     _raises_within(1, CapacityError, call, match=r"family of C\(\d+, \d+\) vertices exceeds")
+
+
+@pytest.mark.parametrize("call, shown", [
+    pytest.param(lambda: family_total(250000, 125000), "C(250000, 125000)", id="250000-125000"),
+    pytest.param(lambda: run(ChainConfig(Params(17, 17, 17), 16, 0)), "C(131072, 65536)",
+                 id="run-n17-ell16"),
+    pytest.param(lambda: family_total(128, 8), str(math.comb(128, 8)), id="128-8"),
+    pytest.param(lambda: family_total(250000, 6), str(math.comb(250000, 6)), id="250000-6"),
+])
+def test_a_refusal_within_the_cap_takes_no_binomial_it_cannot_print(call, shown):
+    """A domain within the cap whose total has more digits than str()
+    prints is refused within 0.1 s, naming the binomial, without computing
+    C(N, R) (0.78 s for C(250000, 125000)); a total that prints is still
+    computed and stated in full."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as info:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == f"family of {shown} vertices exceeds enumeration cap 250000"
+
+
+def test_a_family_total_is_stated_in_full_with_no_digit_limit():
+    """With sys.set_int_max_str_digits(0), every total prints, so
+    C(16384, 8192), refused as a binomial under the default limit, is
+    computed and stated in full."""
+    text = "family of {} vertices exceeds enumeration cap 250000"
+    with pytest.raises(CapacityError, match=text.format(r"C\(16384, 8192\)")):
+        family_total(16384, 8192)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(CapacityError) as info:
+            family_total(16384, 8192)
+        assert str(info.value) == text.format(math.comb(16384, 8192))
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -142,6 +142,8 @@ def test_states_close_global_phase():
     assert states_close(st, rotated)
     other = uniform_state(keys[:4])
     assert not states_close(st, other)
+    # the other state lacks the first state's reference key
+    assert not states_close(st, State({b"z": 1.0}))
 
 
 # ------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import ast
 import hashlib
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,22 @@ def test_code_lines_counts_lines_that_hold_code():
     spec.loader.exec_module(module)
     assert module.code_lines(_CODE_LINES_FIXTURE) == 9
     assert module.code_lines("") == 0
+
+
+def test_cwl_cases_prints_one_line_per_case(capsys):
+    """tools/cwl_cases.py runs every case of its list within a second and
+    prints one JSON line per case, in the list's order; the list reaches
+    each of cwl's exit codes."""
+    spec = importlib.util.spec_from_file_location("cwl_cases", TOOLS / "cwl_cases.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    start = time.perf_counter()
+    module.main()
+    elapsed = time.perf_counter() - start
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["args"] for line in lines] == module.cases()
+    assert {line["exit"] for line in lines} == {0, 1, 2}
+    assert elapsed < 1
 
 
 def test_sweep_reports_unchanged():
